@@ -40,6 +40,11 @@ CERTIFICATE_KINDS = ("spectral", "weak_spectral")
 # failed at the scanned width.
 COERCIVITY_FLOOR = 1.0e-14
 
+# Gram eigenvalues at or below this fraction of the largest are left out of
+# the low-rank factor used by estimate_admissibility; their mass re-enters as
+# a Weyl bound.
+GRAM_RANK_CUTOFF = 1.0e-13
+
 # Safety factor keeping the sampling cluster half-width β strictly inside
 # the admissible range 2β² < ε.
 BETA_SAFETY = 1.0 - 1.0e-9
@@ -216,12 +221,37 @@ def default_lambda_grid(system: SpectralSystem, points: int = 512) -> np.ndarray
     return np.unique(np.concatenate([base, mids]))
 
 
+def admissibility_breakpoints(system: SpectralSystem, epsilon: float) -> np.ndarray:
+    """Sorted unique cluster edges λ_k ± ε over the distinct eigenvalues.
+
+    Between consecutive edges the off-cluster set is fixed and the squared
+    norm is convex in λ, so its largest value over these points is its
+    supremum over all real λ.
+    """
+    if not epsilon > 0:
+        raise DomainError(f"cluster width must be positive, got {epsilon}")
+    distinct = system.distinct_eigenvalues()
+    return np.unique(np.concatenate([distinct - epsilon, distinct + epsilon]))
+
+
 def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) -> float:
     """Squared off-cluster resolvent-observation norm, maximized over the grid.
 
     For each λ the modes with |λ_k − λ| ≥ ε form the off-cluster block; the
     value there is the largest eigenvalue of D⁻¹ G D⁻¹ with D = diag(λ_k − λ)
-    over that block.  Returns M² (callers take the square root).
+    over that block.  A mode also counts as off-cluster at its own computed
+    edges fl(λ_k ± ε), where rounding can make |λ_k − λ| fall just below ε.
+    Returns M² (callers take the square root).
+
+    Given ``admissibility_breakpoints(system, epsilon)`` as the grid, the
+    result is the exact supremum over all real λ, not a grid maximum.
+
+    The Gram is factored once, G = FF* + E, by ``eigh``: F keeps the
+    eigenpairs above ``GRAM_RANK_CUTOFF`` times the largest eigenvalue, E is
+    the rest.  At each λ the top eigenvalue of the r×r matrix (D⁻¹F)*(D⁻¹F)
+    (the same nonzero spectrum as the off-cluster block of D⁻¹FF*D⁻¹) is
+    taken, and the Weyl bound ‖E‖/ε² is added once, so the result is an
+    upper bound for the value with the full Gram.
     """
     if not epsilon > 0:
         raise DomainError(f"cluster width must be positive, got {epsilon}")
@@ -229,20 +259,25 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
     if grid.size == 0:
         raise DomainError("lambda grid is empty")
     eigenvalues = system.eigenvalues
-    gram = system.gram
+    lower_edges = eigenvalues - epsilon
+    upper_edges = eigenvalues + epsilon
+    w, v = np.linalg.eigh(system.gram)
+    kept = w > GRAM_RANK_CUTOFF * w[-1]
+    factor = v[:, kept] * np.sqrt(w[kept])
+    weyl = float(np.abs(w[~kept]).max(initial=0.0)) / epsilon**2
 
-    def norm_sq_at(lam: float) -> float:
+    best = 0.0
+    for lam in grid:
         d = eigenvalues - lam
-        keep = np.abs(d) >= epsilon
-        if not keep.any():
+        off = (np.abs(d) >= epsilon) | (lam <= lower_edges) | (lam >= upper_edges)
+        if not off.any():
             raise DomainError(
                 f"the cluster at λ = {lam} covers every mode; off-cluster block is empty"
             )
-        dinv = 1.0 / d[keep]
-        block = gram[np.ix_(keep, keep)] * np.outer(dinv, dinv)
-        return float(np.linalg.eigvalsh(block)[-1])
-
-    return float(max(ordered_map(norm_sq_at, [float(v) for v in grid])))
+        scaled = factor[off] / d[off, None]
+        if scaled.shape[1]:
+            best = max(best, float(np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]))
+    return best + weyl
 
 
 @dataclass(frozen=True)
@@ -420,7 +455,13 @@ def scan_certificate(
 
     Chain: eigenvalue-centered scan at width ε → envelope fit → shift to
     arbitrary centers as a weak certificate (ε/2, envelope lowered by the
-    center shift) → admissibility estimate at width ε/2 → weak_to_spectral.
+    center shift) → admissibility at width ε/2 → weak_to_spectral.
+
+    With ``lambda_grid`` left as None, ``admissibility_sq`` is the exact
+    supremum over all real λ: ``estimate_admissibility`` evaluated at the
+    cluster edges ``admissibility_breakpoints(system, ε/2)``, in low rank
+    plus a Weyl term, hence an upper bound.  An explicit grid gives the
+    maximum over that grid instead.
     """
     if lambda_max is None:
         lambda_max = system.lambda_max
@@ -434,7 +475,7 @@ def scan_certificate(
         provenance=f"eigenvalue-centered cluster scan at width {epsilon!r} on {system.label or 'system'}",
     )
     if lambda_grid is None:
-        lambda_grid = default_lambda_grid(system)
+        lambda_grid = admissibility_breakpoints(system, half)
     m_sq = estimate_admissibility(system, half, lambda_grid)
     m = math.sqrt(m_sq)
     spectral = weak_to_spectral(weak, m)

@@ -156,9 +156,12 @@ def weak_observability_check(
     psi: DecayFunction,
     eps: DecayFunction,
     th: ThetaConstants,
+    t_min: float | None = None,
 ) -> ObservabilityReport:
     """Evaluate θ₂ψ(θ₀(1/T+λ(z0)))‖z0‖² ≤ ∫₀ᵀ‖Cz‖² for one state.
 
+    ``t_min`` is ``solve_observation_time(λ(z0), eps, th)``; a caller that
+    has already solved it passes it in, otherwise it is solved here.
     A negative margin with T ≥ t_min does not by itself assert failure:
     the integral is re-evaluated by adaptive time quadrature at tighter
     tolerance and the re-run value is reported alongside.
@@ -168,7 +171,8 @@ def weak_observability_check(
     c = coefficients_of(z0, system)
     lam0 = frequency(z0, system)
     norm_sq = float(np.vdot(c, c).real)
-    t_min = solve_observation_time(lam0, eps, th)
+    if t_min is None:
+        t_min = solve_observation_time(lam0, eps, th)
     applicable = T >= t_min
     lhs = th.theta2 * float(psi(th.theta0 * (1.0 / T + lam0))) * norm_sq
     integral = observability_integral(z0, system, T)

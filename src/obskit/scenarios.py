@@ -14,6 +14,7 @@ import numpy as np
 
 from ._version import __version__
 from .coercivity import (
+    admissibility_breakpoints,
     coercivity_scan,
     default_lambda_grid,
     estimate_admissibility,
@@ -260,7 +261,8 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
         t_min_sup = solve_observation_time(lam0, pipeline.spectral.epsilon, th_sup)
         horizon = cfg.T if cfg.T is not None else 2.0 * t_min
         rep = weak_observability_check(
-            z, system, horizon, pipeline.spectral.psi, pipeline.spectral.epsilon, th
+            z, system, horizon, pipeline.spectral.psi, pipeline.spectral.epsilon, th,
+            t_min=t_min,
         )
         all_applicable = all_applicable and rep.applicable
         if rep.applicable:
@@ -385,7 +387,8 @@ def run_assumption_ii_iii(cfg: RunConfig) -> ReportBundle:
     )
 
     system = build_square_system(n_max, gamma)
-    m_sq = estimate_admissibility(system, cfg.epsilon_cluster, default_lambda_grid(system))
+    grid = admissibility_breakpoints(system, cfg.epsilon_cluster)
+    m_sq = estimate_admissibility(system, cfg.epsilon_cluster, grid)
     m = math.sqrt(m_sq)
     bundle.constants["admissibility_sq"] = m_sq
     bundle.constants["admissibility"] = m
@@ -413,7 +416,7 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    grid = default_lambda_grid(system)
+    grid = admissibility_breakpoints(system, cfg.epsilon_cluster)
     m_sq = estimate_admissibility(system, cfg.epsilon_cluster, grid)
     bundle.constants["admissibility_sq"] = m_sq
     bundle.constants["admissibility"] = math.sqrt(m_sq)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obskit import (
     CoercivityCertificate,
@@ -13,6 +15,7 @@ from obskit import (
     PowerLaw,
     SpectralSystem,
     TransformedWidth,
+    admissibility_breakpoints,
     cluster_min_coercivity,
     coercivity_scan,
     default_lambda_grid,
@@ -38,6 +41,27 @@ def make_report(center, min_eig):
         min_eig=min_eig,
         min_vec=np.array([1.0 + 0j]),
     )
+
+
+def dense_admissibility(system, epsilon, lambda_grid):
+    """Reference: top eigenvalue of the dense off-cluster block D⁻¹GD⁻¹ per λ."""
+    best = 0.0
+    for lam in lambda_grid:
+        d = system.eigenvalues - lam
+        keep = np.abs(d) >= epsilon
+        if not keep.any():
+            raise DomainError(f"the cluster at λ = {lam} covers every mode")
+        dinv = 1.0 / d[keep]
+        block = system.gram[np.ix_(keep, keep)] * np.outer(dinv, dinv)
+        best = max(best, float(np.linalg.eigvalsh(block)[-1]))
+    return best
+
+
+def low_rank_system(eigenvalues, rank, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(eigenvalues), rank)
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralSystem(eigenvalues=eigenvalues, gram=f @ f.conj().T)
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +298,88 @@ class TestAdmissibilityEstimate:
         with pytest.raises(DomainError):
             estimate_admissibility(square50, 0.5, [])
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            SpectralSystem(eigenvalues=[1.0, 2.0, 4.0], gram=np.diag([0.5, 1.0, 2.0])),
+            low_rank_system(np.sort(np.random.default_rng(5).uniform(1.0, 30.0, 40)), 4, 6),
+            low_rank_system(np.arange(1.0, 41.0), 1, 7),
+        ],
+        ids=["full-rank", "rank-4-of-40", "rank-1-of-40"],
+    )
+    @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.3])
+    def test_low_rank_matches_dense_oracle(self, system, epsilon):
+        grid = np.linspace(system.lambda_min - 3.0, system.lambda_max + 3.0, 201)
+        expected = dense_admissibility(system, epsilon, grid)
+        got = estimate_admissibility(system, epsilon, grid)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got >= expected
+        # At rounded cluster edges the oracle's |d| ≥ ε test can drop a mode
+        # that estimate_admissibility keeps, so only the bound holds there.
+        edges = admissibility_breakpoints(system, epsilon)
+        assert estimate_admissibility(system, epsilon, edges) >= dense_admissibility(
+            system, epsilon, edges
+        )
+
+    def test_zero_gram_gives_zero_on_breakpoints(self):
+        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.5], gram=np.zeros((3, 3)))
+        assert estimate_admissibility(sys_, 0.5, admissibility_breakpoints(sys_, 0.5)) == 0.0
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.3])
+    def test_mode_is_off_cluster_at_its_own_edges(self, epsilon):
+        # Non-dyadic eigenvalues: |λ_k − fl(λ_k ± ε)| < ε for many k, which
+        # must not drop mode k from the off-cluster block.
+        lam = np.sort(np.random.default_rng(8).uniform(1.0, 50.0, 40))
+        sys_ = SpectralSystem(eigenvalues=lam, gram=np.eye(lam.size))
+        edges = np.concatenate([lam - epsilon, lam + epsilon])
+        rounded_inside = np.abs(np.concatenate([lam, lam]) - edges) < epsilon
+        assert rounded_inside.any()
+        for edge in edges:
+            got = estimate_admissibility(sys_, epsilon, [edge])
+            assert got == pytest.approx(1.0 / epsilon**2, rel=1e-12)
+
+    def test_breakpoints_are_sorted_unique_cluster_edges(self):
+        sys_ = SpectralSystem(eigenvalues=[1.0, 1.0, 2.0, 3.0], gram=np.eye(4))
+        np.testing.assert_array_equal(
+            admissibility_breakpoints(sys_, 0.5), [0.5, 1.5, 2.5, 3.5]
+        )
+        with pytest.raises(DomainError):
+            admissibility_breakpoints(sys_, 0.0)
+
+    def test_breakpoint_sup_dominates_default_grid(self, square50):
+        for epsilon in (0.25, 0.5):
+            exact = estimate_admissibility(
+                square50, epsilon, admissibility_breakpoints(square50, epsilon)
+            )
+            assert exact >= estimate_admissibility(square50, epsilon, default_lambda_grid(square50))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        eigenvalues=st.lists(
+            st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False), min_size=2, max_size=10
+        ),
+        rank=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        fraction=st.floats(0.01, 1.0),
+        probes=st.lists(st.floats(-10.0, 120.0, allow_nan=False), max_size=10),
+    )
+    def test_breakpoint_sup_bounds_every_sampled_lambda(
+        self, eigenvalues, rank, seed, fraction, probes
+    ):
+        lam = np.sort(np.array(eigenvalues))
+        spread = lam[-1] - lam[0]
+        if not spread > 0:
+            lam[-1] += 1.0
+            spread = lam[-1] - lam[0]
+        # no cluster covers every mode when 2ε ≤ λ_max − λ_min
+        epsilon = fraction * spread / 2.0
+        sys_ = low_rank_system(lam, min(rank, lam.size), seed)
+        sup = estimate_admissibility(sys_, epsilon, admissibility_breakpoints(sys_, epsilon))
+        sample = np.concatenate(
+            [np.linspace(lam[0] - 2.0 * epsilon - 1.0, lam[-1] + 2.0 * epsilon + 1.0, 250), probes]
+        )
+        assert sup >= estimate_admissibility(sys_, epsilon, sample)
+
 
 class TestResolventCheck:
     def test_identity_gram_unit_strength_margin_zero(self):
@@ -360,6 +466,9 @@ class TestPipeline:
     def test_chain_consistency(self, square50):
         pipeline = scan_certificate(square50, 0.5)
         assert pipeline.scan_width == 0.5
+        assert pipeline.admissibility_sq == estimate_admissibility(
+            square50, 0.25, admissibility_breakpoints(square50, 0.25)
+        )
         assert pipeline.weak.kind == "weak_spectral"
         assert pipeline.weak.epsilon.c == pytest.approx(0.25)
         assert pipeline.spectral.kind == "spectral"

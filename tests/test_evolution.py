@@ -13,6 +13,7 @@ from obskit import (
     admissibility_check,
     cutoff_profile,
     evolve,
+    frequency,
     kernel_psd_margin,
     observability_integral,
     observability_integral_by_quadrature,
@@ -20,6 +21,7 @@ from obskit import (
     phase_kernel,
     scan_certificate,
     sharp_admissibility_constant,
+    solve_observation_time,
     theta_constants,
     weak_observability_check,
 )
@@ -224,6 +226,17 @@ class TestWeakObservability:
             )
             assert rep.applicable
             assert rep.margin >= -1e-9 * (1.0 + rep.integral)
+
+    def test_given_t_min_matches_solved(self, pipeline_system):
+        sys_, pipeline, th = pipeline_system
+        rng = np.random.default_rng(43)
+        psi, eps = pipeline.spectral.psi, pipeline.spectral.epsilon
+        for horizon in (1.0, 1.0e6):
+            z = rng.standard_normal(sys_.size) + 1j * rng.standard_normal(sys_.size)
+            t_min = solve_observation_time(frequency(z, sys_), eps, th)
+            solved = weak_observability_check(z, sys_, horizon, psi, eps, th)
+            given = weak_observability_check(z, sys_, horizon, psi, eps, th, t_min=t_min)
+            assert given == solved
 
     def test_margin_nondecreasing_in_horizon(self, pipeline_system):
         sys_, pipeline, th = pipeline_system
