@@ -444,28 +444,19 @@ class CertificatePipeline:
     spectral: CoercivityCertificate
 
 
-def scan_certificate(
-    system: SpectralSystem,
-    epsilon: float,
-    *,
-    lambda_max: float | None = None,
-    lambda_grid=None,
-) -> CertificatePipeline:
+def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipeline:
     """Build a spectral certificate from the system's own cluster scan.
 
-    Chain: eigenvalue-centered scan at width ε → envelope fit → shift to
-    arbitrary centers as a weak certificate (ε/2, envelope lowered by the
-    center shift) → admissibility at width ε/2 → weak_to_spectral.
+    Chain: eigenvalue-centered scan at width ε up to λ_max → envelope fit →
+    shift to arbitrary centers as a weak certificate (ε/2, envelope lowered
+    by the center shift) → admissibility at width ε/2 → weak_to_spectral.
 
-    With ``lambda_grid`` left as None, ``admissibility_sq`` is the exact
-    supremum over all real λ: ``estimate_admissibility`` evaluated at the
-    cluster edges ``admissibility_breakpoints(system, ε/2)``, in low rank
-    plus a Weyl term, hence an upper bound.  An explicit grid gives the
-    maximum over that grid instead.
+    ``admissibility_sq`` is the exact supremum over all real λ:
+    ``estimate_admissibility`` evaluated at the cluster edges
+    ``admissibility_breakpoints(system, ε/2)``, in low rank plus a Weyl
+    term, hence an upper bound.
     """
-    if lambda_max is None:
-        lambda_max = system.lambda_max
-    reports = coercivity_scan(system, epsilon, lambda_max)
+    reports = coercivity_scan(system, epsilon, system.lambda_max)
     envelope = fit_psi_envelope(reports)
     half = epsilon / 2.0
     weak = CoercivityCertificate(
@@ -474,9 +465,7 @@ def scan_certificate(
         kind="weak_spectral",
         provenance=f"eigenvalue-centered cluster scan at width {epsilon!r} on {system.label or 'system'}",
     )
-    if lambda_grid is None:
-        lambda_grid = admissibility_breakpoints(system, half)
-    m_sq = estimate_admissibility(system, half, lambda_grid)
+    m_sq = estimate_admissibility(system, half, admissibility_breakpoints(system, half))
     m = math.sqrt(m_sq)
     spectral = weak_to_spectral(weak, m)
     return CertificatePipeline(

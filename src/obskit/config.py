@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .spectral import SpectralSystem
-from .square import BoundaryPatch, GammaSpec, Side, build_square_system
+from .square import BoundaryPatch, GammaSpec, Side, build_square_system, mode_count
 
 SCENARIOS = (
     "verify-cutoff",
@@ -37,6 +37,11 @@ DEFAULT_EPSILON_CLUSTER = 0.5
 DEFAULT_TRIALS = 100
 DEFAULT_SEED = 7
 DEFAULT_OUTPUT = "obskit-report.json"
+
+# Cap on the dense complex Gram of a square system (16 bytes per entry):
+# 1 GiB allows 8192 modes, that is n_max_eigenvalue ≤ 10 564.  Building the
+# system holds a few arrays of that size at once.
+MAX_GRAM_BYTES = 2**30
 
 _TOP_LEVEL_KEYS = {"scenario", "system", "epsilon_cluster", "trials", "seed", "T", "output_path"}
 _ANGLE_PATTERN = re.compile(r"^\s*(\d+)?\s*pi\s*(?:/\s*(\d+))?\s*$", re.IGNORECASE)
@@ -151,6 +156,16 @@ def _normalize_square(raw: dict) -> dict:
     n_max = _require_int(raw["n_max_eigenvalue"], "system.n_max_eigenvalue")
     if n_max < 2:
         raise _invariant_error(f"system.n_max_eigenvalue must be ≥ 2, got {n_max}")
+    # The p = 1 lattice column alone holds ⌊√(n − 1)⌋ modes: a lower bound
+    # that rejects huge n_max before the O(√n) exact count.
+    modes = math.isqrt(n_max - 1)
+    if 16 * modes * modes <= MAX_GRAM_BYTES:
+        modes = mode_count(n_max)
+    if 16 * modes * modes > MAX_GRAM_BYTES:
+        raise _invariant_error(
+            f"system.n_max_eigenvalue = {n_max} has at least {modes} modes; its dense "
+            f"complex Gram would exceed the {MAX_GRAM_BYTES // 2**30} GiB cap"
+        )
     gamma_raw = raw.get("gamma", [{"side": "bottom", "alpha": 0.0, "beta": math.pi}])
     if not isinstance(gamma_raw, list) or not gamma_raw:
         raise _schema_error("system.gamma: expected a nonempty list of patches")
@@ -217,10 +232,7 @@ def _normalize_custom(raw: dict) -> dict:
                     f"system.gram[{k}][{j}] = {b}"
                 )
     spec = {"type": "custom", "eigenvalues": eig, "gram": gram}
-    try:
-        system_of({"scenario": "", "system": spec})  # validate invariants eagerly
-    except ConfigError:
-        raise
+    system_of({"scenario": "", "system": spec})  # validate invariants eagerly
     return spec
 
 

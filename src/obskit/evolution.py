@@ -102,20 +102,22 @@ def observability_integral_by_quadrature(
     return value
 
 
+def kernel_psd_margin(system: SpectralSystem, T: float) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue of G∘K(T); smallest ≥ −1e−10·largest.
+
+    The largest is the sharp admissibility constant of the truncated model.
+    """
+    vals = np.linalg.eigvalsh(observability_kernel(system, T))
+    return float(vals[0]), float(vals[-1])
+
+
 def sharp_admissibility_constant(system: SpectralSystem, T: float) -> float:
     """sup over unit z0 of the observed energy: largest eigenvalue of G∘K(T).
 
     This is the sharp constant for the truncated model only; it depends on
     the truncation level and is labeled accordingly in reports.
     """
-    kernel = observability_kernel(system, T)
-    return float(np.linalg.eigvalsh(kernel)[-1])
-
-
-def kernel_psd_margin(system: SpectralSystem, T: float) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of G∘K(T); smallest ≥ −1e−10·largest."""
-    vals = np.linalg.eigvalsh(observability_kernel(system, T))
-    return float(vals[0]), float(vals[-1])
+    return kernel_psd_margin(system, T)[1]
 
 
 def admissibility_check(z0, system: SpectralSystem, T: float, C_T: float) -> float:

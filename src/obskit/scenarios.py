@@ -27,7 +27,6 @@ from .errors import CoercivityError, DomainError
 from .evolution import (
     admissibility_check,
     kernel_psd_margin,
-    sharp_admissibility_constant,
     weak_observability_check,
 )
 from .report import ReportBundle, Table, Verdict
@@ -421,8 +420,7 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
     bundle.constants["admissibility_sq"] = m_sq
     bundle.constants["admissibility"] = math.sqrt(m_sq)
     horizon = cfg.T if cfg.T is not None else 1.0
-    sharp = sharp_admissibility_constant(system, horizon)
-    psd_min, psd_max = kernel_psd_margin(system, horizon)
+    psd_min, sharp = kernel_psd_margin(system, horizon)
     bundle.constants["horizon"] = horizon
     bundle.constants["sharp_constant_truncated"] = sharp
     bundle.notes.append(
@@ -432,8 +430,8 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
     bundle.verdicts.append(
         Verdict(
             "kernel-positive-semidefinite",
-            psd_min >= -1e-10 * max(psd_max, 0.0),
-            f"kernel eigenvalues in [{psd_min!r}, {psd_max!r}] at T = {horizon!r}",
+            psd_min >= -1e-10 * max(sharp, 0.0),
+            f"kernel eigenvalues in [{psd_min!r}, {sharp!r}] at T = {horizon!r}",
         )
     )
     rng = np.random.default_rng(cfg.seed)

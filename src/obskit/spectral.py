@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NumericError, ShapeError
 
 HERMITIAN_ATOL = 1.0e-12
 PSD_RTOL = 1.0e-10
@@ -138,38 +138,42 @@ def coefficients_of(z, system: SpectralSystem) -> np.ndarray:
     return c
 
 
-def _scaled_weights(c: np.ndarray) -> tuple[np.ndarray, float]:
-    """|c/amax|² and the scale amax; rejects numerically zero vectors."""
-    amax = float(np.abs(c).max()) if c.size else 0.0
+def _moments(z, system: SpectralSystem, window=None) -> tuple[np.ndarray, float, float, float]:
+    """Weights w = window·|z_k/amax|², the scale amax, Σw and the mean Σλ_k w_k/Σw.
+
+    Scaling by amax = max|z_k| keeps the weights in range for states of any
+    magnitude; states with amax ≤ ``ZERO_NORM_FLOOR`` are rejected as zero.
+    The mean is clamped to [λ_min, λ_max], which rounding can leave by an ulp.
+    """
+    c = coefficients_of(z, system)
+    amax = float(np.abs(c).max())
     if not amax > ZERO_NORM_FLOOR:
         raise DomainError("state vector is numerically zero (max |coefficient| < 1e-300)")
     w = np.abs(c / amax) ** 2
-    return w, amax
+    if window is not None:
+        w = window * w
+    total = math.fsum(w)
+    if not total > 0:
+        raise NumericError("all weights underflowed to zero; the window misses the state")
+    mean = math.fsum(system.eigenvalues * w) / total
+    return w, amax, total, min(max(mean, system.lambda_min), system.lambda_max)
 
 
 def frequency(z, system: SpectralSystem) -> float:
     """The frequency λ(z) = Σ λ_k|z_k|² / Σ|z_k|², always in [λ_min, λ_max]."""
-    w, _ = _scaled_weights(coefficients_of(z, system))
-    num = math.fsum(system.eigenvalues * w)
-    den = math.fsum(w)
-    return num / den
+    return _moments(z, system)[3]
 
 
 def residual(z, system: SpectralSystem) -> float:
     """The moment gap ‖Az‖²/‖z‖² − λ(z)², non-negative up to round-off."""
-    w, _ = _scaled_weights(coefficients_of(z, system))
-    den = math.fsum(w)
-    mean = math.fsum(system.eigenvalues * w) / den
-    second = math.fsum(system.eigenvalues**2 * w) / den
-    return second - mean * mean
+    w, _, total, mean = _moments(z, system)
+    return math.fsum(system.eigenvalues**2 * w) / total - mean * mean
 
 
 def residual_shifted(z, system: SpectralSystem) -> float:
     """The same residual computed directly as ‖(A − λ(z)I)z‖²/‖z‖² (exactly ≥ 0)."""
-    w, _ = _scaled_weights(coefficients_of(z, system))
-    den = math.fsum(w)
-    mean = math.fsum(system.eigenvalues * w) / den
-    return math.fsum((system.eigenvalues - mean) ** 2 * w) / den
+    w, _, total, mean = _moments(z, system)
+    return math.fsum((system.eigenvalues - mean) ** 2 * w) / total
 
 
 def shifted_norm_sq(z, system: SpectralSystem, lam: float) -> float:
@@ -183,29 +187,25 @@ def key_identity_gap(z, lam: float, system: SpectralSystem) -> float:
 
     Returns |LHS − RHS| / LHS, or 0 by convention when LHS = 0 (both sides
     vanish together).  This is a verification probe: the identity is exact,
-    so the gap should sit at round-off level for any state and any λ.
+    so the gap sits at round-off, about u·max(|λ|, λ_max)/d for the RMS
+    distance d = √(LHS/‖z‖²) of the state's spectrum from λ.
     """
-    w, _ = _scaled_weights(coefficients_of(z, system))
-    norm = math.fsum(w)
-    mean = math.fsum(system.eigenvalues * w) / norm
+    w, _, total, mean = _moments(z, system)
     lhs = math.fsum((system.eigenvalues - lam) ** 2 * w)
     if lhs == 0.0:
         return 0.0
-    rhs = (lam - mean) ** 2 * norm + math.fsum((system.eigenvalues - mean) ** 2 * w)
+    rhs = (lam - mean) ** 2 * total + math.fsum((system.eigenvalues - mean) ** 2 * w)
     return abs(lhs - rhs) / lhs
 
 
 def frequency_report(z, system: SpectralSystem) -> FrequencyReport:
     """Frequency, residual, and true-scale squared norm in one pass."""
-    c = coefficients_of(z, system)
-    w, amax = _scaled_weights(c)
-    den = math.fsum(w)
-    mean = math.fsum(system.eigenvalues * w) / den
-    second = math.fsum(system.eigenvalues**2 * w) / den
+    w, amax, total, mean = _moments(z, system)
+    second = math.fsum(system.eigenvalues**2 * w) / total
     return FrequencyReport(
         lambda_z=mean,
         residual=second - mean * mean,
-        norm_sq=amax * amax * den,
+        norm_sq=amax * amax * total,
     )
 
 

@@ -147,6 +147,12 @@ def square_modes(n_max_eigenvalue: int) -> list[SquareMode]:
     return modes
 
 
+def mode_count(n_max_eigenvalue: int) -> int:
+    """len(square_modes(n_max)) in O(√n_max): Σ_{p ≥ 1, p² < n} ⌊√(n − p²)⌋."""
+    n = n_max_eigenvalue
+    return sum(math.isqrt(n - p * p) for p in range(1, math.isqrt(n - 1) + 1))
+
+
 def sine_product_integral(p: int, p_prime: int, alpha: float, beta: float) -> float:
     """∫_α^β sin(px) sin(p′x) dx by the exact antiderivative."""
     if p < 1 or p_prime < 1:

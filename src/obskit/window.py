@@ -24,7 +24,7 @@ from scipy.integrate import quad
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError
-from .spectral import SpectralSystem, coefficients_of, frequency
+from .spectral import SpectralSystem, _moments, coefficients_of, frequency
 
 # Postulated sandwich constants for (1+τ²)|χ̂(τ)|: the verifier tests them,
 # it does not assume them.
@@ -33,8 +33,6 @@ KAPPA2 = 6.0
 
 # sup of |χ̇| on (−1,1)\{0}, attained in the limit s → 0±.
 CHI_DERIV_SUP = 3.0
-
-_QUAD_NORM_TOL = 1.0e-12
 
 
 def chi(s):
@@ -109,19 +107,11 @@ class CutoffProfile:
 
 
 def cutoff_profile() -> CutoffProfile:
-    """Window norms by adaptive quadrature (absolute tolerance 1e−12)."""
-    l2, _ = quad(
-        lambda s: ((1.0 - s) * math.exp(-2.0 * s)) ** 2,
-        0.0, 1.0, epsabs=_QUAD_NORM_TOL, epsrel=_QUAD_NORM_TOL,
-    )
-    deriv, _ = quad(
-        lambda s: ((3.0 - 2.0 * s) * math.exp(-2.0 * s)) ** 2,
-        0.0, 1.0, epsabs=_QUAD_NORM_TOL, epsrel=_QUAD_NORM_TOL,
-    )
+    """Window norms in closed form: ‖χ‖² = (5 − e⁻⁴)/16, ‖χ̇‖² = (13 − e⁻⁴)/4."""
     # χ is even, decreasing in |s| from χ(0) = 1, so the sup norm is exact.
     return CutoffProfile(
-        l2_norm_sq=2.0 * l2,
-        l2_deriv_norm_sq=2.0 * deriv,
+        l2_norm_sq=(5.0 - math.exp(-4.0)) / 16.0,
+        l2_deriv_norm_sq=(13.0 - math.exp(-4.0)) / 4.0,
         linf_norm=1.0,
         kappa1=KAPPA1,
         kappa2=KAPPA2,
@@ -189,17 +179,8 @@ def windowed_frequency(z0, system: SpectralSystem, T: float, tau: float) -> floa
     """
     if not T > 0:
         raise DomainError(f"window length T must be positive, got {T}")
-    c = coefficients_of(z0, system)
-    amax = float(np.abs(c).max())
-    if not amax > 1e-300:
-        raise DomainError("state vector is numerically zero")
-    weights = (T * chi_hat(T * (tau - system.eigenvalues))) ** 2 * np.abs(c / amax) ** 2
-    den = math.fsum(weights)
-    if not den > 0:
-        raise NumericError(
-            "all windowed weights underflowed to zero; τ is too far from the spectrum"
-        )
-    return math.fsum(system.eigenvalues * weights) / den
+    window = (T * chi_hat(T * (tau - system.eigenvalues))) ** 2
+    return _moments(z0, system, window)[3]
 
 
 def solve_observation_time(lambda0: float, eps: DecayFunction, th: ThetaConstants) -> float:
@@ -304,8 +285,7 @@ def plancherel_lowerbound_check(z0, system: SpectralSystem, T: float, R: float) 
     c = coefficients_of(z0, system)
     lam0 = frequency(z0, system)
     profile = cutoff_profile()
-    c0_prime = math.sqrt(profile.l2_deriv_norm_sq / profile.l2_norm_sq)
-    threshold = c0_prime / T + lam0
+    threshold = theta_constants(profile).c0_prime / T + lam0
     if not R > threshold:
         raise DomainError(
             f"radius R = {R} must exceed c0'/T + λ(z0) = {threshold}"

@@ -353,7 +353,7 @@ class TestAdmissibilityEstimate:
             )
             assert exact >= estimate_admissibility(square50, epsilon, default_lambda_grid(square50))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         eigenvalues=st.lists(
             st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False), min_size=2, max_size=10

@@ -1,5 +1,6 @@
 """Configuration loading, overrides, digests, the CLI, and worker control."""
 
+import bisect
 import json
 import math
 
@@ -15,8 +16,9 @@ from obskit import (
     system_of,
 )
 from obskit.cli import build_parser, main
-from obskit.config import SCENARIOS, gamma_spec_of
+from obskit.config import MAX_GRAM_BYTES, SCENARIOS, gamma_spec_of
 from obskit.parallel import MIN_PARALLEL_ITEMS, ordered_map, worker_count
+from obskit.square import mode_count, square_modes
 
 
 def write_config(tmp_path, name, payload):
@@ -353,6 +355,48 @@ class TestCli:
             main(["--version"])
         assert info.value.code == 0
         assert "obskit" in capsys.readouterr().out
+
+
+def square_doc(n_max):
+    return json.dumps({"system": {"type": "square", "n_max_eigenvalue": n_max}})
+
+
+class TestResourceGuard:
+    def test_mode_count_matches_enumeration(self):
+        # square_modes(n) is the prefix of square_modes(2000) with eigenvalue ≤ n
+        eigenvalues = [mode.eigenvalue for mode in square_modes(2000)]
+        for n in range(2, 2001):
+            assert mode_count(n) == bisect.bisect_right(eigenvalues, n)
+        for n in (2, 3, 5, 50, 325, 1999, 2000, 10_000):
+            assert mode_count(n) == len(square_modes(n))
+
+    def test_cap_boundary(self):
+        assert 16 * mode_count(10_564) ** 2 <= MAX_GRAM_BYTES < 16 * mode_count(10_565) ** 2
+        assert load_config(square_doc(10_564), default_scenario="coercivity-scan")
+        with pytest.raises(ConfigError) as info:
+            load_config(square_doc(10_565), default_scenario="coercivity-scan")
+        assert info.value.kind == "invariant"
+
+    def test_benchmark_size_loads(self):
+        doc = {"type": "square", "n_max_eigenvalue": 2000,
+               "gamma": [{"side": "bottom"}, {"side": "left"}]}
+        cfg = load_config(json.dumps({"system": doc}), default_scenario="assumption-i")
+        assert cfg.system["n_max_eigenvalue"] == 2000
+
+    @pytest.mark.parametrize("n_max", [10**6, 10**30])
+    def test_huge_n_max_rejected_before_any_build(self, n_max, tmp_path, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a rejected input must build nothing")
+
+        monkeypatch.setattr("obskit.square.square_modes", forbidden)
+        monkeypatch.setattr("obskit.config.build_square_system", forbidden)
+        with pytest.raises(ConfigError) as info:
+            load_config(square_doc(n_max), default_scenario="coercivity-scan")
+        assert info.value.kind == "invariant"
+        out = tmp_path / "x.json"
+        assert main(["coercivity-scan", "--config", square_doc(n_max), "--out", str(out)]) == 3
+        assert "GiB cap" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestWorkers:

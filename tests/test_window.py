@@ -119,6 +119,13 @@ class TestProfileAndConstants:
             (13.0 - math.exp(-4.0)) / 4.0, rel=1e-12
         )
         assert profile.linf_norm == 1.0
+        # quadrature is the oracle: 2∫₀¹ of χ² and χ̇² on the half window
+        l2, _ = quad(lambda s: ((1.0 - s) * math.exp(-2.0 * s)) ** 2, 0.0, 1.0,
+                     epsabs=1e-12, epsrel=1e-12)
+        deriv, _ = quad(lambda s: ((3.0 - 2.0 * s) * math.exp(-2.0 * s)) ** 2, 0.0, 1.0,
+                        epsabs=1e-12, epsrel=1e-12)
+        assert profile.l2_norm_sq == pytest.approx(2.0 * l2, rel=1e-14)
+        assert profile.l2_deriv_norm_sq == pytest.approx(2.0 * deriv, rel=1e-14)
 
     def test_transform_energy_matches_window_energy(self, profile):
         # full-line transform energy = 2 pi * window energy
