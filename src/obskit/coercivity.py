@@ -25,9 +25,9 @@ from .decay import (
     require_positive_nonincreasing,
 )
 from .errors import CoercivityError, DomainError, NumericError
-from .parallel import ordered_map
 from .spectral import (
     SpectralSystem,
+    _amax,
     coefficients_of,
     frequency_report,
     observed_energy_sq,
@@ -143,7 +143,7 @@ def coercivity_scan(system: SpectralSystem, epsilon: float, lambda_max: float) -
         min_eig, min_vec = cluster_min_coercivity(system, idx)
         return ClusterReport(center=center, epsilon=epsilon, indices=idx, min_eig=min_eig, min_vec=min_vec)
 
-    return ordered_map(scan_one, centers)
+    return [scan_one(center) for center in centers]
 
 
 def fit_psi_envelope(reports: list[ClusterReport]) -> PowerLaw:
@@ -309,9 +309,14 @@ def resolvent_check(
     grid = np.asarray(lambda_grid, dtype=float).ravel()
     if grid.size == 0:
         raise DomainError("lambda grid is empty")
+    # Every term is homogeneous of degree 2 in z, so evaluate on c·2^(−e), whose
+    # largest entry lies in [1/2, 1): no state overflows, the power-of-two
+    # scaling is exact, and the verdict is taken in that frame.
     c = coefficients_of(z, system)
-    rep = frequency_report(z, system)
-    observed = observed_energy_sq(z, system)
+    e = math.frexp(_amax(c))[1]
+    c = c * 2.0**-e
+    rep = frequency_report(c, system)
+    observed = observed_energy_sq(c, system)
     psi_val = float(cert.psi(rep.lambda_z))
     eps_val = float(cert.epsilon(rep.lambda_z))
     abs2 = np.abs(c) ** 2
@@ -320,12 +325,14 @@ def resolvent_check(
     bound_res = shifted_sq / ((grid - rep.lambda_z) ** 2 + eps_val)
     margins = np.minimum(bound_obs, bound_res) - rep.norm_sq
     verdict = bool(margins.min() >= -1.0e-9 * rep.norm_sq)
+    with np.errstate(over="ignore"):  # back to the true scale, ±inf past the float range
+        margins, norm_sq, observed = (np.ldexp(v, 2 * e) for v in (margins, rep.norm_sq, observed))
     return ResolventReport(
         lambdas=grid,
         margins=margins,
         lambda_z=rep.lambda_z,
-        norm_sq=rep.norm_sq,
-        observed_sq=observed,
+        norm_sq=float(norm_sq),
+        observed_sq=float(observed),
         verdict=verdict,
     )
 

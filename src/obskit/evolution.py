@@ -105,19 +105,11 @@ def observability_integral_by_quadrature(
 def kernel_psd_margin(system: SpectralSystem, T: float) -> tuple[float, float]:
     """(smallest, largest) eigenvalue of G∘K(T); smallest ≥ −1e−10·largest.
 
-    The largest is the sharp admissibility constant of the truncated model.
+    The largest is the sharp admissibility constant of the truncated model
+    only; it depends on the truncation level.
     """
     vals = np.linalg.eigvalsh(observability_kernel(system, T))
     return float(vals[0]), float(vals[-1])
-
-
-def sharp_admissibility_constant(system: SpectralSystem, T: float) -> float:
-    """sup over unit z0 of the observed energy: largest eigenvalue of G∘K(T).
-
-    This is the sharp constant for the truncated model only; it depends on
-    the truncation level and is labeled accordingly in reports.
-    """
-    return kernel_psd_margin(system, T)[1]
 
 
 def admissibility_check(z0, system: SpectralSystem, T: float, C_T: float) -> float:

@@ -1,53 +1,16 @@
-"""Worker-pool helpers for data-parallel scans.
+"""Retired worker pool: every scan runs on one thread.
 
-Parallelism is capped by the ``OBSKIT_MAX_WORKERS`` environment variable
-(default: available cores).  Results always come back in input order, so
-parallel and serial runs produce identical reports.
+The thread pool that mapped cluster scans was no faster than a plain loop
+on the measured workloads, so it and its environment cap on the worker
+count are gone.  No obskit module imports this one.  ``worker_count``
+stays only because the benchmark harness (``perfbench/run.py``) still
+imports it; the next change to the benchmark drops that import and
+deletes this module.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-from .errors import ConfigError
-
-ENV_MAX_WORKERS = "OBSKIT_MAX_WORKERS"
-
-# Below this many items the pool overhead dominates; run serially.
-MIN_PARALLEL_ITEMS = 64
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
 
 def worker_count() -> int:
-    """Number of workers to use, honoring the environment cap."""
-    cores = os.cpu_count() or 1
-    raw = os.environ.get(ENV_MAX_WORKERS)
-    if raw is None:
-        return cores
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"config invariant error: {ENV_MAX_WORKERS}={raw!r} is not an integer",
-            kind="invariant",
-        ) from None
-    if n < 1:
-        raise ConfigError(
-            f"config invariant error: {ENV_MAX_WORKERS} must be >= 1, got {n}",
-            kind="invariant",
-        )
-    return min(n, cores)
-
-
-def ordered_map(fn: Callable[[_T], _R], items: Sequence[_T] | Iterable[_T]) -> list[_R]:
-    """Map ``fn`` over ``items``, in order, using threads for large batches."""
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) < MIN_PARALLEL_ITEMS:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Number of workers a scan uses: always 1."""
+    return 1

@@ -138,6 +138,14 @@ def coefficients_of(z, system: SpectralSystem) -> np.ndarray:
     return c
 
 
+def _amax(c: np.ndarray) -> float:
+    """max|c_k|; states with max|c_k| ≤ ``ZERO_NORM_FLOOR`` are rejected as zero."""
+    amax = float(np.abs(c).max())
+    if not amax > ZERO_NORM_FLOOR:
+        raise DomainError("state vector is numerically zero (max |coefficient| < 1e-300)")
+    return amax
+
+
 def _moments(z, system: SpectralSystem, window=None) -> tuple[np.ndarray, float, float, float]:
     """Weights w = window·|z_k/amax|², the scale amax, Σw and the mean Σλ_k w_k/Σw.
 
@@ -146,9 +154,7 @@ def _moments(z, system: SpectralSystem, window=None) -> tuple[np.ndarray, float,
     The mean is clamped to [λ_min, λ_max], which rounding can leave by an ulp.
     """
     c = coefficients_of(z, system)
-    amax = float(np.abs(c).max())
-    if not amax > ZERO_NORM_FLOOR:
-        raise DomainError("state vector is numerically zero (max |coefficient| < 1e-300)")
+    amax = _amax(c)
     w = np.abs(c / amax) ** 2
     if window is not None:
         w = window * w

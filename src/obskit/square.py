@@ -25,7 +25,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError
-from .parallel import ordered_map
 from .spectral import SpectralSystem
 
 
@@ -268,7 +267,7 @@ def _cluster_rows(gamma: GammaSpec, n_max_eigenvalue: int) -> list[ClusterRow]:
         )
         return ClusterRow(N=N, size=len(modes), mu=mu, n_mu=N * mu, generalized_min=gen)
 
-    rows = ordered_map(row_for, range(2, n_max_eigenvalue + 1))
+    rows = (row_for(N) for N in range(2, n_max_eigenvalue + 1))
     return [row for row in rows if row is not None]
 
 

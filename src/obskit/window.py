@@ -15,7 +15,6 @@ windowed trajectory energy.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -242,12 +241,9 @@ class PlancherelReport:
     radius: float
 
 
-@functools.lru_cache(maxsize=1)
 def _chi_hat_sq_half_line() -> float:
-    """∫₀^∞ χ̂(u)² du (χ̂ is even, so the full line is twice this)."""
-    inner, _ = quad(lambda u: chi_hat(u) ** 2, 0.0, 60.0, epsabs=1e-12, epsrel=1e-12, limit=2000)
-    tail, _ = quad(lambda u: chi_hat(u) ** 2, 60.0, np.inf, epsabs=1e-11, epsrel=1e-8, limit=800)
-    return inner + tail
+    """∫₀^∞ χ̂(u)² du = π‖χ‖², by Plancherel (χ̂ is even)."""
+    return math.pi * cutoff_profile().l2_norm_sq
 
 
 def _chi_hat_sq_right_tail(x: float) -> float:

@@ -1,6 +1,7 @@
 """Clusters, coercivity certificates, transforms, resolvent margins, search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,26 @@ class TestResolventCheck:
             rep = resolvent_check(square50, z, grid, pipeline.spectral)
             assert rep.verdict
             assert rep.min_margin >= -1e-9 * rep.norm_sq
+
+    def test_huge_state_matches_its_scaled_copy(self):
+        sys_ = build_square_system(20, full_bottom())
+        cert = scan_certificate(sys_, 0.5).spectral
+        grid = default_lambda_grid(sys_)
+        z = np.zeros(sys_.size, dtype=complex)
+        z[0], z[1] = 1e200, 1e199
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            huge = resolvent_check(sys_, z, grid, cert)
+            scaled = resolvent_check(sys_, z * 2.0**-665, grid, cert)
+        assert huge.verdict == scaled.verdict
+        assert scaled.verdict and np.isfinite(scaled.margins).all()
+        assert huge.lambda_z == scaled.lambda_z
+        assert huge.norm_sq == math.inf and not np.isnan(huge.margins).any()
+
+    def test_numerically_zero_state_rejected(self, square50):
+        pipeline = scan_certificate(square50, 0.5)
+        with pytest.raises(DomainError):
+            resolvent_check(square50, np.full(square50.size, 1e-301), [1.0], pipeline.spectral)
 
     def test_requires_spectral_kind(self, square50):
         weak = CoercivityCertificate(

@@ -1,8 +1,9 @@
-"""Configuration loading, overrides, digests, the CLI, and worker control."""
+"""Configuration loading, overrides, digests, the CLI, and the worker count."""
 
 import bisect
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ from obskit import (
     ConfigError,
     apply_overrides,
     build_square_system,
+    coercivity_scan,
     default_config,
     load_config,
     system_of,
 )
 from obskit.cli import build_parser, main
 from obskit.config import MAX_GRAM_BYTES, SCENARIOS, gamma_spec_of
-from obskit.parallel import MIN_PARALLEL_ITEMS, ordered_map, worker_count
-from obskit.square import mode_count, square_modes
+from obskit.parallel import worker_count
+from obskit.square import delta_gamma_fit, full_bottom, mode_count, square_modes
 
 
 def write_config(tmp_path, name, payload):
@@ -401,25 +403,12 @@ class TestResourceGuard:
 
 class TestWorkers:
     def test_default_is_positive(self):
-        assert worker_count() >= 1
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("OBSKIT_MAX_WORKERS", "1")
         assert worker_count() == 1
 
-    def test_env_zero_rejected(self, monkeypatch):
-        monkeypatch.setenv("OBSKIT_MAX_WORKERS", "0")
-        with pytest.raises(ConfigError) as info:
-            worker_count()
-        assert info.value.kind == "invariant"
+    def test_cluster_scans_start_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a scan started a thread")
 
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("OBSKIT_MAX_WORKERS", "several")
-        with pytest.raises(ConfigError) as info:
-            worker_count()
-        assert info.value.kind == "invariant"
-
-    def test_ordered_map_preserves_order(self):
-        items = list(range(4 * MIN_PARALLEL_ITEMS))
-        assert ordered_map(lambda v: v * v, items) == [v * v for v in items]
-        assert ordered_map(lambda v: -v, [3, 1, 2]) == [-3, -1, -2]
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert len(coercivity_scan(build_square_system(300, full_bottom()), 0.5, 300.0)) == 101
+        assert len(delta_gamma_fit(full_bottom(), 200)[1].rows) == 68

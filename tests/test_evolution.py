@@ -20,7 +20,6 @@ from obskit import (
     observability_kernel,
     phase_kernel,
     scan_certificate,
-    sharp_admissibility_constant,
     solve_observation_time,
     theta_constants,
     weak_observability_check,
@@ -165,13 +164,13 @@ class TestKernelAndAdmissibility:
     def test_sharp_constant_diagonal_gram(self):
         gram = np.diag([0.5, 2.0, 1.25]).astype(complex)
         sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 4.0], gram=gram)
-        assert sharp_admissibility_constant(sys_, 3.0) == pytest.approx(6.0, rel=1e-12)
+        assert kernel_psd_margin(sys_, 3.0)[1] == pytest.approx(6.0, rel=1e-12)
 
     def test_sharp_constant_bounds_every_state(self):
         rng = np.random.default_rng(39)
         sys_ = random_system(rng, 7)
         T = 1.9
-        sharp = sharp_admissibility_constant(sys_, T)
+        sharp = kernel_psd_margin(sys_, T)[1]
         for _ in range(50):
             z = rng.standard_normal(7) + 1j * rng.standard_normal(7)
             margin = admissibility_check(z, sys_, T, sharp * (1.0 + 1e-12))
@@ -181,7 +180,7 @@ class TestKernelAndAdmissibility:
         sys_ = build_square_system(50, full_bottom())
         kernel = observability_kernel(sys_, 1.0)
         top = float(np.linalg.eigvalsh(kernel)[-1])
-        assert sharp_admissibility_constant(sys_, 1.0) == pytest.approx(top, rel=1e-12)
+        assert kernel_psd_margin(sys_, 1.0)[1] == pytest.approx(top, rel=1e-12)
         assert math.isfinite(top) and top > 0
 
     def test_basis_state_margin_arithmetic(self):

@@ -134,6 +134,14 @@ class TestProfileAndConstants:
             2.0 * math.pi * profile.l2_norm_sq, rel=1e-6
         )
 
+    def test_half_line_transform_energy_closed_form(self):
+        from obskit.window import _chi_hat_sq_half_line
+
+        # quadrature is the oracle for the Plancherel value π‖χ‖²
+        inner, _ = quad(lambda u: chi_hat(u) ** 2, 0.0, 60.0, epsabs=1e-12, epsrel=1e-12, limit=2000)
+        tail, _ = quad(lambda u: chi_hat(u) ** 2, 60.0, np.inf, epsabs=1e-11, epsrel=1e-8, limit=800)
+        assert _chi_hat_sq_half_line() == pytest.approx(inner + tail, rel=1e-11)
+
     def test_kappa_values(self, profile):
         assert profile.kappa1 == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-15)
         assert profile.kappa2 == 6.0
