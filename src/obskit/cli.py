@@ -27,7 +27,7 @@ from .scenarios import run_scenario
 _SCENARIO_HELP = {
     "verify-cutoff": "check the window transform closed form and its sandwich bounds",
     "coercivity-scan": "scan eigenvalue clusters for minimal observed energy",
-    "resolvent-scan": "test the per-frequency resolvent inequality on random states",
+    "resolvent-scan": "test the resolvent inequality at every frequency on random states",
     "weak-observability": "evaluate observation-time bounds on random states",
     "assumption-i": "verify the two-full-sides square observation is uniformly coercive",
     "assumption-ii-iii": "fit the one-side square decay constant and its certificates",

@@ -81,9 +81,7 @@ def observability_integral(z0, system: SpectralSystem, T: float) -> float:
     return value.real
 
 
-def observability_integral_by_quadrature(
-    z0, system: SpectralSystem, T: float, *, epsabs: float = 1.0e-10, epsrel: float = 1.0e-10
-) -> float:
+def observability_integral_by_quadrature(z0, system: SpectralSystem, T: float) -> float:
     """Adaptive time quadrature of t ↦ ‖Cz(t)‖², the oracle for the closed form."""
     if not T > 0:
         raise DomainError(f"time horizon must be positive, got {T}")
@@ -98,7 +96,7 @@ def observability_integral_by_quadrature(
     # Enough subdivisions to resolve the fastest phase difference on [0, T].
     spread = float(lam[-1] - lam[0])
     limit = int(200 + 20 * spread * T / math.pi)
-    value, _ = quad(energy, 0.0, T, epsabs=epsabs, epsrel=epsrel, limit=limit)
+    value, _ = quad(energy, 0.0, T, epsabs=1.0e-10, epsrel=1.0e-10, limit=limit)
     return value
 
 
@@ -128,8 +126,7 @@ class ObservabilityReport:
     ``lhs`` is θ₂·ψ(θ₀(1/T + λ(z0)))·‖z0‖², ``integral`` the observed
     energy, ``margin`` their difference, ``t_min`` the minimal horizon
     T(λ(z0)), and ``applicable`` whether T ≥ t_min so the inequality is
-    actually claimed.  ``diagnostic_integral`` is filled only when a
-    negative applicable margin triggered the tighter quadrature re-run.
+    actually claimed.
     """
 
     T: float
@@ -140,7 +137,6 @@ class ObservabilityReport:
     applicable: bool
     lambda_z0: float
     norm_sq: float
-    diagnostic_integral: float | None = None
 
 
 def weak_observability_check(
@@ -156,9 +152,6 @@ def weak_observability_check(
 
     ``t_min`` is ``solve_observation_time(λ(z0), eps, th)``; a caller that
     has already solved it passes it in, otherwise it is solved here.
-    A negative margin with T ≥ t_min does not by itself assert failure:
-    the integral is re-evaluated by adaptive time quadrature at tighter
-    tolerance and the re-run value is reported alongside.
     """
     if not T > 0:
         raise DomainError(f"time horizon must be positive, got {T}")
@@ -170,21 +163,13 @@ def weak_observability_check(
     applicable = T >= t_min
     lhs = th.theta2 * float(psi(th.theta0 * (1.0 / T + lam0))) * norm_sq
     integral = observability_integral(z0, system, T)
-    margin = integral - lhs
-    diagnostic = None
-    if applicable and margin < -1.0e-9 * (1.0 + integral):
-        diagnostic = observability_integral_by_quadrature(
-            z0, system, T, epsabs=1.0e-12, epsrel=1.0e-12
-        )
-        margin = max(margin, diagnostic - lhs)
     return ObservabilityReport(
         T=T,
         integral=integral,
         lhs=lhs,
         t_min=t_min,
-        margin=margin,
+        margin=integral - lhs,
         applicable=applicable,
         lambda_z0=lam0,
         norm_sq=norm_sq,
-        diagnostic_integral=diagnostic,
     )

@@ -16,7 +16,6 @@ from ._version import __version__
 from .coercivity import (
     admissibility_breakpoints,
     coercivity_scan,
-    default_lambda_grid,
     estimate_admissibility,
     fit_psi_envelope,
     resolvent_check,
@@ -213,19 +212,25 @@ def run_resolvent_scan(cfg: RunConfig) -> ReportBundle:
     pipeline = scan_certificate(system, cfg.epsilon_cluster)
     _pipeline_constants(bundle, pipeline)
     rng = np.random.default_rng(cfg.seed)
-    grid = default_lambda_grid(system)
     rows = []
     worst = math.inf
     for trial in range(cfg.trials):
         z = _random_state(rng, system.size)
-        rep = resolvent_check(system, z, grid, pipeline.spectral)
-        rel = rep.min_margin / rep.norm_sq
+        rep = resolvent_check(system, z, pipeline.spectral)
+        rel = rep.inf_margin / rep.norm_sq
         worst = min(worst, rel)
-        rows.append([trial, rep.lambda_z, rep.min_margin, rel, rep.verdict])
+        rows.append([trial, rep.lambda_z, rep.inf_margin, rel, rep.residual_over_epsilon, rep.verdict])
     bundle.tables.append(
         Table(
             name="resolvent_margins",
-            columns=["trial", "lambda_z", "min_margin", "min_margin_over_norm_sq", "verdict"],
+            columns=[
+                "trial",
+                "lambda_z",
+                "inf_margin",
+                "inf_margin_over_norm_sq",
+                "residual_over_epsilon",
+                "verdict",
+            ],
             rows=rows,
         )
     )
@@ -234,7 +239,7 @@ def run_resolvent_scan(cfg: RunConfig) -> ReportBundle:
         Verdict(
             "resolvent-inequality-holds",
             worst >= -1e-9,
-            f"worst margin/norm_sq = {worst!r} over {cfg.trials} states",
+            f"worst inf_margin/norm_sq = {worst!r} over {cfg.trials} states",
         )
     )
     return bundle

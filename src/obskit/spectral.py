@@ -189,19 +189,22 @@ def shifted_norm_sq(z, system: SpectralSystem, lam: float) -> float:
 
 
 def key_identity_gap(z, lam: float, system: SpectralSystem) -> float:
-    """Relative defect of ‖(A−λI)z‖² = (λ−λ(z))²‖z‖² + ‖(A−λ(z)I)z‖².
+    """Defect of ‖(A−λI)z‖² = (λ−λ(z))²‖z‖² + ‖(A−λ(z)I)z‖² in round-off units.
 
-    Returns |LHS − RHS| / LHS, or 0 by convention when LHS = 0 (both sides
-    vanish together).  This is a verification probe: the identity is exact,
-    so the gap sits at round-off, about u·max(|λ|, λ_max)/d for the RMS
-    distance d = √(LHS/‖z‖²) of the state's spectrum from λ.
+    With the computed mean m in place of λ(z) the right side exceeds the
+    left by exactly 2‖z‖²(m − λ(z))(m − λ), and |m − λ(z)| is a few ulps of
+    λ_max.  So |LHS − RHS| is divided by LHS + 2·max(|λ|, λ_max)·‖z‖²·|λ − m|,
+    all in the moments' scale, and the result reads a small multiple of the
+    unit round-off u for every input.  It is 0 by convention when LHS = 0
+    (both sides vanish together).  This is a verification probe.
     """
     w, _, total, mean = _moments(z, system)
     lhs = math.fsum((system.eigenvalues - lam) ** 2 * w)
     if lhs == 0.0:
         return 0.0
     rhs = (lam - mean) ** 2 * total + math.fsum((system.eigenvalues - mean) ** 2 * w)
-    return abs(lhs - rhs) / lhs
+    scale = lhs + 2.0 * max(abs(lam), system.lambda_max) * total * abs(lam - mean)
+    return abs(lhs - rhs) / scale
 
 
 def frequency_report(z, system: SpectralSystem) -> FrequencyReport:

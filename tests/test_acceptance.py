@@ -33,7 +33,6 @@ from obskit import (
     chi_hat_by_quadrature,
     coercivity_scan,
     cutoff_profile,
-    default_lambda_grid,
     default_tau_grid,
     delta_gamma_fit,
     evolve,
@@ -352,12 +351,11 @@ def test_12_sub_patch_decay_and_weighted_restatement():
 
 def test_13_certificate_round_trip_and_search(bottom50, pipeline50):
     rng = np.random.default_rng(113)
-    grid = default_lambda_grid(bottom50)
     negatives = 0
     for _ in range(100):
         z = random_state(rng, bottom50.size)
-        rep = resolvent_check(bottom50, z, grid, pipeline50.spectral)
-        negatives += int((rep.margins < 0.0).sum())
+        rep = resolvent_check(bottom50, z, pipeline50.spectral)
+        negatives += int(rep.inf_margin < 0.0)
     clean = spectral_coercivity_violation_search(
         bottom50, pipeline50.spectral, 10_000, seed=42
     )
@@ -377,8 +375,8 @@ def test_13_certificate_round_trip_and_search(bottom50, pipeline50):
     check(
         "certificate-round-trip-and-search",
         ok,
-        f"{negatives} negative resolvent margins over 100 states × {grid.size} "
-        f"frequencies, honest certificate survives 10000 trials, inflated strength "
+        f"{negatives} negative resolvent margins (infimum over all frequencies) over "
+        f"100 states, honest certificate survives 10000 trials, inflated strength "
         f"{caught_text}",
     )
 

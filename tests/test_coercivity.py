@@ -19,7 +19,7 @@ from obskit import (
     admissibility_breakpoints,
     cluster_min_coercivity,
     coercivity_scan,
-    default_lambda_grid,
+    default_config,
     enumerate_cluster,
     estimate_admissibility,
     fit_psi_envelope,
@@ -27,10 +27,11 @@ from obskit import (
     scan_certificate,
     shifted_power_law,
     spectral_coercivity_violation_search,
+    system_of,
     weak_to_spectral,
 )
 from obskit.coercivity import BETA_SAFETY, ClusterReport
-from obskit.spectral import frequency, residual_shifted
+from obskit.spectral import frequency, observed_energy_sq, residual_shifted
 from obskit.square import full_bottom, build_square_system
 
 
@@ -56,6 +57,41 @@ def dense_admissibility(system, epsilon, lambda_grid):
         block = system.gram[np.ix_(keep, keep)] * np.outer(dinv, dinv)
         best = max(best, float(np.linalg.eigvalsh(block)[-1]))
     return best
+
+
+def dense_resolvent_margins(system, z, cert, lambdas):
+    """Reference: the additive resolvent margin at each λ, from direct shifted norms."""
+    c = np.asarray(z, dtype=complex)
+    abs2 = np.abs(c) ** 2
+    lam_z = frequency(c, system)
+    shifted = ((system.eigenvalues[None, :] - lambdas[:, None]) ** 2) @ abs2
+    return (
+        observed_energy_sq(c, system) / float(cert.psi(lam_z))
+        + shifted / ((lambdas - lam_z) ** 2 + float(cert.epsilon(lam_z)))
+        - math.fsum(abs2)
+    )
+
+
+def check_against_dense_oracle(system, z, cert):
+    """The closed-form infimum is never above the margin on a dense λ grid plus
+    λ(z) and far out; it equals the margin at λ(z) when R < ε, and the margin
+    far from the spectrum when R ≥ ε."""
+    rep = resolvent_check(system, z, cert)
+    span = system.lambda_max + 1.0
+    far = rep.lambda_z + 1.0e6 * span
+    lambdas = np.concatenate(
+        [
+            np.linspace(system.lambda_min - 10.0 * span, system.lambda_max + 10.0 * span, 4001),
+            system.eigenvalues,
+            [rep.lambda_z, far],
+        ]
+    )
+    dense = dense_resolvent_margins(system, z, cert, lambdas)
+    tol = 1e-12 * (rep.norm_sq + rep.observed_sq / float(cert.psi(rep.lambda_z)))
+    assert rep.inf_margin <= dense.min() + tol
+    attained = dense[-2] if rep.residual_over_epsilon < 1.0 else dense[-1]
+    assert rep.inf_margin == pytest.approx(attained, abs=1e-9 * rep.norm_sq + tol)
+    return rep
 
 
 def low_rank_system(eigenvalues, rank, seed):
@@ -347,12 +383,13 @@ class TestAdmissibilityEstimate:
         with pytest.raises(DomainError):
             admissibility_breakpoints(sys_, 0.0)
 
-    def test_breakpoint_sup_dominates_default_grid(self, square50):
+    def test_breakpoint_sup_dominates_dense_grid(self, square50):
+        grid = np.linspace(square50.lambda_min / 2.0, 2.0 * square50.lambda_max, 2001)
         for epsilon in (0.25, 0.5):
             exact = estimate_admissibility(
                 square50, epsilon, admissibility_breakpoints(square50, epsilon)
             )
-            assert exact >= estimate_admissibility(square50, epsilon, default_lambda_grid(square50))
+            assert exact >= estimate_admissibility(square50, epsilon, grid)
 
     @settings(max_examples=60)
     @given(
@@ -384,53 +421,120 @@ class TestAdmissibilityEstimate:
 
 class TestResolventCheck:
     def test_identity_gram_unit_strength_margin_zero(self):
+        # With G = I and ψ = 1 the margin is ‖z‖²·min(1, R/ε): zero exactly on
+        # eigenvectors, where the inequality is tight at λ = λ(z).
         rng = np.random.default_rng(53)
         lam = np.sort(rng.uniform(1.0, 20.0, size=10))
         sys_ = SpectralSystem(eigenvalues=lam, gram=np.eye(10))
         cert = CoercivityCertificate(
             epsilon=Constant(1e-3), psi=Constant(1.0), kind="spectral"
         )
+        for k in range(10):
+            rep = resolvent_check(sys_, np.eye(10)[k], cert)
+            assert rep.verdict
+            assert rep.inf_margin == pytest.approx(0.0, abs=1e-10 * rep.norm_sq)
         z = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        rep = resolvent_check(sys_, z, np.linspace(0.5, 40.0, 200), cert)
-        assert rep.verdict
-        assert rep.min_margin == pytest.approx(0.0, abs=1e-10 * rep.norm_sq)
+        rep = resolvent_check(sys_, z, cert)
+        assert rep.verdict and rep.residual_over_epsilon > 1.0
+        assert rep.inf_margin == pytest.approx(rep.norm_sq, rel=1e-12)
 
     def test_pipeline_certificate_margins(self, square50):
         pipeline = scan_certificate(square50, 0.5)
         rng = np.random.default_rng(54)
-        grid = default_lambda_grid(square50)
         for _ in range(20):
             z = rng.standard_normal(square50.size) + 1j * rng.standard_normal(square50.size)
-            rep = resolvent_check(square50, z, grid, pipeline.spectral)
+            rep = resolvent_check(square50, z, pipeline.spectral)
             assert rep.verdict
-            assert rep.min_margin >= -1e-9 * rep.norm_sq
+            assert rep.inf_margin >= -1e-9 * rep.norm_sq
+
+    def test_every_eigenvector_of_default_system_passes(self):
+        cfg = default_config("resolvent-scan")
+        sys_ = system_of(cfg)
+        cert = scan_certificate(sys_, cfg.epsilon_cluster).spectral
+        states = list(np.eye(sys_.size))
+        for lam in sys_.distinct_eigenvalues():  # the least observed one of each eigenspace
+            states.append(cluster_min_coercivity(sys_, np.flatnonzero(sys_.eigenvalues == lam))[1])
+        for z in states:
+            rep = resolvent_check(sys_, z, cert)
+            assert rep.residual_over_epsilon < 1e-12
+            assert rep.verdict and rep.inf_margin > 0.0
+
+    def test_gram_kernel_states_pass(self):
+        # Unobserved states far from every eigenvector: the infimum sits at
+        # |λ| → ∞, where the bound tends to ‖Cz‖²/ψ ≈ 0, so the margin is ≈ 0.
+        cfg = default_config("resolvent-scan")
+        sys_ = system_of(cfg)
+        cert = scan_certificate(sys_, cfg.epsilon_cluster).spectral
+        w, v = np.linalg.eigh(sys_.gram)
+        kernel = v[:, w <= 1e-13 * w[-1]].T
+        assert len(kernel) == 26
+        for z in kernel:
+            rep = resolvent_check(sys_, z, cert)
+            assert rep.verdict and rep.residual_over_epsilon > 1.0
+            assert abs(rep.inf_margin) <= 1e-9 * rep.norm_sq
+
+    def test_closed_form_matches_dense_oracle_on_pipeline_states(self, square50):
+        cert = scan_certificate(square50, 0.5).spectral
+        rng = np.random.default_rng(55)
+        v = np.linalg.eigh(square50.gram)[1]
+        states = [v[:, 0], v[:, -1]]
+        for k in (0, 7, square50.size - 1):
+            for size in (0.0, 1e-6, 1e-2):
+                noise = rng.standard_normal(square50.size) + 1j * rng.standard_normal(square50.size)
+                states.append(np.eye(square50.size)[k] + size * noise)
+        states += [rng.standard_normal(square50.size) for _ in range(3)]
+        ratios = [check_against_dense_oracle(square50, z, cert).residual_over_epsilon for z in states]
+        assert min(ratios) < 1.0 < max(ratios)
+
+    @settings(max_examples=60)
+    @given(
+        eigenvalues=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=8),
+        rank=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        epsilon=st.floats(1e-4, 10.0),
+        psi=st.tuples(st.floats(1e-3, 10.0), st.sampled_from([0.0, 1.0, 2.0])),
+        mode=st.integers(0, 7),
+        noise=st.sampled_from([0.0, 1e-8, 1e-4, 1e-2, 1.0, 1e3]),
+    )
+    def test_closed_form_matches_dense_oracle(
+        self, eigenvalues, rank, seed, epsilon, psi, mode, noise
+    ):
+        lam = np.sort(np.array(eigenvalues))
+        sys_ = low_rank_system(lam, min(rank, lam.size), seed)
+        cert = CoercivityCertificate(
+            epsilon=Constant(epsilon), psi=PowerLaw(*psi), kind="spectral"
+        )
+        rng = np.random.default_rng(seed)
+        z = np.eye(lam.size)[mode % lam.size] + noise * (
+            rng.standard_normal(lam.size) + 1j * rng.standard_normal(lam.size)
+        )
+        check_against_dense_oracle(sys_, z, cert)
 
     def test_huge_state_matches_its_scaled_copy(self):
         sys_ = build_square_system(20, full_bottom())
         cert = scan_certificate(sys_, 0.5).spectral
-        grid = default_lambda_grid(sys_)
         z = np.zeros(sys_.size, dtype=complex)
         z[0], z[1] = 1e200, 1e199
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            huge = resolvent_check(sys_, z, grid, cert)
-            scaled = resolvent_check(sys_, z * 2.0**-665, grid, cert)
+            huge = resolvent_check(sys_, z, cert)
+            scaled = resolvent_check(sys_, z * 2.0**-665, cert)
         assert huge.verdict == scaled.verdict
-        assert scaled.verdict and np.isfinite(scaled.margins).all()
+        assert scaled.verdict and math.isfinite(scaled.inf_margin)
         assert huge.lambda_z == scaled.lambda_z
-        assert huge.norm_sq == math.inf and not np.isnan(huge.margins).any()
+        assert huge.norm_sq == math.inf and not math.isnan(huge.inf_margin)
 
     def test_numerically_zero_state_rejected(self, square50):
         pipeline = scan_certificate(square50, 0.5)
         with pytest.raises(DomainError):
-            resolvent_check(square50, np.full(square50.size, 1e-301), [1.0], pipeline.spectral)
+            resolvent_check(square50, np.full(square50.size, 1e-301), pipeline.spectral)
 
     def test_requires_spectral_kind(self, square50):
         weak = CoercivityCertificate(
             epsilon=Constant(0.5), psi=Constant(0.1), kind="weak_spectral"
         )
         with pytest.raises(DomainError):
-            resolvent_check(square50, np.ones(square50.size), [1.0], weak)
+            resolvent_check(square50, np.ones(square50.size), weak)
 
 
 class TestViolationSearch:

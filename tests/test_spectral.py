@@ -177,6 +177,15 @@ class TestKeyIdentity:
         sys_ = SpectralSystem(eigenvalues=[4.0, 5.0], gram=np.eye(2))
         assert key_identity_gap(StateVector.basis(0, 2), 4.0, sys_) == 0.0
 
+    def test_state_on_an_interior_eigenvalue_reads_roundoff(self):
+        # The computed λ(z) lands an ulp off 3.0 while ‖(A − 3)z‖² is about
+        # 1e-119 in the moments' scale: the right side's round-off comes from
+        # that ulp, not from a fraction of the left side.
+        sys_ = SpectralSystem(eigenvalues=[1.0, 3.0, 3.0, 3.0, 7.0], gram=np.eye(5))
+        for z in ([0.0, 0.3, 0.7, 0.9, 1e-60], [0.0, 1.0, 0.6, 0.2, 1e-60]):
+            assert frequency(z, sys_) != 3.0
+            assert key_identity_gap(z, 3.0, sys_) <= 8 * np.finfo(float).eps
+
     def test_random_states_and_shifts(self):
         rng = np.random.default_rng(16)
         sys_ = random_system(rng, 10)

@@ -1,0 +1,66 @@
+"""Print the sha256 of each report that a byte-identity check compares.
+
+    python3 tools/report_digests.py SEED [SEED ...]
+
+For every seed it runs, in process, each scenario at its default config and
+each job of ``perfbench/jobs.py`` at full size, and prints one line per
+report: the digest (``-`` when no report was written), the exit code, the
+seed and a label.  Run it in two checkouts and ``diff`` the outputs to see
+which reports moved.  It imports obskit and the job list from the checkout
+that holds it, and writes its reports to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
+
+from jobs import WORKLOADS, run_pass, workload_jobs  # noqa: E402
+from obskit import cli  # noqa: E402
+from obskit.config import SCENARIOS  # noqa: E402
+
+
+def _digest(report: bytes | None) -> str:
+    return "-" if report is None else hashlib.sha256(report).hexdigest()
+
+
+def digest_lines(seed: int, outdir: Path) -> list[str]:
+    """One ``digest exit=… seed=… label`` line per report, in a fixed order."""
+    lines = []
+    for scenario in SCENARIOS:
+        out = outdir / f"default-{scenario}.json"
+        out.unlink(missing_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([scenario, "--out", str(out), "--seed", str(seed)])
+        report = out.read_bytes() if out.is_file() else None
+        lines.append(f"{_digest(report)}  exit={code} seed={seed} default/{scenario}")
+    for workload in WORKLOADS:
+        _, results = run_pass(cli, workload_jobs(workload, "full"), outdir, seed)
+        for i, result in enumerate(results):
+            label = f"{workload}/{i}-{result.job.scenario}"
+            lines.append(f"{_digest(result.report)}  exit={result.exit_code} seed={seed} {label}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", type=int, nargs="+", metavar="SEED")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="obskit-digests-") as tmp:
+        for seed in args.seeds:
+            for line in digest_lines(seed, Path(tmp)):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
