@@ -132,11 +132,11 @@ def cluster_min_coercivity(system: SpectralSystem, indices) -> tuple[float, np.n
     return float(vals[0]), full
 
 
-def coercivity_scan(system: SpectralSystem, epsilon: float, lambda_max: float) -> list[ClusterReport]:
-    """One ClusterReport per distinct eigenvalue ≤ lambda_max, sorted by center."""
+def coercivity_scan(system: SpectralSystem, epsilon: float) -> list[ClusterReport]:
+    """One ClusterReport per distinct eigenvalue, sorted by center."""
     if not epsilon > 0:
         raise DomainError(f"cluster width must be positive, got {epsilon}")
-    centers = [float(v) for v in system.distinct_eigenvalues() if v <= lambda_max]
+    centers = [float(v) for v in system.distinct_eigenvalues()]
 
     def scan_one(center: float) -> ClusterReport:
         idx = enumerate_cluster(system, center, epsilon)
@@ -438,7 +438,7 @@ class CertificatePipeline:
 def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipeline:
     """Build a spectral certificate from the system's own cluster scan.
 
-    Chain: eigenvalue-centered scan at width ε up to λ_max → envelope fit →
+    Chain: scan at width ε centered on every eigenvalue → envelope fit →
     shift to arbitrary centers as a weak certificate (ε/2, envelope lowered
     by the center shift) → admissibility at width ε/2 → weak_to_spectral.
 
@@ -447,7 +447,7 @@ def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipel
     ``admissibility_breakpoints(system, ε/2)``, in low rank plus a Weyl
     term, hence an upper bound.
     """
-    reports = coercivity_scan(system, epsilon, system.lambda_max)
+    reports = coercivity_scan(system, epsilon)
     envelope = fit_psi_envelope(reports)
     half = epsilon / 2.0
     weak = CoercivityCertificate(

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -123,6 +124,9 @@ def _require_int(value, path: str) -> int:
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _schema_error(f"{path}: expected a number, got {value!r}")
+    # False for NaN and ±inf, and for ints too large to become a float
+    if not abs(value) <= sys.float_info.max:
+        raise _invariant_error(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -183,7 +187,7 @@ def _normalize_gram_entry(entry, j: int, k: int) -> complex:
     if isinstance(entry, bool):
         raise _schema_error(f"{path}: expected a number or [re, im] pair")
     if isinstance(entry, (int, float)):
-        return complex(float(entry), 0.0)
+        return complex(_require_number(entry, path), 0.0)
     if isinstance(entry, list) and len(entry) == 2:
         re_part = _require_number(entry[0], f"{path}[0]")
         im_part = _require_number(entry[1], f"{path}[1]")
@@ -390,8 +394,8 @@ def apply_overrides(
             raise _invariant_error(f"trials must be ≥ 1, got {trials}")
         updates["trials"] = trials
     if T is not None:
-        if not T > 0:
-            raise _invariant_error(f"T must be positive, got {T}")
+        if not (T > 0 and math.isfinite(T)):
+            raise _invariant_error(f"T must be positive and finite, got {T}")
         updates["T"] = T
     if output_path is not None:
         updates["output_path"] = output_path

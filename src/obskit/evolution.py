@@ -5,10 +5,10 @@ energy over [0, T] has the exact closed form
 
     ∫₀ᵀ ‖Cz(t)‖² dt = Σ_{jk} G_{jk} z_j conj(z_k) K_{jk}(T),
 
-with the phase kernel K_{jk}(T) = (e^{i(λ_j−λ_k)T} − 1)/(i(λ_j−λ_k)) and
-K = T on the diagonal.  The kernel matrix G∘K is the Gram of the evolved
-traces, hence positive semidefinite; its largest eigenvalue is the sharp
-truncated admissibility constant (truncation-dependent).
+with the phase kernel K_{jk}(T) = ∫₀ᵀ e^{i(λ_j−λ_k)t} dt = T·e^{ih}·sin(h)/h,
+h = (λ_j−λ_k)T/2 (K = T where h = 0).  The kernel matrix G∘K is the Gram of
+the evolved traces, hence positive semidefinite; its largest eigenvalue is
+the sharp truncated admissibility constant (truncation-dependent).
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from scipy.integrate import quad
 from .decay import DecayFunction
 from .errors import DomainError, NumericError
 from .spectral import SpectralSystem, StateVector, coefficients_of, frequency
-from .window import ThetaConstants, solve_observation_time
-
-# Eigenvalue differences below this are treated as exactly equal.
-TIE_TOL = 1.0e-12
-# Below this |Δ|·T the kernel uses a series to dodge cancellation.
-SERIES_THRESHOLD = 1.0e-4
+from .window import ThetaConstants
 
 
 def evolve(z0, system: SpectralSystem, t: float) -> StateVector:
@@ -37,25 +32,17 @@ def evolve(z0, system: SpectralSystem, t: float) -> StateVector:
 
 
 def phase_kernel(eigenvalues: np.ndarray, T: float) -> np.ndarray:
-    """The matrix K_{jk}(T) = ∫₀ᵀ e^{i(λ_j−λ_k)t} dt, elementwise stable.
+    """The matrix K_{jk}(T) = ∫₀ᵀ e^{i(λ_j−λ_k)t} dt = r·e^{ih}, r = T·sin(h)/h.
 
-    Exact ties (|Δ| < 1e−12) give T; small |Δ|·T uses a 4-term series of
-    (e^{ix}−1)/(ix); otherwise the direct formula applies.
+    With h = (λ_j−λ_k)T/2 this one form holds for every gap and nothing in
+    it cancels, so it keeps full relative accuracy; r = T where h = 0.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    delta = lam[:, None] - lam[None, :]
-    x = delta * T
-    tie = np.abs(delta) < TIE_TOL
-    small = (np.abs(x) < SERIES_THRESHOLD) & ~tie
-    out = np.empty(delta.shape, dtype=complex)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (np.exp(1j * x) - 1.0) / (1j * delta)
-    out[:] = direct
-    ix = 1j * x[small]
-    out[small] = T * (1.0 + ix / 2.0 + ix**2 / 6.0 + ix**3 / 24.0)
-    out[tie] = T
-    return out
+    h = 0.5 * T * (lam[:, None] - lam[None, :])
+    s = np.sin(h)
+    r = np.full(h.shape, float(T))
+    np.divide(T * s, h, out=r, where=h != 0.0)
+    return r * np.cos(h) + 1j * (r * s)
 
 
 def observability_kernel(system: SpectralSystem, T: float) -> np.ndarray:
@@ -144,22 +131,18 @@ def weak_observability_check(
     system: SpectralSystem,
     T: float,
     psi: DecayFunction,
-    eps: DecayFunction,
     th: ThetaConstants,
-    t_min: float | None = None,
+    t_min: float,
 ) -> ObservabilityReport:
     """Evaluate θ₂ψ(θ₀(1/T+λ(z0)))‖z0‖² ≤ ∫₀ᵀ‖Cz‖² for one state.
 
-    ``t_min`` is ``solve_observation_time(λ(z0), eps, th)``; a caller that
-    has already solved it passes it in, otherwise it is solved here.
+    ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε, θ)``.
     """
     if not T > 0:
         raise DomainError(f"time horizon must be positive, got {T}")
     c = coefficients_of(z0, system)
     lam0 = frequency(z0, system)
     norm_sq = float(np.vdot(c, c).real)
-    if t_min is None:
-        t_min = solve_observation_time(lam0, eps, th)
     applicable = T >= t_min
     lhs = th.theta2 * float(psi(th.theta0 * (1.0 / T + lam0))) * norm_sq
     integral = observability_integral(z0, system, T)

@@ -163,7 +163,7 @@ def run_coercivity_scan(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    reports = coercivity_scan(system, cfg.epsilon_cluster, system.lambda_max)
+    reports = coercivity_scan(system, cfg.epsilon_cluster)
     rows = [
         [rep.center, rep.size, rep.min_eig, rep.center * rep.min_eig] for rep in reports
     ]
@@ -264,10 +264,7 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
         t_min = solve_observation_time(lam0, pipeline.spectral.epsilon, th)
         t_min_sup = solve_observation_time(lam0, pipeline.spectral.epsilon, th_sup)
         horizon = cfg.T if cfg.T is not None else 2.0 * t_min
-        rep = weak_observability_check(
-            z, system, horizon, pipeline.spectral.psi, pipeline.spectral.epsilon, th,
-            t_min=t_min,
-        )
+        rep = weak_observability_check(z, system, horizon, pipeline.spectral.psi, th, t_min)
         all_applicable = all_applicable and rep.applicable
         if rep.applicable:
             worst = min(worst, rep.margin / (1.0 + rep.integral))
@@ -344,7 +341,7 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
         )
     )
     system = build_square_system(n_max, bottom_and_left())
-    scan = coercivity_scan(system, cfg.epsilon_cluster, system.lambda_max)
+    scan = coercivity_scan(system, cfg.epsilon_cluster)
     envelope = fit_psi_envelope(scan)
     bundle.constants["envelope_c"] = envelope.c
     bundle.constants["envelope_p"] = envelope.p

@@ -28,7 +28,7 @@ class SpectralSystem:
 
     ``eigenvalues`` must be strictly positive and sorted non-decreasing
     (repeats are permitted; clusters absorb multiplicity).  ``gram`` must be
-    Hermitian to 1e−12 absolute and positive semidefinite up to a relative
+    finite, Hermitian to 1e−12 absolute and positive semidefinite up to a relative
     tolerance of 1e−10 of its largest eigenvalue.
     """
 
@@ -52,6 +52,8 @@ class SpectralSystem:
                 f"gram must be {eig.size}x{eig.size} to match the eigenvalue list, "
                 f"got shape {g.shape}"
             )
+        if not np.all(np.isfinite(g)):
+            raise DomainError("gram entries must be finite")
         dev = np.abs(g - g.conj().T)
         if dev.size and dev.max() > HERMITIAN_ATOL:
             j, k = np.unravel_index(int(dev.argmax()), dev.shape)

@@ -305,7 +305,7 @@ def test_09_lattice_circles_vs_double_loop():
 def test_10_two_full_sides_constant_minima():
     report = assumption_I_check(2000)
     sys_ = build_square_system(2000, bottom_and_left())
-    envelope = fit_psi_envelope(coercivity_scan(sys_, 0.5, 2000.0))
+    envelope = fit_psi_envelope(coercivity_scan(sys_, 0.5))
     ok = (
         report.max_abs_deviation <= 1e-10
         and envelope.p == 0.0
@@ -395,8 +395,8 @@ def test_14_weak_observability_end_to_end(bottom50, pipeline50):
     for name, th in variants.items():
         worst_margin = math.inf
         for z0 in states:
-            probe = weak_observability_check(z0, bottom50, 1.0, psi, eps, th)
-            rep = weak_observability_check(z0, bottom50, 2.0 * probe.t_min, psi, eps, th)
+            t_min = solve_observation_time(frequency(z0, bottom50), eps, th)
+            rep = weak_observability_check(z0, bottom50, 2.0 * t_min, psi, th, t_min)
             assert rep.applicable
             worst_margin = min(worst_margin, rep.margin / rep.norm_sq)
         worst[name] = worst_margin

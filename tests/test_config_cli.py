@@ -23,6 +23,9 @@ from obskit.parallel import worker_count
 from obskit.square import delta_gamma_fit, full_bottom, mode_count, square_modes
 
 
+CUSTOM_GRAM = '{"system": {"type": "custom", "eigenvalues": [1, 2], "gram": [[1, %s], [%s, 1]]}}'
+
+
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -347,6 +350,27 @@ class TestCli:
         code = main(["resolvent-scan", "--T", "0", "--out", str(tmp_path / "x.json")])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weak-observability", "--T", "inf"],
+            ["admissibility", "--T", "inf"],
+            ["admissibility", "--config", '{"epsilon_cluster": Infinity}'],
+            ["resolvent-scan", "--config", '{"T": Infinity}'],
+            ["coercivity-scan", "--config", CUSTOM_GRAM % ("NaN", "NaN")],
+            ["coercivity-scan", "--config", CUSTOM_GRAM % ("Infinity", "Infinity")],
+            ["coercivity-scan", "--config", CUSTOM_GRAM % ("[0, -Infinity]", "[0, Infinity]")],
+            ["coercivity-scan", "--config", CUSTOM_GRAM % (("1" + "0" * 400,) * 2)],
+        ],
+        ids=["T-weak", "T-admissibility", "epsilon", "config-T", "gram-nan", "gram-inf",
+             "gram-pair-inf", "gram-huge-int"],
+    )
+    def test_non_finite_input_exits_three(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["interpretive-dance"])
@@ -410,5 +434,5 @@ class TestWorkers:
             raise AssertionError("a scan started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert len(coercivity_scan(build_square_system(300, full_bottom()), 0.5, 300.0)) == 101
+        assert len(coercivity_scan(build_square_system(300, full_bottom()), 0.5)) == 101
         assert len(delta_gamma_fit(full_bottom(), 200)[1].rows) == 68

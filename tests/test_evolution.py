@@ -66,16 +66,26 @@ class TestPhaseKernel:
         expected = (np.exp(1j * delta * T) - 1.0) / (1j * delta)
         assert k[0, 1] == pytest.approx(expected, rel=1e-14)
 
-    def test_series_branch_matches_direct(self):
-        # |delta|*T just below and above the series threshold must agree
-        lam = np.array([1.0, 1.0 + 2e-9])
-        T = 10.0  # |delta|*T = 2e-8, series branch
-        k_series = phase_kernel(lam, T)[0, 1]
-        phase = (lam[0] - lam[1]) * T
-        exact = T * (1.0 + 1j * phase / 2.0 + (1j * phase) ** 2 / 6.0)
-        assert k_series == pytest.approx(exact, rel=1e-12)
-        # conjugate entry carries the opposite phase
-        assert phase_kernel(lam, T)[1, 0] == pytest.approx(np.conj(exact), rel=1e-12)
+    def test_matches_taylor_reference_at_small_and_tiny_gaps(self):
+        # K = T·Σ_k (ix)^k/(k+1)! with x = Δ·T, summed in floats; 40 terms
+        # converge to round-off for |x| ≤ 1.
+        def taylor(delta, T):
+            ix = 1j * delta * T
+            term, total = 1.0 + 0j, 0j
+            for k in range(40):
+                total += term
+                term *= ix / (k + 2)
+            return T * total
+
+        cases = [(x / 10.0, 10.0) for x in np.geomspace(1e-9, 1.0, 61)]
+        cases += [(gap, T) for gap in np.linspace(1e-13, 9e-13, 9) for T in (1e4, 1e6, 1e7)]
+        for delta, T in cases:
+            lam = np.array([1.0, 1.0 + delta])
+            k = phase_kernel(lam, T)
+            exact = taylor(lam[0] - lam[1], T)
+            assert k[0, 1] == pytest.approx(exact, rel=1e-14, abs=0)
+            # conjugate entry carries the opposite phase
+            assert k[1, 0] == pytest.approx(np.conj(exact), rel=1e-14, abs=0)
 
     def test_hermitian(self):
         rng = np.random.default_rng(31)
@@ -202,12 +212,15 @@ def pipeline_system():
 
 class TestWeakObservability:
 
+    @staticmethod
+    def t_min_of(z, sys_, pipeline, th):
+        return solve_observation_time(frequency(z, sys_), pipeline.spectral.epsilon, th)
+
     def test_below_minimal_time_not_applicable(self, pipeline_system):
         sys_, pipeline, th = pipeline_system
         z = StateVector.basis(0, sys_.size)
-        rep = weak_observability_check(
-            z, sys_, 1.0, pipeline.spectral.psi, pipeline.spectral.epsilon, th
-        )
+        t_min = self.t_min_of(z, sys_, pipeline, th)
+        rep = weak_observability_check(z, sys_, 1.0, pipeline.spectral.psi, th, t_min)
         assert not rep.applicable
         assert rep.t_min > 1.0
 
@@ -216,43 +229,20 @@ class TestWeakObservability:
         rng = np.random.default_rng(41)
         for _ in range(10):
             z = rng.standard_normal(sys_.size) + 1j * rng.standard_normal(sys_.size)
-            rep_probe = weak_observability_check(
-                z, sys_, 1.0, pipeline.spectral.psi, pipeline.spectral.epsilon, th
-            )
-            T = 2.0 * rep_probe.t_min
-            rep = weak_observability_check(
-                z, sys_, T, pipeline.spectral.psi, pipeline.spectral.epsilon, th
-            )
+            t_min = self.t_min_of(z, sys_, pipeline, th)
+            rep = weak_observability_check(z, sys_, 2.0 * t_min, pipeline.spectral.psi, th, t_min)
             assert rep.applicable
             assert rep.margin >= -1e-9 * (1.0 + rep.integral)
-
-    def test_given_t_min_matches_solved(self, pipeline_system):
-        sys_, pipeline, th = pipeline_system
-        rng = np.random.default_rng(43)
-        psi, eps = pipeline.spectral.psi, pipeline.spectral.epsilon
-        for horizon in (1.0, 1.0e6):
-            z = rng.standard_normal(sys_.size) + 1j * rng.standard_normal(sys_.size)
-            t_min = solve_observation_time(frequency(z, sys_), eps, th)
-            solved = weak_observability_check(z, sys_, horizon, psi, eps, th)
-            given = weak_observability_check(z, sys_, horizon, psi, eps, th, t_min=t_min)
-            assert given == solved
 
     def test_margin_nondecreasing_in_horizon(self, pipeline_system):
         sys_, pipeline, th = pipeline_system
         rng = np.random.default_rng(42)
         z = rng.standard_normal(sys_.size) + 1j * rng.standard_normal(sys_.size)
-        probe = weak_observability_check(
-            z, sys_, 1.0, pipeline.spectral.psi, pipeline.spectral.epsilon, th
-        )
+        t_min = self.t_min_of(z, sys_, pipeline, th)
         margins = []
         for factor in [1.0, 1.5, 2.0, 3.0, 4.0]:
             rep = weak_observability_check(
-                z,
-                sys_,
-                factor * probe.t_min,
-                pipeline.spectral.psi,
-                pipeline.spectral.epsilon,
-                th,
+                z, sys_, factor * t_min, pipeline.spectral.psi, th, t_min
             )
             assert rep.applicable
             margins.append(rep.margin)
@@ -263,10 +253,9 @@ class TestWeakObservability:
         sys_ = SpectralSystem(eigenvalues=[2.0, 5.0], gram=np.diag([0.8, 0.3]).astype(complex))
         th = theta_constants(cutoff_profile())
         psi = Constant(0.1)
-        eps = Constant(0.1)
         z = StateVector.basis(0, 2)
-        t_min = weak_observability_check(z, sys_, 1.0, psi, eps, th).t_min
-        rep = weak_observability_check(z, sys_, 4.0 * t_min, psi, eps, th)
+        t_min = solve_observation_time(frequency(z, sys_), Constant(0.1), th)
+        rep = weak_observability_check(z, sys_, 4.0 * t_min, psi, th, t_min)
         assert rep.applicable
         assert rep.margin > 0
         assert rep.integral == pytest.approx(4.0 * t_min * 0.8, rel=1e-12)

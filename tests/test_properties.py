@@ -33,7 +33,6 @@ from obskit import (
     windowed_frequency,
 )
 from obskit.cli import main
-from obskit.evolution import SERIES_THRESHOLD, TIE_TOL
 
 U = np.finfo(float).eps
 
@@ -106,16 +105,16 @@ def test_windowed_frequency_in_spectral_hull(pair, T, tau):
 
 @st.composite
 def kernel_systems(draw, top=1e4, decades=3.0):
-    """(system, T): clusters of exact ties and of gaps below, inside and just
-    above the series range |Δ|·T < SERIES_THRESHOLD, with a random PSD Gram;
+    """(system, T): clusters of exact ties, of gaps below 1e-12 and of gaps
+    with |Δ|·T just inside and just above 1e-4, with a random PSD Gram;
     eigenvalues up to about ``top``, T within ``decades`` decades of 1."""
     T = 10.0 ** draw(st.floats(-decades, decades))
     lam = []
     for value in draw(st.lists(st.floats(1e-3, top), min_size=1, max_size=5)):
         lam.append(value)
-        for gap in draw(st.lists(st.sampled_from(("tie", "below-tol", "series", "direct")), max_size=3)):
-            scale = {"tie": 0.0, "below-tol": TIE_TOL, "series": SERIES_THRESHOLD / T,
-                     "direct": 100.0 * SERIES_THRESHOLD / T}[gap]
+        for gap in draw(st.lists(st.sampled_from(("tie", "tiny", "small", "moderate")), max_size=3)):
+            scale = {"tie": 0.0, "tiny": 1.0e-12, "small": 1.0e-4 / T,
+                     "moderate": 100.0 * 1.0e-4 / T}[gap]
             lam.append(lam[-1] + scale * draw(st.floats(0.01, 0.99)))
     lam = np.sort(lam)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

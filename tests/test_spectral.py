@@ -63,6 +63,13 @@ class TestSystemValidation:
         with pytest.raises(DomainError, match=r"G\[0\]\[2\]"):
             SpectralSystem(eigenvalues=[1.0, 2.0, 3.0], gram=gram)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_gram(self, bad):
+        # NaN fails every comparison, so only an explicit check rejects it
+        gram = np.array([[1.0, bad], [np.conj(bad), 1.0]], dtype=complex)
+        with pytest.raises(DomainError, match="finite"):
+            SpectralSystem(eigenvalues=[1.0, 2.0], gram=gram)
+
     def test_rejects_indefinite_gram(self):
         gram = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(DomainError, match="positive semidefinite"):
