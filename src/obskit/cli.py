@@ -6,7 +6,8 @@ constants, next to it) and prints a short human summary.  Exit codes:
 
 * 0 — every verdict passed
 * 2 — a mathematical verdict failed
-* 3 — input error (config parse/schema/invariant, bad domain or shape)
+* 3 — input error (config parse/schema/invariant, bad domain or shape,
+  a report path that cannot be written)
 * 4 — numeric failure (quadrature, eigensolver, bracket expansion)
 """
 
@@ -82,7 +83,11 @@ def main(argv=None) -> int:
             cfg, seed=args.seed, trials=args.trials, T=args.T, output_path=args.out
         )
         bundle = run_scenario(cfg)
-        _write_outputs(bundle, cfg.output_path, args.format)
+        try:
+            _write_outputs(bundle, cfg.output_path, args.format)
+        except OSError as exc:
+            sys.stderr.write(f"obskit: cannot write report: {exc}\n")
+            return 3
         sys.stdout.write(bundle_summary_text(bundle))
         return bundle.exit_code
     except (ConfigError, DomainError, ShapeError) as exc:

@@ -31,7 +31,6 @@ from .spectral import (
     coefficients_of,
     frequency_report,
     observed_energy_sq,
-    residual_shifted,
 )
 
 CERTIFICATE_KINDS = ("spectral", "weak_spectral")
@@ -306,7 +305,7 @@ def resolvent_check(system: SpectralSystem, z, cert: CoercivityCertificate) -> R
     c = c * 2.0**-e
     rep = frequency_report(c, system)
     observed = observed_energy_sq(c, system)
-    ratio = residual_shifted(c, system) / float(cert.epsilon(rep.lambda_z))
+    ratio = rep.residual / float(cert.epsilon(rep.lambda_z))
     margin = observed / float(cert.psi(rep.lambda_z)) - rep.norm_sq * max(0.0, 1.0 - ratio)
     verdict = margin >= -1.0e-9 * rep.norm_sq
     with np.errstate(over="ignore"):  # back to the true scale, ±inf past the float range
@@ -366,9 +365,8 @@ def spectral_coercivity_violation_search(
     def consider(zc: np.ndarray, trial: int, origin: str) -> None:
         nonlocal best
         rep = frequency_report(zc, system)
-        res = residual_shifted(zc, system)
         eps_at = float(cert.epsilon(rep.lambda_z))
-        if not res < eps_at:
+        if not rep.residual < eps_at:
             return
         required = float(cert.psi(rep.lambda_z)) * rep.norm_sq
         observed = observed_energy_sq(zc, system)
@@ -380,7 +378,7 @@ def spectral_coercivity_violation_search(
             best = CoercivityViolation(
                 coefficients=zc.copy(),
                 lambda_z=rep.lambda_z,
-                residual=res,
+                residual=rep.residual,
                 epsilon_at=eps_at,
                 observed=observed,
                 required=required,

@@ -4,7 +4,8 @@ Configurations are JSON documents (a file path or inline text).  Errors
 are classified: malformed documents are parse errors with line/column,
 wrong shapes/types/names are schema errors naming the offending key path,
 and well-formed values violating a constraint (n_max too small, trials
-< 1, non-PSD Gram, ...) are invariant errors.  All three surface as
+< 1, a negative seed, T for a scenario without a time horizon, non-PSD
+Gram, ...) are invariant errors.  All three surface as
 ConfigError with a ``kind`` tag and exit as input errors at the CLI.
 """
 
@@ -33,6 +34,8 @@ SCENARIOS = (
     "assumption-ii-iii",
     "admissibility",
 )
+# The scenarios that read the time horizon T; every other one rejects it.
+HORIZON_SCENARIOS = ("weak-observability", "admissibility")
 
 DEFAULT_EPSILON_CLUSTER = 0.5
 DEFAULT_TRIALS = 100
@@ -119,6 +122,21 @@ def _require_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise _schema_error(f"{path}: expected an integer, got {value!r}")
     return value
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise _invariant_error(f"seed must be ≥ 0, got {seed}")
+
+
+def _check_T(T: float, scenario: str) -> None:
+    if scenario not in HORIZON_SCENARIOS:
+        raise _invariant_error(
+            f"T is read only by {' and '.join(HORIZON_SCENARIOS)}; "
+            f"scenario {scenario} has no time horizon"
+        )
+    if not (T > 0 and math.isfinite(T)):
+        raise _invariant_error(f"T must be positive and finite, got {T}")
 
 
 def _require_number(value, path: str) -> float:
@@ -347,12 +365,12 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
         raise _invariant_error(f"trials must be ≥ 1, got {trials}")
 
     seed = _require_int(raw.get("seed", DEFAULT_SEED), "seed")
+    _check_seed(seed)
 
     T = raw.get("T")
     if T is not None:
         T = _require_number(T, "T")
-        if not T > 0:
-            raise _invariant_error(f"T must be positive, got {T}")
+        _check_T(T, scenario)
 
     output_path = raw.get("output_path", DEFAULT_OUTPUT)
     if not isinstance(output_path, str) or not output_path:
@@ -388,14 +406,14 @@ def apply_overrides(
     """Apply CLI flag overrides on top of a loaded configuration."""
     updates: dict = {}
     if seed is not None:
+        _check_seed(seed)
         updates["seed"] = seed
     if trials is not None:
         if trials < 1:
             raise _invariant_error(f"trials must be ≥ 1, got {trials}")
         updates["trials"] = trials
     if T is not None:
-        if not (T > 0 and math.isfinite(T)):
-            raise _invariant_error(f"T must be positive and finite, got {T}")
+        _check_T(T, cfg.scenario)
         updates["T"] = T
     if output_path is not None:
         updates["output_path"] = output_path

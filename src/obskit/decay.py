@@ -35,11 +35,6 @@ class DecayFunction:
         """JSON-friendly description of the function."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _check_positive(name: str, value: float) -> None:
     if not (value > 0 and math.isfinite(value)):

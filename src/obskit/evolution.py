@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from .decay import DecayFunction
 from .errors import DomainError, NumericError
 from .spectral import SpectralSystem, StateVector, coefficients_of, frequency
-from .window import ThetaConstants
+from .window import THETA0, THETA2
 
 
 def evolve(z0, system: SpectralSystem, t: float) -> StateVector:
@@ -131,12 +131,11 @@ def weak_observability_check(
     system: SpectralSystem,
     T: float,
     psi: DecayFunction,
-    th: ThetaConstants,
     t_min: float,
 ) -> ObservabilityReport:
     """Evaluate θ₂ψ(θ₀(1/T+λ(z0)))‖z0‖² ≤ ∫₀ᵀ‖Cz‖² for one state.
 
-    ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε, θ)``.
+    ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε, θ₁)``.
     """
     if not T > 0:
         raise DomainError(f"time horizon must be positive, got {T}")
@@ -144,7 +143,7 @@ def weak_observability_check(
     lam0 = frequency(z0, system)
     norm_sq = float(np.vdot(c, c).real)
     applicable = T >= t_min
-    lhs = th.theta2 * float(psi(th.theta0 * (1.0 / T + lam0))) * norm_sq
+    lhs = THETA2 * float(psi(THETA0 * (1.0 / T + lam0))) * norm_sq
     integral = observability_integral(z0, system, T)
     return ObservabilityReport(
         T=T,

@@ -32,13 +32,21 @@ from .report import ReportBundle, Table, Verdict
 from .spectral import frequency, frequency_report
 from .square import assumption_I_check, bottom_and_left, build_square_system, delta_gamma_fit
 from .window import (
+    C0,
+    C0_PRIME,
+    CHI_DERIV_L2_NORM_SQ,
+    CHI_L2_NORM_SQ,
+    KAPPA1,
+    KAPPA2,
+    THETA0,
+    THETA1,
+    THETA1_SUP_DERIV,
+    THETA2,
     chi_hat,
     chi_hat_by_quadrature,
-    cutoff_profile,
     default_tau_grid,
     sandwich_values,
     solve_observation_time,
-    theta_constants,
 )
 
 THETA_NOTES = [
@@ -50,21 +58,18 @@ THETA_NOTES = [
 
 
 def _constants_block() -> dict:
-    profile = cutoff_profile()
-    th = theta_constants(profile)
-    th_sup = theta_constants(profile, sup_deriv_theta1=True)
     return {
-        "kappa1": profile.kappa1,
-        "kappa2": profile.kappa2,
-        "chi_l2_norm_sq": profile.l2_norm_sq,
-        "chi_deriv_l2_norm_sq": profile.l2_deriv_norm_sq,
-        "chi_sup_norm": profile.linf_norm,
-        "c0": th.c0,
-        "c0_prime": th.c0_prime,
-        "theta0": th.theta0,
-        "theta1_l2_deriv": th.theta1,
-        "theta1_sup_deriv": th_sup.theta1,
-        "theta2": th.theta2,
+        "kappa1": KAPPA1,
+        "kappa2": KAPPA2,
+        "chi_l2_norm_sq": CHI_L2_NORM_SQ,
+        "chi_deriv_l2_norm_sq": CHI_DERIV_L2_NORM_SQ,
+        "chi_sup_norm": 1.0,  # ‖χ‖∞ = χ(0)
+        "c0": C0,
+        "c0_prime": C0_PRIME,
+        "theta0": THETA0,
+        "theta1_l2_deriv": THETA1,
+        "theta1_sup_deriv": THETA1_SUP_DERIV,
+        "theta2": THETA2,
     }
 
 
@@ -251,9 +256,6 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     bundle.constants["system_label"] = system.label
     pipeline = scan_certificate(system, cfg.epsilon_cluster)
     _pipeline_constants(bundle, pipeline)
-    profile = cutoff_profile()
-    th = theta_constants(profile)
-    th_sup = theta_constants(profile, sup_deriv_theta1=True)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = math.inf
@@ -261,10 +263,10 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     for trial in range(cfg.trials):
         z = _random_state(rng, system.size)
         lam0 = frequency(z, system)
-        t_min = solve_observation_time(lam0, pipeline.spectral.epsilon, th)
-        t_min_sup = solve_observation_time(lam0, pipeline.spectral.epsilon, th_sup)
+        t_min = solve_observation_time(lam0, pipeline.spectral.epsilon, THETA1)
+        t_min_sup = solve_observation_time(lam0, pipeline.spectral.epsilon, THETA1_SUP_DERIV)
         horizon = cfg.T if cfg.T is not None else 2.0 * t_min
-        rep = weak_observability_check(z, system, horizon, pipeline.spectral.psi, th, t_min)
+        rep = weak_observability_check(z, system, horizon, pipeline.spectral.psi, t_min)
         all_applicable = all_applicable and rep.applicable
         if rep.applicable:
             worst = min(worst, rep.margin / (1.0 + rep.integral))

@@ -4,7 +4,7 @@ A system ż = iAz with observation y = Cz is encoded by its spectral data:
 the eigenvalues of A and the Gram matrix G_{jk} = ⟨Cφ_j, Cφ_k⟩ of observed
 eigenfunctions.  States are coefficient vectors in the (orthonormal)
 eigenbasis.  The frequency functional λ(z) = ⟨Az,z⟩/‖z‖² and its residual
-‖Az‖²/‖z‖² − λ(z)² drive everything downstream.
+‖(A − λ(z))z‖²/‖z‖² drive everything downstream.
 """
 
 from __future__ import annotations
@@ -173,15 +173,8 @@ def frequency(z, system: SpectralSystem) -> float:
 
 
 def residual(z, system: SpectralSystem) -> float:
-    """The moment gap ‖Az‖²/‖z‖² − λ(z)², non-negative up to round-off."""
-    w, _, total, mean = _moments(z, system)
-    return math.fsum(system.eigenvalues**2 * w) / total - mean * mean
-
-
-def residual_shifted(z, system: SpectralSystem) -> float:
-    """The same residual computed directly as ‖(A − λ(z)I)z‖²/‖z‖² (exactly ≥ 0)."""
-    w, _, total, mean = _moments(z, system)
-    return math.fsum((system.eigenvalues - mean) ** 2 * w) / total
+    """The residual ‖(A − λ(z)I)z‖²/‖z‖², exactly ≥ 0."""
+    return frequency_report(z, system).residual
 
 
 def shifted_norm_sq(z, system: SpectralSystem, lam: float) -> float:
@@ -212,10 +205,9 @@ def key_identity_gap(z, lam: float, system: SpectralSystem) -> float:
 def frequency_report(z, system: SpectralSystem) -> FrequencyReport:
     """Frequency, residual, and true-scale squared norm in one pass."""
     w, amax, total, mean = _moments(z, system)
-    second = math.fsum(system.eigenvalues**2 * w) / total
     return FrequencyReport(
         lambda_z=mean,
-        residual=second - mean * mean,
+        residual=math.fsum((system.eigenvalues - mean) ** 2 * w) / total,
         norm_sq=amax * amax * total,
     )
 

@@ -5,11 +5,12 @@ transform χ̂(τ) = ∫χ(s)e^{−iτs}ds has the closed form
 
     χ̂(τ) = 2·Re[ 1/w − (1 − e^{−w})/w² ],   w = 2 + iτ,
 
-which is validated against an adaptive-quadrature oracle.  From the window
-come the frequency-localization constants c₀, c₀′, θ₀, θ₁, θ₂, the
-windowed frequency of an evolved state, the minimal observation time T(λ)
-solving T·ε(θ₀(1/T+λ)) = θ₁, and a truncated-Plancherel lower bound for
-windowed trajectory energy.
+which is validated against an adaptive-quadrature oracle.  The window is
+fixed, so its norms and the frequency-localization constants c₀, c₀′, θ₀,
+θ₁ (both variants) and θ₂ are module constants in closed form.  Also here:
+the windowed frequency of an evolved state, the minimal observation time
+T(λ) solving T·ε(θ₀(1/T+λ)) = θ₁, and a truncated-Plancherel lower bound
+for windowed trajectory energy.
 """
 
 from __future__ import annotations
@@ -32,6 +33,22 @@ KAPPA2 = 6.0
 
 # sup of |χ̇| on (−1,1)\{0}, attained in the limit s → 0±.
 CHI_DERIV_SUP = 3.0
+
+# Window norms in closed form: ‖χ‖² = (5 − e⁻⁴)/16, ‖χ̇‖² = (13 − e⁻⁴)/4.
+# χ is even and decreasing in |s| from χ(0) = 1, so ‖χ‖∞ = 1 exactly.
+CHI_L2_NORM_SQ = (5.0 - math.exp(-4.0)) / 16.0
+CHI_DERIV_L2_NORM_SQ = (13.0 - math.exp(-4.0)) / 4.0
+
+# Frequency-localization constants: c₀ = 8κ₂/κ₁ + κ₁/κ₂ + 6, c₀′ = ‖χ̇‖/‖χ‖,
+# θ₀ = max(c₀′, 8 + c₀) and θ₂ = 4‖χ‖²/‖χ‖∞².  θ₁ = 4‖χ‖²/‖χ̇‖² is the one
+# the estimates support; THETA1_SUP_DERIV puts sup|χ̇|² in the denominator,
+# is reported alongside and asserted nowhere.
+C0 = 8.0 * KAPPA2 / KAPPA1 + KAPPA1 / KAPPA2 + 6.0
+C0_PRIME = math.sqrt(CHI_DERIV_L2_NORM_SQ / CHI_L2_NORM_SQ)
+THETA0 = max(C0_PRIME, 8.0 + C0)
+THETA1 = 4.0 * CHI_L2_NORM_SQ / CHI_DERIV_L2_NORM_SQ
+THETA1_SUP_DERIV = 4.0 * CHI_L2_NORM_SQ / CHI_DERIV_SUP**2
+THETA2 = 4.0 * CHI_L2_NORM_SQ
 
 
 def chi(s):
@@ -86,90 +103,6 @@ def sandwich_values(tau) -> np.ndarray:
     return (1.0 + t * t) * np.abs(chi_hat(t))
 
 
-@dataclass(frozen=True)
-class CutoffProfile:
-    """Norms of the window plus the postulated transform sandwich constants."""
-
-    l2_norm_sq: float
-    l2_deriv_norm_sq: float
-    linf_norm: float
-    kappa1: float
-    kappa2: float
-
-    def __post_init__(self):
-        for name in ("l2_norm_sq", "l2_deriv_norm_sq", "linf_norm", "kappa1", "kappa2"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        if not self.kappa2 > self.kappa1:
-            raise DomainError("kappa2 must exceed kappa1")
-
-
-def cutoff_profile() -> CutoffProfile:
-    """Window norms in closed form: ‖χ‖² = (5 − e⁻⁴)/16, ‖χ̇‖² = (13 − e⁻⁴)/4."""
-    # χ is even, decreasing in |s| from χ(0) = 1, so the sup norm is exact.
-    return CutoffProfile(
-        l2_norm_sq=(5.0 - math.exp(-4.0)) / 16.0,
-        l2_deriv_norm_sq=(13.0 - math.exp(-4.0)) / 4.0,
-        linf_norm=1.0,
-        kappa1=KAPPA1,
-        kappa2=KAPPA2,
-    )
-
-
-@dataclass(frozen=True)
-class ThetaConstants:
-    """Derived constants for frequency localization and observation times.
-
-    ``theta1_variant`` records which norm of χ̇ sits in θ₁'s denominator:
-    ``"l2_deriv"`` (default, the one the estimates support) or
-    ``"sup_deriv"`` (the selectable alternative using ‖χ̇‖²_{L∞}).
-    """
-
-    c0: float
-    c0_prime: float
-    theta0: float
-    theta1: float
-    theta2: float
-    theta1_variant: str = "l2_deriv"
-
-    def __post_init__(self):
-        if abs(self.c0 - (8.0 * KAPPA2 / KAPPA1 + KAPPA1 / KAPPA2 + 6.0)) > 1e-9 * self.c0:
-            raise DomainError("c0 does not match 8κ₂/κ₁ + κ₁/κ₂ + 6")
-        if abs(self.theta0 - max(self.c0_prime, 8.0 + self.c0)) > 1e-9 * self.theta0:
-            raise DomainError("theta0 does not match max(c0', 8 + c0)")
-        for name in ("theta0", "theta1", "theta2"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
-
-
-def theta_constants(profile: CutoffProfile, *, sup_deriv_theta1: bool = False) -> ThetaConstants:
-    """All five derived constants from a window profile.
-
-    With ``sup_deriv_theta1`` the θ₁ denominator uses ‖χ̇‖²_{L∞} instead of
-    the default ‖χ̇‖²_{L²}; both variants appear in reports, only the
-    default is asserted anywhere.
-    """
-    c0 = 8.0 * profile.kappa2 / profile.kappa1 + profile.kappa1 / profile.kappa2 + 6.0
-    c0_prime = math.sqrt(profile.l2_deriv_norm_sq / profile.l2_norm_sq)
-    theta0 = max(c0_prime, 8.0 + c0)
-    if sup_deriv_theta1:
-        theta1 = 4.0 * profile.l2_norm_sq / CHI_DERIV_SUP**2
-        variant = "sup_deriv"
-    else:
-        theta1 = 4.0 * profile.l2_norm_sq / profile.l2_deriv_norm_sq
-        variant = "l2_deriv"
-    theta2 = 4.0 * profile.l2_norm_sq / profile.linf_norm**2
-    return ThetaConstants(
-        c0=c0,
-        c0_prime=c0_prime,
-        theta0=theta0,
-        theta1=theta1,
-        theta2=theta2,
-        theta1_variant=variant,
-    )
-
-
 def windowed_frequency(z0, system: SpectralSystem, T: float, tau: float) -> float:
     """Frequency of the windowed transform of the evolved state at offset τ.
 
@@ -182,8 +115,10 @@ def windowed_frequency(z0, system: SpectralSystem, T: float, tau: float) -> floa
     return _moments(z0, system, window)[3]
 
 
-def solve_observation_time(lambda0: float, eps: DecayFunction, th: ThetaConstants) -> float:
+def solve_observation_time(lambda0: float, eps: DecayFunction, theta1: float) -> float:
     """The unique T > 0 with T·ε(θ₀(1/T + λ₀)) = θ₁, by guarded bisection.
+
+    ``theta1`` is ``THETA1`` or ``THETA1_SUP_DERIV``; θ₀ is ``THETA0``.
 
     The map T ↦ T·ε(θ₀(1/T+λ₀)) is verified increasing on the bracket;
     relative tolerance 1e−12.
@@ -192,7 +127,7 @@ def solve_observation_time(lambda0: float, eps: DecayFunction, th: ThetaConstant
         raise DomainError(f"lambda0 must be non-negative and finite, got {lambda0!r}")
 
     def g(T: float) -> float:
-        return T * float(eps(th.theta0 * (1.0 / T + lambda0))) - th.theta1
+        return T * float(eps(THETA0 * (1.0 / T + lambda0))) - theta1
 
     lo = hi = 1.0
     if g(1.0) < 0.0:
@@ -212,7 +147,7 @@ def solve_observation_time(lambda0: float, eps: DecayFunction, th: ThetaConstant
         else:
             raise NumericError("bracket expansion failed after 200 halvings (downward)")
 
-    samples = [g(t) + th.theta1 for t in np.linspace(lo, hi, 17)]
+    samples = [g(t) + theta1 for t in np.linspace(lo, hi, 17)]
     scale = max(abs(v) for v in samples)
     for a, b in zip(samples, samples[1:]):
         if b < a - 1e-9 * scale:
@@ -241,16 +176,11 @@ class PlancherelReport:
     radius: float
 
 
-def _chi_hat_sq_half_line() -> float:
-    """∫₀^∞ χ̂(u)² du = π‖χ‖², by Plancherel (χ̂ is even)."""
-    return math.pi * cutoff_profile().l2_norm_sq
-
-
 def _chi_hat_sq_right_tail(x: float) -> float:
     """∫_x^∞ χ̂(u)² du for any real x."""
     if x <= 0.0:
         left, _ = quad(lambda u: chi_hat(u) ** 2, x, 0.0, epsabs=1e-12, epsrel=1e-10, limit=2000)
-        return left + _chi_hat_sq_half_line()
+        return left + math.pi * CHI_L2_NORM_SQ  # ∫₀^∞ χ̂² = π‖χ‖² (Plancherel)
     if x >= 60.0:
         tail, _ = quad(lambda u: chi_hat(u) ** 2, x, np.inf, epsabs=1e-11, epsrel=1e-8, limit=800)
         return tail
@@ -280,8 +210,7 @@ def plancherel_lowerbound_check(z0, system: SpectralSystem, T: float, R: float) 
         raise DomainError(f"window length T must be positive, got {T}")
     c = coefficients_of(z0, system)
     lam0 = frequency(z0, system)
-    profile = cutoff_profile()
-    threshold = theta_constants(profile).c0_prime / T + lam0
+    threshold = C0_PRIME / T + lam0
     if not R > threshold:
         raise DomainError(
             f"radius R = {R} must exceed c0'/T + λ(z0) = {threshold}"
@@ -297,7 +226,7 @@ def plancherel_lowerbound_check(z0, system: SpectralSystem, T: float, R: float) 
         if amp == 0.0:
             continue
         total += amp * _chi_hat_sq_integral(T * (-R - lam), T * (R - lam))
-    rhs = total / (2.0 * math.pi * profile.l2_norm_sq)
+    rhs = total / (2.0 * math.pi * CHI_L2_NORM_SQ)
     return PlancherelReport(
         lhs=lhs, rhs=rhs, margin=rhs - lhs, norm_sq=norm_sq, horizon=T, radius=R
     )

@@ -32,7 +32,6 @@ from obskit import (
     chi_hat,
     chi_hat_by_quadrature,
     coercivity_scan,
-    cutoff_profile,
     default_tau_grid,
     delta_gamma_fit,
     evolve,
@@ -51,11 +50,10 @@ from obskit import (
     scan_certificate,
     solve_observation_time,
     spectral_coercivity_violation_search,
-    theta_constants,
     weak_observability_check,
     windowed_frequency,
 )
-from obskit.window import KAPPA1, KAPPA2
+from obskit.window import C0, C0_PRIME, KAPPA1, KAPPA2, THETA0, THETA1, THETA1_SUP_DERIV
 
 
 def check(name: str, ok: bool, detail: str) -> None:
@@ -66,11 +64,6 @@ def check(name: str, ok: bool, detail: str) -> None:
 def random_state(rng, size):
     block = rng.standard_normal((2, size))
     return block[0] + 1j * block[1]
-
-
-@pytest.fixture(scope="module")
-def theta():
-    return theta_constants(cutoff_profile())
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +159,7 @@ def test_04_residual_sign_and_eigenvectors():
     )
 
 
-def test_05_windowed_frequency_two_sided_bound(theta):
+def test_05_windowed_frequency_two_sided_bound():
     rng = np.random.default_rng(105)
     horizons = (0.1, 1.0, 10.0)
     violations = 0
@@ -178,7 +171,7 @@ def test_05_windowed_frequency_two_sided_bound(theta):
         tau = float(rng.uniform(-50.0, 50.0))
         T = horizons[i % 3]
         wf = windowed_frequency(z0, sys_, T, tau)
-        upper = 4.0 * abs(tau) + theta.c0 * frequency(z0, sys_)
+        upper = 4.0 * abs(tau) + C0 * frequency(z0, sys_)
         if not (lam[0] <= wf <= upper):
             violations += 1
     elapsed = time.perf_counter() - start
@@ -190,7 +183,7 @@ def test_05_windowed_frequency_two_sided_bound(theta):
     )
 
 
-def test_06_truncated_energy_lower_bound(theta):
+def test_06_truncated_energy_lower_bound():
     lam = np.array([1.0, 3.0, 4.0, 8.0, 13.0])
     sys_ = SpectralSystem(eigenvalues=lam, gram=np.eye(5))
     rng = np.random.default_rng(106)
@@ -198,7 +191,7 @@ def test_06_truncated_energy_lower_bound(theta):
     for _ in range(20):
         z0 = random_state(rng, 5)
         T = float(rng.uniform(0.3, 4.0))
-        threshold = theta.c0_prime / T + float(lam[-1])
+        threshold = C0_PRIME / T + float(lam[-1])
         R = threshold * float(rng.uniform(1.2, 20.0))
         rep = plancherel_lowerbound_check(z0, sys_, T, R)
         worst = min(worst, rep.margin / rep.norm_sq)
@@ -247,30 +240,28 @@ def test_07_observability_integral_vs_time_quadrature():
     )
 
 
-def test_08_observation_time_solver(theta):
+def test_08_observation_time_solver():
     worst_res = 0.0
     for eps in (Constant(0.2), PowerLaw(0.3, 1.0), Exponential(0.15, 1e-4)):
         for lam0 in (0.5, 3.0, 25.0):
-            T = solve_observation_time(lam0, eps, theta)
-            res = abs(T * float(eps(theta.theta0 * (1.0 / T + lam0))) - theta.theta1)
+            T = solve_observation_time(lam0, eps, THETA1)
+            res = abs(T * float(eps(THETA0 * (1.0 / T + lam0))) - THETA1)
             worst_res = max(worst_res, res)
 
     worst_oracle = 0.0
     for c, lam0 in ((1.0, 1.0), (0.05, 3.0), (2.0, 40.0)):
-        disc = theta.theta1 * (1.0 + theta.theta0 * lam0)
-        root = (disc + math.sqrt(disc * disc + 4.0 * c * theta.theta1 * theta.theta0)) / (
-            2.0 * c
-        )
-        got = solve_observation_time(lam0, PowerLaw(c, 1.0), theta)
+        disc = THETA1 * (1.0 + THETA0 * lam0)
+        root = (disc + math.sqrt(disc * disc + 4.0 * c * THETA1 * THETA0)) / (2.0 * c)
+        got = solve_observation_time(lam0, PowerLaw(c, 1.0), THETA1)
         worst_oracle = max(worst_oracle, abs(got - root) / root)
 
     times = [
-        solve_observation_time(float(lam), PowerLaw(0.8, 1.0), theta)
+        solve_observation_time(float(lam), PowerLaw(0.8, 1.0), THETA1)
         for lam in np.linspace(0.0, 100.0, 50)
     ]
     monotone = all(b >= a * (1.0 - 1e-11) for a, b in zip(times, times[1:]))
 
-    ok = worst_res <= 1e-10 * theta.theta1 and worst_oracle <= 1e-10 and monotone
+    ok = worst_res <= 1e-10 * THETA1 and worst_oracle <= 1e-10 and monotone
     check(
         "observation-time-solver",
         ok,
@@ -382,21 +373,17 @@ def test_13_certificate_round_trip_and_search(bottom50, pipeline50):
 
 
 def test_14_weak_observability_end_to_end(bottom50, pipeline50):
-    profile = cutoff_profile()
-    variants = {
-        "l2_deriv": theta_constants(profile),
-        "sup_deriv": theta_constants(profile, sup_deriv_theta1=True),
-    }
+    variants = {"l2_deriv": THETA1, "sup_deriv": THETA1_SUP_DERIV}
     psi = pipeline50.spectral.psi
     eps = pipeline50.spectral.epsilon
     rng = np.random.default_rng(114)
     states = [random_state(rng, bottom50.size) for _ in range(50)]
     worst = {}
-    for name, th in variants.items():
+    for name, theta1 in variants.items():
         worst_margin = math.inf
         for z0 in states:
-            t_min = solve_observation_time(frequency(z0, bottom50), eps, th)
-            rep = weak_observability_check(z0, bottom50, 2.0 * t_min, psi, th, t_min)
+            t_min = solve_observation_time(frequency(z0, bottom50), eps, theta1)
+            rep = weak_observability_check(z0, bottom50, 2.0 * t_min, psi, t_min)
             assert rep.applicable
             worst_margin = min(worst_margin, rep.margin / rep.norm_sq)
         worst[name] = worst_margin

@@ -31,7 +31,7 @@ from obskit import (
     weak_to_spectral,
 )
 from obskit.coercivity import BETA_SAFETY, ClusterReport
-from obskit.spectral import frequency, observed_energy_sq, residual_shifted
+from obskit.spectral import frequency, observed_energy_sq, residual
 from obskit.square import full_bottom, build_square_system
 
 
@@ -142,7 +142,7 @@ class TestClusters:
             if not np.abs(z).max() > 0:
                 continue
             assert abs(frequency(z, sys_) - center) < beta
-            assert residual_shifted(z, sys_) < 2.0 * beta * beta
+            assert residual(z, sys_) < 2.0 * beta * beta
 
 
 class TestClusterMinCoercivity:
@@ -623,4 +623,4 @@ class TestPipeline:
                 continue
             z = np.zeros(square50.size, dtype=complex)
             z[idx] = 1.0
-            assert residual_shifted(z, square50) < float(eps(frequency(z, square50)))
+            assert residual(z, square50) < float(eps(frequency(z, square50)))

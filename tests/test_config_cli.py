@@ -236,18 +236,38 @@ class TestDefaultsAndOverrides:
         assert patch["beta"] == pytest.approx(math.pi / 2.0)
 
     def test_overrides(self):
-        cfg = default_config("resolvent-scan")
+        cfg = default_config("weak-observability")
         out = apply_overrides(cfg, seed=11, trials=5, T=2.5, output_path="x.json")
         assert (out.seed, out.trials, out.T, out.output_path) == (11, 5, 2.5, "x.json")
         assert apply_overrides(cfg) is cfg
 
     def test_override_validation(self):
-        cfg = default_config("resolvent-scan")
+        cfg = default_config("admissibility")
         with pytest.raises(ConfigError) as info:
             apply_overrides(cfg, trials=0)
         assert info.value.kind == "invariant"
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="positive"):
             apply_overrides(cfg, T=0.0)
+
+    @pytest.mark.parametrize("scenario", ["coercivity-scan", "resolvent-scan"])
+    def test_T_rejected_without_a_horizon(self, scenario):
+        for make in (
+            lambda: apply_overrides(default_config(scenario), T=2.0),
+            lambda: load_config(json.dumps({"scenario": scenario, "T": 2.0})),
+        ):
+            with pytest.raises(ConfigError, match="no time horizon") as info:
+                make()
+            assert info.value.kind == "invariant"
+
+    def test_negative_seed_is_invariant_error(self):
+        for make in (
+            lambda: apply_overrides(default_config("resolvent-scan"), seed=-1),
+            lambda: load_config('{"scenario": "resolvent-scan", "seed": -1}'),
+        ):
+            with pytest.raises(ConfigError, match="seed") as info:
+                make()
+            assert info.value.kind == "invariant"
+        assert load_config('{"scenario": "resolvent-scan", "seed": 0}').seed == 0
 
     def test_digest_ignores_output_location_only(self):
         base = default_config("coercivity-scan")
@@ -292,6 +312,24 @@ class TestCli:
         failing = [v["name"] for v in doc["verdicts"] if not v["passed"]]
         assert failing == ["sandwich-upper-bound"]
         assert "FAIL" in capsys.readouterr().out
+
+    def test_cutoff_constants_block_is_pinned(self, tmp_path):
+        out = tmp_path / "cutoff.json"
+        main(["verify-cutoff", "--out", str(out)])
+        constants = json.loads(out.read_text(encoding="utf-8"))["constants"]
+        assert [(key, repr(value)) for key, value in constants.items()] == [
+            ("kappa1", "0.4244131815783876"),
+            ("kappa2", "6.0"),
+            ("chi_l2_norm_sq", "0.3113552725694541"),
+            ("chi_deriv_l2_norm_sq", "3.2454210902778167"),
+            ("chi_sup_norm", "1.0"),
+            ("c0", "119.16807105949562"),
+            ("c0_prime", "3.2285492426089144"),
+            ("theta0", "127.16807105949562"),
+            ("theta1_l2_deriv", "0.3837471488703505"),
+            ("theta1_sup_deriv", "0.13838012114197962"),
+            ("theta2", "1.2454210902778164"),
+        ]
 
     def test_reports_are_byte_identical_across_locations(self, tmp_path):
         a = tmp_path / "a" / "r.json"
@@ -347,8 +385,26 @@ class TestCli:
         assert "schema" in capsys.readouterr().err
 
     def test_invalid_override_exits_three(self, tmp_path):
-        code = main(["resolvent-scan", "--T", "0", "--out", str(tmp_path / "x.json")])
+        code = main(["weak-observability", "--T", "0", "--out", str(tmp_path / "x.json")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["coercivity-scan", "--T", "5"], "no time horizon"),
+            (["resolvent-scan", "--seed", "-1"], "seed must be"),
+        ],
+        ids=["T-without-horizon", "negative-seed"],
+    )
+    def test_rejected_input_exits_three_without_report(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output_exits_three(self, tmp_path, capsys):
+        assert main(["verify-cutoff", "--out", str(tmp_path)]) == 3
+        assert "cannot write report" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -356,7 +412,7 @@ class TestCli:
             ["weak-observability", "--T", "inf"],
             ["admissibility", "--T", "inf"],
             ["admissibility", "--config", '{"epsilon_cluster": Infinity}'],
-            ["resolvent-scan", "--config", '{"T": Infinity}'],
+            ["admissibility", "--config", '{"T": Infinity}'],
             ["coercivity-scan", "--config", CUSTOM_GRAM % ("NaN", "NaN")],
             ["coercivity-scan", "--config", CUSTOM_GRAM % ("Infinity", "Infinity")],
             ["coercivity-scan", "--config", CUSTOM_GRAM % ("[0, -Infinity]", "[0, Infinity]")],

@@ -11,7 +11,6 @@ from obskit import (
     SpectralSystem,
     StateVector,
     admissibility_check,
-    cutoff_profile,
     evolve,
     frequency,
     kernel_psd_margin,
@@ -21,10 +20,10 @@ from obskit import (
     phase_kernel,
     scan_certificate,
     solve_observation_time,
-    theta_constants,
     weak_observability_check,
 )
 from obskit.square import full_bottom, build_square_system
+from obskit.window import THETA1
 
 
 def random_system(rng, n, spread=12.0):
@@ -205,44 +204,42 @@ class TestKernelAndAdmissibility:
 @pytest.fixture(scope="module")
 def pipeline_system():
     sys_ = build_square_system(50, full_bottom())
-    pipeline = scan_certificate(sys_, 0.5)
-    th = theta_constants(cutoff_profile())
-    return sys_, pipeline, th
+    return sys_, scan_certificate(sys_, 0.5)
 
 
 class TestWeakObservability:
 
     @staticmethod
-    def t_min_of(z, sys_, pipeline, th):
-        return solve_observation_time(frequency(z, sys_), pipeline.spectral.epsilon, th)
+    def t_min_of(z, sys_, pipeline):
+        return solve_observation_time(frequency(z, sys_), pipeline.spectral.epsilon, THETA1)
 
     def test_below_minimal_time_not_applicable(self, pipeline_system):
-        sys_, pipeline, th = pipeline_system
+        sys_, pipeline = pipeline_system
         z = StateVector.basis(0, sys_.size)
-        t_min = self.t_min_of(z, sys_, pipeline, th)
-        rep = weak_observability_check(z, sys_, 1.0, pipeline.spectral.psi, th, t_min)
+        t_min = self.t_min_of(z, sys_, pipeline)
+        rep = weak_observability_check(z, sys_, 1.0, pipeline.spectral.psi, t_min)
         assert not rep.applicable
         assert rep.t_min > 1.0
 
     def test_applicable_margin_nonnegative(self, pipeline_system):
-        sys_, pipeline, th = pipeline_system
+        sys_, pipeline = pipeline_system
         rng = np.random.default_rng(41)
         for _ in range(10):
             z = rng.standard_normal(sys_.size) + 1j * rng.standard_normal(sys_.size)
-            t_min = self.t_min_of(z, sys_, pipeline, th)
-            rep = weak_observability_check(z, sys_, 2.0 * t_min, pipeline.spectral.psi, th, t_min)
+            t_min = self.t_min_of(z, sys_, pipeline)
+            rep = weak_observability_check(z, sys_, 2.0 * t_min, pipeline.spectral.psi, t_min)
             assert rep.applicable
             assert rep.margin >= -1e-9 * (1.0 + rep.integral)
 
     def test_margin_nondecreasing_in_horizon(self, pipeline_system):
-        sys_, pipeline, th = pipeline_system
+        sys_, pipeline = pipeline_system
         rng = np.random.default_rng(42)
         z = rng.standard_normal(sys_.size) + 1j * rng.standard_normal(sys_.size)
-        t_min = self.t_min_of(z, sys_, pipeline, th)
+        t_min = self.t_min_of(z, sys_, pipeline)
         margins = []
         for factor in [1.0, 1.5, 2.0, 3.0, 4.0]:
             rep = weak_observability_check(
-                z, sys_, factor * t_min, pipeline.spectral.psi, th, t_min
+                z, sys_, factor * t_min, pipeline.spectral.psi, t_min
             )
             assert rep.applicable
             margins.append(rep.margin)
@@ -251,11 +248,10 @@ class TestWeakObservability:
 
     def test_basis_state_margin_grows(self):
         sys_ = SpectralSystem(eigenvalues=[2.0, 5.0], gram=np.diag([0.8, 0.3]).astype(complex))
-        th = theta_constants(cutoff_profile())
         psi = Constant(0.1)
         z = StateVector.basis(0, 2)
-        t_min = solve_observation_time(frequency(z, sys_), Constant(0.1), th)
-        rep = weak_observability_check(z, sys_, 4.0 * t_min, psi, th, t_min)
+        t_min = solve_observation_time(frequency(z, sys_), Constant(0.1), THETA1)
+        rep = weak_observability_check(z, sys_, 4.0 * t_min, psi, t_min)
         assert rep.applicable
         assert rep.margin > 0
         assert rep.integral == pytest.approx(4.0 * t_min * 0.8, rel=1e-12)

@@ -17,24 +17,25 @@ from obskit import (
     chi_dot,
     chi_hat,
     chi_hat_by_quadrature,
-    cutoff_profile,
     plancherel_lowerbound_check,
     sandwich_values,
     solve_observation_time,
-    theta_constants,
     windowed_frequency,
 )
-from obskit.window import CHI_DERIV_SUP, KAPPA1, KAPPA2, default_tau_grid
-
-
-@pytest.fixture(scope="module")
-def profile():
-    return cutoff_profile()
-
-
-@pytest.fixture(scope="module")
-def theta(profile):
-    return theta_constants(profile)
+from obskit.window import (
+    C0,
+    C0_PRIME,
+    CHI_DERIV_L2_NORM_SQ,
+    CHI_DERIV_SUP,
+    CHI_L2_NORM_SQ,
+    KAPPA1,
+    KAPPA2,
+    THETA0,
+    THETA1,
+    THETA1_SUP_DERIV,
+    THETA2,
+    default_tau_grid,
+)
 
 
 class TestWindow:
@@ -113,71 +114,53 @@ class TestTransform:
 
 
 class TestProfileAndConstants:
-    def test_window_norms_closed_form(self, profile):
-        assert profile.l2_norm_sq == pytest.approx((5.0 - math.exp(-4.0)) / 16.0, rel=1e-12)
-        assert profile.l2_deriv_norm_sq == pytest.approx(
-            (13.0 - math.exp(-4.0)) / 4.0, rel=1e-12
-        )
-        assert profile.linf_norm == 1.0
+    def test_window_norms_closed_form(self):
+        assert CHI_L2_NORM_SQ == pytest.approx((5.0 - math.exp(-4.0)) / 16.0, rel=1e-12)
+        assert CHI_DERIV_L2_NORM_SQ == pytest.approx((13.0 - math.exp(-4.0)) / 4.0, rel=1e-12)
+        # the sup norm is χ(0) = 1, the largest value on a grid through 0
+        assert float(chi(np.linspace(-1.0, 1.0, 2001)).max()) == chi(0.0) == 1.0
         # quadrature is the oracle: 2∫₀¹ of χ² and χ̇² on the half window
         l2, _ = quad(lambda s: ((1.0 - s) * math.exp(-2.0 * s)) ** 2, 0.0, 1.0,
                      epsabs=1e-12, epsrel=1e-12)
         deriv, _ = quad(lambda s: ((3.0 - 2.0 * s) * math.exp(-2.0 * s)) ** 2, 0.0, 1.0,
                         epsabs=1e-12, epsrel=1e-12)
-        assert profile.l2_norm_sq == pytest.approx(2.0 * l2, rel=1e-14)
-        assert profile.l2_deriv_norm_sq == pytest.approx(2.0 * deriv, rel=1e-14)
+        assert CHI_L2_NORM_SQ == pytest.approx(2.0 * l2, rel=1e-14)
+        assert CHI_DERIV_L2_NORM_SQ == pytest.approx(2.0 * deriv, rel=1e-14)
 
-    def test_transform_energy_matches_window_energy(self, profile):
+    def test_transform_energy_matches_window_energy(self):
         # full-line transform energy = 2 pi * window energy
         half, _ = quad(lambda u: chi_hat(u) ** 2, 0.0, 500.0, limit=4000)
-        assert 2.0 * half == pytest.approx(
-            2.0 * math.pi * profile.l2_norm_sq, rel=1e-6
-        )
+        assert 2.0 * half == pytest.approx(2.0 * math.pi * CHI_L2_NORM_SQ, rel=1e-6)
 
     def test_half_line_transform_energy_closed_form(self):
-        from obskit.window import _chi_hat_sq_half_line
-
-        # quadrature is the oracle for the Plancherel value π‖χ‖²
+        # quadrature is the oracle for the Plancherel value π‖χ‖² that the
+        # truncated-Plancherel tail integral uses for ∫₀^∞ χ̂²
         inner, _ = quad(lambda u: chi_hat(u) ** 2, 0.0, 60.0, epsabs=1e-12, epsrel=1e-12, limit=2000)
         tail, _ = quad(lambda u: chi_hat(u) ** 2, 60.0, np.inf, epsabs=1e-11, epsrel=1e-8, limit=800)
-        assert _chi_hat_sq_half_line() == pytest.approx(inner + tail, rel=1e-11)
+        assert math.pi * CHI_L2_NORM_SQ == pytest.approx(inner + tail, rel=1e-11)
 
-    def test_kappa_values(self, profile):
-        assert profile.kappa1 == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-15)
-        assert profile.kappa2 == 6.0
+    def test_kappa_values(self):
+        assert KAPPA1 == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-15)
+        assert KAPPA2 == 6.0
 
-    def test_c0_arithmetic(self, theta):
+    def test_c0_arithmetic(self):
         expected = 36.0 * math.pi + 2.0 / (9.0 * math.pi) + 6.0
-        assert theta.c0 == pytest.approx(expected, rel=1e-12)
+        assert C0 == pytest.approx(expected, rel=1e-12)
 
-    def test_c0_prime_is_norm_ratio(self, theta, profile):
-        assert theta.c0_prime == pytest.approx(
-            math.sqrt(profile.l2_deriv_norm_sq / profile.l2_norm_sq), rel=1e-14
-        )
+    def test_c0_prime_is_norm_ratio(self):
+        assert C0_PRIME == pytest.approx(math.sqrt(CHI_DERIV_L2_NORM_SQ / CHI_L2_NORM_SQ), rel=1e-14)
 
-    def test_theta0_takes_larger_branch(self, theta):
-        assert theta.c0_prime < 8.0 + theta.c0
-        assert theta.theta0 == pytest.approx(8.0 + theta.c0, rel=1e-14)
+    def test_theta0_takes_larger_branch(self):
+        assert C0_PRIME < 8.0 + C0
+        assert THETA0 == pytest.approx(8.0 + C0, rel=1e-14)
 
-    def test_theta1_default_and_variant(self, profile):
-        th = theta_constants(profile)
-        assert th.theta1_variant == "l2_deriv"
-        assert th.theta1 == pytest.approx(
-            4.0 * profile.l2_norm_sq / profile.l2_deriv_norm_sq, rel=1e-14
-        )
-        th_sup = theta_constants(profile, sup_deriv_theta1=True)
-        assert th_sup.theta1_variant == "sup_deriv"
-        assert th_sup.theta1 == pytest.approx(
-            4.0 * profile.l2_norm_sq / CHI_DERIV_SUP**2, rel=1e-14
-        )
-        assert th_sup.theta1 < th.theta1
-        # everything else identical between variants
-        assert th_sup.c0 == th.c0
-        assert th_sup.theta0 == th.theta0
-        assert th_sup.theta2 == th.theta2
+    def test_theta1_default_and_variant(self):
+        assert THETA1 == pytest.approx(4.0 * CHI_L2_NORM_SQ / CHI_DERIV_L2_NORM_SQ, rel=1e-14)
+        assert THETA1_SUP_DERIV == pytest.approx(4.0 * CHI_L2_NORM_SQ / CHI_DERIV_SUP**2, rel=1e-14)
+        assert THETA1_SUP_DERIV < THETA1
 
-    def test_theta2_factor_four(self, theta, profile):
-        assert theta.theta2 == pytest.approx(4.0 * profile.l2_norm_sq, rel=1e-14)
+    def test_theta2_factor_four(self):
+        assert THETA2 == pytest.approx(4.0 * CHI_L2_NORM_SQ, rel=1e-14)
 
 
 class TestWindowedFrequency:
@@ -220,37 +203,36 @@ class TestWindowedFrequency:
 
 
 class TestObservationTimeSolver:
-    def test_constant_width_closed_form(self, theta):
-        for eps0 in [1.0, 0.37, 2.5e-3]:
-            got = solve_observation_time(1.0, Constant(eps0), theta)
-            assert got == pytest.approx(theta.theta1 / eps0, rel=1e-11)
+    def test_constant_width_closed_form(self):
+        for theta1 in [THETA1, THETA1_SUP_DERIV]:
+            for eps0 in [1.0, 0.37, 2.5e-3]:
+                got = solve_observation_time(1.0, Constant(eps0), theta1)
+                assert got == pytest.approx(theta1 / eps0, rel=1e-11)
 
-    def test_power_law_quadratic_oracle(self, theta):
+    def test_power_law_quadratic_oracle(self):
         for c, lam0 in [(1.0, 1.0), (0.05, 3.0), (2.0, 40.0)]:
-            disc = theta.theta1 * (1.0 + theta.theta0 * lam0)
-            root = (disc + math.sqrt(disc * disc + 4.0 * c * theta.theta1 * theta.theta0)) / (
-                2.0 * c
-            )
-            got = solve_observation_time(lam0, PowerLaw(c, 1.0), theta)
+            disc = THETA1 * (1.0 + THETA0 * lam0)
+            root = (disc + math.sqrt(disc * disc + 4.0 * c * THETA1 * THETA0)) / (2.0 * c)
+            got = solve_observation_time(lam0, PowerLaw(c, 1.0), THETA1)
             assert got == pytest.approx(root, rel=1e-10)
 
-    def test_equation_residual_small(self, theta):
+    def test_equation_residual_small(self):
         for eps in [Constant(0.2), PowerLaw(0.3, 1.0), Exponential(0.5, 0.01)]:
             for lam0 in [0.0, 1.0, 25.0]:
-                T = solve_observation_time(lam0, eps, theta)
-                res = abs(T * float(eps(theta.theta0 * (1.0 / T + lam0))) - theta.theta1)
-                assert res <= 1e-10 * theta.theta1
+                T = solve_observation_time(lam0, eps, THETA1)
+                res = abs(T * float(eps(THETA0 * (1.0 / T + lam0))) - THETA1)
+                assert res <= 1e-10 * THETA1
 
-    def test_monotone_in_frequency(self, theta):
+    def test_monotone_in_frequency(self):
         eps = PowerLaw(0.8, 1.0)
         grid = np.linspace(0.0, 100.0, 50)
-        times = [solve_observation_time(float(lam), eps, theta) for lam in grid]
+        times = [solve_observation_time(float(lam), eps, THETA1) for lam in grid]
         for a, b in zip(times, times[1:]):
             assert b >= a * (1.0 - 1e-11)
 
-    def test_rejects_negative_frequency(self, theta):
+    def test_rejects_negative_frequency(self):
         with pytest.raises(DomainError):
-            solve_observation_time(-1.0, Constant(1.0), theta)
+            solve_observation_time(-1.0, Constant(1.0), THETA1)
 
 
 class TestPlancherelLowerBound:
@@ -258,21 +240,21 @@ class TestPlancherelLowerBound:
         lam = np.array([1.0, 3.0, 4.0, 8.0, 13.0])
         return SpectralSystem(eigenvalues=lam, gram=np.eye(5))
 
-    def test_basis_state_wide_radius(self, theta):
+    def test_basis_state_wide_radius(self):
         sys_ = self.make_system()
         z = StateVector.basis(0, 5)
-        R = 10.0 * (theta.c0_prime + sys_.lambda_min)
+        R = 10.0 * (C0_PRIME + sys_.lambda_min)
         rep = plancherel_lowerbound_check(z, sys_, 1.0, R)
         assert rep.margin >= 0.0
         assert rep.norm_sq == pytest.approx(1.0, rel=1e-12)
 
-    def test_random_admissible_pairs(self, theta):
+    def test_random_admissible_pairs(self):
         sys_ = self.make_system()
         rng = np.random.default_rng(22)
         for _ in range(20):
             z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             T = float(rng.uniform(0.3, 4.0))
-            threshold = theta.c0_prime / T + 13.0
+            threshold = C0_PRIME / T + 13.0
             R = threshold * float(rng.uniform(1.2, 20.0))
             rep = plancherel_lowerbound_check(z, sys_, T, R)
             assert rep.margin >= -1e-8 * rep.norm_sq
@@ -284,9 +266,9 @@ class TestPlancherelLowerBound:
         rep = plancherel_lowerbound_check(z, sys_, 1.0, 1.0e3)
         assert rep.rhs == pytest.approx(rep.norm_sq, rel=1e-2)
 
-    def test_precondition_enforced(self, theta):
+    def test_precondition_enforced(self):
         sys_ = self.make_system()
         z = StateVector.basis(4, 5)
-        bad_R = theta.c0_prime / 1.0 + 13.0  # equals the threshold, not above it
+        bad_R = C0_PRIME / 1.0 + 13.0  # equals the threshold, not above it
         with pytest.raises(DomainError, match="must exceed"):
             plancherel_lowerbound_check(z, sys_, 1.0, bad_R)
