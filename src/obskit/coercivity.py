@@ -27,7 +27,7 @@ from .decay import (
 from .errors import CoercivityError, DomainError, NumericError
 from .spectral import (
     SpectralSystem,
-    _amax,
+    _power_of_two_frame,
     coefficients_of,
     frequency_report,
     observed_energy_sq,
@@ -51,7 +51,7 @@ BETA_SAFETY = 1.0 - 1.0e-9
 
 @dataclass(frozen=True)
 class CoercivityCertificate:
-    """A (ε, ψ) pair certifying observation strength, with provenance.
+    """A (ε, ψ) pair certifying observation strength.
 
     For ``kind="weak_spectral"`` the width ε must be a Constant (the bound
     applies to states supported on fixed-width eigenvalue clusters).  For
@@ -61,7 +61,6 @@ class CoercivityCertificate:
     epsilon: DecayFunction
     psi: DecayFunction
     kind: str
-    provenance: str = ""
 
     def __post_init__(self):
         if self.kind not in CERTIFICATE_KINDS:
@@ -70,14 +69,6 @@ class CoercivityCertificate:
             raise DomainError("epsilon and psi must be decay functions")
         if self.kind == "weak_spectral" and not isinstance(self.epsilon, Constant):
             raise DomainError("weak_spectral certificates require a Constant cluster width")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "epsilon": self.epsilon.to_dict(),
-            "psi": self.psi.to_dict(),
-            "provenance": self.provenance,
-        }
 
 
 @dataclass(frozen=True)
@@ -204,12 +195,7 @@ def weak_to_spectral(cert: CoercivityCertificate, M: float) -> CoercivityCertifi
     psi = cert.psi.scaled(0.25)
     require_positive_nonincreasing(epsilon, "transformed cluster width")
     require_positive_nonincreasing(psi, "transformed coercivity strength")
-    return CoercivityCertificate(
-        epsilon=epsilon,
-        psi=psi,
-        kind="spectral",
-        provenance=f"weak-to-spectral transform (M={M!r}) of: {cert.provenance}",
-    )
+    return CoercivityCertificate(epsilon=epsilon, psi=psi, kind="spectral")
 
 
 def admissibility_breakpoints(system: SpectralSystem, epsilon: float) -> np.ndarray:
@@ -243,6 +229,10 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
     (the same nonzero spectrum as the off-cluster block of D⁻¹FF*D⁻¹) is
     taken, and the Weyl bound ‖E‖/ε² is added once, so the result is an
     upper bound for the value with the full Gram.
+
+    A width outside the float range of the spectrum, where ε² is not a
+    normal float or an edge fl(λ_k ± ε) rounds to λ_k itself, is a
+    ``DomainError``: there ε², 1/ε² or 1/(λ_k − λ) is out of range.
     """
     if not epsilon > 0:
         raise DomainError(f"cluster width must be positive, got {epsilon}")
@@ -252,6 +242,13 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
     eigenvalues = system.eigenvalues
     lower_edges = eigenvalues - epsilon
     upper_edges = eigenvalues + epsilon
+    if not np.finfo(float).tiny <= epsilon * epsilon < math.inf or np.any(
+        (lower_edges == eigenvalues) | (upper_edges == eigenvalues)
+    ):
+        raise DomainError(
+            f"cluster width {epsilon!r} is outside the float range of the spectrum: ε² must be "
+            "a normal float and no cluster edge λ_k ± ε may round to λ_k"
+        )
     w, v = np.linalg.eigh(system.gram)
     kept = w > GRAM_RANK_CUTOFF * w[-1]
     factor = v[:, kept] * np.sqrt(w[kept])
@@ -297,26 +294,20 @@ def resolvent_check(system: SpectralSystem, z, cert: CoercivityCertificate) -> R
     """The infimum over all real λ of the additive resolvent inequality's margin."""
     if cert.kind != "spectral":
         raise DomainError("resolvent_check requires a spectral certificate")
-    # Every term is homogeneous of degree 2 in z, so evaluate on c·2^(−e), whose
-    # largest entry lies in [1/2, 1): no state overflows, the power-of-two
-    # scaling is exact, and the verdict is taken in that frame.
-    c = coefficients_of(z, system)
-    e = math.frexp(_amax(c))[1]
-    c = c * 2.0**-e
+    # Every term is homogeneous of degree 2 in z: the verdict is taken in the
+    # power-of-two frame, where no state overflows, and the rest scaled back.
+    c, back = _power_of_two_frame(coefficients_of(z, system))
     rep = frequency_report(c, system)
     observed = observed_energy_sq(c, system)
     ratio = rep.residual / float(cert.epsilon(rep.lambda_z))
     margin = observed / float(cert.psi(rep.lambda_z)) - rep.norm_sq * max(0.0, 1.0 - ratio)
-    verdict = margin >= -1.0e-9 * rep.norm_sq
-    with np.errstate(over="ignore"):  # back to the true scale, ±inf past the float range
-        margin, norm_sq, observed = (float(np.ldexp(v, 2 * e)) for v in (margin, rep.norm_sq, observed))
     return ResolventReport(
-        inf_margin=margin,
+        inf_margin=back(margin),
         lambda_z=rep.lambda_z,
         residual_over_epsilon=ratio,
-        norm_sq=norm_sq,
-        observed_sq=observed,
-        verdict=verdict,
+        norm_sq=back(rep.norm_sq),
+        observed_sq=back(observed),
+        verdict=margin >= -1.0e-9 * rep.norm_sq,
     )
 
 
@@ -449,10 +440,7 @@ def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipel
     envelope = fit_psi_envelope(reports)
     half = epsilon / 2.0
     weak = CoercivityCertificate(
-        epsilon=Constant(half),
-        psi=shifted_power_law(envelope, half),
-        kind="weak_spectral",
-        provenance=f"eigenvalue-centered cluster scan at width {epsilon!r} on {system.label or 'system'}",
+        epsilon=Constant(half), psi=shifted_power_law(envelope, half), kind="weak_spectral"
     )
     m_sq = estimate_admissibility(system, half, admissibility_breakpoints(system, half))
     m = math.sqrt(m_sq)

@@ -1,10 +1,11 @@
 """Positive non-increasing rate functions on [0, ∞).
 
 These model coercivity strengths ψ(λ) and cluster widths ε(λ): strictly
-positive, continuous, non-increasing functions of the frequency.  Three
-closed-form families are provided, plus the composite width produced by
-turning a weak certificate into a full spectral one (kept as an exact
-composite rather than re-fitted, so no conservatism is introduced).
+positive, continuous, non-increasing functions of the frequency.  Two
+closed-form families are provided (constant and power law), plus the
+composite width produced by turning a weak certificate into a full spectral
+one (kept as an exact composite rather than re-fitted, so no conservatism
+is introduced).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 
-# Default frequency grid on which membership in the admissible class
+# The frequency grid on which membership in the admissible class
 # (positive, non-increasing) is verified.
 CLASS_CHECK_GRID = (0.0, 1.0, 10.0, 1.0e3, 1.0e6)
 
@@ -29,10 +30,6 @@ class DecayFunction:
 
     def scaled(self, factor: float) -> "DecayFunction":
         """The pointwise product ``factor * self`` (factor > 0)."""
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        """JSON-friendly description of the function."""
         raise NotImplementedError
 
 
@@ -64,9 +61,6 @@ class Constant(DecayFunction):
         _check_positive("factor", factor)
         return Constant(self.c * factor)
 
-    def to_dict(self) -> dict:
-        return {"form": "constant", "c": self.c}
-
 
 @dataclass(frozen=True)
 class PowerLaw(DecayFunction):
@@ -87,37 +81,6 @@ class PowerLaw(DecayFunction):
     def scaled(self, factor: float) -> "PowerLaw":
         _check_positive("factor", factor)
         return PowerLaw(self.c * factor, self.p)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.p == 0
-
-    def to_dict(self) -> dict:
-        return {"form": "power_law", "c": self.c, "p": self.p}
-
-
-@dataclass(frozen=True)
-class Exponential(DecayFunction):
-    """ψ(λ) = c · e^{−aλ}."""
-
-    c: float
-    a: float
-
-    def __post_init__(self):
-        _check_positive("c", self.c)
-        _check_nonnegative("a", self.a)
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = self.c * np.exp(-self.a * lam)
-        return float(out) if out.ndim == 0 else out
-
-    def scaled(self, factor: float) -> "Exponential":
-        _check_positive("factor", factor)
-        return Exponential(self.c * factor, self.a)
-
-    def to_dict(self) -> dict:
-        return {"form": "exponential", "c": self.c, "a": self.a}
 
 
 @dataclass(frozen=True)
@@ -144,21 +107,10 @@ class TransformedWidth(DecayFunction):
         out = 0.5 / (2.0 * self.admissibility / psi_val + 1.0 / self.base_width)
         return float(out) if out.ndim == 0 else out
 
-    def scaled(self, factor: float) -> "DecayFunction":
-        raise NotImplementedError("composite widths are not rescaled; rebuild instead")
 
-    def to_dict(self) -> dict:
-        return {
-            "form": "transformed_width",
-            "psi": self.psi.to_dict(),
-            "admissibility": self.admissibility,
-            "base_width": self.base_width,
-        }
-
-
-def is_positive_nonincreasing(f: DecayFunction, grid=CLASS_CHECK_GRID) -> bool:
-    """Check strict positivity and monotone non-increase on a frequency grid."""
-    values = [float(f(g)) for g in grid]
+def is_positive_nonincreasing(f: DecayFunction) -> bool:
+    """Check strict positivity and monotone non-increase on ``CLASS_CHECK_GRID``."""
+    values = [float(f(g)) for g in CLASS_CHECK_GRID]
     if any(not (v > 0 and math.isfinite(v)) for v in values):
         return False
     for lo, hi in zip(values, values[1:]):
@@ -167,7 +119,7 @@ def is_positive_nonincreasing(f: DecayFunction, grid=CLASS_CHECK_GRID) -> bool:
     return True
 
 
-def require_positive_nonincreasing(f: DecayFunction, what: str, grid=CLASS_CHECK_GRID) -> None:
+def require_positive_nonincreasing(f: DecayFunction, what: str) -> None:
     """Raise NumericError unless ``f`` passes the admissible-class check."""
-    if not is_positive_nonincreasing(f, grid):
+    if not is_positive_nonincreasing(f):
         raise NumericError(f"{what} is not positive and non-increasing on the check grid")

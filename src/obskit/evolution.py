@@ -21,7 +21,7 @@ from scipy.integrate import quad
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError
-from .spectral import SpectralSystem, StateVector, coefficients_of, frequency
+from .spectral import SpectralSystem, StateVector, _power_of_two_frame, coefficients_of, frequency
 from .window import THETA0, THETA2
 
 
@@ -53,10 +53,14 @@ def observability_kernel(system: SpectralSystem, T: float) -> np.ndarray:
 
 
 def observability_integral(z0, system: SpectralSystem, T: float) -> float:
-    """Closed-form ∫₀ᵀ‖Cz(t)‖²dt; real and non-negative up to round-off."""
+    """Closed-form ∫₀ᵀ‖Cz(t)‖²dt; real and non-negative up to round-off.
+
+    Evaluated in the power-of-two frame of z0, so a finite state never
+    yields nan: past the float range the integral reads inf.
+    """
     if not T > 0:
         raise DomainError(f"time horizon must be positive, got {T}")
-    c = coefficients_of(z0, system)
+    c, back = _power_of_two_frame(coefficients_of(z0, system))
     u = c.conj()
     kernel = observability_kernel(system, T)
     value = complex(np.vdot(u, kernel @ u))
@@ -65,7 +69,7 @@ def observability_integral(z0, system: SpectralSystem, T: float) -> float:
         raise NumericError(
             f"observability integral came out non-real: imag {value.imag:.3e} vs scale {scale:.3e}"
         )
-    return value.real
+    return back(value.real)
 
 
 def observability_integral_by_quadrature(z0, system: SpectralSystem, T: float) -> float:
@@ -98,12 +102,15 @@ def kernel_psd_margin(system: SpectralSystem, T: float) -> tuple[float, float]:
 
 
 def admissibility_check(z0, system: SpectralSystem, T: float, C_T: float) -> float:
-    """Margin C_T‖z0‖² − ∫₀ᵀ‖Cz‖²; non-negative iff C_T is admissible for z0."""
+    """Margin C_T‖z0‖² − ∫₀ᵀ‖Cz‖²; non-negative iff C_T is admissible for z0.
+
+    Taken in the power-of-two frame of z0, like ``observability_integral``.
+    """
     if not C_T > 0:
         raise DomainError(f"admissibility constant must be positive, got {C_T}")
-    c = coefficients_of(z0, system)
+    c, back = _power_of_two_frame(coefficients_of(z0, system))
     norm_sq = float(np.vdot(c, c).real)
-    return C_T * norm_sq - observability_integral(z0, system, T)
+    return back(C_T * norm_sq - observability_integral(c, system, T))
 
 
 @dataclass(frozen=True)
@@ -136,22 +143,23 @@ def weak_observability_check(
     """Evaluate θ₂ψ(θ₀(1/T+λ(z0)))‖z0‖² ≤ ∫₀ᵀ‖Cz‖² for one state.
 
     ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε, θ₁)``.
+    Both sides and their margin are taken in the power-of-two frame of z0
+    and scaled back, so a finite state never yields nan.
     """
     if not T > 0:
         raise DomainError(f"time horizon must be positive, got {T}")
-    c = coefficients_of(z0, system)
-    lam0 = frequency(z0, system)
+    c, back = _power_of_two_frame(coefficients_of(z0, system))
+    lam0 = frequency(c, system)
     norm_sq = float(np.vdot(c, c).real)
-    applicable = T >= t_min
     lhs = THETA2 * float(psi(THETA0 * (1.0 / T + lam0))) * norm_sq
-    integral = observability_integral(z0, system, T)
+    integral = observability_integral(c, system, T)
     return ObservabilityReport(
         T=T,
-        integral=integral,
-        lhs=lhs,
+        integral=back(integral),
+        lhs=back(lhs),
         t_min=t_min,
-        margin=integral - lhs,
-        applicable=applicable,
+        margin=back(integral - lhs),
+        applicable=T >= t_min,
         lambda_z0=lam0,
-        norm_sq=norm_sq,
+        norm_sq=back(norm_sq),
     )

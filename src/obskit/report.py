@@ -1,8 +1,8 @@
 """Deterministic report structures and their serializations.
 
 A report bundle carries the scenario's tables, pass/fail verdicts, a
-constants block, and enough provenance (config digest, seed, toolkit
-version) to reproduce it.  Serialization is deterministic: no timestamps,
+constants block, and enough to reproduce it (config digest, seed, toolkit
+version).  Serialization is deterministic: no timestamps,
 fixed key order, repr-exact floats in JSON (lossless round-trip) and
 17-significant-digit scientific notation in CSV.
 """

@@ -140,14 +140,6 @@ def coefficients_of(z, system: SpectralSystem) -> np.ndarray:
     return c
 
 
-def _amax(c: np.ndarray) -> float:
-    """max|c_k|; states with max|c_k| ≤ ``ZERO_NORM_FLOOR`` are rejected as zero."""
-    amax = float(np.abs(c).max())
-    if not amax > ZERO_NORM_FLOOR:
-        raise DomainError("state vector is numerically zero (max |coefficient| < 1e-300)")
-    return amax
-
-
 def _moments(z, system: SpectralSystem, window=None) -> tuple[np.ndarray, float, float, float]:
     """Weights w = window·|z_k/amax|², the scale amax, Σw and the mean Σλ_k w_k/Σw.
 
@@ -156,7 +148,9 @@ def _moments(z, system: SpectralSystem, window=None) -> tuple[np.ndarray, float,
     The mean is clamped to [λ_min, λ_max], which rounding can leave by an ulp.
     """
     c = coefficients_of(z, system)
-    amax = _amax(c)
+    amax = float(np.abs(c).max())
+    if not amax > ZERO_NORM_FLOOR:
+        raise DomainError("state vector is numerically zero (max |coefficient| < 1e-300)")
     w = np.abs(c / amax) ** 2
     if window is not None:
         w = window * w
@@ -167,6 +161,29 @@ def _moments(z, system: SpectralSystem, window=None) -> tuple[np.ndarray, float,
     return w, amax, total, min(max(mean, system.lambda_min), system.lambda_max)
 
 
+def _power_of_two_frame(c: np.ndarray):
+    """The state c·2^(−e) and the map v ↦ v·2^(2e) back to the true scale.
+
+    e is the exponent of the largest real or imaginary part, so that part of
+    c·2^(−e) lies in [½, 1) and no form of degree 2 in it overflows.  Both
+    scalings are by powers of two, hence exact: a degree-2 form evaluated in
+    the frame and mapped back is the true-scale value, rounded once, and
+    reads ±inf past the float range.  A state whose parts are all at most
+    ``ZERO_NORM_FLOOR`` is left as it is (e = 0), so callers treat it as
+    before.
+    """
+    amax = float(np.abs(np.ascontiguousarray(c).view(float)).max())
+    e = math.frexp(amax)[1] if amax > ZERO_NORM_FLOOR else 0
+
+    def back(value: float) -> float:
+        try:
+            return math.ldexp(value, 2 * e)
+        except OverflowError:
+            return math.copysign(math.inf, value)
+
+    return c * 2.0**-e, back
+
+
 def frequency(z, system: SpectralSystem) -> float:
     """The frequency λ(z) = Σ λ_k|z_k|² / Σ|z_k|², always in [λ_min, λ_max]."""
     return _moments(z, system)[3]
@@ -175,12 +192,6 @@ def frequency(z, system: SpectralSystem) -> float:
 def residual(z, system: SpectralSystem) -> float:
     """The residual ‖(A − λ(z)I)z‖²/‖z‖², exactly ≥ 0."""
     return frequency_report(z, system).residual
-
-
-def shifted_norm_sq(z, system: SpectralSystem, lam: float) -> float:
-    """‖(A − λI)z‖² in the state's own scale (no normalization)."""
-    c = coefficients_of(z, system)
-    return math.fsum((system.eigenvalues - lam) ** 2 * np.abs(c) ** 2)
 
 
 def key_identity_gap(z, lam: float, system: SpectralSystem) -> float:

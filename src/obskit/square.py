@@ -238,12 +238,10 @@ class ClusterRow:
 class DeltaGammaReport:
     """Scan of N·μ_N over lattice circles for a single-side Γ.
 
-    ``delta_hat`` = min over nonempty clusters of N·μ_N, the scanned
-    decay constant of the μ_N ~ δ/N law.  ``generalized_min`` rows carry
-    the smallest generalized eigenvalue of (G_N, diag(q²/N)) per cluster.
+    One row per nonempty cluster; ``generalized_min`` carries the smallest
+    generalized eigenvalue of (G_N, diag(q²/N)) per cluster.
     """
 
-    delta_hat: float
     rows: list[ClusterRow]
 
     @property
@@ -285,7 +283,7 @@ def delta_gamma_fit(gamma: GammaSpec, n_max_eigenvalue: int) -> tuple[float, Del
     if not rows:
         raise DomainError("no nonempty cluster at or below the requested eigenvalue")
     delta_hat = min(row.n_mu for row in rows)
-    return delta_hat, DeltaGammaReport(delta_hat=delta_hat, rows=rows)
+    return delta_hat, DeltaGammaReport(rows=rows)
 
 
 @dataclass(frozen=True)

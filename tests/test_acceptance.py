@@ -19,12 +19,12 @@ from obskit import (
     BoundaryPatch,
     CoercivityCertificate,
     Constant,
-    Exponential,
     GammaSpec,
     PowerLaw,
     Side,
     SpectralSystem,
     StateVector,
+    TransformedWidth,
     assumption_I_check,
     bottom_and_left,
     bottom_side_closed_form_n_mu,
@@ -242,7 +242,8 @@ def test_07_observability_integral_vs_time_quadrature():
 
 def test_08_observation_time_solver():
     worst_res = 0.0
-    for eps in (Constant(0.2), PowerLaw(0.3, 1.0), Exponential(0.15, 1e-4)):
+    width = TransformedWidth(psi=PowerLaw(0.3, 1.0), admissibility=2.0, base_width=0.15)
+    for eps in (Constant(0.2), PowerLaw(0.3, 1.0), width):
         for lam0 in (0.5, 3.0, 25.0):
             T = solve_observation_time(lam0, eps, THETA1)
             res = abs(T * float(eps(THETA0 * (1.0 / T + lam0))) - THETA1)
@@ -353,8 +354,7 @@ def test_13_certificate_round_trip_and_search(bottom50, pipeline50):
     inflated = CoercivityCertificate(
         epsilon=pipeline50.spectral.epsilon,
         psi=pipeline50.spectral.psi.scaled(10.0),
-        kind="spectral",
-        provenance="deliberately inflated strength",
+        kind="spectral",  # deliberately inflated strength
     )
     caught = spectral_coercivity_violation_search(bottom50, inflated, 10_000, seed=42)
     ok = negatives == 0 and clean is None and caught is not None

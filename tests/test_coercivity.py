@@ -331,6 +331,21 @@ class TestAdmissibilityEstimate:
         with pytest.raises(DomainError, match="every mode"):
             estimate_admissibility(sys_, 2.0, [1.1])
 
+    @pytest.mark.parametrize(
+        "eigenvalues, epsilon",
+        [
+            ([1.0, 2.0], 1e-20),
+            ([1e-300, 2e-300], 1e-200),
+            ([1e-300, 2e-300], 1e-160),
+            ([1.0, 1e300], 1e200),
+        ],
+        ids=["edges-round-to-eigenvalues", "square-underflows", "square-subnormal", "square-overflows"],
+    )
+    def test_width_outside_float_range_rejected(self, eigenvalues, epsilon):
+        sys_ = SpectralSystem(eigenvalues=eigenvalues, gram=np.eye(2))
+        with pytest.raises(DomainError, match="outside the float range"):
+            estimate_admissibility(sys_, epsilon, admissibility_breakpoints(sys_, epsilon))
+
     def test_empty_grid_rejected(self, square50):
         with pytest.raises(DomainError):
             estimate_admissibility(square50, 0.5, [])
@@ -556,7 +571,6 @@ class TestViolationSearch:
             epsilon=pipeline.spectral.epsilon,
             psi=pipeline.spectral.psi.scaled(10.0),
             kind="spectral",
-            provenance="inflated for testing",
         )
         found = spectral_coercivity_violation_search(square50, inflated, 0, seed=3)
         assert found is not None

@@ -427,6 +427,18 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scenario", ["admissibility", "resolvent-scan", "weak-observability", "assumption-ii-iii"]
+    )
+    def test_tiny_width_exits_three(self, scenario, tmp_path, capsys):
+        # ε² underflows to 0 and every cluster edge λ_k ± ε rounds to λ_k
+        out = tmp_path / "x.json"
+        argv = [scenario, "--config", '{"epsilon_cluster": 1e-200}', "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("obskit: ") and "outside the float range" in err
+        assert not out.exists()
+
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["interpretive-dance"])

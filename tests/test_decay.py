@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from obskit import Constant, Exponential, PowerLaw, TransformedWidth
+from obskit import Constant, PowerLaw, TransformedWidth
 from obskit.decay import (
     CLASS_CHECK_GRID,
     is_positive_nonincreasing,
@@ -31,14 +31,7 @@ class TestFamilies:
 
     def test_power_law_constant_form(self):
         f = PowerLaw(0.7, 0.0)
-        assert f.is_constant
         assert f(123.0) == pytest.approx(0.7)
-        assert not PowerLaw(0.7, 1.0).is_constant
-
-    def test_exponential_values(self):
-        f = Exponential(3.0, 2.0)
-        assert f(0.0) == pytest.approx(3.0)
-        assert f(1.0) == pytest.approx(3.0 * math.exp(-2.0))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
@@ -50,25 +43,18 @@ class TestFamilies:
         with pytest.raises(DomainError):
             PowerLaw(0.0, 1.0)
         with pytest.raises(DomainError):
-            Exponential(1.0, -1.0)
-        with pytest.raises(DomainError):
-            Exponential(math.inf, 1.0)
+            PowerLaw(math.inf, 1.0)
 
     def test_scaled(self):
         assert Constant(2.0).scaled(3.0).c == pytest.approx(6.0)
         f = PowerLaw(2.0, 1.0).scaled(0.25)
         assert f.c == pytest.approx(0.5)
         assert f.p == 1.0
-        g = Exponential(1.0, 0.5).scaled(4.0)
+        g = PowerLaw(1.0, 0.5).scaled(4.0)
         assert g.c == pytest.approx(4.0)
-        assert g.a == 0.5
+        assert g.p == 0.5
         with pytest.raises(DomainError):
             Constant(1.0).scaled(0.0)
-
-    def test_to_dict_tags(self):
-        assert Constant(1.0).to_dict()["form"] == "constant"
-        assert PowerLaw(1.0, 1.0).to_dict()["form"] == "power_law"
-        assert Exponential(1.0, 1.0).to_dict()["form"] == "exponential"
 
 
 class TestTransformedWidth:
@@ -92,7 +78,7 @@ class TestTransformedWidth:
         np.testing.assert_allclose(w(grid), [w(0.0), w(1.0), w(2.0)], rtol=1e-14)
 
     def test_in_admissible_class(self):
-        w = TransformedWidth(psi=Exponential(1.0, 1e-6), admissibility=5.0, base_width=0.25)
+        w = TransformedWidth(psi=PowerLaw(1.0, 2.0), admissibility=5.0, base_width=0.25)
         assert is_positive_nonincreasing(w)
 
     def test_scaled_not_supported(self):
@@ -112,7 +98,11 @@ class TestClassCheck:
         assert CLASS_CHECK_GRID == (0.0, 1.0, 10.0, 1.0e3, 1.0e6)
 
     def test_families_pass(self):
-        for f in [Constant(1.0), PowerLaw(2.0, 1.0), Exponential(1.0, 1e-6)]:
+        for f in [
+            Constant(1.0),
+            PowerLaw(2.0, 1.0),
+            TransformedWidth(psi=PowerLaw(1.0, 2.0), admissibility=5.0, base_width=0.25),
+        ]:
             assert is_positive_nonincreasing(f)
 
     def test_increasing_function_fails(self):
@@ -126,6 +116,8 @@ class TestClassCheck:
         with pytest.raises(NumericError, match="not positive and non-increasing"):
             require_positive_nonincreasing(Rising(1.0), "test function")
 
-    def test_underflowing_exponential_fails(self):
-        # e^{-1e6 * 50} underflows to exactly 0, violating strict positivity
-        assert not is_positive_nonincreasing(Exponential(1.0, 50.0))
+    def test_underflowing_rate_fails(self):
+        # 1e-300 / (1 + 1e6)^4 underflows to exactly 0, violating strict positivity
+        f = PowerLaw(1e-300, 4.0)
+        assert f(1.0e6) == 0.0
+        assert not is_positive_nonincreasing(f)

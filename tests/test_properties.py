@@ -8,7 +8,13 @@ on a single eigenvalue group, where rounding meets the spectral hull.
 Kernel systems add ties, gaps |Δ| below 1e-12, gaps with |Δ|·T below 1e-4
 and below 1e-2, and random low-rank Grams, at horizons over six decades;
 the closed-form observability integral is compared with time quadrature on
-small ones (eigenvalues up to 20, horizons 0.1 … 10).
+small ones (eigenvalues up to 20, horizons 0.1 … 10).  On the same systems
+the observability integral, the admissibility margin, the weak
+observability check and the resolvent check are exactly homogeneous of
+degree 2 under z → 2^k·z, k in [−500, 500].  The composite width
+TransformedWidth(PowerLaw(c, p), M, ε₀) of the weak-to-spectral transform
+stays in the admissible class for c in [1e-12, 1e3], p in {0, 1, 2},
+M in [1e-6, 1e6] and ε₀ in [1e-6, 10].
 """
 
 import json
@@ -21,7 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obskit import (
+    CoercivityCertificate,
+    PowerLaw,
     SpectralSystem,
+    TransformedWidth,
+    admissibility_check,
     frequency,
     frequency_report,
     kernel_psd_margin,
@@ -30,9 +40,12 @@ from obskit import (
     observability_integral,
     observability_integral_by_quadrature,
     residual,
+    resolvent_check,
+    weak_observability_check,
     windowed_frequency,
 )
 from obskit.cli import main
+from obskit.decay import is_positive_nonincreasing
 
 U = np.finfo(float).eps
 
@@ -152,6 +165,55 @@ def test_observability_integral_matches_time_quadrature(pair, seed):
     quadrature = observability_integral_by_quadrature(z, sys_, T)
     scale = T * float(np.vdot(z, z).real) * np.linalg.eigvalsh(sys_.gram)[-1]
     assert abs(closed - quadrature) <= 1e-10 * (scale + 1.0)  # the quadrature's own tolerances
+
+
+SPECTRAL_CERT = CoercivityCertificate(
+    epsilon=TransformedWidth(psi=PowerLaw(0.1, 1.0), admissibility=2.0, base_width=0.25),
+    psi=PowerLaw(0.025, 1.0),
+    kind="spectral",
+)
+
+
+def degree_two_values(z, sys_, T):
+    """Every value the four checks return that is homogeneous of degree 2 in z,
+    then those that do not depend on the scale of z."""
+    weak = weak_observability_check(z, sys_, T, PowerLaw(0.1, 1.0), 1.0)
+    res = resolvent_check(sys_, z, SPECTRAL_CERT)
+    scaled = [
+        observability_integral(z, sys_, T),
+        admissibility_check(z, sys_, T, 3.0),
+        weak.integral, weak.lhs, weak.margin, weak.norm_sq,
+        res.inf_margin, res.norm_sq, res.observed_sq,
+    ]
+    return scaled, [weak.lambda_z0, weak.applicable, res.lambda_z, res.residual_over_epsilon, res.verdict]
+
+
+@settings(max_examples=100)
+@given(kernel_systems(), st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0), st.integers(-500, 500))
+def test_checks_homogeneous_of_degree_two_under_powers_of_two(pair, seed, decade, k):
+    sys_, T = pair
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal(sys_.size) + 1j * rng.standard_normal(sys_.size)) * 10.0**decade
+    base, base_fixed = degree_two_values(z, sys_, T)
+    for power in (k, -500, 500):  # the ends reach past the float range for large z
+        scaled, fixed = degree_two_values(z * 2.0**power, sys_, T)
+        with np.errstate(over="ignore"):
+            expected = [float(np.ldexp(v, 2 * power)) for v in base]
+        assert not any(math.isnan(v) for v in base + scaled)
+        assert scaled == expected
+        assert fixed == base_fixed
+
+
+@settings(max_examples=500, derandomize=True)
+@given(
+    st.floats(1e-12, 1e3),
+    st.sampled_from((0.0, 1.0, 2.0)),
+    st.floats(1e-6, 1e6),
+    st.floats(1e-6, 10.0),
+)
+def test_transformed_width_in_admissible_class(c, p, M, eps0):
+    width = TransformedWidth(psi=PowerLaw(c, p), admissibility=M, base_width=eps0)
+    assert is_positive_nonincreasing(width)
 
 
 def _angle(value):

@@ -9,10 +9,10 @@ from scipy.integrate import quad
 from obskit import (
     Constant,
     DomainError,
-    Exponential,
     PowerLaw,
     SpectralSystem,
     StateVector,
+    TransformedWidth,
     chi,
     chi_dot,
     chi_hat,
@@ -217,7 +217,8 @@ class TestObservationTimeSolver:
             assert got == pytest.approx(root, rel=1e-10)
 
     def test_equation_residual_small(self):
-        for eps in [Constant(0.2), PowerLaw(0.3, 1.0), Exponential(0.5, 0.01)]:
+        width = TransformedWidth(psi=PowerLaw(0.3, 1.0), admissibility=2.0, base_width=0.5)
+        for eps in [Constant(0.2), PowerLaw(0.3, 1.0), width]:
             for lam0 in [0.0, 1.0, 25.0]:
                 T = solve_observation_time(lam0, eps, THETA1)
                 res = abs(T * float(eps(THETA0 * (1.0 / T + lam0))) - THETA1)
