@@ -442,7 +442,10 @@ def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipel
     weak = CoercivityCertificate(
         epsilon=Constant(half), psi=shifted_power_law(envelope, half), kind="weak_spectral"
     )
-    m_sq = estimate_admissibility(system, half, admissibility_breakpoints(system, half))
+    try:
+        m_sq = estimate_admissibility(system, half, admissibility_breakpoints(system, half))
+    except DomainError as exc:
+        raise DomainError(f"half of the cluster width {epsilon!r}: {exc}") from exc
     m = math.sqrt(m_sq)
     spectral = weak_to_spectral(weak, m)
     return CertificatePipeline(

@@ -104,7 +104,10 @@ class TransformedWidth(DecayFunction):
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
         psi_val = np.asarray(self.psi(lam), dtype=float)
-        out = 0.5 / (2.0 * self.admissibility / psi_val + 1.0 / self.base_width)
+        # ψ underflowing to 0 makes 2M/ψ inf and the width 0, which the
+        # class check rejects; one such point must not abort a whole array.
+        with np.errstate(over="ignore", divide="ignore"):
+            out = 0.5 / (2.0 * self.admissibility / psi_val + 1.0 / self.base_width)
         return float(out) if out.ndim == 0 else out
 
 

@@ -52,6 +52,18 @@ def observability_kernel(system: SpectralSystem, T: float) -> np.ndarray:
     return system.gram * phase_kernel(system.eigenvalues, T)
 
 
+def _observed_energy(c: np.ndarray, kernel: np.ndarray, T: float) -> float:
+    """The quadratic form u*(G∘K(T))u, u = conj(c), checked real at horizon T."""
+    u = c.conj()
+    value = complex(np.vdot(u, kernel @ u))
+    scale = max(abs(value.real), T * float(np.vdot(c, c).real))
+    if abs(value.imag) > 1.0e-10 * scale:
+        raise NumericError(
+            f"observability integral came out non-real: imag {value.imag:.3e} vs scale {scale:.3e}"
+        )
+    return value.real
+
+
 def observability_integral(z0, system: SpectralSystem, T: float) -> float:
     """Closed-form ∫₀ᵀ‖Cz(t)‖²dt; real and non-negative up to round-off.
 
@@ -61,15 +73,7 @@ def observability_integral(z0, system: SpectralSystem, T: float) -> float:
     if not T > 0:
         raise DomainError(f"time horizon must be positive, got {T}")
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    u = c.conj()
-    kernel = observability_kernel(system, T)
-    value = complex(np.vdot(u, kernel @ u))
-    scale = max(abs(value.real), T * float(np.vdot(c, c).real))
-    if abs(value.imag) > 1.0e-10 * scale:
-        raise NumericError(
-            f"observability integral came out non-real: imag {value.imag:.3e} vs scale {scale:.3e}"
-        )
-    return back(value.real)
+    return back(_observed_energy(c, observability_kernel(system, T), T))
 
 
 def observability_integral_by_quadrature(z0, system: SpectralSystem, T: float) -> float:
@@ -91,26 +95,31 @@ def observability_integral_by_quadrature(z0, system: SpectralSystem, T: float) -
     return value
 
 
-def kernel_psd_margin(system: SpectralSystem, T: float) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of G∘K(T); smallest ≥ −1e−10·largest.
+def kernel_psd_margin(kernel: np.ndarray) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue of ``kernel`` = G∘K(T); smallest ≥ −1e−10·largest.
 
-    The largest is the sharp admissibility constant of the truncated model
+    ``kernel`` is ``observability_kernel(system, T)``.  The largest
+    eigenvalue is the sharp admissibility constant of the truncated model
     only; it depends on the truncation level.
     """
-    vals = np.linalg.eigvalsh(observability_kernel(system, T))
+    vals = np.linalg.eigvalsh(kernel)
     return float(vals[0]), float(vals[-1])
 
 
-def admissibility_check(z0, system: SpectralSystem, T: float, C_T: float) -> float:
+def admissibility_check(z0, system: SpectralSystem, T: float, kernel: np.ndarray, C_T: float) -> float:
     """Margin C_T‖z0‖² − ∫₀ᵀ‖Cz‖²; non-negative iff C_T is admissible for z0.
 
-    Taken in the power-of-two frame of z0, like ``observability_integral``.
+    ``kernel`` is ``observability_kernel(system, T)``, built once per
+    horizon by the caller.  Taken in the power-of-two frame of z0, like
+    ``observability_integral``.
     """
     if not C_T > 0:
         raise DomainError(f"admissibility constant must be positive, got {C_T}")
+    if not T > 0:
+        raise DomainError(f"time horizon must be positive, got {T}")
     c, back = _power_of_two_frame(coefficients_of(z0, system))
     norm_sq = float(np.vdot(c, c).real)
-    return back(C_T * norm_sq - observability_integral(c, system, T))
+    return back(C_T * norm_sq - _observed_energy(c, kernel, T))
 
 
 @dataclass(frozen=True)

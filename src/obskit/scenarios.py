@@ -26,6 +26,7 @@ from .errors import CoercivityError, DomainError
 from .evolution import (
     admissibility_check,
     kernel_psd_margin,
+    observability_kernel,
     weak_observability_check,
 )
 from .report import ReportBundle, Table, Verdict
@@ -257,14 +258,16 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     pipeline = scan_certificate(system, cfg.epsilon_cluster)
     _pipeline_constants(bundle, pipeline)
     rng = np.random.default_rng(cfg.seed)
+    lam0 = [frequency(_random_state(rng, system.size), system) for _ in range(cfg.trials)]
+    theta1 = np.array([[THETA1], [THETA1_SUP_DERIV]])
+    t_mins, t_mins_sup = solve_observation_time(lam0, pipeline.spectral.epsilon, theta1).tolist()
+    # The same seed draws the same states again, so only one is held at a time.
+    rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = math.inf
     all_applicable = True
-    for trial in range(cfg.trials):
+    for trial, (t_min, t_min_sup) in enumerate(zip(t_mins, t_mins_sup)):
         z = _random_state(rng, system.size)
-        lam0 = frequency(z, system)
-        t_min = solve_observation_time(lam0, pipeline.spectral.epsilon, THETA1)
-        t_min_sup = solve_observation_time(lam0, pipeline.spectral.epsilon, THETA1_SUP_DERIV)
         horizon = cfg.T if cfg.T is not None else 2.0 * t_min
         rep = weak_observability_check(z, system, horizon, pipeline.spectral.psi, t_min)
         all_applicable = all_applicable and rep.applicable
@@ -424,7 +427,8 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
     bundle.constants["admissibility_sq"] = m_sq
     bundle.constants["admissibility"] = math.sqrt(m_sq)
     horizon = cfg.T if cfg.T is not None else 1.0
-    psd_min, sharp = kernel_psd_margin(system, horizon)
+    kernel = observability_kernel(system, horizon)
+    psd_min, sharp = kernel_psd_margin(kernel)
     bundle.constants["horizon"] = horizon
     bundle.constants["sharp_constant_truncated"] = sharp
     bundle.notes.append(
@@ -442,7 +446,7 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
     worst = math.inf
     for _ in range(cfg.trials):
         z = _random_state(rng, system.size)
-        margin = admissibility_check(z, system, horizon, sharp * (1.0 + 1e-12))
+        margin = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
         norm_sq = frequency_report(z, system).norm_sq
         worst = min(worst, margin / (sharp * norm_sq))
     bundle.constants["worst_admissibility_margin"] = worst

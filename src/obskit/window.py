@@ -115,53 +115,65 @@ def windowed_frequency(z0, system: SpectralSystem, T: float, tau: float) -> floa
     return _moments(z0, system, window)[3]
 
 
-def solve_observation_time(lambda0: float, eps: DecayFunction, theta1: float) -> float:
+def solve_observation_time(lambda0, eps: DecayFunction, theta1):
     """The unique T > 0 with T·ε(θ₀(1/T + λ₀)) = θ₁, by guarded bisection.
 
-    ``theta1`` is ``THETA1`` or ``THETA1_SUP_DERIV``; θ₀ is ``THETA0``.
+    ``lambda0`` is a scalar or an array; ``theta1`` (``THETA1`` or
+    ``THETA1_SUP_DERIV``, or an array of them) is broadcast against it, and
+    every element is solved at once.  θ₀ is ``THETA0``.  A scalar pair
+    returns a float, anything else an array of the broadcast shape.
 
-    The map T ↦ T·ε(θ₀(1/T+λ₀)) is verified increasing on the bracket;
-    relative tolerance 1e−12.
+    Per element: the bracket grows from T = 1 by doubling or halving (at
+    most 200 times), the map T ↦ T·ε(θ₀(1/T+λ₀)) is verified increasing on
+    17 points of it, and bisection runs until hi − lo ≤ 1e−12·hi, after
+    which the element is frozen; the result is the bracket midpoint.
     """
-    if not (lambda0 >= 0 and math.isfinite(lambda0)):
-        raise DomainError(f"lambda0 must be non-negative and finite, got {lambda0!r}")
+    lam, th = np.broadcast_arrays(np.asarray(lambda0, dtype=float), np.asarray(theta1, dtype=float))
+    shape = lam.shape
+    lam, th = lam.ravel(), th.ravel()
+    bad = ~((lam >= 0) & np.isfinite(lam))
+    if bad.any():
+        raise DomainError(f"lambda0 must be non-negative and finite, got {float(lam[bad][0])!r}")
 
-    def g(T: float) -> float:
-        return T * float(eps(THETA0 * (1.0 / T + lambda0))) - theta1
+    def g(T, at):
+        return T * eps(THETA0 * (1.0 / T + lam[at])) - th[at]
 
-    lo = hi = 1.0
-    if g(1.0) < 0.0:
-        for _ in range(200):
-            hi *= 2.0
-            if g(hi) >= 0.0:
-                break
-            lo = hi
-        else:
+    lo = np.ones_like(lam)
+    hi = np.ones_like(lam)
+    up = g(lo, ...) < 0.0
+    pending = np.arange(lam.size)
+    for _ in range(200):
+        if pending.size == 0:
+            break
+        u = up[pending]
+        trial = np.where(u, 2.0 * hi[pending], 0.5 * lo[pending])
+        value = g(trial, pending)
+        hi[pending[u]] = trial[u]
+        lo[pending[~u]] = trial[~u]
+        done = np.where(u, value >= 0.0, value < 0.0)
+        pending, u = pending[~done], u[~done]
+        lo[pending[u]] = hi[pending[u]]
+        hi[pending[~u]] = lo[pending[~u]]
+    if pending.size:
+        if up[pending[0]]:
             raise NumericError("bracket expansion failed after 200 doublings (upward)")
-    else:
-        for _ in range(200):
-            lo *= 0.5
-            if g(lo) < 0.0:
-                break
-            hi = lo
-        else:
-            raise NumericError("bracket expansion failed after 200 halvings (downward)")
+        raise NumericError("bracket expansion failed after 200 halvings (downward)")
 
-    samples = [g(t) + theta1 for t in np.linspace(lo, hi, 17)]
-    scale = max(abs(v) for v in samples)
-    for a, b in zip(samples, samples[1:]):
-        if b < a - 1e-9 * scale:
-            raise NumericError("T·ε(θ₀(1/T+λ)) is not increasing on the bracket")
+    samples = g(np.linspace(lo, hi, 17), ...) + th
+    scale = np.abs(samples).max(axis=0)
+    if np.any(samples[1:] < samples[:-1] - 1e-9 * scale):
+        raise NumericError("T·ε(θ₀(1/T+λ)) is not increasing on the bracket")
 
     for _ in range(200):
-        if hi - lo <= 1e-12 * hi:
+        active = np.flatnonzero(hi - lo > 1e-12 * hi)
+        if active.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[active] + hi[active])
+        below = g(mid, active) < 0.0
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+    t = 0.5 * (lo + hi)
+    return float(t[0]) if shape == () else t.reshape(shape)
 
 
 @dataclass(frozen=True)

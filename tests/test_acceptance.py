@@ -42,6 +42,7 @@ from obskit import (
     kernel_psd_margin,
     lattice_circle,
     observability_integral,
+    observability_kernel,
     observed_energy_sq,
     plancherel_lowerbound_check,
     resolvent_check,
@@ -229,7 +230,7 @@ def test_07_observability_integral_vs_time_quadrature():
             limit=800,
         )
         worst_rel = max(worst_rel, abs(closed - oracle) / oracle)
-        mn, mx = kernel_psd_margin(sys_, T)
+        mn, mx = kernel_psd_margin(observability_kernel(sys_, T))
         worst_psd = min(worst_psd, mn / mx)
     ok = worst_rel <= 1e-8 and worst_psd >= -1e-10
     check(

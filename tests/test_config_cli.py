@@ -437,6 +437,7 @@ class TestCli:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("obskit: ") and "outside the float range" in err
+        assert "1e-200" in err  # the configured width, even where its half is checked
         assert not out.exists()
 
     def test_unknown_scenario_is_usage_error(self):

@@ -121,3 +121,10 @@ class TestClassCheck:
         f = PowerLaw(1e-300, 4.0)
         assert f(1.0e6) == 0.0
         assert not is_positive_nonincreasing(f)
+
+    def test_width_over_underflowing_rate_fails(self):
+        # 2M/ψ overflows, then divides by zero, as ψ falls to 0: the width reads 0
+        f = TransformedWidth(psi=PowerLaw(1e-300, 4.0), admissibility=1.0, base_width=1.0)
+        assert f(1.0e6) == 0.0
+        assert f(np.array([0.0, 1.0e6])).tolist() == [f(0.0), 0.0]
+        assert not is_positive_nonincreasing(f)

@@ -167,29 +167,30 @@ class TestKernelAndAdmissibility:
             n = int(rng.integers(2, 10))
             sys_ = random_system(rng, n)
             T = float(rng.uniform(0.05, 20.0))
-            low, high = kernel_psd_margin(sys_, T)
+            low, high = kernel_psd_margin(observability_kernel(sys_, T))
             assert low >= -1e-10 * max(high, 0.0)
 
     def test_sharp_constant_diagonal_gram(self):
         gram = np.diag([0.5, 2.0, 1.25]).astype(complex)
         sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 4.0], gram=gram)
-        assert kernel_psd_margin(sys_, 3.0)[1] == pytest.approx(6.0, rel=1e-12)
+        assert kernel_psd_margin(observability_kernel(sys_, 3.0))[1] == pytest.approx(6.0, rel=1e-12)
 
     def test_sharp_constant_bounds_every_state(self):
         rng = np.random.default_rng(39)
         sys_ = random_system(rng, 7)
         T = 1.9
-        sharp = kernel_psd_margin(sys_, T)[1]
+        kernel = observability_kernel(sys_, T)
+        sharp = kernel_psd_margin(kernel)[1]
         for _ in range(50):
             z = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-            margin = admissibility_check(z, sys_, T, sharp * (1.0 + 1e-12))
+            margin = admissibility_check(z, sys_, T, kernel, sharp * (1.0 + 1e-12))
             assert margin >= -1e-9 * float(np.vdot(z, z).real)
 
     def test_square_sharp_constant_matches_kernel_eigensolve(self):
         sys_ = build_square_system(50, full_bottom())
         kernel = observability_kernel(sys_, 1.0)
         top = float(np.linalg.eigvalsh(kernel)[-1])
-        assert kernel_psd_margin(sys_, 1.0)[1] == pytest.approx(top, rel=1e-12)
+        assert kernel_psd_margin(kernel)[1] == pytest.approx(top, rel=1e-12)
         assert math.isfinite(top) and top > 0
 
     def test_basis_state_margin_arithmetic(self):
@@ -197,7 +198,7 @@ class TestKernelAndAdmissibility:
         sys_ = random_system(rng, 5)
         k, T = 2, 1.4
         c_t = sys_.gram[k, k].real * T + 1.0
-        margin = admissibility_check(StateVector.basis(k, 5), sys_, T, c_t)
+        margin = admissibility_check(StateVector.basis(k, 5), sys_, T, observability_kernel(sys_, T), c_t)
         assert margin == pytest.approx(1.0, rel=1e-10)
 
 

@@ -14,7 +14,10 @@ observability check and the resolvent check are exactly homogeneous of
 degree 2 under z → 2^k·z, k in [−500, 500].  The composite width
 TransformedWidth(PowerLaw(c, p), M, ε₀) of the weak-to-spectral transform
 stays in the admissible class for c in [1e-12, 1e3], p in {0, 1, 2},
-M in [1e-6, 1e6] and ε₀ in [1e-6, 10].
+M in [1e-6, 1e6] and ε₀ in [1e-6, 10].  The batched observation-time
+solver equals the scalar bisection it replaced, bit for bit, on λ₀ arrays
+with zeros and repeats over 1e-6 … 1e6, for constant, power-law and
+composite widths and either θ₁, shared or per element.
 """
 
 import json
@@ -28,6 +31,9 @@ from hypothesis import strategies as st
 
 from obskit import (
     CoercivityCertificate,
+    Constant,
+    DomainError,
+    NumericError,
     PowerLaw,
     SpectralSystem,
     TransformedWidth,
@@ -39,13 +45,16 @@ from obskit import (
     load_config,
     observability_integral,
     observability_integral_by_quadrature,
+    observability_kernel,
     residual,
     resolvent_check,
+    solve_observation_time,
     weak_observability_check,
     windowed_frequency,
 )
 from obskit.cli import main
 from obskit.decay import is_positive_nonincreasing
+from obskit.window import THETA0, THETA1, THETA1_SUP_DERIV
 
 U = np.finfo(float).eps
 
@@ -150,7 +159,7 @@ def kernel_systems(draw, top=1e4, decades=3.0):
 @given(kernel_systems())
 def test_observability_kernel_positive_semidefinite(pair):
     sys_, T = pair
-    low, high = kernel_psd_margin(sys_, T)
+    low, high = kernel_psd_margin(observability_kernel(sys_, T))
     assert high > 0.0
     assert low >= -1e-10 * high
 
@@ -181,7 +190,7 @@ def degree_two_values(z, sys_, T):
     res = resolvent_check(sys_, z, SPECTRAL_CERT)
     scaled = [
         observability_integral(z, sys_, T),
-        admissibility_check(z, sys_, T, 3.0),
+        admissibility_check(z, sys_, T, observability_kernel(sys_, T), 3.0),
         weak.integral, weak.lhs, weak.margin, weak.norm_sq,
         res.inf_margin, res.norm_sq, res.observed_sq,
     ]
@@ -214,6 +223,86 @@ def test_checks_homogeneous_of_degree_two_under_powers_of_two(pair, seed, decade
 def test_transformed_width_in_admissible_class(c, p, M, eps0):
     width = TransformedWidth(psi=PowerLaw(c, p), admissibility=M, base_width=eps0)
     assert is_positive_nonincreasing(width)
+
+
+def scalar_observation_time(lambda0, eps, theta1):
+    """The scalar bisection the batched solver replaced, kept as its oracle."""
+    if not (lambda0 >= 0 and math.isfinite(lambda0)):
+        raise DomainError(f"lambda0 must be non-negative and finite, got {lambda0!r}")
+
+    def g(T):
+        return T * float(eps(THETA0 * (1.0 / T + lambda0))) - theta1
+
+    lo = hi = 1.0
+    if g(1.0) < 0.0:
+        for _ in range(200):
+            hi *= 2.0
+            if g(hi) >= 0.0:
+                break
+            lo = hi
+        else:
+            raise NumericError("bracket expansion failed after 200 doublings (upward)")
+    else:
+        for _ in range(200):
+            lo *= 0.5
+            if g(lo) < 0.0:
+                break
+            hi = lo
+        else:
+            raise NumericError("bracket expansion failed after 200 halvings (downward)")
+
+    samples = [g(t) + theta1 for t in np.linspace(lo, hi, 17)]
+    scale = max(abs(v) for v in samples)
+    for a, b in zip(samples, samples[1:]):
+        if b < a - 1e-9 * scale:
+            raise NumericError("T·ε(θ₀(1/T+λ)) is not increasing on the bracket")
+
+    for _ in range(200):
+        if hi - lo <= 1e-12 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def observation_time_inputs(draw):
+    """λ₀ values (0, repeats, 1e-6 … 1e6), a width and θ₁ (one, or one per element)."""
+    value = st.one_of(
+        st.just(0.0), st.floats(1e-6, 1e6), st.floats(-6.0, 6.0).map(lambda d: 10.0**d)
+    )
+    lam = draw(st.lists(value, min_size=1, max_size=8))
+    lam += draw(st.lists(st.sampled_from(lam), max_size=4))
+    power = PowerLaw(
+        draw(st.floats(1e-6, 1e3)),
+        draw(st.one_of(st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 4.0))),
+    )
+    eps = draw(st.sampled_from((
+        Constant(draw(st.floats(1e-6, 1e6))),
+        power,
+        TransformedWidth(psi=power, admissibility=draw(st.floats(1e-6, 1e6)),
+                         base_width=draw(st.floats(1e-6, 10.0))),
+    )))
+    theta = st.sampled_from((THETA1, THETA1_SUP_DERIV))
+    theta1 = draw(st.one_of(theta, st.lists(theta, min_size=len(lam), max_size=len(lam))))
+    return np.array(lam), eps, theta1
+
+
+@settings(max_examples=200, derandomize=True)
+@given(observation_time_inputs())
+def test_batched_observation_time_equals_scalar_bisection(inputs):
+    lam, eps, theta1 = inputs
+    got = solve_observation_time(lam, eps, theta1)
+    thetas = np.broadcast_to(theta1, lam.shape)
+    want = np.array([scalar_observation_time(float(l), eps, float(t)) for l, t in zip(lam, thetas)])
+    assert got.shape == lam.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    single = solve_observation_time(float(lam[0]), eps, float(thetas[0]))
+    assert type(single) is float
+    assert np.float64(single).view(np.uint64) == want[:1].view(np.uint64)[0]
 
 
 def _angle(value):

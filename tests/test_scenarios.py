@@ -1,0 +1,30 @@
+"""The per-trial scenarios do their shared work once per run, not once per trial."""
+
+from obskit import evolution, scenarios
+from obskit.cli import main
+
+
+def run_counting(monkeypatch, tmp_path, capsys, scenario, module, name):
+    """Run ``scenario`` with 50 trials; return how often ``module.name`` was called."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    assert main([scenario, "--trials", "50", "--out", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    return len(calls)
+
+
+def test_admissibility_builds_the_kernel_once(monkeypatch, tmp_path, capsys):
+    assert run_counting(monkeypatch, tmp_path, capsys, "admissibility", evolution, "phase_kernel") == 1
+
+
+def test_weak_observability_solves_every_trial_at_once(monkeypatch, tmp_path, capsys):
+    calls = run_counting(
+        monkeypatch, tmp_path, capsys, "weak-observability", scenarios, "solve_observation_time"
+    )
+    assert 1 <= calls <= 2

@@ -8,7 +8,9 @@ from scipy.integrate import quad
 
 from obskit import (
     Constant,
+    DecayFunction,
     DomainError,
+    NumericError,
     PowerLaw,
     SpectralSystem,
     StateVector,
@@ -234,6 +236,31 @@ class TestObservationTimeSolver:
     def test_rejects_negative_frequency(self):
         with pytest.raises(DomainError):
             solve_observation_time(-1.0, Constant(1.0), THETA1)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_one_bad_frequency_in_an_array(self, bad):
+        with pytest.raises(DomainError):
+            solve_observation_time(np.array([0.0, 1.0, bad, 3.0]), Constant(1.0), THETA1)
+
+    def test_width_not_increasing_on_the_bracket_in_array_form(self):
+        class Bump(DecayFunction):
+            """0.6·θ₁ plus a narrow bump at θ₀/1.5: for λ₀ = 0 the bracket is
+            [1, 2] and T·ε(θ₀/T) peaks at T = 1.5 inside it."""
+
+            def __call__(self, lam):
+                lam = np.asarray(lam, dtype=float)
+                return THETA1 * (0.6 + 10.0 * np.exp(-((lam - THETA0 / 1.5) ** 2)))
+
+        with pytest.raises(NumericError, match="not increasing"):
+            solve_observation_time(np.array([5.0, 0.0, 5.0]), Bump(), THETA1)
+
+    def test_array_shape_and_theta1_broadcast(self):
+        lam = np.array([0.0, 1.0, 25.0])
+        theta1 = np.array([[THETA1], [THETA1_SUP_DERIV]])
+        got = solve_observation_time(lam, PowerLaw(0.3, 1.0), theta1)
+        assert got.shape == (2, 3)
+        for row, th in zip(got, (THETA1, THETA1_SUP_DERIV)):
+            assert row.tolist() == [solve_observation_time(x, PowerLaw(0.3, 1.0), th) for x in lam]
 
 
 class TestPlancherelLowerBound:
