@@ -39,11 +39,6 @@ CERTIFICATE_KINDS = ("spectral", "weak_spectral")
 # failed at the scanned width.
 COERCIVITY_FLOOR = 1.0e-14
 
-# Gram eigenvalues at or below this fraction of the largest are left out of
-# the low-rank factor used by estimate_admissibility; their mass re-enters as
-# a Weyl bound.
-GRAM_RANK_CUTOFF = 1.0e-13
-
 # Safety factor keeping the sampling cluster half-width β strictly inside
 # the admissible range 2β² < ε.
 BETA_SAFETY = 1.0 - 1.0e-9
@@ -111,8 +106,7 @@ def cluster_min_coercivity(system: SpectralSystem, indices) -> tuple[float, np.n
         raise DomainError("cluster index list is empty")
     if idx.min() < 0 or idx.max() >= system.size or np.unique(idx).size != idx.size:
         raise DomainError("cluster indices must be unique and within the mode range")
-    block = system.gram[np.ix_(idx, idx)]
-    vals, vecs = np.linalg.eigh(block)
+    vals, vecs = np.linalg.eigh(system.gram_block(idx))
     v = vecs[:, 0]
     pivot = int(np.argmax(np.abs(v)))
     phase = v[pivot] / abs(v[pivot])
@@ -223,12 +217,11 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
     Given ``admissibility_breakpoints(system, epsilon)`` as the grid, the
     result is the exact supremum over all real λ, not a grid maximum.
 
-    The Gram is factored once, G = FF* + E, by ``eigh``: F keeps the
-    eigenpairs above ``GRAM_RANK_CUTOFF`` times the largest eigenvalue, E is
-    the rest.  At each λ the top eigenvalue of the r×r matrix (D⁻¹F)*(D⁻¹F)
-    (the same nonzero spectrum as the off-cluster block of D⁻¹FF*D⁻¹) is
-    taken, and the Weyl bound ‖E‖/ε² is added once, so the result is an
-    upper bound for the value with the full Gram.
+    It reads the system's factor, G = FF* + E with ‖E‖ = ``factor_error``
+    (0 for an exact factor).  At each λ the top eigenvalue of the r×r matrix
+    (D⁻¹F)*(D⁻¹F) (the same nonzero spectrum as the off-cluster block of
+    D⁻¹FF*D⁻¹) is taken, and the Weyl bound ‖E‖/ε² is added once, so the
+    result is an upper bound for the value with the full Gram.
 
     A width outside the float range of the spectrum, where ε² is not a
     normal float or an edge fl(λ_k ± ε) rounds to λ_k itself, is a
@@ -249,11 +242,6 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
             f"cluster width {epsilon!r} is outside the float range of the spectrum: ε² must be "
             "a normal float and no cluster edge λ_k ± ε may round to λ_k"
         )
-    w, v = np.linalg.eigh(system.gram)
-    kept = w > GRAM_RANK_CUTOFF * w[-1]
-    factor = v[:, kept] * np.sqrt(w[kept])
-    weyl = float(np.abs(w[~kept]).max(initial=0.0)) / epsilon**2
-
     best = 0.0
     for lam in grid:
         d = eigenvalues - lam
@@ -262,10 +250,10 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
             raise DomainError(
                 f"the cluster at λ = {lam} covers every mode; off-cluster block is empty"
             )
-        scaled = factor[off] / d[off, None]
+        scaled = system.factor[off] / d[off, None]
         if scaled.shape[1]:
             best = max(best, float(np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]))
-    return best + weyl
+    return best + system.factor_error / epsilon**2
 
 
 @dataclass(frozen=True)

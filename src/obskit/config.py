@@ -42,9 +42,9 @@ DEFAULT_TRIALS = 100
 DEFAULT_SEED = 7
 DEFAULT_OUTPUT = "obskit-report.json"
 
-# Cap on the dense complex Gram of a square system (16 bytes per entry):
-# 1 GiB allows 8192 modes, that is n_max_eigenvalue ≤ 10 564.  Building the
-# system holds a few arrays of that size at once.
+# Cap on the dense complex n×n Gram (16 bytes per entry) that some scenarios
+# form from a square system's factor: 1 GiB allows 8192 modes, that is
+# n_max_eigenvalue ≤ 10 564.  The cap is still applied to every scenario.
 MAX_GRAM_BYTES = 2**30
 
 _TOP_LEVEL_KEYS = {"scenario", "system", "epsilon_cluster", "trials", "seed", "T", "output_path"}

@@ -74,9 +74,10 @@ class PowerLaw(DecayFunction):
         _check_nonnegative("p", self.p)
 
     def __call__(self, lam):
+        # Scalars take the array loop too: numpy's scalar ``**`` can differ in the last bit.
         lam = np.asarray(lam, dtype=float)
-        out = self.c / (1.0 + lam) ** self.p
-        return float(out) if out.ndim == 0 else out
+        out = self.c / (1.0 + lam.reshape(-1)) ** self.p
+        return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
     def scaled(self, factor: float) -> "PowerLaw":
         _check_positive("factor", factor)

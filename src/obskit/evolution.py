@@ -17,18 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError
-from .spectral import SpectralSystem, StateVector, _power_of_two_frame, coefficients_of, frequency
+from .spectral import SpectralSystem, _power_of_two_frame, coefficients_of, frequency
 from .window import THETA0, THETA2
-
-
-def evolve(z0, system: SpectralSystem, t: float) -> StateVector:
-    """The trajectory point z(t): coefficients z_k e^{iλ_k t}."""
-    c = coefficients_of(z0, system)
-    return StateVector(c * np.exp(1j * system.eigenvalues * t))
 
 
 def phase_kernel(eigenvalues: np.ndarray, T: float) -> np.ndarray:
@@ -74,25 +67,6 @@ def observability_integral(z0, system: SpectralSystem, T: float) -> float:
         raise DomainError(f"time horizon must be positive, got {T}")
     c, back = _power_of_two_frame(coefficients_of(z0, system))
     return back(_observed_energy(c, observability_kernel(system, T), T))
-
-
-def observability_integral_by_quadrature(z0, system: SpectralSystem, T: float) -> float:
-    """Adaptive time quadrature of t ↦ ‖Cz(t)‖², the oracle for the closed form."""
-    if not T > 0:
-        raise DomainError(f"time horizon must be positive, got {T}")
-    c = coefficients_of(z0, system)
-    gram = system.gram
-    lam = system.eigenvalues
-
-    def energy(t: float) -> float:
-        u = (c * np.exp(1j * lam * t)).conj()
-        return float(np.vdot(u, gram @ u).real)
-
-    # Enough subdivisions to resolve the fastest phase difference on [0, T].
-    spread = float(lam[-1] - lam[0])
-    limit = int(200 + 20 * spread * T / math.pi)
-    value, _ = quad(energy, 0.0, T, epsabs=1.0e-10, epsrel=1.0e-10, limit=limit)
-    return value
 
 
 def kernel_psd_margin(kernel: np.ndarray) -> tuple[float, float]:

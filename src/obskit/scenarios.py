@@ -30,7 +30,7 @@ from .evolution import (
     weak_observability_check,
 )
 from .report import ReportBundle, Table, Verdict
-from .spectral import frequency, frequency_report
+from .spectral import _moments, frequency
 from .square import assumption_I_check, bottom_and_left, build_square_system, delta_gamma_fit
 from .window import (
     C0,
@@ -447,8 +447,8 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
     for _ in range(cfg.trials):
         z = _random_state(rng, system.size)
         margin = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
-        norm_sq = frequency_report(z, system).norm_sq
-        worst = min(worst, margin / (sharp * norm_sq))
+        _, amax, total, _ = _moments(z, system)  # ‖z‖² = amax²·Σw, as in frequency_report
+        worst = min(worst, margin / (sharp * (amax * amax * total)))
     bundle.constants["worst_admissibility_margin"] = worst
     bundle.verdicts.append(
         Verdict(

@@ -9,6 +9,7 @@ eigenbasis.  The frequency functional λ(z) = ⟨Az,z⟩/‖z‖² and its resid
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,26 +19,27 @@ from .errors import DomainError, NumericError, ShapeError
 
 HERMITIAN_ATOL = 1.0e-12
 PSD_RTOL = 1.0e-10
+# Eigenvalues of a given Gram at or below this fraction of the largest stay out of F.
+GRAM_RANK_CUTOFF = 1.0e-13
 # Coefficient vectors with max |entry| below this are treated as zero.
 ZERO_NORM_FLOOR = 1.0e-300
 
 
-@dataclass(frozen=True)
 class SpectralSystem:
-    """Eigenvalues of A plus the observation Gram matrix G.
+    """Eigenvalues of A plus the observation Gram G, held as G = FFᴴ + E.
 
     ``eigenvalues`` must be strictly positive and sorted non-decreasing
-    (repeats are permitted; clusters absorb multiplicity).  ``gram`` must be
-    finite, Hermitian to 1e−12 absolute and positive semidefinite up to a relative
-    tolerance of 1e−10 of its largest eigenvalue.
+    (repeats are permitted).  Give exactly one of ``gram`` and ``factor``.
+    A ``gram`` must be finite, Hermitian to 1e−12 absolute and positive
+    semidefinite up to 1e−10 of its largest eigenvalue; one ``eigh`` checks
+    this and yields F, the eigenpairs above ``GRAM_RANK_CUTOFF`` times the
+    largest, and ``factor_error`` = ‖E‖, the largest dropped |eigenvalue|.
+    A ``factor`` F comes with its own bound ``factor_error`` ≥ ‖E‖; ``gram``
+    is then FFᴴ, formed on first read and cached.
     """
 
-    eigenvalues: np.ndarray
-    gram: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        eig = np.array(self.eigenvalues, dtype=float)
+    def __init__(self, eigenvalues, gram=None, label: str = "", *, factor=None, factor_error=0.0):
+        eig = np.array(eigenvalues, dtype=float)
         if eig.ndim != 1 or eig.size == 0:
             raise ShapeError("eigenvalues must be a nonempty 1-D array")
         if not np.all(np.isfinite(eig)):
@@ -46,31 +48,59 @@ class SpectralSystem:
             raise DomainError(f"eigenvalues must be strictly positive, got {eig.min()}")
         if np.any(np.diff(eig) < 0):
             raise DomainError("eigenvalues must be sorted non-decreasing")
-        g = np.asarray(self.gram, dtype=complex)
-        if g.ndim != 2 or g.shape != (eig.size, eig.size):
-            raise ShapeError(
-                f"gram must be {eig.size}x{eig.size} to match the eigenvalue list, "
-                f"got shape {g.shape}"
-            )
+        if (gram is None) == (factor is None):
+            raise ShapeError("give exactly one of gram and factor")
+        self._from_factor = factor is not None
+        if self._from_factor:
+            f, error = np.array(factor), float(factor_error)
+        else:
+            f, error = self._factor_gram(gram, eig.size)
+        if f.ndim != 2 or f.shape[0] != eig.size or not np.all(np.isfinite(f)):
+            raise ShapeError(f"factor must be finite with {eig.size} rows, got shape {f.shape}")
+        if not 0.0 <= error < math.inf:
+            raise DomainError(f"factor_error must be non-negative and finite, got {error!r}")
+        eig.setflags(write=False)
+        f.setflags(write=False)
+        self.eigenvalues, self.factor, self.factor_error, self.label = eig, f, error, label
+
+    def _factor_gram(self, gram, n: int) -> tuple[np.ndarray, float]:
+        """Check a given Gram, cache it as ``gram`` and factor it by one ``eigh``."""
+        g = np.asarray(gram, dtype=complex)
+        if g.ndim != 2 or g.shape != (n, n):
+            raise ShapeError(f"gram must be {n}x{n} to match the eigenvalue list, got shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise DomainError("gram entries must be finite")
         dev = np.abs(g - g.conj().T)
-        if dev.size and dev.max() > HERMITIAN_ATOL:
+        if dev.max() > HERMITIAN_ATOL:
             j, k = np.unravel_index(int(dev.argmax()), dev.shape)
             raise DomainError(
                 f"gram is not Hermitian: |G[{j}][{k}] - conj(G[{k}][{j}])| = {dev[j, k]:.3e}"
             )
         g = 0.5 * (g + g.conj().T)
-        vals = np.linalg.eigvalsh(g) if g.size else np.zeros(0)
-        if vals.size and vals[0] < -PSD_RTOL * max(vals[-1], 0.0):
+        vals, vecs = np.linalg.eigh(g)
+        if vals[0] < -PSD_RTOL * max(vals[-1], 0.0):
             raise DomainError(
                 f"gram is not positive semidefinite: min eigenvalue {vals[0]:.3e} "
                 f"vs max {vals[-1]:.3e}"
             )
-        eig.setflags(write=False)
         g.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "gram", g)
+        self.__dict__["gram"] = g
+        kept = vals > GRAM_RANK_CUTOFF * vals[-1]
+        return vecs[:, kept] * np.sqrt(vals[kept]), float(np.abs(vals[~kept]).max(initial=0.0))
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """G: the given matrix, or FFᴴ formed on first read."""
+        g = self.factor @ self.factor.conj().T
+        g = 0.5 * (g + g.conj().T)
+        g.setflags(write=False)
+        return g
+
+    def gram_block(self, idx) -> np.ndarray:
+        """G on the modes ``idx``: F_I·F_Iᴴ for a given factor, else the given Gram's block."""
+        if not self._from_factor:
+            return self.gram[np.ix_(idx, idx)]
+        return self.factor[idx] @ self.factor[idx].conj().T
 
     @property
     def size(self) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError
-from .spectral import SpectralSystem
+from .spectral import PSD_RTOL, SpectralSystem
 
 
 class Side(enum.Enum):
@@ -140,10 +140,11 @@ def square_modes(n_max_eigenvalue: int) -> list[SquareMode]:
     """All modes with eigenvalue ≤ n_max, sorted by (eigenvalue, p, q)."""
     if n_max_eigenvalue < 2:
         raise DomainError(f"n_max_eigenvalue must be at least 2, got {n_max_eigenvalue}")
-    modes: list[SquareMode] = []
-    for N in range(2, n_max_eigenvalue + 1):
-        modes.extend(lattice_circle(N))
-    return modes
+    p, q = np.indices((math.isqrt(n_max_eigenvalue - 1),) * 2).reshape(2, -1) + 1
+    keep = p * p + q * q <= n_max_eigenvalue
+    p, q = p[keep], q[keep]
+    order = np.lexsort((q, p, p * p + q * q))
+    return [SquareMode(int(a), int(b)) for a, b in zip(p[order], q[order])]
 
 
 def mode_count(n_max_eigenvalue: int) -> int:
@@ -153,59 +154,80 @@ def mode_count(n_max_eigenvalue: int) -> int:
 
 
 def sine_product_integral(p: int, p_prime: int, alpha: float, beta: float) -> float:
-    """∫_α^β sin(px) sin(p′x) dx by the exact antiderivative."""
+    """∫_α^β sin(px) sin(p′x) dx, an entry of the sine-product matrix."""
     if p < 1 or p_prime < 1:
         raise DomainError("sine indices must be positive integers")
     if not (0.0 <= alpha < beta <= math.pi):
         raise DomainError(f"bounds must satisfy 0 ≤ α < β ≤ π, got ({alpha}, {beta})")
-    if p == p_prime:
-        return (beta - alpha) / 2.0 - (math.sin(2 * p * beta) - math.sin(2 * p * alpha)) / (4.0 * p)
-    d = p - p_prime
-    s = p + p_prime
-    return (math.sin(d * beta) - math.sin(d * alpha)) / (2.0 * d) - (
-        math.sin(s * beta) - math.sin(s * alpha)
-    ) / (2.0 * s)
+    return float(_sine_product_matrix(np.array([p, p_prime]), alpha, beta)[0, 1])
 
 
 def _sine_product_matrix(freq: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Matrix of ∫_α^β sin(f_j x) sin(f_k x) dx over a frequency vector."""
+    """Matrix of ∫_α^β sin(f_j x) sin(f_k x) dx over a frequency vector.
+
+    With d = f_j − f_k and s = f_j + f_k, the exact antiderivative takes two
+    differences of size h = (β − α)/2 each, which cancel where s·h ≤ ½.  There
+    the integral is the series h·Σ_k (−1)^k (d^{2k} cos(dc) − s^{2k} cos(sc))
+    h^{2k}/(2k+1)! about the midpoint c, whose k = 0 term is 2 sin(f_j c)
+    sin(f_k c).  Past the middle of the side it is taken about π − c, with
+    the sign (−1)^s of x ↦ π − x; π − fl(π) is math.sin(math.pi).
+    """
     f = freq.astype(float)
     d = f[:, None] - f[None, :]
     s = f[:, None] + f[None, :]
+    h, mirror = (beta - alpha) / 2.0, alpha + beta > math.pi
     with np.errstate(divide="ignore", invalid="ignore"):
-        off = (np.sin(d * beta) - np.sin(d * alpha)) / (2.0 * d) - (
-            np.sin(s * beta) - np.sin(s * alpha)
-        ) / (2.0 * s)
-    diag = (beta - alpha) / 2.0 - (np.sin(2.0 * f * beta) - np.sin(2.0 * f * alpha)) / (4.0 * f)
-    equal = d == 0.0
-    return np.where(equal, np.broadcast_to(diag[:, None], off.shape), off)
+        first = np.where(d == 0.0, h, (np.sin(d * beta) - np.sin(d * alpha)) / (2.0 * d))
+    gram = first - (np.sin(s * beta) - np.sin(s * alpha)) / (2.0 * s)
+    far = (math.pi - alpha) + (math.pi - beta) + 2.0 * math.sin(math.pi)
+    c = (far if mirror else alpha + beta) / 2.0
+    series = 2.0 * np.sin(f[:, None] * c) * np.sin(f[None, :] * c)
+    a, b = np.cos(d * c), np.cos(s * c)
+    for k in range(1, 10):
+        a, b = a * -((d * h) ** 2) / (2 * k * (2 * k + 1)), b * -((s * h) ** 2) / (2 * k * (2 * k + 1))
+        series += a - b
+    return np.where(s * h <= 0.5, h * series * (-1.0) ** (s * mirror), gram)
 
 
-def _trace_data(modes: list[SquareMode], side: Side) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(oscillation frequency, amplitude, parity sign) of each trace on a side."""
-    p = np.array([m.p for m in modes], dtype=int)
-    q = np.array([m.q for m in modes], dtype=int)
-    root_n = np.sqrt((p * p + q * q).astype(float))
-    if side in (Side.BOTTOM, Side.TOP):
-        freq, amp = p, (2.0 / math.pi) * q / root_n
-        sign = np.ones(len(modes)) if side is Side.BOTTOM else (-1.0) ** q
-    else:
-        freq, amp = q, (2.0 / math.pi) * p / root_n
-        sign = np.ones(len(modes)) if side is Side.LEFT else (-1.0) ** p
-    return freq, amp, sign
+def _trace_data(modes: list[SquareMode], side: Side) -> tuple[np.ndarray, np.ndarray]:
+    """(oscillation frequency, amplitude times parity sign) of each trace on a side."""
+    p, q = np.array([(m.p, m.q) for m in modes], dtype=int).reshape(-1, 2).T
+    freq, other = (p, q) if side in (Side.BOTTOM, Side.TOP) else (q, p)
+    amp = (2.0 / math.pi) * other / np.sqrt((p * p + q * q).astype(float))
+    return freq, (amp * (-1.0) ** other if side in (Side.TOP, Side.RIGHT) else amp)
+
+
+def gram_factor(modes: list[SquareMode], gamma: GammaSpec) -> tuple[np.ndarray, float]:
+    """The real factor F (n × Σm) of the boundary Gram over Γ and a bound on ‖G − FFᵀ‖.
+
+    On one patch G is D·P·S·Pᵀ·D: S is the m×m sine-product matrix over the
+    m distinct trace frequencies, P gathers each mode's frequency and D is
+    the signed amplitude.  With S = V·diag(w)·Vᵀ from one ``eigh`` (positive
+    semidefinite by the ``PSD_RTOL`` rule), the patch's columns of F are
+    D·P·V·√max(w, 0).  The bound sums, over patches, ‖DP‖² times the clipped
+    part max(0, −w_min) plus the eigensolver's backward error m·u·‖S‖.
+    """
+    columns, error = [], 0.0
+    for patch in gamma.patches:
+        freq, amp = _trace_data(modes, patch.side)
+        distinct, gather = np.unique(freq, return_inverse=True)
+        w, v = np.linalg.eigh(_sine_product_matrix(distinct, patch.alpha, patch.beta))
+        lo, hi = w.min(initial=0.0), w.max(initial=0.0)
+        if lo < -PSD_RTOL * hi:
+            raise DomainError(
+                f"sine-product matrix on ({patch.alpha}, {patch.beta}) is not positive "
+                f"semidefinite: min eigenvalue {lo:.3e} vs max {hi:.3e}"
+            )
+        backward = distinct.size * np.finfo(float).eps / 2.0 * hi - lo
+        error += float(np.bincount(gather, weights=amp * amp).max(initial=0.0)) * backward
+        columns.append(amp[:, None] * (v * np.sqrt(np.maximum(w, 0.0)))[gather])
+    return np.hstack(columns), error
 
 
 def boundary_gram(modes: list[SquareMode], gamma: GammaSpec) -> np.ndarray:
-    """Gram matrix of normal-derivative traces over the patch union."""
-    n = len(modes)
-    gram = np.zeros((n, n))
-    for patch in gamma.patches:
-        freq, amp, sign = _trace_data(modes, patch.side)
-        signed_amp = sign * amp
-        integrals = _sine_product_matrix(freq, patch.alpha, patch.beta)
-        gram += np.outer(signed_amp, signed_amp) * integrals
-    gram = 0.5 * (gram + gram.T)
-    return gram.astype(complex)
+    """Gram matrix of normal-derivative traces over the patch union, FFᵀ."""
+    factor = gram_factor(modes, gamma)[0]
+    return factor @ factor.T
 
 
 def build_square_system(n_max_eigenvalue: int, gamma: GammaSpec) -> SpectralSystem:
@@ -213,12 +235,12 @@ def build_square_system(n_max_eigenvalue: int, gamma: GammaSpec) -> SpectralSyst
     if not isinstance(gamma, GammaSpec):
         raise DomainError("gamma must be a GammaSpec")
     modes = square_modes(n_max_eigenvalue)
-    eigenvalues = np.array([m.eigenvalue for m in modes], dtype=float)
-    gram = boundary_gram(modes, gamma)
+    factor, error = gram_factor(modes, gamma)
     sides = ",".join(sorted(s.value for s in gamma.sides()))
     return SpectralSystem(
-        eigenvalues=eigenvalues,
-        gram=gram,
+        eigenvalues=np.array([m.eigenvalue for m in modes], dtype=float),
+        factor=factor,
+        factor_error=error,
         label=f"square n_max={n_max_eigenvalue} gamma[{sides}]",
     )
 
@@ -250,23 +272,22 @@ class DeltaGammaReport:
 
 
 def _cluster_rows(gamma: GammaSpec, n_max_eigenvalue: int) -> list[ClusterRow]:
-    if n_max_eigenvalue < 2:
-        raise DomainError(f"n_max_eigenvalue must be at least 2, got {n_max_eigenvalue}")
-
-    def row_for(N: int) -> ClusterRow | None:
-        modes = lattice_circle(N)
-        if not modes:
-            return None
-        gram = boundary_gram(modes, gamma)
+    """One row per lattice circle; each circle is a contiguous run of modes."""
+    modes = square_modes(n_max_eigenvalue)
+    factor = gram_factor(modes, gamma)[0]
+    eigenvalues = np.array([m.eigenvalue for m in modes])
+    starts = np.flatnonzero(np.diff(eigenvalues, prepend=0))
+    rows = []
+    for lo, hi in zip(starts, [*starts[1:], len(modes)]):
+        N = int(eigenvalues[lo])
+        gram = factor[lo:hi] @ factor[lo:hi].T
         mu = float(np.linalg.eigvalsh(gram)[0])
-        weights = np.diag([m.q * m.q / float(N) for m in modes]).astype(complex)
+        weights = np.diag([m.q * m.q / float(N) for m in modes[lo:hi]])
         gen = float(
             scipy.linalg.eigh(gram, weights, eigvals_only=True, subset_by_index=(0, 0))[0]
         )
-        return ClusterRow(N=N, size=len(modes), mu=mu, n_mu=N * mu, generalized_min=gen)
-
-    rows = (row_for(N) for N in range(2, n_max_eigenvalue + 1))
-    return [row for row in rows if row is not None]
+        rows.append(ClusterRow(N=N, size=int(hi - lo), mu=mu, n_mu=N * mu, generalized_min=gen))
+    return rows
 
 
 def delta_gamma_fit(gamma: GammaSpec, n_max_eigenvalue: int) -> tuple[float, DeltaGammaReport]:
@@ -310,12 +331,3 @@ def assumption_I_check(n_max_eigenvalue: int) -> AssumptionReport:
     return AssumptionReport(
         rows=rows, min_mu=min_mu, max_abs_deviation=max_dev, reference=reference
     )
-
-
-def bottom_side_closed_form_n_mu(N: int) -> float:
-    """Closed form for N·μ_N on the full bottom side: 2·q_min(N)²/π."""
-    modes = lattice_circle(N)
-    if not modes:
-        raise DomainError(f"no lattice point on the circle N = {N}")
-    q_min = min(m.q for m in modes)
-    return 2.0 * q_min * q_min / math.pi

@@ -27,14 +27,12 @@ from obskit import (
     TransformedWidth,
     assumption_I_check,
     bottom_and_left,
-    bottom_side_closed_form_n_mu,
     build_square_system,
     chi_hat,
     chi_hat_by_quadrature,
     coercivity_scan,
     default_tau_grid,
     delta_gamma_fit,
-    evolve,
     fit_psi_envelope,
     frequency,
     full_bottom,
@@ -55,6 +53,8 @@ from obskit import (
     windowed_frequency,
 )
 from obskit.window import C0, C0_PRIME, KAPPA1, KAPPA2, THETA0, THETA1, THETA1_SUP_DERIV
+
+from oracles import bottom_side_closed_form_n_mu, evolve
 
 
 def check(name: str, ok: bool, detail: str) -> None:

@@ -32,7 +32,7 @@ from obskit import (
 )
 from obskit.coercivity import BETA_SAFETY, ClusterReport
 from obskit.spectral import frequency, observed_energy_sq, residual
-from obskit.square import full_bottom, build_square_system
+from obskit.square import BoundaryPatch, GammaSpec, Side, bottom_and_left, build_square_system, full_bottom
 
 
 def make_report(center, min_eig):
@@ -368,6 +368,31 @@ class TestAdmissibilityEstimate:
         assert got >= expected
         # At rounded cluster edges the oracle's |d| ≥ ε test can drop a mode
         # that estimate_admissibility keeps, so only the bound holds there.
+        edges = admissibility_breakpoints(system, epsilon)
+        assert estimate_admissibility(system, epsilon, edges) >= dense_admissibility(
+            system, epsilon, edges
+        )
+
+    @pytest.mark.parametrize(
+        "n_max, gamma",
+        [
+            (50, full_bottom()),
+            (120, GammaSpec((BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0),))),
+            (80, bottom_and_left()),
+            (100, GammaSpec((BoundaryPatch(Side.BOTTOM, 0.3, 2.0), BoundaryPatch(Side.RIGHT, 0.1, 1.0)))),
+        ],
+        ids=["bottom-50", "sub-patch-120", "two-sides-80", "two-patches-100"],
+    )
+    @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.3])
+    def test_square_factor_matches_dense_oracle(self, n_max, gamma, epsilon):
+        # The oracle reads the dense Gram FFᵀ; the factor's error bound keeps
+        # the result at or above it.
+        system = build_square_system(n_max, gamma)
+        grid = np.linspace(system.lambda_min - 3.0, system.lambda_max + 3.0, 201)
+        expected = dense_admissibility(system, epsilon, grid)
+        got = estimate_admissibility(system, epsilon, grid)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got >= expected
         edges = admissibility_breakpoints(system, epsilon)
         assert estimate_admissibility(system, epsilon, edges) >= dense_admissibility(
             system, epsilon, edges

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from obskit import Constant, PowerLaw, TransformedWidth
 from obskit.decay import (
@@ -55,6 +57,24 @@ class TestFamilies:
         assert g.p == 0.5
         with pytest.raises(DomainError):
             Constant(1.0).scaled(0.0)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 2.0, 0.5, 1.37])
+@given(
+    lam=st.lists(
+        st.one_of(st.floats(0.0, 1e6), st.floats(-6.0, 6.0).map(lambda u: 10.0**u)),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_power_law_scalar_equals_array_bitwise(p, lam):
+    f = PowerLaw(0.7, p)
+    grid = np.array(lam)
+    batch = f(grid)
+    assert batch.shape == grid.shape
+    assert [f(x) for x in lam] == batch.tolist()
+    assert [f(np.float64(x)) for x in lam] == batch.tolist()
+    assert f(grid.reshape(-1, 1)).ravel().tolist() == batch.tolist()
 
 
 class TestTransformedWidth:

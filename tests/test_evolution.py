@@ -11,11 +11,9 @@ from obskit import (
     SpectralSystem,
     StateVector,
     admissibility_check,
-    evolve,
     frequency,
     kernel_psd_margin,
     observability_integral,
-    observability_integral_by_quadrature,
     observability_kernel,
     phase_kernel,
     scan_certificate,
@@ -24,6 +22,8 @@ from obskit import (
 )
 from obskit.square import full_bottom, build_square_system
 from obskit.window import THETA1
+
+from oracles import evolve, observability_integral_by_quadrature
 
 
 def random_system(rng, n, spread=12.0):

@@ -44,7 +44,6 @@ from obskit import (
     key_identity_gap,
     load_config,
     observability_integral,
-    observability_integral_by_quadrature,
     observability_kernel,
     residual,
     resolvent_check,
@@ -55,6 +54,8 @@ from obskit import (
 from obskit.cli import main
 from obskit.decay import is_positive_nonincreasing
 from obskit.window import THETA0, THETA1, THETA1_SUP_DERIV
+
+from oracles import observability_integral_by_quadrature
 
 U = np.finfo(float).eps
 

@@ -89,6 +89,61 @@ class TestSystemValidation:
             sys_.eigenvalues[0] = 3.0
 
 
+
+class TestFactor:
+    def test_given_gram_is_kept_and_factored(self):
+        rng = np.random.default_rng(12)
+        b = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        gram = b.conj().T @ b
+        sys_ = SpectralSystem(eigenvalues=np.arange(1.0, 7.0), gram=gram)
+        np.testing.assert_array_equal(sys_.gram, 0.5 * (gram + gram.conj().T))
+        assert sys_.factor.shape == (6, 3)
+        assert sys_.factor_error <= 1e-13 * np.linalg.eigvalsh(gram)[-1]
+        f = sys_.factor
+        np.testing.assert_allclose(f @ f.conj().T, sys_.gram, atol=1e-12)
+        idx = [4, 1]
+        np.testing.assert_array_equal(sys_.gram_block(idx), sys_.gram[np.ix_(idx, idx)])
+        with pytest.raises(ValueError):
+            sys_.gram[0, 0] = 0.0
+
+    def test_gram_from_factor_is_formed_on_first_read(self):
+        f = np.array([[1.0, 0.5], [0.0, 2.0], [3.0, -1.0]])
+        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.0], factor=f, factor_error=1e-15)
+        assert sys_.factor_error == 1e-15
+        assert "gram" not in vars(sys_)
+        np.testing.assert_array_equal(sys_.gram_block([2, 0]), f[[2, 0]] @ f[[2, 0]].T)
+        assert "gram" not in vars(sys_)
+        np.testing.assert_array_equal(sys_.gram, f @ f.T)
+        assert sys_.gram is sys_.gram
+        with pytest.raises(ValueError):
+            sys_.factor[0, 0] = 0.0
+
+    def test_complex_factor_gives_hermitian_gram(self):
+        rng = np.random.default_rng(13)
+        f = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        sys_ = SpectralSystem(eigenvalues=np.arange(1.0, 6.0), factor=f)
+        np.testing.assert_array_equal(sys_.gram, sys_.gram.conj().T)
+        np.testing.assert_allclose(sys_.gram, f @ f.conj().T, atol=1e-14)
+
+    def test_needs_exactly_one_of_gram_and_factor(self):
+        with pytest.raises(ShapeError, match="exactly one"):
+            SpectralSystem(eigenvalues=[1.0])
+        with pytest.raises(ShapeError, match="exactly one"):
+            SpectralSystem(eigenvalues=[1.0], gram=np.eye(1), factor=np.eye(1))
+
+    @pytest.mark.parametrize(
+        "factor", [np.ones((3, 1)), np.ones(2), np.array([[1.0], [np.nan]])], ids=["rows", "1-D", "nan"]
+    )
+    def test_rejects_bad_factor(self, factor):
+        with pytest.raises(ShapeError, match="factor must be finite with 2 rows"):
+            SpectralSystem(eigenvalues=[1.0, 2.0], factor=factor)
+
+    @pytest.mark.parametrize("error", [-1e-16, math.inf, math.nan])
+    def test_rejects_bad_factor_error(self, error):
+        with pytest.raises(DomainError, match="factor_error"):
+            SpectralSystem(eigenvalues=[1.0, 2.0], factor=np.eye(2), factor_error=error)
+
+
 class TestStateVector:
     def test_basis_vector(self):
         z = StateVector.basis(1, 3)

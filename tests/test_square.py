@@ -1,9 +1,14 @@
 """Square-domain modes, boundary Gram matrices, and decay-constant fits."""
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from obskit import (
@@ -14,15 +19,18 @@ from obskit import (
     SquareMode,
     assumption_I_check,
     bottom_and_left,
-    bottom_side_closed_form_n_mu,
     boundary_gram,
     build_square_system,
+    coercivity_scan,
     delta_gamma_fit,
     full_bottom,
     lattice_circle,
     sine_product_integral,
     square_modes,
 )
+from obskit.square import gram_factor
+
+from oracles import bottom_side_closed_form_n_mu
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -138,6 +146,11 @@ class TestSquareModes:
         with pytest.raises(DomainError):
             square_modes(1)
 
+    @pytest.mark.parametrize("n_max", [2, 3, 5, 50, 325, 1000])
+    def test_order_is_circle_by_circle(self, n_max):
+        by_circle = [m for n in range(2, n_max + 1) for m in lattice_circle(n)]
+        assert as_pairs(square_modes(n_max)) == as_pairs(by_circle)
+
 
 class TestSineProductIntegral:
     def test_full_interval_orthonormality(self):
@@ -166,11 +179,57 @@ class TestSineProductIntegral:
                 oracle, abs=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(0.0, 1e-4), (1e-8, 2e-8), (7.5e-46, 1.17e-38), (0.0, 1e-3), (5e-4, 1e-3), (0.0, 0.04)],
+    )
+    def test_short_patch_at_the_first_corner_to_full_relative_accuracy(self, alpha, beta):
+        # The antiderivative's two differences cancel here; the values are
+        # checked entry by entry, none of them is rounding noise.
+        for p in range(1, 11):
+            for pp in range(1, 11):
+                oracle = taylor_sine_product(p, pp, Fraction(alpha), Fraction(beta))
+                assert sine_product_integral(p, pp, alpha, beta) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("near, far", [(0.0, 1e-6), (0.0, 1e-3), (5e-4, 1e-3)])
+    def test_short_patch_at_the_second_corner_to_full_relative_accuracy(self, near, far):
+        # x ↦ π − x maps the patch next to the first corner, with sign (−1)^(p+p′).
+        alpha, beta = math.pi - far, math.pi - near
+        lo = Fraction(math.pi) - Fraction(beta) + PI_MINUS_FLOAT_PI
+        hi = Fraction(math.pi) - Fraction(alpha) + PI_MINUS_FLOAT_PI
+        for p in range(1, 11):
+            for pp in range(1, 11):
+                oracle = (-1) ** (p + pp) * taylor_sine_product(p, pp, lo, hi)
+                assert sine_product_integral(p, pp, alpha, beta) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             sine_product_integral(0, 1, 0.0, 1.0)
         with pytest.raises(DomainError):
             sine_product_integral(1, 1, 1.0, 0.5)
+
+
+# π − fl(π), to 32 digits.
+PI_MINUS_FLOAT_PI = Fraction("1.2246467991473531772260659322750e-16")
+
+
+@functools.cache
+def _power_difference(a, b, n):
+    """b^n − a^n of rationals, exact, then rounded once."""
+    return float(b**n - a**n)
+
+
+def taylor_sine_product(p, pp, a, b, terms=9):
+    """∫_a^b sin(px) sin(p′x) dx for rational a < b ≪ 1/max(p, p′): the
+    Taylor series of the integrand integrated term by term, each bⁿ − aⁿ
+    taken exactly, so no difference of nearly equal numbers is rounded."""
+    total = 0.0
+    for i in range(terms):
+        for j in range(terms):
+            n = 2 * i + 2 * j + 3
+            coef = (-1) ** (i + j) * p ** (2 * i + 1) * pp ** (2 * j + 1)
+            total += coef / (math.factorial(2 * i + 1) * math.factorial(2 * j + 1) * n) * _power_difference(a, b, n)
+    return total
 
 
 def trace_on_patch(mode, patch):
@@ -197,6 +256,9 @@ class TestBoundaryGram:
         gram = boundary_gram(modes, full_bottom())
         expected = (2.0 / math.pi) * 2.0 / math.sqrt(10.0)
         assert gram[0, 1].real == pytest.approx(expected, rel=1e-14)
+
+    def test_empty_mode_list(self):
+        assert boundary_gram(lattice_circle(3), bottom_and_left()).shape == (0, 0)
 
     def test_half_bottom_fundamental_entry(self):
         gamma = GammaSpec((BoundaryPatch(Side.BOTTOM, 0.0, math.pi / 2.0),))
@@ -267,6 +329,88 @@ class TestBoundaryGram:
         np.testing.assert_allclose(
             block, TWO_OVER_PI * np.eye(len(modes)), atol=1e-12
         )
+
+
+# Patch bounds: multiples of π/12 (where sines of integer multiples hit their
+# exact zeros and extrema) or arbitrary points of [0, π].
+BOUND = st.one_of(
+    st.integers(0, 12).map(lambda k: k * math.pi / 12.0),
+    st.floats(0.0, math.pi),
+)
+
+
+@st.composite
+def gammas(draw):
+    """1–4 patches on mixed sides, pairwise disjoint within each side."""
+    sides = draw(st.lists(st.sampled_from(list(Side)), min_size=1, max_size=4))
+    patches = []
+    for side in set(sides):
+        count = sides.count(side)
+        bounds = sorted(draw(st.lists(BOUND, min_size=2 * count, max_size=2 * count, unique=True)))
+        patches += [BoundaryPatch(side, a, b) for a, b in zip(bounds[::2], bounds[1::2])]
+    return GammaSpec(tuple(patches))
+
+
+def dense_gram_oracle(modes, gamma):
+    """G from the scalar sine-product integral, entry by entry (each distinct
+    frequency pair is integrated once)."""
+    gram = np.zeros((len(modes), len(modes)))
+    for patch in gamma.patches:
+        integral = functools.cache(sine_product_integral)
+        traces = []
+        for m in modes:
+            n = float(m.eigenvalue)
+            if patch.side in (Side.BOTTOM, Side.TOP):
+                freq, amp, parity = m.p, (2.0 / math.pi) * m.q / math.sqrt(n), m.q
+            else:
+                freq, amp, parity = m.q, (2.0 / math.pi) * m.p / math.sqrt(n), m.p
+            flip = patch.side in (Side.TOP, Side.RIGHT) and parity % 2 == 1
+            traces.append((freq, -amp if flip else amp))
+        for j, (fj, aj) in enumerate(traces):
+            for k, (fk, ak) in enumerate(traces):
+                gram[j, k] += aj * ak * integral(fj, fk, patch.alpha, patch.beta)
+    return gram
+
+
+class TestGramFactor:
+    @settings(max_examples=100)
+    @given(gamma=gammas(), n_max=st.integers(2, 120))
+    def test_matches_scalar_oracle(self, gamma, n_max):
+        modes = square_modes(n_max)
+        factor, error = gram_factor(modes, gamma)
+        distinct = sum(len({m.p if p.side in (Side.BOTTOM, Side.TOP) else m.q for m in modes})
+                       for p in gamma.patches)
+        assert factor.shape == (len(modes), distinct)
+        assert factor.dtype == float and 0.0 <= error
+        oracle = dense_gram_oracle(modes, gamma)
+        scale = np.abs(oracle).max()
+        assert np.abs(factor @ factor.T - oracle).max() <= 1e-13 * scale
+        assert error <= 1e-13 * len(modes) * scale
+
+    def test_indefinite_sine_matrix_is_rejected(self, monkeypatch):
+        import obskit.square as square
+
+        monkeypatch.setattr(square, "_sine_product_matrix", lambda f, a, b: np.diag(np.linspace(-1.0, 1.0, f.size)))
+        with pytest.raises(DomainError, match="not positive semidefinite"):
+            gram_factor(square_modes(10), full_bottom())
+
+    def test_two_sides_at_n_max_2000_run_no_n_by_n_eigensolve(self, monkeypatch):
+        orders = []
+
+        def recording(solver):
+            def wrapped(a, *args, **kwargs):
+                orders.append(np.shape(a)[0])
+                return solver(a, *args, **kwargs)
+
+            return wrapped
+
+        for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
+            monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+        sys_ = build_square_system(2000, bottom_and_left())
+        reports = coercivity_scan(sys_, 0.5)
+        assert sys_.size == 1529 and len(reports) == 591
+        assert "gram" not in vars(sys_)
+        assert orders and max(orders) == math.isqrt(2000 - 1)
 
 
 class TestBuildSquareSystem:

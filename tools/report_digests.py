@@ -1,13 +1,15 @@
 """Print the sha256 of each report that a byte-identity check compares.
 
-    python3 tools/report_digests.py SEED [SEED ...]
+    python3 tools/report_digests.py [--keep DIR] SEED [SEED ...]
 
 For every seed it runs, in process, each scenario at its default config and
 each job of ``perfbench/jobs.py`` at full size, and prints one line per
 report: the digest (``-`` when no report was written), the exit code, the
 seed and a label.  Run it in two checkouts and ``diff`` the outputs to see
 which reports moved.  It imports obskit and the job list from the checkout
-that holds it, and writes its reports to a temporary directory.
+that holds it, and writes its reports to a temporary directory, or with
+``--keep DIR`` to ``DIR/seed-SEED/LABEL.json``, where they stay; compare two
+such directories with ``tools/report_diff.py``.
 """
 
 from __future__ import annotations
@@ -34,17 +36,23 @@ def _digest(report: bytes | None) -> str:
 
 
 def digest_lines(seed: int, outdir: Path) -> list[str]:
-    """One ``digest exit=… seed=… label`` line per report, in a fixed order."""
+    """One ``digest exit=… seed=… label`` line per report, in a fixed order.
+
+    The reports land in ``outdir/LABEL.json``: ``default/SCENARIO`` and
+    ``WORKLOAD/I-SCENARIO``.
+    """
     lines = []
+    (outdir / "default").mkdir(parents=True, exist_ok=True)
     for scenario in SCENARIOS:
-        out = outdir / f"default-{scenario}.json"
+        out = outdir / "default" / f"{scenario}.json"
         out.unlink(missing_ok=True)
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([scenario, "--out", str(out), "--seed", str(seed)])
         report = out.read_bytes() if out.is_file() else None
         lines.append(f"{_digest(report)}  exit={code} seed={seed} default/{scenario}")
     for workload in WORKLOADS:
-        _, results = run_pass(cli, workload_jobs(workload, "full"), outdir, seed)
+        (outdir / workload).mkdir(exist_ok=True)
+        _, results = run_pass(cli, workload_jobs(workload, "full"), outdir / workload, seed)
         for i, result in enumerate(results):
             label = f"{workload}/{i}-{result.job.scenario}"
             lines.append(f"{_digest(result.report)}  exit={result.exit_code} seed={seed} {label}")
@@ -54,10 +62,12 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", type=int, nargs="+", metavar="SEED")
+    parser.add_argument("--keep", type=Path, metavar="DIR", help="keep the reports under DIR")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="obskit-digests-") as tmp:
+    with contextlib.ExitStack() as stack:
+        root = args.keep or Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="obskit-digests-")))
         for seed in args.seeds:
-            for line in digest_lines(seed, Path(tmp)):
+            for line in digest_lines(seed, root / f"seed-{seed}"):
                 print(line, flush=True)
     return 0
 
