@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 from .spectral import PSD_RTOL, SpectralSystem
@@ -247,12 +247,18 @@ def build_square_system(n_max_eigenvalue: int, gamma: GammaSpec) -> SpectralSyst
 
 @dataclass(frozen=True)
 class ClusterRow:
-    """Per-cluster summary for the square: eigenvalue N and Gram minima."""
+    """Per-cluster summary for the square: eigenvalue N and Gram minimum μ_N."""
 
     N: int
     size: int
     mu: float
     n_mu: float
+
+
+@dataclass(frozen=True)
+class WeightedClusterRow(ClusterRow):
+    """A cluster row with the smallest generalized eigenvalue of (G_N, diag(q²/N))."""
+
     generalized_min: float
 
 
@@ -264,30 +270,26 @@ class DeltaGammaReport:
     generalized eigenvalue of (G_N, diag(q²/N)) per cluster.
     """
 
-    rows: list[ClusterRow]
+    rows: list[WeightedClusterRow]
 
     @property
     def min_generalized(self) -> float:
         return min(row.generalized_min for row in self.rows)
 
 
-def _cluster_rows(gamma: GammaSpec, n_max_eigenvalue: int) -> list[ClusterRow]:
-    """One row per lattice circle; each circle is a contiguous run of modes."""
+def _clusters(
+    gamma: GammaSpec, n_max_eigenvalue: int
+) -> Iterator[tuple[ClusterRow, np.ndarray, list[SquareMode]]]:
+    """Each lattice circle's row, Gram block and modes; a circle is a contiguous run of modes."""
     modes = square_modes(n_max_eigenvalue)
     factor = gram_factor(modes, gamma)[0]
     eigenvalues = np.array([m.eigenvalue for m in modes])
     starts = np.flatnonzero(np.diff(eigenvalues, prepend=0))
-    rows = []
     for lo, hi in zip(starts, [*starts[1:], len(modes)]):
         N = int(eigenvalues[lo])
         gram = factor[lo:hi] @ factor[lo:hi].T
         mu = float(np.linalg.eigvalsh(gram)[0])
-        weights = np.diag([m.q * m.q / float(N) for m in modes[lo:hi]])
-        gen = float(
-            scipy.linalg.eigh(gram, weights, eigvals_only=True, subset_by_index=(0, 0))[0]
-        )
-        rows.append(ClusterRow(N=N, size=int(hi - lo), mu=mu, n_mu=N * mu, generalized_min=gen))
-    return rows
+        yield ClusterRow(N=N, size=int(hi - lo), mu=mu, n_mu=N * mu), gram, modes[lo:hi]
 
 
 def delta_gamma_fit(gamma: GammaSpec, n_max_eigenvalue: int) -> tuple[float, DeltaGammaReport]:
@@ -298,9 +300,17 @@ def delta_gamma_fit(gamma: GammaSpec, n_max_eigenvalue: int) -> tuple[float, Del
     minimum of (G_N, diag(q²/N)) so the q-weighted restatement can be
     examined side by side.
     """
+    import scipy.linalg
+
     if len(gamma.sides()) != 1:
         raise DomainError("delta_gamma_fit requires all patches on a single side")
-    rows = _cluster_rows(gamma, n_max_eigenvalue)
+    rows = []
+    for row, gram, circle in _clusters(gamma, n_max_eigenvalue):
+        weights = np.diag([m.q * m.q / float(row.N) for m in circle])
+        gen = float(
+            scipy.linalg.eigh(gram, weights, eigvals_only=True, subset_by_index=(0, 0))[0]
+        )
+        rows.append(WeightedClusterRow(row.N, row.size, row.mu, row.n_mu, generalized_min=gen))
     if not rows:
         raise DomainError("no nonempty cluster at or below the requested eigenvalue")
     delta_hat = min(row.n_mu for row in rows)
@@ -324,7 +334,7 @@ def assumption_I_check(n_max_eigenvalue: int) -> AssumptionReport:
     = 2/π, the frequency-independent lower bound of exact observability;
     the report carries the numerically confirmed deviations.
     """
-    rows = _cluster_rows(bottom_and_left(), n_max_eigenvalue)
+    rows = [row for row, _, _ in _clusters(bottom_and_left(), n_max_eigenvalue)]
     reference = 2.0 / math.pi
     min_mu = min(row.mu for row in rows)
     max_dev = max(abs(row.mu - reference) for row in rows)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError
@@ -79,6 +78,8 @@ def chi_hat(tau):
 
 def chi_hat_by_quadrature(tau: float) -> float:
     """Quadrature oracle for χ̂: 2∫₀¹(1−s)e^{−2s}cos(τs)ds (oscillatory rule)."""
+    from scipy.integrate import quad
+
     value, _ = quad(
         lambda s: 2.0 * (1.0 - s) * math.exp(-2.0 * s),
         0.0,
@@ -190,6 +191,8 @@ class PlancherelReport:
 
 def _chi_hat_sq_right_tail(x: float) -> float:
     """∫_x^∞ χ̂(u)² du for any real x."""
+    from scipy.integrate import quad
+
     if x <= 0.0:
         left, _ = quad(lambda u: chi_hat(u) ** 2, x, 0.0, epsabs=1e-12, epsrel=1e-10, limit=2000)
         return left + math.pi * CHI_L2_NORM_SQ  # ∫₀^∞ χ̂² = π‖χ‖² (Plancherel)

@@ -412,6 +412,23 @@ class TestGramFactor:
         assert "gram" not in vars(sys_)
         assert orders and max(orders) == math.isqrt(2000 - 1)
 
+    def test_weighted_solves_are_seen_through_scipy_linalg_eigh(self, monkeypatch):
+        # The eigensolve counters patch scipy.linalg.eigh; a solver bound by
+        # ``from scipy.linalg import eigh`` would escape them.
+        orders = []
+        solver = scipy.linalg.eigh
+
+        def recording(a, b, **kwargs):
+            orders.append(np.shape(a)[0])
+            return solver(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        _, report = delta_gamma_fit(full_bottom(), 200)
+        assert orders == [row.size for row in report.rows] and max(orders) > 1
+        orders.clear()
+        assumption_I_check(200)
+        assert orders == []
+
 
 class TestBuildSquareSystem:
     def test_smallest_system(self):
