@@ -31,7 +31,7 @@ from .evolution import (
 )
 from .report import ReportBundle, Table, Verdict
 from .spectral import _moments, frequency
-from .square import assumption_I_check, bottom_and_left, build_square_system, delta_gamma_fit
+from .square import assumption_I_check, delta_gamma_fit
 from .window import (
     C0,
     C0_PRIME,
@@ -326,8 +326,8 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
 
 def run_assumption_i(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
-    n_max = cfg.system["n_max_eigenvalue"]
-    report = assumption_I_check(n_max)
+    system = system_of(cfg)
+    report = assumption_I_check(system)
     bundle.constants["reference"] = report.reference
     bundle.constants["min_cluster_eigenvalue"] = report.min_mu
     bundle.constants["max_abs_deviation"] = report.max_abs_deviation
@@ -335,7 +335,10 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
         Table(
             name="clusters",
             columns=["N", "size", "mu", "deviation_from_reference"],
-            rows=[[row.N, row.size, row.mu, row.mu - report.reference] for row in report.rows],
+            rows=[
+                [int(row.center), row.size, row.min_eig, row.min_eig - report.reference]
+                for row in report.rows
+            ],
         )
     )
     bundle.verdicts.append(
@@ -345,7 +348,6 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
             f"max |mu - 2/pi| = {report.max_abs_deviation:.3e} over {len(report.rows)} clusters",
         )
     )
-    system = build_square_system(n_max, bottom_and_left())
     scan = coercivity_scan(system, cfg.epsilon_cluster)
     envelope = fit_psi_envelope(scan)
     bundle.constants["envelope_c"] = envelope.c
@@ -362,9 +364,8 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
 
 def run_assumption_ii_iii(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
-    gamma = gamma_spec_of(cfg.system)
-    n_max = cfg.system["n_max_eigenvalue"]
-    delta_hat, report = delta_gamma_fit(gamma, n_max)
+    system = system_of(cfg)
+    delta_hat, report = delta_gamma_fit(system, gamma_spec_of(cfg.system))
     bundle.constants["delta_hat"] = delta_hat
     bundle.constants["min_generalized"] = report.min_generalized
     bundle.tables.append(
@@ -372,8 +373,8 @@ def run_assumption_ii_iii(cfg: RunConfig) -> ReportBundle:
             name="clusters",
             columns=["N", "size", "mu", "n_times_mu", "generalized_min"],
             rows=[
-                [row.N, row.size, row.mu, row.n_mu, row.generalized_min]
-                for row in report.rows
+                [int(row.center), row.size, row.min_eig, row.center * row.min_eig, gen]
+                for row, gen in zip(report.rows, report.generalized)
             ],
         )
     )
@@ -392,7 +393,6 @@ def run_assumption_ii_iii(cfg: RunConfig) -> ReportBundle:
         )
     )
 
-    system = build_square_system(n_max, gamma)
     grid = admissibility_breakpoints(system, cfg.epsilon_cluster)
     m_sq = estimate_admissibility(system, cfg.epsilon_cluster, grid)
     m = math.sqrt(m_sq)

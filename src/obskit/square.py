@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .coercivity import ClusterReport, coercivity_scan
 from .errors import DomainError
 from .spectral import PSD_RTOL, SpectralSystem
 
@@ -189,11 +189,17 @@ def _sine_product_matrix(freq: np.ndarray, alpha: float, beta: float) -> np.ndar
     return np.where(s * h <= 0.5, h * series * (-1.0) ** (s * mirror), gram)
 
 
+def _trace_indices(modes: list[SquareMode], side: Side) -> tuple[np.ndarray, np.ndarray]:
+    """(frequency index, amplitude index) of each trace on a side: (p, q) on
+    the bottom and top, (q, p) on the left and right."""
+    p, q = np.array([(m.p, m.q) for m in modes], dtype=int).reshape(-1, 2).T
+    return (p, q) if side in (Side.BOTTOM, Side.TOP) else (q, p)
+
+
 def _trace_data(modes: list[SquareMode], side: Side) -> tuple[np.ndarray, np.ndarray]:
     """(oscillation frequency, amplitude times parity sign) of each trace on a side."""
-    p, q = np.array([(m.p, m.q) for m in modes], dtype=int).reshape(-1, 2).T
-    freq, other = (p, q) if side in (Side.BOTTOM, Side.TOP) else (q, p)
-    amp = (2.0 / math.pi) * other / np.sqrt((p * p + q * q).astype(float))
+    freq, other = _trace_indices(modes, side)
+    amp = (2.0 / math.pi) * other / np.sqrt((freq * freq + other * other).astype(float))
     return freq, (amp * (-1.0) ** other if side in (Side.TOP, Side.RIGHT) else amp)
 
 
@@ -213,7 +219,9 @@ def gram_factor(modes: list[SquareMode], gamma: GammaSpec) -> tuple[np.ndarray, 
         distinct, gather = np.unique(freq, return_inverse=True)
         w, v = np.linalg.eigh(_sine_product_matrix(distinct, patch.alpha, patch.beta))
         lo, hi = w.min(initial=0.0), w.max(initial=0.0)
-        if lo < -PSD_RTOL * hi:
+        # For a subnormal S the relative rule underflows to lo < −0, while
+        # eigh's rounding there is a few smallest subnormals per entry.
+        if lo < -max(PSD_RTOL * hi, distinct.size * np.finfo(float).smallest_subnormal):
             raise DomainError(
                 f"sine-product matrix on ({patch.alpha}, {patch.beta}) is not positive "
                 f"semidefinite: min eigenvalue {lo:.3e} vs max {hi:.3e}"
@@ -245,99 +253,78 @@ def build_square_system(n_max_eigenvalue: int, gamma: GammaSpec) -> SpectralSyst
     )
 
 
-@dataclass(frozen=True)
-class ClusterRow:
-    """Per-cluster summary for the square: eigenvalue N and Gram minimum μ_N."""
-
-    N: int
-    size: int
-    mu: float
-    n_mu: float
-
-
-@dataclass(frozen=True)
-class WeightedClusterRow(ClusterRow):
-    """A cluster row with the smallest generalized eigenvalue of (G_N, diag(q²/N))."""
-
-    generalized_min: float
+# Square eigenvalues are integers, so a cluster narrower than 1 about one of
+# them holds exactly one lattice circle.
+CIRCLE_WIDTH = 0.5
 
 
 @dataclass(frozen=True)
 class DeltaGammaReport:
     """Scan of N·μ_N over lattice circles for a single-side Γ.
 
-    One row per nonempty cluster; ``generalized_min`` carries the smallest
-    generalized eigenvalue of (G_N, diag(q²/N)) per cluster.
+    ``rows`` is the scan at ``CIRCLE_WIDTH``, one lattice circle per report
+    (center N, minimum μ_N); ``generalized`` holds, circle by circle, the
+    smallest generalized eigenvalue of (G_N, diag(k²/N)), k the index of
+    the trace amplitude.
     """
 
-    rows: list[WeightedClusterRow]
+    rows: list[ClusterReport]
+    generalized: list[float]
 
     @property
     def min_generalized(self) -> float:
-        return min(row.generalized_min for row in self.rows)
+        return min(self.generalized)
 
 
-def _clusters(
-    gamma: GammaSpec, n_max_eigenvalue: int
-) -> Iterator[tuple[ClusterRow, np.ndarray, list[SquareMode]]]:
-    """Each lattice circle's row, Gram block and modes; a circle is a contiguous run of modes."""
-    modes = square_modes(n_max_eigenvalue)
-    factor = gram_factor(modes, gamma)[0]
-    eigenvalues = np.array([m.eigenvalue for m in modes])
-    starts = np.flatnonzero(np.diff(eigenvalues, prepend=0))
-    for lo, hi in zip(starts, [*starts[1:], len(modes)]):
-        N = int(eigenvalues[lo])
-        gram = factor[lo:hi] @ factor[lo:hi].T
-        mu = float(np.linalg.eigvalsh(gram)[0])
-        yield ClusterRow(N=N, size=int(hi - lo), mu=mu, n_mu=N * mu), gram, modes[lo:hi]
-
-
-def delta_gamma_fit(gamma: GammaSpec, n_max_eigenvalue: int) -> tuple[float, DeltaGammaReport]:
+def delta_gamma_fit(system: SpectralSystem, gamma: GammaSpec) -> tuple[float, DeltaGammaReport]:
     """Fit the 1/λ coercivity constant δ̂ = min_N N·μ_N for a one-side Γ.
 
-    Returns (δ̂, full report).  δ̂ > 0 is reported, never asserted to a
-    specific value; the report also carries each cluster's generalized
-    minimum of (G_N, diag(q²/N)) so the q-weighted restatement can be
-    examined side by side.
+    ``system`` is ``build_square_system(n_max, gamma)``.  Returns (δ̂, full
+    report).  δ̂ > 0 is reported, never asserted to a specific value; the
+    report also carries each circle's generalized minimum of
+    (G_N, diag(k²/N)), k = q on the bottom and top and p on the left and
+    right, so the weighted restatement can be examined side by side.
     """
     import scipy.linalg
 
     if len(gamma.sides()) != 1:
         raise DomainError("delta_gamma_fit requires all patches on a single side")
-    rows = []
-    for row, gram, circle in _clusters(gamma, n_max_eigenvalue):
-        weights = np.diag([m.q * m.q / float(row.N) for m in circle])
-        gen = float(
-            scipy.linalg.eigh(gram, weights, eigvals_only=True, subset_by_index=(0, 0))[0]
-        )
-        rows.append(WeightedClusterRow(row.N, row.size, row.mu, row.n_mu, generalized_min=gen))
-    if not rows:
-        raise DomainError("no nonempty cluster at or below the requested eigenvalue")
-    delta_hat = min(row.n_mu for row in rows)
-    return delta_hat, DeltaGammaReport(rows=rows)
+    side = gamma.patches[0].side
+    rows = coercivity_scan(system, CIRCLE_WIDTH)
+    # The system's modes are square_modes(n_max): exactly the modes up to its λ_max.
+    k_all = _trace_indices(square_modes(int(system.lambda_max)), side)[1]
+    generalized = []
+    for row in rows:
+        k = k_all[row.indices]
+        block, weights = system.gram_block(row.indices), np.diag(k * k / row.center)
+        gen = scipy.linalg.eigh(block, weights, eigvals_only=True, subset_by_index=(0, 0))
+        generalized.append(float(gen[0]))
+    delta_hat = min(row.center * row.min_eig for row in rows)
+    return delta_hat, DeltaGammaReport(rows=rows, generalized=generalized)
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Cluster minima for the two-full-touching-sides observation."""
+    """Circle minima for the two-full-touching-sides observation."""
 
-    rows: list[ClusterRow]
+    rows: list[ClusterReport]
     min_mu: float
     max_abs_deviation: float
     reference: float
 
 
-def assumption_I_check(n_max_eigenvalue: int) -> AssumptionReport:
-    """Scan Γ = full bottom ∪ full left: every cluster minimum is 2/π.
+def assumption_I_check(system: SpectralSystem) -> AssumptionReport:
+    """Scan Γ = full bottom ∪ full left: every circle minimum is 2/π.
 
-    The cluster Gram is diagonal with constant entries 2q²/(πN) + 2p²/(πN)
+    ``system`` is ``build_square_system(n_max, bottom_and_left())``.  The
+    circle Gram is diagonal with constant entries 2q²/(πN) + 2p²/(πN)
     = 2/π, the frequency-independent lower bound of exact observability;
     the report carries the numerically confirmed deviations.
     """
-    rows = [row for row, _, _ in _clusters(bottom_and_left(), n_max_eigenvalue)]
+    rows = coercivity_scan(system, CIRCLE_WIDTH)
     reference = 2.0 / math.pi
-    min_mu = min(row.mu for row in rows)
-    max_dev = max(abs(row.mu - reference) for row in rows)
+    min_mu = min(row.min_eig for row in rows)
+    max_dev = max(abs(row.min_eig - reference) for row in rows)
     return AssumptionReport(
         rows=rows, min_mu=min_mu, max_abs_deviation=max_dev, reference=reference
     )

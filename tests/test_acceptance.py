@@ -296,8 +296,8 @@ def test_09_lattice_circles_vs_double_loop():
 
 
 def test_10_two_full_sides_constant_minima():
-    report = assumption_I_check(2000)
     sys_ = build_square_system(2000, bottom_and_left())
+    report = assumption_I_check(sys_)
     envelope = fit_psi_envelope(coercivity_scan(sys_, 0.5))
     ok = (
         report.max_abs_deviation <= 1e-10
@@ -313,9 +313,10 @@ def test_10_two_full_sides_constant_minima():
 
 
 def test_11_one_full_side_decay_constant():
-    delta_hat, report = delta_gamma_fit(full_bottom(), 5000)
+    delta_hat, report = delta_gamma_fit(build_square_system(5000, full_bottom()), full_bottom())
     worst = max(
-        abs(row.n_mu - bottom_side_closed_form_n_mu(row.N)) for row in report.rows
+        abs(row.center * row.min_eig - bottom_side_closed_form_n_mu(int(row.center)))
+        for row in report.rows
     )
     ok = worst <= 1e-10 and delta_hat > 0.0 and abs(delta_hat - 2.0 / math.pi) <= 1e-10
     check(
@@ -329,7 +330,7 @@ def test_11_one_full_side_decay_constant():
 def test_12_sub_patch_decay_and_weighted_restatement():
     gamma = GammaSpec((BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0),))
     start = time.perf_counter()
-    delta_hat, report = delta_gamma_fit(gamma, 500)
+    delta_hat, report = delta_gamma_fit(build_square_system(500, gamma), gamma)
     elapsed = time.perf_counter() - start
     min_gen = report.min_generalized
     ok = delta_hat > 0.0 and min_gen >= delta_hat - 1e-12 and elapsed < 60.0

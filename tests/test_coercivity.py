@@ -41,7 +41,6 @@ def make_report(center, min_eig):
         epsilon=0.5,
         indices=np.array([0]),
         min_eig=min_eig,
-        min_vec=np.array([1.0 + 0j]),
     )
 
 

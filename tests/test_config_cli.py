@@ -504,4 +504,5 @@ class TestWorkers:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert len(coercivity_scan(build_square_system(300, full_bottom()), 0.5)) == 101
-        assert len(delta_gamma_fit(full_bottom(), 200)[1].rows) == 68
+        bottom = build_square_system(200, full_bottom())
+        assert len(delta_gamma_fit(bottom, full_bottom())[1].rows) == 68

@@ -1,13 +1,14 @@
 """Square-domain modes, boundary Gram matrices, and decay-constant fits."""
 
 import functools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -25,6 +26,8 @@ from obskit import (
     delta_gamma_fit,
     full_bottom,
     lattice_circle,
+    load_config,
+    run_scenario,
     sine_product_integral,
     square_modes,
 )
@@ -339,16 +342,27 @@ BOUND = st.one_of(
 )
 
 
+def draw_patches(draw, side, count):
+    """``count`` disjoint patches on one side."""
+    bounds = sorted(draw(st.lists(BOUND, min_size=2 * count, max_size=2 * count, unique=True)))
+    return [BoundaryPatch(side, a, b) for a, b in zip(bounds[::2], bounds[1::2])]
+
+
 @st.composite
 def gammas(draw):
     """1–4 patches on mixed sides, pairwise disjoint within each side."""
     sides = draw(st.lists(st.sampled_from(list(Side)), min_size=1, max_size=4))
     patches = []
     for side in set(sides):
-        count = sides.count(side)
-        bounds = sorted(draw(st.lists(BOUND, min_size=2 * count, max_size=2 * count, unique=True)))
-        patches += [BoundaryPatch(side, a, b) for a, b in zip(bounds[::2], bounds[1::2])]
+        patches += draw_patches(draw, side, sides.count(side))
     return GammaSpec(tuple(patches))
+
+
+@st.composite
+def one_side_gammas(draw):
+    """1–3 disjoint patches, all on one side."""
+    side = draw(st.sampled_from(list(Side)))
+    return GammaSpec(tuple(draw_patches(draw, side, draw(st.integers(1, 3)))))
 
 
 def dense_gram_oracle(modes, gamma):
@@ -375,6 +389,16 @@ def dense_gram_oracle(modes, gamma):
 class TestGramFactor:
     @settings(max_examples=100)
     @given(gamma=gammas(), n_max=st.integers(2, 120))
+    # A patch this short has a subnormal sine-product matrix.
+    @example(
+        gamma=GammaSpec(
+            (
+                BoundaryPatch(Side.BOTTOM, 0.0, 2.464320837304728e-106),
+                BoundaryPatch(Side.BOTTOM, math.pi / 12.0, 1.0),
+            )
+        ),
+        n_max=17,
+    )
     def test_matches_scalar_oracle(self, gamma, n_max):
         modes = square_modes(n_max)
         factor, error = gram_factor(modes, gamma)
@@ -409,7 +433,10 @@ class TestGramFactor:
         sys_ = build_square_system(2000, bottom_and_left())
         reports = coercivity_scan(sys_, 0.5)
         assert sys_.size == 1529 and len(reports) == 591
-        assert "gram" not in vars(sys_)
+        assert len(assumption_I_check(sys_).rows) == 591
+        bottom = build_square_system(2000, full_bottom())
+        assert len(delta_gamma_fit(bottom, full_bottom())[1].rows) == 591
+        assert "gram" not in vars(sys_) and "gram" not in vars(bottom)
         assert orders and max(orders) == math.isqrt(2000 - 1)
 
     def test_weighted_solves_are_seen_through_scipy_linalg_eigh(self, monkeypatch):
@@ -423,10 +450,10 @@ class TestGramFactor:
             return solver(a, b, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh", recording)
-        _, report = delta_gamma_fit(full_bottom(), 200)
+        _, report = delta_gamma_fit(build_square_system(200, full_bottom()), full_bottom())
         assert orders == [row.size for row in report.rows] and max(orders) > 1
         orders.clear()
-        assumption_I_check(200)
+        assumption_I_check(build_square_system(200, bottom_and_left()))
         assert orders == []
 
 
@@ -444,13 +471,13 @@ class TestBuildSquareSystem:
 
 class TestDecayFit:
     def test_full_bottom_closed_form_rows(self):
-        delta_hat, report = delta_gamma_fit(full_bottom(), 200)
+        delta_hat, report = delta_gamma_fit(build_square_system(200, full_bottom()), full_bottom())
         assert delta_hat == pytest.approx(TWO_OVER_PI, abs=1e-10)
         for row in report.rows:
-            assert row.n_mu == pytest.approx(
-                bottom_side_closed_form_n_mu(row.N), abs=1e-10
+            assert row.center * row.min_eig == pytest.approx(
+                bottom_side_closed_form_n_mu(int(row.center)), abs=1e-10
             )
-        assert [row.N for row in report.rows] == sorted(row.N for row in report.rows)
+        assert [row.center for row in report.rows] == sorted(row.center for row in report.rows)
 
     def test_closed_form_values(self):
         assert bottom_side_closed_form_n_mu(50) == pytest.approx(TWO_OVER_PI)
@@ -460,11 +487,27 @@ class TestDecayFit:
 
     def test_requires_single_side(self):
         with pytest.raises(DomainError, match="single side"):
-            delta_gamma_fit(bottom_and_left(), 100)
+            delta_gamma_fit(build_square_system(100, bottom_and_left()), bottom_and_left())
 
     def test_rejects_small_bound(self):
         with pytest.raises(DomainError):
-            delta_gamma_fit(full_bottom(), 1)
+            delta_gamma_fit(build_square_system(1, full_bottom()), full_bottom())
+
+    def test_left_and_right_sides_match_bottom_and_top(self):
+        bundles = {}
+        for side in Side:
+            doc = {
+                "scenario": "assumption-ii-iii",
+                "system": {"type": "square", "n_max_eigenvalue": 200, "gamma": [{"side": side.value}]},
+            }
+            bundles[side] = run_scenario(load_config(json.dumps(doc)))
+        for side, mirror in ((Side.LEFT, Side.BOTTOM), (Side.RIGHT, Side.TOP)):
+            got, want = bundles[side], bundles[mirror]
+            assert [v.name for v in got.verdicts] == ["decay-constant-positive", "q-weighted-restatement"]
+            assert all(v.passed for v in got.verdicts + want.verdicts)
+            for name in ("delta_hat", "min_generalized"):
+                assert got.constants[name] == pytest.approx(want.constants[name], rel=1e-14)
+            np.testing.assert_allclose(got.tables[0].rows, want.tables[0].rows, rtol=1e-13)
 
     def test_patch_weighted_restatement_bounds_scanned_constant(self):
         # For a strict sub-patch of one side the per-cluster minimum of the
@@ -472,23 +515,38 @@ class TestDecayFit:
         # decay constant from above cluster by cluster; the weighted minima
         # measured here drop far below the scanned constant instead.
         gamma = GammaSpec((BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0),))
-        delta_hat, report = delta_gamma_fit(gamma, 500)
+        delta_hat, report = delta_gamma_fit(build_square_system(500, gamma), gamma)
         assert delta_hat > 0.0
         assert report.min_generalized >= delta_hat - 1e-12
 
 
+class TestOneCircleScan:
+    @settings(max_examples=50)
+    @given(gamma=one_side_gammas(), n_max=st.integers(2, 120))
+    def test_delta_gamma_rows_are_lattice_circles(self, gamma, n_max):
+        modes = square_modes(n_max)
+        _, report = delta_gamma_fit(build_square_system(n_max, gamma), gamma)
+        assert [row.center for row in report.rows] == sorted({m.eigenvalue for m in modes})
+        oracle = dense_gram_oracle(modes, gamma)
+        scale = np.abs(oracle).max()
+        for row in report.rows:
+            assert row.size == len(lattice_circle(int(row.center)))
+            block = oracle[np.ix_(row.indices, row.indices)]
+            assert abs(row.min_eig - np.linalg.eigvalsh(block)[0]) <= 1e-13 * scale
+
+
 class TestTwoSidesScan:
     def test_every_cluster_minimum_is_constant(self):
-        report = assumption_I_check(200)
+        report = assumption_I_check(build_square_system(200, bottom_and_left()))
         assert report.reference == pytest.approx(TWO_OVER_PI, rel=1e-15)
         assert report.max_abs_deviation <= 1e-10
         assert report.min_mu == pytest.approx(TWO_OVER_PI, abs=1e-10)
 
     def test_single_mode_circle_arithmetic(self):
-        report = assumption_I_check(2)
+        report = assumption_I_check(build_square_system(2, bottom_and_left()))
         assert len(report.rows) == 1
         row = report.rows[0]
-        assert row.N == 2
+        assert row.center == 2
         assert row.size == 1
-        assert row.mu == pytest.approx(TWO_OVER_PI, abs=1e-14)
-        assert row.n_mu == pytest.approx(2.0 * TWO_OVER_PI, abs=1e-13)
+        assert row.min_eig == pytest.approx(TWO_OVER_PI, abs=1e-14)
+        assert row.center * row.min_eig == pytest.approx(2.0 * TWO_OVER_PI, abs=1e-13)
