@@ -283,10 +283,10 @@ def delta_gamma_fit(system: SpectralSystem, gamma: GammaSpec) -> tuple[float, De
     report).  δ̂ > 0 is reported, never asserted to a specific value; the
     report also carries each circle's generalized minimum of
     (G_N, diag(k²/N)), k = q on the bottom and top and p on the left and
-    right, so the weighted restatement can be examined side by side.
+    right, so the weighted restatement can be examined side by side.  The
+    weight is diagonal, so that minimum is the least eigenvalue of r·G_N·r,
+    r = √N/k.
     """
-    import scipy.linalg
-
     if len(gamma.sides()) != 1:
         raise DomainError("delta_gamma_fit requires all patches on a single side")
     side = gamma.patches[0].side
@@ -295,10 +295,8 @@ def delta_gamma_fit(system: SpectralSystem, gamma: GammaSpec) -> tuple[float, De
     k_all = _trace_indices(square_modes(int(system.lambda_max)), side)[1]
     generalized = []
     for row in rows:
-        k = k_all[row.indices]
-        block, weights = system.gram_block(row.indices), np.diag(k * k / row.center)
-        gen = scipy.linalg.eigh(block, weights, eigvals_only=True, subset_by_index=(0, 0))
-        generalized.append(float(gen[0]))
+        r = math.sqrt(row.center) / k_all[row.indices]
+        generalized.append(float(np.linalg.eigvalsh(r[:, None] * system.gram_block(row.indices) * r)[0]))
     delta_hat = min(row.center * row.min_eig for row in rows)
     return delta_hat, DeltaGammaReport(rows=rows, generalized=generalized)
 

@@ -5,7 +5,8 @@ transform χ̂(τ) = ∫χ(s)e^{−iτs}ds has the closed form
 
     χ̂(τ) = 2·Re[ 1/w − (1 − e^{−w})/w² ],   w = 2 + iτ,
 
-which is validated against an adaptive-quadrature oracle.  The window is
+which ``chi_hat_real_form`` restates in real arithmetic; adaptive
+quadrature is the test oracle for both.  The window is
 fixed, so its norms and the frequency-localization constants c₀, c₀′, θ₀,
 θ₁ (both variants) and θ₂ are module constants in closed form.  Also here:
 the windowed frequency of an evolved state, the minimal observation time
@@ -76,21 +77,13 @@ def chi_hat(tau):
     return 2.0 * (1.0 / w - (1.0 - np.exp(-w)) / (w * w)).real
 
 
-def chi_hat_by_quadrature(tau: float) -> float:
-    """Quadrature oracle for χ̂: 2∫₀¹(1−s)e^{−2s}cos(τs)ds (oscillatory rule)."""
-    from scipy.integrate import quad
-
-    value, _ = quad(
-        lambda s: 2.0 * (1.0 - s) * math.exp(-2.0 * s),
-        0.0,
-        1.0,
-        weight="cos",
-        wvar=float(tau),
-        epsabs=1.0e-13,
-        epsrel=1.0e-13,
-        limit=400,
-    )
-    return value
+def chi_hat_real_form(tau):
+    """χ̂ as 2[4 + 3τ² + e⁻²((4−τ²)cos τ − 4τ sin τ)]/(4+τ²)², in real arithmetic."""
+    t = np.asarray(tau, dtype=float)
+    x = t * t
+    trig = (4.0 - x) * np.cos(t) - 4.0 * t * np.sin(t)
+    out = 2.0 * (4.0 + 3.0 * x + math.exp(-2.0) * trig) / (4.0 + x) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 def default_tau_grid() -> np.ndarray:

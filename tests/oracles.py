@@ -1,5 +1,5 @@
-"""Test oracles: the trajectory point, the time quadrature of the observed energy
-and the closed-form cluster minima of the full bottom side."""
+"""Test oracles: the window transform and the observed energy by quadrature, the
+trajectory point and the closed-form cluster minima of the full bottom side."""
 
 import math
 
@@ -9,6 +9,21 @@ from scipy.integrate import quad
 from obskit import DomainError, SpectralSystem, StateVector
 from obskit.spectral import coefficients_of
 from obskit.square import lattice_circle
+
+
+def chi_hat_by_quadrature(tau: float) -> float:
+    """Quadrature oracle for χ̂: 2∫₀¹(1−s)e^{−2s}cos(τs)ds (oscillatory rule)."""
+    value, _ = quad(
+        lambda s: 2.0 * (1.0 - s) * math.exp(-2.0 * s),
+        0.0,
+        1.0,
+        weight="cos",
+        wvar=float(tau),
+        epsabs=1.0e-13,
+        epsrel=1.0e-13,
+        limit=400,
+    )
+    return value
 
 
 def evolve(z0, system: SpectralSystem, t: float) -> StateVector:

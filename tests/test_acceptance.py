@@ -29,7 +29,6 @@ from obskit import (
     bottom_and_left,
     build_square_system,
     chi_hat,
-    chi_hat_by_quadrature,
     coercivity_scan,
     default_tau_grid,
     delta_gamma_fit,
@@ -54,7 +53,7 @@ from obskit import (
 )
 from obskit.window import C0, C0_PRIME, KAPPA1, KAPPA2, THETA0, THETA1, THETA1_SUP_DERIV
 
-from oracles import bottom_side_closed_form_n_mu, evolve
+from oracles import bottom_side_closed_form_n_mu, chi_hat_by_quadrature, evolve
 
 
 def check(name: str, ok: bool, detail: str) -> None:

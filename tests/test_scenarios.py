@@ -1,7 +1,10 @@
 """The per-trial scenarios do their shared work once per run, not once per trial."""
 
-from obskit import evolution, scenarios
+import dataclasses
+
+from obskit import evolution, scenarios, square
 from obskit.cli import main
+from obskit.config import default_config
 
 
 def run_counting(monkeypatch, tmp_path, capsys, scenario, module, name):
@@ -28,3 +31,21 @@ def test_weak_observability_solves_every_trial_at_once(monkeypatch, tmp_path, ca
         monkeypatch, tmp_path, capsys, "weak-observability", scenarios, "solve_observation_time"
     )
     assert 1 <= calls <= 2
+
+
+def test_assumption_i_scans_once_at_the_circle_width(monkeypatch):
+    widths = []
+
+    def recording(scan):
+        def wrapped(system, epsilon):
+            widths.append(epsilon)
+            return scan(system, epsilon)
+
+        return wrapped
+
+    for module in (scenarios, square):
+        monkeypatch.setattr(module, "coercivity_scan", recording(module.coercivity_scan))
+    for width, scanned in ((0.5, [0.5]), (2.0, [0.5, 2.0])):
+        widths.clear()
+        scenarios.run_scenario(dataclasses.replace(default_config("assumption-i"), epsilon_cluster=width))
+        assert widths == scanned

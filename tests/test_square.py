@@ -439,17 +439,17 @@ class TestGramFactor:
         assert "gram" not in vars(sys_) and "gram" not in vars(bottom)
         assert orders and max(orders) == math.isqrt(2000 - 1)
 
-    def test_weighted_solves_are_seen_through_scipy_linalg_eigh(self, monkeypatch):
-        # The eigensolve counters patch scipy.linalg.eigh; a solver bound by
-        # ``from scipy.linalg import eigh`` would escape them.
+    def test_weighted_solves_are_seen_through_numpy_linalg(self, monkeypatch):
+        # The eigensolve counters patch numpy.linalg's attributes; a solver
+        # bound by ``from numpy.linalg import eigvalsh`` would escape them.
         orders = []
-        solver = scipy.linalg.eigh
+        solver = np.linalg.eigvalsh
 
-        def recording(a, b, **kwargs):
+        def recording(a, *args, **kwargs):
             orders.append(np.shape(a)[0])
-            return solver(a, b, **kwargs)
+            return solver(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         _, report = delta_gamma_fit(build_square_system(200, full_bottom()), full_bottom())
         assert orders == [row.size for row in report.rows] and max(orders) > 1
         orders.clear()
@@ -533,6 +533,20 @@ class TestOneCircleScan:
             assert row.size == len(lattice_circle(int(row.center)))
             block = oracle[np.ix_(row.indices, row.indices)]
             assert abs(row.min_eig - np.linalg.eigvalsh(block)[0]) <= 1e-13 * scale
+
+    @settings(max_examples=30)
+    @given(gamma=one_side_gammas(), n_max=st.integers(2, 120))
+    def test_generalized_minima_match_the_weighted_eigensolve(self, gamma, n_max):
+        system = build_square_system(n_max, gamma)
+        _, report = delta_gamma_fit(system, gamma)
+        by_row = gamma.patches[0].side in (Side.BOTTOM, Side.TOP)
+        k_all = np.array([m.q if by_row else m.p for m in square_modes(n_max)])
+        for row, gen in zip(report.rows, report.generalized):
+            block, k = system.gram_block(row.indices), k_all[row.indices]
+            weights = np.diag(k * k / row.center)
+            oracle = scipy.linalg.eigh(block, weights, eigvals_only=True, subset_by_index=(0, 0))[0]
+            scale = np.abs(block).max() * row.center / float(k.min()) ** 2
+            assert abs(gen - oracle) <= 1e-13 * scale
 
 
 class TestTwoSidesScan:

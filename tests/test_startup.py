@@ -1,4 +1,4 @@
-"""Start-up: a CLI call loads scipy only in the scenarios that use it.
+"""Start-up: no scenario loads scipy; only the library's Plancherel check does.
 
 Each check runs in a fresh interpreter, since this suite's own process has
 scipy loaded by other test modules.
@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import obskit
+from obskit.config import SCENARIOS
 
 SRC = str(Path(obskit.__file__).resolve().parent.parent)
 
@@ -39,39 +40,40 @@ def run_fresh(script: str, tmp_path) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_import_config_and_three_scenarios_load_no_scipy(tmp_path):
+def test_import_config_and_every_default_scenario_load_no_scipy(tmp_path):
     seen = run_fresh(
         """
 import obskit, obskit.cli
+from obskit.config import SCENARIOS
 obskit.load_config('{"scenario": "weak-observability", "system": {"type": "square", '
                    '"n_max_eigenvalue": 50, "gamma": [{"side": "bottom", "alpha": "pi/4", "beta": "pi/2"}]}}')
-seen = {"import": scipy_modules(), "codes": []}
-for scenario in ("weak-observability", "resolvent-scan", "admissibility"):
-    seen["codes"].append(run([scenario, "--trials", "5", "--out", scenario + ".json"]))
-    seen[scenario] = scipy_modules()
+seen = {"import": scipy_modules(), "codes": {}, "loaded": {}}
+for scenario in SCENARIOS:
+    seen["codes"][scenario] = run([scenario, "--out", scenario + ".json"])
+    seen["loaded"][scenario] = scipy_modules()
+with open("verify-cutoff.json", encoding="utf-8") as fh:
+    seen["cutoff_failing"] = [v["name"] for v in json.load(fh)["verdicts"] if not v["passed"]]
 print(json.dumps(seen))
 """,
         tmp_path,
     )
-    assert seen == {
-        "import": [],
-        "codes": [0, 0, 0],
-        "weak-observability": [],
-        "resolvent-scan": [],
-        "admissibility": [],
+    assert seen["import"] == []
+    assert seen["loaded"] == {scenario: [] for scenario in SCENARIOS}
+    assert seen["codes"] == {
+        scenario: 2 if scenario in ("verify-cutoff", "assumption-ii-iii") else 0 for scenario in SCENARIOS
     }
+    assert seen["cutoff_failing"] == ["sandwich-upper-bound"]
 
 
-def test_verify_cutoff_resolves_the_deferred_quadrature(tmp_path):
+def test_plancherel_check_resolves_its_deferred_quadrature(tmp_path):
     seen = run_fresh(
         """
-import obskit.cli
-code = run(["verify-cutoff", "--out", "cutoff.json"])
-with open("cutoff.json", encoding="utf-8") as fh:
-    verdicts = json.load(fh)["verdicts"]
-failing = [v["name"] for v in verdicts if not v["passed"]]
-print(json.dumps({"code": code, "failing": failing, "quad": "scipy.integrate" in sys.modules}))
+import obskit
+system = obskit.SpectralSystem(eigenvalues=[1.0, 4.0], gram=[[1.0, 0.0], [0.0, 1.0]])
+before = "scipy.integrate" in sys.modules
+report = obskit.plancherel_lowerbound_check([1.0, 0.5], system, 2.0, 50.0)
+print(json.dumps({"before": before, "after": "scipy.integrate" in sys.modules, "holds": report.margin >= 0}))
 """,
         tmp_path,
     )
-    assert seen == {"code": 2, "failing": ["sandwich-upper-bound"], "quad": True}
+    assert seen == {"before": False, "after": True, "holds": True}

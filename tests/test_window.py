@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from obskit import (
@@ -18,7 +20,6 @@ from obskit import (
     chi,
     chi_dot,
     chi_hat,
-    chi_hat_by_quadrature,
     plancherel_lowerbound_check,
     sandwich_values,
     solve_observation_time,
@@ -36,8 +37,11 @@ from obskit.window import (
     THETA1,
     THETA1_SUP_DERIV,
     THETA2,
+    chi_hat_real_form,
     default_tau_grid,
 )
+
+from oracles import chi_hat_by_quadrature
 
 
 class TestWindow:
@@ -75,6 +79,19 @@ class TestTransform:
     def test_closed_form_vs_quadrature_sampled(self):
         for tau in np.linspace(-200.0, 200.0, 81):
             assert abs(chi_hat(float(tau)) - chi_hat_by_quadrature(float(tau))) <= 1e-9
+
+    def test_real_form_matches_closed_form_and_quadrature_on_grid(self):
+        grid = default_tau_grid()
+        real = chi_hat_real_form(grid)
+        oracle = np.array([chi_hat_by_quadrature(float(t)) for t in grid])
+        assert np.abs(real - chi_hat(grid)).max() <= 1e-15
+        assert np.abs(real - oracle).max() <= 1e-15
+
+    @given(st.floats(-2000.0, 2000.0))
+    def test_real_form_matches_both_closed_form_paths(self, tau):
+        real = chi_hat_real_form(tau)
+        assert abs(real - chi_hat(tau)) <= 1e-15
+        assert abs(real - chi_hat(np.array([tau]))[0]) <= 1e-15
 
     def test_even_and_real(self):
         grid = default_tau_grid()
