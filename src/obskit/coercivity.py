@@ -27,6 +27,7 @@ from .decay import (
 from .errors import CoercivityError, DomainError, NumericError
 from .spectral import (
     SpectralSystem,
+    _per_row,
     _power_of_two_frame,
     coefficients_of,
     frequency_report,
@@ -277,23 +278,28 @@ class ResolventReport:
 
 
 def resolvent_check(system: SpectralSystem, z, cert: CoercivityCertificate) -> ResolventReport:
-    """The infimum over all real λ of the additive resolvent inequality's margin."""
+    """The infimum over all real λ of the additive resolvent inequality's margin.
+
+    For a (k, n) block of states every field holds one entry per row.
+    """
     if cert.kind != "spectral":
         raise DomainError("resolvent_check requires a spectral certificate")
     # Every term is homogeneous of degree 2 in z: the verdict is taken in the
     # power-of-two frame, where no state overflows, and the rest scaled back.
-    c, back = _power_of_two_frame(coefficients_of(z, system))
+    z = coefficients_of(z, system)
+    c, back = _power_of_two_frame(z)
     rep = frequency_report(c, system)
     observed = observed_energy_sq(c, system)
-    ratio = rep.residual / float(cert.epsilon(rep.lambda_z))
-    margin = observed / float(cert.psi(rep.lambda_z)) - rep.norm_sq * max(0.0, 1.0 - ratio)
+    ratio = rep.residual / cert.epsilon(rep.lambda_z)
+    short = 1.0 - ratio
+    margin = observed / cert.psi(rep.lambda_z) - rep.norm_sq * np.where(short > 0.0, short, 0.0)
     return ResolventReport(
         inf_margin=back(margin),
-        lambda_z=rep.lambda_z,
-        residual_over_epsilon=ratio,
+        lambda_z=_per_row(rep.lambda_z, z),
+        residual_over_epsilon=_per_row(ratio, z),
         norm_sq=back(rep.norm_sq),
         observed_sq=back(observed),
-        verdict=margin >= -1.0e-9 * rep.norm_sq,
+        verdict=_per_row(margin >= -1.0e-9 * rep.norm_sq, z),
     )
 
 

@@ -13,60 +13,95 @@ the sharp truncated admissibility constant (truncation-dependent).
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError
-from .spectral import SpectralSystem, _power_of_two_frame, coefficients_of, frequency
+from .spectral import SpectralSystem, _per_row, _power_of_two_frame, coefficients_of, frequency
 from .window import THETA0, THETA2
 
 
-def phase_kernel(eigenvalues: np.ndarray, T: float) -> np.ndarray:
+def _horizons(T, strict: bool = True) -> np.ndarray:
+    """``T`` as a float array, each horizon checked positive (non-negative if not ``strict``)."""
+    t = np.asarray(T, dtype=float)
+    bad = ~(t > 0) if strict else ~(t >= 0)
+    if bad.any():
+        kind = "positive" if strict else "non-negative"
+        raise DomainError(f"time horizon must be {kind}, got {float(t[bad][0])}")
+    return t
+
+
+def phase_kernel(eigenvalues: np.ndarray, T) -> np.ndarray:
     """The matrix K_{jk}(T) = ∫₀ᵀ e^{i(λ_j−λ_k)t} dt = r·e^{ih}, r = T·sin(h)/h.
 
     With h = (λ_j−λ_k)T/2 this one form holds for every gap and nothing in
-    it cancels, so it keeps full relative accuracy; r = T where h = 0.
+    it cancels, so it keeps full relative accuracy; r = T where h = 0.  A
+    scalar ``T`` gives one (n, n) matrix; a 1-D array of k horizons gives a
+    C-contiguous (k, n, n) stack.  sin and cos run once per distinct gap and
+    horizon, and the values are gathered into place.  The stack must be
+    C-contiguous: on a strided view ``K @ u`` takes another BLAS path and
+    can move the quadratic form in the last bit.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    h = 0.5 * T * (lam[:, None] - lam[None, :])
+    t = np.asarray(T, dtype=float)
+    gaps, where = np.unique(np.subtract.outer(lam, lam).ravel(), return_inverse=True)
+    horizon = t.reshape(-1, 1)
+    h = 0.5 * horizon * gaps
     s = np.sin(h)
-    r = np.full(h.shape, float(T))
-    np.divide(T * s, h, out=r, where=h != 0.0)
-    return r * np.cos(h) + 1j * (r * s)
+    r = np.repeat(horizon, gaps.size, axis=1)
+    np.divide(horizon * s, h, out=r, where=h != 0.0)
+    table = r * np.cos(h) + 1j * (r * s)
+    kernel = np.ascontiguousarray(np.take(table, where, axis=1))
+    return kernel.reshape(t.shape + (lam.size, lam.size))
 
 
-def observability_kernel(system: SpectralSystem, T: float) -> np.ndarray:
-    """The Hermitian form G∘K(T) whose quadratic form is the observed energy."""
-    if not T >= 0:
-        raise DomainError(f"time horizon must be non-negative, got {T}")
-    return system.gram * phase_kernel(system.eigenvalues, T)
+def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
+    """The Hermitian form G∘K(T) whose quadratic form is the observed energy.
+
+    One (n, n) matrix for a scalar ``T``, a (k, n, n) stack for k horizons.
+    """
+    return system.gram * phase_kernel(system.eigenvalues, _horizons(T, strict=False))
 
 
-def _observed_energy(c: np.ndarray, kernel: np.ndarray, T: float) -> float:
-    """The quadratic form u*(G∘K(T))u, u = conj(c), checked real at horizon T."""
-    u = c.conj()
-    value = complex(np.vdot(u, kernel @ u))
-    scale = max(abs(value.real), T * float(np.vdot(c, c).real))
-    if abs(value.imag) > 1.0e-10 * scale:
+def _norms_sq(c: np.ndarray) -> np.ndarray:
+    """‖c‖² for each row of the (k, n) block c, each by its own ``vdot`` as for one state."""
+    return np.array([np.vdot(row, row).real for row in c], dtype=float)
+
+
+def _observed_energy(c: np.ndarray, kernel: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (k, n) block c: the form u*(G∘K(T))u, u = conj(c), checked real, and ‖c‖².
+
+    ``kernel`` is one matrix for every row or a (k, n, n) stack, one per
+    row; ``T`` is one horizon or one per row.  Each form is its own
+    ``vdot(u, K @ u)``: a batched product would round differently from the
+    single-state call.
+    """
+    kernels = kernel if kernel.ndim == 3 else itertools.repeat(kernel)
+    value = np.array([np.vdot(u, k @ u) for u, k in zip(c.conj(), kernels)], dtype=complex)
+    norm_sq = _norms_sq(c)
+    scale = np.maximum(np.abs(value.real), T * norm_sq)
+    bad = np.abs(value.imag) > 1.0e-10 * scale
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NumericError(
-            f"observability integral came out non-real: imag {value.imag:.3e} vs scale {scale:.3e}"
+            f"observability integral came out non-real: imag {value.imag[i]:.3e} vs scale {scale[i]:.3e}"
         )
-    return value.real
+    return value.real, norm_sq
 
 
-def observability_integral(z0, system: SpectralSystem, T: float) -> float:
+def observability_integral(z0, system: SpectralSystem, T):
     """Closed-form ∫₀ᵀ‖Cz(t)‖²dt; real and non-negative up to round-off.
 
-    Evaluated in the power-of-two frame of z0, so a finite state never
-    yields nan: past the float range the integral reads inf.
+    For a (k, n) block, one integral per row, with ``T`` one horizon or one
+    per row.  Evaluated in the power-of-two frame of each row, so a finite
+    state never yields nan: past the float range the integral reads inf.
     """
-    if not T > 0:
-        raise DomainError(f"time horizon must be positive, got {T}")
+    t = _horizons(T)
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    return back(_observed_energy(c, observability_kernel(system, T), T))
+    return back(_observed_energy(c, observability_kernel(system, t), t)[0])
 
 
 def kernel_psd_margin(kernel: np.ndarray) -> tuple[float, float]:
@@ -80,20 +115,20 @@ def kernel_psd_margin(kernel: np.ndarray) -> tuple[float, float]:
     return float(vals[0]), float(vals[-1])
 
 
-def admissibility_check(z0, system: SpectralSystem, T: float, kernel: np.ndarray, C_T: float) -> float:
+def admissibility_check(z0, system: SpectralSystem, T, kernel: np.ndarray, C_T: float):
     """Margin C_T‖z0‖² − ∫₀ᵀ‖Cz‖²; non-negative iff C_T is admissible for z0.
 
     ``kernel`` is ``observability_kernel(system, T)``, built once per
-    horizon by the caller.  Taken in the power-of-two frame of z0, like
-    ``observability_integral``.
+    horizon by the caller; for a (k, n) block it serves every row, or is a
+    (k, n, n) stack for k horizons.  Taken in the power-of-two frame of each
+    row, like ``observability_integral``.
     """
     if not C_T > 0:
         raise DomainError(f"admissibility constant must be positive, got {C_T}")
-    if not T > 0:
-        raise DomainError(f"time horizon must be positive, got {T}")
+    t = _horizons(T)
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    norm_sq = float(np.vdot(c, c).real)
-    return back(C_T * norm_sq - _observed_energy(c, kernel, T))
+    energy, norm_sq = _observed_energy(c, kernel, t)
+    return back(C_T * norm_sq - energy)
 
 
 @dataclass(frozen=True)
@@ -103,7 +138,8 @@ class ObservabilityReport:
     ``lhs`` is θ₂·ψ(θ₀(1/T + λ(z0)))·‖z0‖², ``integral`` the observed
     energy, ``margin`` their difference, ``t_min`` the minimal horizon
     T(λ(z0)), and ``applicable`` whether T ≥ t_min so the inequality is
-    actually claimed.
+    actually claimed.  Each field is a scalar for one state, or an array
+    with one entry per row when z0 is a (k, n) block.
     """
 
     T: float
@@ -119,30 +155,37 @@ class ObservabilityReport:
 def weak_observability_check(
     z0,
     system: SpectralSystem,
-    T: float,
+    T,
     psi: DecayFunction,
-    t_min: float,
+    t_min,
+    *,
+    lambda_z0=None,
 ) -> ObservabilityReport:
-    """Evaluate θ₂ψ(θ₀(1/T+λ(z0)))‖z0‖² ≤ ∫₀ᵀ‖Cz‖² for one state.
+    """Evaluate θ₂ψ(θ₀(1/T+λ(z0)))‖z0‖² ≤ ∫₀ᵀ‖Cz‖² for one state or a (k, n) block.
 
-    ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε, θ₁)``.
-    Both sides and their margin are taken in the power-of-two frame of z0
-    and scaled back, so a finite state never yields nan.
+    ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε, θ₁)``;
+    ``T`` and ``t_min`` are scalars or one per row.  ``lambda_z0``, when
+    given, is ``frequency(z0, system)``, which a caller that solved for
+    ``t_min`` already holds; else it is computed here.  Both sides and their
+    margin are taken in the power-of-two frame of each row and scaled back,
+    so a finite state never yields nan.
     """
-    if not T > 0:
-        raise DomainError(f"time horizon must be positive, got {T}")
-    c, back = _power_of_two_frame(coefficients_of(z0, system))
-    lam0 = frequency(c, system)
-    norm_sq = float(np.vdot(c, c).real)
-    lhs = THETA2 * float(psi(THETA0 * (1.0 / T + lam0))) * norm_sq
-    integral = observability_integral(c, system, T)
+    t = _horizons(T)
+    z = coefficients_of(z0, system)
+    c, back = _power_of_two_frame(z)
+    rows = c.shape[0]
+    lam0 = frequency(c, system) if lambda_z0 is None else np.broadcast_to(lambda_z0, rows)
+    norm_sq = _norms_sq(c)
+    lhs = THETA2 * psi(THETA0 * (1.0 / t + lam0)) * norm_sq
+    integral = observability_integral(c, system, t)
+    t, t_min = np.broadcast_to(t, rows), np.broadcast_to(t_min, rows)
     return ObservabilityReport(
-        T=T,
+        T=_per_row(t, z),
         integral=back(integral),
         lhs=back(lhs),
-        t_min=t_min,
+        t_min=_per_row(t_min, z),
         margin=back(integral - lhs),
-        applicable=T >= t_min,
-        lambda_z0=lam0,
+        applicable=_per_row(t >= t_min, z),
+        lambda_z0=_per_row(lam0, z),
         norm_sq=back(norm_sq),
     )

@@ -50,6 +50,10 @@ from .window import (
     solve_observation_time,
 )
 
+# Bytes one block of trial states may take for what is built per state: the
+# coefficient row, or in weak observability its (n, n) complex phase kernel.
+BLOCK_BYTES = 1 << 18
+
 THETA_NOTES = [
     "theta1 uses the L2 norm of the window derivative by default; the sup-norm "
     "variant is reported as theta1_sup_deriv and asserted nowhere.",
@@ -85,9 +89,20 @@ def _new_bundle(cfg: RunConfig) -> ReportBundle:
     )
 
 
-def _random_state(rng: np.random.Generator, size: int) -> np.ndarray:
-    block = rng.standard_normal((2, size))
-    return block[0] + 1j * block[1]
+def _block_rows(row_bytes: int) -> int:
+    """How many trial states one block holds when each needs ``row_bytes``."""
+    return max(1, BLOCK_BYTES // row_bytes)
+
+
+def _state_blocks(rng: np.random.Generator, trials: int, size: int, rows: int):
+    """The trial states as (first trial, (k, size) block) pairs, k ≤ ``rows``.
+
+    One (k, 2, size) draw takes the same stream as k draws of (2, size), so
+    the states do not depend on the block size.
+    """
+    for start in range(0, trials, rows):
+        block = rng.standard_normal((min(rows, trials - start), 2, size))
+        yield start, block[:, 0] + 1j * block[:, 1]
 
 
 def _pipeline_constants(bundle: ReportBundle, pipeline) -> None:
@@ -209,12 +224,12 @@ def run_resolvent_scan(cfg: RunConfig) -> ReportBundle:
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = math.inf
-    for trial in range(cfg.trials):
-        z = _random_state(rng, system.size)
+    for start, z in _state_blocks(rng, cfg.trials, system.size, _block_rows(16 * system.size)):
         rep = resolvent_check(system, z, pipeline.spectral)
         rel = rep.inf_margin / rep.norm_sq
-        worst = min(worst, rel)
-        rows.append([trial, rep.lambda_z, rep.inf_margin, rel, rep.residual_over_epsilon, rep.verdict])
+        worst = min([worst, *rel.tolist()])
+        columns = (rep.lambda_z, rep.inf_margin, rel, rep.residual_over_epsilon, rep.verdict)
+        rows += map(list, zip(range(start, start + len(z)), *(col.tolist() for col in columns)))
     bundle.tables.append(
         Table(
             name="resolvent_margins",
@@ -247,34 +262,30 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     pipeline = scan_certificate(system, cfg.epsilon_cluster)
     _pipeline_constants(bundle, pipeline)
     rng = np.random.default_rng(cfg.seed)
-    lam0 = [frequency(_random_state(rng, system.size), system) for _ in range(cfg.trials)]
+    block = _block_rows(16 * system.size**2)
+    lam0 = np.concatenate(
+        [frequency(z, system) for _, z in _state_blocks(rng, cfg.trials, system.size, block)]
+    )
     theta1 = np.array([[THETA1], [THETA1_SUP_DERIV]])
-    t_mins, t_mins_sup = solve_observation_time(lam0, pipeline.spectral.epsilon, theta1).tolist()
-    # The same seed draws the same states again, so only one is held at a time.
+    t_mins, t_mins_sup = solve_observation_time(lam0, pipeline.spectral.epsilon, theta1)
+    # The same seed draws the same states again, so only one block is held at a time.
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = math.inf
     all_applicable = True
-    for trial, (t_min, t_min_sup) in enumerate(zip(t_mins, t_mins_sup)):
-        z = _random_state(rng, system.size)
-        horizon = cfg.T if cfg.T is not None else 2.0 * t_min
-        rep = weak_observability_check(z, system, horizon, pipeline.spectral.psi, t_min)
-        all_applicable = all_applicable and rep.applicable
-        if rep.applicable:
-            worst = min(worst, rep.margin / (1.0 + rep.integral))
-        rows.append(
-            [
-                trial,
-                rep.lambda_z0,
-                rep.t_min,
-                t_min_sup,
-                rep.T,
-                rep.lhs,
-                rep.integral,
-                rep.margin,
-                rep.applicable,
-            ]
+    for start, z in _state_blocks(rng, cfg.trials, system.size, block):
+        at = slice(start, start + len(z))
+        horizon = cfg.T if cfg.T is not None else 2.0 * t_mins[at]
+        rep = weak_observability_check(
+            z, system, horizon, pipeline.spectral.psi, t_mins[at], lambda_z0=lam0[at]
         )
+        all_applicable = all_applicable and bool(rep.applicable.all())
+        scaled = rep.margin[rep.applicable] / (1.0 + rep.integral[rep.applicable])
+        worst = min([worst, *scaled.tolist()])
+        columns = (
+            rep.lambda_z0, rep.t_min, t_mins_sup[at], rep.T, rep.lhs, rep.integral, rep.margin, rep.applicable
+        )
+        rows += map(list, zip(range(at.start, at.stop), *(col.tolist() for col in columns)))
     bundle.tables.append(
         Table(
             name="observability",
@@ -435,11 +446,10 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
     )
     rng = np.random.default_rng(cfg.seed)
     worst = math.inf
-    for _ in range(cfg.trials):
-        z = _random_state(rng, system.size)
+    for _, z in _state_blocks(rng, cfg.trials, system.size, _block_rows(16 * system.size)):
         margin = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
         _, amax, total, _ = _moments(z, system)  # ‖z‖² = amax²·Σw, as in frequency_report
-        worst = min(worst, margin / (sharp * (amax * amax * total)))
+        worst = min([worst, *(margin / (sharp * (amax * amax * total))).tolist()])
     bundle.constants["worst_admissibility_margin"] = worst
     bundle.verdicts.append(
         Verdict(

@@ -151,7 +151,8 @@ class StateVector:
 
 @dataclass(frozen=True)
 class FrequencyReport:
-    """Frequency, residual and squared norm of one state."""
+    """Frequency, residual and squared norm of one state: floats, or arrays
+    with one entry per row when the state is a (k, n) block."""
 
     lambda_z: float
     residual: float
@@ -159,67 +160,86 @@ class FrequencyReport:
 
 
 def coefficients_of(z, system: SpectralSystem) -> np.ndarray:
-    """Coefficient vector of ``z`` (StateVector or array) matched to ``system``."""
+    """Coefficients of ``z`` matched to ``system``: a StateVector, a 1-D array,
+    or a (k, n) block of coefficient rows, one state per row."""
     c = z.coefficients if isinstance(z, StateVector) else np.asarray(z, dtype=complex)
-    if c.ndim != 1:
-        raise ShapeError("state must be a 1-D coefficient vector")
-    if c.size != system.size:
+    if c.ndim not in (1, 2):
+        raise ShapeError("state must be a 1-D coefficient vector or a (k, n) block of rows")
+    if c.shape[-1] != system.size:
         raise ShapeError(
-            f"state has {c.size} coefficients but the system has {system.size} modes"
+            f"state has {c.shape[-1]} coefficients but the system has {system.size} modes"
         )
     return c
 
 
-def _moments(z, system: SpectralSystem, window=None) -> tuple[np.ndarray, float, float, float]:
-    """Weights w = window·|z_k/amax|², the scale amax, Σw and the mean Σλ_k w_k/Σw.
+def _per_row(values: np.ndarray, c: np.ndarray):
+    """``values``, one per row of ``c``: a Python scalar for a 1-D state, else the array."""
+    return values.item() if c.ndim == 1 else values
 
-    Scaling by amax = max|z_k| keeps the weights in range for states of any
-    magnitude; states with amax ≤ ``ZERO_NORM_FLOOR`` are rejected as zero.
-    The mean is clamped to [λ_min, λ_max], which rounding can leave by an ulp.
+
+def _row_fsum(a: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row: exactly rounded, so blocks and single rows agree bit for bit."""
+    return np.array([math.fsum(row.tolist()) for row in a], dtype=float)
+
+
+def _moments(z, system: SpectralSystem, window=None) -> tuple[np.ndarray, ...]:
+    """Per row: weights w = window·|z_k/amax|², the scale amax, Σw and the mean Σλ_k w_k/Σw.
+
+    Always a (k, n) block of weights and three length-k arrays; a 1-D state
+    is the block of one row.  Scaling by amax = max|z_k| keeps the weights
+    in range for states of any magnitude; a row with amax ≤
+    ``ZERO_NORM_FLOOR`` is rejected as zero.  The mean is clamped to
+    [λ_min, λ_max], which rounding can leave by an ulp.
     """
     c = coefficients_of(z, system)
-    amax = float(np.abs(c).max())
-    if not amax > ZERO_NORM_FLOOR:
+    rows = c.reshape(-1, system.size)
+    amax = np.abs(rows).max(axis=1)
+    if not np.all(amax > ZERO_NORM_FLOOR):
         raise DomainError("state vector is numerically zero (max |coefficient| < 1e-300)")
-    w = np.abs(c / amax) ** 2
+    w = np.abs(rows / amax[:, None]) ** 2
     if window is not None:
         w = window * w
-    total = math.fsum(w)
-    if not total > 0:
+    total = _row_fsum(w)
+    if not np.all(total > 0):
         raise NumericError("all weights underflowed to zero; the window misses the state")
-    mean = math.fsum(system.eigenvalues * w) / total
-    return w, amax, total, min(max(mean, system.lambda_min), system.lambda_max)
+    mean = _row_fsum(system.eigenvalues * w) / total
+    return w, amax, total, np.clip(mean, system.lambda_min, system.lambda_max)
 
 
 def _power_of_two_frame(c: np.ndarray):
-    """The state c·2^(−e) and the map v ↦ v·2^(2e) back to the true scale.
+    """The (k, n) block of rows c·2^(−e) and the map v ↦ v·2^(2e) back to the true scale.
 
-    e is the exponent of the largest real or imaginary part, so that part of
-    c·2^(−e) lies in [½, 1) and no form of degree 2 in it overflows.  Both
-    scalings are by powers of two, hence exact: a degree-2 form evaluated in
-    the frame and mapped back is the true-scale value, rounded once, and
-    reads ±inf past the float range.  A state whose parts are all at most
-    ``ZERO_NORM_FLOOR`` is left as it is (e = 0), so callers treat it as
-    before.
+    Per row, e is the exponent of the largest real or imaginary part, so
+    that part of c·2^(−e) lies in [½, 1) and no form of degree 2 in it
+    overflows.  Both scalings are by powers of two, hence exact: a degree-2
+    form evaluated in the frame and mapped back is the true-scale value,
+    rounded once, and reads ±inf past the float range.  A row whose parts
+    are all at most ``ZERO_NORM_FLOOR`` is left as it is (e = 0), so
+    callers treat it as before.  A 1-D ``c`` is the block of one row;
+    ``back`` takes one value per row and returns a float for a 1-D ``c``,
+    else an array.
     """
-    amax = float(np.abs(np.ascontiguousarray(c).view(float)).max())
-    e = math.frexp(amax)[1] if amax > ZERO_NORM_FLOOR else 0
+    rows = np.ascontiguousarray(c).reshape(-1, c.shape[-1])
+    amax = np.abs(rows.view(float)).max(axis=1)
+    e = np.where(amax > ZERO_NORM_FLOOR, np.frexp(amax)[1], 0)
 
-    def back(value: float) -> float:
-        try:
-            return math.ldexp(value, 2 * e)
-        except OverflowError:
-            return math.copysign(math.inf, value)
+    def back(value: np.ndarray):
+        with np.errstate(over="ignore"):
+            return _per_row(np.ldexp(value, 2 * e), c)
 
-    return c * 2.0**-e, back
-
-
-def frequency(z, system: SpectralSystem) -> float:
-    """The frequency λ(z) = Σ λ_k|z_k|² / Σ|z_k|², always in [λ_min, λ_max]."""
-    return _moments(z, system)[3]
+    return rows * np.ldexp(1.0, -e)[:, None], back
 
 
-def residual(z, system: SpectralSystem) -> float:
+def frequency(z, system: SpectralSystem):
+    """The frequency λ(z) = Σ λ_k|z_k|² / Σ|z_k|², always in [λ_min, λ_max].
+
+    A float for one state, an array of one frequency per row for a block.
+    """
+    c = coefficients_of(z, system)
+    return _per_row(_moments(c, system)[3], c)
+
+
+def residual(z, system: SpectralSystem):
     """The residual ‖(A − λ(z)I)z‖²/‖z‖², exactly ≥ 0."""
     return frequency_report(z, system).residual
 
@@ -232,9 +252,11 @@ def key_identity_gap(z, lam: float, system: SpectralSystem) -> float:
     λ_max.  So |LHS − RHS| is divided by LHS + 2·max(|λ|, λ_max)·‖z‖²·|λ − m|,
     all in the moments' scale, and the result reads a small multiple of the
     unit round-off u for every input.  It is 0 by convention when LHS = 0
-    (both sides vanish together).  This is a verification probe.
+    (both sides vanish together).  This is a verification probe, for one
+    1-D state.
     """
-    w, _, total, mean = _moments(z, system)
+    (w,), _, (total,), (mean,) = _moments(z, system)
+    total, mean = float(total), float(mean)
     lhs = math.fsum((system.eigenvalues - lam) ** 2 * w)
     if lhs == 0.0:
         return 0.0
@@ -244,18 +266,26 @@ def key_identity_gap(z, lam: float, system: SpectralSystem) -> float:
 
 
 def frequency_report(z, system: SpectralSystem) -> FrequencyReport:
-    """Frequency, residual, and true-scale squared norm in one pass."""
-    w, amax, total, mean = _moments(z, system)
+    """Frequency, residual, and true-scale squared norm in one pass, per row of a block."""
+    c = coefficients_of(z, system)
+    w, amax, total, mean = _moments(c, system)
+    with np.errstate(over="ignore"):
+        norm_sq = amax * amax * total
     return FrequencyReport(
-        lambda_z=mean,
-        residual=math.fsum((system.eigenvalues - mean) ** 2 * w) / total,
-        norm_sq=amax * amax * total,
+        lambda_z=_per_row(mean, c),
+        residual=_per_row(_row_fsum((system.eigenvalues - mean[:, None]) ** 2 * w) / total, c),
+        norm_sq=_per_row(norm_sq, c),
     )
 
 
-def observed_energy_sq(z, system: SpectralSystem) -> float:
-    """‖Cz‖² = Σ_{jk} G_{jk} z_j conj(z_k), real by Hermiticity."""
-    c = coefficients_of(z, system)
-    u = c.conj()
-    value = np.vdot(u, system.gram @ u)
-    return float(value.real)
+def observed_energy_sq(z, system: SpectralSystem):
+    """‖Cz‖² = Σ_{jk} G_{jk} z_j conj(z_k), real by Hermiticity; one per row of a block.
+
+    Taken in the power-of-two frame of each row, so past the float range it
+    reads inf, never nan.  Each row is its own ``vdot(u, G @ u)``,
+    u = conj(z): a batched product would round differently from the
+    single-state call.
+    """
+    c, back = _power_of_two_frame(coefficients_of(z, system))
+    gram = system.gram
+    return back(np.array([np.vdot(u, gram @ u).real for u in c.conj()]))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import DecayFunction
-from .errors import DomainError, NumericError
-from .spectral import SpectralSystem, _moments, coefficients_of, frequency
+from .errors import DomainError, NumericError, ShapeError
+from .spectral import SpectralSystem, _moments, _per_row, coefficients_of, frequency
 
 # Postulated sandwich constants for (1+τ²)|χ̂(τ)|: the verifier tests them,
 # it does not assume them.
@@ -106,7 +106,8 @@ def windowed_frequency(z0, system: SpectralSystem, T: float, tau: float) -> floa
     if not T > 0:
         raise DomainError(f"window length T must be positive, got {T}")
     window = (T * chi_hat(T * (tau - system.eigenvalues))) ** 2
-    return _moments(z0, system, window)[3]
+    c = coefficients_of(z0, system)
+    return _per_row(_moments(c, system, window)[3], c)
 
 
 def solve_observation_time(lambda0, eps: DecayFunction, theta1):
@@ -217,6 +218,8 @@ def plancherel_lowerbound_check(z0, system: SpectralSystem, T: float, R: float) 
     if not T > 0:
         raise DomainError(f"window length T must be positive, got {T}")
     c = coefficients_of(z0, system)
+    if c.ndim != 1:
+        raise ShapeError("the Plancherel check takes one 1-D state")
     lam0 = frequency(z0, system)
     threshold = C0_PRIME / T + lam0
     if not R > threshold:

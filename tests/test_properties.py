@@ -17,17 +17,23 @@ stays in the admissible class for c in [1e-12, 1e3], p in {0, 1, 2},
 M in [1e-6, 1e6] and ε₀ in [1e-6, 10].  The batched observation-time
 solver equals the scalar bisection it replaced, bit for bit, on λ₀ arrays
 with zeros and repeats over 1e-6 … 1e6, for constant, power-law and
-composite widths and either θ₁, shared or per element.
+composite widths and either θ₁, shared or per element.  Every per-state
+function given a (k, n) block returns, row by row, exactly what it returns
+for that row alone, on rows at scales 2^−996 … 2^1023 (past 2^512 their
+degree-2 forms read ±inf), at one horizon or one per row; a zero row in the
+block raises the single-row error.
 """
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from obskit import (
     CoercivityCertificate,
@@ -53,6 +59,8 @@ from obskit import (
 )
 from obskit.cli import main
 from obskit.decay import is_positive_nonincreasing
+from obskit.evolution import phase_kernel
+from obskit.spectral import _moments, _power_of_two_frame, observed_energy_sq
 from obskit.window import THETA0, THETA1, THETA1_SUP_DERIV
 
 from oracles import observability_integral_by_quadrature
@@ -361,3 +369,108 @@ def test_digest_and_report_bytes_ignore_key_order_and_output_path(doc, data):
             assert main([doc["scenario"], "--config", text]) in (0, 2)
             reports.append(Path(variant["output_path"]).read_bytes())
     assert reports[0] == reports[1]
+
+
+@st.composite
+def state_blocks(draw, size):
+    """A (k, size) block whose rows have largest real or imaginary part 2^e,
+    e in [−996, 1023]: from just above the zero floor to past the range
+    where ‖z‖² is finite."""
+    k = draw(st.integers(1, 6))
+    exponents = draw(st.lists(st.integers(-996, 1023), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((k, size)) + 1j * rng.standard_normal((k, size))
+    rows /= np.abs(rows.view(float)).max(axis=1)[:, None]
+    return rows * np.ldexp(1.0, np.array(exponents))[:, None]
+
+
+def same(block_value, row_value) -> bool:
+    """Equal, and of the same Python type (float or bool) once taken out of the block."""
+    value = block_value.item()
+    return type(value) is type(row_value) and value == row_value
+
+
+def block_results(rows, sys_, T, t_min):
+    """Every per-state function on ``rows``: name -> (block value, [value of row i alone])."""
+    out = {}
+
+    def record(name, fn, *per_row):
+        out[name] = (fn(rows, *(a for a, _ in per_row)),
+                     [fn(rows[i], *(b(i) for _, b in per_row)) for i in range(len(rows))])
+
+    def fixed(value):
+        return value, lambda i: value
+
+    def each(values):
+        return values, lambda i: float(values[i])
+
+    psi = PowerLaw(0.1, 1.0)
+    record("frequency", lambda z: frequency(z, sys_))
+    record("observed_energy_sq", lambda z: observed_energy_sq(z, sys_))
+    for name, horizon in (("shared", fixed(float(T[0]))), ("per-row", each(T))):
+        record(f"observability_integral {name}", lambda z, t: observability_integral(z, sys_, t), horizon)
+        record(
+            f"admissibility_check {name}",
+            lambda z, t: admissibility_check(z, sys_, t, observability_kernel(sys_, t), 3.0),
+            horizon,
+        )
+    report_fields = {
+        "frequency_report": (lambda z: frequency_report(z, sys_), ()),
+        "resolvent_check": (lambda z: resolvent_check(sys_, z, SPECTRAL_CERT), ()),
+        "weak_observability_check": (
+            lambda z, t, tm: weak_observability_check(z, sys_, t, psi, tm), (each(T), each(t_min))
+        ),
+    }
+    for name, (fn, args) in report_fields.items():
+        record(name, fn, *args)
+        block, singles = out.pop(name)
+        for field in vars(block):
+            out[f"{name}.{field}"] = (getattr(block, field), [getattr(r, field) for r in singles])
+    return out
+
+
+@settings(max_examples=100)
+@given(kernel_systems(), st.data())
+def test_block_rows_equal_single_row_calls(pair, data):
+    sys_, T0 = pair
+    rows = data.draw(state_blocks(sys_.size))
+    k = len(rows)
+    T = T0 * np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k)))
+    t_min = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=k, max_size=k)))
+    for name, (block, singles) in block_results(rows, sys_, T, t_min).items():
+        assert isinstance(block, np.ndarray) and block.shape == (k,), name
+        for i, single in enumerate(singles):
+            assert same(block[i], single), (name, i, block[i], single)
+
+    framed, back = _power_of_two_frame(rows)
+    values = np.ldexp(0.75, np.arange(k))
+    for i, row in enumerate(rows):
+        framed_row, back_row = _power_of_two_frame(row)
+        assert np.array_equal(framed[i], framed_row[0])
+        assert back(values)[i] == back_row(values[i : i + 1])
+        for part, part_row in zip(_moments(rows, sys_), _moments(row, sys_)):
+            assert np.array_equal(part[i], part_row[0])
+
+    stack = phase_kernel(sys_.eigenvalues, T)
+    assert stack.flags.c_contiguous and stack.shape == (k, sys_.size, sys_.size)
+    for i in range(k):
+        assert np.array_equal(stack[i], phase_kernel(sys_.eigenvalues, float(T[i])))
+
+
+@settings(max_examples=30)
+@given(kernel_systems(), st.data())
+def test_zero_row_in_a_block_raises_the_single_row_error(pair, data):
+    sys_, T = pair
+    rows = data.draw(state_blocks(sys_.size))
+    rows = np.insert(rows, data.draw(st.integers(0, len(rows))), 0.0, axis=0)
+    calls = (
+        lambda z: frequency(z, sys_),
+        lambda z: frequency_report(z, sys_),
+        lambda z: weak_observability_check(z, sys_, T, PowerLaw(0.1, 1.0), 1.0),
+        lambda z: resolvent_check(sys_, z, SPECTRAL_CERT),
+    )
+    for call in calls:
+        with pytest.raises(DomainError) as single:
+            call(np.zeros(sys_.size))
+        with pytest.raises(DomainError, match=re.escape(str(single.value))):
+            call(rows)

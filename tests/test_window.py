@@ -14,6 +14,7 @@ from obskit import (
     DomainError,
     NumericError,
     PowerLaw,
+    ShapeError,
     SpectralSystem,
     StateVector,
     TransformedWidth,
@@ -317,3 +318,8 @@ class TestPlancherelLowerBound:
         bad_R = C0_PRIME / 1.0 + 13.0  # equals the threshold, not above it
         with pytest.raises(DomainError, match="must exceed"):
             plancherel_lowerbound_check(z, sys_, 1.0, bad_R)
+
+    def test_takes_one_state_not_a_block(self):
+        sys_ = self.make_system()
+        with pytest.raises(ShapeError, match="one 1-D state"):
+            plancherel_lowerbound_check(np.eye(5)[:2], sys_, 1.0, 1.0e3)

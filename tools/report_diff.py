@@ -5,15 +5,16 @@
 A and B hold JSON reports at the same relative paths, as
 ``tools/report_digests.py --keep`` writes them from two checkouts.  For each
 pair of reports that differ it prints one line per moved item: a constant,
-a table cell, a note, or a verdict (its pass/fail or its detail text).  A
+a table cell, a note, or a verdict matched by name (its pass/fail or its
+detail text; a name on one side only is listed as added or removed).  A
 number that moved carries its relative size |a − b|/max(|a|, |b|); a detail
 text carries the largest relative move among the numbers in it.  With
 ``--by-item`` it prints instead one line per report name and item, over
 all seed directories and table rows: how many values moved and the largest
 relative move.  The last line counts the reports compared and moved and
 gives the largest relative move.  Exit status 1 when a verdict's pass/fail
-differs, a report exists on one side only, or the two sides differ in shape
-(keys, table sizes); else 0.
+differs, a verdict or a report exists on one side only, or the two sides
+differ in shape (keys, table sizes); else 0.
 """
 
 from __future__ import annotations
@@ -81,13 +82,18 @@ def report_moves(a: dict, b: dict) -> tuple[list[tuple[str, str, float | None]],
     if shape("notes", len(na), len(nb)):
         for i, (x, y) in enumerate(zip(na, nb)):
             leaf(f"notes[{i}]", x, y)
-    va, vb = a.get("verdicts", []), b.get("verdicts", [])
-    if shape("verdicts", [v["name"] for v in va], [v["name"] for v in vb]):
-        for x, y in zip(va, vb):
-            if x["passed"] != y["passed"]:
-                moves.append((f"verdict {x['name']}", f"passed {x['passed']} -> {y['passed']}", None))
-                serious = True
-            leaf(f"verdict {x['name']} detail", x["detail"], y["detail"])
+    va = {v["name"]: v for v in a.get("verdicts", [])}
+    vb = {v["name"]: v for v in b.get("verdicts", [])}
+    for side, names, other in (("removed", va, vb), ("added", vb, va)):
+        for name in [name for name in names if name not in other]:
+            moves.append((f"verdict {name}", side, None))
+            serious = True
+    for name in [name for name in va if name in vb]:
+        x, y = va[name], vb[name]
+        if x["passed"] != y["passed"]:
+            moves.append((f"verdict {name}", f"passed {x['passed']} -> {y['passed']}", None))
+            serious = True
+        leaf(f"verdict {name} detail", x["detail"], y["detail"])
     ta, tb = a.get("tables", {}), b.get("tables", {})
     if shape("tables", sorted(ta), sorted(tb)):
         for name in ta:
