@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import DecayFunction
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, ShapeError
 from .spectral import SpectralSystem, _per_row, _power_of_two_frame, coefficients_of, frequency
 from .window import THETA0, THETA2
 
@@ -40,22 +40,19 @@ def phase_kernel(eigenvalues: np.ndarray, T) -> np.ndarray:
     With h = (λ_j−λ_k)T/2 this one form holds for every gap and nothing in
     it cancels, so it keeps full relative accuracy; r = T where h = 0.  A
     scalar ``T`` gives one (n, n) matrix; a 1-D array of k horizons gives a
-    C-contiguous (k, n, n) stack.  sin and cos run once per distinct gap and
-    horizon, and the values are gathered into place.  The stack must be
-    C-contiguous: on a strided view ``K @ u`` takes another BLAS path and
-    can move the quadratic form in the last bit.
+    (k, n, n) stack.  sin and cos run once per distinct gap and horizon
+    (lattice spectra repeat their gaps), and ``np.take`` gathers the values
+    into a new C-contiguous array.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    t = np.asarray(T, dtype=float)
+    t = np.asarray(T, dtype=float)[..., None]
     gaps, where = np.unique(np.subtract.outer(lam, lam).ravel(), return_inverse=True)
-    horizon = t.reshape(-1, 1)
-    h = 0.5 * horizon * gaps
+    h = 0.5 * t * gaps
     s = np.sin(h)
-    r = np.repeat(horizon, gaps.size, axis=1)
-    np.divide(horizon * s, h, out=r, where=h != 0.0)
+    r = np.broadcast_to(t, h.shape).copy()
+    np.divide(t * s, h, out=r, where=h != 0.0)
     table = r * np.cos(h) + 1j * (r * s)
-    kernel = np.ascontiguousarray(np.take(table, where, axis=1))
-    return kernel.reshape(t.shape + (lam.size, lam.size))
+    return np.take(table, where, axis=-1).reshape(t.shape[:-1] + (lam.size, lam.size))
 
 
 def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
@@ -74,11 +71,16 @@ def _norms_sq(c: np.ndarray) -> np.ndarray:
 def _observed_energy(c: np.ndarray, kernel: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
     """Per row of the (k, n) block c: the form u*(G∘K(T))u, u = conj(c), checked real, and ‖c‖².
 
-    ``kernel`` is one matrix for every row or a (k, n, n) stack, one per
-    row; ``T`` is one horizon or one per row.  Each form is its own
-    ``vdot(u, K @ u)``: a batched product would round differently from the
-    single-state call.
+    ``T`` is one horizon for every row or one per row, and ``kernel`` is
+    ``observability_kernel`` at ``T``; other shapes raise ``ShapeError``.
+    Each form is its own ``vdot(u, K @ u)``: a batched product would round
+    differently from the single-state call.
     """
+    rows = len(c)
+    if kernel.shape[:-2] != np.shape(T) or np.shape(T) not in ((), (rows,)):
+        raise ShapeError(
+            f"{np.shape(T)} horizons and a kernel of shape {kernel.shape} do not fit {rows} state rows"
+        )
     kernels = kernel if kernel.ndim == 3 else itertools.repeat(kernel)
     value = np.array([np.vdot(u, k @ u) for u, k in zip(c.conj(), kernels)], dtype=complex)
     norm_sq = _norms_sq(c)
@@ -152,33 +154,32 @@ class ObservabilityReport:
     norm_sq: float
 
 
+def _per_block(values, rows: int, what: str) -> np.ndarray:
+    """``values``, a scalar or one per row, as an array of ``rows`` entries."""
+    v = np.asarray(values, dtype=float)
+    if v.shape not in ((), (rows,)):
+        raise ShapeError(f"{v.shape} {what} do not fit {rows} state rows")
+    return np.broadcast_to(v, rows)
+
+
 def weak_observability_check(
-    z0,
-    system: SpectralSystem,
-    T,
-    psi: DecayFunction,
-    t_min,
-    *,
-    lambda_z0=None,
+    z0, system: SpectralSystem, T, psi: DecayFunction, t_min
 ) -> ObservabilityReport:
     """Evaluate θ₂ψ(θ₀(1/T+λ(z0)))‖z0‖² ≤ ∫₀ᵀ‖Cz‖² for one state or a (k, n) block.
 
     ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε, θ₁)``;
-    ``T`` and ``t_min`` are scalars or one per row.  ``lambda_z0``, when
-    given, is ``frequency(z0, system)``, which a caller that solved for
-    ``t_min`` already holds; else it is computed here.  Both sides and their
+    ``T`` and ``t_min`` are scalars or one per row.  Both sides and their
     margin are taken in the power-of-two frame of each row and scaled back,
     so a finite state never yields nan.
     """
     t = _horizons(T)
     z = coefficients_of(z0, system)
     c, back = _power_of_two_frame(z)
-    rows = c.shape[0]
-    lam0 = frequency(c, system) if lambda_z0 is None else np.broadcast_to(lambda_z0, rows)
+    lam0 = frequency(c, system)
     norm_sq = _norms_sq(c)
     lhs = THETA2 * psi(THETA0 * (1.0 / t + lam0)) * norm_sq
     integral = observability_integral(c, system, t)
-    t, t_min = np.broadcast_to(t, rows), np.broadcast_to(t_min, rows)
+    t, t_min = _per_block(t, len(c), "horizons"), _per_block(t_min, len(c), "minimal horizons")
     return ObservabilityReport(
         T=_per_row(t, z),
         integral=back(integral),
@@ -189,3 +190,4 @@ def weak_observability_check(
         lambda_z0=_per_row(lam0, z),
         norm_sq=back(norm_sq),
     )
+

@@ -276,9 +276,7 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     for start, z in _state_blocks(rng, cfg.trials, system.size, block):
         at = slice(start, start + len(z))
         horizon = cfg.T if cfg.T is not None else 2.0 * t_mins[at]
-        rep = weak_observability_check(
-            z, system, horizon, pipeline.spectral.psi, t_mins[at], lambda_z0=lam0[at]
-        )
+        rep = weak_observability_check(z, system, horizon, pipeline.spectral.psi, t_mins[at])
         all_applicable = all_applicable and bool(rep.applicable.all())
         scaled = rep.margin[rep.applicable] / (1.0 + rep.integral[rep.applicable])
         worst = min([worst, *scaled.tolist()])

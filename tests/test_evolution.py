@@ -8,6 +8,7 @@ import pytest
 from obskit import (
     Constant,
     DomainError,
+    ShapeError,
     SpectralSystem,
     StateVector,
     admissibility_check,
@@ -158,6 +159,24 @@ class TestObservabilityIntegral:
         sys_ = SpectralSystem(eigenvalues=[1.0], gram=np.eye(1))
         with pytest.raises(DomainError):
             observability_integral([1.0], sys_, 0.0)
+
+    def test_horizons_that_do_not_fit_the_rows_raise(self):
+        rng = np.random.default_rng(41)
+        sys_ = random_system(rng, 4)
+        block = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        calls = (
+            lambda: observability_integral(block, sys_, np.array([0.7])),
+            lambda: observability_integral(block, sys_, np.full(4, 0.7)),
+            lambda: observability_integral(block[0], sys_, [0.5, 1.0]),
+            lambda: observability_integral(block, sys_, np.full((5, 1), 0.7)),
+            lambda: admissibility_check(block, sys_, 0.7, observability_kernel(sys_, np.full(5, 0.7)), 3.0),
+            lambda: admissibility_check(block, sys_, np.full(5, 0.7), observability_kernel(sys_, 0.7), 3.0),
+            lambda: admissibility_check(block, sys_, np.full(2, 0.7), observability_kernel(sys_, np.full(2, 0.7)), 3.0),
+            lambda: weak_observability_check(block, sys_, 0.7, Constant(1.0), [1.0, 2.0]),
+        )
+        for call in calls:
+            with pytest.raises(ShapeError):
+                call()
 
 
 class TestKernelAndAdmissibility:

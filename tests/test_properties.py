@@ -41,6 +41,7 @@ from obskit import (
     DomainError,
     NumericError,
     PowerLaw,
+    ShapeError,
     SpectralSystem,
     TransformedWidth,
     admissibility_check,
@@ -455,6 +456,15 @@ def test_block_rows_equal_single_row_calls(pair, data):
     assert stack.flags.c_contiguous and stack.shape == (k, sys_.size, sys_.size)
     for i in range(k):
         assert np.array_equal(stack[i], phase_kernel(sys_.eigenvalues, float(T[i])))
+
+    wrong = np.full(data.draw(st.integers(1, 7).filter(lambda m: m != k)), float(T[0]))
+    for call in (
+        lambda: observability_integral(rows, sys_, wrong),
+        lambda: admissibility_check(rows, sys_, wrong, observability_kernel(sys_, wrong), 3.0),
+        lambda: weak_observability_check(rows, sys_, T, PowerLaw(0.1, 1.0), wrong),
+    ):
+        with pytest.raises(ShapeError):
+            call()
 
 
 @settings(max_examples=30)

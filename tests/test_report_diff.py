@@ -1,5 +1,6 @@
 """tools/report_diff.py matches verdicts by name: a renamed verdict is one
-removed and one added name, and the other verdicts' moves still show."""
+removed and one added name, the other verdicts' moves still show, and a
+change of order or of how often a name occurs is serious."""
 
 import json
 import sys
@@ -65,3 +66,21 @@ def test_cli_lists_both_names_and_exits_one(tmp_path, capsys):
     assert "verify-cutoff.json: verdict transform-matches-quadrature: removed" in out
     assert "verify-cutoff.json: verdict transform-matches-real-form: added" in out
     assert out[-1] == "1 reports compared, 1 moved, largest relative move 1.96e-16"
+
+
+def test_reordered_verdicts_are_a_serious_shape_move():
+    rows = [tuple(v.values()) for v in BEFORE["verdicts"]]
+    moves, serious = report_diff.report_moves(BEFORE, report([rows[1], rows[0], rows[2]]))
+    assert [w for w, _, _ in moves] == ["verdict order"]
+    assert serious
+
+
+def test_a_repeated_name_is_matched_by_occurrence():
+    rows = [tuple(v.values()) for v in BEFORE["verdicts"]]
+    doubled = report([*rows, ("sandwich-upper-bound", True, "max = 1")])
+    moves, serious = report_diff.report_moves(BEFORE, doubled)
+    assert moves == [("verdict sandwich-upper-bound#2", "added", None)]
+    assert serious
+    moves, serious = report_diff.report_moves(doubled, report([*rows, ("sandwich-upper-bound", True, "max = 2")]))
+    assert [w for w, _, _ in moves] == ["verdict sandwich-upper-bound#2 detail"]
+    assert not serious

@@ -13,8 +13,10 @@ text carries the largest relative move among the numbers in it.  With
 all seed directories and table rows: how many values moved and the largest
 relative move.  The last line counts the reports compared and moved and
 gives the largest relative move.  Exit status 1 when a verdict's pass/fail
-differs, a verdict or a report exists on one side only, or the two sides
-differ in shape (keys, table sizes); else 0.
+differs, a verdict or a report exists on one side only, the verdicts both
+sides share come in another order, or the two sides differ in shape (keys,
+table sizes); else 0.  A name repeated in one report is matched by its
+occurrence, as ``name#2`` and so on.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import argparse
 import json
 import re
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -51,6 +53,17 @@ def _value_move(a, b) -> tuple[str, float | None] | None:
             rel = max(relative(float(x), float(y)) for x, y in zip(xs, ys))
             return f"{a!r} -> {b!r}  rel={rel:.2e}", rel
     return f"{a!r} -> {b!r}", None
+
+
+def _by_name(verdicts: list[dict]) -> dict[str, dict]:
+    """The verdicts in order, keyed by name; a repeated name is keyed ``name#2``, ``name#3``, ..."""
+    seen: Counter[str] = Counter()
+    keyed = {}
+    for verdict in verdicts:
+        seen[verdict["name"]] += 1
+        count = seen[verdict["name"]]
+        keyed[verdict["name"] if count == 1 else f"{verdict['name']}#{count}"] = verdict
+    return keyed
 
 
 def report_moves(a: dict, b: dict) -> tuple[list[tuple[str, str, float | None]], bool]:
@@ -82,12 +95,12 @@ def report_moves(a: dict, b: dict) -> tuple[list[tuple[str, str, float | None]],
     if shape("notes", len(na), len(nb)):
         for i, (x, y) in enumerate(zip(na, nb)):
             leaf(f"notes[{i}]", x, y)
-    va = {v["name"]: v for v in a.get("verdicts", [])}
-    vb = {v["name"]: v for v in b.get("verdicts", [])}
+    va, vb = _by_name(a.get("verdicts", [])), _by_name(b.get("verdicts", []))
     for side, names, other in (("removed", va, vb), ("added", vb, va)):
         for name in [name for name in names if name not in other]:
             moves.append((f"verdict {name}", side, None))
             serious = True
+    shape("verdict order", [name for name in va if name in vb], [name for name in vb if name in va])
     for name in [name for name in va if name in vb]:
         x, y = va[name], vb[name]
         if x["passed"] != y["passed"]:
