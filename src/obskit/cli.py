@@ -8,7 +8,7 @@ constants, next to it) and prints a short human summary.  Exit codes:
 * 2 — a mathematical verdict failed
 * 3 — input error (config parse/schema/invariant, bad domain or shape,
   a report path that cannot be written)
-* 4 — numeric failure (quadrature, eigensolver, bracket expansion)
+* 4 — numeric failure (eigensolver, envelope dominance, bracket expansion)
 """
 
 from __future__ import annotations

@@ -403,18 +403,18 @@ def apply_overrides(
     T: float | None = None,
     output_path: str | None = None,
 ) -> RunConfig:
-    """Apply CLI flag overrides on top of a loaded configuration."""
+    """Apply CLI flag overrides on top of a loaded configuration, validated as in ``load_config``."""
     updates: dict = {}
     if seed is not None:
+        updates["seed"] = _require_int(seed, "seed")
         _check_seed(seed)
-        updates["seed"] = seed
     if trials is not None:
+        updates["trials"] = _require_int(trials, "trials")
         if trials < 1:
             raise _invariant_error(f"trials must be ≥ 1, got {trials}")
-        updates["trials"] = trials
     if T is not None:
-        _check_T(T, cfg.scenario)
-        updates["T"] = T
+        updates["T"] = _require_number(T, "T")
+        _check_T(updates["T"], cfg.scenario)
     if output_path is not None:
         updates["output_path"] = output_path
     return replace(cfg, **updates) if updates else cfg

@@ -63,9 +63,12 @@ def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
     return system.gram * phase_kernel(system.eigenvalues, _horizons(T, strict=False))
 
 
-def _norms_sq(c: np.ndarray) -> np.ndarray:
-    """‖c‖² for each row of the (k, n) block c, each by its own ``vdot`` as for one state."""
-    return np.array([np.vdot(row, row).real for row in c], dtype=float)
+def _per_block(values, rows: int, what: str) -> np.ndarray:
+    """``values``, a scalar or one per row, as an array of ``rows`` entries."""
+    v = np.asarray(values, dtype=float)
+    if v.shape not in ((), (rows,)):
+        raise ShapeError(f"{v.shape} {what} do not fit {rows} state rows")
+    return np.broadcast_to(v, rows)
 
 
 def _observed_energy(c: np.ndarray, kernel: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
@@ -73,18 +76,16 @@ def _observed_energy(c: np.ndarray, kernel: np.ndarray, T) -> tuple[np.ndarray, 
 
     ``T`` is one horizon for every row or one per row, and ``kernel`` is
     ``observability_kernel`` at ``T``; other shapes raise ``ShapeError``.
-    Each form is its own ``vdot(u, K @ u)``: a batched product would round
-    differently from the single-state call.
+    Each form and each ‖c‖² is its own ``vdot``: a batched product would
+    round differently from the single-state call.
     """
-    rows = len(c)
-    if kernel.shape[:-2] != np.shape(T) or np.shape(T) not in ((), (rows,)):
-        raise ShapeError(
-            f"{np.shape(T)} horizons and a kernel of shape {kernel.shape} do not fit {rows} state rows"
-        )
+    t = _per_block(T, len(c), "horizons")
+    if kernel.shape[:-2] != np.shape(T):
+        raise ShapeError(f"{np.shape(T)} horizons do not fit a kernel of shape {kernel.shape}")
     kernels = kernel if kernel.ndim == 3 else itertools.repeat(kernel)
     value = np.array([np.vdot(u, k @ u) for u, k in zip(c.conj(), kernels)], dtype=complex)
-    norm_sq = _norms_sq(c)
-    scale = np.maximum(np.abs(value.real), T * norm_sq)
+    norm_sq = np.array([np.vdot(row, row).real for row in c], dtype=float)
+    scale = np.maximum(np.abs(value.real), t * norm_sq)
     bad = np.abs(value.imag) > 1.0e-10 * scale
     if bad.any():
         i = int(np.argmax(bad))
@@ -154,14 +155,6 @@ class ObservabilityReport:
     norm_sq: float
 
 
-def _per_block(values, rows: int, what: str) -> np.ndarray:
-    """``values``, a scalar or one per row, as an array of ``rows`` entries."""
-    v = np.asarray(values, dtype=float)
-    if v.shape not in ((), (rows,)):
-        raise ShapeError(f"{v.shape} {what} do not fit {rows} state rows")
-    return np.broadcast_to(v, rows)
-
-
 def weak_observability_check(
     z0, system: SpectralSystem, T, psi: DecayFunction, t_min
 ) -> ObservabilityReport:
@@ -176,9 +169,8 @@ def weak_observability_check(
     z = coefficients_of(z0, system)
     c, back = _power_of_two_frame(z)
     lam0 = frequency(c, system)
-    norm_sq = _norms_sq(c)
+    integral, norm_sq = _observed_energy(c, observability_kernel(system, t), t)
     lhs = THETA2 * psi(THETA0 * (1.0 / t + lam0)) * norm_sq
-    integral = observability_integral(c, system, t)
     t, t_min = _per_block(t, len(c), "horizons"), _per_block(t_min, len(c), "minimal horizons")
     return ObservabilityReport(
         T=_per_row(t, z),

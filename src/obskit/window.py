@@ -10,14 +10,15 @@ quadrature is the test oracle for both.  The window is
 fixed, so its norms and the frequency-localization constants c₀, c₀′, θ₀,
 θ₁ (both variants) and θ₂ are module constants in closed form.  Also here:
 the windowed frequency of an evolved state, the minimal observation time
-T(λ) solving T·ε(θ₀(1/T+λ)) = θ₁, and a truncated-Plancherel lower bound
-for windowed trajectory energy.
+T(λ) solving T·ε(θ₀(1/T+λ)) = θ₁, and a proven, closed-form
+truncated-Plancherel lower bound for windowed trajectory energy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ from .spectral import SpectralSystem, _moments, _per_row, coefficients_of, frequ
 # it does not assume them.
 KAPPA1 = 4.0 / (3.0 * math.pi)
 KAPPA2 = 6.0
+# Proven sandwich, x = τ²: as |(4−x)cos τ − 4τ sin τ| ≤ 4 + x, (1+x)|χ̂| lies
+# between 2(1+x)(4 + 3x − e⁻²(4+x))/(4+x)² ≥ (1 − e⁻²)/2 > κ₁ and
+# 2(1+x)(3x+4)/(4+x)² + 2e⁻²(1+x)/(4+x) < κ₂*, each monotone in x.
+KAPPA2_SUP = 6.0 + 2.0 * math.exp(-2.0)
 
 # sup of |χ̇| on (−1,1)\{0}, attained in the limit s → 0±.
 CHI_DERIV_SUP = 3.0
@@ -183,26 +188,30 @@ class PlancherelReport:
     radius: float
 
 
-def _chi_hat_sq_right_tail(x: float) -> float:
-    """∫_x^∞ χ̂(u)² du for any real x."""
-    from scipy.integrate import quad
+def _tail(x: np.ndarray) -> np.ndarray:
+    """∫_x^∞ (1+u²)⁻² du: (arctan(1/x) − 1/(x + 1/x))/2 for x ≥ 0, else π/2 − tail(−x).
 
-    if x <= 0.0:
-        left, _ = quad(lambda u: chi_hat(u) ** 2, x, 0.0, epsabs=1e-12, epsrel=1e-10, limit=2000)
-        return left + math.pi * CHI_L2_NORM_SQ  # ∫₀^∞ χ̂² = π‖χ‖² (Plancherel)
-    if x >= 60.0:
-        tail, _ = quad(lambda u: chi_hat(u) ** 2, x, np.inf, epsabs=1e-11, epsrel=1e-8, limit=800)
-        return tail
-    mid, _ = quad(lambda u: chi_hat(u) ** 2, x, 60.0, epsabs=1e-12, epsrel=1e-10, limit=2000)
-    tail, _ = quad(lambda u: chi_hat(u) ** 2, 60.0, np.inf, epsabs=1e-11, epsrel=1e-8, limit=800)
-    return mid + tail
+    Exact at x = 0 and x = ±∞, and never π/2 minus a difference of tails."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / a
+    t = 0.5 * (np.arctan(inv) - 1.0 / (a + inv))
+    return np.where(x < 0, 0.5 * math.pi - t, t)
 
 
-def _chi_hat_sq_integral(a: float, b: float) -> float:
-    """∫_a^b χ̂(u)² du via tail differences (robust for very wide intervals)."""
-    if not a < b:
-        return 0.0
-    return max(_chi_hat_sq_right_tail(a) - _chi_hat_sq_right_tail(b), 0.0)
+def _chi_hat_sq_lower_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A proven lower bound on ∫_a^b χ̂(u)² du, elementwise for a ≤ b.
+
+    With I = ∫_a^b (1+u²)⁻² du the bound is
+    max(2π‖χ‖² − κ₂*²·(π/2 − I), κ₁²·I, 0): Plancherel gives
+    ∫_ℝ χ̂² = 2π‖χ‖², and κ₁ ≤ (1+u²)|χ̂(u)| ≤ κ₂* on all of ℝ.  I and
+    its complement π/2 − I are each a sum or difference of tails, so each
+    is exact to a few ulps of π/2.
+    """
+    inside = _tail(a) - _tail(b)
+    outside = _tail(b) + _tail(-a)
+    energy = 2.0 * math.pi * CHI_L2_NORM_SQ
+    return np.maximum(np.maximum(energy - KAPPA2_SUP**2 * outside, KAPPA1**2 * inside), 0.0)
 
 
 def plancherel_lowerbound_check(z0, system: SpectralSystem, T: float, R: float) -> PlancherelReport:
@@ -210,34 +219,30 @@ def plancherel_lowerbound_check(z0, system: SpectralSystem, T: float, R: float) 
 
     ‖x̂(τ)‖² is the energy-normalized windowed transform of the evolved
     state, (2πT)⁻¹ Σ_k |χ̂_T(τ−λ_k)|²|z_k|², so that the R → ∞ limit of the
-    right-hand side is exactly ‖z0‖².  The τ-integral is evaluated per mode
-    (the spectral sum and the integral commute), each mode contributing
-    ∫ χ̂(u)² du over its own shifted window — an exact decomposition, with
-    quadrature refined around each mode's peak at u = 0.
+    right-hand side is exactly ‖z0‖².  Mode k contributes |z_k|²/(2π‖χ‖²)
+    times ∫ χ̂(u)² du over [T(−R−λ_k), T(R−λ_k)], and ``rhs`` takes each
+    integral from ``_chi_hat_sq_lower_bound``: it is a proven lower bound on
+    the right-hand side, exact up to round-off and never above ‖z0‖², so a
+    ``margin`` ≥ 0 proves the inequality for this state.  T and R must be
+    finite; a window edge that overflows reads ±∞, where the bound is exact.
     """
-    if not T > 0:
-        raise DomainError(f"window length T must be positive, got {T}")
+    if not 0.0 < T <= sys.float_info.max:  # False for nan, inf and ints past the float range
+        raise DomainError(f"window length T must be positive and finite, got {T}")
     c = coefficients_of(z0, system)
     if c.ndim != 1:
         raise ShapeError("the Plancherel check takes one 1-D state")
     lam0 = frequency(z0, system)
     threshold = C0_PRIME / T + lam0
-    if not R > threshold:
+    if not threshold < R <= sys.float_info.max:
         raise DomainError(
-            f"radius R = {R} must exceed c0'/T + λ(z0) = {threshold}"
+            f"radius R = {R} must exceed c0'/T + λ(z0) = {threshold} and be finite"
         )
     norm_sq = float(np.vdot(c, c).real)
     lhs = (1.0 - threshold / R) * norm_sq
-
-    weights: dict[float, float] = {}
-    for lam, amp in zip(system.eigenvalues, np.abs(c) ** 2):
-        weights[float(lam)] = weights.get(float(lam), 0.0) + float(amp)
-    total = 0.0
-    for lam, amp in weights.items():
-        if amp == 0.0:
-            continue
-        total += amp * _chi_hat_sq_integral(T * (-R - lam), T * (R - lam))
-    rhs = total / (2.0 * math.pi * CHI_L2_NORM_SQ)
+    lam = system.eigenvalues
+    with np.errstate(over="ignore"):
+        bound = _chi_hat_sq_lower_bound(T * (-R - lam), T * (R - lam))
+    rhs = float(np.abs(c) ** 2 @ bound) / (2.0 * math.pi * CHI_L2_NORM_SQ)
     return PlancherelReport(
         lhs=lhs, rhs=rhs, margin=rhs - lhs, norm_sq=norm_sq, horizon=T, radius=R
     )

@@ -1,5 +1,5 @@
-"""Test oracles: the window transform and the observed energy by quadrature, the
-trajectory point, the closed-form cluster minima of the full bottom side, and
+"""Test oracles: the window transform, its energy on an interval and the observed
+energy by quadrature, the trajectory point, the closed-form cluster minima of the full bottom side, and
 the three per-trial scenarios run one state at a time."""
 
 import math
@@ -25,7 +25,7 @@ from obskit.report import ReportBundle, Table, Verdict
 from obskit.scenarios import _new_bundle, _pipeline_constants
 from obskit.spectral import coefficients_of, frequency, frequency_report
 from obskit.square import lattice_circle
-from obskit.window import THETA1, THETA1_SUP_DERIV, solve_observation_time
+from obskit.window import CHI_L2_NORM_SQ, THETA1, THETA1_SUP_DERIV, chi_hat, solve_observation_time
 
 
 def chi_hat_by_quadrature(tau: float) -> float:
@@ -41,6 +41,28 @@ def chi_hat_by_quadrature(tau: float) -> float:
         limit=400,
     )
     return value
+
+
+def _chi_hat_sq_right_tail(x: float) -> float:
+    """∫_x^∞ χ̂(u)² du for any real x, by quadrature split at u = 0 and u = 60."""
+    if x <= 0.0:
+        left, _ = quad(lambda u: chi_hat(u) ** 2, x, 0.0, epsabs=1e-12, epsrel=1e-10, limit=2000)
+        return left + math.pi * CHI_L2_NORM_SQ  # ∫₀^∞ χ̂² = π‖χ‖² (Plancherel)
+    if x >= 60.0:
+        tail, _ = quad(lambda u: chi_hat(u) ** 2, x, np.inf, epsabs=1e-11, epsrel=1e-8, limit=800)
+        return tail
+    mid, _ = quad(lambda u: chi_hat(u) ** 2, x, 60.0, epsabs=1e-12, epsrel=1e-10, limit=2000)
+    tail, _ = quad(lambda u: chi_hat(u) ** 2, 60.0, np.inf, epsabs=1e-11, epsrel=1e-8, limit=800)
+    return mid + tail
+
+
+def chi_hat_sq_integral_by_quadrature(a: float, b: float) -> float:
+    """∫_a^b χ̂(u)² du as a difference of quadrature tails, the oracle for the
+    closed-form Plancherel bound.  Reliable to about 1e-11 absolute on windows
+    of moderate width and position; it loses accuracy on very wide or far ones."""
+    if not a < b:
+        return 0.0
+    return max(_chi_hat_sq_right_tail(a) - _chi_hat_sq_right_tail(b), 0.0)
 
 
 def evolve(z0, system: SpectralSystem, t: float) -> StateVector:

@@ -249,6 +249,25 @@ class TestDefaultsAndOverrides:
         with pytest.raises(ConfigError, match="positive"):
             apply_overrides(cfg, T=0.0)
 
+    @pytest.mark.parametrize(
+        "override, kind",
+        [
+            ({"trials": 2.5}, "schema"),
+            ({"trials": True}, "schema"),
+            ({"seed": 2.5}, "schema"),
+            ({"T": 10**400}, "invariant"),
+        ],
+    )
+    def test_override_types_checked_as_in_load_config(self, override, kind):
+        (key, value), = override.items()
+        for make in (
+            lambda: apply_overrides(default_config("weak-observability"), **override),
+            lambda: load_config(json.dumps({"scenario": "weak-observability", key: value})),
+        ):
+            with pytest.raises(ConfigError, match=key) as info:
+                make()
+            assert info.value.kind == kind
+
     @pytest.mark.parametrize("scenario", ["coercivity-scan", "resolvent-scan"])
     def test_T_rejected_without_a_horizon(self, scenario):
         for make in (

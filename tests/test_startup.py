@@ -1,9 +1,11 @@
-"""Start-up: no scenario loads scipy; only the library's Plancherel check does.
+"""Start-up: obskit runs on numpy alone; scipy is needed only by the tests.
 
-Each check runs in a fresh interpreter, since this suite's own process has
-scipy loaded by other test modules.
+Each run-time check runs in a fresh interpreter, since this suite's own
+process has scipy loaded by other test modules.  A static check reads every
+module of the package for a scipy import, whether or not any test runs it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -65,15 +67,29 @@ print(json.dumps(seen))
     assert seen["cutoff_failing"] == ["sandwich-upper-bound"]
 
 
-def test_plancherel_check_resolves_its_deferred_quadrature(tmp_path):
+def test_plancherel_check_loads_no_scipy(tmp_path):
     seen = run_fresh(
         """
 import obskit
 system = obskit.SpectralSystem(eigenvalues=[1.0, 4.0], gram=[[1.0, 0.0], [0.0, 1.0]])
-before = "scipy.integrate" in sys.modules
 report = obskit.plancherel_lowerbound_check([1.0, 0.5], system, 2.0, 50.0)
-print(json.dumps({"before": before, "after": "scipy.integrate" in sys.modules, "holds": report.margin >= 0}))
+print(json.dumps({"loaded": scipy_modules(), "holds": report.margin >= 0}))
 """,
         tmp_path,
     )
-    assert seen == {"before": False, "after": True, "holds": True}
+    assert seen == {"loaded": [], "holds": True}
+
+
+def test_no_package_module_imports_scipy():
+    package = Path(obskit.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), (path.name, names)

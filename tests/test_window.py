@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -34,15 +34,18 @@ from obskit.window import (
     CHI_L2_NORM_SQ,
     KAPPA1,
     KAPPA2,
+    KAPPA2_SUP,
     THETA0,
     THETA1,
     THETA1_SUP_DERIV,
     THETA2,
+    _chi_hat_sq_lower_bound,
+    _tail,
     chi_hat_real_form,
     default_tau_grid,
 )
 
-from oracles import chi_hat_by_quadrature
+from oracles import chi_hat_by_quadrature, chi_hat_sq_integral_by_quadrature
 
 
 class TestWindow:
@@ -153,8 +156,8 @@ class TestProfileAndConstants:
         assert 2.0 * half == pytest.approx(2.0 * math.pi * CHI_L2_NORM_SQ, rel=1e-6)
 
     def test_half_line_transform_energy_closed_form(self):
-        # quadrature is the oracle for the Plancherel value π‖χ‖² that the
-        # truncated-Plancherel tail integral uses for ∫₀^∞ χ̂²
+        # quadrature is the oracle for the Plancherel value ∫₀^∞ χ̂² = π‖χ‖²
+        # on which the closed-form truncated-Plancherel bound rests
         inner, _ = quad(lambda u: chi_hat(u) ** 2, 0.0, 60.0, epsabs=1e-12, epsrel=1e-12, limit=2000)
         tail, _ = quad(lambda u: chi_hat(u) ** 2, 60.0, np.inf, epsabs=1e-11, epsrel=1e-8, limit=800)
         assert math.pi * CHI_L2_NORM_SQ == pytest.approx(inner + tail, rel=1e-11)
@@ -323,3 +326,75 @@ class TestPlancherelLowerBound:
         sys_ = self.make_system()
         with pytest.raises(ShapeError, match="one 1-D state"):
             plancherel_lowerbound_check(np.eye(5)[:2], sys_, 1.0, 1.0e3)
+
+
+class TestPlancherelClosedFormBound:
+    FIVE = SpectralSystem(eigenvalues=[1.0, 3.0, 4.0, 8.0, 13.0], gram=np.eye(5))
+    TWO = SpectralSystem(eigenvalues=[1.0, 4.0], gram=np.eye(2))
+
+    def test_envelope_holds_on_chunked_grids(self):
+        # the proven envelope (1 − e⁻²)/2 ≤ (1+τ²)|χ̂| < κ₂* that the bound rests
+        # on, on 4·10⁶ points of [0, 2·10⁴] (χ̂ is even), one chunk at a time
+        lower = (1.0 - math.exp(-2.0)) / 2.0
+        assert KAPPA1 < lower
+        for start in range(0, 20000, 1000):
+            values = sandwich_values(np.linspace(start, start + 1000.0, 200001))
+            assert float(values.min()) >= lower
+            assert float(values.max()) < KAPPA2_SUP
+
+    def test_tails_are_exact_at_zero_and_infinity(self):
+        x = np.array([0.0, -0.0, math.inf, -math.inf, 1.0, -1.0])
+        expected = [math.pi / 4, math.pi / 4, 0.0, math.pi / 2, math.pi / 8 - 0.25, 3 * math.pi / 8 + 0.25]
+        assert _tail(x)[:4].tolist() == expected[:4]
+        np.testing.assert_allclose(_tail(x)[4:], expected[4:], rtol=1e-15)
+
+    @settings(max_examples=60)
+    @given(st.floats(-500.0, 500.0), st.floats(-3.0, 4.0))
+    def test_bound_never_exceeds_quadrature(self, centre, log_width):
+        width = 10.0**log_width
+        a, b = centre - width / 2, centre + width / 2
+        bound = float(_chi_hat_sq_lower_bound(np.array([a]), np.array([b]))[0])
+        assert 0.0 <= bound <= chi_hat_sq_integral_by_quadrature(a, b) + 1e-10  # the oracle's tolerance
+
+    def test_bound_is_non_negative_where_tails_round(self):
+        # far from 0 each tail carries a relative error of about x²·2⁻⁵³, so
+        # a difference of two tails can come out negative (it does at 10⁶)
+        edge = np.concatenate([10.0 ** np.linspace(3.0, 9.0, 61), -(10.0 ** np.linspace(3.0, 9.0, 61))])
+        for width in (1.0, 10.0):
+            assert float(_chi_hat_sq_lower_bound(edge, edge + width).min()) >= 0.0
+
+    def test_rhs_never_exceeds_the_norm(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            lam = np.sort(10.0 ** rng.uniform(-2.0, 4.0, n))
+            sys_ = SpectralSystem(eigenvalues=lam, gram=np.eye(n))
+            z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-100, 100)
+            T = 10.0 ** rng.uniform(-3.0, 300.0)
+            R = (C0_PRIME / T + lam[-1]) * 10.0 ** rng.uniform(1e-3, 12.0)
+            rep = plancherel_lowerbound_check(z, sys_, T, R)
+            assert 0.0 <= rep.rhs <= rep.norm_sq * (1.0 + 8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize(
+        "system, z, T, R",
+        [
+            (TWO, [1.0, 0.5], 1.0e4, 50.0),
+            (TWO, [1.0, 0.5], 1.0e6, 50.0),
+            (TWO, [1.0, 0.5], 1.0e300, 50.0),  # window edges overflow to ±inf
+            (FIVE, np.ones(5), 1.0, 1.0e6),
+            (FIVE, np.ones(5), 1.0, 1.0e8),
+        ],
+    )
+    def test_wide_windows_hold(self, system, z, T, R):
+        # quadrature read margins −0.46, −0.585, −0.585 and −2.5 on four of
+        # these, and rhs = 5.0000000196 > ‖z‖² on the fifth
+        rep = plancherel_lowerbound_check(z, system, T, R)
+        assert rep.margin >= 0.0
+        assert rep.rhs <= rep.norm_sq
+
+    @pytest.mark.parametrize(
+        "T, R", [(math.inf, 50.0), (math.nan, 50.0), (10**400, 50.0), (1.0, math.inf), (1.0, math.nan), (1.0, 10**400)]
+    )
+    def test_non_finite_horizon_or_radius_raise(self, T, R):
+        with pytest.raises(DomainError, match="finite"):
+            plancherel_lowerbound_check([1.0, 0.5], self.TWO, T, R)
