@@ -7,7 +7,8 @@ constants, next to it) and prints a short human summary.  Exit codes:
 * 0 — every verdict passed
 * 2 — a mathematical verdict failed
 * 3 — input error (config parse/schema/invariant, bad domain or shape,
-  a report path that cannot be written)
+  a horizon T whose phase ½·T·(λ_max − λ_min) overflows, a report path
+  that cannot be written)
 * 4 — numeric failure (eigensolver, envelope dominance, bracket expansion)
 """
 

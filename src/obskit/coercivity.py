@@ -116,9 +116,7 @@ def cluster_min_coercivity(system: SpectralSystem, indices) -> tuple[float, np.n
 
 
 def coercivity_scan(system: SpectralSystem, epsilon: float) -> list[ClusterReport]:
-    """One ClusterReport per distinct eigenvalue, sorted by center."""
-    if not epsilon > 0:
-        raise DomainError(f"cluster width must be positive, got {epsilon}")
+    """One ClusterReport per distinct eigenvalue, sorted by center; ``enumerate_cluster`` checks ε."""
     reports = []
     for center in system.distinct_eigenvalues().tolist():
         idx = enumerate_cluster(system, center, epsilon)

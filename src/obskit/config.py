@@ -124,21 +124,6 @@ def _require_int(value, path: str) -> int:
     return value
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise _invariant_error(f"seed must be ≥ 0, got {seed}")
-
-
-def _check_T(T: float, scenario: str) -> None:
-    if scenario not in HORIZON_SCENARIOS:
-        raise _invariant_error(
-            f"T is read only by {' and '.join(HORIZON_SCENARIOS)}; "
-            f"scenario {scenario} has no time horizon"
-        )
-    if not (T > 0 and math.isfinite(T)):
-        raise _invariant_error(f"T must be positive and finite, got {T}")
-
-
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _schema_error(f"{path}: expected a number, got {value!r}")
@@ -146,6 +131,29 @@ def _require_number(value, path: str) -> float:
     if not abs(value) <= sys.float_info.max:
         raise _invariant_error(f"{path}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _check_settings(scenario: str, given: dict) -> dict:
+    """The ``given`` trials, seed and T of a run, each type-checked and held to its invariant."""
+    settings = {}
+    if "trials" in given:
+        trials = settings["trials"] = _require_int(given["trials"], "trials")
+        if trials < 1:
+            raise _invariant_error(f"trials must be ≥ 1, got {trials}")
+    if "seed" in given:
+        seed = settings["seed"] = _require_int(given["seed"], "seed")
+        if seed < 0:
+            raise _invariant_error(f"seed must be ≥ 0, got {seed}")
+    if "T" in given:
+        T = settings["T"] = _require_number(given["T"], "T")
+        if scenario not in HORIZON_SCENARIOS:
+            raise _invariant_error(
+                f"T is read only by {' and '.join(HORIZON_SCENARIOS)}; "
+                f"scenario {scenario} has no time horizon"
+            )
+        if not T > 0:
+            raise _invariant_error(f"T must be positive and finite, got {T}")
+    return settings
 
 
 def _normalize_patch(raw, index: int) -> dict:
@@ -360,17 +368,10 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
     if not epsilon > 0:
         raise _invariant_error(f"epsilon_cluster must be positive, got {epsilon}")
 
-    trials = _require_int(raw.get("trials", DEFAULT_TRIALS), "trials")
-    if trials < 1:
-        raise _invariant_error(f"trials must be ≥ 1, got {trials}")
-
-    seed = _require_int(raw.get("seed", DEFAULT_SEED), "seed")
-    _check_seed(seed)
-
-    T = raw.get("T")
-    if T is not None:
-        T = _require_number(T, "T")
-        _check_T(T, scenario)
+    given = {"trials": raw.get("trials", DEFAULT_TRIALS), "seed": raw.get("seed", DEFAULT_SEED)}
+    if raw.get("T") is not None:
+        given["T"] = raw["T"]
+    settings = _check_settings(scenario, given)
 
     output_path = raw.get("output_path", DEFAULT_OUTPUT)
     if not isinstance(output_path, str) or not output_path:
@@ -381,10 +382,8 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
         scenario=scenario,
         system=system,
         epsilon_cluster=epsilon,
-        trials=trials,
-        seed=seed,
-        T=T,
         output_path=output_path,
+        **settings,
     )
 
 
@@ -404,17 +403,8 @@ def apply_overrides(
     output_path: str | None = None,
 ) -> RunConfig:
     """Apply CLI flag overrides on top of a loaded configuration, validated as in ``load_config``."""
-    updates: dict = {}
-    if seed is not None:
-        updates["seed"] = _require_int(seed, "seed")
-        _check_seed(seed)
-    if trials is not None:
-        updates["trials"] = _require_int(trials, "trials")
-        if trials < 1:
-            raise _invariant_error(f"trials must be ≥ 1, got {trials}")
-    if T is not None:
-        updates["T"] = _require_number(T, "T")
-        _check_T(updates["T"], cfg.scenario)
+    given = {key: value for key, value in (("trials", trials), ("seed", seed), ("T", T)) if value is not None}
+    updates = _check_settings(cfg.scenario, given)
     if output_path is not None:
         updates["output_path"] = output_path
     return replace(cfg, **updates) if updates else cfg

@@ -20,18 +20,8 @@ import numpy as np
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError, ShapeError
-from .spectral import SpectralSystem, _per_row, _power_of_two_frame, coefficients_of, frequency
+from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, coefficients_of
 from .window import THETA0, THETA2
-
-
-def _horizons(T, strict: bool = True) -> np.ndarray:
-    """``T`` as a float array, each horizon checked positive (non-negative if not ``strict``)."""
-    t = np.asarray(T, dtype=float)
-    bad = ~(t > 0) if strict else ~(t >= 0)
-    if bad.any():
-        kind = "positive" if strict else "non-negative"
-        raise DomainError(f"time horizon must be {kind}, got {float(t[bad][0])}")
-    return t
 
 
 def phase_kernel(eigenvalues: np.ndarray, T) -> np.ndarray:
@@ -60,28 +50,19 @@ def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
 
     One (n, n) matrix for a scalar ``T``, a (k, n, n) stack for k horizons.
     """
-    return system.gram * phase_kernel(system.eigenvalues, _horizons(T, strict=False))
+    return system.gram * phase_kernel(system.eigenvalues, _horizons(T, system))
 
 
-def _per_block(values, rows: int, what: str) -> np.ndarray:
-    """``values``, a scalar or one per row, as an array of ``rows`` entries."""
-    v = np.asarray(values, dtype=float)
-    if v.shape not in ((), (rows,)):
-        raise ShapeError(f"{v.shape} {what} do not fit {rows} state rows")
-    return np.broadcast_to(v, rows)
+def _observed_energy(c: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (k, n) block c: the form u*(G∘K(t))u, u = conj(c), checked real, and ‖c‖².
 
-
-def _observed_energy(c: np.ndarray, kernel: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the (k, n) block c: the form u*(G∘K(T))u, u = conj(c), checked real, and ‖c‖².
-
-    ``T`` is one horizon for every row or one per row, and ``kernel`` is
-    ``observability_kernel`` at ``T``; other shapes raise ``ShapeError``.
-    Each form and each ‖c‖² is its own ``vdot``: a batched product would
-    round differently from the single-state call.
+    ``t`` comes from ``_horizons`` for the rows of c, and ``kernel`` is
+    ``observability_kernel`` at ``t``; a kernel of another shape raises
+    ``ShapeError``.  Each form and each ‖c‖² is its own ``vdot``: a batched
+    product would round differently from the single-state call.
     """
-    t = _per_block(T, len(c), "horizons")
-    if kernel.shape[:-2] != np.shape(T):
-        raise ShapeError(f"{np.shape(T)} horizons do not fit a kernel of shape {kernel.shape}")
+    if kernel.shape[:-2] != t.shape:
+        raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
     kernels = kernel if kernel.ndim == 3 else itertools.repeat(kernel)
     value = np.array([np.vdot(u, k @ u) for u, k in zip(c.conj(), kernels)], dtype=complex)
     norm_sq = np.array([np.vdot(row, row).real for row in c], dtype=float)
@@ -102,8 +83,8 @@ def observability_integral(z0, system: SpectralSystem, T):
     per row.  Evaluated in the power-of-two frame of each row, so a finite
     state never yields nan: past the float range the integral reads inf.
     """
-    t = _horizons(T)
     c, back = _power_of_two_frame(coefficients_of(z0, system))
+    t = _horizons(T, system, len(c))
     return back(_observed_energy(c, observability_kernel(system, t), t)[0])
 
 
@@ -128,9 +109,8 @@ def admissibility_check(z0, system: SpectralSystem, T, kernel: np.ndarray, C_T: 
     """
     if not C_T > 0:
         raise DomainError(f"admissibility constant must be positive, got {C_T}")
-    t = _horizons(T)
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    energy, norm_sq = _observed_energy(c, kernel, t)
+    energy, norm_sq = _observed_energy(c, kernel, _horizons(T, system, len(c)))
     return back(C_T * norm_sq - energy)
 
 
@@ -165,13 +145,13 @@ def weak_observability_check(
     margin are taken in the power-of-two frame of each row and scaled back,
     so a finite state never yields nan.
     """
-    t = _horizons(T)
     z = coefficients_of(z0, system)
     c, back = _power_of_two_frame(z)
-    lam0 = frequency(c, system)
+    t, t_min = _horizons(T, system, len(c)), _horizons(t_min, system, len(c))
+    lam0 = _moments(c, system)[3]
     integral, norm_sq = _observed_energy(c, observability_kernel(system, t), t)
     lhs = THETA2 * psi(THETA0 * (1.0 / t + lam0)) * norm_sq
-    t, t_min = _per_block(t, len(c), "horizons"), _per_block(t_min, len(c), "minimal horizons")
+    t, t_min = np.broadcast_to(t, len(c)), np.broadcast_to(t_min, len(c))
     return ObservabilityReport(
         T=_per_row(t, z),
         integral=back(integral),

@@ -172,6 +172,27 @@ def coefficients_of(z, system: SpectralSystem) -> np.ndarray:
     return c
 
 
+def _horizons(T, system: SpectralSystem, rows: int | None = None) -> np.ndarray:
+    """``T`` as a float array of horizons, each positive with a finite phase
+    ½·T·(λ_max − λ_min), formed as ``phase_kernel``'s ``0.5 * t * gaps`` so
+    that no gap's phase overflows; an infinite or nan T makes that phase inf
+    or nan.  Given ``rows``, T is one horizon for every row or one per row;
+    any other shape raises ``ShapeError``.
+    """
+    t = np.asarray(T, dtype=float)
+    if rows is not None and t.shape not in ((), (rows,)):
+        raise ShapeError(f"{t.shape} horizons do not fit {rows} state rows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 0.5 * t * (system.lambda_max - system.lambda_min)
+    bad = ~((t > 0) & np.isfinite(phase))
+    if bad.any():
+        raise DomainError(
+            f"time horizon must be positive and finite, with ½·T·(λ_max − λ_min) finite, "
+            f"got {float(t[bad][0])!r}"
+        )
+    return t
+
+
 def _per_row(values: np.ndarray, c: np.ndarray):
     """``values``, one per row of ``c``: a Python scalar for a 1-D state, else the array."""
     return values.item() if c.ndim == 1 else values
@@ -182,16 +203,15 @@ def _row_fsum(a: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row.tolist()) for row in a], dtype=float)
 
 
-def _moments(z, system: SpectralSystem, window=None) -> tuple[np.ndarray, ...]:
-    """Per row: weights w = window·|z_k/amax|², the scale amax, Σw and the mean Σλ_k w_k/Σw.
+def _moments(c: np.ndarray, system: SpectralSystem, window=None) -> tuple[np.ndarray, ...]:
+    """Per row: weights w = window·|c_k/amax|², the scale amax, Σw and the mean Σλ_k w_k/Σw.
 
-    Always a (k, n) block of weights and three length-k arrays; a 1-D state
-    is the block of one row.  Scaling by amax = max|z_k| keeps the weights
-    in range for states of any magnitude; a row with amax ≤
-    ``ZERO_NORM_FLOOR`` is rejected as zero.  The mean is clamped to
-    [λ_min, λ_max], which rounding can leave by an ulp.
+    ``c`` is what ``coefficients_of`` returns.  Always a (k, n) block of
+    weights and three length-k arrays; a 1-D state is the block of one row.
+    Scaling by amax = max|c_k| keeps the weights in range for states of any
+    magnitude; a row with amax ≤ ``ZERO_NORM_FLOOR`` is rejected as zero.
+    The mean is clamped to [λ_min, λ_max], which rounding can leave by an ulp.
     """
-    c = coefficients_of(z, system)
     rows = c.reshape(-1, system.size)
     amax = np.abs(rows).max(axis=1)
     if not np.all(amax > ZERO_NORM_FLOOR):
@@ -253,9 +273,12 @@ def key_identity_gap(z, lam: float, system: SpectralSystem) -> float:
     all in the moments' scale, and the result reads a small multiple of the
     unit round-off u for every input.  It is 0 by convention when LHS = 0
     (both sides vanish together).  This is a verification probe, for one
-    1-D state.
+    1-D state; a block raises ``ShapeError``.
     """
-    (w,), _, (total,), (mean,) = _moments(z, system)
+    c = coefficients_of(z, system)
+    if c.ndim != 1:
+        raise ShapeError("the key identity probe takes one 1-D state")
+    (w,), _, (total,), (mean,) = _moments(c, system)
     total, mean = float(total), float(mean)
     lhs = math.fsum((system.eigenvalues - lam) ** 2 * w)
     if lhs == 0.0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError, ShapeError
-from .spectral import SpectralSystem, _moments, _per_row, coefficients_of, frequency
+from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, coefficients_of
 
 # Postulated sandwich constants for (1+τ²)|χ̂(τ)|: the verifier tests them,
 # it does not assume them.
@@ -106,12 +106,12 @@ def windowed_frequency(z0, system: SpectralSystem, T: float, tau: float) -> floa
     """Frequency of the windowed transform of the evolved state at offset τ.
 
     Equals Σ λ_k |χ̂_T(τ−λ_k)|²|z_k|² / Σ |χ̂_T(τ−λ_k)|²|z_k|² with
-    χ̂_T(s) = T·χ̂(Ts); always lies in [λ_min, λ_max].
+    χ̂_T(s) = T·χ̂(Ts); always lies in [λ_min, λ_max].  ``T`` is one
+    horizon, checked by ``_horizons``, for every row of a block.
     """
-    if not T > 0:
-        raise DomainError(f"window length T must be positive, got {T}")
-    window = (T * chi_hat(T * (tau - system.eigenvalues))) ** 2
     c = coefficients_of(z0, system)
+    T = _horizons(T, system, 1).item()
+    window = (T * chi_hat(T * (tau - system.eigenvalues))) ** 2
     return _per_row(_moments(c, system, window)[3], c)
 
 
@@ -231,18 +231,19 @@ def plancherel_lowerbound_check(z0, system: SpectralSystem, T: float, R: float) 
     c = coefficients_of(z0, system)
     if c.ndim != 1:
         raise ShapeError("the Plancherel check takes one 1-D state")
-    lam0 = frequency(z0, system)
+    lam0 = _moments(c, system)[3].item()
     threshold = C0_PRIME / T + lam0
     if not threshold < R <= sys.float_info.max:
         raise DomainError(
             f"radius R = {R} must exceed c0'/T + λ(z0) = {threshold} and be finite"
         )
-    norm_sq = float(np.vdot(c, c).real)
+    (u,), back = _power_of_two_frame(c)
+    norm_sq = np.vdot(u, u).real
     lhs = (1.0 - threshold / R) * norm_sq
     lam = system.eigenvalues
     with np.errstate(over="ignore"):
         bound = _chi_hat_sq_lower_bound(T * (-R - lam), T * (R - lam))
-    rhs = float(np.abs(c) ** 2 @ bound) / (2.0 * math.pi * CHI_L2_NORM_SQ)
+    rhs = (np.abs(u) ** 2 @ bound) / (2.0 * math.pi * CHI_L2_NORM_SQ)
     return PlancherelReport(
-        lhs=lhs, rhs=rhs, margin=rhs - lhs, norm_sq=norm_sq, horizon=T, radius=R
+        lhs=back(lhs), rhs=back(rhs), margin=back(rhs - lhs), norm_sq=back(norm_sq), horizon=T, radius=R
     )

@@ -430,6 +430,8 @@ class TestCli:
         [
             ["weak-observability", "--T", "inf"],
             ["admissibility", "--T", "inf"],
+            ["weak-observability", "--T", "1e308"],  # ½·T·(λ_max − λ_min) overflows
+            ["admissibility", "--T", "1e308"],
             ["admissibility", "--config", '{"epsilon_cluster": Infinity}'],
             ["admissibility", "--config", '{"T": Infinity}'],
             ["coercivity-scan", "--config", CUSTOM_GRAM % ("NaN", "NaN")],
@@ -437,13 +439,14 @@ class TestCli:
             ["coercivity-scan", "--config", CUSTOM_GRAM % ("[0, -Infinity]", "[0, Infinity]")],
             ["coercivity-scan", "--config", CUSTOM_GRAM % (("1" + "0" * 400,) * 2)],
         ],
-        ids=["T-weak", "T-admissibility", "epsilon", "config-T", "gram-nan", "gram-inf",
-             "gram-pair-inf", "gram-huge-int"],
+        ids=["T-weak", "T-admissibility", "T-weak-phase", "T-admissibility-phase", "epsilon",
+             "config-T", "gram-nan", "gram-inf", "gram-pair-inf", "gram-huge-int"],
     )
     def test_non_finite_input_exits_three(self, argv, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert main(argv + ["--out", str(out)]) == 3
-        assert "finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finite" in err and err.startswith("obskit: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -178,6 +178,27 @@ class TestObservabilityIntegral:
             with pytest.raises(ShapeError):
                 call()
 
+    def test_horizons_that_are_not_positive_and_finite_raise(self):
+        # 1e308 is finite, but ½·1e308·(λ_max − λ_min) is not: the kernel would be nan
+        rng = np.random.default_rng(43)
+        sys_ = random_system(rng, 4)
+        block = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        for T in (math.inf, 1.0e308, np.array([0.7, 0.7, math.inf, 0.7, 0.7])):
+            calls = (
+                lambda: observability_integral(block, sys_, T),
+                lambda: observability_kernel(sys_, T),
+                lambda: admissibility_check(block, sys_, T, np.zeros(np.shape(T) + (4, 4)), 3.0),
+                lambda: weak_observability_check(block, sys_, T, Constant(1.0), 1.0),
+            )
+            for call in calls:
+                with pytest.raises(DomainError, match="finite"):
+                    call()
+        for t_min in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                weak_observability_check(block, sys_, 0.7, Constant(1.0), t_min)
+            with pytest.raises(DomainError):
+                weak_observability_check(block[0], sys_, 0.7, Constant(1.0), [t_min])
+
 
 class TestKernelAndAdmissibility:
     def test_kernel_positive_semidefinite(self):

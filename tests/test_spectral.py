@@ -251,6 +251,11 @@ class TestKeyIdentity:
             assert frequency(z, sys_) != 3.0
             assert key_identity_gap(z, 3.0, sys_) <= 8 * np.finfo(float).eps
 
+    def test_takes_one_state_not_a_block(self):
+        sys_ = SpectralSystem(eigenvalues=[1.0, 3.0], gram=np.eye(2))
+        with pytest.raises(ShapeError, match="one 1-D state"):
+            key_identity_gap(np.eye(2), 0.0, sys_)
+
     def test_random_states_and_shifts(self):
         rng = np.random.default_rng(16)
         sys_ = random_system(rng, 10)

@@ -221,8 +221,11 @@ class TestWindowedFrequency:
         sys_ = self.make_system()
         with pytest.raises(DomainError):
             windowed_frequency(np.zeros(10), sys_, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            windowed_frequency(StateVector.basis(0, 10), sys_, 0.0, 0.0)
+        for T in (0.0, math.inf, 1.0e308):  # ½·1e308·39 overflows
+            with pytest.raises(DomainError):
+                windowed_frequency(StateVector.basis(0, 10), sys_, T, 0.0)
+        with pytest.raises(ShapeError):
+            windowed_frequency(StateVector.basis(0, 10), sys_, np.array([1.0, 2.0]), 0.0)
 
 
 class TestObservationTimeSolver:
@@ -326,6 +329,28 @@ class TestPlancherelLowerBound:
         sys_ = self.make_system()
         with pytest.raises(ShapeError, match="one 1-D state"):
             plancherel_lowerbound_check(np.eye(5)[:2], sys_, 1.0, 1.0e3)
+
+    def test_states_past_the_float_range_scale_exactly(self):
+        # lhs, rhs and margin are taken in the power-of-two frame, so z·2^k gives
+        # each times exactly 2^(2k): ±inf or ±0.0 past the float range, never nan,
+        # and the margin keeps its sign.  A RuntimeWarning fails the test.
+        two = SpectralSystem(eigenvalues=[1.0, 4.0], gram=np.eye(2))
+        cases = (
+            (two, np.array([1.0, 0.5]), 50.0, 1.0),
+            (self.make_system(), np.array([1.0, -0.5, 0.0, -0.75, 0.5]), 1.0e18, -1.0),  # round-off
+        )
+        for sys_, z, R, sign in cases:
+            ref = plancherel_lowerbound_check(z, sys_, 1.0, R)
+            assert math.copysign(1.0, ref.margin) == sign
+            for k in (664, -664):  # 2^±664 ≈ 1e±200
+                rep = plancherel_lowerbound_check(np.ldexp(z, k), sys_, 1.0, R)
+                for name in ("lhs", "rhs", "margin", "norm_sq"):
+                    with np.errstate(over="ignore"):
+                        assert getattr(rep, name) == np.ldexp(getattr(ref, name), 2 * k), (name, k)
+                assert math.copysign(1.0, rep.margin) == sign
+        for scale, margin in ((1e200, math.inf), (1e-200, 0.0)):
+            rep = plancherel_lowerbound_check([scale, 0.5 * scale], two, 1.0, 50.0)
+            assert rep.margin == margin and math.copysign(1.0, rep.margin) == 1.0
 
 
 class TestPlancherelClosedFormBound:

@@ -2,8 +2,9 @@
 
     python3 tools/report_digests.py [--keep DIR] SEED [SEED ...]
 
-For every seed it runs, in process, each scenario at its default config and
-each job of ``perfbench/jobs.py`` at full size, and prints one line per
+For every seed it runs, in process, each scenario at its default config,
+each scenario that reads a horizon again with ``--T 0.7``, and each job of
+``perfbench/jobs.py`` at full size, and prints one line per
 report: the digest (``-`` when no report was written), the exit code, the
 seed and a label.  Run it in two checkouts and ``diff`` the outputs to see
 which reports moved.  It imports obskit and the job list from the checkout
@@ -28,28 +29,37 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from jobs import WORKLOADS, run_pass, workload_jobs  # noqa: E402
 from obskit import cli  # noqa: E402
-from obskit.config import SCENARIOS  # noqa: E402
+from obskit.config import HORIZON_SCENARIOS, SCENARIOS  # noqa: E402
+
+GIVEN_T = "0.7"
 
 
 def _digest(report: bytes | None) -> str:
     return "-" if report is None else hashlib.sha256(report).hexdigest()
 
 
+def _cli_line(argv: list[str], seed: int, outdir: Path, label: str) -> str:
+    """Run ``obskit ARGV`` with the seed, writing ``outdir/LABEL.json``, and give its line."""
+    out = outdir / f"{label}.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--out", str(out), "--seed", str(seed)])
+    report = out.read_bytes() if out.is_file() else None
+    return f"{_digest(report)}  exit={code} seed={seed} {label}"
+
+
 def digest_lines(seed: int, outdir: Path) -> list[str]:
     """One ``digest exit=… seed=… label`` line per report, in a fixed order.
 
-    The reports land in ``outdir/LABEL.json``: ``default/SCENARIO`` and
-    ``WORKLOAD/I-SCENARIO``.
+    The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
+    ``given-T/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
     """
-    lines = []
-    (outdir / "default").mkdir(parents=True, exist_ok=True)
-    for scenario in SCENARIOS:
-        out = outdir / "default" / f"{scenario}.json"
-        out.unlink(missing_ok=True)
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([scenario, "--out", str(out), "--seed", str(seed)])
-        report = out.read_bytes() if out.is_file() else None
-        lines.append(f"{_digest(report)}  exit={code} seed={seed} default/{scenario}")
+    lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
+    lines += [
+        _cli_line([scenario, "--T", GIVEN_T], seed, outdir, f"given-T/{scenario}")
+        for scenario in HORIZON_SCENARIOS
+    ]
     for workload in WORKLOADS:
         (outdir / workload).mkdir(exist_ok=True)
         _, results = run_pass(cli, workload_jobs(workload, "full"), outdir / workload, seed)
