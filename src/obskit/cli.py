@@ -21,20 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import SCENARIOS, apply_overrides, default_config, load_config
+from .config import _SCENARIO_TABLE, apply_overrides, default_config, load_config
 from .errors import CoercivityError, ConfigError, DomainError, NumericError, ShapeError
 from .report import bundle_summary_text, bundle_to_csv_texts, bundle_to_json_text
 from .scenarios import run_scenario
-
-_SCENARIO_HELP = {
-    "verify-cutoff": "check the window transform closed form and its sandwich bounds",
-    "coercivity-scan": "scan eigenvalue clusters for minimal observed energy",
-    "resolvent-scan": "test the resolvent inequality at every frequency on random states",
-    "weak-observability": "evaluate observation-time bounds on random states",
-    "assumption-i": "verify the two-full-sides square observation is uniformly coercive",
-    "assumption-ii-iii": "fit the one-side square decay constant and its certificates",
-    "admissibility": "bound observed energy above on random states",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"obskit {__version__}")
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="SCENARIO")
-    for scenario in SCENARIOS:
-        p = sub.add_parser(scenario, help=_SCENARIO_HELP[scenario])
+    for scenario, row in _SCENARIO_TABLE.items():
+        p = sub.add_parser(scenario, help=row.help)
         p.add_argument("--config", help="JSON config document: a file path or inline text")
         p.add_argument("--out", help="report output path (overrides the config)")
         p.add_argument("--seed", type=int, help="random seed override")

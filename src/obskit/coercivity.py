@@ -27,8 +27,10 @@ from .decay import (
 from .errors import CoercivityError, DomainError, NumericError
 from .spectral import (
     SpectralSystem,
+    _frequency_rows,
     _per_row,
     _power_of_two_frame,
+    _row_forms,
     coefficients_of,
     frequency_report,
     observed_energy_sq,
@@ -286,18 +288,18 @@ def resolvent_check(system: SpectralSystem, z, cert: CoercivityCertificate) -> R
     # power-of-two frame, where no state overflows, and the rest scaled back.
     z = coefficients_of(z, system)
     c, back = _power_of_two_frame(z)
-    rep = frequency_report(c, system)
-    observed = observed_energy_sq(c, system)
-    ratio = rep.residual / cert.epsilon(rep.lambda_z)
+    lam, res, norm_sq = _frequency_rows(c, system)
+    observed = _row_forms(c, system.gram).real
+    ratio = res / cert.epsilon(lam)
     short = 1.0 - ratio
-    margin = observed / cert.psi(rep.lambda_z) - rep.norm_sq * np.where(short > 0.0, short, 0.0)
+    margin = observed / cert.psi(lam) - norm_sq * np.where(short > 0.0, short, 0.0)
     return ResolventReport(
         inf_margin=back(margin),
-        lambda_z=_per_row(rep.lambda_z, z),
+        lambda_z=_per_row(lam, z),
         residual_over_epsilon=_per_row(ratio, z),
-        norm_sq=back(rep.norm_sq),
+        norm_sq=back(norm_sq),
         observed_sq=back(observed),
-        verdict=_per_row(margin >= -1.0e-9 * rep.norm_sq, z),
+        verdict=_per_row(margin >= -1.0e-9 * norm_sq, z),
     )
 
 

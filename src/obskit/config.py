@@ -16,26 +16,44 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .spectral import SpectralSystem
+from .spectral import HERMITIAN_ATOL, SpectralSystem
 from .square import BoundaryPatch, GammaSpec, Side, build_square_system, mode_count
 
-SCENARIOS = (
-    "verify-cutoff",
-    "coercivity-scan",
-    "resolvent-scan",
-    "weak-observability",
-    "assumption-i",
-    "assumption-ii-iii",
-    "admissibility",
-)
-# The scenarios that read the time horizon T; every other one rejects it.
-HORIZON_SCENARIOS = ("weak-observability", "admissibility")
+
+# One row per scenario: its CLI help line, whether it reads the time horizon
+# T (every other scenario rejects it), and its default system, a config
+# document that ``_normalize_system`` normalizes exactly like a user's.  A
+# scenario is a row here plus a runner in ``scenarios._RUNNERS``.
+_Scenario = namedtuple("_Scenario", "help reads_T system")
+_BOTTOM_50 = {"type": "square", "n_max_eigenvalue": 50, "gamma": [{"side": "bottom"}]}
+_SCENARIO_TABLE = {
+    "verify-cutoff": _Scenario("check the window transform closed form and its sandwich bounds", False, None),
+    "coercivity-scan": _Scenario("scan eigenvalue clusters for minimal observed energy", False, _BOTTOM_50),
+    "resolvent-scan": _Scenario(
+        "test the resolvent inequality at every frequency on random states", False, _BOTTOM_50
+    ),
+    "weak-observability": _Scenario("evaluate observation-time bounds on random states", True, _BOTTOM_50),
+    "assumption-i": _Scenario(
+        "verify the two-full-sides square observation is uniformly coercive",
+        False,
+        {"type": "square", "n_max_eigenvalue": 200, "gamma": [{"side": "bottom"}, {"side": "left"}]},
+    ),
+    "assumption-ii-iii": _Scenario(
+        "fit the one-side square decay constant and its certificates",
+        False,
+        {"type": "square", "n_max_eigenvalue": 200, "gamma": [{"side": "bottom", "alpha": "pi/4", "beta": "pi/2"}]},
+    ),
+    "admissibility": _Scenario("bound observed energy above on random states", True, _BOTTOM_50),
+}
+SCENARIOS = tuple(_SCENARIO_TABLE)
+HORIZON_SCENARIOS = tuple(name for name, row in _SCENARIO_TABLE.items() if row.reads_T)
 
 DEFAULT_EPSILON_CLUSTER = 0.5
 DEFAULT_TRIALS = 100
@@ -47,7 +65,6 @@ DEFAULT_OUTPUT = "obskit-report.json"
 # n_max_eigenvalue ≤ 10 564.  The cap is still applied to every scenario.
 MAX_GRAM_BYTES = 2**30
 
-_TOP_LEVEL_KEYS = {"scenario", "system", "epsilon_cluster", "trials", "seed", "T", "output_path"}
 _ANGLE_PATTERN = re.compile(r"^\s*(\d+)?\s*pi\s*(?:/\s*(\d+))?\s*$", re.IGNORECASE)
 
 
@@ -85,14 +102,7 @@ class RunConfig:
     def canonical_dict(self) -> dict:
         """The semantic inputs of the run; the output location is omitted so
         identical configurations hash identically wherever they write."""
-        return {
-            "scenario": self.scenario,
-            "system": self.system,
-            "epsilon_cluster": self.epsilon_cluster,
-            "trials": self.trials,
-            "seed": self.seed,
-            "T": self.T,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_path"}
 
     def digest(self) -> str:
         text = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
@@ -256,7 +266,7 @@ def _normalize_custom(raw: dict) -> dict:
         for k in range(j, len(eig)):
             a = complex(gram[j][k][0], gram[j][k][1])
             b = complex(gram[k][j][0], gram[k][j][1])
-            if abs(a - b.conjugate()) > 1e-12:
+            if abs(a - b.conjugate()) > HERMITIAN_ATOL:
                 raise _schema_error(
                     f"system.gram[{j}][{k}] = {a} is not the conjugate of "
                     f"system.gram[{k}][{j}] = {b}"
@@ -266,34 +276,9 @@ def _normalize_custom(raw: dict) -> dict:
     return spec
 
 
-def _default_system(scenario: str) -> dict | None:
-    if scenario == "verify-cutoff":
-        return None
-    if scenario == "assumption-i":
-        return {
-            "type": "square",
-            "n_max_eigenvalue": 200,
-            "gamma": [
-                {"side": "bottom", "alpha": 0.0, "beta": math.pi},
-                {"side": "left", "alpha": 0.0, "beta": math.pi},
-            ],
-        }
-    if scenario == "assumption-ii-iii":
-        return {
-            "type": "square",
-            "n_max_eigenvalue": 200,
-            "gamma": [{"side": "bottom", "alpha": math.pi / 4.0, "beta": math.pi / 2.0}],
-        }
-    return {
-        "type": "square",
-        "n_max_eigenvalue": 50,
-        "gamma": [{"side": "bottom", "alpha": 0.0, "beta": math.pi}],
-    }
-
-
 def _normalize_system(raw, scenario: str) -> dict | None:
     if raw is None:
-        return _default_system(scenario)
+        return None
     if not isinstance(raw, dict):
         raise _schema_error("system: expected an object")
     kind = raw.get("type")
@@ -349,7 +334,7 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
 
     if not isinstance(raw, dict):
         raise _schema_error(f"top level must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise _schema_error(f"unknown top-level keys {sorted(unknown)}")
 
@@ -377,7 +362,8 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
     if not isinstance(output_path, str) or not output_path:
         raise _schema_error("output_path: expected a nonempty string")
 
-    system = _normalize_system(raw.get("system"), scenario)
+    system = raw.get("system")
+    system = _normalize_system(_SCENARIO_TABLE[scenario].system if system is None else system, scenario)
     return RunConfig(
         scenario=scenario,
         system=system,
@@ -389,9 +375,7 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
 
 def default_config(scenario: str) -> RunConfig:
     """The built-in configuration used when no config document is given."""
-    if scenario not in SCENARIOS:
-        raise _schema_error(f"scenario: expected one of {list(SCENARIOS)}, got {scenario!r}")
-    return RunConfig(scenario=scenario, system=_default_system(scenario))
+    return load_config("{}", default_scenario=scenario)
 
 
 def apply_overrides(

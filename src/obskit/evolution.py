@@ -13,14 +13,13 @@ the sharp truncated admissibility constant (truncation-dependent).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError, ShapeError
-from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, coefficients_of
+from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, coefficients_of
 from .window import THETA0, THETA2
 
 
@@ -63,8 +62,7 @@ def _observed_energy(c: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[
     """
     if kernel.shape[:-2] != t.shape:
         raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
-    kernels = kernel if kernel.ndim == 3 else itertools.repeat(kernel)
-    value = np.array([np.vdot(u, k @ u) for u, k in zip(c.conj(), kernels)], dtype=complex)
+    value = _row_forms(c, kernel)
     norm_sq = np.array([np.vdot(row, row).real for row in c], dtype=float)
     scale = np.maximum(np.abs(value.real), t * norm_sq)
     bad = np.abs(value.imag) > 1.0e-10 * scale

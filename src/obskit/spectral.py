@@ -10,6 +10,7 @@ eigenbasis.  The frequency functional λ(z) = ⟨Az,z⟩/‖z‖² and its resid
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -161,7 +162,7 @@ class FrequencyReport:
 
 def coefficients_of(z, system: SpectralSystem) -> np.ndarray:
     """Coefficients of ``z`` matched to ``system``: a StateVector, a 1-D array,
-    or a (k, n) block of coefficient rows, one state per row."""
+    or a (k, n) block of coefficient rows, one state per row; every entry finite."""
     c = z.coefficients if isinstance(z, StateVector) else np.asarray(z, dtype=complex)
     if c.ndim not in (1, 2):
         raise ShapeError("state must be a 1-D coefficient vector or a (k, n) block of rows")
@@ -169,6 +170,8 @@ def coefficients_of(z, system: SpectralSystem) -> np.ndarray:
         raise ShapeError(
             f"state has {c.shape[-1]} coefficients but the system has {system.size} modes"
         )
+    if not np.all(np.isfinite(c)):
+        raise DomainError("coefficients must be finite")
     return c
 
 
@@ -288,27 +291,36 @@ def key_identity_gap(z, lam: float, system: SpectralSystem) -> float:
     return abs(lhs - rhs) / scale
 
 
-def frequency_report(z, system: SpectralSystem) -> FrequencyReport:
-    """Frequency, residual, and true-scale squared norm in one pass, per row of a block."""
-    c = coefficients_of(z, system)
+def _frequency_rows(c: np.ndarray, system: SpectralSystem) -> tuple[np.ndarray, ...]:
+    """Per row of ``c``, as ``coefficients_of`` returns it: λ, the residual and ‖c‖²."""
     w, amax, total, mean = _moments(c, system)
     with np.errstate(over="ignore"):
         norm_sq = amax * amax * total
-    return FrequencyReport(
-        lambda_z=_per_row(mean, c),
-        residual=_per_row(_row_fsum((system.eigenvalues - mean[:, None]) ** 2 * w) / total, c),
-        norm_sq=_per_row(norm_sq, c),
-    )
+    return mean, _row_fsum((system.eigenvalues - mean[:, None]) ** 2 * w) / total, norm_sq
+
+
+def frequency_report(z, system: SpectralSystem) -> FrequencyReport:
+    """Frequency, residual, and true-scale squared norm in one pass, per row of a block."""
+    c = coefficients_of(z, system)
+    return FrequencyReport(*(_per_row(values, c) for values in _frequency_rows(c, system)))
+
+
+def _row_forms(c: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """u*Mu per row of the (k, n) block ``c``, u = conj(row), with ``matrix`` one
+    (n, n) M for every row or a (k, n, n) stack, one M per row.
+
+    Each form is its own ``vdot(u, M @ u)`` on a C-contiguous M: a batched
+    product would round differently from the single-state call.
+    """
+    matrices = matrix if matrix.ndim == 3 else itertools.repeat(matrix)
+    return np.array([np.vdot(u, m @ u) for u, m in zip(c.conj(), matrices)], dtype=complex)
 
 
 def observed_energy_sq(z, system: SpectralSystem):
     """‖Cz‖² = Σ_{jk} G_{jk} z_j conj(z_k), real by Hermiticity; one per row of a block.
 
     Taken in the power-of-two frame of each row, so past the float range it
-    reads inf, never nan.  Each row is its own ``vdot(u, G @ u)``,
-    u = conj(z): a batched product would round differently from the
-    single-state call.
+    reads inf, never nan.
     """
     c, back = _power_of_two_frame(coefficients_of(z, system))
-    gram = system.gram
-    return back(np.array([np.vdot(u, gram @ u).real for u in c.conj()]))
+    return back(_row_forms(c, system.gram).real)

@@ -30,6 +30,7 @@ from obskit import (
     system_of,
     weak_to_spectral,
 )
+from obskit import coercivity, evolution, spectral, window
 from obskit.coercivity import BETA_SAFETY, ClusterReport
 from obskit.spectral import frequency, observed_energy_sq, residual
 from obskit.square import BoundaryPatch, GammaSpec, Side, bottom_and_left, build_square_system, full_bottom
@@ -567,6 +568,22 @@ class TestResolventCheck:
         pipeline = scan_certificate(square50, 0.5)
         with pytest.raises(DomainError):
             resolvent_check(square50, np.full(square50.size, 1e-301), pipeline.spectral)
+
+    def test_validates_its_state_once(self, square50, monkeypatch):
+        calls, original = [], spectral.coefficients_of
+
+        def counting(z, system):
+            calls.append(np.shape(z))
+            return original(z, system)
+
+        for module in (spectral, coercivity, evolution, window):
+            monkeypatch.setattr(module, "coefficients_of", counting)
+        cert = scan_certificate(square50, 0.5).spectral
+        rows = np.random.default_rng(3).standard_normal((4, square50.size))
+        for z in (rows[0], rows):
+            calls.clear()
+            resolvent_check(square50, z, cert)
+            assert calls == [z.shape]
 
     def test_requires_spectral_kind(self, square50):
         weak = CoercivityCertificate(

@@ -21,7 +21,8 @@ composite widths and either θ₁, shared or per element.  Every per-state
 function given a (k, n) block returns, row by row, exactly what it returns
 for that row alone, on rows at scales 2^−996 … 2^1023 (past 2^512 their
 degree-2 forms read ±inf), at one horizon or one per row; a zero row in the
-block raises the single-row error.
+block raises the single-row error, and a nan or ±inf entry, in either part,
+raises the finite-coefficients error in every per-state function.
 """
 
 import json
@@ -52,6 +53,7 @@ from obskit import (
     load_config,
     observability_integral,
     observability_kernel,
+    plancherel_lowerbound_check,
     residual,
     resolvent_check,
     solve_observation_time,
@@ -483,4 +485,36 @@ def test_zero_row_in_a_block_raises_the_single_row_error(pair, data):
         with pytest.raises(DomainError) as single:
             call(np.zeros(sys_.size))
         with pytest.raises(DomainError, match=re.escape(str(single.value))):
+            call(rows)
+
+
+@settings(max_examples=30)
+@given(kernel_systems(), st.data())
+def test_non_finite_entry_raises_the_finite_coefficients_error(pair, data):
+    sys_, T = pair
+    rows = data.draw(state_blocks(sys_.size))
+    i, k = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, sys_.size - 1))
+    value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    rows[i, k] = data.draw(st.sampled_from([complex(value, 0.0), complex(0.0, value), complex(1.0, value)]))
+    kernel = observability_kernel(sys_, T)
+    block_calls = (
+        lambda z: frequency(z, sys_),
+        lambda z: frequency_report(z, sys_),
+        lambda z: residual(z, sys_),
+        lambda z: observed_energy_sq(z, sys_),
+        lambda z: observability_integral(z, sys_, T),
+        lambda z: admissibility_check(z, sys_, T, kernel, 3.0),
+        lambda z: weak_observability_check(z, sys_, T, PowerLaw(0.1, 1.0), 1.0),
+        lambda z: resolvent_check(sys_, z, SPECTRAL_CERT),
+        lambda z: windowed_frequency(z, sys_, T, 1.0),
+    )
+    state_calls = (
+        lambda z: key_identity_gap(z, 1.0, sys_),
+        lambda z: plancherel_lowerbound_check(z, sys_, T, 1.0e300),
+    )
+    for call in block_calls + state_calls:
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            call(rows[i])
+    for call in block_calls:
+        with pytest.raises(DomainError, match="coefficients must be finite"):
             call(rows)

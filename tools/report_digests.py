@@ -3,8 +3,9 @@
     python3 tools/report_digests.py [--keep DIR] SEED [SEED ...]
 
 For every seed it runs, in process, each scenario at its default config,
-each scenario that reads a horizon again with ``--T 0.7``, and each job of
-``perfbench/jobs.py`` at full size, and prints one line per
+each scenario that reads a horizon again with ``--T 0.7``, four scenarios
+with ``--trials 20`` on a 4-mode custom system with a dense complex Gram,
+and each job of ``perfbench/jobs.py`` at full size, and prints one line per
 report: the digest (``-`` when no report was written), the exit code, the
 seed and a label.  Run it in two checkouts and ``diff`` the outputs to see
 which reports moved.  It imports obskit and the job list from the checkout
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +34,14 @@ from obskit import cli  # noqa: E402
 from obskit.config import HORIZON_SCENARIOS, SCENARIOS  # noqa: E402
 
 GIVEN_T = "0.7"
+# A custom system with a dense complex Gram, so that the given-Gram config
+# path and the per-state functions on it are byte-checked too.
+CUSTOM_SYSTEM = {
+    "type": "custom",
+    "eigenvalues": [1, 2, 4, 7],
+    "gram": [[1, [0.2, 0.1], 0, 0], [[0.2, -0.1], 1.5, 0.3, 0], [0, 0.3, 2, [0, 0.4]], [0, 0, [0, -0.4], 1]],
+}
+CUSTOM_SCENARIOS = ("coercivity-scan", "resolvent-scan", "weak-observability", "admissibility")
 
 
 def _digest(report: bytes | None) -> str:
@@ -53,12 +63,21 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     """One ``digest exit=… seed=… label`` line per report, in a fixed order.
 
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
-    ``given-T/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
+    ``given-T/SCENARIO``, ``custom/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
     lines += [
         _cli_line([scenario, "--T", GIVEN_T], seed, outdir, f"given-T/{scenario}")
         for scenario in HORIZON_SCENARIOS
+    ]
+    lines += [
+        _cli_line(
+            [scenario, "--config", json.dumps({"system": CUSTOM_SYSTEM}), "--trials", "20"],
+            seed,
+            outdir,
+            f"custom/{scenario}",
+        )
+        for scenario in CUSTOM_SCENARIOS
     ]
     for workload in WORKLOADS:
         (outdir / workload).mkdir(exist_ok=True)
