@@ -15,6 +15,7 @@ constants, next to it) and prints a short human summary.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -52,6 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and kept for the process."""
+    return build_parser()
+
+
 def _write_outputs(bundle, output_path: str, fmt: str) -> None:
     out = Path(output_path)
     if out.parent and not out.parent.exists():
@@ -64,7 +71,7 @@ def _write_outputs(bundle, output_path: str, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.config is not None:
             cfg = load_config(args.config, default_scenario=args.scenario)

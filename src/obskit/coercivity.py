@@ -46,6 +46,11 @@ COERCIVITY_FLOOR = 1.0e-14
 # the admissible range 2β² < ε.
 BETA_SAFETY = 1.0 - 1.0e-9
 
+# Largest block of grid-point × mode distances that ``estimate_admissibility``
+# holds at once (512 KiB of float64, small enough to stay in cache), so its
+# memory does not grow with B·n.
+_CHUNK_CELLS = 2**16
+
 
 @dataclass(frozen=True)
 class CoercivityCertificate:
@@ -204,6 +209,11 @@ def admissibility_breakpoints(system: SpectralSystem, epsilon: float) -> np.ndar
     return np.unique(np.concatenate([distinct - epsilon, distinct + epsilon]))
 
 
+def _off_cluster(d, lam, lower_edges, upper_edges, epsilon):
+    """Modes off the ε-cluster at λ, given d = λ_k − λ; broadcasts over a column of λ."""
+    return (np.abs(d) >= epsilon) | (lam <= lower_edges) | (lam >= upper_edges)
+
+
 def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) -> float:
     """Squared off-cluster resolvent-observation norm, maximized over the grid.
 
@@ -218,20 +228,52 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
 
     It reads the system's factor, G = FF* + E with ‖E‖ = ``factor_error``
     (0 for an exact factor).  At each λ the top eigenvalue of the r×r matrix
-    (D⁻¹F)*(D⁻¹F) (the same nonzero spectrum as the off-cluster block of
+    P = (D⁻¹F)*(D⁻¹F) (the same nonzero spectrum as the off-cluster block of
     D⁻¹FF*D⁻¹) is taken, and the Weyl bound ‖E‖/ε² is added once, so the
     result is an upper bound for the value with the full Gram.
 
+    Only the grid points that can still win are solved.  P is PSD, so its
+    trace t(λ) = Σ_off w_k/(λ_k − λ)², w_k = ‖f_k‖², bounds its top
+    eigenvalue.  One vectorized pass, in row chunks of at most
+    ``_CHUNK_CELLS`` distances, gives t at every point; the points are then
+    solved in order of decreasing t until t·(1 + γ) + σ < best, the largest
+    value solved so far.  A solved value is the same ``eigvalsh`` of the same
+    matrix as when every point is solved, and the maximum does not depend on
+    order, so the result is bit-identical.  γ covers the rounding, with n
+    modes, rank r and unit round-off u, to first order:
+
+    * the computed t is at least (1 − (n + 2r + 2)u) times the trace of P
+      over the computed distances: each w_k sums 2r rounded squares (γ_2r),
+      each term is two rounded divisions (2u), the n-term sum loses γ_n;
+    * the computed top eigenvalue is at most (1 + (3n + 3 + p(r))u) times
+      that trace: the rounded D⁻¹F has squared Frobenius norm within
+      (1 + 3u) of it, each entry of the product is an inner product of
+      length ≤ n whose real and imaginary parts sum 2n real terms (at most
+      √2·γ_2n ≤ 3nu times the trace in norm), and ``eigvalsh`` is backward
+      stable, ‖ΔP‖ ≤ p(r)·u·‖P‖, taking p(r) ≤ 4r (LAPACK's own error
+      bounds take p = 2);
+
+    with 2u for the stop test itself that is (4n + 6r + 7)u, and
+    γ = 8(n + r)u covers it with room for the second-order terms (when
+    n = r = 1, P is 1×1 and its eigenvalue exact).  γ is below 1.5e-11 for
+    r ≤ n ≤ 8192, the ``config.MAX_GRAM_BYTES`` cap.  Gradual underflow adds
+    absolute errors instead, at most 2r·2⁻¹⁰⁷⁵/ε² per w_k, 2⁻¹⁰⁷⁵(1 + 1/ε)
+    per term's divisions and 4nr·2⁻¹⁰⁷⁵ in the product, which
+    σ = n(r + 1)(1 + 1/ε²)·2⁻¹⁰⁷² covers.  A t that overflows is inf, and a
+    nan t is ordered first, so both points are solved.
+
     A width outside the float range of the spectrum, where ε² is not a
     normal float or an edge fl(λ_k ± ε) rounds to λ_k itself, is a
-    ``DomainError``: there ε², 1/ε² or 1/(λ_k − λ) is out of range.
+    ``DomainError``: there ε², 1/ε² or 1/(λ_k − λ) is out of range.  So is a
+    grid point whose cluster covers every mode; the first in grid order is
+    named.
     """
     if not epsilon > 0:
         raise DomainError(f"cluster width must be positive, got {epsilon}")
     grid = np.asarray(lambda_grid, dtype=float).ravel()
     if grid.size == 0:
         raise DomainError("lambda grid is empty")
-    eigenvalues = system.eigenvalues
+    eigenvalues, factor = system.eigenvalues, system.factor
     lower_edges = eigenvalues - epsilon
     upper_edges = eigenvalues + epsilon
     if not np.finfo(float).tiny <= epsilon * epsilon < math.inf or np.any(
@@ -241,17 +283,35 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
             f"cluster width {epsilon!r} is outside the float range of the spectrum: ε² must be "
             "a normal float and no cluster edge λ_k ± ε may round to λ_k"
         )
-    best = 0.0
-    for lam in grid:
+    n, r = factor.shape
+    weights = (factor.real**2 + factor.imag**2).sum(axis=1)
+    trace = np.empty(grid.size)
+    rows = max(1, _CHUNK_CELLS // n)
+    for start in range(0, grid.size, rows):
+        lam = grid[start : start + rows, None]
         d = eigenvalues - lam
-        off = (np.abs(d) >= epsilon) | (lam <= lower_edges) | (lam >= upper_edges)
-        if not off.any():
+        off = _off_cluster(d, lam, lower_edges, upper_edges, epsilon)
+        empty = ~off.any(axis=1)
+        if empty.any():
             raise DomainError(
-                f"the cluster at λ = {lam} covers every mode; off-cluster block is empty"
+                f"the cluster at λ = {lam[np.argmax(empty), 0]} covers every mode; "
+                "off-cluster block is empty"
             )
-        scaled = system.factor[off] / d[off, None]
-        if scaled.shape[1]:
-            best = max(best, float(np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]))
+        d = np.where(off, d, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace[start : start + rows] = (weights / d / d).sum(axis=1)
+    gamma = 8.0 * (n + r) * (np.finfo(float).eps / 2.0)
+    sigma = math.ldexp(n * (r + 1), -1072) * (1.0 + 1.0 / epsilon**2)
+    order = np.argsort(np.where(np.isnan(trace), -np.inf, -trace), kind="stable")
+    best = 0.0
+    for j in order if r else ():
+        if trace[j] * (1.0 + gamma) + sigma < best:
+            break
+        lam = grid[j]
+        d = eigenvalues - lam
+        off = _off_cluster(d, lam, lower_edges, upper_edges, epsilon)
+        scaled = factor[off] / d[off, None]
+        best = max(best, float(np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]))
     return best + system.factor_error / epsilon**2
 
 

@@ -84,10 +84,11 @@ def _invariant_error(message: str) -> ConfigError:
 class RunConfig:
     """A fully validated description of one scenario run.
 
-    ``system`` is the normalized system description (always a plain dict so
-    the config digest is canonical): either
+    ``system`` is the normalized system description (a dict of plain values,
+    so the config digest is canonical): either
     ``{"type": "square", "n_max_eigenvalue": n, "gamma": [patch, ...]}`` or
-    ``{"type": "custom", "eigenvalues": [...], "gram": [[[re, im], ...]]}``;
+    ``{"type": "custom", "eigenvalues": [...], "gram": [[[re, im], ...]]}``,
+    which also carries the system built when it was checked;
     it is None only for the cutoff-verification scenario.
     """
 
@@ -231,6 +232,13 @@ def _normalize_gram_entry(entry, j: int, k: int) -> complex:
     raise _schema_error(f"{path}: expected a number or [re, im] pair, got {entry!r}")
 
 
+class _CustomSystem(dict):
+    """A normalized custom system description holding the ``SpectralSystem``
+    its invariant check built, so that a run factors the given Gram once."""
+
+    system: SpectralSystem
+
+
 def _normalize_custom(raw: dict) -> dict:
     unknown = set(raw) - {"type", "eigenvalues", "gram"}
     if unknown:
@@ -271,8 +279,8 @@ def _normalize_custom(raw: dict) -> dict:
                     f"system.gram[{j}][{k}] = {a} is not the conjugate of "
                     f"system.gram[{k}][{j}] = {b}"
                 )
-    spec = {"type": "custom", "eigenvalues": eig, "gram": gram}
-    system_of({"scenario": "", "system": spec})  # validate invariants eagerly
+    spec = _CustomSystem(type="custom", eigenvalues=eig, gram=gram)
+    spec.system = _custom_system(spec)  # validate invariants eagerly
     return spec
 
 
@@ -323,7 +331,10 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
     if path is not None:
         if not path.exists():
             raise _parse_error(f"config file not found: {path}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _parse_error(f"cannot read config file {str(path)!r}: {exc}") from None
     else:
         text = str(source)
 
@@ -410,6 +421,12 @@ def system_of(cfg) -> SpectralSystem:
         raise _invariant_error("this scenario requires a system description")
     if spec["type"] == "square":
         return build_square_system(spec["n_max_eigenvalue"], gamma_spec_of(spec))
+    if isinstance(spec, _CustomSystem):
+        return spec.system
+    return _custom_system(spec)
+
+
+def _custom_system(spec: dict) -> SpectralSystem:
     eig = np.array(spec["eigenvalues"], dtype=float)
     gram = np.array(
         [[complex(cell[0], cell[1]) for cell in row] for row in spec["gram"]], dtype=complex

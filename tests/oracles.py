@@ -1,6 +1,7 @@
 """Test oracles: the window transform, its energy on an interval and the observed
-energy by quadrature, the trajectory point, the closed-form cluster minima of the full bottom side, and
-the three per-trial scenarios run one state at a time."""
+energy by quadrature, the trajectory point, the closed-form cluster minima of the full bottom side,
+the admissibility sup solved at every grid point, and the three per-trial scenarios run one state
+at a time."""
 
 import math
 
@@ -97,6 +98,26 @@ def bottom_side_closed_form_n_mu(N: int) -> float:
         raise DomainError(f"no lattice point on the circle N = {N}")
     q_min = min(m.q for m in modes)
     return 2.0 * q_min * q_min / math.pi
+
+
+def admissibility_by_every_point(system: SpectralSystem, epsilon: float, lambda_grid) -> float:
+    """``estimate_admissibility`` with an ``eigvalsh`` at every grid point, in grid order,
+    the oracle for its pruned search (inputs already checked by it)."""
+    eigenvalues = system.eigenvalues
+    lower_edges = eigenvalues - epsilon
+    upper_edges = eigenvalues + epsilon
+    best = 0.0
+    for lam in np.asarray(lambda_grid, dtype=float).ravel():
+        d = eigenvalues - lam
+        off = (np.abs(d) >= epsilon) | (lam <= lower_edges) | (lam >= upper_edges)
+        if not off.any():
+            raise DomainError(
+                f"the cluster at λ = {lam} covers every mode; off-cluster block is empty"
+            )
+        scaled = system.factor[off] / d[off, None]
+        if scaled.shape[1]:
+            best = max(best, float(np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]))
+    return best + system.factor_error / epsilon**2
 
 
 def random_state(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -35,6 +35,8 @@ from obskit.coercivity import BETA_SAFETY, ClusterReport
 from obskit.spectral import frequency, observed_energy_sq, residual
 from obskit.square import BoundaryPatch, GammaSpec, Side, bottom_and_left, build_square_system, full_bottom
 
+from oracles import admissibility_by_every_point
+
 
 def make_report(center, min_eig):
     return ClusterReport(
@@ -104,6 +106,15 @@ def low_rank_system(eigenvalues, rank, seed):
 @pytest.fixture(scope="module")
 def square50():
     return build_square_system(50, full_bottom())
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The matrices handed to ``np.linalg.eigvalsh`` while the test runs."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    return calls
 
 
 class TestClusters:
@@ -330,6 +341,41 @@ class TestAdmissibilityEstimate:
         sys_ = SpectralSystem(eigenvalues=[1.0, 1.2], gram=np.eye(2))
         with pytest.raises(DomainError, match="every mode"):
             estimate_admissibility(sys_, 2.0, [1.1])
+
+    @pytest.mark.parametrize("chunk_cells", [None, 2, 3])
+    def test_first_covering_point_in_grid_order_is_named(self, chunk_cells, monkeypatch):
+        # The covering points come second and third; small chunks put them
+        # on chunk seams.
+        if chunk_cells is not None:
+            monkeypatch.setattr(coercivity, "_CHUNK_CELLS", chunk_cells)
+        sys_ = SpectralSystem(eigenvalues=[1.0, 1.2], gram=np.eye(2))
+        with pytest.raises(DomainError, match=r"^the cluster at λ = 1\.15 covers every mode"):
+            estimate_admissibility(sys_, 2.0, [10.0, 1.15, 1.1, -5.0])
+
+    def test_near_tie_in_trace_bound_solves_both_points(self, eigvalsh_calls):
+        # Rank one, so each solved value is its point's trace up to rounding.
+        # The traces at 1.5 and 2.5 differ by a few ulps, less than γ: the
+        # first solved value can exceed the second trace, and only the margin
+        # keeps the second point from being skipped.
+        lam = np.array([1.0, 2.0, np.nextafter(3.0, 4.0)])
+        sys_ = SpectralSystem(eigenvalues=lam, factor=np.ones((3, 1)))
+        grid = np.array([1.5, 2.5])
+        traces = [float(np.sum(1.0 / (lam - x) ** 2)) for x in grid]
+        gamma = 8 * (3 + 1) * np.finfo(float).eps / 2
+        assert 0.0 < (traces[0] - traces[1]) / traces[0] < gamma
+        expected = admissibility_by_every_point(sys_, 0.5, grid)
+        eigvalsh_calls.clear()
+        assert estimate_admissibility(sys_, 0.5, grid) == expected
+        assert len(eigvalsh_calls) == 2
+
+    def test_sub_patch_solves_fewer_points_than_breakpoints(self, eigvalsh_calls):
+        patch = BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0)
+        system = build_square_system(250, GammaSpec((patch,)))
+        grid = admissibility_breakpoints(system, 0.5)
+        expected = admissibility_by_every_point(system, 0.5, grid)
+        eigvalsh_calls.clear()
+        assert estimate_admissibility(system, 0.5, grid) == expected
+        assert 0 < len(eigvalsh_calls) < grid.size
 
     @pytest.mark.parametrize(
         "eigenvalues, epsilon",

@@ -10,6 +10,7 @@ import pytest
 
 from obskit import (
     ConfigError,
+    SpectralSystem,
     apply_overrides,
     build_square_system,
     coercivity_scan,
@@ -17,6 +18,7 @@ from obskit import (
     load_config,
     system_of,
 )
+from obskit import cli
 from obskit.cli import build_parser, main
 from obskit.config import MAX_GRAM_BYTES, SCENARIOS, gamma_spec_of
 from obskit.parallel import worker_count
@@ -412,14 +414,24 @@ class TestCli:
         [
             (["coercivity-scan", "--T", "5"], "no time horizon"),
             (["resolvent-scan", "--seed", "-1"], "seed must be"),
+            (["coercivity-scan", "--config", ""], "cannot read config file"),  # Path("") is "."
+            (["coercivity-scan", "--config", "."], "cannot read config file"),
         ],
-        ids=["T-without-horizon", "negative-seed"],
+        ids=["T-without-horizon", "negative-seed", "empty-config-path", "config-directory"],
     )
     def test_rejected_input_exits_three_without_report(self, argv, message, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert main(argv + ["--out", str(out)]) == 3
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.startswith("obskit: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_config_file_not_utf8_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"trials": 3, "output_path": "é"}'.encode("latin-1"))
+        assert main(["coercivity-scan", "--config", str(path), "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err and err.count("\n") == 1
 
     def test_unwritable_output_exits_three(self, tmp_path, capsys):
         assert main(["verify-cutoff", "--out", str(tmp_path)]) == 3
@@ -472,6 +484,47 @@ class TestCli:
             main(["--version"])
         assert info.value.code == 0
         assert "obskit" in capsys.readouterr().out
+
+    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["resolvent-scan", "--seed", "-1", "--out", str(tmp_path / "x.json")]) == 3
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--version"], 0), (["interpretive-dance"], 2), (["coercivity-scan", "--bogus"], 2)],
+        ids=["version", "bad-subcommand", "bad-option"],
+    )
+    def test_reused_parser_exits_as_before(self, argv, code, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == code
+        out, err = capsys.readouterr()
+        text, line = (out, "obskit ") if code == 0 else (err, "usage: obskit")
+        assert text.count(line) == 2
+
+    def test_custom_gram_is_factored_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        factor_gram = SpectralSystem._factor_gram
+        monkeypatch.setattr(
+            SpectralSystem, "_factor_gram", lambda self, *a: calls.append(1) or factor_gram(self, *a)
+        )
+        config = CUSTOM_GRAM % ("[0.2, 0.1]", "[0.2, -0.1]")
+        argv = ["resolvent-scan", "--config", config, "--trials", "3", "--out", str(tmp_path / "x.json")]
+        assert main(argv) == 0
+        assert len(calls) == 1
 
 
 def square_doc(n_max):

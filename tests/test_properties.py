@@ -11,7 +11,10 @@ the closed-form observability integral is compared with time quadrature on
 small ones (eigenvalues up to 20, horizons 0.1 … 10).  On the same systems
 the observability integral, the admissibility margin, the weak
 observability check and the resolvent check are exactly homogeneous of
-degree 2 under z → 2^k·z, k in [−500, 500].  The composite width
+degree 2 under z → 2^k·z, k in [−500, 500], and the pruned admissibility
+sup equals, bit for bit, the loop that solves every grid point, at widths
+1e-4 … 10 on breakpoint grids with extra points, first covering point
+named alike.  The composite width
 TransformedWidth(PowerLaw(c, p), M, ε₀) of the weak-to-spectral transform
 stays in the admissible class for c in [1e-12, 1e3], p in {0, 1, 2},
 M in [1e-6, 1e6] and ε₀ in [1e-6, 10].  The batched observation-time
@@ -45,7 +48,9 @@ from obskit import (
     ShapeError,
     SpectralSystem,
     TransformedWidth,
+    admissibility_breakpoints,
     admissibility_check,
+    estimate_admissibility,
     frequency,
     frequency_report,
     kernel_psd_margin,
@@ -66,7 +71,7 @@ from obskit.evolution import phase_kernel
 from obskit.spectral import _moments, _power_of_two_frame, observed_energy_sq
 from obskit.window import THETA0, THETA1, THETA1_SUP_DERIV
 
-from oracles import observability_integral_by_quadrature
+from oracles import admissibility_by_every_point, observability_integral_by_quadrature
 
 U = np.finfo(float).eps
 
@@ -186,6 +191,28 @@ def test_observability_integral_matches_time_quadrature(pair, seed):
     quadrature = observability_integral_by_quadrature(z, sys_, T)
     scale = T * float(np.vdot(z, z).real) * np.linalg.eigvalsh(sys_.gram)[-1]
     assert abs(closed - quadrature) <= 1e-10 * (scale + 1.0)  # the quadrature's own tolerances
+
+
+@settings(max_examples=150)
+@given(
+    kernel_systems(),
+    st.floats(-4.0, 1.0),
+    st.lists(st.floats(-10.0, 2e4), max_size=6),
+    st.lists(st.floats(-10.0, 2e4), max_size=6),
+)
+def test_pruned_admissibility_sup_equals_every_point_loop(pair, log_epsilon, before, after):
+    # Extra points before and after the breakpoints: some sit inside a
+    # cluster that covers every mode, and the first of those must be named.
+    sys_, _ = pair
+    epsilon = 10.0**log_epsilon
+    grid = np.concatenate([before, admissibility_breakpoints(sys_, epsilon), after])
+    try:
+        expected = admissibility_by_every_point(sys_, epsilon, grid)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            estimate_admissibility(sys_, epsilon, grid)
+    else:
+        assert estimate_admissibility(sys_, epsilon, grid) == expected
 
 
 SPECTRAL_CERT = CoercivityCertificate(

@@ -5,9 +5,10 @@
 For every seed it runs, in process, each scenario at its default config,
 each scenario that reads a horizon again with ``--T 0.7``, four scenarios
 with ``--trials 20`` on a 4-mode custom system with a dense complex Gram,
-and each job of ``perfbench/jobs.py`` at full size, and prints one line per
-report: the digest (``-`` when no report was written), the exit code, the
-seed and a label.  Run it in two checkouts and ``diff`` the outputs to see
+``assumption-ii-iii`` and ``admissibility`` (``--trials 20``) on the
+π/4–π/2 sub-patch at n_max 2000, and each job of ``perfbench/jobs.py`` at
+full size, and prints one line per report: the digest (``-`` when no report
+was written), the exit code, the seed and a label.  Run it in two checkouts and ``diff`` the outputs to see
 which reports moved.  It imports obskit and the job list from the checkout
 that holds it, and writes its reports to a temporary directory, or with
 ``--keep DIR`` to ``DIR/seed-SEED/LABEL.json``, where they stay; compare two
@@ -42,6 +43,17 @@ CUSTOM_SYSTEM = {
     "gram": [[1, [0.2, 0.1], 0, 0], [[0.2, -0.1], 1.5, 0.3, 0], [0, 0.3, 2, [0, 0.4]], [0, 0, [0, -0.4], 1]],
 }
 CUSTOM_SCENARIOS = ("coercivity-scan", "resolvent-scan", "weak-observability", "admissibility")
+# The π/4–π/2 sub-patch at n_max 2000 (1529 modes, 1040 admissibility
+# breakpoints), a size at which the admissibility sup solves few of its
+# breakpoints, unlike the n_max ≤ 250 systems above.
+SCALE_CONFIG = {
+    "system": {
+        "type": "square",
+        "n_max_eigenvalue": 2000,
+        "gamma": [{"side": "bottom", "alpha": "pi/4", "beta": "pi/2"}],
+    }
+}
+SCALE_RUNS = (["assumption-ii-iii"], ["admissibility", "--trials", "20"])
 
 
 def _digest(report: bytes | None) -> str:
@@ -63,7 +75,8 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     """One ``digest exit=… seed=… label`` line per report, in a fixed order.
 
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
-    ``given-T/SCENARIO``, ``custom/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
+    ``given-T/SCENARIO``, ``custom/SCENARIO``, ``scale/SCENARIO`` and
+    ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
     lines += [
@@ -78,6 +91,10 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
             f"custom/{scenario}",
         )
         for scenario in CUSTOM_SCENARIOS
+    ]
+    lines += [
+        _cli_line([scenario, "--config", json.dumps(SCALE_CONFIG), *rest], seed, outdir, f"scale/{scenario}")
+        for scenario, *rest in SCALE_RUNS
     ]
     for workload in WORKLOADS:
         (outdir / workload).mkdir(exist_ok=True)
