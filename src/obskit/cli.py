@@ -9,7 +9,8 @@ constants, next to it) and prints a short human summary.  Exit codes:
 * 3 — input error (config parse/schema/invariant, bad domain or shape,
   a horizon T whose phase ½·T·(λ_max − λ_min) overflows, a report path
   that cannot be written)
-* 4 — numeric failure (eigensolver, envelope dominance, bracket expansion)
+* 4 — numeric failure (eigensolver, envelope dominance, bracket expansion,
+  a NaN or infinity in the report; no report file is written then)
 """
 
 from __future__ import annotations
@@ -60,10 +61,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _write_outputs(bundle, output_path: str, fmt: str) -> None:
+    report = bundle_to_json_text(bundle)  # before any file or directory is made
     out = Path(output_path)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(bundle_to_json_text(bundle), encoding="utf-8")
+    out.write_text(report, encoding="utf-8")
     if fmt == "csv":
         stem = out.with_suffix("") if out.suffix else out
         for name, text in bundle_to_csv_texts(bundle).items():

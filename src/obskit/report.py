@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
+
+from .errors import NumericError
 
 CSV_FLOAT_FORMAT = ".17e"
 HUMAN_SIG_DIGITS = 6
@@ -83,9 +87,69 @@ def _json_default(value):
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
+def _dumps(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2)``, laid out as if nested ``level`` deep."""
+    text = json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False, default=_json_default)
+    return text.replace("\n", "\n" + "  " * level)
+
+
+# One C-encoder call per table: cells and rows are separated by a NUL, which
+# JSON writes as \u0000 inside a string, so a raw NUL is always a separator,
+# and since cells are scalars a ']' right before one always ends a row.
+_ROWS_ENCODER = json.JSONEncoder(
+    ensure_ascii=False, allow_nan=False, separators=("\x00", ":"), default=_json_default
+)
+# Where lines of ``tables.NAME.rows`` start in the indent-2 layout: each row,
+# each of its cells, and the bracket that closes the rows.
+_ROW = "\n        "
+_CELL = _ROW + "  "
+_ROWS_END = "\n      ]"
+
+
+def _reject_nonfinite(labelled) -> None:
+    """Raise a NumericError naming the first NaN or infinity among ``(label, value)`` pairs."""
+    for label, value in labelled:
+        try:
+            finite = math.isfinite(value)
+        except (TypeError, ValueError, OverflowError):
+            continue
+        if not finite:
+            raise NumericError(f"{label} is {value!r}, which a JSON report cannot hold")
+
+
+def _rows_text(table: Table) -> str:
+    """``table.rows`` as ``json.dumps(indent=2)`` lays it out inside a report."""
+    rows = table.rows
+    if not rows:
+        return "[]"
+    if not table.columns:  # "[]\x00[]" has no cell for the replaces to lay out
+        return "[" + ",".join([_ROW + "[]"] * len(rows)) + _ROWS_END
+    for kind in set(map(type, itertools.chain.from_iterable(rows))):
+        if issubclass(kind, (list, tuple, dict)):
+            raise TypeError(f"table {table.name!r} has a {kind.__name__} cell; cells are scalars")
+    try:
+        flat = _ROWS_ENCODER.encode(rows)
+    except ValueError:
+        _reject_nonfinite(
+            (f"table {table.name!r} row {i} column {column!r}", cell)
+            for i, row in enumerate(rows)
+            for column, cell in zip(table.columns, row)
+        )
+        raise
+    flat = flat[2:-2].replace("]\x00[", _ROW + "]," + _ROW + "[" + _CELL)
+    return "[" + _ROW + "[" + _CELL + flat.replace("\x00", "," + _CELL) + _ROW + "]" + _ROWS_END
+
+
 def bundle_to_json_text(bundle: ReportBundle) -> str:
-    """Canonical JSON serialization; byte-identical for identical inputs."""
-    payload = {
+    """Canonical JSON serialization; byte-identical for identical inputs.
+
+    The text is ``json.dumps(payload, indent=2, ensure_ascii=False)`` of the
+    whole report.  Everything but the table rows goes through that call; each
+    table's rows go through one C-encoder call and are laid out to match.
+    Cells must be scalars (a list, tuple or dict cell is a ``TypeError``), and
+    a NaN or infinity anywhere is a :class:`NumericError` naming its place.
+    """
+    head = {
         "toolkit": {"name": "obskit", "version": bundle.toolkit_version},
         "scenario": bundle.scenario,
         "seed": bundle.seed,
@@ -95,14 +159,20 @@ def bundle_to_json_text(bundle: ReportBundle) -> str:
         "verdicts": [
             {"name": v.name, "passed": v.passed, "detail": v.detail} for v in bundle.verdicts
         ],
-        "tables": {
-            t.name: {"columns": t.columns, "rows": t.rows} for t in bundle.tables
-        },
     }
-    return (
-        json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False, default=_json_default)
-        + "\n"
-    )
+    try:
+        text = _dumps(head)
+    except ValueError:
+        _reject_nonfinite((f"constant {key!r}", value) for key, value in bundle.constants.items())
+        raise
+    # A name that repeats keeps its first place and its last table, as in a dict.
+    tables = [
+        f'    {_dumps(name)}: {{\n      "columns": {_dumps(table.columns, 3)},\n'
+        f'      "rows": {_rows_text(table)}\n    }}'
+        for name, table in {t.name: t for t in bundle.tables}.items()
+    ]
+    tables_text = "{\n" + ",\n".join(tables) + "\n  }" if tables else "{}"
+    return text[:-2] + ',\n  "tables": ' + tables_text + "\n}\n"  # text ends in "\n}"
 
 
 def table_to_csv_text(table: Table) -> str:

@@ -1,8 +1,9 @@
 """Test oracles: the window transform, its energy on an interval and the observed
 energy by quadrature, the trajectory point, the closed-form cluster minima of the full bottom side,
-the admissibility sup solved at every grid point, and the three per-trial scenarios run one state
-at a time."""
+the admissibility sup solved at every grid point, the three per-trial scenarios run one state
+at a time, and the report JSON from the pure-Python encoder."""
 
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from obskit.evolution import (
     observability_kernel,
     weak_observability_check,
 )
-from obskit.report import ReportBundle, Table, Verdict
+from obskit.report import ReportBundle, Table, Verdict, _json_default
 from obskit.scenarios import _new_bundle, _pipeline_constants
 from obskit.spectral import coefficients_of, frequency, frequency_report
 from obskit.square import lattice_circle
@@ -287,3 +288,25 @@ ROW_RUNNERS = {
     "weak-observability": run_weak_observability_by_row,
     "admissibility": run_admissibility_by_row,
 }
+
+
+def report_json_by_pure_python_encoder(bundle: ReportBundle) -> str:
+    """The report as one ``json.dumps(indent=2)`` call, which runs Python's pure-Python encoder."""
+    payload = {
+        "toolkit": {"name": "obskit", "version": bundle.toolkit_version},
+        "scenario": bundle.scenario,
+        "seed": bundle.seed,
+        "config_sha256": bundle.config_sha256,
+        "constants": bundle.constants,
+        "notes": bundle.notes,
+        "verdicts": [
+            {"name": v.name, "passed": v.passed, "detail": v.detail} for v in bundle.verdicts
+        ],
+        "tables": {
+            t.name: {"columns": t.columns, "rows": t.rows} for t in bundle.tables
+        },
+    }
+    return (
+        json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False, default=_json_default)
+        + "\n"
+    )

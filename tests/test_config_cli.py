@@ -18,7 +18,7 @@ from obskit import (
     load_config,
     system_of,
 )
-from obskit import cli
+from obskit import cli, scenarios
 from obskit.cli import build_parser, main
 from obskit.config import MAX_GRAM_BYTES, SCENARIOS, gamma_spec_of
 from obskit.parallel import worker_count
@@ -460,6 +460,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert "finite" in err and err.startswith("obskit: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["structured", "csv"])
+    @pytest.mark.parametrize(
+        "poison, message",
+        [
+            (lambda b: b.constants.update(delta_hat=math.nan), "constant 'delta_hat' is nan"),
+            (lambda b: b.tables[0].rows[1].__setitem__(2, -math.inf),
+             "table 'clusters' row 1 column 'min_eig' is -inf"),
+        ],
+        ids=["nan-constant", "inf-cell"],
+    )
+    def test_non_finite_report_value_exits_four_without_report(
+        self, poison, message, fmt, tmp_path, capsys, monkeypatch
+    ):
+        run = scenarios._RUNNERS["coercivity-scan"]
+
+        def poisoned(cfg):
+            bundle = run(cfg)
+            poison(bundle)
+            return bundle
+
+        monkeypatch.setitem(scenarios._RUNNERS, "coercivity-scan", poisoned)
+        out = tmp_path / "reports" / "x.json"
+        assert main(["coercivity-scan", "--out", str(out), "--format", fmt]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("obskit: numeric failure: ") and err.count("\n") == 1
+        assert message in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "scenario", ["admissibility", "resolvent-scan", "weak-observability", "assumption-ii-iii"]

@@ -3,6 +3,7 @@
     python3 tools/report_digests.py [--keep DIR] SEED [SEED ...]
 
 For every seed it runs, in process, each scenario at its default config,
+the same again with ``--format csv`` (its digest covers the CSV files too),
 each scenario that reads a horizon again with ``--T 0.7``, four scenarios
 with ``--trials 20`` on a 4-mode custom system with a dense complex Gram,
 ``assumption-ii-iii`` and ``admissibility`` (``--trials 20``) on the
@@ -61,13 +62,22 @@ def _digest(report: bytes | None) -> str:
 
 
 def _cli_line(argv: list[str], seed: int, outdir: Path, label: str) -> str:
-    """Run ``obskit ARGV`` with the seed, writing ``outdir/LABEL.json``, and give its line."""
+    """Run ``obskit ARGV`` with the seed, writing ``outdir/LABEL.json``, and give its line.
+
+    With ``--format csv`` in ARGV the digest covers the JSON report followed
+    by each ``LABEL.*.csv`` next to it, in name order, each after its name.
+    """
     out = outdir / f"{label}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.unlink(missing_ok=True)
+    tables = f"{out.stem}.*.csv"
+    for path in [out, *out.parent.glob(tables)]:
+        path.unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv + ["--out", str(out), "--seed", str(seed)])
     report = out.read_bytes() if out.is_file() else None
+    if report is not None and "csv" in argv:
+        for path in sorted(out.parent.glob(tables)):
+            report += b"\0" + path.name.encode() + b"\0" + path.read_bytes()
     return f"{_digest(report)}  exit={code} seed={seed} {label}"
 
 
@@ -75,10 +85,14 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     """One ``digest exit=… seed=… label`` line per report, in a fixed order.
 
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
-    ``given-T/SCENARIO``, ``custom/SCENARIO``, ``scale/SCENARIO`` and
-    ``WORKLOAD/I-SCENARIO``.
+    ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
+    ``custom/SCENARIO``, ``scale/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
+    lines += [
+        _cli_line([scenario, "--format", "csv"], seed, outdir, f"csv/{scenario}")
+        for scenario in SCENARIOS
+    ]
     lines += [
         _cli_line([scenario, "--T", GIVEN_T], seed, outdir, f"given-T/{scenario}")
         for scenario in HORIZON_SCENARIOS
