@@ -138,7 +138,7 @@ def weak_observability_check(
 ) -> ObservabilityReport:
     """Evaluate θ₂ψ(θ₀(1/T+λ(z0)))‖z0‖² ≤ ∫₀ᵀ‖Cz‖² for one state or a (k, n) block.
 
-    ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε, θ₁)``;
+    ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε)``;
     ``T`` and ``t_min`` are scalars or one per row.  Both sides and their
     margin are taken in the power-of-two frame of each row and scaled back,
     so a finite state never yields nan.

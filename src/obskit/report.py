@@ -72,7 +72,7 @@ class ReportBundle:
 
 def _csv_cell(value) -> str:
     if hasattr(value, "item") and not isinstance(value, (bool, int, float, str)):
-        value = value.item()
+        value = _json_default(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -81,10 +81,11 @@ def _csv_cell(value) -> str:
 
 
 def _json_default(value):
+    """A numpy scalar or 0-d array as its Python scalar; anything else is a TypeError."""
     item = getattr(value, "item", None)
-    if callable(item):
+    if callable(item) and getattr(value, "ndim", 0) == 0:
         return item()
-    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+    raise TypeError(f"cannot serialize {type(value).__name__} into a report; values are scalars")
 
 
 def _dumps(value, level: int = 0) -> str:

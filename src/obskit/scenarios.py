@@ -1,7 +1,7 @@
 """Scenario orchestration: each verification pipeline as one report bundle.
 
 Every bundle carries the same constants block (window norms, κ's, c₀, c₀′,
-θ₀, both θ₁ variants, θ₂), the config digest and seed, fixed-name tables,
+θ₀, θ₁, θ₂), the config digest and seed, fixed-name tables,
 and pass/fail verdicts.  Output is deterministic for identical
 (config, seed): no wall-clock anywhere.
 """
@@ -41,7 +41,6 @@ from .window import (
     KAPPA2,
     THETA0,
     THETA1,
-    THETA1_SUP_DERIV,
     THETA2,
     chi_hat,
     chi_hat_real_form,
@@ -55,8 +54,6 @@ from .window import (
 BLOCK_BYTES = 1 << 18
 
 THETA_NOTES = [
-    "theta1 uses the L2 norm of the window derivative by default; the sup-norm "
-    "variant is reported as theta1_sup_deriv and asserted nowhere.",
     "theta2 uses the factor-4 normalization 4*chi_l2_norm_sq/chi_sup_norm^2; a "
     "tighter arrangement of the same estimates would halve it.",
 ]
@@ -73,7 +70,6 @@ def _constants_block() -> dict:
         "c0_prime": C0_PRIME,
         "theta0": THETA0,
         "theta1_l2_deriv": THETA1,
-        "theta1_sup_deriv": THETA1_SUP_DERIV,
         "theta2": THETA2,
     }
 
@@ -266,8 +262,7 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     lam0 = np.concatenate(
         [frequency(z, system) for _, z in _state_blocks(rng, cfg.trials, system.size, block)]
     )
-    theta1 = np.array([[THETA1], [THETA1_SUP_DERIV]])
-    t_mins, t_mins_sup = solve_observation_time(lam0, pipeline.spectral.epsilon, theta1)
+    t_mins = solve_observation_time(lam0, pipeline.spectral.epsilon)
     # The same seed draws the same states again, so only one block is held at a time.
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -280,24 +275,12 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
         all_applicable = all_applicable and bool(rep.applicable.all())
         scaled = rep.margin[rep.applicable] / (1.0 + rep.integral[rep.applicable])
         worst = min([worst, *scaled.tolist()])
-        columns = (
-            rep.lambda_z0, rep.t_min, t_mins_sup[at], rep.T, rep.lhs, rep.integral, rep.margin, rep.applicable
-        )
+        columns = (rep.lambda_z0, rep.t_min, rep.T, rep.lhs, rep.integral, rep.margin, rep.applicable)
         rows += map(list, zip(range(at.start, at.stop), *(col.tolist() for col in columns)))
     bundle.tables.append(
         Table(
             name="observability",
-            columns=[
-                "trial",
-                "lambda_z0",
-                "t_min",
-                "t_min_theta1_sup_variant",
-                "T",
-                "lhs",
-                "integral",
-                "margin",
-                "applicable",
-            ],
+            columns=["trial", "lambda_z0", "t_min", "T", "lhs", "integral", "margin", "applicable"],
             rows=rows,
         )
     )
@@ -403,17 +386,9 @@ def run_assumption_ii_iii(cfg: RunConfig) -> ReportBundle:
     bundle.tables.append(
         Table(
             name="certificate_widths",
-            columns=["lambda", "width_from_transform", "width_one_term_variant", "psi_tilde"],
-            rows=[
-                [lam, 1.0 / (slope * lam + 4.0), 1.0 / (slope * lam + 1.0), delta_hat / (4.0 * lam)]
-                for lam in sample
-            ],
+            columns=["lambda", "width_from_transform", "psi_tilde"],
+            rows=[[lam, 1.0 / (slope * lam + 4.0), delta_hat / (4.0 * lam)] for lam in sample],
         )
-    )
-    bundle.notes.append(
-        "certificate_widths reports two width variants: the four-term additive "
-        "constant follows from the transform formula; the one-term variant is "
-        "listed for comparison and asserted nowhere."
     )
     return bundle
 

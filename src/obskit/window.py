@@ -8,7 +8,7 @@ transform χ̂(τ) = ∫χ(s)e^{−iτs}ds has the closed form
 which ``chi_hat_real_form`` restates in real arithmetic; adaptive
 quadrature is the test oracle for both.  The window is
 fixed, so its norms and the frequency-localization constants c₀, c₀′, θ₀,
-θ₁ (both variants) and θ₂ are module constants in closed form.  Also here:
+θ₁ and θ₂ are module constants in closed form.  Also here:
 the windowed frequency of an evolved state, the minimal observation time
 T(λ) solving T·ε(θ₀(1/T+λ)) = θ₁, and a proven, closed-form
 truncated-Plancherel lower bound for windowed trajectory energy.
@@ -36,23 +36,17 @@ KAPPA2 = 6.0
 # 2(1+x)(3x+4)/(4+x)² + 2e⁻²(1+x)/(4+x) < κ₂*, each monotone in x.
 KAPPA2_SUP = 6.0 + 2.0 * math.exp(-2.0)
 
-# sup of |χ̇| on (−1,1)\{0}, attained in the limit s → 0±.
-CHI_DERIV_SUP = 3.0
-
 # Window norms in closed form: ‖χ‖² = (5 − e⁻⁴)/16, ‖χ̇‖² = (13 − e⁻⁴)/4.
 # χ is even and decreasing in |s| from χ(0) = 1, so ‖χ‖∞ = 1 exactly.
 CHI_L2_NORM_SQ = (5.0 - math.exp(-4.0)) / 16.0
 CHI_DERIV_L2_NORM_SQ = (13.0 - math.exp(-4.0)) / 4.0
 
 # Frequency-localization constants: c₀ = 8κ₂/κ₁ + κ₁/κ₂ + 6, c₀′ = ‖χ̇‖/‖χ‖,
-# θ₀ = max(c₀′, 8 + c₀) and θ₂ = 4‖χ‖²/‖χ‖∞².  θ₁ = 4‖χ‖²/‖χ̇‖² is the one
-# the estimates support; THETA1_SUP_DERIV puts sup|χ̇|² in the denominator,
-# is reported alongside and asserted nowhere.
+# θ₀ = max(c₀′, 8 + c₀), θ₁ = 4‖χ‖²/‖χ̇‖² and θ₂ = 4‖χ‖²/‖χ‖∞².
 C0 = 8.0 * KAPPA2 / KAPPA1 + KAPPA1 / KAPPA2 + 6.0
 C0_PRIME = math.sqrt(CHI_DERIV_L2_NORM_SQ / CHI_L2_NORM_SQ)
 THETA0 = max(C0_PRIME, 8.0 + C0)
 THETA1 = 4.0 * CHI_L2_NORM_SQ / CHI_DERIV_L2_NORM_SQ
-THETA1_SUP_DERIV = 4.0 * CHI_L2_NORM_SQ / CHI_DERIV_SUP**2
 THETA2 = 4.0 * CHI_L2_NORM_SQ
 
 
@@ -115,28 +109,26 @@ def windowed_frequency(z0, system: SpectralSystem, T: float, tau: float) -> floa
     return _per_row(_moments(c, system, window)[3], c)
 
 
-def solve_observation_time(lambda0, eps: DecayFunction, theta1):
+def solve_observation_time(lambda0, eps: DecayFunction):
     """The unique T > 0 with T·ε(θ₀(1/T + λ₀)) = θ₁, by guarded bisection.
 
-    ``lambda0`` is a scalar or an array; ``theta1`` (``THETA1`` or
-    ``THETA1_SUP_DERIV``, or an array of them) is broadcast against it, and
-    every element is solved at once.  θ₀ is ``THETA0``.  A scalar pair
-    returns a float, anything else an array of the broadcast shape.
+    ``lambda0`` is a scalar or an array, and every element is solved at
+    once.  θ₀ is ``THETA0`` and θ₁ is ``THETA1``.  A scalar returns a
+    float, an array an array of its shape.
 
     Per element: the bracket grows from T = 1 by doubling or halving (at
     most 200 times), the map T ↦ T·ε(θ₀(1/T+λ₀)) is verified increasing on
     17 points of it, and bisection runs until hi − lo ≤ 1e−12·hi, after
     which the element is frozen; the result is the bracket midpoint.
     """
-    lam, th = np.broadcast_arrays(np.asarray(lambda0, dtype=float), np.asarray(theta1, dtype=float))
-    shape = lam.shape
-    lam, th = lam.ravel(), th.ravel()
+    shape = np.shape(lambda0)
+    lam = np.asarray(lambda0, dtype=float).ravel()
     bad = ~((lam >= 0) & np.isfinite(lam))
     if bad.any():
         raise DomainError(f"lambda0 must be non-negative and finite, got {float(lam[bad][0])!r}")
 
     def g(T, at):
-        return T * eps(THETA0 * (1.0 / T + lam[at])) - th[at]
+        return T * eps(THETA0 * (1.0 / T + lam[at])) - THETA1
 
     lo = np.ones_like(lam)
     hi = np.ones_like(lam)
@@ -159,7 +151,7 @@ def solve_observation_time(lambda0, eps: DecayFunction, theta1):
             raise NumericError("bracket expansion failed after 200 doublings (upward)")
         raise NumericError("bracket expansion failed after 200 halvings (downward)")
 
-    samples = g(np.linspace(lo, hi, 17), ...) + th
+    samples = g(np.linspace(lo, hi, 17), ...) + THETA1
     scale = np.abs(samples).max(axis=0)
     if np.any(samples[1:] < samples[:-1] - 1e-9 * scale):
         raise NumericError("T·ε(θ₀(1/T+λ)) is not increasing on the bracket")

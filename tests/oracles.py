@@ -27,7 +27,7 @@ from obskit.report import ReportBundle, Table, Verdict, _json_default
 from obskit.scenarios import _new_bundle, _pipeline_constants
 from obskit.spectral import coefficients_of, frequency, frequency_report
 from obskit.square import lattice_circle
-from obskit.window import CHI_L2_NORM_SQ, THETA1, THETA1_SUP_DERIV, chi_hat, solve_observation_time
+from obskit.window import CHI_L2_NORM_SQ, chi_hat, solve_observation_time
 
 
 def chi_hat_by_quadrature(tau: float) -> float:
@@ -177,13 +177,12 @@ def run_weak_observability_by_row(cfg: RunConfig) -> ReportBundle:
     _pipeline_constants(bundle, pipeline)
     rng = np.random.default_rng(cfg.seed)
     lam0 = [frequency(random_state(rng, system.size), system) for _ in range(cfg.trials)]
-    theta1 = np.array([[THETA1], [THETA1_SUP_DERIV]])
-    t_mins, t_mins_sup = solve_observation_time(lam0, pipeline.spectral.epsilon, theta1).tolist()
+    t_mins = solve_observation_time(lam0, pipeline.spectral.epsilon).tolist()
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = math.inf
     all_applicable = True
-    for trial, (t_min, t_min_sup) in enumerate(zip(t_mins, t_mins_sup)):
+    for trial, t_min in enumerate(t_mins):
         z = random_state(rng, system.size)
         horizon = cfg.T if cfg.T is not None else 2.0 * t_min
         rep = weak_observability_check(z, system, horizon, pipeline.spectral.psi, t_min)
@@ -191,32 +190,12 @@ def run_weak_observability_by_row(cfg: RunConfig) -> ReportBundle:
         if rep.applicable:
             worst = min(worst, rep.margin / (1.0 + rep.integral))
         rows.append(
-            [
-                trial,
-                rep.lambda_z0,
-                rep.t_min,
-                t_min_sup,
-                rep.T,
-                rep.lhs,
-                rep.integral,
-                rep.margin,
-                rep.applicable,
-            ]
+            [trial, rep.lambda_z0, rep.t_min, rep.T, rep.lhs, rep.integral, rep.margin, rep.applicable]
         )
     bundle.tables.append(
         Table(
             name="observability",
-            columns=[
-                "trial",
-                "lambda_z0",
-                "t_min",
-                "t_min_theta1_sup_variant",
-                "T",
-                "lhs",
-                "integral",
-                "margin",
-                "applicable",
-            ],
+            columns=["trial", "lambda_z0", "t_min", "T", "lhs", "integral", "margin", "applicable"],
             rows=rows,
         )
     )

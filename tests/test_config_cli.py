@@ -348,7 +348,6 @@ class TestCli:
             ("c0_prime", "3.2285492426089144"),
             ("theta0", "127.16807105949562"),
             ("theta1_l2_deriv", "0.3837471488703505"),
-            ("theta1_sup_deriv", "0.13838012114197962"),
             ("theta2", "1.2454210902778164"),
         ]
 

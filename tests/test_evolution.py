@@ -22,7 +22,6 @@ from obskit import (
     weak_observability_check,
 )
 from obskit.square import full_bottom, build_square_system
-from obskit.window import THETA1
 
 from oracles import evolve, observability_integral_by_quadrature
 
@@ -252,7 +251,7 @@ class TestWeakObservability:
 
     @staticmethod
     def t_min_of(z, sys_, pipeline):
-        return solve_observation_time(frequency(z, sys_), pipeline.spectral.epsilon, THETA1)
+        return solve_observation_time(frequency(z, sys_), pipeline.spectral.epsilon)
 
     def test_below_minimal_time_not_applicable(self, pipeline_system):
         sys_, pipeline = pipeline_system
@@ -291,7 +290,7 @@ class TestWeakObservability:
         sys_ = SpectralSystem(eigenvalues=[2.0, 5.0], gram=np.diag([0.8, 0.3]).astype(complex))
         psi = Constant(0.1)
         z = StateVector.basis(0, 2)
-        t_min = solve_observation_time(frequency(z, sys_), Constant(0.1), THETA1)
+        t_min = solve_observation_time(frequency(z, sys_), Constant(0.1))
         rep = weak_observability_check(z, sys_, 4.0 * t_min, psi, t_min)
         assert rep.applicable
         assert rep.margin > 0

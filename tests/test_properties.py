@@ -69,7 +69,7 @@ from obskit.cli import main
 from obskit.decay import is_positive_nonincreasing
 from obskit.evolution import phase_kernel
 from obskit.spectral import _moments, _power_of_two_frame, observed_energy_sq
-from obskit.window import THETA0, THETA1, THETA1_SUP_DERIV
+from obskit.window import THETA0, THETA1
 
 from oracles import admissibility_by_every_point, observability_integral_by_quadrature
 
@@ -264,13 +264,13 @@ def test_transformed_width_in_admissible_class(c, p, M, eps0):
     assert is_positive_nonincreasing(width)
 
 
-def scalar_observation_time(lambda0, eps, theta1):
+def scalar_observation_time(lambda0, eps):
     """The scalar bisection the batched solver replaced, kept as its oracle."""
     if not (lambda0 >= 0 and math.isfinite(lambda0)):
         raise DomainError(f"lambda0 must be non-negative and finite, got {lambda0!r}")
 
     def g(T):
-        return T * float(eps(THETA0 * (1.0 / T + lambda0))) - theta1
+        return T * float(eps(THETA0 * (1.0 / T + lambda0))) - THETA1
 
     lo = hi = 1.0
     if g(1.0) < 0.0:
@@ -290,7 +290,7 @@ def scalar_observation_time(lambda0, eps, theta1):
         else:
             raise NumericError("bracket expansion failed after 200 halvings (downward)")
 
-    samples = [g(t) + theta1 for t in np.linspace(lo, hi, 17)]
+    samples = [g(t) + THETA1 for t in np.linspace(lo, hi, 17)]
     scale = max(abs(v) for v in samples)
     for a, b in zip(samples, samples[1:]):
         if b < a - 1e-9 * scale:
@@ -309,7 +309,7 @@ def scalar_observation_time(lambda0, eps, theta1):
 
 @st.composite
 def observation_time_inputs(draw):
-    """λ₀ values (0, repeats, 1e-6 … 1e6), a width and θ₁ (one, or one per element)."""
+    """λ₀ values (0, repeats, 1e-6 … 1e6) and a width."""
     value = st.one_of(
         st.just(0.0), st.floats(1e-6, 1e6), st.floats(-6.0, 6.0).map(lambda d: 10.0**d)
     )
@@ -325,21 +325,18 @@ def observation_time_inputs(draw):
         TransformedWidth(psi=power, admissibility=draw(st.floats(1e-6, 1e6)),
                          base_width=draw(st.floats(1e-6, 10.0))),
     )))
-    theta = st.sampled_from((THETA1, THETA1_SUP_DERIV))
-    theta1 = draw(st.one_of(theta, st.lists(theta, min_size=len(lam), max_size=len(lam))))
-    return np.array(lam), eps, theta1
+    return np.array(lam), eps
 
 
 @settings(max_examples=200, derandomize=True)
 @given(observation_time_inputs())
 def test_batched_observation_time_equals_scalar_bisection(inputs):
-    lam, eps, theta1 = inputs
-    got = solve_observation_time(lam, eps, theta1)
-    thetas = np.broadcast_to(theta1, lam.shape)
-    want = np.array([scalar_observation_time(float(l), eps, float(t)) for l, t in zip(lam, thetas)])
+    lam, eps = inputs
+    got = solve_observation_time(lam, eps)
+    want = np.array([scalar_observation_time(float(l), eps) for l in lam])
     assert got.shape == lam.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    single = solve_observation_time(float(lam[0]), eps, float(thetas[0]))
+    single = solve_observation_time(float(lam[0]), eps)
     assert type(single) is float
     assert np.float64(single).view(np.uint64) == want[:1].view(np.uint64)[0]
 

@@ -7,8 +7,10 @@ on every default scenario report and on generated bundles: names, columns
 and string cells hold unicode, NUL, backslashes, quotes, brackets and the
 separator text ``]\\x00[`` itself; tables may be absent, empty, repeat a
 name or have no columns; rows may be tuples; cells span −0.0, subnormals,
-1e308, ints past 2⁶³ and numpy scalars.  A container cell is a TypeError
-and a NaN or infinity is a NumericError that names where it sits.
+1e308, ints past 2⁶³ and numpy scalars.  A container cell is a TypeError,
+as is a numpy array with a dimension in JSON or CSV, while a 0-d array
+counts as its scalar; a NaN or infinity is a NumericError that names where
+it sits.
 """
 
 import math
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from obskit import NumericError
 from obskit.config import SCENARIOS, default_config
-from obskit.report import ReportBundle, Table, Verdict, bundle_to_json_text
+from obskit.report import ReportBundle, Table, Verdict, bundle_to_csv_texts, bundle_to_json_text
 from obskit.scenarios import run_scenario
 from oracles import report_json_by_pure_python_encoder
 
@@ -103,6 +105,23 @@ def test_container_cell_is_type_error(cell):
 def test_unknown_cell_type_is_type_error():
     with pytest.raises(TypeError, match="cannot serialize object"):
         bundle_to_json_text(_bundle(rows=[(1.0, object())]))
+
+
+@pytest.mark.parametrize(
+    "value", [np.array([1.5]), np.array([1.0, 2.0]), np.zeros((2, 0))], ids=["one", "two", "empty-2d"]
+)
+@pytest.mark.parametrize("encode", [bundle_to_json_text, bundle_to_csv_texts], ids=["json", "csv"])
+def test_array_with_a_dimension_is_type_error(encode, value):
+    for bundle in (_bundle(rows=[(1.0, 2), (3.0, value)]), _bundle(constants={"c": value})):
+        with pytest.raises(TypeError, match="cannot serialize ndarray into a report"):
+            encode(bundle)
+
+
+def test_zero_d_array_is_written_as_its_scalar():
+    arrays = _bundle(constants={"c": np.array(0.1)}, rows=[(np.array(2.5), np.array(3))])
+    scalars = _bundle(constants={"c": 0.1}, rows=[(2.5, 3)])
+    assert bundle_to_json_text(arrays) == bundle_to_json_text(scalars)
+    assert bundle_to_csv_texts(arrays) == bundle_to_csv_texts(scalars)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-"""tools/report_diff.py matches verdicts by name: a renamed verdict is one
-removed and one added name, the other verdicts' moves still show, and a
-change of order or of how often a name occurs is serious."""
+"""tools/report_diff.py matches verdicts, constants, tables and columns by
+name and notes by text: a renamed or dropped item is listed as removed (and
+added), the moves of the items both sides share still show, and a change of
+order or of how often a name occurs is serious."""
 
 import json
 import sys
@@ -11,16 +12,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import report_diff  # noqa: E402
 
 
-def report(verdicts: list[tuple[str, bool, str]]) -> dict:
+def report(verdicts: list[tuple[str, bool, str]], constants=None, notes=(), tables=None) -> dict:
     return {
         "scenario": "verify-cutoff",
         "seed": 7,
         "config_sha256": "0" * 64,
         "toolkit": {"name": "obskit", "version": "0"},
-        "constants": {"kappa2": 6.0},
-        "notes": [],
+        "constants": {"kappa2": 6.0} if constants is None else constants,
+        "notes": list(notes),
         "verdicts": [{"name": n, "passed": p, "detail": d} for n, p, d in verdicts],
-        "tables": {},
+        "tables": tables or {},
     }
 
 
@@ -84,3 +85,77 @@ def test_a_repeated_name_is_matched_by_occurrence():
     moves, serious = report_diff.report_moves(doubled, report([*rows, ("sandwich-upper-bound", True, "max = 2")]))
     assert [w for w, _, _ in moves] == ["verdict sandwich-upper-bound#2 detail"]
     assert not serious
+
+
+def test_a_dropped_column_is_listed_and_moved_cells_still_show():
+    rows = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    before = report([], tables={"obs": {"columns": ["t", "sup", "T"], "rows": rows}})
+    after = report([], tables={"obs": {"columns": ["t", "T"], "rows": [[1.0, 3.5], [4.0, 6.0]]}})
+    moves, serious = report_diff.report_moves(before, after)
+    assert [(w, text) for w, text, _ in moves] == [
+        ("table obs column sup", "removed"),
+        ("table obs[0].T", "3.0 -> 3.5  rel=1.43e-01"),
+    ]
+    assert serious
+
+
+def test_a_reordered_column_or_another_row_count_is_serious():
+    before = report([], tables={"obs": {"columns": ["t", "T"], "rows": [[1.0, 3.0]]}})
+    swapped = report([], tables={"obs": {"columns": ["T", "t"], "rows": [[3.0, 1.0]]}})
+    assert report_diff.report_moves(before, swapped) == (
+        [("table obs column order", "shape ['t', 'T'] -> ['T', 't']", None)], True
+    )
+    longer = report([], tables={"obs": {"columns": ["t", "T"], "rows": [[1.0, 3.0], [2.0, 4.0]]}})
+    assert report_diff.report_moves(before, longer) == ([("table obs rows", "shape 1 -> 2", None)], True)
+
+
+def test_a_dropped_table_is_listed_and_the_others_still_compare():
+    a, b2, b3, c = ({"columns": [x], "rows": [[v]]} for x, v in (("x", 1), ("y", 2), ("y", 3), ("z", 4)))
+    before = report([], tables={"a": a, "b": b2})
+    after = report([], tables={"b": b3, "c": c})
+    moves, serious = report_diff.report_moves(before, after)
+    assert [(w, text) for w, text, _ in moves] == [
+        ("table a", "removed"),
+        ("table c", "added"),
+        ("table b[0].y", "2 -> 3  rel=3.33e-01"),
+    ]
+    assert serious
+
+
+def test_a_dropped_constant_is_listed_and_moved_constants_still_show():
+    before = report([], constants={"theta0": 127.0, "theta1": 0.38, "theta1_variant": 0.14})
+    after = report([], constants={"theta0": 127.5, "theta1": 0.38, "theta2": 1.25})
+    moves, serious = report_diff.report_moves(before, after)
+    assert [(w, text) for w, text, _ in moves] == [
+        ("constants.theta1_variant", "removed"),
+        ("constants.theta2", "added"),
+        ("constants.theta0", "127.0 -> 127.5  rel=3.92e-03"),
+    ]
+    assert serious
+
+
+def test_notes_are_matched_by_text():
+    before = report([], notes=["n1", "n2", "shared"])
+    cases = [
+        (["n2", "shared"], [("note n1", "removed")]),
+        (["n1", "n2!", "shared"], [("note n2", "removed"), ("note n2!", "added")]),
+        (["shared", "n1", "n2"], [("note order", "shape ['n1', 'n2', 'shared'] -> ['shared', 'n1', 'n2']")]),
+        (["n1", "n2", "shared", "shared"], [("note shared#2", "added")]),
+    ]
+    for notes, expected in cases:
+        moves, serious = report_diff.report_moves(before, report([], notes=notes))
+        assert [(w, text) for w, text, _ in moves] == expected
+        assert serious
+
+
+def test_cli_lists_a_dropped_column_and_its_neighbours_moves_and_exits_one(tmp_path, capsys):
+    tables = ({"columns": ["t", "sup"], "rows": [[1.0, 2.0]]}, {"columns": ["t"], "rows": [[1.5]]})
+    for side, table in zip("ab", tables):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "w.json").write_text(json.dumps(report([], tables={"obs": table})))
+    assert report_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "w.json: table obs column sup: removed",
+        "w.json: table obs[0].t: 1.0 -> 1.5  rel=3.33e-01",
+        "1 reports compared, 1 moved, largest relative move 3.33e-01",
+    ]

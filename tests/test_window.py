@@ -30,14 +30,12 @@ from obskit.window import (
     C0,
     C0_PRIME,
     CHI_DERIV_L2_NORM_SQ,
-    CHI_DERIV_SUP,
     CHI_L2_NORM_SQ,
     KAPPA1,
     KAPPA2,
     KAPPA2_SUP,
     THETA0,
     THETA1,
-    THETA1_SUP_DERIV,
     THETA2,
     _chi_hat_sq_lower_bound,
     _tail,
@@ -63,8 +61,8 @@ class TestWindow:
     def test_derivative_odd_with_sup_three(self):
         s = np.linspace(1e-9, 1 - 1e-9, 10001)
         np.testing.assert_allclose(chi_dot(s), -chi_dot(-s), atol=1e-15)
-        assert np.abs(chi_dot(s)).max() <= CHI_DERIV_SUP
-        assert abs(chi_dot(1e-12)) == pytest.approx(CHI_DERIV_SUP, rel=1e-9)
+        assert np.abs(chi_dot(s)).max() <= 3.0
+        assert abs(chi_dot(1e-12)) == pytest.approx(3.0, rel=1e-9)
 
     def test_derivative_matches_finite_differences(self):
         h = 1e-7
@@ -177,10 +175,8 @@ class TestProfileAndConstants:
         assert C0_PRIME < 8.0 + C0
         assert THETA0 == pytest.approx(8.0 + C0, rel=1e-14)
 
-    def test_theta1_default_and_variant(self):
+    def test_theta1_uses_the_derivative_l2_norm(self):
         assert THETA1 == pytest.approx(4.0 * CHI_L2_NORM_SQ / CHI_DERIV_L2_NORM_SQ, rel=1e-14)
-        assert THETA1_SUP_DERIV == pytest.approx(4.0 * CHI_L2_NORM_SQ / CHI_DERIV_SUP**2, rel=1e-14)
-        assert THETA1_SUP_DERIV < THETA1
 
     def test_theta2_factor_four(self):
         assert THETA2 == pytest.approx(4.0 * CHI_L2_NORM_SQ, rel=1e-14)
@@ -230,41 +226,40 @@ class TestWindowedFrequency:
 
 class TestObservationTimeSolver:
     def test_constant_width_closed_form(self):
-        for theta1 in [THETA1, THETA1_SUP_DERIV]:
-            for eps0 in [1.0, 0.37, 2.5e-3]:
-                got = solve_observation_time(1.0, Constant(eps0), theta1)
-                assert got == pytest.approx(theta1 / eps0, rel=1e-11)
+        for eps0 in [1.0, 0.37, 2.5e-3]:
+            got = solve_observation_time(1.0, Constant(eps0))
+            assert got == pytest.approx(THETA1 / eps0, rel=1e-11)
 
     def test_power_law_quadratic_oracle(self):
         for c, lam0 in [(1.0, 1.0), (0.05, 3.0), (2.0, 40.0)]:
             disc = THETA1 * (1.0 + THETA0 * lam0)
             root = (disc + math.sqrt(disc * disc + 4.0 * c * THETA1 * THETA0)) / (2.0 * c)
-            got = solve_observation_time(lam0, PowerLaw(c, 1.0), THETA1)
+            got = solve_observation_time(lam0, PowerLaw(c, 1.0))
             assert got == pytest.approx(root, rel=1e-10)
 
     def test_equation_residual_small(self):
         width = TransformedWidth(psi=PowerLaw(0.3, 1.0), admissibility=2.0, base_width=0.5)
         for eps in [Constant(0.2), PowerLaw(0.3, 1.0), width]:
             for lam0 in [0.0, 1.0, 25.0]:
-                T = solve_observation_time(lam0, eps, THETA1)
+                T = solve_observation_time(lam0, eps)
                 res = abs(T * float(eps(THETA0 * (1.0 / T + lam0))) - THETA1)
                 assert res <= 1e-10 * THETA1
 
     def test_monotone_in_frequency(self):
         eps = PowerLaw(0.8, 1.0)
         grid = np.linspace(0.0, 100.0, 50)
-        times = [solve_observation_time(float(lam), eps, THETA1) for lam in grid]
+        times = [solve_observation_time(float(lam), eps) for lam in grid]
         for a, b in zip(times, times[1:]):
             assert b >= a * (1.0 - 1e-11)
 
     def test_rejects_negative_frequency(self):
         with pytest.raises(DomainError):
-            solve_observation_time(-1.0, Constant(1.0), THETA1)
+            solve_observation_time(-1.0, Constant(1.0))
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_rejects_one_bad_frequency_in_an_array(self, bad):
         with pytest.raises(DomainError):
-            solve_observation_time(np.array([0.0, 1.0, bad, 3.0]), Constant(1.0), THETA1)
+            solve_observation_time(np.array([0.0, 1.0, bad, 3.0]), Constant(1.0))
 
     def test_width_not_increasing_on_the_bracket_in_array_form(self):
         class Bump(DecayFunction):
@@ -276,15 +271,15 @@ class TestObservationTimeSolver:
                 return THETA1 * (0.6 + 10.0 * np.exp(-((lam - THETA0 / 1.5) ** 2)))
 
         with pytest.raises(NumericError, match="not increasing"):
-            solve_observation_time(np.array([5.0, 0.0, 5.0]), Bump(), THETA1)
+            solve_observation_time(np.array([5.0, 0.0, 5.0]), Bump())
 
-    def test_array_shape_and_theta1_broadcast(self):
-        lam = np.array([0.0, 1.0, 25.0])
-        theta1 = np.array([[THETA1], [THETA1_SUP_DERIV]])
-        got = solve_observation_time(lam, PowerLaw(0.3, 1.0), theta1)
+    def test_array_shape(self):
+        lam = np.array([[0.0, 1.0, 25.0], [3.0, 0.5, 1e4]])
+        got = solve_observation_time(lam, PowerLaw(0.3, 1.0))
         assert got.shape == (2, 3)
-        for row, th in zip(got, (THETA1, THETA1_SUP_DERIV)):
-            assert row.tolist() == [solve_observation_time(x, PowerLaw(0.3, 1.0), th) for x in lam]
+        for row, lams in zip(got, lam):
+            assert row.tolist() == [solve_observation_time(x, PowerLaw(0.3, 1.0)) for x in lams]
+        assert solve_observation_time([], PowerLaw(0.3, 1.0)).shape == (0,)
 
 
 class TestPlancherelLowerBound:

@@ -4,18 +4,21 @@
 
 A and B hold JSON reports at the same relative paths, as
 ``tools/report_digests.py --keep`` writes them from two checkouts.  For each
-pair of reports that differ it prints one line per moved item: a constant,
-a table cell, a note, or a verdict matched by name (its pass/fail or its
-detail text; a name on one side only is listed as added or removed).  A
-number that moved carries its relative size |a − b|/max(|a|, |b|); a detail
-text carries the largest relative move among the numbers in it.  With
-``--by-item`` it prints instead one line per report name and item, over
-all seed directories and table rows: how many values moved and the largest
-relative move.  The last line counts the reports compared and moved and
-gives the largest relative move.  Exit status 1 when a verdict's pass/fail
-differs, a verdict or a report exists on one side only, the verdicts both
-sides share come in another order, or the two sides differ in shape (keys,
-table sizes); else 0.  A name repeated in one report is matched by its
+pair of reports that differ it prints one line per moved item: a constant
+or a table matched by name, a column matched by name within its table, a
+note matched by its text, or a verdict matched by name (its pass/fail or its
+detail text).  An item on one side only is listed as added or removed, and
+every item both sides share is still compared: a constant's value, each
+cell of a shared column.  A number that moved carries its relative size
+|a − b|/max(|a|, |b|); a detail text carries the largest relative move among
+the numbers in it.  With ``--by-item`` it prints instead one line per report
+name and item, over all seed directories and table rows: how many values
+moved and the largest relative move.  The last line counts the reports
+compared and moved and gives the largest relative move.  Exit status 1 when
+a verdict's pass/fail differs, a report, constant, note, verdict, table or
+column exists on one side only, the notes, verdicts or columns both sides
+share come in another order, or a shared table has another number of rows;
+else 0.  A name or note repeated in one report is matched by its
 occurrence, as ``name#2`` and so on.
 """
 
@@ -55,15 +58,19 @@ def _value_move(a, b) -> tuple[str, float | None] | None:
     return f"{a!r} -> {b!r}", None
 
 
-def _by_name(verdicts: list[dict]) -> dict[str, dict]:
-    """The verdicts in order, keyed by name; a repeated name is keyed ``name#2``, ``name#3``, ..."""
+def _keyed(names) -> dict[str, int]:
+    """Each name's position, in order; a repeated name is keyed ``name#2``, ``name#3``, ..."""
     seen: Counter[str] = Counter()
     keyed = {}
-    for verdict in verdicts:
-        seen[verdict["name"]] += 1
-        count = seen[verdict["name"]]
-        keyed[verdict["name"] if count == 1 else f"{verdict['name']}#{count}"] = verdict
+    for i, name in enumerate(names):
+        seen[name] += 1
+        keyed[name if seen[name] == 1 else f"{name}#{seen[name]}"] = i
     return keyed
+
+
+def _by_name(verdicts: list[dict]) -> dict[str, dict]:
+    """The verdicts in order, keyed by name as ``_keyed`` keys them."""
+    return {key: verdicts[i] for key, i in _keyed(v["name"] for v in verdicts).items()}
 
 
 def report_moves(a: dict, b: dict) -> tuple[list[tuple[str, str, float | None]], bool]:
@@ -85,37 +92,41 @@ def report_moves(a: dict, b: dict) -> tuple[list[tuple[str, str, float | None]],
             serious = True
         return x == y
 
+    def shared(where: str, x: dict, y: dict, order: bool = True) -> list[str]:
+        """List the keys on one side only; return the shared keys in ``x``'s order."""
+        nonlocal serious
+        for side, keys, other in (("removed", x, y), ("added", y, x)):
+            for key in [key for key in keys if key not in other]:
+                moves.append((f"{where}{key}", side, None))
+                serious = True
+        keys = [key for key in x if key in y]
+        if order:
+            shape(f"{where.strip()} order", keys, [key for key in y if key in x])
+        return keys
+
     for key in ("scenario", "seed", "config_sha256", "toolkit"):
         leaf(key, a.get(key), b.get(key))
     ca, cb = a.get("constants", {}), b.get("constants", {})
-    if shape("constants", sorted(ca), sorted(cb)):
-        for key in ca:
-            leaf(f"constants.{key}", ca[key], cb[key])
-    na, nb = a.get("notes", []), b.get("notes", [])
-    if shape("notes", len(na), len(nb)):
-        for i, (x, y) in enumerate(zip(na, nb)):
-            leaf(f"notes[{i}]", x, y)
+    for key in shared("constants.", ca, cb, order=False):
+        leaf(f"constants.{key}", ca[key], cb[key])
+    shared("note ", _keyed(a.get("notes", [])), _keyed(b.get("notes", [])))
     va, vb = _by_name(a.get("verdicts", [])), _by_name(b.get("verdicts", []))
-    for side, names, other in (("removed", va, vb), ("added", vb, va)):
-        for name in [name for name in names if name not in other]:
-            moves.append((f"verdict {name}", side, None))
-            serious = True
-    shape("verdict order", [name for name in va if name in vb], [name for name in vb if name in va])
-    for name in [name for name in va if name in vb]:
+    for name in shared("verdict ", va, vb):
         x, y = va[name], vb[name]
         if x["passed"] != y["passed"]:
             moves.append((f"verdict {name}", f"passed {x['passed']} -> {y['passed']}", None))
             serious = True
         leaf(f"verdict {name} detail", x["detail"], y["detail"])
     ta, tb = a.get("tables", {}), b.get("tables", {})
-    if shape("tables", sorted(ta), sorted(tb)):
-        for name in ta:
-            x, y = ta[name], tb[name]
-            if not shape(f"table {name}", (x["columns"], len(x["rows"])), (y["columns"], len(y["rows"]))):
-                continue
-            for i, (rx, ry) in enumerate(zip(x["rows"], y["rows"])):
-                for column, cx, cy in zip(x["columns"], rx, ry):
-                    leaf(f"table {name}[{i}].{column}", cx, cy)
+    for name in shared("table ", ta, tb, order=False):
+        x, y = ta[name], tb[name]
+        ka, kb = _keyed(x["columns"]), _keyed(y["columns"])
+        columns = shared(f"table {name} column ", ka, kb)
+        if not shape(f"table {name} rows", len(x["rows"]), len(y["rows"])):
+            continue
+        for i, (rx, ry) in enumerate(zip(x["rows"], y["rows"])):
+            for column in columns:
+                leaf(f"table {name}[{i}].{column}", rx[ka[column]], ry[kb[column]])
     return moves, serious
 
 
