@@ -51,6 +51,11 @@ BETA_SAFETY = 1.0 - 1.0e-9
 # memory does not grow with B·n.
 _CHUNK_CELLS = 2**16
 
+# Largest stack of cluster Gram blocks (256 KiB, counting each block as
+# s·max(s, rank) complex entries) that ``_gram_stacks`` builds at once: a
+# scan's transient memory stays near the one-block loop's, at the same speed.
+_STACK_BYTES = 2**18
+
 
 @dataclass(frozen=True)
 class CoercivityCertificate:
@@ -122,16 +127,81 @@ def cluster_min_coercivity(system: SpectralSystem, indices) -> tuple[float, np.n
     return float(vals[0]), full
 
 
+def _cluster_runs(system: SpectralSystem, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centers, lo, hi): each distinct eigenvalue c and its ε-cluster as the run [lo, hi).
+
+    The run is exactly ``enumerate_cluster(system, c, epsilon)``, the k with
+    |fl(λ_k − c)| < ε.  Proof that it is one run: λ is sorted and rounding
+    is monotone, so fl(λ_k − c) does not decrease in k, and the k where it
+    lies in (−ε, ε) are consecutive; c is itself an eigenvalue and
+    fl(c − c) = 0, so the run is never empty.  The same holds over the
+    distinct values u_j, since the test reads only the value.  Both ends are
+    found for every center at once: ``searchsorted`` on u ∓ ε gives a
+    candidate on the center's side, and each end moves by one distinct
+    value at a time until the value at the end passes the exact strict test
+    and the next value outward fails it (or there is none).  By
+    monotonicity that end is then the run's end.
+    """
+    if not epsilon > 0:
+        raise DomainError(f"cluster width must be positive, got {epsilon}")
+    lam, u = system.eigenvalues, system.distinct_eigenvalues()
+    j = np.arange(u.size)
+
+    def inside(k):
+        return np.abs(u[np.clip(k, 0, u.size - 1)] - u) < epsilon
+
+    def settle(end, step):
+        # Grow while the next value outward is inside, shrink while the end is not.
+        while True:
+            grow = (end + step >= 0) & (end + step < u.size) & inside(end + step)
+            shrink = ~inside(end)
+            if not (grow.any() or shrink.any()):
+                return end
+            end = end + step * (grow.astype(int) - shrink)
+
+    with np.errstate(over="ignore"):  # u + ε past the float range is inf, which still sorts
+        upper = np.searchsorted(u, u + epsilon)
+    first = settle(np.minimum(np.searchsorted(u, u - epsilon), j), -1)
+    last = settle(np.maximum(upper - 1, j), 1)
+    starts = np.append(np.searchsorted(lam, u), lam.size)
+    return u, starts[first], starts[last + 1]
+
+
+def _gram_stacks(system: SpectralSystem, lo: np.ndarray, hi: np.ndarray):
+    """Yield (clusters, rows, blocks) over the runs [lo, hi), one size at a time.
+
+    ``clusters`` numbers the runs in the stack, ``rows`` is their (k, s)
+    array of modes and ``blocks`` the (k, s, s) stack of their Gram blocks,
+    each bit-identical to its ``gram_block``.  A stack holds at most
+    ``_STACK_BYTES`` of blocks and gathered factor rows, and at least one
+    block, so a wide cluster never holds more than one copy of itself.
+    """
+    sizes, rank = hi - lo, system.factor.shape[1]
+    for s in np.unique(sizes).tolist():
+        same = np.flatnonzero(sizes == s)
+        per = max(1, _STACK_BYTES // (s * max(s, rank) * 16))
+        for start in range(0, same.size, per):
+            clusters = same[start:start + per]
+            rows = lo[clusters, None] + np.arange(s)
+            yield clusters, rows, system.gram_blocks(rows)
+
+
 def coercivity_scan(system: SpectralSystem, epsilon: float) -> list[ClusterReport]:
-    """One ClusterReport per distinct eigenvalue, sorted by center; ``enumerate_cluster`` checks ε."""
-    reports = []
-    for center in system.distinct_eigenvalues().tolist():
-        idx = enumerate_cluster(system, center, epsilon)
-        # ``eigh``, as in cluster_min_coercivity: ``eigvalsh`` differs in the
-        # last bits, and the minimal observation time amplifies that.
-        min_eig = float(np.linalg.eigh(system.gram_block(idx))[0][0])
-        reports.append(ClusterReport(center=center, epsilon=epsilon, indices=idx, min_eig=min_eig))
-    return reports
+    """One ClusterReport per distinct eigenvalue, sorted by center; ``_cluster_runs`` checks ε.
+
+    The clusters are grouped by size, and each group's Gram blocks are
+    solved by one ``eigh`` of their stack (see ``_gram_stacks``).  ``eigh``,
+    not ``eigvalsh``, as in ``cluster_min_coercivity``: ``eigvalsh`` differs
+    in the last bits, and the minimal observation time amplifies that.
+    """
+    centers, lo, hi = _cluster_runs(system, epsilon)
+    min_eig = np.empty(centers.size)
+    for clusters, _, blocks in _gram_stacks(system, lo, hi):
+        min_eig[clusters] = np.linalg.eigh(blocks)[0][:, 0]
+    return [
+        ClusterReport(center=c, epsilon=epsilon, indices=np.arange(a, b, dtype=np.intp), min_eig=m)
+        for c, a, b, m in zip(centers.tolist(), lo.tolist(), hi.tolist(), min_eig.tolist())
+    ]
 
 
 def fit_psi_envelope(reports: list[ClusterReport]) -> PowerLaw:

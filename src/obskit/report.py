@@ -71,7 +71,7 @@ class ReportBundle:
 
 
 def _csv_cell(value) -> str:
-    if hasattr(value, "item") and not isinstance(value, (bool, int, float, str)):
+    if value is not None and not isinstance(value, (bool, int, float, str)):
         value = _json_default(value)
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -118,6 +118,13 @@ def _reject_nonfinite(labelled) -> None:
             raise NumericError(f"{label} is {value!r}, which a JSON report cannot hold")
 
 
+def _reject_containers(table: Table) -> None:
+    """Raise a TypeError naming the table if a cell is a list, tuple or dict."""
+    for kind in set(map(type, itertools.chain.from_iterable(table.rows))):
+        if issubclass(kind, (list, tuple, dict)):
+            raise TypeError(f"table {table.name!r} has a {kind.__name__} cell; cells are scalars")
+
+
 def _rows_text(table: Table) -> str:
     """``table.rows`` as ``json.dumps(indent=2)`` lays it out inside a report."""
     rows = table.rows
@@ -125,9 +132,7 @@ def _rows_text(table: Table) -> str:
         return "[]"
     if not table.columns:  # "[]\x00[]" has no cell for the replaces to lay out
         return "[" + ",".join([_ROW + "[]"] * len(rows)) + _ROWS_END
-    for kind in set(map(type, itertools.chain.from_iterable(rows))):
-        if issubclass(kind, (list, tuple, dict)):
-            raise TypeError(f"table {table.name!r} has a {kind.__name__} cell; cells are scalars")
+    _reject_containers(table)
     try:
         flat = _ROWS_ENCODER.encode(rows)
     except ValueError:
@@ -177,7 +182,12 @@ def bundle_to_json_text(bundle: ReportBundle) -> str:
 
 
 def table_to_csv_text(table: Table) -> str:
-    """CSV with a header row, '.' decimal separator, '\\n' line endings."""
+    """CSV with a header row, '.' decimal separator, '\\n' line endings.
+
+    Cells must be scalars, as in ``bundle_to_json_text``: a list, tuple or
+    dict cell, or any other value that is not a scalar, is a ``TypeError``.
+    """
+    _reject_containers(table)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.columns)

@@ -99,9 +99,19 @@ class SpectralSystem:
 
     def gram_block(self, idx) -> np.ndarray:
         """G on the modes ``idx``: F_I·F_Iᴴ for a given factor, else the given Gram's block."""
+        return self.gram_blocks(np.asarray(idx)[None])[0]
+
+    def gram_blocks(self, rows) -> np.ndarray:
+        """The (k, s, s) stack of ``gram_block`` over the rows of a (k, s) index array.
+
+        A factor's rows are gathered twice, so each product is the one matmul
+        makes of two distinct operands; a given Gram's blocks are read from it,
+        never from FFᴴ.
+        """
+        rows = np.asarray(rows)
         if not self._from_factor:
-            return self.gram[np.ix_(idx, idx)]
-        return self.factor[idx] @ self.factor[idx].conj().T
+            return self.gram[rows[:, :, None], rows[:, None, :]]
+        return self.factor[rows] @ self.factor[rows].conj().transpose(0, 2, 1)
 
     @property
     def size(self) -> int:

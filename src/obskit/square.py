@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coercivity import ClusterReport, coercivity_scan
+from .coercivity import ClusterReport, _cluster_runs, _gram_stacks, coercivity_scan
 from .errors import DomainError
 from .spectral import PSD_RTOL, SpectralSystem
 
@@ -293,12 +293,13 @@ def delta_gamma_fit(system: SpectralSystem, gamma: GammaSpec) -> tuple[float, De
     rows = coercivity_scan(system, CIRCLE_WIDTH)
     # The system's modes are square_modes(n_max): exactly the modes up to its λ_max.
     k_all = _trace_indices(square_modes(int(system.lambda_max)), side)[1]
-    generalized = []
-    for row in rows:
-        r = math.sqrt(row.center) / k_all[row.indices]
-        generalized.append(float(np.linalg.eigvalsh(r[:, None] * system.gram_block(row.indices) * r)[0]))
+    centers, lo, hi = _cluster_runs(system, CIRCLE_WIDTH)
+    generalized = np.empty(centers.size)
+    for clusters, idx, blocks in _gram_stacks(system, lo, hi):
+        r = np.sqrt(centers[clusters])[:, None] / k_all[idx]
+        generalized[clusters] = np.linalg.eigvalsh(r[:, :, None] * blocks * r[:, None, :])[:, 0]
     delta_hat = min(row.center * row.min_eig for row in rows)
-    return delta_hat, DeltaGammaReport(rows=rows, generalized=generalized)
+    return delta_hat, DeltaGammaReport(rows=rows, generalized=generalized.tolist())
 
 
 @dataclass(frozen=True)

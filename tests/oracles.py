@@ -1,6 +1,7 @@
 """Test oracles: the window transform, its energy on an interval and the observed
 energy by quadrature, the trajectory point, the closed-form cluster minima of the full bottom side,
-the admissibility sup solved at every grid point, the three per-trial scenarios run one state
+the cluster scan and the weighted circle minima solved one cluster at a time (with an exact
+comparison of two scans), the admissibility sup solved at every grid point, the three per-trial scenarios run one state
 at a time, and the report JSON from the pure-Python encoder."""
 
 import json
@@ -11,7 +12,9 @@ from scipy.integrate import quad
 
 from obskit import DomainError, SpectralSystem, StateVector
 from obskit.coercivity import (
+    ClusterReport,
     admissibility_breakpoints,
+    enumerate_cluster,
     estimate_admissibility,
     resolvent_check,
     scan_certificate,
@@ -99,6 +102,43 @@ def bottom_side_closed_form_n_mu(N: int) -> float:
         raise DomainError(f"no lattice point on the circle N = {N}")
     q_min = min(m.q for m in modes)
     return 2.0 * q_min * q_min / math.pi
+
+
+def _gram_block_by_gather(system: SpectralSystem, idx: np.ndarray) -> np.ndarray:
+    """G on the modes ``idx`` as one 2-D product (factor) or one 2-D gather (given Gram)."""
+    if not system._from_factor:
+        return system.gram[np.ix_(idx, idx)]
+    return system.factor[idx] @ system.factor[idx].conj().T
+
+
+def coercivity_scan_by_cluster(system: SpectralSystem, epsilon: float) -> list[ClusterReport]:
+    """``coercivity_scan`` with one ``enumerate_cluster`` mask and one ``eigh`` per
+    distinct eigenvalue, in order, the oracle for its runs and stacked solves."""
+    reports = []
+    for center in system.distinct_eigenvalues().tolist():
+        idx = enumerate_cluster(system, center, epsilon)
+        min_eig = float(np.linalg.eigh(_gram_block_by_gather(system, idx))[0][0])
+        reports.append(ClusterReport(center=center, epsilon=epsilon, indices=idx, min_eig=min_eig))
+    return reports
+
+
+def assert_same_scan(got, expected) -> None:
+    """Two scans agree exactly: centers, widths, index runs (values and dtype), minima."""
+    assert [(r.center, r.epsilon) for r in got] == [(r.center, r.epsilon) for r in expected]
+    for g, e in zip(got, expected):
+        assert g.indices.dtype == e.indices.dtype and np.array_equal(g.indices, e.indices)
+        assert g.min_eig == e.min_eig
+
+
+def generalized_minima_by_cluster(system: SpectralSystem, reports, k_all: np.ndarray) -> list[float]:
+    """Each circle's least eigenvalue of r·G_N·r, r = √N/k, one ``eigvalsh`` per
+    report, the oracle for ``delta_gamma_fit``'s stacked weighted solves."""
+    generalized = []
+    for row in reports:
+        r = math.sqrt(row.center) / k_all[row.indices]
+        block = _gram_block_by_gather(system, row.indices)
+        generalized.append(float(np.linalg.eigvalsh(r[:, None] * block * r)[0]))
+    return generalized
 
 
 def admissibility_by_every_point(system: SpectralSystem, epsilon: float, lambda_grid) -> float:

@@ -35,7 +35,7 @@ from obskit.coercivity import BETA_SAFETY, ClusterReport
 from obskit.spectral import frequency, observed_energy_sq, residual
 from obskit.square import BoundaryPatch, GammaSpec, Side, bottom_and_left, build_square_system, full_bottom
 
-from oracles import admissibility_by_every_point
+from oracles import admissibility_by_every_point, assert_same_scan, coercivity_scan_by_cluster
 
 
 def make_report(center, min_eig):
@@ -223,6 +223,39 @@ class TestScanAndEnvelope:
         sys_ = SpectralSystem(eigenvalues=[1.0, 5.0, 9.0], gram=gram)
         reports = coercivity_scan(sys_, 0.5)
         assert [rep.min_eig for rep in reports] == pytest.approx([0.3, 0.7, 0.1])
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+    def test_scan_rejects_a_width_that_is_not_positive(self, square50, width):
+        with pytest.raises(DomainError, match=f"^cluster width must be positive, got {width}$"):
+            coercivity_scan(square50, width)
+
+    def test_a_stack_holds_at_most_the_byte_budget_and_at_least_one_block(self, monkeypatch):
+        # Width 400 puts all 220 modes of n_max 300 into each of its 101
+        # clusters: a 774 KB block each, over the default budget, so one at a
+        # time; a 2 MiB budget holds two.
+        sys_ = build_square_system(300, full_bottom())
+        rank = sys_.factor.shape[1]
+        default = coercivity._STACK_BYTES
+        cases = [(1, 0.5), (2**14, 1.3), (default, 400.0), (2**21, 400.0)]
+        expected = [coercivity_scan_by_cluster(sys_, width) for _, width in cases]
+        stacks = []
+        solver = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            stacks.append(np.shape(a))
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        for (budget, width), oracle in zip(cases, expected):
+            monkeypatch.setattr(coercivity, "_STACK_BYTES", budget)
+            stacks.clear()
+            assert_same_scan(coercivity_scan(sys_, width), oracle)
+            assert sum(k for k, _, _ in stacks) == len(oracle)
+            for k, s, _ in stacks:
+                assert k == 1 or k * s * max(s, rank) * 16 <= budget
+            if width == 400.0:
+                per = 1 if budget == default else 2
+                assert stacks == [(per, 220, 220)] * (101 // per) + [(1, 220, 220)] * (101 % per)
 
     def test_flat_minima_fit_constant_form(self):
         reports = [make_report(c, 0.3) for c in [1.0, 10.0, 100.0]]

@@ -25,7 +25,11 @@ function given a (k, n) block returns, row by row, exactly what it returns
 for that row alone, on rows at scales 2^−996 … 2^1023 (past 2^512 their
 degree-2 forms read ±inf), at one horizon or one per row; a zero row in the
 block raises the single-row error, and a nan or ±inf entry, in either part,
-raises the finite-coefficients error in every per-state function.
+raises the finite-coefficients error in every per-state function.  The
+stacked cluster scan equals, bit for bit and index run for index run, one
+mask and one ``eigh`` per cluster, on spectra at scales 1e-3 … 1e10 with
+repeats and one-ulp neighbours, widths from 1e-9 to past the spectrum or on
+a computed gap, and real, complex and given complex Grams.
 """
 
 import json
@@ -50,6 +54,7 @@ from obskit import (
     TransformedWidth,
     admissibility_breakpoints,
     admissibility_check,
+    coercivity_scan,
     estimate_admissibility,
     frequency,
     frequency_report,
@@ -71,7 +76,12 @@ from obskit.evolution import phase_kernel
 from obskit.spectral import _moments, _power_of_two_frame, observed_energy_sq
 from obskit.window import THETA0, THETA1
 
-from oracles import admissibility_by_every_point, observability_integral_by_quadrature
+from oracles import (
+    admissibility_by_every_point,
+    assert_same_scan,
+    coercivity_scan_by_cluster,
+    observability_integral_by_quadrature,
+)
 
 U = np.finfo(float).eps
 
@@ -213,6 +223,57 @@ def test_pruned_admissibility_sup_equals_every_point_loop(pair, log_epsilon, bef
             estimate_admissibility(sys_, epsilon, grid)
     else:
         assert estimate_admissibility(sys_, epsilon, grid) == expected
+
+
+@st.composite
+def scan_systems(draw):
+    """A spectrum at a scale in 1e-3 … 1e10 with repeats, one-ulp neighbours
+    and gaps from 1e-9 to 1 relative; a real or complex factor, or the given
+    complex Gram of one."""
+    scale = 10.0 ** draw(st.integers(-3, 10))
+    lam = []
+    for value in draw(st.lists(st.floats(1.0, 10.0), min_size=1, max_size=6)):
+        lam.append(value * scale)
+        for step in draw(st.lists(st.sampled_from(("repeat", "ulp", "gap")), max_size=3)):
+            if step == "repeat":
+                lam.append(lam[-1])
+            elif step == "ulp":
+                lam.append(float(np.nextafter(lam[-1], math.inf)))
+            else:
+                lam.append(lam[-1] * (1.0 + 10.0 ** draw(st.floats(-9.0, 0.0))))
+    lam = np.sort(lam)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, lam.size + 1))
+    kind = draw(st.sampled_from(("real", "complex", "given")))
+    factor = rng.standard_normal((lam.size, rank))
+    if kind != "real":
+        factor = factor + 1j * rng.standard_normal((lam.size, rank))
+    if kind == "given":
+        gram = factor @ factor.conj().T
+        return SpectralSystem(eigenvalues=lam, gram=(gram + gram.conj().T) / 2.0)
+    return SpectralSystem(eigenvalues=lam, factor=factor)
+
+
+@st.composite
+def scan_widths(draw, eigenvalues):
+    """From 1e-9 to past the spectrum's span, or a computed gap between two
+    eigenvalues (where the strict test is decided by rounding), or one ulp off it."""
+    kind = draw(st.sampled_from(("log", "gap", "gap-ulp")))
+    if kind == "log":
+        return 10.0 ** draw(st.floats(-9.0, math.log10(2.0 * eigenvalues[-1])))
+    a, b = draw(st.integers(0, eigenvalues.size - 1)), draw(st.integers(0, eigenvalues.size - 1))
+    gap = abs(float(eigenvalues[a] - eigenvalues[b])) or float(eigenvalues[0])
+    if kind == "gap":
+        return gap
+    return float(np.nextafter(gap, draw(st.sampled_from((0.0, math.inf)))))
+
+
+@settings(max_examples=300)
+@given(scan_systems(), st.data())
+def test_stacked_cluster_scan_equals_the_per_cluster_loop(sys_, data):
+    for _ in range(3):
+        epsilon = data.draw(scan_widths(sys_.eigenvalues))
+        assert_same_scan(coercivity_scan(sys_, epsilon), coercivity_scan_by_cluster(sys_, epsilon))
 
 
 SPECTRAL_CERT = CoercivityCertificate(

@@ -7,8 +7,9 @@ on every default scenario report and on generated bundles: names, columns
 and string cells hold unicode, NUL, backslashes, quotes, brackets and the
 separator text ``]\\x00[`` itself; tables may be absent, empty, repeat a
 name or have no columns; rows may be tuples; cells span −0.0, subnormals,
-1e308, ints past 2⁶³ and numpy scalars.  A container cell is a TypeError,
-as is a numpy array with a dimension in JSON or CSV, while a 0-d array
+1e308, ints past 2⁶³ and numpy scalars.  A container cell, or any other
+cell that is not a scalar, is a TypeError in JSON and CSV alike, as is a
+numpy array with a dimension, while a 0-d array
 counts as its scalar; a NaN or infinity is a NumericError that names where
 it sits.
 """
@@ -22,7 +23,14 @@ from hypothesis import strategies as st
 
 from obskit import NumericError
 from obskit.config import SCENARIOS, default_config
-from obskit.report import ReportBundle, Table, Verdict, bundle_to_csv_texts, bundle_to_json_text
+from obskit.report import (
+    ReportBundle,
+    Table,
+    Verdict,
+    bundle_to_csv_texts,
+    bundle_to_json_text,
+    table_to_csv_text,
+)
 from obskit.scenarios import run_scenario
 from oracles import report_json_by_pure_python_encoder
 
@@ -97,14 +105,23 @@ def _bundle(constants=None, rows=((1.0, 2),)):
 @pytest.mark.parametrize(
     "cell", [[1.0], (1.0,), {"x": 1.0}, []], ids=["list", "tuple", "dict", "empty-list"]
 )
-def test_container_cell_is_type_error(cell):
-    with pytest.raises(TypeError, match="cells are scalars"):
-        bundle_to_json_text(_bundle(rows=[(1.0, 2), (3.0, cell)]))
+@pytest.mark.parametrize("encode", [bundle_to_json_text, bundle_to_csv_texts], ids=["json", "csv"])
+def test_container_cell_is_type_error(encode, cell):
+    with pytest.raises(TypeError, match="^table 't' has a .* cell; cells are scalars$"):
+        encode(_bundle(rows=[(1.0, 2), (3.0, cell)]))
 
 
-def test_unknown_cell_type_is_type_error():
-    with pytest.raises(TypeError, match="cannot serialize object"):
-        bundle_to_json_text(_bundle(rows=[(1.0, object())]))
+def test_csv_table_with_container_cells_is_type_error():
+    # The CSV writer would otherwise write their Python repr: "[1.0, 2.0]",{'x': 1}.
+    with pytest.raises(TypeError, match="^table 't' has a (list|dict) cell; cells are scalars$"):
+        table_to_csv_text(Table("t", ["a", "b"], [[[1.0, 2.0], {"x": 1}]]))
+
+
+@pytest.mark.parametrize("encode", [bundle_to_json_text, bundle_to_csv_texts], ids=["json", "csv"])
+@pytest.mark.parametrize("cell", [object(), {1.0}, b"x"], ids=["object", "set", "bytes"])
+def test_unknown_cell_type_is_type_error(encode, cell):
+    with pytest.raises(TypeError, match=f"cannot serialize {type(cell).__name__} into a report"):
+        encode(_bundle(rows=[(1.0, cell)]))
 
 
 @pytest.mark.parametrize(

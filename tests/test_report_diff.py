@@ -1,7 +1,8 @@
 """tools/report_diff.py matches verdicts, constants, tables and columns by
 name and notes by text: a renamed or dropped item is listed as removed (and
 added), the moves of the items both sides share still show, and a change of
-order or of how often a name occurs is serious."""
+order or of how often a name occurs is serious.  CSV files are compared too,
+as one table each, and one on one side only is listed."""
 
 import json
 import sys
@@ -158,4 +159,46 @@ def test_cli_lists_a_dropped_column_and_its_neighbours_moves_and_exits_one(tmp_p
         "w.json: table obs column sup: removed",
         "w.json: table obs[0].t: 1.0 -> 1.5  rel=3.33e-01",
         "1 reports compared, 1 moved, largest relative move 3.33e-01",
+    ]
+
+
+def _write_sides(tmp_path, files: dict[str, tuple[str | None, str | None]]) -> tuple[str, str]:
+    """Write each file's (A, B) text under tmp_path/a and tmp_path/b; None leaves it out."""
+    for side, i in (("a", 0), ("b", 1)):
+        (tmp_path / side).mkdir()
+        for name, texts in files.items():
+            if texts[i] is not None:
+                (tmp_path / side / name).write_text(texts[i])
+    return str(tmp_path / "a"), str(tmp_path / "b")
+
+
+def test_cli_compares_csv_cells_by_column_name(tmp_path, capsys):
+    a, b = _write_sides(tmp_path, {
+        "r.clusters.csv": (
+            "center,min_eig,label\n1.00000000000000000e+00,2.00000000000000000e+00,x\n",
+            "center,min_eig,label\n1.00000000000000000e+00,2.00000000000000044e+00,x\n",
+        ),
+        "r.constants.csv": ("name,value\nc,3\n", "name,value\nc,3\n"),
+    })
+    assert report_diff.main([a, b]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "r.clusters.csv: table csv[0].min_eig: 2.0 -> 2.0000000000000004  rel=2.22e-16",
+        "2 reports compared, 1 moved, largest relative move 2.22e-16",
+    ]
+
+
+def test_cli_lists_a_dropped_csv_column_a_flipped_verdict_and_a_one_sided_csv(tmp_path, capsys):
+    a, b = _write_sides(tmp_path, {
+        "r.obs.csv": ("t,sup\n1.0,2.0\n", "t\n1.5\n"),
+        "r.verdicts.csv": ("name,passed,detail\nv,true,max = 6.2\n", "name,passed,detail\nv,false,max = 6.3\n"),
+        "r.extra.csv": (None, "a\n1\n"),
+    })
+    assert report_diff.main([a, b]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "r.extra.csv: only in " + b,
+        "r.obs.csv: table csv column sup: removed",
+        "r.obs.csv: table csv[0].t: 1.0 -> 1.5  rel=3.33e-01",
+        "r.verdicts.csv: table csv[0].passed: True -> False",
+        "r.verdicts.csv: table csv[0].detail: 'max = 6.2' -> 'max = 6.3'  rel=1.59e-02",
+        "2 reports compared, 2 moved, largest relative move 3.33e-01",
     ]

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -31,9 +32,14 @@ from obskit import (
     sine_product_integral,
     square_modes,
 )
-from obskit.square import gram_factor
+from obskit.square import CIRCLE_WIDTH, gram_factor
 
-from oracles import bottom_side_closed_form_n_mu
+from oracles import (
+    assert_same_scan,
+    bottom_side_closed_form_n_mu,
+    coercivity_scan_by_cluster,
+    generalized_minima_by_cluster,
+)
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -423,7 +429,7 @@ class TestGramFactor:
 
         def recording(solver):
             def wrapped(a, *args, **kwargs):
-                orders.append(np.shape(a)[0])
+                orders.append(np.shape(a)[-1])  # a stacked solve's order, not its stack count
                 return solver(a, *args, **kwargs)
 
             return wrapped
@@ -442,19 +448,20 @@ class TestGramFactor:
     def test_weighted_solves_are_seen_through_numpy_linalg(self, monkeypatch):
         # The eigensolve counters patch numpy.linalg's attributes; a solver
         # bound by ``from numpy.linalg import eigvalsh`` would escape them.
-        orders = []
+        # Each call solves a (k, s, s) stack: k circles of s modes.
+        orders = Counter()
         solver = np.linalg.eigvalsh
 
         def recording(a, *args, **kwargs):
-            orders.append(np.shape(a)[0])
+            orders[np.shape(a)[-1]] += int(np.prod(np.shape(a)[:-2]))
             return solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         _, report = delta_gamma_fit(build_square_system(200, full_bottom()), full_bottom())
-        assert orders == [row.size for row in report.rows] and max(orders) > 1
+        assert orders == Counter(row.size for row in report.rows) and max(orders) > 1
         orders.clear()
         assumption_I_check(build_square_system(200, bottom_and_left()))
-        assert orders == []
+        assert not orders
 
 
 class TestBuildSquareSystem:
@@ -547,6 +554,18 @@ class TestOneCircleScan:
             oracle = scipy.linalg.eigh(block, weights, eigvals_only=True, subset_by_index=(0, 0))[0]
             scale = np.abs(block).max() * row.center / float(k.min()) ** 2
             assert abs(gen - oracle) <= 1e-13 * scale
+
+
+    @settings(max_examples=40)
+    @given(gamma=one_side_gammas(), n_max=st.integers(2, 700))
+    def test_stacked_generalized_minima_equal_the_per_circle_loop(self, gamma, n_max):
+        system = build_square_system(n_max, gamma)
+        _, report = delta_gamma_fit(system, gamma)
+        rows = coercivity_scan_by_cluster(system, CIRCLE_WIDTH)
+        by_row = gamma.patches[0].side in (Side.BOTTOM, Side.TOP)
+        k_all = np.array([m.q if by_row else m.p for m in square_modes(n_max)])
+        assert report.generalized == generalized_minima_by_cluster(system, rows, k_all)
+        assert_same_scan(report.rows, rows)
 
 
 class TestTwoSidesScan:

@@ -2,20 +2,23 @@
 
     python3 tools/report_diff.py [--by-item] A B
 
-A and B hold JSON reports at the same relative paths, as
+A and B hold JSON reports and CSV files at the same relative paths, as
 ``tools/report_digests.py --keep`` writes them from two checkouts.  For each
-pair of reports that differ it prints one line per moved item: a constant
-or a table matched by name, a column matched by name within its table, a
-note matched by its text, or a verdict matched by name (its pass/fail or its
-detail text).  An item on one side only is listed as added or removed, and
+pair of files that differ it prints one line per moved item: a constant or
+a table matched by name, a column matched by name within its table, a note
+matched by its text, or a verdict matched by name (its pass/fail or its
+detail text).  A CSV file is compared as one table named ``csv``: columns
+matched by header name, each cell read back as the report wrote it
+(``true``/``false`` as a pass/fail, a finite number as a number, anything
+else as text).  An item on one side only is listed as added or removed, and
 every item both sides share is still compared: a constant's value, each
 cell of a shared column.  A number that moved carries its relative size
 |a − b|/max(|a|, |b|); a detail text carries the largest relative move among
-the numbers in it.  With ``--by-item`` it prints instead one line per report
+the numbers in it.  With ``--by-item`` it prints instead one line per file
 name and item, over all seed directories and table rows: how many values
-moved and the largest relative move.  The last line counts the reports
+moved and the largest relative move.  The last line counts the files
 compared and moved and gives the largest relative move.  Exit status 1 when
-a verdict's pass/fail differs, a report, constant, note, verdict, table or
+a verdict's pass/fail differs, a file, constant, note, verdict, table or
 column exists on one side only, the notes, verdicts or columns both sides
 share come in another order, or a shared table has another number of rows;
 else 0.  A name or note repeated in one report is matched by its
@@ -25,7 +28,10 @@ occurrence, as ``name#2`` and so on.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import re
 import sys
 from collections import Counter, defaultdict
@@ -130,6 +136,23 @@ def report_moves(a: dict, b: dict) -> tuple[list[tuple[str, str, float | None]],
     return moves, serious
 
 
+def _csv_value(text: str):
+    """A CSV cell as the report wrote it: a bool, a finite float, or the text."""
+    if text in ("true", "false"):
+        return text == "true"
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    return value if math.isfinite(value) else text
+
+
+def csv_report(raw: bytes) -> dict:
+    """A CSV file as a report holding one table, ``csv``: its header and rows."""
+    header, *rows = list(csv.reader(io.StringIO(raw.decode("utf-8")))) or [[]]
+    return {"tables": {"csv": {"columns": header, "rows": [[_csv_value(c) for c in row] for row in rows]}}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--by-item", action="store_true", help="one line per report name and item")
@@ -137,8 +160,8 @@ def main(argv=None) -> int:
     parser.add_argument("b", type=Path, metavar="B")
     args = parser.parse_args(argv)
     groups: dict[tuple[str, str], list[float | None]] = defaultdict(list)
-    names_a = {p.relative_to(args.a) for p in args.a.rglob("*.json")}
-    names_b = {p.relative_to(args.b) for p in args.b.rglob("*.json")}
+    names_a = {p.relative_to(args.a) for suffix in ("json", "csv") for p in args.a.rglob(f"*.{suffix}")}
+    names_b = {p.relative_to(args.b) for suffix in ("json", "csv") for p in args.b.rglob(f"*.{suffix}")}
     status = 0
     for name in sorted(names_a ^ names_b):
         print(f"{name}: only in {args.a if name in names_a else args.b}")
@@ -149,7 +172,8 @@ def main(argv=None) -> int:
         if raw_a == raw_b:
             continue
         moved += 1
-        moves, serious = report_moves(json.loads(raw_a), json.loads(raw_b))
+        read = csv_report if name.suffix == ".csv" else json.loads
+        moves, serious = report_moves(read(raw_a), read(raw_b))
         status = max(status, int(serious))
         for where, text, rel in moves:
             if args.by_item:

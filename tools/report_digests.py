@@ -6,10 +6,13 @@ For every seed it runs, in process, each scenario at its default config,
 the same again with ``--format csv`` (its digest covers the CSV files too),
 each scenario that reads a horizon again with ``--T 0.7``, four scenarios
 with ``--trials 20`` on a 4-mode custom system with a dense complex Gram,
-``assumption-ii-iii`` and ``admissibility`` (``--trials 20``) on the
-π/4–π/2 sub-patch at n_max 2000, and each job of ``perfbench/jobs.py`` at
-full size, and prints one line per report: the digest (``-`` when no report
-was written), the exit code, the seed and a label.  Run it in two checkouts and ``diff`` the outputs to see
+``assumption-ii-iii``, ``admissibility`` (``--trials 20``) and
+``coercivity-scan`` on the π/4–π/2 sub-patch at n_max 2000,
+``coercivity-scan`` on the full bottom side at n_max 1000 with the wide
+cluster width 1.3 (clusters of 1 to 8 modes), and each job of
+``perfbench/jobs.py`` at full size, and prints one line per report: the
+digest (``-`` when no report was written), the exit code, the seed and a
+label.  Run it in two checkouts and ``diff`` the outputs to see
 which reports moved.  It imports obskit and the job list from the checkout
 that holds it, and writes its reports to a temporary directory, or with
 ``--keep DIR`` to ``DIR/seed-SEED/LABEL.json``, where they stay; compare two
@@ -54,7 +57,13 @@ SCALE_CONFIG = {
         "gamma": [{"side": "bottom", "alpha": "pi/4", "beta": "pi/2"}],
     }
 }
-SCALE_RUNS = (["assumption-ii-iii"], ["admissibility", "--trials", "20"])
+SCALE_RUNS = (["assumption-ii-iii"], ["admissibility", "--trials", "20"], ["coercivity-scan"])
+# A width past the unit gap of the square's integer eigenvalues, so that the
+# clusters overlap and come in 8 sizes.
+WIDE_CONFIG = {
+    "system": {"type": "square", "n_max_eigenvalue": 1000, "gamma": [{"side": "bottom"}]},
+    "epsilon_cluster": 1.3,
+}
 
 
 def _digest(report: bytes | None) -> str:
@@ -86,7 +95,8 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
 
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
-    ``custom/SCENARIO``, ``scale/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
+    ``custom/SCENARIO``, ``scale/SCENARIO``, ``wide/coercivity-scan`` and
+    ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
     lines += [
@@ -110,6 +120,9 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
         _cli_line([scenario, "--config", json.dumps(SCALE_CONFIG), *rest], seed, outdir, f"scale/{scenario}")
         for scenario, *rest in SCALE_RUNS
     ]
+    lines.append(
+        _cli_line(["coercivity-scan", "--config", json.dumps(WIDE_CONFIG)], seed, outdir, "wide/coercivity-scan")
+    )
     for workload in WORKLOADS:
         (outdir / workload).mkdir(exist_ok=True)
         _, results = run_pass(cli, workload_jobs(workload, "full"), outdir / workload, seed)
