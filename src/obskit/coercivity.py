@@ -198,6 +198,11 @@ def coercivity_scan(system: SpectralSystem, epsilon: float) -> list[ClusterRepor
     min_eig = np.empty(centers.size)
     for clusters, _, blocks in _gram_stacks(system, lo, hi):
         min_eig[clusters] = np.linalg.eigh(blocks)[0][:, 0]
+    return _cluster_reports(epsilon, centers, lo, hi, min_eig)
+
+
+def _cluster_reports(epsilon: float, centers, lo, hi, min_eig) -> list[ClusterReport]:
+    """One ClusterReport per run [lo, hi) of ``_cluster_runs``, with its Gram minimum."""
     return [
         ClusterReport(center=c, epsilon=epsilon, indices=np.arange(a, b, dtype=np.intp), min_eig=m)
         for c, a, b, m in zip(centers.tolist(), lo.tolist(), hi.tolist(), min_eig.tolist())

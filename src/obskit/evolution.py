@@ -19,7 +19,7 @@ import numpy as np
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError, ShapeError
-from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, coefficients_of
+from .spectral import SpectralSystem, _distinct_gaps, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, coefficients_of
 from .window import THETA0, THETA2
 
 
@@ -29,27 +29,37 @@ def phase_kernel(eigenvalues: np.ndarray, T) -> np.ndarray:
     With h = (λ_j−λ_k)T/2 this one form holds for every gap and nothing in
     it cancels, so it keeps full relative accuracy; r = T where h = 0.  A
     scalar ``T`` gives one (n, n) matrix; a 1-D array of k horizons gives a
-    (k, n, n) stack.  sin and cos run once per distinct gap and horizon
-    (lattice spectra repeat their gaps), and ``np.take`` gathers the values
-    into a new C-contiguous array.
+    (k, n, n) stack.  See ``_gap_kernel`` for how it is evaluated.
     """
     lam = np.asarray(eigenvalues, dtype=float)
+    return _gap_kernel(lam, _distinct_gaps(lam), T)
+
+
+def _gap_kernel(lam: np.ndarray, gaps: np.ndarray, T) -> np.ndarray:
+    """``phase_kernel`` of ``lam`` from its ``_distinct_gaps``.
+
+    sin and cos run once per distinct gap and horizon (lattice spectra
+    repeat their gaps).  Every λ_j − λ_k is one of ``gaps``, so
+    ``searchsorted`` finds its index exactly, and ``np.take`` gathers the
+    values into a new C-contiguous array.
+    """
     t = np.asarray(T, dtype=float)[..., None]
-    gaps, where = np.unique(np.subtract.outer(lam, lam).ravel(), return_inverse=True)
     h = 0.5 * t * gaps
     s = np.sin(h)
     r = np.broadcast_to(t, h.shape).copy()
     np.divide(t * s, h, out=r, where=h != 0.0)
-    table = r * np.cos(h) + 1j * (r * s)
-    return np.take(table, where, axis=-1).reshape(t.shape[:-1] + (lam.size, lam.size))
+    where = np.searchsorted(gaps, np.subtract.outer(lam, lam))
+    return np.take(r * np.cos(h) + 1j * (r * s), where, axis=-1)
 
 
 def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
     """The Hermitian form G∘K(T) whose quadratic form is the observed energy.
 
     One (n, n) matrix for a scalar ``T``, a (k, n, n) stack for k horizons.
+    The distinct gaps are the system's cached ``phase_gaps``, found once per
+    system.
     """
-    return system.gram * phase_kernel(system.eigenvalues, _horizons(T, system))
+    return system.gram * _gap_kernel(system.eigenvalues, system.phase_gaps, _horizons(T, system))
 
 
 def _observed_energy(c: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,12 @@ PSD_RTOL = 1.0e-10
 GRAM_RANK_CUTOFF = 1.0e-13
 # Coefficient vectors with max |entry| below this are treated as zero.
 ZERO_NORM_FLOOR = 1.0e-300
+# Unit round-off of np.longdouble, in which ``_row_fsum`` sums: 2⁻⁶⁴ for the
+# x87 80-bit format, 2⁻¹¹³ for IEEE quad, 2⁻⁵³ where it is plain double.  Any
+# other format (IBM double-double) is not rounded as IEEE formats are; 1.0
+# sends every row to math.fsum there.
+_LONG = np.finfo(np.longdouble)
+_LONG_UNIT_ROUNDOFF = float(_LONG.eps) / 2 if _LONG.nmant in (52, 63, 112) else 1.0
 
 
 class SpectralSystem:
@@ -97,6 +103,11 @@ class SpectralSystem:
         g.setflags(write=False)
         return g
 
+    @functools.cached_property
+    def phase_gaps(self) -> np.ndarray:
+        """``_distinct_gaps`` of the eigenvalues, built on first read and cached, like ``gram``."""
+        return _distinct_gaps(self.eigenvalues)
+
     def gram_block(self, idx) -> np.ndarray:
         """G on the modes ``idx``: F_I·F_Iᴴ for a given factor, else the given Gram's block."""
         return self.gram_blocks(np.asarray(idx)[None])[0]
@@ -128,6 +139,19 @@ class SpectralSystem:
     def distinct_eigenvalues(self) -> np.ndarray:
         """Sorted distinct eigenvalue values (exact-equality grouping)."""
         return np.unique(self.eigenvalues)
+
+
+def _distinct_gaps(eigenvalues) -> np.ndarray:
+    """The sorted distinct gaps λ_j − λ_k of ``eigenvalues``, read-only.
+
+    Only the gaps are kept, not the (n, n) index of each gap in them: a
+    system holds them for its lifetime, and an index table held there
+    raised a run's peak memory.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    gaps = np.unique(np.subtract.outer(lam, lam))
+    gaps.setflags(write=False)
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -212,8 +236,40 @@ def _per_row(values: np.ndarray, c: np.ndarray):
 
 
 def _row_fsum(a: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row: exactly rounded, so blocks and single rows agree bit for bit."""
-    return np.array([math.fsum(row.tolist()) for row in a], dtype=float)
+    """``math.fsum`` of each row of non-negative terms, bit for bit, from one long-double sum.
+
+    The result is exactly rounded, so blocks and single rows agree bit for
+    bit.  Proof.  Let u = ``_LONG_UNIT_ROUNDOFF``, n the row length, S the
+    exact sum and ŝ the sum of the terms in ``np.longdouble``, in any order.
+    Each double is exact there, and for n non-negative terms
+    |ŝ − S| ≤ γ·S with γ = (n−1)u/(1 − (n−1)u) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., §4.2).  The factors
+    1 − n·u and 1 + m·u, m the even one of n+1 and n+2, are exact (the
+    spacing is u below 1 and 2u above it), and each end costs one more
+    rounding, so
+    low = fl(ŝ(1 − nu)) ≤ S·(1 − nu)(1 + u)/(1 − (n−1)u) ≤ S, and
+    high = fl(ŝ(1 + mu)) ≥ S·(1 + (n+1)u)(1 − u)(1 − 2(n−1)u)/(1 − (n−1)u) ≥ S
+    whenever 2n²u ≤ 1 (expand: the margin is u − (2n² − n + 1)u² + …).
+    Rounding to double is monotone, so when low and high round to the same
+    double, that double is the correctly rounded S, which ``math.fsum``
+    returns.  Every other row takes ``math.fsum``: ends that differ (S near
+    a midpoint), a high end at or past 2¹⁰²³ (so a sum that overflows, or an
+    inf or nan term, gets fsum's inf, nan or ``OverflowError``; below it
+    fsum's partial sums stay far from overflow), and every row when
+    2n²u > 1.  Where ``np.longdouble`` is plain double, u = 2⁻⁵³ puts the
+    ends at least an ulp apart, so every row falls back but a zero or
+    subnormal sum (exact there): the same bits at ``math.fsum``'s speed.
+    """
+    n = a.shape[-1]
+    u = np.longdouble(_LONG_UNIT_ROUNDOFF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a.sum(axis=-1, dtype=np.longdouble)
+        out = (s * (1 - n * u)).astype(float)
+        high = s * (1 + 2 * (n // 2 + 1) * u)
+        sure = (high < 2.0**1023) & (out == high.astype(float)) & (2 * n * n * u <= 1)
+    for i in np.flatnonzero(~sure).tolist():
+        out[i] = math.fsum(a[i].tolist())
+    return out
 
 
 def _moments(c: np.ndarray, system: SpectralSystem, window=None) -> tuple[np.ndarray, ...]:

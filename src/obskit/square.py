@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coercivity import ClusterReport, _cluster_runs, _gram_stacks, coercivity_scan
+from .coercivity import ClusterReport, _cluster_reports, _cluster_runs, _gram_stacks, coercivity_scan
 from .errors import DomainError
 from .spectral import PSD_RTOL, SpectralSystem
 
@@ -290,14 +290,16 @@ def delta_gamma_fit(system: SpectralSystem, gamma: GammaSpec) -> tuple[float, De
     if len(gamma.sides()) != 1:
         raise DomainError("delta_gamma_fit requires all patches on a single side")
     side = gamma.patches[0].side
-    rows = coercivity_scan(system, CIRCLE_WIDTH)
     # The system's modes are square_modes(n_max): exactly the modes up to its λ_max.
     k_all = _trace_indices(square_modes(int(system.lambda_max)), side)[1]
+    # One pass of coercivity_scan's runs and stacks feeds both minima.
     centers, lo, hi = _cluster_runs(system, CIRCLE_WIDTH)
-    generalized = np.empty(centers.size)
+    min_eig, generalized = np.empty(centers.size), np.empty(centers.size)
     for clusters, idx, blocks in _gram_stacks(system, lo, hi):
+        min_eig[clusters] = np.linalg.eigh(blocks)[0][:, 0]
         r = np.sqrt(centers[clusters])[:, None] / k_all[idx]
         generalized[clusters] = np.linalg.eigvalsh(r[:, :, None] * blocks * r[:, None, :])[:, 0]
+    rows = _cluster_reports(CIRCLE_WIDTH, centers, lo, hi, min_eig)
     delta_hat = min(row.center * row.min_eig for row in rows)
     return delta_hat, DeltaGammaReport(rows=rows, generalized=generalized.tolist())
 

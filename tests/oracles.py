@@ -1,5 +1,6 @@
 """Test oracles: the window transform, its energy on an interval and the observed
-energy by quadrature, the trajectory point, the closed-form cluster minima of the full bottom side,
+energy by quadrature, the trajectory point, the phase kernel with its gap index from ``np.unique``,
+the closed-form cluster minima of the full bottom side,
 the cluster scan and the weighted circle minima solved one cluster at a time (with an exact
 comparison of two scans), the admissibility sup solved at every grid point, the three per-trial scenarios run one state
 at a time, and the report JSON from the pure-Python encoder."""
@@ -93,6 +94,19 @@ def observability_integral_by_quadrature(z0, system: SpectralSystem, T: float) -
     limit = int(200 + 20 * spread * T / math.pi)
     value, _ = quad(energy, 0.0, T, epsabs=1.0e-10, epsrel=1.0e-10, limit=limit)
     return value
+
+
+def phase_kernel_by_unique_inverse(eigenvalues, T) -> np.ndarray:
+    """``phase_kernel`` with each gap's index from ``np.unique(..., return_inverse=True)``."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    t = np.asarray(T, dtype=float)[..., None]
+    gaps, where = np.unique(np.subtract.outer(lam, lam).ravel(), return_inverse=True)
+    h = 0.5 * t * gaps
+    s = np.sin(h)
+    r = np.broadcast_to(t, h.shape).copy()
+    np.divide(t * s, h, out=r, where=h != 0.0)
+    table = r * np.cos(h) + 1j * (r * s)
+    return np.take(table, where, axis=-1).reshape(t.shape[:-1] + (lam.size, lam.size))
 
 
 def bottom_side_closed_form_n_mu(N: int) -> float:

@@ -23,7 +23,7 @@ from obskit import (
 )
 from obskit.square import full_bottom, build_square_system
 
-from oracles import evolve, observability_integral_by_quadrature
+from oracles import evolve, observability_integral_by_quadrature, phase_kernel_by_unique_inverse
 
 
 def random_system(rng, n, spread=12.0):
@@ -91,6 +91,28 @@ class TestPhaseKernel:
         lam = np.sort(rng.uniform(1.0, 20.0, size=8))
         k = phase_kernel(lam, 1.7)
         np.testing.assert_allclose(k, k.conj().T, atol=1e-14)
+
+
+class TestGapTable:
+    def test_observability_kernel_equals_gram_times_phase_kernel(self):
+        # Repeated modes and repeated gaps, as on a lattice, and a random spectrum.
+        systems = [build_square_system(50, full_bottom()), random_system(np.random.default_rng(3), 9)]
+        for sys_ in systems:
+            for t in (0.7, np.array([0.3, 0.7, 2.5])):
+                kernel = observability_kernel(sys_, t)
+                phases = phase_kernel(sys_.eigenvalues, t)
+                assert phases.flags.c_contiguous and kernel.flags.c_contiguous
+                expected = phase_kernel_by_unique_inverse(sys_.eigenvalues, t)
+                assert np.array_equal(phases.view(float), expected.view(float))
+                assert np.array_equal(kernel.view(float), (sys_.gram * expected).view(float))
+
+    def test_gaps_are_cached_read_only_and_sorted_distinct(self):
+        sys_ = build_square_system(50, full_bottom())
+        gaps = sys_.phase_gaps
+        assert sys_.phase_gaps is gaps and not gaps.flags.writeable
+        lam = sys_.eigenvalues
+        assert np.array_equal(gaps, np.unique(np.subtract.outer(lam, lam)))
+        assert gaps.size == 87  # the README's count for these 33 modes
 
 
 class TestObservabilityIntegral:

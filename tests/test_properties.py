@@ -29,7 +29,12 @@ raises the finite-coefficients error in every per-state function.  The
 stacked cluster scan equals, bit for bit and index run for index run, one
 mask and one ``eigh`` per cluster, on spectra at scales 1e-3 … 1e10 with
 repeats and one-ulp neighbours, widths from 1e-9 to past the spectrum or on
-a computed gap, and real, complex and given complex Grams.
+a computed gap, and real, complex and given complex Grams.  The
+long-double row sum equals ``math.fsum``, bit for bit and overflow for
+overflow, on rows of 1 to 300 non-negative terms mixing zeros, subnormals,
+powers of two, values near DBL_MAX and values over the whole float range,
+also with the unit round-off of a long double that is plain double, and of
+one that is no IEEE format (every row then takes ``math.fsum``).
 """
 
 import json
@@ -70,10 +75,11 @@ from obskit import (
     weak_observability_check,
     windowed_frequency,
 )
+from obskit import spectral
 from obskit.cli import main
 from obskit.decay import is_positive_nonincreasing
 from obskit.evolution import phase_kernel
-from obskit.spectral import _moments, _power_of_two_frame, observed_energy_sq
+from obskit.spectral import _moments, _power_of_two_frame, _row_fsum, observed_energy_sq
 from obskit.window import THETA0, THETA1
 
 from oracles import (
@@ -603,3 +609,112 @@ def test_non_finite_entry_raises_the_finite_coefficients_error(pair, data):
     for call in block_calls:
         with pytest.raises(DomainError, match="coefficients must be finite"):
             call(rows)
+
+
+DBL_MAX = np.finfo(float).max
+
+
+@st.composite
+def non_negative_rows(draw):
+    """A (k, n) block of non-negative doubles, n in 1 … 300, from a mix of kinds."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["zero", "subnormal", "unit", "power", "near-max", "max/n", "any"]),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    values = {
+        "zero": np.zeros((k, n)),
+        "subnormal": np.ldexp(rng.integers(1, 2**52, (k, n)).astype(float), -1074),
+        "unit": rng.random((k, n)),
+        "power": np.ldexp(1.0, rng.integers(-60, 2, (k, n))),  # sums that land on midpoints
+        "near-max": DBL_MAX * (1.0 - rng.random((k, n)) * 2.0**-20),
+        "max/n": DBL_MAX * rng.uniform(0.5, 1.0, (k, n)) / n,  # sums at the overflow edge
+        "any": np.ldexp(rng.random((k, n)), rng.integers(-1074, 1024, (k, n))),
+    }
+    pick = rng.integers(0, len(kinds), (k, n))
+    return np.choose(pick, [values[kind] for kind in kinds])
+
+
+def fsum_or_overflow(row):
+    try:
+        return np.array(math.fsum(row.tolist()))
+    except OverflowError:
+        return None
+
+
+def assert_rows_match_fsum(block):
+    expected = [fsum_or_overflow(row) for row in block]
+    for row, want in zip(block, expected):
+        if want is None:
+            with pytest.raises(OverflowError):
+                _row_fsum(row[None])
+        else:
+            assert _row_fsum(row[None]).view(np.int64)[0] == want.view(np.int64)
+    if any(want is None for want in expected):
+        with pytest.raises(OverflowError):
+            _row_fsum(block)
+    else:
+        assert np.array_equal(_row_fsum(block).view(np.int64), np.array(expected).view(np.int64))
+
+
+@settings(max_examples=300)
+@given(non_negative_rows())
+def test_long_double_row_sums_equal_fsum(block):
+    assert_rows_match_fsum(block)
+
+
+@pytest.mark.parametrize("unit_roundoff", [2.0**-53, 1.0], ids=["plain-double", "not-ieee"])
+@settings(max_examples=100)
+@given(block=non_negative_rows())
+def test_row_sums_equal_fsum_at_a_coarser_unit_roundoff(unit_roundoff, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_LONG_UNIT_ROUNDOFF", unit_roundoff)
+        assert_rows_match_fsum(block)
+
+
+def counting_fsum(monkeypatch):
+    calls = []
+    fsum = math.fsum
+
+    def counted(terms):
+        calls.append(terms)
+        return fsum(terms)
+
+    monkeypatch.setattr(spectral.math, "fsum", counted)
+    return calls
+
+
+def test_row_sum_on_a_midpoint_falls_back_and_rounds_half_even(monkeypatch):
+    calls = counting_fsum(monkeypatch)
+    out = _row_fsum(np.array([[1.0, 2.0**-53]]))
+    assert out.view(np.int64)[0] == np.array(1.0).view(np.int64)
+    assert len(calls) == 1
+
+
+def test_row_sum_widened_by_every_round_off_of_the_long_double_sum():
+    # In the x87 long double (u = 2⁻⁶⁴), 1 + (2⁻⁵³ − 2⁻⁶²) is exact and each
+    # later term, under half an ulp, is lost: ŝ sits 4u below the midpoint
+    # 1 + 2⁻⁵³ while the exact sum is above it, so fsum rounds up.
+    row = np.array([[1.0, 2.0**-53 - 2.0**-62] + [2.0**-64 - 2.0**-70] * 5])
+    assert _row_fsum(row)[0] == math.fsum(row[0].tolist()) == 1.0 + 2.0**-52
+
+
+def test_row_sum_past_the_float_range_raises_like_fsum():
+    with pytest.raises(OverflowError):
+        _row_fsum(np.array([[1e308, 1e308]]))
+
+
+def test_row_sum_with_an_infinite_term_is_inf():
+    assert _row_fsum(np.array([[1.0, np.inf, 2.0]]))[0] == np.inf
+
+
+@pytest.mark.skipif(spectral._LONG_UNIT_ROUNDOFF >= 2.0**-53, reason="np.longdouble is plain double")
+def test_long_double_serves_most_rows_without_fsum(monkeypatch):
+    rows = np.random.default_rng(5).random((1000, 33)) ** 2
+    calls = counting_fsum(monkeypatch)
+    _row_fsum(rows)
+    assert len(calls) < 100

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from obskit import evolution, scenarios, square
+from obskit import evolution, scenarios, spectral, square
 from obskit.cli import main
 from obskit.config import default_config
 
@@ -25,8 +25,15 @@ def run_recording(monkeypatch, tmp_path, capsys, scenario, module, name):
 
 
 def test_admissibility_builds_the_kernel_once(monkeypatch, tmp_path, capsys):
-    calls = run_recording(monkeypatch, tmp_path, capsys, "admissibility", evolution, "phase_kernel")
+    calls = run_recording(monkeypatch, tmp_path, capsys, "admissibility", evolution, "_gap_kernel")
     assert len(calls) == 1
+
+
+def test_weak_observability_builds_one_gap_table(monkeypatch, tmp_path, capsys):
+    kernels = run_recording(monkeypatch, tmp_path, capsys, "weak-observability", evolution, "_gap_kernel")
+    assert len(kernels) > 1
+    tables = run_recording(monkeypatch, tmp_path, capsys, "weak-observability", spectral, "_distinct_gaps")
+    assert len(tables) == 1
 
 
 def test_weak_observability_solves_every_trial_at_once(monkeypatch, tmp_path, capsys):

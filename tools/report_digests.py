@@ -6,8 +6,9 @@ For every seed it runs, in process, each scenario at its default config,
 the same again with ``--format csv`` (its digest covers the CSV files too),
 each scenario that reads a horizon again with ``--T 0.7``, four scenarios
 with ``--trials 20`` on a 4-mode custom system with a dense complex Gram,
-``assumption-ii-iii``, ``admissibility`` (``--trials 20``) and
-``coercivity-scan`` on the π/4–π/2 sub-patch at n_max 2000,
+``assumption-ii-iii``, ``coercivity-scan``, and ``admissibility``,
+``resolvent-scan`` and ``weak-observability`` (each ``--trials 20``) on
+the π/4–π/2 sub-patch at n_max 2000,
 ``coercivity-scan`` on the full bottom side at n_max 1000 with the wide
 cluster width 1.3 (clusters of 1 to 8 modes), and each job of
 ``perfbench/jobs.py`` at full size, and prints one line per report: the
@@ -49,7 +50,9 @@ CUSTOM_SYSTEM = {
 CUSTOM_SCENARIOS = ("coercivity-scan", "resolvent-scan", "weak-observability", "admissibility")
 # The π/4–π/2 sub-patch at n_max 2000 (1529 modes, 1040 admissibility
 # breakpoints), a size at which the admissibility sup solves few of its
-# breakpoints, unlike the n_max ≤ 250 systems above.
+# breakpoints, unlike the n_max ≤ 250 systems above, and at which the
+# long-double row sums of the per-state scenarios fall back to math.fsum
+# most often.
 SCALE_CONFIG = {
     "system": {
         "type": "square",
@@ -57,7 +60,13 @@ SCALE_CONFIG = {
         "gamma": [{"side": "bottom", "alpha": "pi/4", "beta": "pi/2"}],
     }
 }
-SCALE_RUNS = (["assumption-ii-iii"], ["admissibility", "--trials", "20"], ["coercivity-scan"])
+SCALE_RUNS = (
+    ["assumption-ii-iii"],
+    ["admissibility", "--trials", "20"],
+    ["coercivity-scan"],
+    ["resolvent-scan", "--trials", "20"],
+    ["weak-observability", "--trials", "20"],
+)
 # A width past the unit gap of the square's integer eigenvalues, so that the
 # clusters overlap and come in 8 sizes.
 WIDE_CONFIG = {
