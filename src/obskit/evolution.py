@@ -22,6 +22,10 @@ from .errors import DomainError, NumericError, ShapeError
 from .spectral import SpectralSystem, _distinct_gaps, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, coefficients_of
 from .window import THETA0, THETA2
 
+# Bytes that one block of trial states, or one chunk of per-row (n, n)
+# complex phase kernels, may take; ``scenarios`` sizes its blocks by it too.
+BLOCK_BYTES = 1 << 18
+
 
 def phase_kernel(eigenvalues: np.ndarray, T) -> np.ndarray:
     """The matrix K_{jk}(T) = ∫₀ᵀ e^{i(λ_j−λ_k)t} dt = r·e^{ih}, r = T·sin(h)/h.
@@ -32,23 +36,31 @@ def phase_kernel(eigenvalues: np.ndarray, T) -> np.ndarray:
     (k, n, n) stack.  See ``_gap_kernel`` for how it is evaluated.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    return _gap_kernel(lam, _distinct_gaps(lam), T)
+    gaps = _distinct_gaps(lam)
+    return _gap_kernel(gaps, _gap_index(lam, gaps), T)
 
 
-def _gap_kernel(lam: np.ndarray, gaps: np.ndarray, T) -> np.ndarray:
-    """``phase_kernel`` of ``lam`` from its ``_distinct_gaps``.
+def _gap_index(lam: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """The (n, n) index of each λ_j − λ_k among ``_distinct_gaps(lam)``.
+
+    Every gap is one of ``gaps``, so one ``searchsorted`` finds its index
+    exactly.  Built per call, never held: see ``_distinct_gaps``.
+    """
+    return np.searchsorted(gaps, np.subtract.outer(lam, lam))
+
+
+def _gap_kernel(gaps: np.ndarray, where: np.ndarray, T) -> np.ndarray:
+    """``phase_kernel`` from the distinct ``gaps`` and their ``_gap_index``.
 
     sin and cos run once per distinct gap and horizon (lattice spectra
-    repeat their gaps).  Every λ_j − λ_k is one of ``gaps``, so
-    ``searchsorted`` finds its index exactly, and ``np.take`` gathers the
-    values into a new C-contiguous array.
+    repeat their gaps), and ``np.take`` gathers the values into a new
+    C-contiguous array.
     """
     t = np.asarray(T, dtype=float)[..., None]
     h = 0.5 * t * gaps
     s = np.sin(h)
     r = np.broadcast_to(t, h.shape).copy()
     np.divide(t * s, h, out=r, where=h != 0.0)
-    where = np.searchsorted(gaps, np.subtract.outer(lam, lam))
     return np.take(r * np.cos(h) + 1j * (r * s), where, axis=-1)
 
 
@@ -59,7 +71,13 @@ def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
     The distinct gaps are the system's cached ``phase_gaps``, found once per
     system.
     """
-    return system.gram * _gap_kernel(system.eigenvalues, system.phase_gaps, _horizons(T, system))
+    gaps = system.phase_gaps
+    return system.gram * _gap_kernel(gaps, _gap_index(system.eigenvalues, gaps), _horizons(T, system))
+
+
+def _kernel_rows(size: int) -> int:
+    """How many per-row (size, size) complex kernels fit in ``BLOCK_BYTES``; at least one."""
+    return max(1, BLOCK_BYTES // (16 * size * size))
 
 
 def _observed_energy(c: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,13 +85,14 @@ def _observed_energy(c: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[
 
     ``t`` comes from ``_horizons`` for the rows of c, and ``kernel`` is
     ``observability_kernel`` at ``t``; a kernel of another shape raises
-    ``ShapeError``.  Each form and each ‖c‖² is its own ``vdot``: a batched
-    product would round differently from the single-state call.
+    ``ShapeError``.  The forms are ``_row_forms``; the ‖c‖² are one stacked
+    row·column product, one ``zdotu(conj(c), c)`` per row, which is bit for
+    bit the per-row ``vdot(c, c)`` (``tests/oracles.py::row_norms_sq_by_row``).
     """
     if kernel.shape[:-2] != t.shape:
         raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
     value = _row_forms(c, kernel)
-    norm_sq = np.array([np.vdot(row, row).real for row in c], dtype=float)
+    norm_sq = np.matmul(c.conj()[:, None, :], c[:, :, None])[:, 0, 0].real
     scale = np.maximum(np.abs(value.real), t * norm_sq)
     bad = np.abs(value.imag) > 1.0e-10 * scale
     if bad.any():
@@ -84,16 +103,38 @@ def _observed_energy(c: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[
     return value.real, norm_sq
 
 
+def _energy_at(c: np.ndarray, system: SpectralSystem, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_observed_energy`` of the rows of c at ``t``, one horizon or one per row, kernels built here.
+
+    One horizon shares one (n, n) kernel.  Per-row horizons build the
+    (k, n, n) stack in chunks of ``_kernel_rows`` rows, at most
+    ``BLOCK_BYTES`` (or one row), so the memory held does not grow with k.
+    Each row's form reads only its own kernel, so the chunks give the same
+    bits as the whole stack.
+    """
+    if t.ndim == 0:
+        return _observed_energy(c, observability_kernel(system, t), t)
+    gaps = system.phase_gaps
+    where = _gap_index(system.eigenvalues, gaps)
+    step = _kernel_rows(system.size)
+    parts = []
+    for start in range(0, max(len(c), 1), step):  # an empty block still gives empty arrays
+        rows = slice(start, start + step)
+        parts.append(_observed_energy(c[rows], system.gram * _gap_kernel(gaps, where, t[rows]), t[rows]))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
 def observability_integral(z0, system: SpectralSystem, T):
     """Closed-form ∫₀ᵀ‖Cz(t)‖²dt; real and non-negative up to round-off.
 
     For a (k, n) block, one integral per row, with ``T`` one horizon or one
-    per row.  Evaluated in the power-of-two frame of each row, so a finite
-    state never yields nan: past the float range the integral reads inf.
+    per row; per-row horizons take their kernels in chunks of at most
+    ``BLOCK_BYTES``.  Evaluated in the power-of-two frame of each row, so a
+    finite state never yields nan: past the float range the integral reads
+    inf.
     """
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    t = _horizons(T, system, len(c))
-    return back(_observed_energy(c, observability_kernel(system, t), t)[0])
+    return back(_energy_at(c, system, _horizons(T, system, len(c)))[0])
 
 
 def kernel_psd_margin(kernel: np.ndarray) -> tuple[float, float]:
@@ -151,13 +192,15 @@ def weak_observability_check(
     ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε)``;
     ``T`` and ``t_min`` are scalars or one per row.  Both sides and their
     margin are taken in the power-of-two frame of each row and scaled back,
-    so a finite state never yields nan.
+    so a finite state never yields nan.  A block is checked in one pass:
+    one ``_moments`` for every row and, for per-row horizons, the kernels
+    built in chunks of at most ``BLOCK_BYTES``.
     """
     z = coefficients_of(z0, system)
     c, back = _power_of_two_frame(z)
     t, t_min = _horizons(T, system, len(c)), _horizons(t_min, system, len(c))
     lam0 = _moments(c, system)[3]
-    integral, norm_sq = _observed_energy(c, observability_kernel(system, t), t)
+    integral, norm_sq = _energy_at(c, system, t)
     lhs = THETA2 * psi(THETA0 * (1.0 / t + lam0)) * norm_sq
     t, t_min = np.broadcast_to(t, len(c)), np.broadcast_to(t_min, len(c))
     return ObservabilityReport(

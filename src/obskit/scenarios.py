@@ -24,6 +24,7 @@ from .coercivity import (
 from .config import RunConfig, gamma_spec_of, system_of
 from .errors import CoercivityError, DomainError
 from .evolution import (
+    BLOCK_BYTES,
     admissibility_check,
     kernel_psd_margin,
     observability_kernel,
@@ -48,10 +49,6 @@ from .window import (
     sandwich_values,
     solve_observation_time,
 )
-
-# Bytes one block of trial states may take for what is built per state: the
-# coefficient row, or in weak observability its (n, n) complex phase kernel.
-BLOCK_BYTES = 1 << 18
 
 THETA_NOTES = [
     "theta2 uses the factor-4 normalization 4*chi_l2_norm_sq/chi_sup_norm^2; a "
@@ -86,7 +83,7 @@ def _new_bundle(cfg: RunConfig) -> ReportBundle:
 
 
 def _block_rows(row_bytes: int) -> int:
-    """How many trial states one block holds when each needs ``row_bytes``."""
+    """How many trial states, each needing ``row_bytes``, fit in ``BLOCK_BYTES``; at least one."""
     return max(1, BLOCK_BYTES // row_bytes)
 
 
@@ -258,7 +255,7 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     pipeline = scan_certificate(system, cfg.epsilon_cluster)
     _pipeline_constants(bundle, pipeline)
     rng = np.random.default_rng(cfg.seed)
-    block = _block_rows(16 * system.size**2)
+    block = _block_rows(16 * system.size)
     lam0 = np.concatenate(
         [frequency(z, system) for _, z in _state_blocks(rng, cfg.trials, system.size, block)]
     )

@@ -10,7 +10,6 @@ eigenbasis.  The frequency functional λ(z) = ⟨Az,z⟩/‖z‖² and its resid
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -375,11 +374,15 @@ def _row_forms(c: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """u*Mu per row of the (k, n) block ``c``, u = conj(row), with ``matrix`` one
     (n, n) M for every row or a (k, n, n) stack, one M per row.
 
-    Each form is its own ``vdot(u, M @ u)`` on a C-contiguous M: a batched
-    product would round differently from the single-state call.
+    Two stacked matmuls: M·u for every row, then the row·column product
+    c·(M·u).  For blasable strides numpy runs them as one ``gemv`` and one
+    ``zdotu`` per row, so each form is bit for bit the per-row
+    ``vdot(u, M @ u)`` (``tests/oracles.py::row_forms_by_row``), and a block
+    gives each row's single-state value.  Keep every M C-contiguous: a
+    strided M takes another BLAS path and rounds differently.
     """
-    matrices = matrix if matrix.ndim == 3 else itertools.repeat(matrix)
-    return np.array([np.vdot(u, m @ u) for u, m in zip(c.conj(), matrices)], dtype=complex)
+    m = matrix if matrix.ndim == 3 else matrix[None]
+    return np.matmul(c[:, None, :], np.matmul(m, c.conj()[:, :, None]))[:, 0, 0]
 
 
 def observed_energy_sq(z, system: SpectralSystem):

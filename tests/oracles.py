@@ -1,10 +1,12 @@
 """Test oracles: the window transform, its energy on an interval and the observed
 energy by quadrature, the trajectory point, the phase kernel with its gap index from ``np.unique``,
+the quadratic forms and squared norms of a block's rows one ``vdot`` at a time,
 the closed-form cluster minima of the full bottom side,
 the cluster scan and the weighted circle minima solved one cluster at a time (with an exact
 comparison of two scans), the admissibility sup solved at every grid point, the three per-trial scenarios run one state
 at a time, and the report JSON from the pure-Python encoder."""
 
+import itertools
 import json
 import math
 
@@ -107,6 +109,19 @@ def phase_kernel_by_unique_inverse(eigenvalues, T) -> np.ndarray:
     np.divide(t * s, h, out=r, where=h != 0.0)
     table = r * np.cos(h) + 1j * (r * s)
     return np.take(table, where, axis=-1).reshape(t.shape[:-1] + (lam.size, lam.size))
+
+
+def row_forms_by_row(c: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """u*Mu per row of ``c``, u = conj(row), each its own ``vdot(u, M @ u)``, with
+    ``matrix`` one (n, n) M or a (k, n, n) stack: the oracle for ``_row_forms``."""
+    matrices = matrix if matrix.ndim == 3 else itertools.repeat(matrix)
+    return np.array([np.vdot(u, m @ u) for u, m in zip(c.conj(), matrices)], dtype=complex)
+
+
+def row_norms_sq_by_row(c: np.ndarray) -> np.ndarray:
+    """‖row‖² per row of ``c``, each its own ``vdot(row, row)``: the oracle for the
+    squared norms of ``_observed_energy``."""
+    return np.array([np.vdot(row, row).real for row in c], dtype=float)
 
 
 def bottom_side_closed_form_n_mu(N: int) -> float:

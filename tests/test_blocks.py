@@ -1,13 +1,19 @@
 """The per-trial scenarios run on blocks of states; their reports are the bytes
-of the same scenarios run one state at a time (``oracles.ROW_RUNNERS``)."""
+of the same scenarios run one state at a time (``oracles.ROW_RUNNERS``).
+Per-row phase kernels are built in chunks whose memory does not grow with
+the block."""
 
 import dataclasses
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from obskit import scenarios
+from obskit import evolution, scenarios
 from obskit.config import default_config
+from obskit.evolution import BLOCK_BYTES, observability_integral
 from obskit.report import bundle_to_json_text
+from obskit.square import build_square_system, full_bottom
 
 from oracles import ROW_RUNNERS
 
@@ -25,6 +31,19 @@ def test_block_report_bytes_equal_the_row_at_a_time_oracle(monkeypatch, scenario
     assert blocks == bundle_to_json_text(ROW_RUNNERS[scenario](cfg))
 
 
+@pytest.mark.parametrize("chunk", (1, 7, 64), ids=lambda r: f"chunk={r}")
+@pytest.mark.parametrize("rows", (None, 1, 7, TRIALS, 64), ids=lambda r: f"rows={r}")
+@pytest.mark.parametrize("seed", (7, 611))
+def test_weak_observability_bytes_equal_the_oracle_at_every_kernel_chunk(monkeypatch, seed, rows, chunk):
+    # Blocks end mid-chunk (23 rows in chunks of 7), chunks hold one row, or one chunk the whole block.
+    if rows is not None:
+        monkeypatch.setattr(scenarios, "_block_rows", lambda row_bytes: rows)
+    monkeypatch.setattr(evolution, "_kernel_rows", lambda size: chunk)
+    cfg = dataclasses.replace(default_config("weak-observability"), seed=seed, trials=TRIALS)
+    blocks = bundle_to_json_text(scenarios.run_scenario(cfg))
+    assert blocks == bundle_to_json_text(ROW_RUNNERS["weak-observability"](cfg))
+
+
 @pytest.mark.parametrize("scenario", ("weak-observability", "admissibility"))
 def test_block_report_bytes_equal_the_oracle_at_a_given_horizon(monkeypatch, scenario):
     monkeypatch.setattr(scenarios, "_block_rows", lambda row_bytes: 7)
@@ -34,7 +53,33 @@ def test_block_report_bytes_equal_the_oracle_at_a_given_horizon(monkeypatch, sce
 
 
 def test_default_blocks_hold_several_states_within_the_byte_budget():
-    kernel_row = 16 * 33 * 33  # one complex phase kernel at the default 33 modes
-    assert 1 < scenarios._block_rows(kernel_row) < TRIALS
-    assert scenarios._block_rows(kernel_row) * kernel_row <= scenarios.BLOCK_BYTES
-    assert scenarios._block_rows(10 * scenarios.BLOCK_BYTES) == 1
+    assert scenarios.BLOCK_BYTES is BLOCK_BYTES  # one budget, set in evolution
+    coefficient_row = 16 * 33  # one complex state at the default 33 modes
+    assert scenarios._block_rows(coefficient_row) == 496
+    assert 496 * coefficient_row <= BLOCK_BYTES
+    assert scenarios._block_rows(10 * BLOCK_BYTES) == 1
+    kernel = 16 * 33 * 33  # one complex (n, n) phase kernel at 33 modes
+    assert evolution._kernel_rows(33) == 15 and 15 * kernel <= BLOCK_BYTES < 16 * kernel
+    assert evolution._kernel_rows(183) == 1  # one 536 KB kernel, past the budget, is the floor
+
+
+def test_per_row_horizons_hold_one_chunk_of_kernels_at_a_time():
+    sys_ = build_square_system(250, full_bottom())
+    n = sys_.size
+    assert n == 183 and evolution._kernel_rows(n) == 1  # one 536 KB kernel per chunk
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n))
+    T = rng.uniform(0.5, 2.0, 400)
+    _ = sys_.gram, sys_.phase_gaps  # cached on the system before tracing: not the block's memory
+    tracemalloc.start()
+    try:
+        block = observability_integral(z, sys_, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The framed block and one temporary of its size, and one chunk: its kernel,
+    # the gathered phases and the (n, n) gap index.  The whole (400, n, n) stack
+    # would take 214 MB.
+    kernel = 16 * n * n
+    assert peak <= 2 * z.nbytes + 3 * kernel + 2 * BLOCK_BYTES, peak
+    assert np.array_equal(block, [observability_integral(row, sys_, t) for row, t in zip(z, T)])

@@ -9,8 +9,8 @@ from obskit.cli import main
 from obskit.config import default_config
 
 
-def run_recording(monkeypatch, tmp_path, capsys, scenario, module, name):
-    """Run ``scenario`` with 50 trials; return what each ``module.name`` call returned."""
+def run_recording(monkeypatch, tmp_path, capsys, scenario, module, name, trials=50):
+    """Run ``scenario`` with ``trials`` trials; return what each ``module.name`` call returned."""
     calls = []
     original = getattr(module, name)
 
@@ -19,7 +19,7 @@ def run_recording(monkeypatch, tmp_path, capsys, scenario, module, name):
         return calls[-1]
 
     monkeypatch.setattr(module, name, recorded)
-    assert main([scenario, "--trials", "50", "--out", str(tmp_path / "report.json")]) == 0
+    assert main([scenario, "--trials", str(trials), "--out", str(tmp_path / "report.json")]) == 0
     capsys.readouterr()
     return calls
 
@@ -34,6 +34,26 @@ def test_weak_observability_builds_one_gap_table(monkeypatch, tmp_path, capsys):
     assert len(kernels) > 1
     tables = run_recording(monkeypatch, tmp_path, capsys, "weak-observability", spectral, "_distinct_gaps")
     assert len(tables) == 1
+
+
+def test_weak_observability_checks_blocks_of_coefficient_rows(monkeypatch, tmp_path, capsys):
+    # 496 states of 33 modes per block: 3 checks and 6 moment passes for 1000 trials, not 67 and 134.
+    moments = []
+
+    def counted(original):
+        def wrapped(*args, **kwargs):
+            moments.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for module in (spectral, evolution):
+        monkeypatch.setattr(module, "_moments", counted(module._moments))
+    reports = run_recording(
+        monkeypatch, tmp_path, capsys, "weak-observability", scenarios, "weak_observability_check", 1000
+    )
+    assert [len(rep.integral) for rep in reports] == [496, 496, 8]
+    assert moments == [496, 496, 8] * 2
 
 
 def test_weak_observability_solves_every_trial_at_once(monkeypatch, tmp_path, capsys):

@@ -8,9 +8,10 @@ each scenario that reads a horizon again with ``--T 0.7``, four scenarios
 with ``--trials 20`` on a 4-mode custom system with a dense complex Gram,
 ``assumption-ii-iii``, ``coercivity-scan``, and ``admissibility``,
 ``resolvent-scan`` and ``weak-observability`` (each ``--trials 20``) on
-the π/4–π/2 sub-patch at n_max 2000,
-``coercivity-scan`` on the full bottom side at n_max 1000 with the wide
-cluster width 1.3 (clusters of 1 to 8 modes), and each job of
+the π/4–π/2 sub-patch at n_max 2000, ``weak-observability`` and
+``admissibility`` (each ``--trials 200``) on the full bottom side at
+n_max 250, ``coercivity-scan`` on the full bottom side at n_max 1000 with
+the wide cluster width 1.3 (clusters of 1 to 8 modes), and each job of
 ``perfbench/jobs.py`` at full size, and prints one line per report: the
 digest (``-`` when no report was written), the exit code, the seed and a
 label.  Run it in two checkouts and ``diff`` the outputs to see
@@ -67,6 +68,11 @@ SCALE_RUNS = (
     ["resolvent-scan", "--trials", "20"],
     ["weak-observability", "--trials", "20"],
 )
+# The full bottom side at n_max 250: 183 modes with a real Gram, where
+# ``weak-observability`` builds its per-row kernels one row per chunk
+# inside blocks of 89 states.
+MID_CONFIG = {"system": {"type": "square", "n_max_eigenvalue": 250, "gamma": [{"side": "bottom"}]}}
+MID_SCENARIOS = ("weak-observability", "admissibility")
 # A width past the unit gap of the square's integer eigenvalues, so that the
 # clusters overlap and come in 8 sizes.
 WIDE_CONFIG = {
@@ -104,8 +110,8 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
 
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
-    ``custom/SCENARIO``, ``scale/SCENARIO``, ``wide/coercivity-scan`` and
-    ``WORKLOAD/I-SCENARIO``.
+    ``custom/SCENARIO``, ``scale/SCENARIO``, ``mid/SCENARIO``,
+    ``wide/coercivity-scan`` and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
     lines += [
@@ -128,6 +134,12 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     lines += [
         _cli_line([scenario, "--config", json.dumps(SCALE_CONFIG), *rest], seed, outdir, f"scale/{scenario}")
         for scenario, *rest in SCALE_RUNS
+    ]
+    lines += [
+        _cli_line(
+            [scenario, "--config", json.dumps(MID_CONFIG), "--trials", "200"], seed, outdir, f"mid/{scenario}"
+        )
+        for scenario in MID_SCENARIOS
     ]
     lines.append(
         _cli_line(["coercivity-scan", "--config", json.dumps(WIDE_CONFIG)], seed, outdir, "wide/coercivity-scan")
