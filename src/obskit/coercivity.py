@@ -31,6 +31,7 @@ from .spectral import (
     _per_row,
     _power_of_two_frame,
     _row_forms,
+    _rows_within,
     coefficients_of,
     frequency_report,
     observed_energy_sq,
@@ -45,17 +46,6 @@ COERCIVITY_FLOOR = 1.0e-14
 # Safety factor keeping the sampling cluster half-width β strictly inside
 # the admissible range 2β² < ε.
 BETA_SAFETY = 1.0 - 1.0e-9
-
-# Largest block of grid-point × mode distances that ``estimate_admissibility``
-# holds at once (512 KiB of float64, small enough to stay in cache), so its
-# memory does not grow with B·n.
-_CHUNK_CELLS = 2**16
-
-# Largest stack of cluster Gram blocks (256 KiB, counting each block as
-# s·max(s, rank) complex entries) that ``_gram_stacks`` builds at once: a
-# scan's transient memory stays near the one-block loop's, at the same speed.
-_STACK_BYTES = 2**18
-
 
 @dataclass(frozen=True)
 class CoercivityCertificate:
@@ -173,13 +163,14 @@ def _gram_stacks(system: SpectralSystem, lo: np.ndarray, hi: np.ndarray):
     ``clusters`` numbers the runs in the stack, ``rows`` is their (k, s)
     array of modes and ``blocks`` the (k, s, s) stack of their Gram blocks,
     each bit-identical to its ``gram_block``.  A stack holds at most
-    ``_STACK_BYTES`` of blocks and gathered factor rows, and at least one
-    block, so a wide cluster never holds more than one copy of itself.
+    ``spectral.BLOCK_BYTES``, each block counted as s·max(s, rank) complex
+    entries, and at least one block, so a wide cluster never holds more
+    than one copy of itself.
     """
     sizes, rank = hi - lo, system.factor.shape[1]
     for s in np.unique(sizes).tolist():
         same = np.flatnonzero(sizes == s)
-        per = max(1, _STACK_BYTES // (s * max(s, rank) * 16))
+        per = _rows_within(16 * s * max(s, rank))
         for start in range(0, same.size, per):
             clusters = same[start:start + per]
             rows = lo[clusters, None] + np.arange(s)
@@ -310,9 +301,9 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
     Only the grid points that can still win are solved.  P is PSD, so its
     trace t(λ) = Σ_off w_k/(λ_k − λ)², w_k = ‖f_k‖², bounds its top
     eigenvalue.  One vectorized pass, in row chunks of at most
-    ``_CHUNK_CELLS`` distances, gives t at every point; the points are then
-    solved in order of decreasing t until t·(1 + γ) + σ < best, the largest
-    value solved so far.  A solved value is the same ``eigvalsh`` of the same
+    ``spectral.BLOCK_BYTES`` of distances, gives t at every point; the
+    points are then solved in order of decreasing t until
+    t·(1 + γ) + σ < best, the largest value solved so far.  A solved value is the same ``eigvalsh`` of the same
     matrix as when every point is solved, and the maximum does not depend on
     order, so the result is bit-identical.  γ covers the rounding, with n
     modes, rank r and unit round-off u, to first order:
@@ -361,7 +352,7 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
     n, r = factor.shape
     weights = (factor.real**2 + factor.imag**2).sum(axis=1)
     trace = np.empty(grid.size)
-    rows = max(1, _CHUNK_CELLS // n)
+    rows = _rows_within(8 * n)
     for start in range(0, grid.size, rows):
         lam = grid[start : start + rows, None]
         d = eigenvalues - lam

@@ -19,25 +19,8 @@ import numpy as np
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError, ShapeError
-from .spectral import SpectralSystem, _distinct_gaps, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, coefficients_of
+from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, _rows_within, coefficients_of
 from .window import THETA0, THETA2
-
-# Bytes that one block of trial states, or one chunk of per-row (n, n)
-# complex phase kernels, may take; ``scenarios`` sizes its blocks by it too.
-BLOCK_BYTES = 1 << 18
-
-
-def phase_kernel(eigenvalues: np.ndarray, T) -> np.ndarray:
-    """The matrix K_{jk}(T) = ∫₀ᵀ e^{i(λ_j−λ_k)t} dt = r·e^{ih}, r = T·sin(h)/h.
-
-    With h = (λ_j−λ_k)T/2 this one form holds for every gap and nothing in
-    it cancels, so it keeps full relative accuracy; r = T where h = 0.  A
-    scalar ``T`` gives one (n, n) matrix; a 1-D array of k horizons gives a
-    (k, n, n) stack.  See ``_gap_kernel`` for how it is evaluated.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    gaps = _distinct_gaps(lam)
-    return _gap_kernel(gaps, _gap_index(lam, gaps), T)
 
 
 def _gap_index(lam: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -50,11 +33,14 @@ def _gap_index(lam: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 
 
 def _gap_kernel(gaps: np.ndarray, where: np.ndarray, T) -> np.ndarray:
-    """``phase_kernel`` from the distinct ``gaps`` and their ``_gap_index``.
+    """The phase kernel K_{jk}(T) = ∫₀ᵀ e^{i(λ_j−λ_k)t} dt from the distinct ``gaps`` and their ``_gap_index``.
 
-    sin and cos run once per distinct gap and horizon (lattice spectra
-    repeat their gaps), and ``np.take`` gathers the values into a new
-    C-contiguous array.
+    K = r·e^{ih} with h = (λ_j−λ_k)T/2 and r = T·sin(h)/h (r = T where
+    h = 0).  This one form holds for every gap and nothing in it cancels, so
+    it keeps full relative accuracy.  A scalar ``T`` gives one (n, n)
+    matrix; a 1-D array of k horizons gives a (k, n, n) stack.  sin and cos run once per distinct gap and horizon
+    (lattice spectra repeat their gaps), and ``np.take`` gathers the values
+    into a new C-contiguous array.
     """
     t = np.asarray(T, dtype=float)[..., None]
     h = 0.5 * t * gaps
@@ -73,11 +59,6 @@ def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
     """
     gaps = system.phase_gaps
     return system.gram * _gap_kernel(gaps, _gap_index(system.eigenvalues, gaps), _horizons(T, system))
-
-
-def _kernel_rows(size: int) -> int:
-    """How many per-row (size, size) complex kernels fit in ``BLOCK_BYTES``; at least one."""
-    return max(1, BLOCK_BYTES // (16 * size * size))
 
 
 def _observed_energy(c: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,16 +88,16 @@ def _energy_at(c: np.ndarray, system: SpectralSystem, t: np.ndarray) -> tuple[np
     """``_observed_energy`` of the rows of c at ``t``, one horizon or one per row, kernels built here.
 
     One horizon shares one (n, n) kernel.  Per-row horizons build the
-    (k, n, n) stack in chunks of ``_kernel_rows`` rows, at most
-    ``BLOCK_BYTES`` (or one row), so the memory held does not grow with k.
-    Each row's form reads only its own kernel, so the chunks give the same
-    bits as the whole stack.
+    (k, n, n) stack in chunks of ``_rows_within`` rows, at most
+    ``spectral.BLOCK_BYTES`` (or one row), so the memory held does not grow
+    with k.  Each row's form reads only its own kernel, so the chunks give
+    the same bits as the whole stack.
     """
     if t.ndim == 0:
         return _observed_energy(c, observability_kernel(system, t), t)
     gaps = system.phase_gaps
     where = _gap_index(system.eigenvalues, gaps)
-    step = _kernel_rows(system.size)
+    step = _rows_within(16 * system.size * system.size)
     parts = []
     for start in range(0, max(len(c), 1), step):  # an empty block still gives empty arrays
         rows = slice(start, start + step)
@@ -129,9 +110,9 @@ def observability_integral(z0, system: SpectralSystem, T):
 
     For a (k, n) block, one integral per row, with ``T`` one horizon or one
     per row; per-row horizons take their kernels in chunks of at most
-    ``BLOCK_BYTES``.  Evaluated in the power-of-two frame of each row, so a
-    finite state never yields nan: past the float range the integral reads
-    inf.
+    ``spectral.BLOCK_BYTES``.  Evaluated in the power-of-two frame of each
+    row, so a finite state never yields nan: past the float range the
+    integral reads inf.
     """
     c, back = _power_of_two_frame(coefficients_of(z0, system))
     return back(_energy_at(c, system, _horizons(T, system, len(c)))[0])
@@ -194,7 +175,7 @@ def weak_observability_check(
     margin are taken in the power-of-two frame of each row and scaled back,
     so a finite state never yields nan.  A block is checked in one pass:
     one ``_moments`` for every row and, for per-row horizons, the kernels
-    built in chunks of at most ``BLOCK_BYTES``.
+    built in chunks of at most ``spectral.BLOCK_BYTES``.
     """
     z = coefficients_of(z0, system)
     c, back = _power_of_two_frame(z)

@@ -24,14 +24,13 @@ from .coercivity import (
 from .config import RunConfig, gamma_spec_of, system_of
 from .errors import CoercivityError, DomainError
 from .evolution import (
-    BLOCK_BYTES,
     admissibility_check,
     kernel_psd_margin,
     observability_kernel,
     weak_observability_check,
 )
 from .report import ReportBundle, Table, Verdict
-from .spectral import _moments, frequency
+from .spectral import _moments, _rows_within, frequency
 from .square import CIRCLE_WIDTH, assumption_I_check, delta_gamma_fit
 from .window import (
     C0,
@@ -82,19 +81,18 @@ def _new_bundle(cfg: RunConfig) -> ReportBundle:
     )
 
 
-def _block_rows(row_bytes: int) -> int:
-    """How many trial states, each needing ``row_bytes``, fit in ``BLOCK_BYTES``; at least one."""
-    return max(1, BLOCK_BYTES // row_bytes)
+def _state_blocks(cfg: RunConfig, size: int):
+    """The ``cfg.trials`` states of ``cfg.seed`` as (first trial, (k, size) block) pairs.
 
-
-def _state_blocks(rng: np.random.Generator, trials: int, size: int, rows: int):
-    """The trial states as (first trial, (k, size) block) pairs, k ≤ ``rows``.
-
-    One (k, 2, size) draw takes the same stream as k draws of (2, size), so
-    the states do not depend on the block size.
+    One generator draws each state once, in blocks of as many coefficient
+    rows as ``_rows_within`` fits in ``spectral.BLOCK_BYTES``.  One
+    (k, 2, size) draw takes the same stream as k draws of (2, size), so the
+    states do not depend on the block size.
     """
-    for start in range(0, trials, rows):
-        block = rng.standard_normal((min(rows, trials - start), 2, size))
+    rng = np.random.default_rng(cfg.seed)
+    rows = _rows_within(16 * size)
+    for start in range(0, cfg.trials, rows):
+        block = rng.standard_normal((min(rows, cfg.trials - start), 2, size))
         yield start, block[:, 0] + 1j * block[:, 1]
 
 
@@ -214,10 +212,9 @@ def run_resolvent_scan(cfg: RunConfig) -> ReportBundle:
     bundle.constants["system_label"] = system.label
     pipeline = scan_certificate(system, cfg.epsilon_cluster)
     _pipeline_constants(bundle, pipeline)
-    rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = math.inf
-    for start, z in _state_blocks(rng, cfg.trials, system.size, _block_rows(16 * system.size)):
+    for start, z in _state_blocks(cfg, system.size):
         rep = resolvent_check(system, z, pipeline.spectral)
         rel = rep.inf_margin / rep.norm_sq
         worst = min([worst, *rel.tolist()])
@@ -254,26 +251,18 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     bundle.constants["system_label"] = system.label
     pipeline = scan_certificate(system, cfg.epsilon_cluster)
     _pipeline_constants(bundle, pipeline)
-    rng = np.random.default_rng(cfg.seed)
-    block = _block_rows(16 * system.size)
-    lam0 = np.concatenate(
-        [frequency(z, system) for _, z in _state_blocks(rng, cfg.trials, system.size, block)]
-    )
-    t_mins = solve_observation_time(lam0, pipeline.spectral.epsilon)
-    # The same seed draws the same states again, so only one block is held at a time.
-    rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = math.inf
     all_applicable = True
-    for start, z in _state_blocks(rng, cfg.trials, system.size, block):
-        at = slice(start, start + len(z))
-        horizon = cfg.T if cfg.T is not None else 2.0 * t_mins[at]
-        rep = weak_observability_check(z, system, horizon, pipeline.spectral.psi, t_mins[at])
+    for start, z in _state_blocks(cfg, system.size):
+        t_min = solve_observation_time(frequency(z, system), pipeline.spectral.epsilon)
+        horizon = cfg.T if cfg.T is not None else 2.0 * t_min
+        rep = weak_observability_check(z, system, horizon, pipeline.spectral.psi, t_min)
         all_applicable = all_applicable and bool(rep.applicable.all())
         scaled = rep.margin[rep.applicable] / (1.0 + rep.integral[rep.applicable])
         worst = min([worst, *scaled.tolist()])
         columns = (rep.lambda_z0, rep.t_min, rep.T, rep.lhs, rep.integral, rep.margin, rep.applicable)
-        rows += map(list, zip(range(at.start, at.stop), *(col.tolist() for col in columns)))
+        rows += map(list, zip(range(start, start + len(z)), *(col.tolist() for col in columns)))
     bundle.tables.append(
         Table(
             name="observability",
@@ -414,9 +403,8 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
             f"kernel eigenvalues in [{psd_min!r}, {sharp!r}] at T = {horizon!r}",
         )
     )
-    rng = np.random.default_rng(cfg.seed)
     worst = math.inf
-    for _, z in _state_blocks(rng, cfg.trials, system.size, _block_rows(16 * system.size)):
+    for _, z in _state_blocks(cfg, system.size):
         margin = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
         _, amax, total, _ = _moments(z, system)  # ‖z‖² = amax²·Σw, as in frequency_report
         worst = min([worst, *(margin / (sharp * (amax * amax * total))).tolist()])

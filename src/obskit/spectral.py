@@ -29,6 +29,10 @@ ZERO_NORM_FLOOR = 1.0e-300
 # sends every row to math.fsum there.
 _LONG = np.finfo(np.longdouble)
 _LONG_UNIT_ROUNDOFF = float(_LONG.eps) / 2 if _LONG.nmant in (52, 63, 112) else 1.0
+# Bytes that one blocked pass may hold at once: a block of trial states, a
+# chunk of per-row phase kernels, a stack of cluster Gram blocks, or a chunk
+# of the admissibility trace pass.  ``_rows_within`` sizes each of them.
+BLOCK_BYTES = 1 << 18
 
 
 class SpectralSystem:
@@ -210,9 +214,9 @@ def coefficients_of(z, system: SpectralSystem) -> np.ndarray:
 
 def _horizons(T, system: SpectralSystem, rows: int | None = None) -> np.ndarray:
     """``T`` as a float array of horizons, each positive with a finite phase
-    ½·T·(λ_max − λ_min), formed as ``phase_kernel``'s ``0.5 * t * gaps`` so
-    that no gap's phase overflows; an infinite or nan T makes that phase inf
-    or nan.  Given ``rows``, T is one horizon for every row or one per row;
+    ½·T·(λ_max − λ_min), formed as ``evolution._gap_kernel`` forms
+    ``0.5 * t * gaps``, so that no gap's phase overflows; an infinite or nan
+    T makes that phase inf or nan.  Given ``rows``, T is one horizon for every row or one per row;
     any other shape raises ``ShapeError``.
     """
     t = np.asarray(T, dtype=float)
@@ -227,6 +231,11 @@ def _horizons(T, system: SpectralSystem, rows: int | None = None) -> np.ndarray:
             f"got {float(t[bad][0])!r}"
         )
     return t
+
+
+def _rows_within(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` each fit in ``BLOCK_BYTES``; at least one."""
+    return max(1, BLOCK_BYTES // row_bytes)
 
 
 def _per_row(values: np.ndarray, c: np.ndarray):

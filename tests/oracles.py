@@ -99,7 +99,8 @@ def observability_integral_by_quadrature(z0, system: SpectralSystem, T: float) -
 
 
 def phase_kernel_by_unique_inverse(eigenvalues, T) -> np.ndarray:
-    """``phase_kernel`` with each gap's index from ``np.unique(..., return_inverse=True)``."""
+    """The phase kernel K(T) of ``observability_kernel``, with each gap's index from
+    ``np.unique(..., return_inverse=True)``."""
     lam = np.asarray(eigenvalues, dtype=float)
     t = np.asarray(T, dtype=float)[..., None]
     gaps, where = np.unique(np.subtract.outer(lam, lam).ravel(), return_inverse=True)

@@ -9,9 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from obskit import evolution, scenarios
+from obskit import coercivity, evolution, scenarios
 from obskit.config import default_config
-from obskit.evolution import BLOCK_BYTES, observability_integral
+from obskit.evolution import observability_integral
+from obskit.spectral import BLOCK_BYTES, _rows_within
 from obskit.report import bundle_to_json_text
 from obskit.square import build_square_system, full_bottom
 
@@ -25,7 +26,7 @@ TRIALS = 23  # a multiple of none of the block sizes below
 @pytest.mark.parametrize("scenario", sorted(ROW_RUNNERS))
 def test_block_report_bytes_equal_the_row_at_a_time_oracle(monkeypatch, scenario, seed, rows):
     if rows is not None:
-        monkeypatch.setattr(scenarios, "_block_rows", lambda row_bytes: rows)
+        monkeypatch.setattr(scenarios, "_rows_within", lambda row_bytes: rows)
     cfg = dataclasses.replace(default_config(scenario), seed=seed, trials=TRIALS)
     blocks = bundle_to_json_text(scenarios.run_scenario(cfg))
     assert blocks == bundle_to_json_text(ROW_RUNNERS[scenario](cfg))
@@ -37,8 +38,8 @@ def test_block_report_bytes_equal_the_row_at_a_time_oracle(monkeypatch, scenario
 def test_weak_observability_bytes_equal_the_oracle_at_every_kernel_chunk(monkeypatch, seed, rows, chunk):
     # Blocks end mid-chunk (23 rows in chunks of 7), chunks hold one row, or one chunk the whole block.
     if rows is not None:
-        monkeypatch.setattr(scenarios, "_block_rows", lambda row_bytes: rows)
-    monkeypatch.setattr(evolution, "_kernel_rows", lambda size: chunk)
+        monkeypatch.setattr(scenarios, "_rows_within", lambda row_bytes: rows)
+    monkeypatch.setattr(evolution, "_rows_within", lambda row_bytes: chunk)
     cfg = dataclasses.replace(default_config("weak-observability"), seed=seed, trials=TRIALS)
     blocks = bundle_to_json_text(scenarios.run_scenario(cfg))
     assert blocks == bundle_to_json_text(ROW_RUNNERS["weak-observability"](cfg))
@@ -46,27 +47,29 @@ def test_weak_observability_bytes_equal_the_oracle_at_every_kernel_chunk(monkeyp
 
 @pytest.mark.parametrize("scenario", ("weak-observability", "admissibility"))
 def test_block_report_bytes_equal_the_oracle_at_a_given_horizon(monkeypatch, scenario):
-    monkeypatch.setattr(scenarios, "_block_rows", lambda row_bytes: 7)
+    monkeypatch.setattr(scenarios, "_rows_within", lambda row_bytes: 7)
     cfg = dataclasses.replace(default_config(scenario), trials=TRIALS, T=0.7)
     blocks = bundle_to_json_text(scenarios.run_scenario(cfg))
     assert blocks == bundle_to_json_text(ROW_RUNNERS[scenario](cfg))
 
 
 def test_default_blocks_hold_several_states_within_the_byte_budget():
-    assert scenarios.BLOCK_BYTES is BLOCK_BYTES  # one budget, set in evolution
+    # One budget, set in spectral, sizes every blocked pass.
+    assert all(module._rows_within is _rows_within for module in (scenarios, evolution, coercivity))
     coefficient_row = 16 * 33  # one complex state at the default 33 modes
-    assert scenarios._block_rows(coefficient_row) == 496
+    assert _rows_within(coefficient_row) == 496
     assert 496 * coefficient_row <= BLOCK_BYTES
-    assert scenarios._block_rows(10 * BLOCK_BYTES) == 1
+    assert _rows_within(10 * BLOCK_BYTES) == 1
     kernel = 16 * 33 * 33  # one complex (n, n) phase kernel at 33 modes
-    assert evolution._kernel_rows(33) == 15 and 15 * kernel <= BLOCK_BYTES < 16 * kernel
-    assert evolution._kernel_rows(183) == 1  # one 536 KB kernel, past the budget, is the floor
+    assert _rows_within(kernel) == 15 and 15 * kernel <= BLOCK_BYTES < 16 * kernel
+    assert _rows_within(16 * 183 * 183) == 1  # one 536 KB kernel, past the budget, is the floor
+    assert _rows_within(8 * 183) == 179  # trace-pass rows: the 149 sub-patch breakpoints in one chunk
 
 
 def test_per_row_horizons_hold_one_chunk_of_kernels_at_a_time():
     sys_ = build_square_system(250, full_bottom())
     n = sys_.size
-    assert n == 183 and evolution._kernel_rows(n) == 1  # one 536 KB kernel per chunk
+    assert n == 183 and _rows_within(16 * n * n) == 1  # one 536 KB kernel per chunk
     rng = np.random.default_rng(5)
     z = rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n))
     T = rng.uniform(0.5, 2.0, 400)

@@ -235,7 +235,7 @@ class TestScanAndEnvelope:
         # time; a 2 MiB budget holds two.
         sys_ = build_square_system(300, full_bottom())
         rank = sys_.factor.shape[1]
-        default = coercivity._STACK_BYTES
+        default = spectral.BLOCK_BYTES
         cases = [(1, 0.5), (2**14, 1.3), (default, 400.0), (2**21, 400.0)]
         expected = [coercivity_scan_by_cluster(sys_, width) for _, width in cases]
         stacks = []
@@ -247,7 +247,7 @@ class TestScanAndEnvelope:
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
         for (budget, width), oracle in zip(cases, expected):
-            monkeypatch.setattr(coercivity, "_STACK_BYTES", budget)
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", budget)
             stacks.clear()
             assert_same_scan(coercivity_scan(sys_, width), oracle)
             assert sum(k for k, _, _ in stacks) == len(oracle)
@@ -375,12 +375,12 @@ class TestAdmissibilityEstimate:
         with pytest.raises(DomainError, match="every mode"):
             estimate_admissibility(sys_, 2.0, [1.1])
 
-    @pytest.mark.parametrize("chunk_cells", [None, 2, 3])
-    def test_first_covering_point_in_grid_order_is_named(self, chunk_cells, monkeypatch):
-        # The covering points come second and third; small chunks put them
-        # on chunk seams.
-        if chunk_cells is not None:
-            monkeypatch.setattr(coercivity, "_CHUNK_CELLS", chunk_cells)
+    @pytest.mark.parametrize("block_bytes", [None, 16, 24])
+    def test_first_covering_point_in_grid_order_is_named(self, block_bytes, monkeypatch):
+        # The covering points come second and third; budgets of one 2-mode
+        # row (16 bytes) and of one and a half rows put them on chunk seams.
+        if block_bytes is not None:
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes)
         sys_ = SpectralSystem(eigenvalues=[1.0, 1.2], gram=np.eye(2))
         with pytest.raises(DomainError, match=r"^the cluster at λ = 1\.15 covers every mode"):
             estimate_admissibility(sys_, 2.0, [10.0, 1.15, 1.1, -5.0])

@@ -16,7 +16,6 @@ from obskit import (
     kernel_psd_margin,
     observability_integral,
     observability_kernel,
-    phase_kernel,
     scan_certificate,
     solve_observation_time,
     weak_observability_check,
@@ -30,6 +29,12 @@ def random_system(rng, n, spread=12.0):
     lam = np.sort(rng.uniform(1.0, 1.0 + spread, size=n))
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return SpectralSystem(eigenvalues=lam, gram=b.conj().T @ b / n)
+
+
+def phase_kernel(lam, T):
+    """K(T) alone: ``observability_kernel`` with G = 1 in every entry, so G∘K is K bit for bit."""
+    lam = np.asarray(lam, dtype=float)
+    return observability_kernel(SpectralSystem(eigenvalues=lam, factor=np.ones((lam.size, 1))), T)
 
 
 class TestEvolve:

@@ -20,7 +20,10 @@ stays in the admissible class for c in [1e-12, 1e3], p in {0, 1, 2},
 M in [1e-6, 1e6] and ε₀ in [1e-6, 10].  The batched observation-time
 solver equals the scalar bisection it replaced, bit for bit, on λ₀ arrays
 with zeros and repeats over 1e-6 … 1e6, for constant, power-law and
-composite widths and either θ₁, shared or per element.  Every per-state
+composite widths and either θ₁, shared or per element, and solving any
+split of a λ₀ array gives the whole array's times bit for bit, for
+constant and power-law (p ∈ {0, 1, 2}) widths and the composite width over
+each.  Every per-state
 function given a (k, n) block returns, row by row, exactly what it returns
 for that row alone, on rows at scales 2^−996 … 2^1023 (past 2^512 their
 degree-2 forms read ±inf), at one horizon or one per row; a zero row in the
@@ -82,7 +85,7 @@ from obskit import (
 from obskit import spectral
 from obskit.cli import main
 from obskit.decay import is_positive_nonincreasing
-from obskit.evolution import _observed_energy, phase_kernel
+from obskit.evolution import _observed_energy
 from obskit.spectral import _moments, _power_of_two_frame, _row_forms, _row_fsum, observed_energy_sq
 from obskit.window import THETA0, THETA1
 
@@ -380,13 +383,13 @@ def scalar_observation_time(lambda0, eps):
     return 0.5 * (lo + hi)
 
 
+LAMBDA0 = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-6.0, 6.0).map(lambda d: 10.0**d))
+
+
 @st.composite
 def observation_time_inputs(draw):
     """λ₀ values (0, repeats, 1e-6 … 1e6) and a width."""
-    value = st.one_of(
-        st.just(0.0), st.floats(1e-6, 1e6), st.floats(-6.0, 6.0).map(lambda d: 10.0**d)
-    )
-    lam = draw(st.lists(value, min_size=1, max_size=8))
+    lam = draw(st.lists(LAMBDA0, min_size=1, max_size=8))
     lam += draw(st.lists(st.sampled_from(lam), max_size=4))
     power = PowerLaw(
         draw(st.floats(1e-6, 1e3)),
@@ -412,6 +415,30 @@ def test_batched_observation_time_equals_scalar_bisection(inputs):
     single = solve_observation_time(float(lam[0]), eps)
     assert type(single) is float
     assert np.float64(single).view(np.uint64) == want[:1].view(np.uint64)[0]
+
+
+@st.composite
+def widths(draw):
+    """A Constant, a PowerLaw with p ∈ {0, 1, 2}, or a TransformedWidth over either."""
+    base = draw(st.one_of(
+        st.floats(1e-6, 1e6).map(Constant),
+        st.builds(PowerLaw, st.floats(1e-6, 1e3), st.sampled_from((0.0, 1.0, 2.0))),
+    ))
+    if not draw(st.booleans()):
+        return base
+    return TransformedWidth(psi=base, admissibility=draw(st.floats(1e-6, 1e6)),
+                            base_width=draw(st.floats(1e-6, 10.0)))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(LAMBDA0, min_size=1, max_size=40), widths(), st.data())
+def test_observation_times_of_any_split_equal_the_whole_array(lam, eps, data):
+    # weak-observability solves each block of states on its own.
+    lam = np.array(lam)
+    cuts = sorted(data.draw(st.lists(st.integers(0, lam.size), max_size=5)))
+    whole = solve_observation_time(lam, eps)
+    parts = np.concatenate([solve_observation_time(part, eps) for part in np.split(lam, cuts)])
+    assert np.array_equal(parts.view(np.uint64), whole.view(np.uint64))
 
 
 def _angle(value):
@@ -551,10 +578,10 @@ def test_block_rows_equal_single_row_calls(pair, data):
         for part, part_row in zip(_moments(rows, sys_), _moments(row, sys_)):
             assert np.array_equal(part[i], part_row[0])
 
-    stack = phase_kernel(sys_.eigenvalues, T)
+    stack = observability_kernel(sys_, T)
     assert stack.flags.c_contiguous and stack.shape == (k, sys_.size, sys_.size)
     for i in range(k):
-        assert np.array_equal(stack[i], phase_kernel(sys_.eigenvalues, float(T[i])))
+        assert np.array_equal(stack[i], observability_kernel(sys_, float(T[i])))
 
     wrong = np.full(data.draw(st.integers(1, 7).filter(lambda m: m != k)), float(T[0]))
     for call in (

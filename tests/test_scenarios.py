@@ -38,6 +38,7 @@ def test_weak_observability_builds_one_gap_table(monkeypatch, tmp_path, capsys):
 
 def test_weak_observability_checks_blocks_of_coefficient_rows(monkeypatch, tmp_path, capsys):
     # 496 states of 33 modes per block: 3 checks and 6 moment passes for 1000 trials, not 67 and 134.
+    # Each block's frequency pass is followed by its check's.
     moments = []
 
     def counted(original):
@@ -53,14 +54,28 @@ def test_weak_observability_checks_blocks_of_coefficient_rows(monkeypatch, tmp_p
         monkeypatch, tmp_path, capsys, "weak-observability", scenarios, "weak_observability_check", 1000
     )
     assert [len(rep.integral) for rep in reports] == [496, 496, 8]
-    assert moments == [496, 496, 8] * 2
+    assert moments == [496, 496, 496, 496, 8, 8]
 
 
-def test_weak_observability_solves_every_trial_at_once(monkeypatch, tmp_path, capsys):
+def test_weak_observability_solves_each_block_at_once(monkeypatch, tmp_path, capsys):
     calls = run_recording(
-        monkeypatch, tmp_path, capsys, "weak-observability", scenarios, "solve_observation_time"
+        monkeypatch, tmp_path, capsys, "weak-observability", scenarios, "solve_observation_time", 1000
     )
-    assert [np.shape(t_mins) for t_mins in calls] == [(50,)]
+    assert [np.shape(t_mins) for t_mins in calls] == [(496,), (496,), (8,)]
+
+
+def test_weak_observability_draws_each_state_once(monkeypatch):
+    generators = []
+    original = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        generators.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    cfg = dataclasses.replace(default_config("weak-observability"), trials=1000)
+    scenarios.run_scenario(cfg)
+    assert generators == [(cfg.seed,)]
 
 
 def test_assumption_i_scans_once_at_the_circle_width(monkeypatch):

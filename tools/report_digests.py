@@ -4,8 +4,10 @@
 
 For every seed it runs, in process, each scenario at its default config,
 the same again with ``--format csv`` (its digest covers the CSV files too),
-each scenario that reads a horizon again with ``--T 0.7``, four scenarios
-with ``--trials 20`` on a 4-mode custom system with a dense complex Gram,
+each scenario that reads a horizon again with ``--T 0.7``, and again with
+``--T 0.7 --trials 1000`` (three blocks of states at the default 33
+modes), four scenarios with ``--trials 20`` on a 4-mode custom system with
+a dense complex Gram,
 ``assumption-ii-iii``, ``coercivity-scan``, and ``admissibility``,
 ``resolvent-scan`` and ``weak-observability`` (each ``--trials 20``) on
 the π/4–π/2 sub-patch at n_max 2000, ``weak-observability`` and
@@ -110,7 +112,7 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
 
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
-    ``custom/SCENARIO``, ``scale/SCENARIO``, ``mid/SCENARIO``,
+    ``blocks/SCENARIO``, ``custom/SCENARIO``, ``scale/SCENARIO``, ``mid/SCENARIO``,
     ``wide/coercivity-scan`` and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
@@ -120,6 +122,10 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     ]
     lines += [
         _cli_line([scenario, "--T", GIVEN_T], seed, outdir, f"given-T/{scenario}")
+        for scenario in HORIZON_SCENARIOS
+    ]
+    lines += [
+        _cli_line([scenario, "--T", GIVEN_T, "--trials", "1000"], seed, outdir, f"blocks/{scenario}")
         for scenario in HORIZON_SCENARIOS
     ]
     lines += [
