@@ -9,8 +9,8 @@ constants, next to it) and prints a short human summary.  Exit codes:
 * 3 — input error (config parse/schema/invariant, bad domain or shape,
   a horizon T whose phase ½·T·(λ_max − λ_min) overflows, a report path
   that cannot be written)
-* 4 — numeric failure (eigensolver, envelope dominance, bracket expansion,
-  a NaN or infinity in the report; no report file is written then)
+* 4 — numeric failure (eigensolver, envelope dominance, a non-finite
+  observation time or report value; no report file is written then)
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import DecayFunction
+from .decay import Constant, DecayFunction, PowerLaw, TransformedWidth
 from .errors import DomainError, NumericError, ShapeError
 from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, coefficients_of
 
@@ -109,62 +109,53 @@ def windowed_frequency(z0, system: SpectralSystem, T: float, tau: float) -> floa
     return _per_row(_moments(c, system, window)[3], c)
 
 
+def _power_form(eps: DecayFunction) -> tuple[float, float, float]:
+    """(A, B, p) with T·ε(θ₀(1/T + λ₀)) = θ₁ ⟺ T = A(1 + θ₀λ₀ + θ₀/T)^p + B."""
+    match eps:
+        case Constant(c=c):
+            return THETA1 / c, 0.0, 0.0
+        case PowerLaw(c=c, p=p):
+            return THETA1 / c, 0.0, p
+        case TransformedWidth(psi=Constant() | PowerLaw() as psi, admissibility=M, base_width=eps0):
+            A, _, p = _power_form(psi)
+            return 4.0 * M * A, 2.0 * THETA1 / eps0, p
+    raise TypeError(f"no observation-time solve for the width {eps!r}")
+
+
 def solve_observation_time(lambda0, eps: DecayFunction):
-    """The unique T > 0 with T·ε(θ₀(1/T + λ₀)) = θ₁, by guarded bisection.
+    """The unique T > 0 with T·ε(θ₀(1/T + λ₀)) = θ₁, by Newton's method.
 
     ``lambda0`` is a scalar or an array, and every element is solved at
     once.  θ₀ is ``THETA0`` and θ₁ is ``THETA1``.  A scalar returns a
     float, an array an array of its shape.
 
-    Per element: the bracket grows from T = 1 by doubling or halving (at
-    most 200 times), the map T ↦ T·ε(θ₀(1/T+λ₀)) is verified increasing on
-    17 points of it, and bisection runs until hi − lo ≤ 1e−12·hi, after
-    which the element is frozen; the result is the bracket midpoint.
+    h(T) = T − A(a + θ₀/T)^p − B, a = 1 + θ₀λ₀, is increasing and concave
+    for p ≥ 0, so Newton started below its root, at A·aᵖ + B or
+    (A·θ₀ᵖ)^{1/(p+1)}, rises monotonically to it.  An element stops once a
+    step no longer raises it, whatever the rest of the array does.  A root
+    still rising after 64 steps or not finite is a ``NumericError``.
     """
     shape = np.shape(lambda0)
     lam = np.asarray(lambda0, dtype=float).ravel()
     bad = ~((lam >= 0) & np.isfinite(lam))
     if bad.any():
         raise DomainError(f"lambda0 must be non-negative and finite, got {float(lam[bad][0])!r}")
-
-    def g(T, at):
-        return T * eps(THETA0 * (1.0 / T + lam[at])) - THETA1
-
-    lo = np.ones_like(lam)
-    hi = np.ones_like(lam)
-    up = g(lo, ...) < 0.0
-    pending = np.arange(lam.size)
-    for _ in range(200):
-        if pending.size == 0:
-            break
-        u = up[pending]
-        trial = np.where(u, 2.0 * hi[pending], 0.5 * lo[pending])
-        value = g(trial, pending)
-        hi[pending[u]] = trial[u]
-        lo[pending[~u]] = trial[~u]
-        done = np.where(u, value >= 0.0, value < 0.0)
-        pending, u = pending[~done], u[~done]
-        lo[pending[u]] = hi[pending[u]]
-        hi[pending[~u]] = lo[pending[~u]]
-    if pending.size:
-        if up[pending[0]]:
-            raise NumericError("bracket expansion failed after 200 doublings (upward)")
-        raise NumericError("bracket expansion failed after 200 halvings (downward)")
-
-    samples = g(np.linspace(lo, hi, 17), ...) + THETA1
-    scale = np.abs(samples).max(axis=0)
-    if np.any(samples[1:] < samples[:-1] - 1e-9 * scale):
-        raise NumericError("T·ε(θ₀(1/T+λ)) is not increasing on the bracket")
-
-    for _ in range(200):
-        active = np.flatnonzero(hi - lo > 1e-12 * hi)
-        if active.size == 0:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        below = g(mid, active) < 0.0
-        lo[active[below]] = mid[below]
-        hi[active[~below]] = mid[~below]
-    t = 0.5 * (lo + hi)
+    A, B, p = _power_form(eps)
+    a = 1.0 + THETA0 * lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.maximum(A * a**p + B, (A * THETA0**p) ** (1.0 / (p + 1.0)))
+        for _ in range(64):
+            x = a + THETA0 / t
+            phi = A * x**p
+            # h′ = 1 + pθ₀φ/(xT²); fmax drops a step down or a NaN step.
+            raised = np.fmax(t, t - (t - phi - B) / (1.0 + p * THETA0 * phi / (x * t * t)))
+            if np.array_equal(raised, t):
+                break
+            t = raised
+        else:
+            raise NumericError("observation time still rising after 64 Newton steps")
+    if not np.isfinite(t).all():
+        raise NumericError("observation time is not finite")
     return float(t[0]) if shape == () else t.reshape(shape)
 
 

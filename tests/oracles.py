@@ -3,7 +3,7 @@ energy by quadrature, the trajectory point, the phase kernel with its gap index 
 the quadratic forms and squared norms of a block's rows one ``vdot`` at a time,
 the closed-form cluster minima of the full bottom side,
 the cluster scan and the weighted circle minima solved one cluster at a time (with an exact
-comparison of two scans), the admissibility sup solved at every grid point, the three per-trial scenarios run one state
+comparison of two scans), the admissibility sup solved at every grid point, the observation time by bisection, the three per-trial scenarios run one state
 at a time, and the report JSON from the pure-Python encoder."""
 
 import itertools
@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from obskit import DomainError, SpectralSystem, StateVector
+from obskit import DomainError, NumericError, SpectralSystem, StateVector
 from obskit.coercivity import (
     ClusterReport,
     admissibility_breakpoints,
@@ -33,7 +33,7 @@ from obskit.report import ReportBundle, Table, Verdict, _json_default
 from obskit.scenarios import _new_bundle, _pipeline_constants
 from obskit.spectral import coefficients_of, frequency, frequency_report
 from obskit.square import lattice_circle
-from obskit.window import CHI_L2_NORM_SQ, chi_hat, solve_observation_time
+from obskit.window import CHI_L2_NORM_SQ, THETA0, THETA1, chi_hat, solve_observation_time
 
 
 def chi_hat_by_quadrature(tau: float) -> float:
@@ -189,6 +189,51 @@ def admissibility_by_every_point(system: SpectralSystem, epsilon: float, lambda_
         if scaled.shape[1]:
             best = max(best, float(np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]))
     return best + system.factor_error / epsilon**2
+
+
+def scalar_observation_time(lambda0, eps):
+    """The bracket-and-bisect search ``solve_observation_time`` replaced, one λ₀ at a time:
+    the bracket grows from T = 1 by doubling or halving, the map is checked increasing
+    on 17 points of it, and bisection stops at hi − lo ≤ 1e-12·hi."""
+    if not (lambda0 >= 0 and math.isfinite(lambda0)):
+        raise DomainError(f"lambda0 must be non-negative and finite, got {lambda0!r}")
+
+    def g(T):
+        return T * float(eps(THETA0 * (1.0 / T + lambda0))) - THETA1
+
+    lo = hi = 1.0
+    if g(1.0) < 0.0:
+        for _ in range(200):
+            hi *= 2.0
+            if g(hi) >= 0.0:
+                break
+            lo = hi
+        else:
+            raise NumericError("bracket expansion failed after 200 doublings (upward)")
+    else:
+        for _ in range(200):
+            lo *= 0.5
+            if g(lo) < 0.0:
+                break
+            hi = lo
+        else:
+            raise NumericError("bracket expansion failed after 200 halvings (downward)")
+
+    samples = [g(t) + THETA1 for t in np.linspace(lo, hi, 17)]
+    scale = max(abs(v) for v in samples)
+    for a, b in zip(samples, samples[1:]):
+        if b < a - 1e-9 * scale:
+            raise NumericError("T·ε(θ₀(1/T+λ)) is not increasing on the bracket")
+
+    for _ in range(200):
+        if hi - lo <= 1e-12 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def random_state(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -18,9 +18,11 @@ named alike.  The composite width
 TransformedWidth(PowerLaw(c, p), M, ε₀) of the weak-to-spectral transform
 stays in the admissible class for c in [1e-12, 1e3], p in {0, 1, 2},
 M in [1e-6, 1e6] and ε₀ in [1e-6, 10].  The batched observation-time
-solver equals the scalar bisection it replaced, bit for bit, on λ₀ arrays
-with zeros and repeats over 1e-6 … 1e6, for constant, power-law and
-composite widths and either θ₁, shared or per element, and solving any
+solver returns, on λ₀ arrays with zeros and repeats over 1e-6 … 1e6, for
+constant, power-law (any p in [0, 4]) and composite widths, each element's
+own solve bit for bit, a root within 1e-12 of the scalar bisection it
+replaced and one at which T·ε(θ₀(1/T+λ₀)) − θ₁ changes sign within 16 ulps,
+and solving any
 split of a λ₀ array gives the whole array's times bit for bit, for
 constant and power-law (p ∈ {0, 1, 2}) widths and the composite width over
 each.  Every per-state
@@ -59,7 +61,6 @@ from obskit import (
     CoercivityCertificate,
     Constant,
     DomainError,
-    NumericError,
     PowerLaw,
     ShapeError,
     SpectralSystem,
@@ -96,6 +97,7 @@ from oracles import (
     observability_integral_by_quadrature,
     row_forms_by_row,
     row_norms_sq_by_row,
+    scalar_observation_time,
 )
 
 U = np.finfo(float).eps
@@ -340,49 +342,6 @@ def test_transformed_width_in_admissible_class(c, p, M, eps0):
     assert is_positive_nonincreasing(width)
 
 
-def scalar_observation_time(lambda0, eps):
-    """The scalar bisection the batched solver replaced, kept as its oracle."""
-    if not (lambda0 >= 0 and math.isfinite(lambda0)):
-        raise DomainError(f"lambda0 must be non-negative and finite, got {lambda0!r}")
-
-    def g(T):
-        return T * float(eps(THETA0 * (1.0 / T + lambda0))) - THETA1
-
-    lo = hi = 1.0
-    if g(1.0) < 0.0:
-        for _ in range(200):
-            hi *= 2.0
-            if g(hi) >= 0.0:
-                break
-            lo = hi
-        else:
-            raise NumericError("bracket expansion failed after 200 doublings (upward)")
-    else:
-        for _ in range(200):
-            lo *= 0.5
-            if g(lo) < 0.0:
-                break
-            hi = lo
-        else:
-            raise NumericError("bracket expansion failed after 200 halvings (downward)")
-
-    samples = [g(t) + THETA1 for t in np.linspace(lo, hi, 17)]
-    scale = max(abs(v) for v in samples)
-    for a, b in zip(samples, samples[1:]):
-        if b < a - 1e-9 * scale:
-            raise NumericError("T·ε(θ₀(1/T+λ)) is not increasing on the bracket")
-
-    for _ in range(200):
-        if hi - lo <= 1e-12 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 LAMBDA0 = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-6.0, 6.0).map(lambda d: 10.0**d))
 
 
@@ -406,15 +365,24 @@ def observation_time_inputs(draw):
 
 @settings(max_examples=200, derandomize=True)
 @given(observation_time_inputs())
-def test_batched_observation_time_equals_scalar_bisection(inputs):
+def test_batched_observation_time_is_the_newton_root(inputs):
     lam, eps = inputs
     got = solve_observation_time(lam, eps)
-    want = np.array([scalar_observation_time(float(l), eps) for l in lam])
+    each = np.array([solve_observation_time(np.array([l]), eps)[0] for l in lam])
     assert got.shape == lam.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), each.view(np.uint64))
     single = solve_observation_time(float(lam[0]), eps)
     assert type(single) is float
-    assert np.float64(single).view(np.uint64) == want[:1].view(np.uint64)[0]
+    assert np.float64(single).view(np.uint64) == got[:1].view(np.uint64)[0]
+    want = np.array([scalar_observation_time(float(l), eps) for l in lam])
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def g(T):
+        return T * eps(THETA0 * (1.0 / T + lam)) - THETA1
+
+    # g changes sign within 16 ulps of T.
+    assert np.all(g(got * (1.0 - 16.0 * U)) <= 0.0)
+    assert np.all(g(got * (1.0 + 16.0 * U)) >= 0.0)
 
 
 @st.composite

@@ -235,7 +235,17 @@ class TestObservationTimeSolver:
             disc = THETA1 * (1.0 + THETA0 * lam0)
             root = (disc + math.sqrt(disc * disc + 4.0 * c * THETA1 * THETA0)) / (2.0 * c)
             got = solve_observation_time(lam0, PowerLaw(c, 1.0))
-            assert got == pytest.approx(root, rel=1e-10)
+            assert got == pytest.approx(root, rel=1e-14)
+        # TransformedWidth: T = A(a + θ₀/T)^p + B with A = 4θ₁M/c, B = 2θ₁/ε₀, a = 1 + θ₀λ₀.
+        for c, M, eps0, lam0 in [(0.519, 3.16, 0.25, 25.0), (2.0, 1e-3, 4.0, 0.0), (1e-4, 50.0, 1e-3, 1e3)]:
+            A, B, a = 4.0 * THETA1 * M / c, 2.0 * THETA1 / eps0, 1.0 + THETA0 * lam0
+            for psi in (Constant(c), PowerLaw(c, 0.0)):
+                got = solve_observation_time(lam0, TransformedWidth(psi=psi, admissibility=M, base_width=eps0))
+                assert got == pytest.approx(A + B, rel=1e-14)
+            b = A * a + B
+            root = 0.5 * b + math.sqrt(0.25 * b * b + A * THETA0)
+            got = solve_observation_time(lam0, TransformedWidth(psi=PowerLaw(c, 1.0), admissibility=M, base_width=eps0))
+            assert got == pytest.approx(root, rel=1e-14)
 
     def test_equation_residual_small(self):
         width = TransformedWidth(psi=PowerLaw(0.3, 1.0), admissibility=2.0, base_width=0.5)
@@ -261,17 +271,18 @@ class TestObservationTimeSolver:
         with pytest.raises(DomainError):
             solve_observation_time(np.array([0.0, 1.0, bad, 3.0]), Constant(1.0))
 
-    def test_width_not_increasing_on_the_bracket_in_array_form(self):
+    def test_width_outside_the_three_families_is_a_type_error(self):
         class Bump(DecayFunction):
-            """0.6·θ₁ plus a narrow bump at θ₀/1.5: for λ₀ = 0 the bracket is
-            [1, 2] and T·ε(θ₀/T) peaks at T = 1.5 inside it."""
-
             def __call__(self, lam):
-                lam = np.asarray(lam, dtype=float)
-                return THETA1 * (0.6 + 10.0 * np.exp(-((lam - THETA0 / 1.5) ** 2)))
+                return np.exp(-np.asarray(lam, dtype=float))
 
-        with pytest.raises(NumericError, match="not increasing"):
-            solve_observation_time(np.array([5.0, 0.0, 5.0]), Bump())
+        for eps in (Bump(), TransformedWidth(psi=Bump(), admissibility=1.0, base_width=0.5)):
+            with pytest.raises(TypeError):
+                solve_observation_time(np.array([5.0, 0.0, 5.0]), eps)
+
+    def test_root_past_the_float_range_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="not finite"):
+            solve_observation_time(1e300, PowerLaw(1.0, 2.0))
 
     def test_array_shape(self):
         lam = np.array([[0.0, 1.0, 25.0], [3.0, 0.5, 1e4]])
