@@ -161,7 +161,7 @@ def run_verify_cutoff(cfg: RunConfig) -> ReportBundle:
         Table(
             name="cutoff_transform",
             columns=["tau", "chi_hat", "sandwich"],
-            rows=[[float(t), float(v), float(s)] for t, v, s in zip(grid, closed, sandwich)],
+            rows=np.stack([grid, closed, sandwich], axis=1).tolist(),
         )
     )
     return bundle

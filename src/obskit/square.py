@@ -48,24 +48,6 @@ class Side(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SquareMode:
-    """One eigenmode (p, q), eigenvalue p² + q²."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
-            raise DomainError("mode indices must be integers")
-        if self.p < 1 or self.q < 1:
-            raise DomainError(f"mode indices must be positive, got ({self.p}, {self.q})")
-
-    @property
-    def eigenvalue(self) -> int:
-        return self.p * self.p + self.q * self.q
-
-
-@dataclass(frozen=True)
 class BoundaryPatch:
     """An arc-length interval (alpha, beta) ⊆ [0, π] on one side."""
 
@@ -121,30 +103,16 @@ def bottom_and_left() -> GammaSpec:
     return GammaSpec.full_sides(Side.BOTTOM, Side.LEFT)
 
 
-def lattice_circle(N: int) -> list[SquareMode]:
-    """All (p, q) with p, q ≥ 1 and p² + q² = N, sorted by p."""
-    if N < 2:
-        raise DomainError(f"lattice circles need N ≥ 2, got {N}")
-    modes = []
-    for p in range(1, math.isqrt(N) + 1):
-        rest = N - p * p
-        if rest < 1:
-            break
-        q = math.isqrt(rest)
-        if q >= 1 and q * q == rest:
-            modes.append(SquareMode(p, q))
-    return modes
-
-
-def square_modes(n_max_eigenvalue: int) -> list[SquareMode]:
-    """All modes with eigenvalue ≤ n_max, sorted by (eigenvalue, p, q)."""
+def square_modes(n_max_eigenvalue: int) -> np.ndarray:
+    """All modes with eigenvalue ≤ n_max as an (n, 2) integer array of (p, q)
+    rows, sorted by (eigenvalue, p, q)."""
     if n_max_eigenvalue < 2:
         raise DomainError(f"n_max_eigenvalue must be at least 2, got {n_max_eigenvalue}")
     p, q = np.indices((math.isqrt(n_max_eigenvalue - 1),) * 2).reshape(2, -1) + 1
     keep = p * p + q * q <= n_max_eigenvalue
     p, q = p[keep], q[keep]
     order = np.lexsort((q, p, p * p + q * q))
-    return [SquareMode(int(a), int(b)) for a, b in zip(p[order], q[order])]
+    return np.stack([p[order], q[order]], axis=1)
 
 
 def mode_count(n_max_eigenvalue: int) -> int:
@@ -189,23 +157,24 @@ def _sine_product_matrix(freq: np.ndarray, alpha: float, beta: float) -> np.ndar
     return np.where(s * h <= 0.5, h * series * (-1.0) ** (s * mirror), gram)
 
 
-def _trace_indices(modes: list[SquareMode], side: Side) -> tuple[np.ndarray, np.ndarray]:
+def _trace_indices(modes: np.ndarray, side: Side) -> tuple[np.ndarray, np.ndarray]:
     """(frequency index, amplitude index) of each trace on a side: (p, q) on
     the bottom and top, (q, p) on the left and right."""
-    p, q = np.array([(m.p, m.q) for m in modes], dtype=int).reshape(-1, 2).T
+    p, q = modes.T
     return (p, q) if side in (Side.BOTTOM, Side.TOP) else (q, p)
 
 
-def _trace_data(modes: list[SquareMode], side: Side) -> tuple[np.ndarray, np.ndarray]:
+def _trace_data(modes: np.ndarray, side: Side) -> tuple[np.ndarray, np.ndarray]:
     """(oscillation frequency, amplitude times parity sign) of each trace on a side."""
     freq, other = _trace_indices(modes, side)
     amp = (2.0 / math.pi) * other / np.sqrt((freq * freq + other * other).astype(float))
     return freq, (amp * (-1.0) ** other if side in (Side.TOP, Side.RIGHT) else amp)
 
 
-def gram_factor(modes: list[SquareMode], gamma: GammaSpec) -> tuple[np.ndarray, float]:
+def gram_factor(modes: np.ndarray, gamma: GammaSpec) -> tuple[np.ndarray, float]:
     """The real factor F (n × Σm) of the boundary Gram over Γ and a bound on ‖G − FFᵀ‖.
 
+    ``modes`` is an (n, 2) integer array of (p, q) rows, each index ≥ 1.
     On one patch G is D·P·S·Pᵀ·D: S is the m×m sine-product matrix over the
     m distinct trace frequencies, P gathers each mode's frequency and D is
     the signed amplitude.  With S = V·diag(w)·Vᵀ from one ``eigh`` (positive
@@ -213,6 +182,11 @@ def gram_factor(modes: list[SquareMode], gamma: GammaSpec) -> tuple[np.ndarray, 
     D·P·V·√max(w, 0).  The bound sums, over patches, ‖DP‖² times the clipped
     part max(0, −w_min) plus the eigensolver's backward error m·u·‖S‖.
     """
+    if not (
+        isinstance(modes, np.ndarray) and modes.ndim == 2 and modes.shape[1] == 2
+        and modes.dtype.kind in "iu" and (modes >= 1).all()
+    ):
+        raise DomainError("modes must be an (n, 2) integer array of (p, q) rows, each index ≥ 1")
     columns, error = [], 0.0
     for patch in gamma.patches:
         freq, amp = _trace_data(modes, patch.side)
@@ -232,21 +206,17 @@ def gram_factor(modes: list[SquareMode], gamma: GammaSpec) -> tuple[np.ndarray, 
     return np.hstack(columns), error
 
 
-def boundary_gram(modes: list[SquareMode], gamma: GammaSpec) -> np.ndarray:
-    """Gram matrix of normal-derivative traces over the patch union, FFᵀ."""
-    factor = gram_factor(modes, gamma)[0]
-    return factor @ factor.T
-
-
 def build_square_system(n_max_eigenvalue: int, gamma: GammaSpec) -> SpectralSystem:
     """Spectral system for the square with normal-derivative observation on Γ."""
     if not isinstance(gamma, GammaSpec):
         raise DomainError("gamma must be a GammaSpec")
     modes = square_modes(n_max_eigenvalue)
     factor, error = gram_factor(modes, gamma)
+    p, q = modes.T
     sides = ",".join(sorted(s.value for s in gamma.sides()))
     return SpectralSystem(
-        eigenvalues=np.array([m.eigenvalue for m in modes], dtype=float),
+        # Integers below 2⁵³, so exact as floats.
+        eigenvalues=(p * p + q * q).astype(float),
         factor=factor,
         factor_error=error,
         label=f"square n_max={n_max_eigenvalue} gamma[{sides}]",

@@ -1,6 +1,7 @@
 """Test oracles: the window transform, its energy on an interval and the observed
 energy by quadrature, the trajectory point, the phase kernel with its gap index from ``np.unique``,
 the quadratic forms and squared norms of a block's rows one ``vdot`` at a time,
+the lattice circles one integer square root at a time, the boundary Gram as FFᵀ,
 the closed-form cluster minima of the full bottom side,
 the cluster scan and the weighted circle minima solved one cluster at a time (with an exact
 comparison of two scans), the admissibility sup solved at every grid point, the observation time by bisection, the three per-trial scenarios run one state
@@ -32,7 +33,7 @@ from obskit.evolution import (
 from obskit.report import ReportBundle, Table, Verdict, _json_default
 from obskit.scenarios import _new_bundle, _pipeline_constants
 from obskit.spectral import coefficients_of, frequency, frequency_report
-from obskit.square import lattice_circle
+from obskit.square import GammaSpec, gram_factor
 from obskit.window import CHI_L2_NORM_SQ, THETA0, THETA1, chi_hat, solve_observation_time
 
 
@@ -125,12 +126,31 @@ def row_norms_sq_by_row(c: np.ndarray) -> np.ndarray:
     return np.array([np.vdot(row, row).real for row in c], dtype=float)
 
 
+def lattice_circle(N: int) -> np.ndarray:
+    """All (p, q) with p, q ≥ 1 and p² + q² = N as (p, q) rows, sorted by p: the
+    oracle for one circle of ``square_modes``, one integer square root per p."""
+    if N < 2:
+        raise DomainError(f"lattice circles need N ≥ 2, got {N}")
+    modes = []
+    for p in range(1, math.isqrt(N - 1) + 1):
+        q = math.isqrt(N - p * p)
+        if q * q == N - p * p:
+            modes.append((p, q))
+    return np.array(modes, dtype=int).reshape(-1, 2)
+
+
+def boundary_gram(modes: np.ndarray, gamma: GammaSpec) -> np.ndarray:
+    """Gram matrix of normal-derivative traces over the patch union, FFᵀ."""
+    factor = gram_factor(modes, gamma)[0]
+    return factor @ factor.T
+
+
 def bottom_side_closed_form_n_mu(N: int) -> float:
     """Closed form for N·μ_N on the full bottom side: 2·q_min(N)²/π."""
     modes = lattice_circle(N)
-    if not modes:
+    if not modes.size:
         raise DomainError(f"no lattice point on the circle N = {N}")
-    q_min = min(m.q for m in modes)
+    q_min = int(modes[:, 1].min())
     return 2.0 * q_min * q_min / math.pi
 
 

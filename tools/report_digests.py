@@ -13,7 +13,10 @@ a dense complex Gram,
 the π/4–π/2 sub-patch at n_max 2000, ``weak-observability`` and
 ``admissibility`` (each ``--trials 200``) on the full bottom side at
 n_max 250, ``coercivity-scan`` on the full bottom side at n_max 1000 with
-the wide cluster width 1.3 (clusters of 1 to 8 modes), and each job of
+the wide cluster width 1.3 (clusters of 1 to 8 modes), ``coercivity-scan``
+and ``weak-observability`` (``--trials 20``) on two top patches and one
+right patch at n_max 500, ``assumption-ii-iii`` on the right half of the
+right side at n_max 500, and each job of
 ``perfbench/jobs.py`` at full size, and prints one line per report: the
 digest (``-`` when no report was written), the exit code, the seed and a
 label.  Run it in two checkouts and ``diff`` the outputs to see
@@ -81,6 +84,27 @@ WIDE_CONFIG = {
     "system": {"type": "square", "n_max_eigenvalue": 1000, "gamma": [{"side": "bottom"}]},
     "epsilon_cluster": 1.3,
 }
+# The top and right sides at n_max 500: their parity signs, the sine series
+# taken about π − c (α + β > π) and two patches on one side.
+SIDES_CONFIG = {
+    "system": {
+        "type": "square",
+        "n_max_eigenvalue": 500,
+        "gamma": [
+            {"side": "top", "alpha": 0.0, "beta": "pi/3"},
+            {"side": "top", "alpha": "pi/2", "beta": "pi"},
+            {"side": "right", "alpha": "pi/4", "beta": "3pi/4"},
+        ],
+    }
+}
+RIGHT_HALF_CONFIG = {
+    "system": {"type": "square", "n_max_eigenvalue": 500, "gamma": [{"side": "right", "alpha": "pi/2", "beta": "pi"}]}
+}
+SIDES_RUNS = (
+    ("coercivity-scan", SIDES_CONFIG, []),
+    ("weak-observability", SIDES_CONFIG, ["--trials", "20"]),
+    ("assumption-ii-iii", RIGHT_HALF_CONFIG, []),
+)
 
 
 def _digest(report: bytes | None) -> str:
@@ -113,7 +137,7 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
     ``blocks/SCENARIO``, ``custom/SCENARIO``, ``scale/SCENARIO``, ``mid/SCENARIO``,
-    ``wide/coercivity-scan`` and ``WORKLOAD/I-SCENARIO``.
+    ``wide/coercivity-scan``, ``sides/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
     lines += [
@@ -150,6 +174,10 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     lines.append(
         _cli_line(["coercivity-scan", "--config", json.dumps(WIDE_CONFIG)], seed, outdir, "wide/coercivity-scan")
     )
+    lines += [
+        _cli_line([scenario, "--config", json.dumps(config), *rest], seed, outdir, f"sides/{scenario}")
+        for scenario, config, rest in SIDES_RUNS
+    ]
     for workload in WORKLOADS:
         (outdir / workload).mkdir(exist_ok=True)
         _, results = run_pass(cli, workload_jobs(workload, "full"), outdir / workload, seed)
