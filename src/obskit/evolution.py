@@ -9,6 +9,13 @@ with the phase kernel K_{jk}(T) = ∫₀ᵀ e^{i(λ_j−λ_k)t} dt = T·e^{ih}·
 h = (λ_j−λ_k)T/2 (K = T where h = 0).  The kernel matrix G∘K is the Gram of
 the evolved traces, hence positive semidefinite; its largest eigenvalue is
 the sharp truncated admissibility constant (truncation-dependent).
+
+Since e^{ih} = e^{iλ_jT/2}·e^{−iλ_kT/2}, G∘K(T) = D(G∘S_T)D* with the real
+symmetric S_T = T·sin(h)/h and the diagonal unitary D = diag(e^{i(λ_k−λ_1)T/2})
+(the common phase e^{iλ_1T/2} cancels).  So the code builds G∘S_T, which is
+real whenever G is, and puts D on the states: the energy is the form of G∘S_T
+at the phased coefficients z_k·e^{i(λ_k−λ_1)T/2}, and G∘S_T has the
+eigenvalues of G∘K(T).
 """
 
 from __future__ import annotations
@@ -33,54 +40,78 @@ def _gap_index(lam: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 
 
 def _gap_kernel(gaps: np.ndarray, where: np.ndarray, T) -> np.ndarray:
-    """The phase kernel K_{jk}(T) = ∫₀ᵀ e^{i(λ_j−λ_k)t} dt from the distinct ``gaps`` and their ``_gap_index``.
+    """The real symmetric kernel S_{jk}(T) = T·sin(h)/h, h = (λ_j−λ_k)T/2 (S = T
+    where h = 0), from the distinct ``gaps`` and their ``_gap_index``.
 
-    K = r·e^{ih} with h = (λ_j−λ_k)T/2 and r = T·sin(h)/h (r = T where
-    h = 0).  This one form holds for every gap and nothing in it cancels, so
-    it keeps full relative accuracy.  A scalar ``T`` gives one (n, n)
-    matrix; a 1-D array of k horizons gives a (k, n, n) stack.  sin and cos run once per distinct gap and horizon
-    (lattice spectra repeat their gaps), and ``np.take`` gathers the values
-    into a new C-contiguous array.
+    The phase kernel is K = D·S·D* (module docstring).  A scalar ``T`` gives
+    one (n, n) matrix; a 1-D array of k horizons gives a (k, n, n) stack.
+    One sin runs per distinct gap and horizon (lattice spectra repeat their
+    gaps), and ``np.take`` gathers the values into a new C-contiguous array.
     """
     t = np.asarray(T, dtype=float)[..., None]
     h = 0.5 * t * gaps
-    s = np.sin(h)
     r = np.broadcast_to(t, h.shape).copy()
-    np.divide(t * s, h, out=r, where=h != 0.0)
-    return np.take(r * np.cos(h) + 1j * (r * s), where, axis=-1)
+    np.divide(t * np.sin(h), h, out=r, where=h != 0.0)
+    return np.take(r, where, axis=-1)
 
 
 def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
-    """The Hermitian form G∘K(T) whose quadratic form is the observed energy.
+    """G∘S_T, unitarily similar to G∘K(T): its form at the phased state is the observed energy.
 
-    One (n, n) matrix for a scalar ``T``, a (k, n, n) stack for k horizons.
-    The distinct gaps are the system's cached ``phase_gaps``, found once per
-    system.
+    Real symmetric when the Gram is real (every square system), complex
+    Hermitian only for a complex Gram.  One (n, n) matrix for a scalar
+    ``T``, a (k, n, n) stack for k horizons.  The distinct gaps are the
+    system's cached ``phase_gaps``, found once per system.
     """
     gaps = system.phase_gaps
     return system.gram * _gap_kernel(gaps, _gap_index(system.eigenvalues, gaps), _horizons(T, system))
 
 
-def _observed_energy(c: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the (k, n) block c: the form u*(G∘K(t))u, u = conj(c), checked real, and ‖c‖².
+def _phased(c: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The (k, n) rows of c times D_t = diag(e^{i(λ_k−λ_1)t/2}), ``t`` one horizon or one per row.
 
-    ``t`` comes from ``_horizons`` for the rows of c, and ``kernel`` is
-    ``observability_kernel`` at ``t``; a kernel of another shape raises
-    ``ShapeError``.  The forms are ``_row_forms``; the ‖c‖² are one stacked
-    row·column product, one ``zdotu(conj(c), c)`` per row, which is bit for
-    bit the per-row ``vdot(c, c)`` (``tests/oracles.py::row_norms_sq_by_row``).
+    Each angle is at most ½·t·(λ_max − λ_min), which ``_horizons`` keeps
+    finite.  The parts are formed with real ufuncs, re = cr·cos − ci·sin and
+    im = cr·sin + ci·cos, one rounding per operation and element, so a
+    block's rows are bit for bit each row's own phasing.  A complex multiply
+    promises no such thing: numpy may run it through other loops for a
+    broadcast (k, n)·(n,) operand than for one row.
+    """
+    angle = 0.5 * t[..., None] * (lam - lam[0])
+    cos, sin = np.cos(angle), np.sin(angle)
+    out = np.empty(c.shape, dtype=complex)
+    re, im = out.real, out.imag  # written in place: one (k, n) temporary at a time
+    np.multiply(c.real, cos, out=re)
+    re -= c.imag * sin
+    np.multiply(c.real, sin, out=im)
+    im += c.imag * cos
+    return out
+
+
+def _observed_energy(c: np.ndarray, lam: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (k, n) block c: the observed energy over [0, t] and ‖c‖².
+
+    ``lam`` are the system's eigenvalues, ``t`` comes from ``_horizons`` for
+    the rows of c, and ``kernel`` is ``observability_kernel`` at ``t``; a
+    kernel of another shape raises ``ShapeError``.  The energy is the
+    ``_row_forms`` of the kernel at the ``_phased`` rows.  A real kernel's
+    forms are exactly real; a complex one's are checked real to 1e-10 of
+    their scale.  The ‖c‖² are one stacked row·column product, one
+    ``zdotu(conj(c), c)`` per row, which is bit for bit the per-row
+    ``vdot(c, c)`` (``tests/oracles.py::row_norms_sq_by_row``).
     """
     if kernel.shape[:-2] != t.shape:
         raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
-    value = _row_forms(c, kernel)
+    value = _row_forms(_phased(c, lam, t), kernel)
     norm_sq = np.matmul(c.conj()[:, None, :], c[:, :, None])[:, 0, 0].real
-    scale = np.maximum(np.abs(value.real), t * norm_sq)
-    bad = np.abs(value.imag) > 1.0e-10 * scale
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericError(
-            f"observability integral came out non-real: imag {value.imag[i]:.3e} vs scale {scale[i]:.3e}"
-        )
+    if np.iscomplexobj(value):
+        scale = np.maximum(np.abs(value.real), t * norm_sq)
+        bad = np.abs(value.imag) > 1.0e-10 * scale
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericError(
+                f"observability integral came out non-real: imag {value.imag[i]:.3e} vs scale {scale[i]:.3e}"
+            )
     return value.real, norm_sq
 
 
@@ -90,18 +121,20 @@ def _energy_at(c: np.ndarray, system: SpectralSystem, t: np.ndarray) -> tuple[np
     One horizon shares one (n, n) kernel.  Per-row horizons build the
     (k, n, n) stack in chunks of ``_rows_within`` rows, at most
     ``spectral.BLOCK_BYTES`` (or one row), so the memory held does not grow
-    with k.  Each row's form reads only its own kernel, so the chunks give
-    the same bits as the whole stack.
+    with k; a row's kernel takes the Gram's itemsize per entry.  Each row's
+    form reads only its own kernel, so the chunks give the same bits as the
+    whole stack.
     """
+    lam = system.eigenvalues
     if t.ndim == 0:
-        return _observed_energy(c, observability_kernel(system, t), t)
+        return _observed_energy(c, lam, observability_kernel(system, t), t)
     gaps = system.phase_gaps
-    where = _gap_index(system.eigenvalues, gaps)
-    step = _rows_within(16 * system.size * system.size)
+    where = _gap_index(lam, gaps)
+    step = _rows_within(system.gram.itemsize * system.size * system.size)
     parts = []
     for start in range(0, max(len(c), 1), step):  # an empty block still gives empty arrays
         rows = slice(start, start + step)
-        parts.append(_observed_energy(c[rows], system.gram * _gap_kernel(gaps, where, t[rows]), t[rows]))
+        parts.append(_observed_energy(c[rows], lam, system.gram * _gap_kernel(gaps, where, t[rows]), t[rows]))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
@@ -119,29 +152,42 @@ def observability_integral(z0, system: SpectralSystem, T):
 
 
 def kernel_psd_margin(kernel: np.ndarray) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of ``kernel`` = G∘K(T); smallest ≥ −1e−10·largest.
+    """(smallest, largest) eigenvalue of ``kernel`` = G∘S_T, which are those of G∘K(T).
 
-    ``kernel`` is ``observability_kernel(system, T)``.  The largest
-    eigenvalue is the sharp admissibility constant of the truncated model
-    only; it depends on the truncation level.
+    ``kernel`` is ``observability_kernel(system, T)``: one real ``eigvalsh``
+    for a real Gram, a complex one for a complex Gram.  Nothing here checks
+    the sign of the smallest; the ``admissibility`` scenario's
+    ``kernel-positive-semidefinite`` verdict does.  The largest eigenvalue
+    is the sharp admissibility constant of the truncated model only; it
+    depends on the truncation level.
     """
     vals = np.linalg.eigvalsh(kernel)
     return float(vals[0]), float(vals[-1])
 
 
-def admissibility_check(z0, system: SpectralSystem, T, kernel: np.ndarray, C_T: float):
-    """Margin C_T‖z0‖² − ∫₀ᵀ‖Cz‖²; non-negative iff C_T is admissible for z0.
+@dataclass(frozen=True)
+class AdmissibilityReport:
+    """The margin C_T‖z0‖² − ∫₀ᵀ‖Cz‖² and ‖z0‖²: scalars for one state, or
+    arrays with one entry per row when z0 is a (k, n) block."""
+
+    margin: float
+    norm_sq: float
+
+
+def admissibility_check(z0, system: SpectralSystem, T, kernel: np.ndarray, C_T: float) -> AdmissibilityReport:
+    """Margin C_T‖z0‖² − ∫₀ᵀ‖Cz‖², non-negative iff C_T is admissible for z0, and ‖z0‖².
 
     ``kernel`` is ``observability_kernel(system, T)``, built once per
     horizon by the caller; for a (k, n) block it serves every row, or is a
     (k, n, n) stack for k horizons.  Taken in the power-of-two frame of each
-    row, like ``observability_integral``.
+    row, like ``observability_integral``; ‖z0‖² is the one the margin uses,
+    scaled back.
     """
     if not C_T > 0:
         raise DomainError(f"admissibility constant must be positive, got {C_T}")
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    energy, norm_sq = _observed_energy(c, kernel, _horizons(T, system, len(c)))
-    return back(C_T * norm_sq - energy)
+    energy, norm_sq = _observed_energy(c, system.eigenvalues, kernel, _horizons(T, system, len(c)))
+    return AdmissibilityReport(margin=back(C_T * norm_sq - energy), norm_sq=back(norm_sq))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .evolution import (
     weak_observability_check,
 )
 from .report import ReportBundle, Table, Verdict
-from .spectral import _moments, _rows_within, frequency
+from .spectral import _rows_within, frequency
 from .square import CIRCLE_WIDTH, assumption_I_check, delta_gamma_fit
 from .window import (
     C0,
@@ -405,9 +405,8 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
     )
     worst = math.inf
     for _, z in _state_blocks(cfg, system.size):
-        margin = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
-        _, amax, total, _ = _moments(z, system)  # ‖z‖² = amax²·Σw, as in frequency_report
-        worst = min([worst, *(margin / (sharp * (amax * amax * total))).tolist()])
+        check = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
+        worst = min([worst, *(check.margin / (sharp * check.norm_sq)).tolist()])
     bundle.constants["worst_admissibility_margin"] = worst
     bundle.verdicts.append(
         Verdict(

@@ -30,7 +30,7 @@ ZERO_NORM_FLOOR = 1.0e-300
 _LONG = np.finfo(np.longdouble)
 _LONG_UNIT_ROUNDOFF = float(_LONG.eps) / 2 if _LONG.nmant in (52, 63, 112) else 1.0
 # Bytes that one blocked pass may hold at once: a block of trial states, a
-# chunk of per-row phase kernels, a stack of cluster Gram blocks, or a chunk
+# chunk of per-row kernels G∘S_t, a stack of cluster Gram blocks, or a chunk
 # of the admissibility trace pass.  ``_rows_within`` sizes each of them.
 BLOCK_BYTES = 1 << 18
 
@@ -215,9 +215,10 @@ def coefficients_of(z, system: SpectralSystem) -> np.ndarray:
 def _horizons(T, system: SpectralSystem, rows: int | None = None) -> np.ndarray:
     """``T`` as a float array of horizons, each positive with a finite phase
     ½·T·(λ_max − λ_min), formed as ``evolution._gap_kernel`` forms
-    ``0.5 * t * gaps``, so that no gap's phase overflows; an infinite or nan
-    T makes that phase inf or nan.  Given ``rows``, T is one horizon for every row or one per row;
-    any other shape raises ``ShapeError``.
+    ``0.5 * t * gaps`` and ``evolution._phased`` forms each mode's phase
+    ½·T·(λ_k − λ_1), so that no gap's or mode's phase overflows; an infinite
+    or nan T makes that phase inf or nan.  Given ``rows``, T is one horizon
+    for every row or one per row; any other shape raises ``ShapeError``.
     """
     t = np.asarray(T, dtype=float)
     if rows is not None and t.shape not in ((), (rows,)):
@@ -383,15 +384,27 @@ def _row_forms(c: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """u*Mu per row of the (k, n) block ``c``, u = conj(row), with ``matrix`` one
     (n, n) M for every row or a (k, n, n) stack, one M per row.
 
-    Two stacked matmuls: M·u for every row, then the row·column product
-    c·(M·u).  For blasable strides numpy runs them as one ``gemv`` and one
-    ``zdotu`` per row, so each form is bit for bit the per-row
-    ``vdot(u, M @ u)`` (``tests/oracles.py::row_forms_by_row``), and a block
-    gives each row's single-state value.  Keep every M C-contiguous: a
-    strided M takes another BLAS path and rounds differently.
+    A complex M takes two stacked matmuls: M·u for every row, then the
+    row·column product c·(M·u).  For blasable strides numpy runs them as one
+    ``gemv`` and one ``zdotu`` per row, so each form is bit for bit the
+    per-row ``vdot(u, M @ u)`` (``tests/oracles.py::row_forms_by_row``).
+    A real M gives the real forms aᵀMa + bᵀMb, a and b the real and
+    imaginary parts of a row, which is u*Mu for a symmetric M and its real
+    part for any other.  The rows are viewed, not copied, as interleaved
+    (n, 2) real arrays; X = [a; b] is the transposed view, and per row one
+    ``gemm`` makes Y = X·M and two ``ddot`` give a·Y₀ and b·Y₁, summed
+    (``tests/oracles.py::real_row_forms_by_row`` runs the same views one row
+    at a time; a contiguous copy of X rounds differently).  Either way a
+    block gives each row's single-state value.  Keep every M C-contiguous:
+    a strided M takes another BLAS path and rounds differently.
     """
     m = matrix if matrix.ndim == 3 else matrix[None]
-    return np.matmul(c[:, None, :], np.matmul(m, c.conj()[:, :, None]))[:, 0, 0]
+    if np.iscomplexobj(m):
+        return np.matmul(c[:, None, :], np.matmul(m, c.conj()[:, :, None]))[:, 0, 0]
+    k, n = c.shape
+    x = np.ascontiguousarray(c).view(float).reshape(k, n, 2).transpose(0, 2, 1)
+    parts = np.matmul(x[:, :, None, :], np.matmul(x, m)[:, :, :, None])[:, :, 0, 0]
+    return parts[:, 0] + parts[:, 1]
 
 
 def observed_energy_sq(z, system: SpectralSystem):

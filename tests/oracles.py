@@ -1,6 +1,7 @@
 """Test oracles: the window transform, its energy on an interval and the observed
-energy by quadrature, the trajectory point, the phase kernel with its gap index from ``np.unique``,
-the quadratic forms and squared norms of a block's rows one ``vdot`` at a time,
+energy by quadrature, the trajectory point, the complex phase kernel and the real sinc kernel
+with their gap index from ``np.unique``, the quadratic forms (one ``vdot``, or for a real
+matrix one (2, n) product and ``dot``, at a time) and squared norms of a block's rows,
 the lattice circles one integer square root at a time, the boundary Gram as FFᵀ,
 the closed-form cluster minima of the full bottom side,
 the cluster scan and the weighted circle minima solved one cluster at a time (with an exact
@@ -32,7 +33,7 @@ from obskit.evolution import (
 )
 from obskit.report import ReportBundle, Table, Verdict, _json_default
 from obskit.scenarios import _new_bundle, _pipeline_constants
-from obskit.spectral import coefficients_of, frequency, frequency_report
+from obskit.spectral import coefficients_of, frequency
 from obskit.square import GammaSpec, gram_factor
 from obskit.window import CHI_L2_NORM_SQ, THETA0, THETA1, chi_hat, solve_observation_time
 
@@ -99,25 +100,50 @@ def observability_integral_by_quadrature(z0, system: SpectralSystem, T: float) -
     return value
 
 
-def phase_kernel_by_unique_inverse(eigenvalues, T) -> np.ndarray:
-    """The phase kernel K(T) of ``observability_kernel``, with each gap's index from
+def _kernel_table_by_unique_inverse(eigenvalues, T, table_of):
+    """``table_of(h, r)`` over the distinct gaps, h = ½·T·gap and r = T·sin(h)/h
+    (T at h = 0), gathered to (n, n) per horizon with each gap's index from
     ``np.unique(..., return_inverse=True)``."""
     lam = np.asarray(eigenvalues, dtype=float)
     t = np.asarray(T, dtype=float)[..., None]
     gaps, where = np.unique(np.subtract.outer(lam, lam).ravel(), return_inverse=True)
     h = 0.5 * t * gaps
-    s = np.sin(h)
     r = np.broadcast_to(t, h.shape).copy()
-    np.divide(t * s, h, out=r, where=h != 0.0)
-    table = r * np.cos(h) + 1j * (r * s)
-    return np.take(table, where, axis=-1).reshape(t.shape[:-1] + (lam.size, lam.size))
+    np.divide(t * np.sin(h), h, out=r, where=h != 0.0)
+    return np.take(table_of(h, r), where, axis=-1).reshape(t.shape[:-1] + (lam.size, lam.size))
+
+
+def phase_kernel_by_unique_inverse(eigenvalues, T) -> np.ndarray:
+    """The complex phase kernel K(T) = ∫₀ᵀ e^{i(λ_j−λ_k)t} dt = r·e^{ih}, with each
+    gap's index from ``np.unique(..., return_inverse=True)``."""
+    return _kernel_table_by_unique_inverse(eigenvalues, T, lambda h, r: r * np.cos(h) + 1j * (r * np.sin(h)))
+
+
+def sinc_kernel_by_unique_inverse(eigenvalues, T) -> np.ndarray:
+    """The real kernel S_T = T·sin(h)/h of ``observability_kernel``, with each gap's
+    index from ``np.unique(..., return_inverse=True)``."""
+    return _kernel_table_by_unique_inverse(eigenvalues, T, lambda h, r: r)
 
 
 def row_forms_by_row(c: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """u*Mu per row of ``c``, u = conj(row), each its own ``vdot(u, M @ u)``, with
-    ``matrix`` one (n, n) M or a (k, n, n) stack: the oracle for ``_row_forms``."""
+    ``matrix`` one (n, n) M or a (k, n, n) stack: the oracle for ``_row_forms``
+    with a complex M."""
     matrices = matrix if matrix.ndim == 3 else itertools.repeat(matrix)
     return np.array([np.vdot(u, m @ u) for u, m in zip(c.conj(), matrices)], dtype=complex)
+
+
+def real_row_forms_by_row(c: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """aᵀMa + bᵀMb per row a + ib of ``c``, each row its own Y = X @ M, X = [a; b]
+    the (2, n) view of the row's parts, then a·Y₀ + b·Y₁, with a real
+    ``matrix`` one (n, n) M or a (k, n, n) stack: the oracle for ``_row_forms``
+    with a real M."""
+    matrices = matrix if matrix.ndim == 3 else itertools.repeat(matrix)
+    forms = []
+    for row, m in zip(c, matrices):
+        y = row.view(float).reshape(-1, 2).T @ m
+        forms.append(np.dot(row.real, y[0]) + np.dot(row.imag, y[1]))
+    return np.array(forms, dtype=float)
 
 
 def row_norms_sq_by_row(c: np.ndarray) -> np.ndarray:
@@ -384,8 +410,8 @@ def run_admissibility_by_row(cfg: RunConfig) -> ReportBundle:
     worst = math.inf
     for _ in range(cfg.trials):
         z = random_state(rng, system.size)
-        margin = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
-        worst = min(worst, margin / (sharp * frequency_report(z, system).norm_sq))
+        check = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
+        worst = min(worst, check.margin / (sharp * check.norm_sq))
     bundle.constants["worst_admissibility_margin"] = worst
     bundle.verdicts.append(
         Verdict(

@@ -22,7 +22,9 @@ from obskit import (
 )
 from obskit.square import full_bottom, build_square_system
 
-from oracles import evolve, observability_integral_by_quadrature, phase_kernel_by_unique_inverse
+from obskit.evolution import _phased
+
+from oracles import evolve, observability_integral_by_quadrature, sinc_kernel_by_unique_inverse
 
 
 def random_system(rng, n, spread=12.0):
@@ -31,10 +33,17 @@ def random_system(rng, n, spread=12.0):
     return SpectralSystem(eigenvalues=lam, gram=b.conj().T @ b / n)
 
 
-def phase_kernel(lam, T):
-    """K(T) alone: ``observability_kernel`` with G = 1 in every entry, so G∘K is K bit for bit."""
+def sinc_kernel(lam, T):
+    """S_T alone: ``observability_kernel`` with G = 1 in every entry, so G∘S_T is S_T bit for bit."""
     lam = np.asarray(lam, dtype=float)
     return observability_kernel(SpectralSystem(eigenvalues=lam, factor=np.ones((lam.size, 1))), T)
+
+
+def phase_kernel(lam, T):
+    """K(T) = D·S_T·D*, with D = diag(e^{i(λ_k−λ_1)T/2}) read off ``_phased`` of the identity rows."""
+    lam = np.asarray(lam, dtype=float)
+    d = np.diagonal(_phased(np.eye(lam.size, dtype=complex), lam, np.asarray(T, dtype=float)))
+    return d[:, None] * sinc_kernel(lam, T) * d.conj()[None, :]
 
 
 class TestEvolve:
@@ -57,7 +66,7 @@ class TestEvolve:
 class TestPhaseKernel:
     def test_diagonal_is_horizon(self):
         lam = np.array([1.0, 1.0, 2.0, 5.0])
-        k = phase_kernel(lam, 3.0)
+        k = sinc_kernel(lam, 3.0)
         np.testing.assert_allclose(np.diag(k), 3.0, rtol=0)
         # exact tie off the diagonal also integrates to T
         assert k[0, 1] == pytest.approx(3.0)
@@ -94,8 +103,8 @@ class TestPhaseKernel:
     def test_hermitian(self):
         rng = np.random.default_rng(31)
         lam = np.sort(rng.uniform(1.0, 20.0, size=8))
-        k = phase_kernel(lam, 1.7)
-        np.testing.assert_allclose(k, k.conj().T, atol=1e-14)
+        for k in (sinc_kernel(lam, 1.7), phase_kernel(lam, 1.7)):
+            np.testing.assert_allclose(k, k.conj().T, atol=1e-14)
 
 
 class TestGapTable:
@@ -105,10 +114,12 @@ class TestGapTable:
         for sys_ in systems:
             for t in (0.7, np.array([0.3, 0.7, 2.5])):
                 kernel = observability_kernel(sys_, t)
-                phases = phase_kernel(sys_.eigenvalues, t)
-                assert phases.flags.c_contiguous and kernel.flags.c_contiguous
-                expected = phase_kernel_by_unique_inverse(sys_.eigenvalues, t)
-                assert np.array_equal(phases.view(float), expected.view(float))
+                sinc = sinc_kernel(sys_.eigenvalues, t)
+                assert sinc.flags.c_contiguous and kernel.flags.c_contiguous
+                # Real S; G∘S real for the lattice's real factor, complex for the given Gram.
+                assert sinc.dtype == float and kernel.dtype == sys_.gram.dtype
+                expected = sinc_kernel_by_unique_inverse(sys_.eigenvalues, t)
+                assert np.array_equal(sinc.view(np.int64), expected.view(np.int64))
                 assert np.array_equal(kernel.view(float), (sys_.gram * expected).view(float))
 
     def test_gaps_are_cached_read_only_and_sorted_distinct(self):
@@ -249,8 +260,9 @@ class TestKernelAndAdmissibility:
         sharp = kernel_psd_margin(kernel)[1]
         for _ in range(50):
             z = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-            margin = admissibility_check(z, sys_, T, kernel, sharp * (1.0 + 1e-12))
-            assert margin >= -1e-9 * float(np.vdot(z, z).real)
+            check = admissibility_check(z, sys_, T, kernel, sharp * (1.0 + 1e-12))
+            assert check.margin >= -1e-9 * float(np.vdot(z, z).real)
+            assert check.norm_sq == pytest.approx(float(np.vdot(z, z).real), rel=1e-14)
 
     def test_square_sharp_constant_matches_kernel_eigensolve(self):
         sys_ = build_square_system(50, full_bottom())
@@ -264,8 +276,9 @@ class TestKernelAndAdmissibility:
         sys_ = random_system(rng, 5)
         k, T = 2, 1.4
         c_t = sys_.gram[k, k].real * T + 1.0
-        margin = admissibility_check(StateVector.basis(k, 5), sys_, T, observability_kernel(sys_, T), c_t)
-        assert margin == pytest.approx(1.0, rel=1e-10)
+        check = admissibility_check(StateVector.basis(k, 5), sys_, T, observability_kernel(sys_, T), c_t)
+        assert check.margin == pytest.approx(1.0, rel=1e-10)
+        assert check.norm_sq == 1.0
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,8 @@ to 3 times.  States mix exact zeros with entries spread over up to 300
 decades, at an overall scale anywhere in 1e-290 … 1e290; some of them sit
 on a single eigenvalue group, where rounding meets the spectral hull.
 Kernel systems add ties, gaps |Δ| below 1e-12, gaps with |Δ|·T below 1e-4
-and below 1e-2, and random low-rank Grams, at horizons over six decades;
+and below 1e-2, and random low-rank Grams, given complex or held as a real
+factor, at horizons over six decades;
 the closed-form observability integral is compared with time quadrature on
 small ones (eigenvalues up to 20, horizons 0.1 … 10).  On the same systems
 the observability integral, the admissibility margin, the weak
@@ -41,11 +42,18 @@ powers of two, values near DBL_MAX and values over the whole float range,
 also with the unit round-off of a long double that is plain double, and of
 one that is no IEEE format (every row then takes ``math.fsum``).  A
 block's quadratic forms u*Mu and squared norms, each taken by one stacked
-matmul, equal the per-row ``vdot`` loop bit for bit, for n up to 200 and
-up to 300 rows, with one shared or one per-row matrix, real or complex,
-on power-of-two-framed rows whose entries span 2^±40.
+matmul, equal the per-row loop bit for bit (``vdot`` for a complex matrix,
+the (2, n) product of the row's parts for a real one), for n up to 200 and
+up to 300 rows, with one shared or one per-row matrix, on
+power-of-two-framed rows whose entries span 2^±40; the rows of a block
+phased by diag(e^{i(λ_k−λ_1)t/2}) equal each row's own phasing bit for bit
+on such rows, at one horizon or one per row.  The eigenvalues of the real
+kernel G∘S_T stay within a stated Weyl bound of those of the complex
+G∘K(T), on real-factor and complex given-Gram systems and on the 183-mode
+sub-patch.
 """
 
+import functools
 import json
 import math
 import re
@@ -86,8 +94,9 @@ from obskit import (
 from obskit import spectral
 from obskit.cli import main
 from obskit.decay import is_positive_nonincreasing
-from obskit.evolution import _observed_energy
+from obskit.evolution import _observed_energy, _phased
 from obskit.spectral import _moments, _power_of_two_frame, _row_forms, _row_fsum, observed_energy_sq
+from obskit.square import BoundaryPatch, GammaSpec, Side, build_square_system
 from obskit.window import THETA0, THETA1
 
 from oracles import (
@@ -95,6 +104,8 @@ from oracles import (
     assert_same_scan,
     coercivity_scan_by_cluster,
     observability_integral_by_quadrature,
+    phase_kernel_by_unique_inverse,
+    real_row_forms_by_row,
     row_forms_by_row,
     row_norms_sq_by_row,
     scalar_observation_time,
@@ -181,8 +192,10 @@ def test_windowed_frequency_in_spectral_hull(pair, T, tau):
 @st.composite
 def kernel_systems(draw, top=1e4, decades=3.0):
     """(system, T): clusters of exact ties, of gaps below 1e-12 and of gaps
-    with |Δ|·T just inside and just above 1e-4, with a random PSD Gram;
-    eigenvalues up to about ``top``, T within ``decades`` decades of 1."""
+    with |Δ|·T just inside and just above 1e-4, with a random PSD Gram given
+    as a complex matrix or held as a real factor (so the kernel and the forms
+    take their complex or their real path); eigenvalues up to about ``top``,
+    T within ``decades`` decades of 1."""
     T = 10.0 ** draw(st.floats(-decades, decades))
     lam = []
     for value in draw(st.lists(st.floats(1e-3, top), min_size=1, max_size=5)):
@@ -194,6 +207,8 @@ def kernel_systems(draw, top=1e4, decades=3.0):
     lam = np.sort(lam)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rank = draw(st.integers(1, lam.size))
+    if draw(st.booleans()):
+        return SpectralSystem(eigenvalues=lam, factor=rng.standard_normal((lam.size, rank))), T
     factor = rng.standard_normal((lam.size, rank)) + 1j * rng.standard_normal((lam.size, rank))
     gram = factor @ factor.conj().T
     return SpectralSystem(eigenvalues=lam, gram=(gram + gram.conj().T) / 2.0), T
@@ -305,9 +320,10 @@ def degree_two_values(z, sys_, T):
     then those that do not depend on the scale of z."""
     weak = weak_observability_check(z, sys_, T, PowerLaw(0.1, 1.0), 1.0)
     res = resolvent_check(sys_, z, SPECTRAL_CERT)
+    adm = admissibility_check(z, sys_, T, observability_kernel(sys_, T), 3.0)
     scaled = [
         observability_integral(z, sys_, T),
-        admissibility_check(z, sys_, T, observability_kernel(sys_, T), 3.0),
+        adm.margin, adm.norm_sq,
         weak.integral, weak.lhs, weak.margin, weak.norm_sq,
         res.inf_margin, res.norm_sq, res.observed_sq,
     ]
@@ -490,8 +506,14 @@ def block_results(rows, sys_, T, t_min):
     out = {}
 
     def record(name, fn, *per_row):
-        out[name] = (fn(rows, *(a for a, _ in per_row)),
-                     [fn(rows[i], *(b(i) for _, b in per_row)) for i in range(len(rows))])
+        """One entry per function, or per field of the report it returns."""
+        block = fn(rows, *(a for a, _ in per_row))
+        singles = [fn(rows[i], *(b(i) for _, b in per_row)) for i in range(len(rows))]
+        if isinstance(block, np.ndarray):
+            out[name] = (block, singles)
+            return
+        for field in vars(block):
+            out[f"{name}.{field}"] = (getattr(block, field), [getattr(r, field) for r in singles])
 
     def fixed(value):
         return value, lambda i: value
@@ -509,18 +531,12 @@ def block_results(rows, sys_, T, t_min):
             lambda z, t: admissibility_check(z, sys_, t, observability_kernel(sys_, t), 3.0),
             horizon,
         )
-    report_fields = {
-        "frequency_report": (lambda z: frequency_report(z, sys_), ()),
-        "resolvent_check": (lambda z: resolvent_check(sys_, z, SPECTRAL_CERT), ()),
-        "weak_observability_check": (
-            lambda z, t, tm: weak_observability_check(z, sys_, t, psi, tm), (each(T), each(t_min))
-        ),
-    }
-    for name, (fn, args) in report_fields.items():
-        record(name, fn, *args)
-        block, singles = out.pop(name)
-        for field in vars(block):
-            out[f"{name}.{field}"] = (getattr(block, field), [getattr(r, field) for r in singles])
+    record("frequency_report", lambda z: frequency_report(z, sys_))
+    record("resolvent_check", lambda z: resolvent_check(sys_, z, SPECTRAL_CERT))
+    record(
+        "weak_observability_check",
+        lambda z, t, tm: weak_observability_check(z, sys_, t, psi, tm), each(T), each(t_min),
+    )
     return out
 
 
@@ -634,13 +650,89 @@ def test_stacked_row_forms_equal_the_per_row_vdots(n, k, stacked, complex_matrix
     m = rng.standard_normal(shape)
     if complex_matrix:
         m = m + 1j * rng.standard_normal(shape)
-    assert np.array_equal(_row_forms(c, m).view(np.int64), row_forms_by_row(c, m).view(np.int64))
-    # _observed_energy checks its forms real, so it gets the Hermitian part.
+    # The vdot loop for a complex M, the per-row (2, n) product for a real one.
+    oracle = row_forms_by_row if complex_matrix else real_row_forms_by_row
+    forms = _row_forms(c, m)
+    assert forms.dtype == m.dtype
+    assert np.array_equal(forms.view(np.int64), oracle(c, m).view(np.int64))
+    # _observed_energy checks a complex M's forms real, so it gets the Hermitian
+    # part, and takes the forms of the phased rows.
     h = 0.5 * (m + np.swapaxes(m, -1, -2).conj())
     t = np.ones(shape[:-2])
-    value, norm_sq = _observed_energy(c, h, t)
-    assert np.array_equal(value.view(np.int64), row_forms_by_row(c, h).real.view(np.int64))
+    lam = np.sort(rng.uniform(1.0, 100.0, n))
+    value, norm_sq = _observed_energy(c, lam, h, t)
+    assert np.array_equal(value.view(np.int64), oracle(_phased(c, lam, t), h).real.view(np.int64))
     assert np.array_equal(norm_sq.view(np.int64), row_norms_sq_by_row(c).view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 200),
+    st.integers(1, 40),
+    st.floats(-3.0, 4.0),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_phased_block_equals_each_rows_own_phasing(n, k, log_top, log_t, seed):
+    # Spectra up to 1e4 with ties, horizons over six decades, framed rows
+    # whose entries span 2^±40, one horizon for every row or one per row.
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.choice(rng.uniform(1e-3, 10.0**log_top, n), n))
+    parts = rng.standard_normal((2, k, n)) * np.ldexp(1.0, rng.integers(-40, 41, (2, k, n)))
+    parts[rng.random((2, k, n)) < 0.1] = 0.0
+    c, _ = _power_of_two_frame(parts[0] + 1j * parts[1])
+    per_row = 10.0**log_t * rng.uniform(0.5, 2.0, k)
+    for t in (np.asarray(per_row[0]), per_row):
+        block = _phased(c, lam, t)
+        for i in range(k):
+            row = _phased(c[i : i + 1], lam, t if t.ndim == 0 else t[i])
+            assert np.array_equal(block[i].view(np.int64), row[0].view(np.int64)), (i, t)
+        # each entry keeps its modulus, and the first mode its value
+        np.testing.assert_allclose(np.abs(block), np.abs(c), rtol=8 * U, atol=0)
+        assert np.array_equal(block[:, 0], c[:, 0])
+
+
+@st.composite
+def eigenvalue_systems(draw):
+    """(system, T) as ``kernel_systems`` draws them, or the 183-mode π/4–π/2
+    bottom sub-patch at n_max 250 at a horizon from 1e-3 to 2·10³."""
+    if draw(st.integers(0, 3)):
+        return draw(kernel_systems())
+    return subpatch_183(), 10.0 ** draw(st.floats(-3.0, math.log10(2.0e3)))
+
+
+@functools.cache
+def subpatch_183():
+    gamma = GammaSpec((BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0),))
+    return build_square_system(250, gamma)
+
+
+WEYL_C = 64
+
+
+@settings(max_examples=150, deadline=None)
+@given(eigenvalue_systems())
+def test_kernel_eigenvalues_match_the_complex_kernel_within_weyl_bound(pair):
+    """``kernel_psd_margin`` of G∘S_T against ``eigvalsh`` of the complex G∘K(T)
+    built by the oracle: both ends within c·n·u·‖G∘K‖₂, c = ``WEYL_C``.
+
+    The exact matrices are unitarily similar, so Weyl's inequality bounds each
+    eigenvalue gap by the two matrices' entry errors plus the two
+    eigensolvers' backward errors.  With ĥ = h(1+θ), |θ| ≤ 2u, and sin and
+    cos within one ulp, an entry of G∘S_T is off by at most about
+    9u·T·|G_jk| and one of the oracle's G∘K(T) by about 18u·T·|G_jk| (its
+    phase e^{iĥ} moves by |θh|, on entries of modulus T·|sin h|/|h|).  For a
+    positive semidefinite G, ‖|G|‖₂ ≤ n·max|G_jk| ≤ n·max G_kk ≤ n·‖G∘K‖₂/T,
+    so the entries give 27·n·u·‖G∘K‖₂.  The rest, 37·n·u·‖G∘K‖₂, is left for
+    the eigensolvers' backward errors p(n)·u·‖A‖₂ (N. J. Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002), read as
+    p(n) ≤ 18n.  Observed gaps stay below 4·n·u·‖G∘K‖₂.
+    """
+    sys_, T = pair
+    low, high = kernel_psd_margin(observability_kernel(sys_, T))
+    ref = np.linalg.eigvalsh(sys_.gram * phase_kernel_by_unique_inverse(sys_.eigenvalues, T))
+    bound = WEYL_C * sys_.size * (U / 2) * ref[-1]
+    assert abs(low - ref[0]) <= bound and abs(high - ref[-1]) <= bound, (low, high, ref[[0, -1]], bound)
 
 
 @st.composite
