@@ -23,12 +23,12 @@ class NumericError(RuntimeError):
 class CoercivityError(RuntimeError):
     """Weak coercivity failed: some cluster's minimal observed energy is ~0.
 
-    Carries the offending cluster report (when available) in ``cluster``.
+    Carries the center of the first failing cluster (when available) in ``center``.
     """
 
-    def __init__(self, message: str, cluster=None):
+    def __init__(self, message: str, center: float | None = None):
         super().__init__(message)
-        self.cluster = cluster
+        self.center = center
 
 
 class ConfigError(ValueError):

@@ -96,6 +96,11 @@ def _state_blocks(cfg: RunConfig, size: int):
         yield start, block[:, 0] + 1j * block[:, 1]
 
 
+def _table_rows(*columns) -> list[list]:
+    """Table rows from equal-length array columns, every cell a Python scalar."""
+    return list(map(list, zip(*(col.tolist() for col in columns))))
+
+
 def _pipeline_constants(bundle: ReportBundle, pipeline) -> None:
     bundle.constants.update(
         {
@@ -171,22 +176,20 @@ def run_coercivity_scan(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    reports = coercivity_scan(system, cfg.epsilon_cluster)
-    rows = [
-        [rep.center, rep.size, rep.min_eig, rep.center * rep.min_eig] for rep in reports
-    ]
+    scan = coercivity_scan(system, cfg.epsilon_cluster)
+    products = scan.centers * scan.min_eig
     bundle.tables.append(
         Table(
             name="clusters",
             columns=["center", "size", "min_eig", "center_times_min_eig"],
-            rows=rows,
+            rows=_table_rows(scan.centers, scan.sizes, scan.min_eig, products),
         )
     )
-    min_eig = min(rep.min_eig for rep in reports)
+    min_eig = float(scan.min_eig.min())
     bundle.constants["min_cluster_eigenvalue"] = min_eig
-    bundle.constants["delta_hat"] = min(rep.center * rep.min_eig for rep in reports)
+    bundle.constants["delta_hat"] = float(products.min())
     try:
-        envelope = fit_psi_envelope(reports)
+        envelope = fit_psi_envelope(scan)
     except CoercivityError as exc:
         bundle.verdicts.append(Verdict("weakly-coercive-at-width", False, str(exc)))
         return bundle
@@ -196,7 +199,7 @@ def run_coercivity_scan(cfg: RunConfig) -> ReportBundle:
         Verdict(
             "weakly-coercive-at-width",
             True,
-            f"{len(reports)} clusters, min eigenvalue {min_eig!r}",
+            f"{scan.centers.size} clusters, min eigenvalue {min_eig!r}",
         )
     )
     # fit_psi_envelope raises NumericError unless its envelope dominates the scan.
@@ -219,7 +222,7 @@ def run_resolvent_scan(cfg: RunConfig) -> ReportBundle:
         rel = rep.inf_margin / rep.norm_sq
         worst = min([worst, *rel.tolist()])
         columns = (rep.lambda_z, rep.inf_margin, rel, rep.residual_over_epsilon, rep.verdict)
-        rows += map(list, zip(range(start, start + len(z)), *(col.tolist() for col in columns)))
+        rows += _table_rows(np.arange(start, start + len(z)), *columns)
     bundle.tables.append(
         Table(
             name="resolvent_margins",
@@ -262,7 +265,7 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
         scaled = rep.margin[rep.applicable] / (1.0 + rep.integral[rep.applicable])
         worst = min([worst, *scaled.tolist()])
         columns = (rep.lambda_z0, rep.t_min, rep.T, rep.lhs, rep.integral, rep.margin, rep.applicable)
-        rows += map(list, zip(range(start, start + len(z)), *(col.tolist() for col in columns)))
+        rows += _table_rows(np.arange(start, start + len(z)), *columns)
     bundle.tables.append(
         Table(
             name="observability",
@@ -295,6 +298,7 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     report = assumption_I_check(system)
+    scan = report.scan
     bundle.constants["reference"] = report.reference
     bundle.constants["min_cluster_eigenvalue"] = report.min_mu
     bundle.constants["max_abs_deviation"] = report.max_abs_deviation
@@ -302,20 +306,18 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
         Table(
             name="clusters",
             columns=["N", "size", "mu", "deviation_from_reference"],
-            rows=[
-                [int(row.center), row.size, row.min_eig, row.min_eig - report.reference]
-                for row in report.rows
-            ],
+            rows=_table_rows(
+                scan.centers.astype(int), scan.sizes, scan.min_eig, scan.min_eig - report.reference
+            ),
         )
     )
     bundle.verdicts.append(
         Verdict(
             "cluster-minima-constant",
             report.max_abs_deviation <= 1e-10,
-            f"max |mu - 2/pi| = {report.max_abs_deviation:.3e} over {len(report.rows)} clusters",
+            f"max |mu - 2/pi| = {report.max_abs_deviation:.3e} over {scan.centers.size} clusters",
         )
     )
-    scan = report.rows
     if cfg.epsilon_cluster != CIRCLE_WIDTH:  # else the circle scan is this scan
         scan = coercivity_scan(system, cfg.epsilon_cluster)
     envelope = fit_psi_envelope(scan)
@@ -335,23 +337,24 @@ def run_assumption_ii_iii(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     delta_hat, report = delta_gamma_fit(system, gamma_spec_of(cfg.system))
+    scan = report.scan
     bundle.constants["delta_hat"] = delta_hat
     bundle.constants["min_generalized"] = report.min_generalized
     bundle.tables.append(
         Table(
             name="clusters",
             columns=["N", "size", "mu", "n_times_mu", "generalized_min"],
-            rows=[
-                [int(row.center), row.size, row.min_eig, row.center * row.min_eig, gen]
-                for row, gen in zip(report.rows, report.generalized)
-            ],
+            rows=_table_rows(
+                scan.centers.astype(int), scan.sizes, scan.min_eig, scan.centers * scan.min_eig,
+                report.generalized,
+            ),
         )
     )
     bundle.verdicts.append(
         Verdict(
             "decay-constant-positive",
             delta_hat > 0,
-            f"delta_hat = {delta_hat!r} over {len(report.rows)} clusters",
+            f"delta_hat = {delta_hat!r} over {scan.centers.size} clusters",
         )
     )
     bundle.verdicts.append(

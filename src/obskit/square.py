@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coercivity import ClusterReport, _cluster_reports, _cluster_runs, _gram_stacks, coercivity_scan
+from .coercivity import ClusterScan, _cluster_runs, _gram_stacks, coercivity_scan
 from .errors import DomainError
 from .spectral import PSD_RTOL, SpectralSystem
 
@@ -232,36 +232,53 @@ CIRCLE_WIDTH = 0.5
 class DeltaGammaReport:
     """Scan of N·μ_N over lattice circles for a single-side Γ.
 
-    ``rows`` is the scan at ``CIRCLE_WIDTH``, one lattice circle per report
-    (center N, minimum μ_N); ``generalized`` holds, circle by circle, the
+    ``scan`` is the scan at ``CIRCLE_WIDTH``, one lattice circle per center
+    N with its minimum μ_N; ``generalized`` holds, circle by circle, the
     smallest generalized eigenvalue of (G_N, diag(k²/N)), k the index of
     the trace amplitude.
     """
 
-    rows: list[ClusterReport]
-    generalized: list[float]
+    scan: ClusterScan
+    generalized: np.ndarray
 
     @property
     def min_generalized(self) -> float:
-        return min(self.generalized)
+        return float(self.generalized.min())
+
+
+def _modes_of(system: SpectralSystem) -> np.ndarray:
+    """The modes of a system built by ``build_square_system(n_max, ·)``, else a ``DomainError``.
+
+    p = 1 alone gives square_modes(n) isqrt(n − 1) modes, so comparing that
+    with the system's size first bounds ``mode_count``'s loop and the lattice.
+    """
+    n = int(system.lambda_max)
+    if n >= 2 and math.isqrt(n - 1) <= system.size == mode_count(n):
+        modes = square_modes(n)
+        if np.array_equal(system.eigenvalues, (modes * modes).sum(axis=1)):
+            return modes
+    raise DomainError(
+        "the system is not build_square_system(n_max, gamma): its eigenvalues are not "
+        "p² + q² over square_modes(n_max)"
+    )
 
 
 def delta_gamma_fit(system: SpectralSystem, gamma: GammaSpec) -> tuple[float, DeltaGammaReport]:
     """Fit the 1/λ coercivity constant δ̂ = min_N N·μ_N for a one-side Γ.
 
-    ``system`` is ``build_square_system(n_max, gamma)``.  Returns (δ̂, full
-    report).  δ̂ > 0 is reported, never asserted to a specific value; the
-    report also carries each circle's generalized minimum of
-    (G_N, diag(k²/N)), k = q on the bottom and top and p on the left and
-    right, so the weighted restatement can be examined side by side.  The
-    weight is diagonal, so that minimum is the least eigenvalue of r·G_N·r,
-    r = √N/k.
+    ``system`` is ``build_square_system(n_max, gamma)``; a system whose
+    eigenvalues are not those of the square's modes is a ``DomainError``.
+    Returns (δ̂, full report).  δ̂ > 0 is reported, never asserted to a
+    specific value; the report also carries each circle's generalized
+    minimum of (G_N, diag(k²/N)), k = q on the bottom and top and p on the
+    left and right, so the weighted restatement can be examined side by
+    side.  The weight is diagonal, so that minimum is the least eigenvalue
+    of r·G_N·r, r = √N/k.
     """
     if len(gamma.sides()) != 1:
         raise DomainError("delta_gamma_fit requires all patches on a single side")
     side = gamma.patches[0].side
-    # The system's modes are square_modes(n_max): exactly the modes up to its λ_max.
-    k_all = _trace_indices(square_modes(int(system.lambda_max)), side)[1]
+    k_all = _trace_indices(_modes_of(system), side)[1]
     # One pass of coercivity_scan's runs and stacks feeds both minima.
     centers, lo, hi = _cluster_runs(system, CIRCLE_WIDTH)
     min_eig, generalized = np.empty(centers.size), np.empty(centers.size)
@@ -269,16 +286,15 @@ def delta_gamma_fit(system: SpectralSystem, gamma: GammaSpec) -> tuple[float, De
         min_eig[clusters] = np.linalg.eigh(blocks)[0][:, 0]
         r = np.sqrt(centers[clusters])[:, None] / k_all[idx]
         generalized[clusters] = np.linalg.eigvalsh(r[:, :, None] * blocks * r[:, None, :])[:, 0]
-    rows = _cluster_reports(CIRCLE_WIDTH, centers, lo, hi, min_eig)
-    delta_hat = min(row.center * row.min_eig for row in rows)
-    return delta_hat, DeltaGammaReport(rows=rows, generalized=generalized.tolist())
+    delta_hat = float((centers * min_eig).min())
+    return delta_hat, DeltaGammaReport(ClusterScan(CIRCLE_WIDTH, centers, lo, hi, min_eig), generalized)
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
     """Circle minima for the two-full-touching-sides observation."""
 
-    rows: list[ClusterReport]
+    scan: ClusterScan
     min_mu: float
     max_abs_deviation: float
     reference: float
@@ -292,10 +308,11 @@ def assumption_I_check(system: SpectralSystem) -> AssumptionReport:
     = 2/π, the frequency-independent lower bound of exact observability;
     the report carries the numerically confirmed deviations.
     """
-    rows = coercivity_scan(system, CIRCLE_WIDTH)
+    scan = coercivity_scan(system, CIRCLE_WIDTH)
     reference = 2.0 / math.pi
-    min_mu = min(row.min_eig for row in rows)
-    max_dev = max(abs(row.min_eig - reference) for row in rows)
     return AssumptionReport(
-        rows=rows, min_mu=min_mu, max_abs_deviation=max_dev, reference=reference
+        scan=scan,
+        min_mu=float(scan.min_eig.min()),
+        max_abs_deviation=float(np.abs(scan.min_eig - reference).max()),
+        reference=reference,
     )

@@ -3,9 +3,10 @@ energy by quadrature, the trajectory point, the complex phase kernel and the rea
 with their gap index from ``np.unique``, the quadratic forms (one ``vdot``, or for a real
 matrix one (2, n) product and ``dot``, at a time) and squared norms of a block's rows,
 the lattice circles one integer square root at a time, the boundary Gram as FFᵀ,
-the closed-form cluster minima of the full bottom side,
-the cluster scan and the weighted circle minima solved one cluster at a time (with an exact
-comparison of two scans), the admissibility sup solved at every grid point, the observation time by bisection, the three per-trial scenarios run one state
+the closed-form cluster minima of the full bottom side, one cluster as a mask over
+the modes and its minimal Gram eigenpair with a fixed phase,
+the cluster scan (one width or one per center) and the weighted circle minima solved one
+cluster at a time (with an exact comparison of two scans), the admissibility sup solved at every grid point, the observation time by bisection, the three per-trial scenarios run one state
 at a time, and the report JSON from the pure-Python encoder."""
 
 import itertools
@@ -17,9 +18,8 @@ from scipy.integrate import quad
 
 from obskit import DomainError, NumericError, SpectralSystem, StateVector
 from obskit.coercivity import (
-    ClusterReport,
+    ClusterScan,
     admissibility_breakpoints,
-    enumerate_cluster,
     estimate_admissibility,
     resolvent_check,
     scan_certificate,
@@ -187,32 +187,71 @@ def _gram_block_by_gather(system: SpectralSystem, idx: np.ndarray) -> np.ndarray
     return system.factor[idx] @ system.factor[idx].conj().T
 
 
-def coercivity_scan_by_cluster(system: SpectralSystem, epsilon: float) -> list[ClusterReport]:
+def enumerate_cluster(system: SpectralSystem, lam: float, epsilon: float) -> np.ndarray:
+    """Indices k with |λ − λ_k| < ε (strict), one mask over the modes; possibly empty."""
+    if not epsilon > 0:
+        raise DomainError(f"cluster width must be positive, got {epsilon}")
+    return np.flatnonzero(np.abs(system.eigenvalues - lam) < epsilon)
+
+
+def cluster_min_coercivity(system: SpectralSystem, indices) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue and unit eigenvector of the Gram block on a cluster.
+
+    The eigenvalue is min over unit-norm states supported on the cluster of
+    ‖Cz‖²; the eigenvector is returned at full length with a deterministic
+    phase (largest-magnitude component real positive), the state the
+    violation search tries first for each cluster.
+    """
+    idx = np.asarray(indices, dtype=int)
+    if idx.size == 0:
+        raise DomainError("cluster index list is empty")
+    if idx.min() < 0 or idx.max() >= system.size or np.unique(idx).size != idx.size:
+        raise DomainError("cluster indices must be unique and within the mode range")
+    vals, vecs = np.linalg.eigh(system.gram_block(idx))
+    v = vecs[:, 0]
+    pivot = int(np.argmax(np.abs(v)))
+    phase = v[pivot] / abs(v[pivot])
+    v = v * np.conj(phase)
+    full = np.zeros(system.size, dtype=complex)
+    full[idx] = v
+    return float(vals[0]), full
+
+
+def coercivity_scan_by_cluster(system: SpectralSystem, epsilon) -> ClusterScan:
     """``coercivity_scan`` with one ``enumerate_cluster`` mask and one ``eigh`` per
-    distinct eigenvalue, in order, the oracle for its runs and stacked solves."""
-    reports = []
-    for center in system.distinct_eigenvalues().tolist():
-        idx = enumerate_cluster(system, center, epsilon)
-        min_eig = float(np.linalg.eigh(_gram_block_by_gather(system, idx))[0][0])
-        reports.append(ClusterReport(center=center, epsilon=epsilon, indices=idx, min_eig=min_eig))
-    return reports
+    distinct eigenvalue, in order, the oracle for its runs and stacked solves.
+
+    ``epsilon`` is one width or one per distinct eigenvalue.  Each mask is
+    checked to be one run before it becomes the columns lo and hi.
+    """
+    centers = system.distinct_eigenvalues()
+    widths = np.broadcast_to(epsilon, centers.shape).tolist()
+    lo, hi, min_eig = [], [], []
+    for center, width in zip(centers.tolist(), widths):
+        idx = enumerate_cluster(system, center, width)
+        assert idx.size and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
+        lo.append(idx[0])
+        hi.append(idx[-1] + 1)
+        min_eig.append(float(np.linalg.eigh(_gram_block_by_gather(system, idx))[0][0]))
+    return ClusterScan(epsilon, centers, np.array(lo), np.array(hi), np.array(min_eig))
 
 
-def assert_same_scan(got, expected) -> None:
-    """Two scans agree exactly: centers, widths, index runs (values and dtype), minima."""
-    assert [(r.center, r.epsilon) for r in got] == [(r.center, r.epsilon) for r in expected]
-    for g, e in zip(got, expected):
-        assert g.indices.dtype == e.indices.dtype and np.array_equal(g.indices, e.indices)
-        assert g.min_eig == e.min_eig
+def assert_same_scan(got: ClusterScan, expected: ClusterScan) -> None:
+    """Two scans agree exactly: widths, centers, runs (values and dtype) and minima."""
+    assert np.array_equal(got.epsilon, expected.epsilon)
+    for name in ("centers", "lo", "hi", "min_eig"):
+        g, e = getattr(got, name), getattr(expected, name)
+        assert g.dtype == e.dtype and g.tolist() == e.tolist(), name
 
 
-def generalized_minima_by_cluster(system: SpectralSystem, reports, k_all: np.ndarray) -> list[float]:
+def generalized_minima_by_cluster(system: SpectralSystem, scan: ClusterScan, k_all) -> list[float]:
     """Each circle's least eigenvalue of r·G_N·r, r = √N/k, one ``eigvalsh`` per
-    report, the oracle for ``delta_gamma_fit``'s stacked weighted solves."""
+    cluster, the oracle for ``delta_gamma_fit``'s stacked weighted solves."""
     generalized = []
-    for row in reports:
-        r = math.sqrt(row.center) / k_all[row.indices]
-        block = _gram_block_by_gather(system, row.indices)
+    for center, a, b in zip(scan.centers.tolist(), scan.lo.tolist(), scan.hi.tolist()):
+        idx = np.arange(a, b)
+        r = math.sqrt(center) / k_all[idx]
+        block = _gram_block_by_gather(system, idx)
         generalized.append(float(np.linalg.eigvalsh(r[:, None] * block * r)[0]))
     return generalized
 

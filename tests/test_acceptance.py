@@ -305,22 +305,23 @@ def test_10_two_full_sides_constant_minima():
     check(
         "two-full-sides-constant-minima",
         ok,
-        f"max |μ_N − 2/π| = {report.max_abs_deviation:.3e} over {len(report.rows)} "
+        f"max |μ_N − 2/π| = {report.max_abs_deviation:.3e} over {report.scan.centers.size} "
         f"clusters, fitted envelope {envelope!r}",
     )
 
 
 def test_11_one_full_side_decay_constant():
     delta_hat, report = delta_gamma_fit(build_square_system(5000, full_bottom()), full_bottom())
+    scan = report.scan
     worst = max(
-        abs(row.center * row.min_eig - bottom_side_closed_form_n_mu(int(row.center)))
-        for row in report.rows
+        abs(center * min_eig - bottom_side_closed_form_n_mu(int(center)))
+        for center, min_eig in zip(scan.centers.tolist(), scan.min_eig.tolist())
     )
     ok = worst <= 1e-10 and delta_hat > 0.0 and abs(delta_hat - 2.0 / math.pi) <= 1e-10
     check(
         "one-full-side-decay-constant",
         ok,
-        f"worst closed-form gap {worst:.3e} over {len(report.rows)} clusters, "
+        f"worst closed-form gap {worst:.3e} over {scan.centers.size} clusters, "
         f"min N·μ_N = {delta_hat:.12g} vs 2/π = {2.0 / math.pi:.12g}",
     )
 
@@ -335,7 +336,7 @@ def test_12_sub_patch_decay_and_weighted_restatement():
     check(
         "sub-patch-decay-and-weighted-restatement",
         ok,
-        f"min N·μ_N = {delta_hat:.12g} > 0 over {len(report.rows)} clusters, but the "
+        f"min N·μ_N = {delta_hat:.12g} > 0 over {report.scan.centers.size} clusters, but the "
         f"weighted restatement needs every generalized minimum ≥ that constant and "
         f"the smallest is {min_gen:.12g}; {elapsed:.1f}s",
     )

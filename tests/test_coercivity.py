@@ -1,6 +1,7 @@
 """Clusters, coercivity certificates, transforms, resolvent margins, search."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,10 +18,8 @@ from obskit import (
     SpectralSystem,
     TransformedWidth,
     admissibility_breakpoints,
-    cluster_min_coercivity,
     coercivity_scan,
     default_config,
-    enumerate_cluster,
     estimate_admissibility,
     fit_psi_envelope,
     resolvent_check,
@@ -31,20 +30,24 @@ from obskit import (
     weak_to_spectral,
 )
 from obskit import coercivity, evolution, spectral, window
-from obskit.coercivity import BETA_SAFETY, ClusterReport
+from obskit.coercivity import BETA_SAFETY, ClusterScan
 from obskit.spectral import frequency, observed_energy_sq, residual
 from obskit.square import BoundaryPatch, GammaSpec, Side, bottom_and_left, build_square_system, full_bottom
 
-from oracles import admissibility_by_every_point, assert_same_scan, coercivity_scan_by_cluster
+from oracles import (
+    admissibility_by_every_point,
+    assert_same_scan,
+    cluster_min_coercivity,
+    coercivity_scan_by_cluster,
+    enumerate_cluster,
+)
 
 
-def make_report(center, min_eig):
-    return ClusterReport(
-        center=center,
-        epsilon=0.5,
-        indices=np.array([0]),
-        min_eig=min_eig,
-    )
+def make_scan(centers, minima):
+    """A scan at width 0.5 of one-mode clusters with the given centers and minima."""
+    n = len(centers)
+    centers, minima = np.array(centers, dtype=float), np.array(minima, dtype=float)
+    return ClusterScan(0.5, centers, np.arange(n), np.arange(1, n + 1), minima)
 
 
 def dense_admissibility(system, epsilon, lambda_grid):
@@ -210,19 +213,20 @@ class TestClusterMinCoercivity:
 
 class TestScanAndEnvelope:
     def test_scan_centers_are_distinct_eigenvalues(self, square50):
-        reports = [rep for rep in coercivity_scan(square50, 0.5) if rep.center <= 10.0]
-        assert [rep.center for rep in reports] == [2.0, 5.0, 8.0, 10.0]
-        assert [rep.size for rep in reports] == [1, 2, 1, 2]
+        scan = coercivity_scan(square50, 0.5)
+        first = scan.centers <= 10.0
+        assert scan.centers[first].tolist() == [2.0, 5.0, 8.0, 10.0]
+        assert scan.sizes[first].tolist() == [1, 2, 1, 2]
 
     def test_scan_respects_lambda_max_inclusive(self, square50):
-        reports = coercivity_scan(square50, 0.5)
-        assert reports[-1].center == square50.lambda_max
+        scan = coercivity_scan(square50, 0.5)
+        assert scan.centers[-1] == square50.lambda_max
 
     def test_singleton_clusters_give_diagonal_entries(self):
         gram = np.diag([0.3, 0.7, 0.1]).astype(complex)
         sys_ = SpectralSystem(eigenvalues=[1.0, 5.0, 9.0], gram=gram)
-        reports = coercivity_scan(sys_, 0.5)
-        assert [rep.min_eig for rep in reports] == pytest.approx([0.3, 0.7, 0.1])
+        scan = coercivity_scan(sys_, 0.5)
+        assert scan.min_eig.tolist() == pytest.approx([0.3, 0.7, 0.1])
 
     @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
     def test_scan_rejects_a_width_that_is_not_positive(self, square50, width):
@@ -250,7 +254,7 @@ class TestScanAndEnvelope:
             monkeypatch.setattr(spectral, "BLOCK_BYTES", budget)
             stacks.clear()
             assert_same_scan(coercivity_scan(sys_, width), oracle)
-            assert sum(k for k, _, _ in stacks) == len(oracle)
+            assert sum(k for k, _, _ in stacks) == oracle.centers.size
             for k, s, _ in stacks:
                 assert k == 1 or k * s * max(s, rank) * 16 <= budget
             if width == 400.0:
@@ -258,34 +262,38 @@ class TestScanAndEnvelope:
                 assert stacks == [(per, 220, 220)] * (101 // per) + [(1, 220, 220)] * (101 % per)
 
     def test_flat_minima_fit_constant_form(self):
-        reports = [make_report(c, 0.3) for c in [1.0, 10.0, 100.0]]
-        env = fit_psi_envelope(reports)
+        env = fit_psi_envelope(make_scan([1.0, 10.0, 100.0], [0.3] * 3))
         assert env.p == 0.0
         assert env.c == pytest.approx(0.3, rel=1e-14)
 
     def test_single_report_fits_constant_form(self):
-        env = fit_psi_envelope([make_report(7.0, 0.42)])
+        env = fit_psi_envelope(make_scan([7.0], [0.42]))
         assert env.p == 0.0
         assert env.c == pytest.approx(0.42, rel=1e-14)
 
     def test_reciprocal_minima_fit_power_law(self, square50):
-        reports = coercivity_scan(square50, 0.5)
-        env = fit_psi_envelope(reports)
+        scan = coercivity_scan(square50, 0.5)
+        env = fit_psi_envelope(scan)
         assert env.p == 1.0
-        for rep in reports:
-            assert env(rep.center) <= rep.min_eig * (1.0 + 1e-12)
+        for center, min_eig in zip(scan.centers.tolist(), scan.min_eig.tolist()):
+            assert env(center) <= min_eig * (1.0 + 1e-12)
 
-    def test_zero_minimum_raises_with_cluster(self):
-        gram = np.diag([0.5, 0.0, 0.5]).astype(complex)
-        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.0], gram=gram)
-        reports = coercivity_scan(sys_, 0.5)
-        with pytest.raises(CoercivityError, match="not weakly coercive") as info:
-            fit_psi_envelope(reports)
-        assert info.value.cluster.center == 2.0
+    @pytest.mark.parametrize(
+        "diagonal", [[0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 1e-15, 0.0]], ids=["one", "several"]
+    )
+    def test_zero_minimum_raises_with_cluster(self, diagonal):
+        # With several clusters below the floor the first center is named.
+        n = len(diagonal)
+        sys_ = SpectralSystem(eigenvalues=np.arange(1.0, n + 1), gram=np.diag(diagonal).astype(complex))
+        scan = coercivity_scan(sys_, 0.5)
+        message = "not weakly coercive at width 0.5: cluster at center 2.0 has minimal observed energy 0.000e+00"
+        with pytest.raises(CoercivityError, match=f"^{re.escape(message)}$") as info:
+            fit_psi_envelope(scan)
+        assert type(info.value.center) is float and info.value.center == 2.0
 
     def test_empty_scan_rejected(self):
         with pytest.raises(DomainError):
-            fit_psi_envelope([])
+            fit_psi_envelope(make_scan([], []))
 
     def test_arbitrary_centers_inherit_scan_bound(self):
         rng = np.random.default_rng(52)

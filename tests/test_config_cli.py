@@ -605,6 +605,6 @@ class TestWorkers:
             raise AssertionError("a scan started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert len(coercivity_scan(build_square_system(300, full_bottom()), 0.5)) == 101
+        assert coercivity_scan(build_square_system(300, full_bottom()), 0.5).centers.size == 101
         bottom = build_square_system(200, full_bottom())
-        assert len(delta_gamma_fit(bottom, full_bottom())[1].rows) == 68
+        assert delta_gamma_fit(bottom, full_bottom())[1].scan.centers.size == 68

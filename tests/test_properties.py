@@ -303,8 +303,11 @@ def scan_widths(draw, eigenvalues):
 @settings(max_examples=300)
 @given(scan_systems(), st.data())
 def test_stacked_cluster_scan_equals_the_per_cluster_loop(sys_, data):
-    for _ in range(3):
-        epsilon = data.draw(scan_widths(sys_.eigenvalues))
+    # Three single widths, then one width per distinct eigenvalue, as the violation search uses.
+    centers = sys_.distinct_eigenvalues()
+    widths = [data.draw(scan_widths(sys_.eigenvalues)) for _ in range(3)]
+    widths.append(np.array([data.draw(scan_widths(sys_.eigenvalues)) for _ in centers.tolist()]))
+    for epsilon in widths:
         assert_same_scan(coercivity_scan(sys_, epsilon), coercivity_scan_by_cluster(sys_, epsilon))
 
 

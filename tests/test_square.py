@@ -18,6 +18,7 @@ from obskit import (
     DomainError,
     GammaSpec,
     Side,
+    SpectralSystem,
     assumption_I_check,
     bottom_and_left,
     build_square_system,
@@ -441,11 +442,11 @@ class TestGramFactor:
         for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh")):
             monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
         sys_ = build_square_system(2000, bottom_and_left())
-        reports = coercivity_scan(sys_, 0.5)
-        assert sys_.size == 1529 and len(reports) == 591
-        assert len(assumption_I_check(sys_).rows) == 591
+        scan = coercivity_scan(sys_, 0.5)
+        assert sys_.size == 1529 and scan.centers.size == 591
+        assert assumption_I_check(sys_).scan.centers.size == 591
         bottom = build_square_system(2000, full_bottom())
-        assert len(delta_gamma_fit(bottom, full_bottom())[1].rows) == 591
+        assert delta_gamma_fit(bottom, full_bottom())[1].scan.centers.size == 591
         assert "gram" not in vars(sys_) and "gram" not in vars(bottom)
         assert orders and max(orders) == math.isqrt(2000 - 1)
 
@@ -462,7 +463,7 @@ class TestGramFactor:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         _, report = delta_gamma_fit(build_square_system(200, full_bottom()), full_bottom())
-        assert orders == Counter(row.size for row in report.rows) and max(orders) > 1
+        assert orders == Counter(report.scan.sizes.tolist()) and max(orders) > 1
         orders.clear()
         assumption_I_check(build_square_system(200, bottom_and_left()))
         assert not orders
@@ -484,11 +485,10 @@ class TestDecayFit:
     def test_full_bottom_closed_form_rows(self):
         delta_hat, report = delta_gamma_fit(build_square_system(200, full_bottom()), full_bottom())
         assert delta_hat == pytest.approx(TWO_OVER_PI, abs=1e-10)
-        for row in report.rows:
-            assert row.center * row.min_eig == pytest.approx(
-                bottom_side_closed_form_n_mu(int(row.center)), abs=1e-10
-            )
-        assert [row.center for row in report.rows] == sorted(row.center for row in report.rows)
+        scan = report.scan
+        for center, min_eig in zip(scan.centers.tolist(), scan.min_eig.tolist()):
+            assert center * min_eig == pytest.approx(bottom_side_closed_form_n_mu(int(center)), abs=1e-10)
+        assert scan.centers.tolist() == sorted(scan.centers.tolist())
 
     def test_closed_form_values(self):
         assert bottom_side_closed_form_n_mu(50) == pytest.approx(TWO_OVER_PI)
@@ -503,6 +503,18 @@ class TestDecayFit:
     def test_rejects_small_bound(self):
         with pytest.raises(DomainError):
             delta_gamma_fit(build_square_system(1, full_bottom()), full_bottom())
+
+    @pytest.mark.parametrize(
+        "eigenvalues",
+        [[2.0, 5.0], [2.0, 5.0, 5.0, 8.5], [2.0, 5.0, 5.0, 7.0], [1.0, 1.5], [2.0, 5.0, 5.0, 1e300]],
+    )
+    def test_rejects_a_system_that_is_not_the_square_lattice(self, eigenvalues):
+        # [2, 5] lacks one of square_modes(5)'s two modes at 5; [2, 5, 5, 8.5]
+        # has the size of square_modes(8) but not its value 8; the others have
+        # the wrong size, lie below the lattice, or name one far past their size.
+        system = SpectralSystem(eigenvalues=eigenvalues, factor=np.eye(len(eigenvalues)))
+        with pytest.raises(DomainError, match="^the system is not build_square_system"):
+            delta_gamma_fit(system, full_bottom())
 
     def test_left_and_right_sides_match_bottom_and_top(self):
         bundles = {}
@@ -537,13 +549,15 @@ class TestOneCircleScan:
     def test_delta_gamma_rows_are_lattice_circles(self, gamma, n_max):
         modes = square_modes(n_max)
         _, report = delta_gamma_fit(build_square_system(n_max, gamma), gamma)
-        assert [row.center for row in report.rows] == sorted(set(eigenvalues_of(modes).tolist()))
+        scan = report.scan
+        assert scan.centers.tolist() == sorted(set(eigenvalues_of(modes).tolist()))
         oracle = dense_gram_oracle(modes, gamma)
         scale = np.abs(oracle).max()
-        for row in report.rows:
-            assert row.size == len(lattice_circle(int(row.center)))
-            block = oracle[np.ix_(row.indices, row.indices)]
-            assert abs(row.min_eig - np.linalg.eigvalsh(block)[0]) <= 1e-13 * scale
+        columns = (scan.centers, scan.lo, scan.hi, scan.min_eig)
+        for center, a, b, min_eig in zip(*(col.tolist() for col in columns)):
+            assert b - a == len(lattice_circle(int(center)))
+            block = oracle[a:b, a:b]
+            assert abs(min_eig - np.linalg.eigvalsh(block)[0]) <= 1e-13 * scale
 
     @settings(max_examples=30)
     @given(gamma=one_side_gammas(), n_max=st.integers(2, 120))
@@ -552,11 +566,13 @@ class TestOneCircleScan:
         _, report = delta_gamma_fit(system, gamma)
         by_row = gamma.patches[0].side in (Side.BOTTOM, Side.TOP)
         k_all = square_modes(n_max)[:, 1 if by_row else 0]
-        for row, gen in zip(report.rows, report.generalized):
-            block, k = system.gram_block(row.indices), k_all[row.indices]
-            weights = np.diag(k * k / row.center)
+        scan = report.scan
+        columns = (scan.centers, scan.lo, scan.hi, report.generalized)
+        for center, a, b, gen in zip(*(col.tolist() for col in columns)):
+            block, k = system.gram_block(np.arange(a, b)), k_all[a:b]
+            weights = np.diag(k * k / center)
             oracle = scipy.linalg.eigh(block, weights, eigvals_only=True, subset_by_index=(0, 0))[0]
-            scale = np.abs(block).max() * row.center / float(k.min()) ** 2
+            scale = np.abs(block).max() * center / float(k.min()) ** 2
             assert abs(gen - oracle) <= 1e-13 * scale
 
 
@@ -565,11 +581,11 @@ class TestOneCircleScan:
     def test_stacked_generalized_minima_equal_the_per_circle_loop(self, gamma, n_max):
         system = build_square_system(n_max, gamma)
         _, report = delta_gamma_fit(system, gamma)
-        rows = coercivity_scan_by_cluster(system, CIRCLE_WIDTH)
+        oracle = coercivity_scan_by_cluster(system, CIRCLE_WIDTH)
         by_row = gamma.patches[0].side in (Side.BOTTOM, Side.TOP)
         k_all = square_modes(n_max)[:, 1 if by_row else 0]
-        assert report.generalized == generalized_minima_by_cluster(system, rows, k_all)
-        assert_same_scan(report.rows, rows)
+        assert report.generalized.tolist() == generalized_minima_by_cluster(system, oracle, k_all)
+        assert_same_scan(report.scan, oracle)
 
 
 class TestTwoSidesScan:
@@ -581,9 +597,10 @@ class TestTwoSidesScan:
 
     def test_single_mode_circle_arithmetic(self):
         report = assumption_I_check(build_square_system(2, bottom_and_left()))
-        assert len(report.rows) == 1
-        row = report.rows[0]
-        assert row.center == 2
-        assert row.size == 1
-        assert row.min_eig == pytest.approx(TWO_OVER_PI, abs=1e-14)
-        assert row.center * row.min_eig == pytest.approx(2.0 * TWO_OVER_PI, abs=1e-13)
+        scan = report.scan
+        assert scan.centers.size == 1
+        center, size, min_eig = scan.centers[0], scan.sizes[0], scan.min_eig[0]
+        assert center == 2
+        assert size == 1
+        assert min_eig == pytest.approx(TWO_OVER_PI, abs=1e-14)
+        assert center * min_eig == pytest.approx(2.0 * TWO_OVER_PI, abs=1e-13)

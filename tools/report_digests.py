@@ -16,7 +16,9 @@ n_max 250, ``coercivity-scan`` on the full bottom side at n_max 1000 with
 the wide cluster width 1.3 (clusters of 1 to 8 modes), ``coercivity-scan``
 and ``weak-observability`` (``--trials 20``) on two top patches and one
 right patch at n_max 500, ``assumption-ii-iii`` on the right half of the
-right side at n_max 500, and each job of
+right side at n_max 500, ``coercivity-scan`` on a 3-mode custom system whose
+first cluster has a null state (the ``weakly-coercive-at-width`` failure),
+``assumption-i`` at the cluster width 1.3 (its second scan), and each job of
 ``perfbench/jobs.py`` at full size, and prints one line per report: the
 digest (``-`` when no report was written), the exit code, the seed and a
 label.  Run it in two checkouts and ``diff`` the outputs to see
@@ -105,6 +107,16 @@ SIDES_RUNS = (
     ("weak-observability", SIDES_CONFIG, ["--trials", "20"]),
     ("assumption-ii-iii", RIGHT_HALF_CONFIG, []),
 )
+# Two branches of the cluster scan's consumers: a scan whose envelope fit
+# fails (the first cluster, modes 0 and 1, holds the null state e₀ − e₁), and
+# assumption-i at a width past the unit gap, which scans a second time.
+NULL_STATE_CONFIG = {
+    "system": {"type": "custom", "eigenvalues": [1, 1.2, 3], "gram": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}
+}
+BRANCH_RUNS = (
+    ("coercivity-scan", NULL_STATE_CONFIG),
+    ("assumption-i", {"epsilon_cluster": 1.3}),
+)
 
 
 def _digest(report: bytes | None) -> str:
@@ -137,7 +149,8 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
     ``blocks/SCENARIO``, ``custom/SCENARIO``, ``scale/SCENARIO``, ``mid/SCENARIO``,
-    ``wide/coercivity-scan``, ``sides/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
+    ``wide/coercivity-scan``, ``sides/SCENARIO``, ``branch/SCENARIO`` and
+    ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
     lines += [
@@ -177,6 +190,10 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     lines += [
         _cli_line([scenario, "--config", json.dumps(config), *rest], seed, outdir, f"sides/{scenario}")
         for scenario, config, rest in SIDES_RUNS
+    ]
+    lines += [
+        _cli_line([scenario, "--config", json.dumps(config)], seed, outdir, f"branch/{scenario}")
+        for scenario, config in BRANCH_RUNS
     ]
     for workload in WORKLOADS:
         (outdir / workload).mkdir(exist_ok=True)
