@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import (
-    Constant,
-    DecayFunction,
-    PowerLaw,
-    TransformedWidth,
-    require_positive_nonincreasing,
-)
+from .decay import DecayFunction, PowerLaw, TransformedWidth
 from .errors import CoercivityError, DomainError, NumericError
 from .spectral import (
     SpectralSystem,
@@ -51,9 +45,10 @@ BETA_SAFETY = 1.0 - 1.0e-9
 class CoercivityCertificate:
     """A (ε, ψ) pair certifying observation strength.
 
-    For ``kind="weak_spectral"`` the width ε must be a Constant (the bound
-    applies to states supported on fixed-width eigenvalue clusters).  For
-    ``kind="spectral"`` both members may vary with frequency.
+    For ``kind="weak_spectral"`` the width ε must be a constant, a
+    ``PowerLaw`` with p = 0 (the bound applies to states supported on
+    fixed-width eigenvalue clusters).  For ``kind="spectral"`` both members
+    may vary with frequency.
     """
 
     epsilon: DecayFunction
@@ -65,8 +60,8 @@ class CoercivityCertificate:
             raise DomainError(f"certificate kind must be one of {CERTIFICATE_KINDS}, got {self.kind!r}")
         if not isinstance(self.epsilon, DecayFunction) or not isinstance(self.psi, DecayFunction):
             raise DomainError("epsilon and psi must be decay functions")
-        if self.kind == "weak_spectral" and not isinstance(self.epsilon, Constant):
-            raise DomainError("weak_spectral certificates require a Constant cluster width")
+        if self.kind == "weak_spectral" and not (isinstance(self.epsilon, PowerLaw) and self.epsilon.p == 0):
+            raise DomainError("weak_spectral certificates require a constant cluster width PowerLaw(c, 0)")
 
 
 @dataclass(frozen=True)
@@ -107,9 +102,11 @@ def _cluster_runs(system: SpectralSystem, epsilon) -> tuple[np.ndarray, np.ndarr
     and the next value outward fails it (or there is none).  By
     monotonicity that end is then the run's end.
     """
-    if not np.all(np.asarray(epsilon) > 0):
-        raise DomainError(f"cluster width must be positive, got {epsilon}")
     lam, u = system.eigenvalues, system.distinct_eigenvalues()
+    bad = np.flatnonzero(~(np.asarray(epsilon) > 0))
+    if bad.size:
+        at = "" if np.ndim(epsilon) == 0 else f" at center {u[bad[0]]}"
+        raise DomainError(f"cluster width must be positive, got {np.ravel(epsilon)[bad[0]]}{at}")
     j = np.arange(u.size)
 
     def inside(k):
@@ -220,17 +217,14 @@ def weak_to_spectral(cert: CoercivityCertificate, M: float) -> CoercivityCertifi
     """Turn a weak certificate into a full spectral one via admissibility M.
 
     Output width ε(λ) = ½(2M/ψ(λ) + 1/ε₀)⁻¹ (kept as an exact composite)
-    and strength ψ(λ)/4; both are re-verified positive non-increasing.
+    and strength ψ(λ)/4.  ψ must be a ``PowerLaw`` (else ``TypeError``) and
+    M positive and finite (else ``DomainError``); both outputs are then
+    positive and non-increasing wherever ψ does not underflow.
     """
     if cert.kind != "weak_spectral":
         raise DomainError("weak_to_spectral requires a weak_spectral certificate")
-    if not (M > 0 and math.isfinite(M)):
-        raise DomainError(f"admissibility constant must be positive and finite, got {M!r}")
     epsilon = TransformedWidth(psi=cert.psi, admissibility=M, base_width=cert.epsilon.c)
-    psi = cert.psi.scaled(0.25)
-    require_positive_nonincreasing(epsilon, "transformed cluster width")
-    require_positive_nonincreasing(psi, "transformed coercivity strength")
-    return CoercivityCertificate(epsilon=epsilon, psi=psi, kind="spectral")
+    return CoercivityCertificate(epsilon=epsilon, psi=cert.psi.scaled(0.25), kind="spectral")
 
 
 def admissibility_breakpoints(system: SpectralSystem, epsilon: float) -> np.ndarray:
@@ -524,13 +518,16 @@ def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipel
     ``admissibility_sq`` is the exact supremum over all real λ:
     ``estimate_admissibility`` evaluated at the cluster edges
     ``admissibility_breakpoints(system, ε/2)``, in low rank plus a Weyl
-    term, hence an upper bound.
+    term, hence an upper bound.  The certificate's ψ and ε are
+    non-increasing, so being > 0 at ``system.lambda_max`` (checked, else
+    ``NumericError``) makes them positive at every frequency λ(z) ≤ λ_max
+    of a state of the system.
     """
     scan = coercivity_scan(system, epsilon)
     envelope = fit_psi_envelope(scan)
     half = epsilon / 2.0
     weak = CoercivityCertificate(
-        epsilon=Constant(half), psi=shifted_power_law(envelope, half), kind="weak_spectral"
+        epsilon=PowerLaw(half, 0.0), psi=shifted_power_law(envelope, half), kind="weak_spectral"
     )
     try:
         m_sq = estimate_admissibility(system, half, admissibility_breakpoints(system, half))
@@ -538,6 +535,11 @@ def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipel
         raise DomainError(f"half of the cluster width {epsilon!r}: {exc}") from exc
     m = math.sqrt(m_sq)
     spectral = weak_to_spectral(weak, m)
+    for name, rate in (("psi", spectral.psi), ("epsilon", spectral.epsilon)):
+        if not rate(system.lambda_max) > 0:
+            raise NumericError(
+                f"the spectral certificate's {name} underflows to 0 at lambda_max = {system.lambda_max!r}"
+            )
     return CertificatePipeline(
         scan_width=epsilon,
         scan=scan,

@@ -1,11 +1,13 @@
 """Positive non-increasing rate functions on [0, ∞).
 
 These model coercivity strengths ψ(λ) and cluster widths ε(λ): strictly
-positive, continuous, non-increasing functions of the frequency.  Two
-closed-form families are provided (constant and power law), plus the
-composite width produced by turning a weak certificate into a full spectral
-one (kept as an exact composite rather than re-fitted, so no conservatism
-is introduced).
+positive, continuous, non-increasing functions of the frequency.  The
+family is closed: the power law c/(1+λ)^p (p = 0 is the constant c), and
+the composite width produced by turning a weak certificate into a full
+spectral one (kept as an exact composite rather than re-fitted, so no
+conservatism is introduced).  Each is in the class as soon as its
+parameters are valid; only floating-point underflow at large λ can break
+positivity, which a caller checks at the largest frequency it evaluates.
 """
 
 from __future__ import annotations
@@ -15,21 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
-
-# The frequency grid on which membership in the admissible class
-# (positive, non-increasing) is verified.
-CLASS_CHECK_GRID = (0.0, 1.0, 10.0, 1.0e3, 1.0e6)
+from .errors import DomainError
 
 
 class DecayFunction:
     """A strictly positive, non-increasing function of frequency λ ≥ 0."""
 
     def __call__(self, lam):
-        raise NotImplementedError
-
-    def scaled(self, factor: float) -> "DecayFunction":
-        """The pointwise product ``factor * self`` (factor > 0)."""
         raise NotImplementedError
 
 
@@ -44,27 +38,8 @@ def _check_nonnegative(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class Constant(DecayFunction):
-    """ε(λ) = c."""
-
-    c: float
-
-    def __post_init__(self):
-        _check_positive("c", self.c)
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = np.full(lam.shape, self.c)
-        return float(out) if out.ndim == 0 else out
-
-    def scaled(self, factor: float) -> "Constant":
-        _check_positive("factor", factor)
-        return Constant(self.c * factor)
-
-
-@dataclass(frozen=True)
 class PowerLaw(DecayFunction):
-    """ψ(λ) = c / (1 + λ)^p."""
+    """ψ(λ) = c / (1 + λ)^p; p = 0 is the constant c."""
 
     c: float
     p: float
@@ -80,6 +55,7 @@ class PowerLaw(DecayFunction):
         return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
     def scaled(self, factor: float) -> "PowerLaw":
+        """The pointwise product ``factor * self`` (factor > 0)."""
         _check_positive("factor", factor)
         return PowerLaw(self.c * factor, self.p)
 
@@ -89,41 +65,27 @@ class TransformedWidth(DecayFunction):
     """ε(λ) = ½ · (2M/ψ(λ) + 1/ε₀)⁻¹.
 
     The cluster width admissible for a full spectral certificate built from
-    a weak one with strength ``psi``, admissibility constant ``admissibility``
-    (M) and constant weak width ``base_width`` (ε₀).  Evaluated exactly as a
-    composite; positive and non-increasing whenever ψ is.
+    a weak one with strength ``psi`` (a ``PowerLaw``), admissibility
+    constant ``admissibility`` (M) and constant weak width ``base_width``
+    (ε₀).  Evaluated exactly as a composite; positive and non-increasing
+    wherever ψ is positive.
     """
 
-    psi: DecayFunction
+    psi: PowerLaw
     admissibility: float
     base_width: float
 
     def __post_init__(self):
+        if not isinstance(self.psi, PowerLaw):
+            raise TypeError(f"a transformed width needs a PowerLaw strength, got {self.psi!r}")
         _check_positive("admissibility", self.admissibility)
         _check_positive("base_width", self.base_width)
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
         psi_val = np.asarray(self.psi(lam), dtype=float)
-        # ψ underflowing to 0 makes 2M/ψ inf and the width 0, which the
-        # class check rejects; one such point must not abort a whole array.
+        # ψ underflowing to 0 makes 2M/ψ inf and the width 0; one such point
+        # must not abort a whole array.
         with np.errstate(over="ignore", divide="ignore"):
             out = 0.5 / (2.0 * self.admissibility / psi_val + 1.0 / self.base_width)
         return float(out) if out.ndim == 0 else out
-
-
-def is_positive_nonincreasing(f: DecayFunction) -> bool:
-    """Check strict positivity and monotone non-increase on ``CLASS_CHECK_GRID``."""
-    values = [float(f(g)) for g in CLASS_CHECK_GRID]
-    if any(not (v > 0 and math.isfinite(v)) for v in values):
-        return False
-    for lo, hi in zip(values, values[1:]):
-        if hi > lo * (1.0 + 1e-12):
-            return False
-    return True
-
-
-def require_positive_nonincreasing(f: DecayFunction, what: str) -> None:
-    """Raise NumericError unless ``f`` passes the admissible-class check."""
-    if not is_positive_nonincreasing(f):
-        raise NumericError(f"{what} is not positive and non-increasing on the check grid")

@@ -21,7 +21,7 @@ from .coercivity import (
     resolvent_check,
     scan_certificate,
 )
-from .config import RunConfig, gamma_spec_of, system_of
+from .config import RunConfig, system_of
 from .errors import CoercivityError, DomainError
 from .evolution import (
     admissibility_check,
@@ -336,7 +336,7 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
 def run_assumption_ii_iii(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
-    delta_hat, report = delta_gamma_fit(system, gamma_spec_of(cfg.system))
+    delta_hat, report = delta_gamma_fit(system)
     scan = report.scan
     bundle.constants["delta_hat"] = delta_hat
     bundle.constants["min_generalized"] = report.min_generalized

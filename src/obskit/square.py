@@ -206,21 +206,34 @@ def gram_factor(modes: np.ndarray, gamma: GammaSpec) -> tuple[np.ndarray, float]
     return np.hstack(columns), error
 
 
-def build_square_system(n_max_eigenvalue: int, gamma: GammaSpec) -> SpectralSystem:
+class SquareSystem(SpectralSystem):
+    """The square's spectral system over ``square_modes(n_max)``, observed on ``gamma``.
+
+    It keeps its (n, 2) lattice ``modes``, row k the (p, q) of eigenvalue k,
+    and its ``gamma``, so the checks that need them read them from here.
+    """
+
+    def __init__(self, n_max_eigenvalue: int, gamma: GammaSpec):
+        if not isinstance(gamma, GammaSpec):
+            raise DomainError("gamma must be a GammaSpec")
+        modes = square_modes(n_max_eigenvalue)
+        factor, error = gram_factor(modes, gamma)
+        p, q = modes.T
+        sides = ",".join(sorted(s.value for s in gamma.sides()))
+        super().__init__(
+            # Integers below 2⁵³, so exact as floats.
+            eigenvalues=(p * p + q * q).astype(float),
+            factor=factor,
+            factor_error=error,
+            label=f"square n_max={n_max_eigenvalue} gamma[{sides}]",
+        )
+        modes.setflags(write=False)
+        self.modes, self.gamma = modes, gamma
+
+
+def build_square_system(n_max_eigenvalue: int, gamma: GammaSpec) -> SquareSystem:
     """Spectral system for the square with normal-derivative observation on Γ."""
-    if not isinstance(gamma, GammaSpec):
-        raise DomainError("gamma must be a GammaSpec")
-    modes = square_modes(n_max_eigenvalue)
-    factor, error = gram_factor(modes, gamma)
-    p, q = modes.T
-    sides = ",".join(sorted(s.value for s in gamma.sides()))
-    return SpectralSystem(
-        # Integers below 2⁵³, so exact as floats.
-        eigenvalues=(p * p + q * q).astype(float),
-        factor=factor,
-        factor_error=error,
-        label=f"square n_max={n_max_eigenvalue} gamma[{sides}]",
-    )
+    return SquareSystem(n_max_eigenvalue, gamma)
 
 
 # Square eigenvalues are integers, so a cluster narrower than 1 about one of
@@ -246,39 +259,31 @@ class DeltaGammaReport:
         return float(self.generalized.min())
 
 
-def _modes_of(system: SpectralSystem) -> np.ndarray:
-    """The modes of a system built by ``build_square_system(n_max, ·)``, else a ``DomainError``.
-
-    p = 1 alone gives square_modes(n) isqrt(n − 1) modes, so comparing that
-    with the system's size first bounds ``mode_count``'s loop and the lattice.
-    """
-    n = int(system.lambda_max)
-    if n >= 2 and math.isqrt(n - 1) <= system.size == mode_count(n):
-        modes = square_modes(n)
-        if np.array_equal(system.eigenvalues, (modes * modes).sum(axis=1)):
-            return modes
-    raise DomainError(
-        "the system is not build_square_system(n_max, gamma): its eigenvalues are not "
-        "p² + q² over square_modes(n_max)"
-    )
+def _square_system(system: SpectralSystem) -> SquareSystem:
+    if not isinstance(system, SquareSystem):
+        raise DomainError(
+            "the system is not build_square_system(n_max, gamma): it carries no lattice "
+            "modes and no gamma"
+        )
+    return system
 
 
-def delta_gamma_fit(system: SpectralSystem, gamma: GammaSpec) -> tuple[float, DeltaGammaReport]:
+def delta_gamma_fit(system: SpectralSystem) -> tuple[float, DeltaGammaReport]:
     """Fit the 1/λ coercivity constant δ̂ = min_N N·μ_N for a one-side Γ.
 
-    ``system`` is ``build_square_system(n_max, gamma)``; a system whose
-    eigenvalues are not those of the square's modes is a ``DomainError``.
-    Returns (δ̂, full report).  δ̂ > 0 is reported, never asserted to a
-    specific value; the report also carries each circle's generalized
-    minimum of (G_N, diag(k²/N)), k = q on the bottom and top and p on the
-    left and right, so the weighted restatement can be examined side by
-    side.  The weight is diagonal, so that minimum is the least eigenvalue
-    of r·G_N·r, r = √N/k.
+    ``system`` is ``build_square_system(n_max, gamma)``, whose modes and Γ
+    it reads; any other system, or a Γ on more than one side, is a
+    ``DomainError``.  Returns (δ̂, full report).  δ̂ > 0 is reported, never
+    asserted to a specific value; the report also carries each circle's
+    generalized minimum of (G_N, diag(k²/N)), k = q on the bottom and top
+    and p on the left and right, so the weighted restatement can be
+    examined side by side.  The weight is diagonal, so that minimum is the
+    least eigenvalue of r·G_N·r, r = √N/k.
     """
-    if len(gamma.sides()) != 1:
+    square = _square_system(system)
+    if len(square.gamma.sides()) != 1:
         raise DomainError("delta_gamma_fit requires all patches on a single side")
-    side = gamma.patches[0].side
-    k_all = _trace_indices(_modes_of(system), side)[1]
+    k_all = _trace_indices(square.modes, square.gamma.patches[0].side)[1]
     # One pass of coercivity_scan's runs and stacks feeds both minima.
     centers, lo, hi = _cluster_runs(system, CIRCLE_WIDTH)
     min_eig, generalized = np.empty(centers.size), np.empty(centers.size)
@@ -303,11 +308,14 @@ class AssumptionReport:
 def assumption_I_check(system: SpectralSystem) -> AssumptionReport:
     """Scan Γ = full bottom ∪ full left: every circle minimum is 2/π.
 
-    ``system`` is ``build_square_system(n_max, bottom_and_left())``.  The
-    circle Gram is diagonal with constant entries 2q²/(πN) + 2p²/(πN)
-    = 2/π, the frequency-independent lower bound of exact observability;
-    the report carries the numerically confirmed deviations.
+    ``system`` is ``build_square_system(n_max, bottom_and_left())``; any
+    other system is a ``DomainError``.  The circle Gram is diagonal with
+    constant entries 2q²/(πN) + 2p²/(πN) = 2/π, the frequency-independent
+    lower bound of exact observability; the report carries the numerically
+    confirmed deviations.
     """
+    if set(_square_system(system).gamma.patches) != set(bottom_and_left().patches):
+        raise DomainError("assumption_I_check requires gamma to be the full bottom and left sides")
     scan = coercivity_scan(system, CIRCLE_WIDTH)
     reference = 2.0 / math.pi
     return AssumptionReport(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import Constant, DecayFunction, PowerLaw, TransformedWidth
+from .decay import DecayFunction, PowerLaw, TransformedWidth
 from .errors import DomainError, NumericError, ShapeError
 from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, coefficients_of
 
@@ -112,13 +112,10 @@ def windowed_frequency(z0, system: SpectralSystem, T: float, tau: float) -> floa
 def _power_form(eps: DecayFunction) -> tuple[float, float, float]:
     """(A, B, p) with T·ε(θ₀(1/T + λ₀)) = θ₁ ⟺ T = A(1 + θ₀λ₀ + θ₀/T)^p + B."""
     match eps:
-        case Constant(c=c):
-            return THETA1 / c, 0.0, 0.0
         case PowerLaw(c=c, p=p):
             return THETA1 / c, 0.0, p
-        case TransformedWidth(psi=Constant() | PowerLaw() as psi, admissibility=M, base_width=eps0):
-            A, _, p = _power_form(psi)
-            return 4.0 * M * A, 2.0 * THETA1 / eps0, p
+        case TransformedWidth(psi=PowerLaw(c=c, p=p), admissibility=M, base_width=eps0):
+            return 4.0 * M * (THETA1 / c), 2.0 * THETA1 / eps0, p
     raise TypeError(f"no observation-time solve for the width {eps!r}")
 
 

@@ -18,7 +18,6 @@ from scipy.integrate import quad
 from obskit import (
     BoundaryPatch,
     CoercivityCertificate,
-    Constant,
     GammaSpec,
     PowerLaw,
     Side,
@@ -242,7 +241,7 @@ def test_07_observability_integral_vs_time_quadrature():
 def test_08_observation_time_solver():
     worst_res = 0.0
     width = TransformedWidth(psi=PowerLaw(0.3, 1.0), admissibility=2.0, base_width=0.15)
-    for eps in (Constant(0.2), PowerLaw(0.3, 1.0), width):
+    for eps in (PowerLaw(0.2, 0.0), PowerLaw(0.3, 1.0), width):
         for lam0 in (0.5, 3.0, 25.0):
             T = solve_observation_time(lam0, eps)
             res = abs(T * float(eps(THETA0 * (1.0 / T + lam0))) - THETA1)
@@ -311,7 +310,7 @@ def test_10_two_full_sides_constant_minima():
 
 
 def test_11_one_full_side_decay_constant():
-    delta_hat, report = delta_gamma_fit(build_square_system(5000, full_bottom()), full_bottom())
+    delta_hat, report = delta_gamma_fit(build_square_system(5000, full_bottom()))
     scan = report.scan
     worst = max(
         abs(center * min_eig - bottom_side_closed_form_n_mu(int(center)))
@@ -329,7 +328,7 @@ def test_11_one_full_side_decay_constant():
 def test_12_sub_patch_decay_and_weighted_restatement():
     gamma = GammaSpec((BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0),))
     start = time.perf_counter()
-    delta_hat, report = delta_gamma_fit(build_square_system(500, gamma), gamma)
+    delta_hat, report = delta_gamma_fit(build_square_system(500, gamma))
     elapsed = time.perf_counter() - start
     min_gen = report.min_generalized
     ok = delta_hat > 0.0 and min_gen >= delta_hat - 1e-12 and elapsed < 60.0

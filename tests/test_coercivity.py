@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from obskit import (
     CoercivityCertificate,
     CoercivityError,
-    Constant,
     DomainError,
+    NumericError,
     PowerLaw,
     SpectralSystem,
     TransformedWidth,
@@ -233,6 +233,12 @@ class TestScanAndEnvelope:
         with pytest.raises(DomainError, match=f"^cluster width must be positive, got {width}$"):
             coercivity_scan(square50, width)
 
+    @pytest.mark.parametrize("widths", [[1.0, 0.0, 0.5], [1.0, math.nan, -1.0]])
+    def test_runs_name_the_first_width_that_is_not_positive_and_its_center(self, widths):
+        sys_ = SpectralSystem(eigenvalues=[1.0, 5.0, 5.0, 9.0], factor=np.eye(4))
+        with pytest.raises(DomainError, match=f"^cluster width must be positive, got {widths[1]} at center 5.0$"):
+            coercivity._cluster_runs(sys_, np.array(widths))
+
     def test_a_stack_holds_at_most_the_byte_budget_and_at_least_one_block(self, monkeypatch):
         # Width 400 puts all 220 modes of n_max 300 into each of its 101
         # clusters: a 774 KB block each, over the default budget, so one at a
@@ -319,15 +325,17 @@ class TestShiftAndTransform:
         flat = shifted_power_law(PowerLaw(2.0, 0.0), 0.5)
         assert flat(3.0) == pytest.approx(2.0)
 
-    def test_weak_requires_constant_width(self):
-        with pytest.raises(DomainError, match="Constant"):
-            CoercivityCertificate(
-                epsilon=PowerLaw(1.0, 1.0), psi=Constant(1.0), kind="weak_spectral"
-            )
+    @pytest.mark.parametrize(
+        "epsilon",
+        [PowerLaw(1.0, 1.0), TransformedWidth(psi=PowerLaw(1.0, 0.0), admissibility=1.0, base_width=1.0)],
+    )
+    def test_weak_requires_constant_width(self, epsilon):
+        with pytest.raises(DomainError, match=re.escape("constant cluster width PowerLaw(c, 0)")):
+            CoercivityCertificate(epsilon=epsilon, psi=PowerLaw(1.0, 0.0), kind="weak_spectral")
 
     def test_transform_arithmetic_example(self):
         weak = CoercivityCertificate(
-            epsilon=Constant(1.0), psi=Constant(1.0), kind="weak_spectral"
+            epsilon=PowerLaw(1.0, 0.0), psi=PowerLaw(1.0, 0.0), kind="weak_spectral"
         )
         spectral = weak_to_spectral(weak, 1.0)
         assert spectral.kind == "spectral"
@@ -338,7 +346,7 @@ class TestShiftAndTransform:
     def test_transform_power_law_substitution(self):
         d, m = 0.4, 3.0
         weak = CoercivityCertificate(
-            epsilon=Constant(0.5), psi=PowerLaw(d, 1.0), kind="weak_spectral"
+            epsilon=PowerLaw(0.5, 0.0), psi=PowerLaw(d, 1.0), kind="weak_spectral"
         )
         spectral = weak_to_spectral(weak, m)
         assert isinstance(spectral.epsilon, TransformedWidth)
@@ -349,11 +357,14 @@ class TestShiftAndTransform:
 
     def test_transform_rejects_wrong_inputs(self):
         weak = CoercivityCertificate(
-            epsilon=Constant(1.0), psi=Constant(1.0), kind="weak_spectral"
+            epsilon=PowerLaw(1.0, 0.0), psi=PowerLaw(1.0, 0.0), kind="weak_spectral"
         )
-        with pytest.raises(DomainError):
-            weak_to_spectral(weak, 0.0)
+        for M in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="admissibility must be positive and finite"):
+                weak_to_spectral(weak, M)
         spectral = weak_to_spectral(weak, 1.0)
+        with pytest.raises(TypeError, match="PowerLaw strength"):
+            weak_to_spectral(CoercivityCertificate(epsilon=weak.epsilon, psi=spectral.epsilon, kind="weak_spectral"), 1.0)
         with pytest.raises(DomainError):
             weak_to_spectral(spectral, 1.0)
 
@@ -554,7 +565,7 @@ class TestResolventCheck:
         lam = np.sort(rng.uniform(1.0, 20.0, size=10))
         sys_ = SpectralSystem(eigenvalues=lam, gram=np.eye(10))
         cert = CoercivityCertificate(
-            epsilon=Constant(1e-3), psi=Constant(1.0), kind="spectral"
+            epsilon=PowerLaw(1e-3, 0.0), psi=PowerLaw(1.0, 0.0), kind="spectral"
         )
         for k in range(10):
             rep = resolvent_check(sys_, np.eye(10)[k], cert)
@@ -629,7 +640,7 @@ class TestResolventCheck:
         lam = np.sort(np.array(eigenvalues))
         sys_ = low_rank_system(lam, min(rank, lam.size), seed)
         cert = CoercivityCertificate(
-            epsilon=Constant(epsilon), psi=PowerLaw(*psi), kind="spectral"
+            epsilon=PowerLaw(epsilon, 0.0), psi=PowerLaw(*psi), kind="spectral"
         )
         rng = np.random.default_rng(seed)
         z = np.eye(lam.size)[mode % lam.size] + noise * (
@@ -674,7 +685,7 @@ class TestResolventCheck:
 
     def test_requires_spectral_kind(self, square50):
         weak = CoercivityCertificate(
-            epsilon=Constant(0.5), psi=Constant(0.1), kind="weak_spectral"
+            epsilon=PowerLaw(0.5, 0.0), psi=PowerLaw(0.1, 0.0), kind="weak_spectral"
         )
         with pytest.raises(DomainError):
             resolvent_check(square50, np.ones(square50.size), weak)
@@ -684,7 +695,7 @@ class TestViolationSearch:
     def test_identity_gram_has_no_violations(self):
         sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.0, 4.0], gram=np.eye(4))
         cert = CoercivityCertificate(
-            epsilon=Constant(0.5), psi=Constant(0.5), kind="spectral"
+            epsilon=PowerLaw(0.5, 0.0), psi=PowerLaw(0.5, 0.0), kind="spectral"
         )
         assert spectral_coercivity_violation_search(sys_, cert, 500, seed=1) is None
 
@@ -723,7 +734,7 @@ class TestViolationSearch:
 
     def test_requires_spectral_kind(self, square50):
         weak = CoercivityCertificate(
-            epsilon=Constant(0.5), psi=Constant(0.1), kind="weak_spectral"
+            epsilon=PowerLaw(0.5, 0.0), psi=PowerLaw(0.1, 0.0), kind="weak_spectral"
         )
         with pytest.raises(DomainError):
             spectral_coercivity_violation_search(square50, weak, 10, seed=0)
@@ -752,6 +763,22 @@ class TestPipeline:
         assert isinstance(width, TransformedWidth)
         assert width.base_width == pytest.approx(half)
         assert width.admissibility == pytest.approx(pipeline.admissibility)
+
+    @pytest.mark.parametrize(
+        "envelope, admissibility_sq, name",
+        # ψ/4 = 1e-320·(4/5)²/4 underflows at λ_max = 50; or 2M/ψ = 2e10/1e-300
+        # overflows and the width reads 0 while ψ/4 stays positive.
+        [(PowerLaw(1e-320, 2.0), None, "psi"), (PowerLaw(1e-300, 0.0), 1e20, "epsilon")],
+        ids=["psi", "epsilon"],
+    )
+    def test_rates_that_underflow_at_lambda_max_are_rejected(
+        self, square50, monkeypatch, envelope, admissibility_sq, name
+    ):
+        monkeypatch.setattr(coercivity, "fit_psi_envelope", lambda scan: envelope)
+        if admissibility_sq is not None:
+            monkeypatch.setattr(coercivity, "estimate_admissibility", lambda *args: admissibility_sq)
+        with pytest.raises(NumericError, match=f"^the spectral certificate's {name} underflows to 0 at lambda_max = 50.0$"):
+            scan_certificate(square50, 0.5)
 
     def test_sampling_half_width_eligibility(self, square50):
         # states drawn inside the search's own half-width satisfy the

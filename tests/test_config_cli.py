@@ -607,4 +607,4 @@ class TestWorkers:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert coercivity_scan(build_square_system(300, full_bottom()), 0.5).centers.size == 101
         bottom = build_square_system(200, full_bottom())
-        assert delta_gamma_fit(bottom, full_bottom())[1].scan.centers.size == 68
+        assert delta_gamma_fit(bottom)[1].scan.centers.size == 68

@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from obskit import Constant, PowerLaw, TransformedWidth
-from obskit.decay import (
-    CLASS_CHECK_GRID,
-    is_positive_nonincreasing,
-    require_positive_nonincreasing,
-)
-from obskit.errors import DomainError, NumericError
+from obskit import PowerLaw, TransformedWidth
+from obskit.decay import DecayFunction
+from obskit.errors import DomainError
 
 
 class TestFamilies:
     def test_constant_values(self):
-        f = Constant(0.3)
+        f = PowerLaw(0.3, 0.0)
         assert f(0.0) == 0.3
         assert f(1e6) == 0.3
-        np.testing.assert_allclose(f(np.array([0.0, 5.0])), [0.3, 0.3])
+        assert f(math.inf) == 0.3
+        assert f(np.array([0.0, 5.0])).tolist() == [0.3, 0.3]
 
     def test_power_law_values(self):
         f = PowerLaw(2.0, 1.0)
@@ -31,15 +28,9 @@ class TestFamilies:
         g = PowerLaw(1.0, 2.0)
         assert g(9.0) == pytest.approx(0.01)
 
-    def test_power_law_constant_form(self):
-        f = PowerLaw(0.7, 0.0)
-        assert f(123.0) == pytest.approx(0.7)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
-            Constant(0.0)
-        with pytest.raises(DomainError):
-            Constant(-1.0)
+            PowerLaw(-1.0, 0.0)
         with pytest.raises(DomainError):
             PowerLaw(1.0, -0.5)
         with pytest.raises(DomainError):
@@ -48,7 +39,7 @@ class TestFamilies:
             PowerLaw(math.inf, 1.0)
 
     def test_scaled(self):
-        assert Constant(2.0).scaled(3.0).c == pytest.approx(6.0)
+        assert PowerLaw(2.0, 0.0).scaled(3.0) == PowerLaw(6.0, 0.0)
         f = PowerLaw(2.0, 1.0).scaled(0.25)
         assert f.c == pytest.approx(0.5)
         assert f.p == 1.0
@@ -56,7 +47,7 @@ class TestFamilies:
         assert g.c == pytest.approx(4.0)
         assert g.p == 0.5
         with pytest.raises(DomainError):
-            Constant(1.0).scaled(0.0)
+            PowerLaw(1.0, 0.0).scaled(0.0)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, 2.0, 0.5, 1.37])
@@ -80,7 +71,7 @@ def test_power_law_scalar_equals_array_bitwise(p, lam):
 class TestTransformedWidth:
     def test_constant_inputs_exact_arithmetic(self):
         # strength 1, admissibility 1, base width 1: 0.5 / (2/1 + 1/1) = 1/6
-        w = TransformedWidth(psi=Constant(1.0), admissibility=1.0, base_width=1.0)
+        w = TransformedWidth(psi=PowerLaw(1.0, 0.0), admissibility=1.0, base_width=1.0)
         assert w(0.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
         assert w(100.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
 
@@ -97,54 +88,28 @@ class TestTransformedWidth:
         grid = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(w(grid), [w(0.0), w(1.0), w(2.0)], rtol=1e-14)
 
-    def test_in_admissible_class(self):
+    def test_nonincreasing_and_positive_until_the_strength_underflows(self):
         w = TransformedWidth(psi=PowerLaw(1.0, 2.0), admissibility=5.0, base_width=0.25)
-        assert is_positive_nonincreasing(w)
-
-    def test_scaled_not_supported(self):
-        w = TransformedWidth(psi=Constant(1.0), admissibility=1.0, base_width=1.0)
-        with pytest.raises(NotImplementedError):
-            w.scaled(2.0)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(DomainError):
-            TransformedWidth(psi=Constant(1.0), admissibility=0.0, base_width=1.0)
-        with pytest.raises(DomainError):
-            TransformedWidth(psi=Constant(1.0), admissibility=1.0, base_width=-1.0)
-
-
-class TestClassCheck:
-    def test_grid_contents(self):
-        assert CLASS_CHECK_GRID == (0.0, 1.0, 10.0, 1.0e3, 1.0e6)
-
-    def test_families_pass(self):
-        for f in [
-            Constant(1.0),
-            PowerLaw(2.0, 1.0),
-            TransformedWidth(psi=PowerLaw(1.0, 2.0), admissibility=5.0, base_width=0.25),
-        ]:
-            assert is_positive_nonincreasing(f)
-
-    def test_increasing_function_fails(self):
-        class Rising(Constant):
-            def __call__(self, lam):
-                lam = np.asarray(lam, dtype=float)
-                out = self.c * (1.0 + lam)
-                return float(out) if out.ndim == 0 else out
-
-        assert not is_positive_nonincreasing(Rising(1.0))
-        with pytest.raises(NumericError, match="not positive and non-increasing"):
-            require_positive_nonincreasing(Rising(1.0), "test function")
-
-    def test_underflowing_rate_fails(self):
-        # 1e-300 / (1 + 1e6)^4 underflows to exactly 0, violating strict positivity
-        f = PowerLaw(1e-300, 4.0)
-        assert f(1.0e6) == 0.0
-        assert not is_positive_nonincreasing(f)
-
-    def test_width_over_underflowing_rate_fails(self):
+        values = w(np.array([0.0, 1.0, 10.0, 1.0e3, 1.0e6, 1.0e150]))
+        assert np.all(values > 0) and np.all(np.diff(values) <= 0)
         # 2M/ψ overflows, then divides by zero, as ψ falls to 0: the width reads 0
         f = TransformedWidth(psi=PowerLaw(1e-300, 4.0), admissibility=1.0, base_width=1.0)
         assert f(1.0e6) == 0.0
         assert f(np.array([0.0, 1.0e6])).tolist() == [f(0.0), 0.0]
-        assert not is_positive_nonincreasing(f)
+
+    def test_strength_must_be_a_power_law(self):
+        class Rising(DecayFunction):
+            def __call__(self, lam):
+                return 1.0 + np.asarray(lam, dtype=float)
+
+        for psi in (Rising(), TransformedWidth(psi=PowerLaw(1.0, 0.0), admissibility=1.0, base_width=1.0)):
+            with pytest.raises(TypeError, match="PowerLaw strength"):
+                TransformedWidth(psi=psi, admissibility=1.0, base_width=1.0)
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(DomainError):
+            TransformedWidth(psi=PowerLaw(1.0, 0.0), admissibility=0.0, base_width=1.0)
+        with pytest.raises(DomainError):
+            TransformedWidth(psi=PowerLaw(1.0, 0.0), admissibility=1.0, base_width=-1.0)
+        with pytest.raises(DomainError):
+            TransformedWidth(psi=PowerLaw(1.0, 0.0), admissibility=math.inf, base_width=1.0)

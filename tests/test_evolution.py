@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from obskit import (
-    Constant,
     DomainError,
+    PowerLaw,
     ShapeError,
     SpectralSystem,
     StateVector,
@@ -209,7 +209,7 @@ class TestObservabilityIntegral:
             lambda: admissibility_check(block, sys_, 0.7, observability_kernel(sys_, np.full(5, 0.7)), 3.0),
             lambda: admissibility_check(block, sys_, np.full(5, 0.7), observability_kernel(sys_, 0.7), 3.0),
             lambda: admissibility_check(block, sys_, np.full(2, 0.7), observability_kernel(sys_, np.full(2, 0.7)), 3.0),
-            lambda: weak_observability_check(block, sys_, 0.7, Constant(1.0), [1.0, 2.0]),
+            lambda: weak_observability_check(block, sys_, 0.7, PowerLaw(1.0, 0.0), [1.0, 2.0]),
         )
         for call in calls:
             with pytest.raises(ShapeError):
@@ -225,16 +225,16 @@ class TestObservabilityIntegral:
                 lambda: observability_integral(block, sys_, T),
                 lambda: observability_kernel(sys_, T),
                 lambda: admissibility_check(block, sys_, T, np.zeros(np.shape(T) + (4, 4)), 3.0),
-                lambda: weak_observability_check(block, sys_, T, Constant(1.0), 1.0),
+                lambda: weak_observability_check(block, sys_, T, PowerLaw(1.0, 0.0), 1.0),
             )
             for call in calls:
                 with pytest.raises(DomainError, match="finite"):
                     call()
         for t_min in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError):
-                weak_observability_check(block, sys_, 0.7, Constant(1.0), t_min)
+                weak_observability_check(block, sys_, 0.7, PowerLaw(1.0, 0.0), t_min)
             with pytest.raises(DomainError):
-                weak_observability_check(block[0], sys_, 0.7, Constant(1.0), [t_min])
+                weak_observability_check(block[0], sys_, 0.7, PowerLaw(1.0, 0.0), [t_min])
 
 
 class TestKernelAndAdmissibility:
@@ -328,9 +328,9 @@ class TestWeakObservability:
 
     def test_basis_state_margin_grows(self):
         sys_ = SpectralSystem(eigenvalues=[2.0, 5.0], gram=np.diag([0.8, 0.3]).astype(complex))
-        psi = Constant(0.1)
+        psi = PowerLaw(0.1, 0.0)
         z = StateVector.basis(0, 2)
-        t_min = solve_observation_time(frequency(z, sys_), Constant(0.1))
+        t_min = solve_observation_time(frequency(z, sys_), PowerLaw(0.1, 0.0))
         rep = weak_observability_check(z, sys_, 4.0 * t_min, psi, t_min)
         assert rep.applicable
         assert rep.margin > 0

@@ -67,7 +67,6 @@ import pytest
 
 from obskit import (
     CoercivityCertificate,
-    Constant,
     DomainError,
     PowerLaw,
     ShapeError,
@@ -93,7 +92,6 @@ from obskit import (
 )
 from obskit import spectral
 from obskit.cli import main
-from obskit.decay import is_positive_nonincreasing
 from obskit.evolution import _observed_energy, _phased
 from obskit.spectral import _moments, _power_of_two_frame, _row_forms, _row_fsum, observed_energy_sq
 from obskit.square import BoundaryPatch, GammaSpec, Side, build_square_system
@@ -355,10 +353,13 @@ def test_checks_homogeneous_of_degree_two_under_powers_of_two(pair, seed, decade
     st.sampled_from((0.0, 1.0, 2.0)),
     st.floats(1e-6, 1e6),
     st.floats(1e-6, 10.0),
+    st.lists(st.floats(0.0, 1e6), max_size=16),
 )
-def test_transformed_width_in_admissible_class(c, p, M, eps0):
+def test_transformed_width_in_admissible_class(c, p, M, eps0, lam):
     width = TransformedWidth(psi=PowerLaw(c, p), admissibility=M, base_width=eps0)
-    assert is_positive_nonincreasing(width)
+    values = width(np.sort(np.array([0.0, 1e6] + lam)))
+    assert np.all(values > 0)
+    assert np.all(np.diff(values) <= 0)
 
 
 LAMBDA0 = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-6.0, 6.0).map(lambda d: 10.0**d))
@@ -374,7 +375,7 @@ def observation_time_inputs(draw):
         draw(st.one_of(st.sampled_from((0.0, 1.0, 2.0)), st.floats(0.0, 4.0))),
     )
     eps = draw(st.sampled_from((
-        Constant(draw(st.floats(1e-6, 1e6))),
+        PowerLaw(draw(st.floats(1e-6, 1e6)), 0.0),
         power,
         TransformedWidth(psi=power, admissibility=draw(st.floats(1e-6, 1e6)),
                          base_width=draw(st.floats(1e-6, 10.0))),
@@ -406,9 +407,9 @@ def test_batched_observation_time_is_the_newton_root(inputs):
 
 @st.composite
 def widths(draw):
-    """A Constant, a PowerLaw with p ∈ {0, 1, 2}, or a TransformedWidth over either."""
+    """A constant PowerLaw(c, 0), a PowerLaw with p ∈ {0, 1, 2}, or a TransformedWidth over either."""
     base = draw(st.one_of(
-        st.floats(1e-6, 1e6).map(Constant),
+        st.floats(1e-6, 1e6).map(lambda c: PowerLaw(c, 0.0)),
         st.builds(PowerLaw, st.floats(1e-6, 1e3), st.sampled_from((0.0, 1.0, 2.0))),
     ))
     if not draw(st.booleans()):

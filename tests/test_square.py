@@ -446,7 +446,7 @@ class TestGramFactor:
         assert sys_.size == 1529 and scan.centers.size == 591
         assert assumption_I_check(sys_).scan.centers.size == 591
         bottom = build_square_system(2000, full_bottom())
-        assert delta_gamma_fit(bottom, full_bottom())[1].scan.centers.size == 591
+        assert delta_gamma_fit(bottom)[1].scan.centers.size == 591
         assert "gram" not in vars(sys_) and "gram" not in vars(bottom)
         assert orders and max(orders) == math.isqrt(2000 - 1)
 
@@ -462,7 +462,7 @@ class TestGramFactor:
             return solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        _, report = delta_gamma_fit(build_square_system(200, full_bottom()), full_bottom())
+        _, report = delta_gamma_fit(build_square_system(200, full_bottom()))
         assert orders == Counter(report.scan.sizes.tolist()) and max(orders) > 1
         orders.clear()
         assumption_I_check(build_square_system(200, bottom_and_left()))
@@ -480,10 +480,16 @@ class TestBuildSquareSystem:
         with pytest.raises(DomainError):
             build_square_system(10, "bottom")
 
+    def test_records_its_modes_and_gamma(self):
+        gamma = GammaSpec((BoundaryPatch(Side.TOP, 0.5, 2.0),))
+        sys_ = build_square_system(50, gamma)
+        assert np.array_equal(sys_.modes, square_modes(50)) and not sys_.modes.flags.writeable
+        assert sys_.gamma is gamma
+
 
 class TestDecayFit:
     def test_full_bottom_closed_form_rows(self):
-        delta_hat, report = delta_gamma_fit(build_square_system(200, full_bottom()), full_bottom())
+        delta_hat, report = delta_gamma_fit(build_square_system(200, full_bottom()))
         assert delta_hat == pytest.approx(TWO_OVER_PI, abs=1e-10)
         scan = report.scan
         for center, min_eig in zip(scan.centers.tolist(), scan.min_eig.tolist()):
@@ -498,23 +504,34 @@ class TestDecayFit:
 
     def test_requires_single_side(self):
         with pytest.raises(DomainError, match="single side"):
-            delta_gamma_fit(build_square_system(100, bottom_and_left()), bottom_and_left())
+            delta_gamma_fit(build_square_system(100, bottom_and_left()))
 
     def test_rejects_small_bound(self):
         with pytest.raises(DomainError):
-            delta_gamma_fit(build_square_system(1, full_bottom()), full_bottom())
+            delta_gamma_fit(build_square_system(1, full_bottom()))
 
     @pytest.mark.parametrize(
         "eigenvalues",
-        [[2.0, 5.0], [2.0, 5.0, 5.0, 8.5], [2.0, 5.0, 5.0, 7.0], [1.0, 1.5], [2.0, 5.0, 5.0, 1e300]],
+        [
+            [2.0, 5.0], [2.0, 5.0, 5.0, 8.5], [2.0, 5.0, 5.0, 7.0], [1.0, 1.5], [2.0, 5.0, 5.0, 1e300],
+            [2.0, 5.0, 5.0],
+        ],
     )
     def test_rejects_a_system_that_is_not_the_square_lattice(self, eigenvalues):
         # [2, 5] lacks one of square_modes(5)'s two modes at 5; [2, 5, 5, 8.5]
-        # has the size of square_modes(8) but not its value 8; the others have
-        # the wrong size, lie below the lattice, or name one far past their size.
+        # has the size of square_modes(8) but not its value 8; the next three
+        # have the wrong size, lie below the lattice, or name one far past
+        # their size.  [2, 5, 5] is square_modes(5)'s spectrum, but a system
+        # not built by build_square_system records no modes and no Γ.
         system = SpectralSystem(eigenvalues=eigenvalues, factor=np.eye(len(eigenvalues)))
         with pytest.raises(DomainError, match="^the system is not build_square_system"):
-            delta_gamma_fit(system, full_bottom())
+            delta_gamma_fit(system)
+
+    def test_weights_follow_the_side_the_system_was_built_on(self):
+        # On the left side the trace amplitude index is p; weighting by the
+        # bottom side's q instead read min_generalized 0.01299 here.
+        _, report = delta_gamma_fit(build_square_system(50, GammaSpec((BoundaryPatch(Side.LEFT),))))
+        assert report.min_generalized == pytest.approx(TWO_OVER_PI, rel=1e-12)
 
     def test_left_and_right_sides_match_bottom_and_top(self):
         bundles = {}
@@ -538,7 +555,7 @@ class TestDecayFit:
         # decay constant from above cluster by cluster; the weighted minima
         # measured here drop far below the scanned constant instead.
         gamma = GammaSpec((BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0),))
-        delta_hat, report = delta_gamma_fit(build_square_system(500, gamma), gamma)
+        delta_hat, report = delta_gamma_fit(build_square_system(500, gamma))
         assert delta_hat > 0.0
         assert report.min_generalized >= delta_hat - 1e-12
 
@@ -548,7 +565,7 @@ class TestOneCircleScan:
     @given(gamma=one_side_gammas(), n_max=st.integers(2, 120))
     def test_delta_gamma_rows_are_lattice_circles(self, gamma, n_max):
         modes = square_modes(n_max)
-        _, report = delta_gamma_fit(build_square_system(n_max, gamma), gamma)
+        _, report = delta_gamma_fit(build_square_system(n_max, gamma))
         scan = report.scan
         assert scan.centers.tolist() == sorted(set(eigenvalues_of(modes).tolist()))
         oracle = dense_gram_oracle(modes, gamma)
@@ -563,7 +580,7 @@ class TestOneCircleScan:
     @given(gamma=one_side_gammas(), n_max=st.integers(2, 120))
     def test_generalized_minima_match_the_weighted_eigensolve(self, gamma, n_max):
         system = build_square_system(n_max, gamma)
-        _, report = delta_gamma_fit(system, gamma)
+        _, report = delta_gamma_fit(system)
         by_row = gamma.patches[0].side in (Side.BOTTOM, Side.TOP)
         k_all = square_modes(n_max)[:, 1 if by_row else 0]
         scan = report.scan
@@ -580,7 +597,7 @@ class TestOneCircleScan:
     @given(gamma=one_side_gammas(), n_max=st.integers(2, 700))
     def test_stacked_generalized_minima_equal_the_per_circle_loop(self, gamma, n_max):
         system = build_square_system(n_max, gamma)
-        _, report = delta_gamma_fit(system, gamma)
+        _, report = delta_gamma_fit(system)
         oracle = coercivity_scan_by_cluster(system, CIRCLE_WIDTH)
         by_row = gamma.patches[0].side in (Side.BOTTOM, Side.TOP)
         k_all = square_modes(n_max)[:, 1 if by_row else 0]
@@ -604,3 +621,13 @@ class TestTwoSidesScan:
         assert size == 1
         assert min_eig == pytest.approx(TWO_OVER_PI, abs=1e-14)
         assert center * min_eig == pytest.approx(2.0 * TWO_OVER_PI, abs=1e-13)
+
+    def test_rejects_a_system_not_built_on_the_bottom_and_left_sides(self):
+        reversed_sides = GammaSpec((BoundaryPatch(Side.LEFT), BoundaryPatch(Side.BOTTOM)))
+        assert assumption_I_check(build_square_system(20, reversed_sides)).max_abs_deviation <= 1e-10
+        half_left = GammaSpec((BoundaryPatch(Side.BOTTOM), BoundaryPatch(Side.LEFT, 0.0, 1.0)))
+        for gamma in (full_bottom(), half_left):
+            with pytest.raises(DomainError, match="full bottom and left sides"):
+                assumption_I_check(build_square_system(20, gamma))
+        with pytest.raises(DomainError, match="^the system is not build_square_system"):
+            assumption_I_check(SpectralSystem(eigenvalues=[2.0, 5.0, 5.0], factor=np.eye(3)))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from obskit import (
-    Constant,
     DecayFunction,
     DomainError,
     NumericError,
@@ -227,7 +226,7 @@ class TestWindowedFrequency:
 class TestObservationTimeSolver:
     def test_constant_width_closed_form(self):
         for eps0 in [1.0, 0.37, 2.5e-3]:
-            got = solve_observation_time(1.0, Constant(eps0))
+            got = solve_observation_time(1.0, PowerLaw(eps0, 0.0))
             assert got == pytest.approx(THETA1 / eps0, rel=1e-11)
 
     def test_power_law_quadratic_oracle(self):
@@ -239,9 +238,8 @@ class TestObservationTimeSolver:
         # TransformedWidth: T = A(a + θ₀/T)^p + B with A = 4θ₁M/c, B = 2θ₁/ε₀, a = 1 + θ₀λ₀.
         for c, M, eps0, lam0 in [(0.519, 3.16, 0.25, 25.0), (2.0, 1e-3, 4.0, 0.0), (1e-4, 50.0, 1e-3, 1e3)]:
             A, B, a = 4.0 * THETA1 * M / c, 2.0 * THETA1 / eps0, 1.0 + THETA0 * lam0
-            for psi in (Constant(c), PowerLaw(c, 0.0)):
-                got = solve_observation_time(lam0, TransformedWidth(psi=psi, admissibility=M, base_width=eps0))
-                assert got == pytest.approx(A + B, rel=1e-14)
+            got = solve_observation_time(lam0, TransformedWidth(psi=PowerLaw(c, 0.0), admissibility=M, base_width=eps0))
+            assert got == pytest.approx(A + B, rel=1e-14)
             b = A * a + B
             root = 0.5 * b + math.sqrt(0.25 * b * b + A * THETA0)
             got = solve_observation_time(lam0, TransformedWidth(psi=PowerLaw(c, 1.0), admissibility=M, base_width=eps0))
@@ -249,7 +247,7 @@ class TestObservationTimeSolver:
 
     def test_equation_residual_small(self):
         width = TransformedWidth(psi=PowerLaw(0.3, 1.0), admissibility=2.0, base_width=0.5)
-        for eps in [Constant(0.2), PowerLaw(0.3, 1.0), width]:
+        for eps in [PowerLaw(0.2, 0.0), PowerLaw(0.3, 1.0), width]:
             for lam0 in [0.0, 1.0, 25.0]:
                 T = solve_observation_time(lam0, eps)
                 res = abs(T * float(eps(THETA0 * (1.0 / T + lam0))) - THETA1)
@@ -264,21 +262,20 @@ class TestObservationTimeSolver:
 
     def test_rejects_negative_frequency(self):
         with pytest.raises(DomainError):
-            solve_observation_time(-1.0, Constant(1.0))
+            solve_observation_time(-1.0, PowerLaw(1.0, 0.0))
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_rejects_one_bad_frequency_in_an_array(self, bad):
         with pytest.raises(DomainError):
-            solve_observation_time(np.array([0.0, 1.0, bad, 3.0]), Constant(1.0))
+            solve_observation_time(np.array([0.0, 1.0, bad, 3.0]), PowerLaw(1.0, 0.0))
 
-    def test_width_outside_the_three_families_is_a_type_error(self):
+    def test_width_outside_the_two_families_is_a_type_error(self):
         class Bump(DecayFunction):
             def __call__(self, lam):
                 return np.exp(-np.asarray(lam, dtype=float))
 
-        for eps in (Bump(), TransformedWidth(psi=Bump(), admissibility=1.0, base_width=0.5)):
-            with pytest.raises(TypeError):
-                solve_observation_time(np.array([5.0, 0.0, 5.0]), eps)
+        with pytest.raises(TypeError, match="no observation-time solve"):
+            solve_observation_time(np.array([5.0, 0.0, 5.0]), Bump())
 
     def test_root_past_the_float_range_is_a_numeric_error(self):
         with pytest.raises(NumericError, match="not finite"):
