@@ -60,9 +60,11 @@ DEFAULT_TRIALS = 100
 DEFAULT_SEED = 7
 DEFAULT_OUTPUT = "obskit-report.json"
 
-# Cap on the dense complex n×n Gram (16 bytes per entry) that some scenarios
-# form from a square system's factor: 1 GiB allows 8192 modes, that is
-# n_max_eigenvalue ≤ 10 564.  The cap is still applied to every scenario.
+# Cap on 16 bytes per mode pair, n² of them: a square system's Gram and each
+# kernel G∘S_T are real n×n matrices (8 bytes per entry), and some scenarios
+# hold the Gram, formed from the factor, and a kernel at once.  1 GiB allows
+# 8192 modes, that is n_max_eigenvalue ≤ 10 564.  The cap is still applied
+# to every scenario.
 MAX_GRAM_BYTES = 2**30
 
 _ANGLE_PATTERN = re.compile(r"^\s*(\d+)?\s*pi\s*(?:/\s*(\d+))?\s*$", re.IGNORECASE)
@@ -204,8 +206,8 @@ def _normalize_square(raw: dict) -> dict:
         modes = mode_count(n_max)
     if 16 * modes * modes > MAX_GRAM_BYTES:
         raise _invariant_error(
-            f"system.n_max_eigenvalue = {n_max} has at least {modes} modes; its dense "
-            f"complex Gram would exceed the {MAX_GRAM_BYTES // 2**30} GiB cap"
+            f"system.n_max_eigenvalue = {n_max} has at least {modes} modes; at 16 bytes "
+            f"per mode pair it would exceed the {MAX_GRAM_BYTES // 2**30} GiB cap"
         )
     gamma_raw = raw.get("gamma", [{"side": "bottom", "alpha": 0.0, "beta": math.pi}])
     if not isinstance(gamma_raw, list) or not gamma_raw:

@@ -30,22 +30,29 @@ from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_t
 from .window import THETA0, THETA2
 
 
-def _gap_index(lam: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """The (n, n) index of each λ_j − λ_k among ``_distinct_gaps(lam)``.
+def _gap_index(system: SpectralSystem) -> np.ndarray:
+    """The (n, n) index of each λ_j − λ_k in the system's ``phase_gaps``.
 
-    Every gap is one of ``gaps``, so one ``searchsorted`` finds its index
-    exactly.  Built per call, never held: see ``_distinct_gaps``.
+    On an integer spectrum of span L (``integer_span``) it is
+    off_j − off_k + L, off = λ − λ_min as intp, formed in one (n, n) intp
+    array: no sort and no search.  Otherwise every gap is one of the
+    distinct gaps, so one ``searchsorted`` finds its index exactly.  Built
+    per call, never held: see ``spectral._distinct_gaps``.
     """
-    return np.searchsorted(gaps, np.subtract.outer(lam, lam))
+    lam, span = system.eigenvalues, system.integer_span
+    if span is None:
+        return np.searchsorted(system.phase_gaps, np.subtract.outer(lam, lam))
+    off = (lam - lam[0]).astype(np.intp)
+    return np.subtract.outer(off + span, off)
 
 
 def _gap_kernel(gaps: np.ndarray, where: np.ndarray, T) -> np.ndarray:
     """The real symmetric kernel S_{jk}(T) = T·sin(h)/h, h = (λ_j−λ_k)T/2 (S = T
-    where h = 0), from the distinct ``gaps`` and their ``_gap_index``.
+    where h = 0), from the system's gap table ``gaps`` and the ``_gap_index`` into it.
 
     The phase kernel is K = D·S·D* (module docstring).  A scalar ``T`` gives
     one (n, n) matrix; a 1-D array of k horizons gives a (k, n, n) stack.
-    One sin runs per distinct gap and horizon (lattice spectra repeat their
+    One sin runs per table entry and horizon (lattice spectra repeat their
     gaps), and ``np.take`` gathers the values into a new C-contiguous array.
     """
     t = np.asarray(T, dtype=float)[..., None]
@@ -60,11 +67,10 @@ def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
 
     Real symmetric when the Gram is real (every square system), complex
     Hermitian only for a complex Gram.  One (n, n) matrix for a scalar
-    ``T``, a (k, n, n) stack for k horizons.  The distinct gaps are the
-    system's cached ``phase_gaps``, found once per system.
+    ``T``, a (k, n, n) stack for k horizons.  The gap table is the system's
+    cached ``phase_gaps``, found once per system.
     """
-    gaps = system.phase_gaps
-    return system.gram * _gap_kernel(gaps, _gap_index(system.eigenvalues, gaps), _horizons(T, system))
+    return system.gram * _gap_kernel(system.phase_gaps, _gap_index(system), _horizons(T, system))
 
 
 def _phased(c: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -128,8 +134,7 @@ def _energy_at(c: np.ndarray, system: SpectralSystem, t: np.ndarray) -> tuple[np
     lam = system.eigenvalues
     if t.ndim == 0:
         return _observed_energy(c, lam, observability_kernel(system, t), t)
-    gaps = system.phase_gaps
-    where = _gap_index(lam, gaps)
+    gaps, where = system.phase_gaps, _gap_index(system)
     step = _rows_within(system.gram.itemsize * system.size * system.size)
     parts = []
     for start in range(0, max(len(c), 1), step):  # an empty block still gives empty arrays

@@ -87,13 +87,16 @@ def _state_blocks(cfg: RunConfig, size: int):
     One generator draws each state once, in blocks of as many coefficient
     rows as ``_rows_within`` fits in ``spectral.BLOCK_BYTES``.  One
     (k, 2, size) draw takes the same stream as k draws of (2, size), so the
-    states do not depend on the block size.
+    states do not depend on the block size.  Its two halves are copied into
+    the real and imaginary parts of one preallocated complex block.
     """
     rng = np.random.default_rng(cfg.seed)
     rows = _rows_within(16 * size)
     for start in range(0, cfg.trials, rows):
         block = rng.standard_normal((min(rows, cfg.trials - start), 2, size))
-        yield start, block[:, 0] + 1j * block[:, 1]
+        z = np.empty((len(block), size), dtype=complex)
+        z.real, z.imag = block[:, 0], block[:, 1]
+        yield start, z
 
 
 def _table_rows(*columns) -> list[list]:

@@ -33,6 +33,9 @@ _LONG_UNIT_ROUNDOFF = float(_LONG.eps) / 2 if _LONG.nmant in (52, 63, 112) else 
 # chunk of per-row kernels G∘S_t, a stack of cluster Gram blocks, or a chunk
 # of the admissibility trace pass.  ``_rows_within`` sizes each of them.
 BLOCK_BYTES = 1 << 18
+# Every integer below this is a double, and so is the difference of two of
+# them: an integer spectrum below it has exact integer gaps.
+_EXACT_INTEGERS = 2.0**53
 
 
 class SpectralSystem:
@@ -107,9 +110,25 @@ class SpectralSystem:
         return g
 
     @functools.cached_property
+    def integer_span(self) -> int | None:
+        """L = λ_max − λ_min if the spectrum indexes its gaps by arithmetic, else None.
+
+        That holds when every eigenvalue is an integer below 2⁵³, so that
+        every gap λ_j − λ_k is an exact integer in [−L, L], and 2L + 1 ≤ n²,
+        so that the table −L…L is no larger than the n² gaps it indexes.
+        Every square spectrum p² + q² is integer.  Found on first read and
+        cached, like ``gram``.
+        """
+        lam = self.eigenvalues
+        if not (lam[-1] < _EXACT_INTEGERS and np.array_equal(lam, np.floor(lam))):
+            return None
+        span = int(lam[-1] - lam[0])
+        return span if 2 * span + 1 <= lam.size**2 else None
+
+    @functools.cached_property
     def phase_gaps(self) -> np.ndarray:
-        """``_distinct_gaps`` of the eigenvalues, built on first read and cached, like ``gram``."""
-        return _distinct_gaps(self.eigenvalues)
+        """``_distinct_gaps`` at ``integer_span``, built on first read and cached, like ``gram``."""
+        return _distinct_gaps(self.eigenvalues, self.integer_span)
 
     def gram_block(self, idx) -> np.ndarray:
         """G on the modes ``idx``: F_I·F_Iᴴ for a given factor, else the given Gram's block."""
@@ -144,15 +163,22 @@ class SpectralSystem:
         return np.unique(self.eigenvalues)
 
 
-def _distinct_gaps(eigenvalues) -> np.ndarray:
-    """The sorted distinct gaps λ_j − λ_k of ``eigenvalues``, read-only.
+def _distinct_gaps(eigenvalues, span: int | None = None) -> np.ndarray:
+    """The sorted, read-only table that holds every gap λ_j − λ_k of ``eigenvalues``.
 
-    Only the gaps are kept, not the (n, n) index of each gap in them: a
-    system holds them for its lifetime, and an index table held there
-    raised a run's peak memory.
+    For an integer spectrum of span L (``SpectralSystem.integer_span``) it is
+    the range −L…L as floats, in which gap g sits at index g + L, so nothing
+    is sorted; some entries may be gaps that do not occur.  Otherwise it is
+    the sorted distinct gaps, one ``np.unique`` over all n² of them.  Only
+    the table is kept, not the (n, n) index of each gap in it
+    (``evolution._gap_index``): a system holds the table for its lifetime,
+    and an index table held there raised a run's peak memory.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    gaps = np.unique(np.subtract.outer(lam, lam))
+    if span is None:
+        lam = np.asarray(eigenvalues, dtype=float)
+        gaps = np.unique(np.subtract.outer(lam, lam))
+    else:
+        gaps = np.arange(-span, span + 1, dtype=float)
     gaps.setflags(write=False)
     return gaps
 

@@ -1,6 +1,7 @@
 """Observability integrals: closed form vs quadrature, kernel properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,12 +124,52 @@ class TestGapTable:
                 assert np.array_equal(kernel.view(float), (sys_.gram * expected).view(float))
 
     def test_gaps_are_cached_read_only_and_sorted_distinct(self):
+        # The lattice's integer spectrum 2 … 50 takes the table −48 … 48; a
+        # non-integer spectrum keeps its sorted distinct gaps.
+        lattice = build_square_system(50, full_bottom())
+        other = random_system(np.random.default_rng(3), 9)
+        for sys_, span in ((lattice, 48), (other, None)):
+            gaps = sys_.phase_gaps
+            assert sys_.phase_gaps is gaps and not gaps.flags.writeable
+            assert sys_.integer_span == span
+        assert np.array_equal(lattice.phase_gaps, np.arange(-48.0, 49.0))
+        lam = other.eigenvalues
+        assert np.array_equal(other.phase_gaps, np.unique(np.subtract.outer(lam, lam)))
+
+    def test_square_kernels_neither_sort_nor_search(self, monkeypatch):
         sys_ = build_square_system(50, full_bottom())
-        gaps = sys_.phase_gaps
-        assert sys_.phase_gaps is gaps and not gaps.flags.writeable
-        lam = sys_.eigenvalues
-        assert np.array_equal(gaps, np.unique(np.subtract.outer(lam, lam)))
-        assert gaps.size == 87  # the README's count for these 33 modes
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an integer spectrum sorted or searched its gaps")
+
+        monkeypatch.setattr(np, "unique", refused)
+        monkeypatch.setattr(np, "searchsorted", refused)
+        z = np.random.default_rng(5).standard_normal((3, sys_.size)) + 0j
+        observability_kernel(sys_, np.array([0.3, 0.7]))
+        observability_integral(z, sys_, np.array([0.3, 0.7, 2.5]))
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            [1.0, 2.5, 3.0, 3.0],  # one non-integer eigenvalue
+            [1.0, 2.0, 1.0e6],  # 2L + 1 > n²
+            [2.0**53, 2.0**53, 2.0**53 + 2.0],  # integers, but not below 2⁵³
+        ],
+    )
+    def test_other_spectra_take_the_sorted_distinct_gaps(self, lam):
+        sys_ = SpectralSystem(eigenvalues=lam, factor=np.ones((len(lam), 1)))
+        assert sys_.integer_span is None
+        diffs = np.subtract.outer(sys_.eigenvalues, sys_.eigenvalues)
+        tracemalloc.start()
+        try:
+            gaps = sys_.phase_gaps
+            kernel = observability_kernel(sys_, np.array([0.3, 0.7]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # no table of span size: −10⁶ … 10⁶ would take 16 MB
+        assert np.array_equal(gaps, np.unique(diffs))
+        assert np.array_equal(kernel, sinc_kernel_by_unique_inverse(sys_.eigenvalues, np.array([0.3, 0.7])))
 
 
 class TestObservabilityIntegral:

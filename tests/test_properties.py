@@ -50,7 +50,11 @@ phased by diag(e^{i(λ_k−λ_1)t/2}) equal each row's own phasing bit for bit
 on such rows, at one horizon or one per row.  The eigenvalues of the real
 kernel G∘S_T stay within a stated Weyl bound of those of the complex
 G∘K(T), on real-factor and complex given-Gram systems and on the 183-mode
-sub-patch.
+sub-patch.  On integer spectra of up to 12 modes with repeats, spans up to
+the guard 2L + 1 ≤ n² and eigenvalues up to 2⁵³ − 1, the gap table is
+−L…L, the arithmetic gap index is ``searchsorted`` into it and finds the
+gaps that ``searchsorted`` over ``np.unique`` finds, and the kernel at one
+horizon and at several equals the unique-and-inverse oracle under ``==``.
 """
 
 import functools
@@ -90,7 +94,7 @@ from obskit import (
     weak_observability_check,
     windowed_frequency,
 )
-from obskit import spectral
+from obskit import evolution, spectral
 from obskit.cli import main
 from obskit.evolution import _observed_energy, _phased
 from obskit.spectral import _moments, _power_of_two_frame, _row_forms, _row_fsum, observed_energy_sq
@@ -107,6 +111,7 @@ from oracles import (
     row_forms_by_row,
     row_norms_sq_by_row,
     scalar_observation_time,
+    sinc_kernel_by_unique_inverse,
 )
 
 U = np.finfo(float).eps
@@ -709,6 +714,45 @@ def eigenvalue_systems(draw):
 def subpatch_183():
     gamma = GammaSpec((BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0),))
     return build_square_system(250, gamma)
+
+
+@st.composite
+def integer_spectra(draw):
+    """(system, T): n ≤ 12 sorted integer eigenvalues, from 1 or from as high
+    as 2⁵³ − 1 − L, with repeats (zero gaps off the diagonal) and a span L
+    anywhere up to the guard 2L + 1 ≤ n², each end drawn; a random real
+    factor or a complex given Gram; T over six decades."""
+    n = draw(st.integers(1, 12))
+    span = draw(st.integers(0, (n * n - 1) // 2))
+    base = draw(st.one_of(st.integers(1, 100), st.integers(1, 2**53 - 1 - span)))
+    inner = draw(st.lists(st.integers(0, span), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    offsets = [0, *inner, span] if n > 1 else [0]
+    lam = np.sort(np.array(offsets, dtype=float) + base)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        return SpectralSystem(eigenvalues=lam, factor=rng.standard_normal((n, 2))), T
+    factor = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    return SpectralSystem(eigenvalues=lam, gram=factor @ factor.conj().T), T
+
+
+@settings(max_examples=200)
+@given(integer_spectra(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+def test_integer_spectra_index_their_gaps_by_arithmetic(pair, log_horizons):
+    # The table −L…L and the index off_j − off_k + L find every gap that the
+    # sorted distinct gaps and searchsorted find, and the kernels agree bit for bit.
+    sys_, T = pair
+    lam = sys_.eigenvalues
+    span = int(lam[-1] - lam[0])
+    assert sys_.integer_span == span
+    gaps, where = sys_.phase_gaps, evolution._gap_index(sys_)
+    assert np.array_equal(gaps, np.arange(-span, span + 1.0))
+    diffs = np.subtract.outer(lam, lam)
+    distinct = np.unique(diffs)
+    assert np.array_equal(where, np.searchsorted(gaps, diffs))
+    assert np.array_equal(gaps[where], distinct[np.searchsorted(distinct, diffs)])
+    for t in (T, 10.0 ** np.array(log_horizons)):
+        assert np.all(observability_kernel(sys_, t) == sys_.gram * sinc_kernel_by_unique_inverse(lam, t))
 
 
 WEYL_C = 64

@@ -7,7 +7,10 @@ the same again with ``--format csv`` (its digest covers the CSV files too),
 each scenario that reads a horizon again with ``--T 0.7``, and again with
 ``--T 0.7 --trials 1000`` (three blocks of states at the default 33
 modes), four scenarios with ``--trials 20`` on a 4-mode custom system with
-a dense complex Gram,
+a dense complex Gram, ``weak-observability`` and ``admissibility`` (each
+``--trials 20``) on the same Gram over the non-integer spectrum
+[1, 1.5, 2.25, 4], whose kernels find their gaps by sort and search, not by
+the integer spectra's arithmetic,
 ``assumption-ii-iii``, ``coercivity-scan``, and ``admissibility``,
 ``resolvent-scan`` and ``weak-observability`` (each ``--trials 20``) on
 the π/4–π/2 sub-patch at n_max 2000, ``weak-observability`` and
@@ -56,6 +59,10 @@ CUSTOM_SYSTEM = {
     "gram": [[1, [0.2, 0.1], 0, 0], [[0.2, -0.1], 1.5, 0.3, 0], [0, 0.3, 2, [0, 0.4]], [0, 0, [0, -0.4], 1]],
 }
 CUSTOM_SCENARIOS = ("coercivity-scan", "resolvent-scan", "weak-observability", "admissibility")
+# The same Gram over a non-integer spectrum: the only systems whose kernels
+# index their gaps with ``np.unique`` and ``searchsorted``.
+NONINTEGER_SYSTEM = {**CUSTOM_SYSTEM, "eigenvalues": [1, 1.5, 2.25, 4]}
+NONINTEGER_SCENARIOS = ("weak-observability", "admissibility")
 # The π/4–π/2 sub-patch at n_max 2000 (1529 modes, 1040 admissibility
 # breakpoints), a size at which the admissibility sup solves few of its
 # breakpoints, unlike the n_max ≤ 250 systems above, and at which the
@@ -148,7 +155,8 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
 
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
-    ``blocks/SCENARIO``, ``custom/SCENARIO``, ``scale/SCENARIO``, ``mid/SCENARIO``,
+    ``blocks/SCENARIO``, ``custom/SCENARIO``, ``noninteger/SCENARIO``,
+    ``scale/SCENARIO``, ``mid/SCENARIO``,
     ``wide/coercivity-scan``, ``sides/SCENARIO``, ``branch/SCENARIO`` and
     ``WORKLOAD/I-SCENARIO``.
     """
@@ -173,6 +181,15 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
             f"custom/{scenario}",
         )
         for scenario in CUSTOM_SCENARIOS
+    ]
+    lines += [
+        _cli_line(
+            [scenario, "--config", json.dumps({"system": NONINTEGER_SYSTEM}), "--trials", "20"],
+            seed,
+            outdir,
+            f"noninteger/{scenario}",
+        )
+        for scenario in NONINTEGER_SCENARIOS
     ]
     lines += [
         _cli_line([scenario, "--config", json.dumps(SCALE_CONFIG), *rest], seed, outdir, f"scale/{scenario}")
