@@ -55,12 +55,9 @@ from .scenarios import run_scenario
 from .spectral import (
     FrequencyReport,
     SpectralSystem,
-    StateVector,
     frequency,
     frequency_report,
-    key_identity_gap,
     observed_energy_sq,
-    residual,
 )
 from .square import (
     AssumptionReport,
@@ -72,14 +69,10 @@ from .square import (
     bottom_and_left,
     build_square_system,
     delta_gamma_fit,
-    full_bottom,
-    sine_product_integral,
     square_modes,
 )
 from .window import (
     PlancherelReport,
-    chi,
-    chi_dot,
     chi_hat,
     default_tau_grid,
     plancherel_lowerbound_check,
@@ -114,7 +107,6 @@ __all__ = [
     "ShapeError",
     "Side",
     "SpectralSystem",
-    "StateVector",
     "Table",
     "TransformedWidth",
     "Verdict",
@@ -127,8 +119,6 @@ __all__ = [
     "bundle_summary_text",
     "bundle_to_csv_texts",
     "bundle_to_json_text",
-    "chi",
-    "chi_dot",
     "chi_hat",
     "coercivity_scan",
     "default_config",
@@ -138,8 +128,6 @@ __all__ = [
     "fit_psi_envelope",
     "frequency",
     "frequency_report",
-    "full_bottom",
-    "key_identity_gap",
     "kernel_psd_margin",
     "load_config",
     "observability_integral",
@@ -147,12 +135,10 @@ __all__ = [
     "observed_energy_sq",
     "plancherel_lowerbound_check",
     "resolvent_check",
-    "residual",
     "run_scenario",
     "sandwich_values",
     "scan_certificate",
     "shifted_power_law",
-    "sine_product_integral",
     "solve_observation_time",
     "spectral_coercivity_violation_search",
     "square_modes",

@@ -4,7 +4,7 @@ A state whose frequency residual is small behaves like a near-eigenvector;
 coercivity certificates quantify how strongly such states are observed.
 Two certificate kinds exist: ``weak_spectral`` (lower bound ψ(λ) for states
 supported on an ε-cluster of eigenvalues) and ``spectral`` (lower bound for
-every state with residual(z) < ε(λ(z))).  The tools here enumerate
+every state whose residual is below ε(λ(z))).  The tools here enumerate
 clusters, scan their Gram minima, fit envelope functions, convert weak
 certificates into full spectral ones via an admissibility constant, test
 the resolvent inequality at its worst frequency, and hunt for counterexamples.
@@ -424,7 +424,7 @@ def spectral_coercivity_violation_search(
     state of that cluster).  Then ``trials`` random draws: complex Gaussian
     coefficients on a randomly chosen cluster, optionally perturbed on up to
     5 nearby outside modes at magnitude 10^{−u}, u uniform in [1, 6].  Only
-    states satisfying residual(z) < ε(λ(z)) count; the worst relative margin
+    states whose residual is below ε(λ(z)) count; the worst relative margin
     below −1e−12 wins.
     """
     if cert.kind != "spectral":

@@ -4,8 +4,8 @@ Configurations are JSON documents (a file path or inline text).  Errors
 are classified: malformed documents are parse errors with line/column,
 wrong shapes/types/names are schema errors naming the offending key path,
 and well-formed values violating a constraint (n_max too small, trials
-< 1, a negative seed, T for a scenario without a time horizon, non-PSD
-Gram, ...) are invariant errors.  All three surface as
+< 1, a negative seed, T or a system for a scenario that reads none,
+non-PSD Gram, ...) are invariant errors.  All three surface as
 ConfigError with a ``kind`` tag and exit as input errors at the CLI.
 """
 
@@ -24,14 +24,24 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .spectral import HERMITIAN_ATOL, SpectralSystem
-from .square import BoundaryPatch, GammaSpec, Side, build_square_system, mode_count
+from .square import (
+    BoundaryPatch,
+    GammaSpec,
+    Side,
+    build_square_system,
+    mode_count,
+    require_bottom_and_left,
+    require_single_side,
+)
 
 
 # One row per scenario: its CLI help line, whether it reads the time horizon
-# T (every other scenario rejects it), and its default system, a config
-# document that ``_normalize_system`` normalizes exactly like a user's.  A
-# scenario is a row here plus a runner in ``scenarios._RUNNERS``.
-_Scenario = namedtuple("_Scenario", "help reads_T system")
+# T (every other scenario rejects it), its default system, a config document
+# that ``_normalize_system`` normalizes exactly like a user's (None: the
+# scenario takes no system, and rejects one), and the rule its square Γ must
+# meet (None: any system; else only a square one).  A scenario is a row here
+# plus a runner in ``scenarios._RUNNERS``.
+_Scenario = namedtuple("_Scenario", "help reads_T system gamma_rule", defaults=(None,))
 _BOTTOM_50 = {"type": "square", "n_max_eigenvalue": 50, "gamma": [{"side": "bottom"}]}
 _SCENARIO_TABLE = {
     "verify-cutoff": _Scenario("check the window transform closed form and its sandwich bounds", False, None),
@@ -44,11 +54,13 @@ _SCENARIO_TABLE = {
         "verify the two-full-sides square observation is uniformly coercive",
         False,
         {"type": "square", "n_max_eigenvalue": 200, "gamma": [{"side": "bottom"}, {"side": "left"}]},
+        require_bottom_and_left,
     ),
     "assumption-ii-iii": _Scenario(
         "fit the one-side square decay constant and its certificates",
         False,
         {"type": "square", "n_max_eigenvalue": 200, "gamma": [{"side": "bottom", "alpha": "pi/4", "beta": "pi/2"}]},
+        require_single_side,
     ),
     "admissibility": _Scenario("bound observed energy above on random states", True, _BOTTOM_50),
 }
@@ -190,7 +202,7 @@ def _normalize_patch(raw, index: int) -> dict:
     return {"side": side_value, "alpha": alpha, "beta": beta}
 
 
-def _normalize_square(raw: dict) -> dict:
+def _normalize_square(raw: dict, scenario: str) -> dict:
     unknown = set(raw) - {"type", "n_max_eigenvalue", "gamma"}
     if unknown:
         raise _schema_error(f"system: unknown keys {sorted(unknown)}")
@@ -214,8 +226,11 @@ def _normalize_square(raw: dict) -> dict:
         raise _schema_error("system.gamma: expected a nonempty list of patches")
     patches = [_normalize_patch(p, i) for i, p in enumerate(gamma_raw)]
     gamma = {"type": "square", "n_max_eigenvalue": n_max, "gamma": patches}
+    rule = _SCENARIO_TABLE[scenario].gamma_rule
     try:
-        gamma_spec_of(gamma)
+        spec = gamma_spec_of(gamma)
+        if rule is not None:
+            rule(spec, f"scenario {scenario}")
     except DomainError as exc:
         raise _invariant_error(f"system.gamma: {exc}") from None
     return gamma
@@ -287,33 +302,24 @@ def _normalize_custom(raw: dict) -> dict:
 
 
 def _normalize_system(raw, scenario: str) -> dict | None:
-    if raw is None:
+    """The given system, else the row's default, normalized; None for a scenario without one."""
+    row = _SCENARIO_TABLE[scenario]
+    if row.system is None:
+        if raw is not None:
+            raise _invariant_error(f"scenario {scenario} takes no system")
         return None
+    if raw is None:
+        raw = row.system
     if not isinstance(raw, dict):
         raise _schema_error("system: expected an object")
     kind = raw.get("type")
     if kind == "square":
-        spec = _normalize_square(raw)
-    elif kind == "custom":
-        spec = _normalize_custom(raw)
-    else:
+        return _normalize_square(raw, scenario)
+    if kind != "custom":
         raise _schema_error(f"system.type: expected 'square' or 'custom', got {kind!r}")
-    if scenario in ("assumption-i", "assumption-ii-iii") and spec["type"] != "square":
+    if row.gamma_rule is not None:
         raise _invariant_error(f"scenario {scenario} requires a square system")
-    if scenario == "assumption-i":
-        expected = {("bottom", 0.0, math.pi), ("left", 0.0, math.pi)}
-        got = {(p["side"], p["alpha"], p["beta"]) for p in spec["gamma"]}
-        if got != expected:
-            raise _invariant_error(
-                "scenario assumption-i requires gamma to be the full bottom and left sides"
-            )
-    if scenario == "assumption-ii-iii":
-        sides = {patch["side"] for patch in spec["gamma"]}
-        if len(sides) != 1:
-            raise _invariant_error(
-                "scenario assumption-ii-iii requires all patches on a single side"
-            )
-    return spec
+    return _normalize_custom(raw)
 
 
 def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
@@ -375,8 +381,7 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
     if not isinstance(output_path, str) or not output_path:
         raise _schema_error("output_path: expected a nonempty string")
 
-    system = raw.get("system")
-    system = _normalize_system(_SCENARIO_TABLE[scenario].system if system is None else system, scenario)
+    system = _normalize_system(raw.get("system"), scenario)
     return RunConfig(
         scenario=scenario,
         system=system,

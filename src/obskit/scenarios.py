@@ -104,6 +104,16 @@ def _table_rows(*columns) -> list[list]:
     return list(map(list, zip(*(col.tolist() for col in columns))))
 
 
+def _unless_incoercive(bundle: ReportBundle, fit, *args):
+    """``fit(*args)``, or None once the failed ``weakly-coercive-at-width``
+    verdict is recorded, when the scan it fits is not weakly coercive."""
+    try:
+        return fit(*args)
+    except CoercivityError as exc:
+        bundle.verdicts.append(Verdict("weakly-coercive-at-width", False, str(exc)))
+        return None
+
+
 def _pipeline_constants(bundle: ReportBundle, pipeline) -> None:
     bundle.constants.update(
         {
@@ -191,10 +201,8 @@ def run_coercivity_scan(cfg: RunConfig) -> ReportBundle:
     min_eig = float(scan.min_eig.min())
     bundle.constants["min_cluster_eigenvalue"] = min_eig
     bundle.constants["delta_hat"] = float(products.min())
-    try:
-        envelope = fit_psi_envelope(scan)
-    except CoercivityError as exc:
-        bundle.verdicts.append(Verdict("weakly-coercive-at-width", False, str(exc)))
+    envelope = _unless_incoercive(bundle, fit_psi_envelope, scan)
+    if envelope is None:
         return bundle
     bundle.constants["envelope_c"] = envelope.c
     bundle.constants["envelope_p"] = envelope.p
@@ -216,7 +224,9 @@ def run_resolvent_scan(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    pipeline = scan_certificate(system, cfg.epsilon_cluster)
+    pipeline = _unless_incoercive(bundle, scan_certificate, system, cfg.epsilon_cluster)
+    if pipeline is None:
+        return bundle
     _pipeline_constants(bundle, pipeline)
     rows = []
     worst = math.inf
@@ -255,7 +265,9 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    pipeline = scan_certificate(system, cfg.epsilon_cluster)
+    pipeline = _unless_incoercive(bundle, scan_certificate, system, cfg.epsilon_cluster)
+    if pipeline is None:
+        return bundle
     _pipeline_constants(bundle, pipeline)
     rows = []
     worst = math.inf

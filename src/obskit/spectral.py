@@ -184,36 +184,6 @@ def _distinct_gaps(eigenvalues, span: int | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """A state z = Σ z_k φ_k, stored as its coefficient vector."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coefficients, dtype=complex)
-        if c.ndim != 1 or c.size == 0:
-            raise ShapeError("coefficients must be a nonempty 1-D array")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("coefficients must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-    @classmethod
-    def basis(cls, index: int, size: int) -> "StateVector":
-        """The unit coefficient vector e_index."""
-        c = np.zeros(size, dtype=complex)
-        c[index] = 1.0
-        return cls(c)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.coefficients, self.coefficients).real)
-
-    def __len__(self) -> int:
-        return int(self.coefficients.size)
-
-
-@dataclass(frozen=True)
 class FrequencyReport:
     """Frequency, residual and squared norm of one state: floats, or arrays
     with one entry per row when the state is a (k, n) block."""
@@ -224,9 +194,9 @@ class FrequencyReport:
 
 
 def coefficients_of(z, system: SpectralSystem) -> np.ndarray:
-    """Coefficients of ``z`` matched to ``system``: a StateVector, a 1-D array,
-    or a (k, n) block of coefficient rows, one state per row; every entry finite."""
-    c = z.coefficients if isinstance(z, StateVector) else np.asarray(z, dtype=complex)
+    """Coefficients of ``z`` matched to ``system``: a 1-D array, or a (k, n)
+    block of coefficient rows, one state per row; every entry finite."""
+    c = np.asarray(z, dtype=complex)
     if c.ndim not in (1, 2):
         raise ShapeError("state must be a 1-D coefficient vector or a (k, n) block of rows")
     if c.shape[-1] != system.size:
@@ -361,35 +331,6 @@ def frequency(z, system: SpectralSystem):
     """
     c = coefficients_of(z, system)
     return _per_row(_moments(c, system)[3], c)
-
-
-def residual(z, system: SpectralSystem):
-    """The residual ‖(A − λ(z)I)z‖²/‖z‖², exactly ≥ 0."""
-    return frequency_report(z, system).residual
-
-
-def key_identity_gap(z, lam: float, system: SpectralSystem) -> float:
-    """Defect of ‖(A−λI)z‖² = (λ−λ(z))²‖z‖² + ‖(A−λ(z)I)z‖² in round-off units.
-
-    With the computed mean m in place of λ(z) the right side exceeds the
-    left by exactly 2‖z‖²(m − λ(z))(m − λ), and |m − λ(z)| is a few ulps of
-    λ_max.  So |LHS − RHS| is divided by LHS + 2·max(|λ|, λ_max)·‖z‖²·|λ − m|,
-    all in the moments' scale, and the result reads a small multiple of the
-    unit round-off u for every input.  It is 0 by convention when LHS = 0
-    (both sides vanish together).  This is a verification probe, for one
-    1-D state; a block raises ``ShapeError``.
-    """
-    c = coefficients_of(z, system)
-    if c.ndim != 1:
-        raise ShapeError("the key identity probe takes one 1-D state")
-    (w,), _, (total,), (mean,) = _moments(c, system)
-    total, mean = float(total), float(mean)
-    lhs = math.fsum((system.eigenvalues - lam) ** 2 * w)
-    if lhs == 0.0:
-        return 0.0
-    rhs = (lam - mean) ** 2 * total + math.fsum((system.eigenvalues - mean) ** 2 * w)
-    scale = lhs + 2.0 * max(abs(lam), system.lambda_max) * total * abs(lam - mean)
-    return abs(lhs - rhs) / scale
 
 
 def _frequency_rows(c: np.ndarray, system: SpectralSystem) -> tuple[np.ndarray, ...]:

@@ -95,12 +95,23 @@ class GammaSpec:
         return {patch.side for patch in self.patches}
 
 
-def full_bottom() -> GammaSpec:
-    return GammaSpec.full_sides(Side.BOTTOM)
-
-
 def bottom_and_left() -> GammaSpec:
     return GammaSpec.full_sides(Side.BOTTOM, Side.LEFT)
+
+
+def require_bottom_and_left(gamma: GammaSpec, user: str) -> None:
+    """Γ of assumption (I): the full bottom and left sides, in any order.
+
+    Any other Γ is a ``DomainError`` naming ``user``, the check or scenario that asked.
+    """
+    if set(gamma.patches) != set(bottom_and_left().patches):
+        raise DomainError(f"{user} requires gamma to be the full bottom and left sides")
+
+
+def require_single_side(gamma: GammaSpec, user: str) -> None:
+    """Γ of assumptions (II) and (III): every patch on one side; else a ``DomainError`` naming ``user``."""
+    if len(gamma.sides()) != 1:
+        raise DomainError(f"{user} requires all patches on a single side")
 
 
 def square_modes(n_max_eigenvalue: int) -> np.ndarray:
@@ -119,15 +130,6 @@ def mode_count(n_max_eigenvalue: int) -> int:
     """len(square_modes(n_max)) in O(√n_max): Σ_{p ≥ 1, p² < n} ⌊√(n − p²)⌋."""
     n = n_max_eigenvalue
     return sum(math.isqrt(n - p * p) for p in range(1, math.isqrt(n - 1) + 1))
-
-
-def sine_product_integral(p: int, p_prime: int, alpha: float, beta: float) -> float:
-    """∫_α^β sin(px) sin(p′x) dx, an entry of the sine-product matrix."""
-    if p < 1 or p_prime < 1:
-        raise DomainError("sine indices must be positive integers")
-    if not (0.0 <= alpha < beta <= math.pi):
-        raise DomainError(f"bounds must satisfy 0 ≤ α < β ≤ π, got ({alpha}, {beta})")
-    return float(_sine_product_matrix(np.array([p, p_prime]), alpha, beta)[0, 1])
 
 
 def _sine_product_matrix(freq: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -281,8 +283,7 @@ def delta_gamma_fit(system: SpectralSystem) -> tuple[float, DeltaGammaReport]:
     least eigenvalue of r·G_N·r, r = √N/k.
     """
     square = _square_system(system)
-    if len(square.gamma.sides()) != 1:
-        raise DomainError("delta_gamma_fit requires all patches on a single side")
+    require_single_side(square.gamma, "delta_gamma_fit")
     k_all = _trace_indices(square.modes, square.gamma.patches[0].side)[1]
     # One pass of coercivity_scan's runs and stacks feeds both minima.
     centers, lo, hi = _cluster_runs(system, CIRCLE_WIDTH)
@@ -314,8 +315,7 @@ def assumption_I_check(system: SpectralSystem) -> AssumptionReport:
     lower bound of exact observability; the report carries the numerically
     confirmed deviations.
     """
-    if set(_square_system(system).gamma.patches) != set(bottom_and_left().patches):
-        raise DomainError("assumption_I_check requires gamma to be the full bottom and left sides")
+    require_bottom_and_left(_square_system(system).gamma, "assumption_I_check")
     scan = coercivity_scan(system, CIRCLE_WIDTH)
     reference = 2.0 / math.pi
     return AssumptionReport(

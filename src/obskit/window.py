@@ -50,22 +50,6 @@ THETA1 = 4.0 * CHI_L2_NORM_SQ / CHI_DERIV_L2_NORM_SQ
 THETA2 = 4.0 * CHI_L2_NORM_SQ
 
 
-def chi(s):
-    """The window (1−|s|)e^{−2|s|} on (−1, 1), zero outside."""
-    s = np.asarray(s, dtype=float)
-    a = np.abs(s)
-    out = np.where(a < 1.0, (1.0 - a) * np.exp(-2.0 * a), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def chi_dot(s):
-    """The window's derivative −sign(s)(3−2|s|)e^{−2|s|} on (−1, 1)\\{0}."""
-    s = np.asarray(s, dtype=float)
-    a = np.abs(s)
-    out = np.where(a < 1.0, -np.sign(s) * (3.0 - 2.0 * a) * np.exp(-2.0 * a), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def chi_hat(tau):
     """Closed-form Fourier transform ∫χ(s)e^{−iτs}ds (real and even)."""
     if np.isscalar(tau) or getattr(tau, "ndim", None) == 0:

@@ -1,13 +1,16 @@
-"""Test oracles: the window transform, its energy on an interval and the observed
-energy by quadrature, the trajectory point, the complex phase kernel and the real sinc kernel
-with their gap index from ``np.unique``, the quadratic forms (one ``vdot``, or for a real
-matrix one (2, n) product and ``dot``, at a time) and squared norms of a block's rows,
-the lattice circles one integer square root at a time, the boundary Gram as FFᵀ,
-the closed-form cluster minima of the full bottom side, one cluster as a mask over
-the modes and its minimal Gram eigenpair with a fixed phase,
-the cluster scan (one width or one per center) and the weighted circle minima solved one
-cluster at a time (with an exact comparison of two scans), the admissibility sup solved at every grid point, the observation time by bisection, the three per-trial scenarios run one state
-at a time, and the report JSON from the pure-Python encoder."""
+"""Test oracles: the window and its derivative (the quadrature integrands), the window
+transform, its energy on an interval and the observed energy by quadrature, the trajectory
+point, the key identity's defect in round-off units, the complex phase kernel and the real
+sinc kernel with their gap index from ``np.unique``, the quadratic forms (one ``vdot``, or
+for a real matrix one (2, n) product and ``dot``, at a time) and squared norms of a block's
+rows, the lattice circles one integer square root at a time, the sine-product integral as
+one entry of the sine-product matrix, the boundary Gram as FFᵀ, the closed-form cluster
+minima of the full bottom side, one cluster as a mask over the modes and its minimal Gram
+eigenpair with a fixed phase, the cluster scan (one width or one per center) and the
+weighted circle minima solved one cluster at a time (with an exact comparison of two
+scans), the admissibility sup solved at every grid point, the observation time by
+bisection, the three per-trial scenarios run one state at a time, and the report JSON from
+the pure-Python encoder."""
 
 import itertools
 import json
@@ -16,7 +19,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from obskit import DomainError, NumericError, SpectralSystem, StateVector
+from obskit import DomainError, NumericError, SpectralSystem
 from obskit.coercivity import (
     ClusterScan,
     admissibility_breakpoints,
@@ -33,9 +36,25 @@ from obskit.evolution import (
 )
 from obskit.report import ReportBundle, Table, Verdict, _json_default
 from obskit.scenarios import _new_bundle, _pipeline_constants
-from obskit.spectral import coefficients_of, frequency
-from obskit.square import GammaSpec, gram_factor
+from obskit.spectral import _moments, coefficients_of, frequency
+from obskit.square import GammaSpec, _sine_product_matrix, gram_factor
 from obskit.window import CHI_L2_NORM_SQ, THETA0, THETA1, chi_hat, solve_observation_time
+
+
+def chi(s):
+    """The window (1−|s|)e^{−2|s|} on (−1, 1), zero outside."""
+    s = np.asarray(s, dtype=float)
+    a = np.abs(s)
+    out = np.where(a < 1.0, (1.0 - a) * np.exp(-2.0 * a), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def chi_dot(s):
+    """The window's derivative −sign(s)(3−2|s|)e^{−2|s|} on (−1, 1)\\{0}."""
+    s = np.asarray(s, dtype=float)
+    a = np.abs(s)
+    out = np.where(a < 1.0, -np.sign(s) * (3.0 - 2.0 * a) * np.exp(-2.0 * a), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def chi_hat_by_quadrature(tau: float) -> float:
@@ -75,10 +94,30 @@ def chi_hat_sq_integral_by_quadrature(a: float, b: float) -> float:
     return max(_chi_hat_sq_right_tail(a) - _chi_hat_sq_right_tail(b), 0.0)
 
 
-def evolve(z0, system: SpectralSystem, t: float) -> StateVector:
+def evolve(z0, system: SpectralSystem, t: float) -> np.ndarray:
     """The trajectory point z(t): coefficients z_k e^{iλ_k t}."""
     c = coefficients_of(z0, system)
-    return StateVector(c * np.exp(1j * system.eigenvalues * t))
+    return c * np.exp(1j * system.eigenvalues * t)
+
+
+def key_identity_gap(z, lam: float, system: SpectralSystem) -> float:
+    """Defect of ‖(A−λI)z‖² = (λ−λ(z))²‖z‖² + ‖(A−λ(z)I)z‖² in round-off units.
+
+    With the computed mean m in place of λ(z) the right side exceeds the
+    left by exactly 2‖z‖²(m − λ(z))(m − λ), and |m − λ(z)| is a few ulps of
+    λ_max.  So |LHS − RHS| is divided by LHS + 2·max(|λ|, λ_max)·‖z‖²·|λ − m|,
+    all in the moments' scale, and the result reads a small multiple of the
+    unit round-off u for every input.  It is 0 by convention when LHS = 0
+    (both sides vanish together).  For one 1-D state.
+    """
+    (w,), _, (total,), (mean,) = _moments(coefficients_of(z, system), system)
+    total, mean = float(total), float(mean)
+    lhs = math.fsum((system.eigenvalues - lam) ** 2 * w)
+    if lhs == 0.0:
+        return 0.0
+    rhs = (lam - mean) ** 2 * total + math.fsum((system.eigenvalues - mean) ** 2 * w)
+    scale = lhs + 2.0 * max(abs(lam), system.lambda_max) * total * abs(lam - mean)
+    return abs(lhs - rhs) / scale
 
 
 def observability_integral_by_quadrature(z0, system: SpectralSystem, T: float) -> float:
@@ -163,6 +202,11 @@ def lattice_circle(N: int) -> np.ndarray:
         if q * q == N - p * p:
             modes.append((p, q))
     return np.array(modes, dtype=int).reshape(-1, 2)
+
+
+def sine_product_integral(p: int, p_prime: int, alpha: float, beta: float) -> float:
+    """∫_α^β sin(px) sin(p′x) dx, one entry of ``square._sine_product_matrix``."""
+    return float(_sine_product_matrix(np.array([p, p_prime]), alpha, beta)[0, 1])
 
 
 def boundary_gram(modes: np.ndarray, gamma: GammaSpec) -> np.ndarray:

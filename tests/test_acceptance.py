@@ -22,7 +22,6 @@ from obskit import (
     PowerLaw,
     Side,
     SpectralSystem,
-    StateVector,
     TransformedWidth,
     assumption_I_check,
     bottom_and_left,
@@ -33,15 +32,13 @@ from obskit import (
     delta_gamma_fit,
     fit_psi_envelope,
     frequency,
-    full_bottom,
-    key_identity_gap,
+    frequency_report,
     kernel_psd_margin,
     observability_integral,
     observability_kernel,
     observed_energy_sq,
     plancherel_lowerbound_check,
     resolvent_check,
-    residual,
     sandwich_values,
     scan_certificate,
     solve_observation_time,
@@ -51,7 +48,13 @@ from obskit import (
 )
 from obskit.window import C0, C0_PRIME, KAPPA1, KAPPA2, THETA0, THETA1
 
-from oracles import bottom_side_closed_form_n_mu, chi_hat_by_quadrature, evolve, lattice_circle
+from oracles import (
+    bottom_side_closed_form_n_mu,
+    chi_hat_by_quadrature,
+    evolve,
+    key_identity_gap,
+    lattice_circle,
+)
 
 
 def check(name: str, ok: bool, detail: str) -> None:
@@ -66,7 +69,7 @@ def random_state(rng, size):
 
 @pytest.fixture(scope="module")
 def bottom50():
-    return build_square_system(50, full_bottom())
+    return build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
 
 
 @pytest.fixture(scope="module")
@@ -141,13 +144,13 @@ def test_04_residual_sign_and_eigenvectors():
     lam = np.sort(rng.uniform(0.1, 80.0, size=64))
     sys_ = SpectralSystem(eigenvalues=lam, gram=np.eye(64))
     worst_basis = max(
-        abs(residual(StateVector.basis(k, 64), sys_)) for k in range(64)
+        abs(frequency_report(np.eye(64)[k], sys_).residual) for k in range(64)
     )
     worst_scaled = 0.0
     for _ in range(1000):
         z = random_state(rng, 64)
         lam_z = frequency(z, sys_)
-        worst_scaled = min(worst_scaled, residual(z, sys_) / (lam_z * lam_z))
+        worst_scaled = min(worst_scaled, frequency_report(z, sys_).residual / (lam_z * lam_z))
     ok = worst_basis <= 1e-12 and worst_scaled >= -1e-12
     check(
         "residual-sign-and-eigenvectors",
@@ -310,7 +313,7 @@ def test_10_two_full_sides_constant_minima():
 
 
 def test_11_one_full_side_decay_constant():
-    delta_hat, report = delta_gamma_fit(build_square_system(5000, full_bottom()))
+    delta_hat, report = delta_gamma_fit(build_square_system(5000, GammaSpec.full_sides(Side.BOTTOM)))
     scan = report.scan
     worst = max(
         abs(center * min_eig - bottom_side_closed_form_n_mu(int(center)))

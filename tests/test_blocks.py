@@ -14,7 +14,7 @@ from obskit.config import default_config
 from obskit.evolution import observability_integral
 from obskit.spectral import BLOCK_BYTES, _rows_within
 from obskit.report import bundle_to_json_text
-from obskit.square import build_square_system, full_bottom
+from obskit.square import GammaSpec, Side, build_square_system
 
 from oracles import ROW_RUNNERS
 
@@ -67,7 +67,7 @@ def test_default_blocks_hold_several_states_within_the_byte_budget():
 
 
 def test_per_row_horizons_hold_one_chunk_of_kernels_at_a_time():
-    sys_ = build_square_system(250, full_bottom())
+    sys_ = build_square_system(250, GammaSpec.full_sides(Side.BOTTOM))
     n = sys_.size
     assert n == 183 and _rows_within(16 * n * n) == 1  # one 536 KB kernel per chunk
     rng = np.random.default_rng(5)

@@ -31,8 +31,8 @@ from obskit import (
 )
 from obskit import coercivity, evolution, spectral, window
 from obskit.coercivity import BETA_SAFETY, ClusterScan
-from obskit.spectral import frequency, observed_energy_sq, residual
-from obskit.square import BoundaryPatch, GammaSpec, Side, bottom_and_left, build_square_system, full_bottom
+from obskit.spectral import frequency, frequency_report, observed_energy_sq
+from obskit.square import BoundaryPatch, GammaSpec, Side, bottom_and_left, build_square_system
 
 from oracles import (
     admissibility_by_every_point,
@@ -108,7 +108,7 @@ def low_rank_system(eigenvalues, rank, seed):
 
 @pytest.fixture(scope="module")
 def square50():
-    return build_square_system(50, full_bottom())
+    return build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
 
 
 @pytest.fixture
@@ -156,7 +156,7 @@ class TestClusters:
             if not np.abs(z).max() > 0:
                 continue
             assert abs(frequency(z, sys_) - center) < beta
-            assert residual(z, sys_) < 2.0 * beta * beta
+            assert frequency_report(z, sys_).residual < 2.0 * beta * beta
 
 
 class TestClusterMinCoercivity:
@@ -243,7 +243,7 @@ class TestScanAndEnvelope:
         # Width 400 puts all 220 modes of n_max 300 into each of its 101
         # clusters: a 774 KB block each, over the default budget, so one at a
         # time; a 2 MiB budget holds two.
-        sys_ = build_square_system(300, full_bottom())
+        sys_ = build_square_system(300, GammaSpec.full_sides(Side.BOTTOM))
         rank = sys_.factor.shape[1]
         default = spectral.BLOCK_BYTES
         cases = [(1, 0.5), (2**14, 1.3), (default, 400.0), (2**21, 400.0)]
@@ -474,7 +474,7 @@ class TestAdmissibilityEstimate:
     @pytest.mark.parametrize(
         "n_max, gamma",
         [
-            (50, full_bottom()),
+            (50, GammaSpec.full_sides(Side.BOTTOM)),
             (120, GammaSpec((BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0),))),
             (80, bottom_and_left()),
             (100, GammaSpec((BoundaryPatch(Side.BOTTOM, 0.3, 2.0), BoundaryPatch(Side.RIGHT, 0.1, 1.0)))),
@@ -649,7 +649,7 @@ class TestResolventCheck:
         check_against_dense_oracle(sys_, z, cert)
 
     def test_huge_state_matches_its_scaled_copy(self):
-        sys_ = build_square_system(20, full_bottom())
+        sys_ = build_square_system(20, GammaSpec.full_sides(Side.BOTTOM))
         cert = scan_certificate(sys_, 0.5).spectral
         z = np.zeros(sys_.size, dtype=complex)
         z[0], z[1] = 1e200, 1e199
@@ -792,4 +792,4 @@ class TestPipeline:
                 continue
             z = np.zeros(square50.size, dtype=complex)
             z[idx] = 1.0
-            assert residual(z, square50) < float(eps(frequency(z, square50)))
+            assert frequency_report(z, square50).residual < float(eps(frequency(z, square50)))

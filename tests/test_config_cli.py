@@ -22,7 +22,7 @@ from obskit import cli, scenarios
 from obskit.cli import build_parser, main
 from obskit.config import MAX_GRAM_BYTES, SCENARIOS, gamma_spec_of
 from obskit.parallel import worker_count
-from obskit.square import delta_gamma_fit, full_bottom, mode_count, square_modes
+from obskit.square import GammaSpec, Side, delta_gamma_fit, mode_count, square_modes
 
 
 CUSTOM_GRAM = '{"system": {"type": "custom", "eigenvalues": [1, 2], "gram": [[1, %s], [%s, 1]]}}'
@@ -195,6 +195,40 @@ class TestLoadConfig:
             )
         assert info.value.kind == "invariant"
 
+    @pytest.mark.parametrize(
+        "scenario, gamma, message",
+        [
+            ("assumption-i", [{"side": "bottom"}, {"side": "left", "beta": 1.0}], "full bottom and left sides"),
+            ("assumption-ii-iii", [{"side": "bottom", "beta": 1.0}, {"side": "left"}], "single side"),
+            ("assumption-ii-iii", None, "requires a square system"),
+        ],
+    )
+    def test_square_scenarios_hold_gamma_to_their_rule(self, scenario, gamma, message):
+        system = {"type": "square", "n_max_eigenvalue": 100, "gamma": gamma}
+        if gamma is None:  # rejected before its indefinite Gram is factored
+            system = {"type": "custom", "eigenvalues": [1.0, 2.0], "gram": [[0, 1], [1, 0]]}
+        with pytest.raises(ConfigError, match=message) as info:
+            load_config(json.dumps({"scenario": scenario, "system": system}))
+        assert info.value.kind == "invariant"
+
+    def test_assumption_i_takes_its_two_sides_in_either_order(self):
+        gamma = [{"side": "left"}, {"side": "bottom"}]
+        system = {"type": "square", "n_max_eigenvalue": 100, "gamma": gamma}
+        cfg = load_config(json.dumps({"scenario": "assumption-i", "system": system}))
+        assert [patch["side"] for patch in cfg.system["gamma"]] == ["left", "bottom"]
+
+    def test_verify_cutoff_takes_no_system(self):
+        # Rejected before it is normalized: neither the huge square nor the
+        # indefinite Gram is looked at.
+        for system in (
+            {"type": "square", "n_max_eigenvalue": 10**12},
+            {"type": "custom", "eigenvalues": [1.0, 2.0], "gram": [[0, 1], [1, 0]]},
+        ):
+            with pytest.raises(ConfigError, match="scenario verify-cutoff takes no system") as info:
+                load_config(json.dumps({"scenario": "verify-cutoff", "system": system}))
+            assert info.value.kind == "invariant"
+        assert load_config('{"scenario": "verify-cutoff", "system": null}').system is None
+
     def test_custom_system_round_trip(self):
         cfg = load_config(
             json.dumps(
@@ -334,6 +368,17 @@ class TestCli:
         assert failing == ["sandwich-upper-bound"]
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scenario", ["coercivity-scan", "resolvent-scan", "weak-observability"])
+    def test_a_scan_that_is_not_weakly_coercive_still_writes_its_report(self, scenario, tmp_path, capsys):
+        # Modes 0 and 1 share a cluster at width 0.5, and e₀ − e₁ is unobserved.
+        system = {"type": "custom", "eigenvalues": [1, 1.2, 3], "gram": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}
+        out = tmp_path / "report.json"
+        assert main([scenario, "--config", json.dumps({"system": system}), "--out", str(out)]) == 2
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        detail = "not weakly coercive at width 0.5: cluster at center 1.0 has minimal observed energy 0.000e+00"
+        assert doc["verdicts"] == [{"name": "weakly-coercive-at-width", "passed": False, "detail": detail}]
+        assert "FAIL weakly-coercive-at-width" in capsys.readouterr().out
+
     def test_cutoff_constants_block_is_pinned(self, tmp_path):
         out = tmp_path / "cutoff.json"
         main(["verify-cutoff", "--out", str(out)])
@@ -415,8 +460,12 @@ class TestCli:
             (["resolvent-scan", "--seed", "-1"], "seed must be"),
             (["coercivity-scan", "--config", ""], "cannot read config file"),  # Path("") is "."
             (["coercivity-scan", "--config", "."], "cannot read config file"),
+            (
+                ["verify-cutoff", "--config", '{"system": {"type": "square", "n_max_eigenvalue": 10000}}'],
+                "takes no system",
+            ),
         ],
-        ids=["T-without-horizon", "negative-seed", "empty-config-path", "config-directory"],
+        ids=["T-without-horizon", "negative-seed", "empty-config-path", "config-directory", "system-without-one"],
     )
     def test_rejected_input_exits_three_without_report(self, argv, message, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -605,6 +654,6 @@ class TestWorkers:
             raise AssertionError("a scan started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert coercivity_scan(build_square_system(300, full_bottom()), 0.5).centers.size == 101
-        bottom = build_square_system(200, full_bottom())
+        assert coercivity_scan(build_square_system(300, GammaSpec.full_sides(Side.BOTTOM)), 0.5).centers.size == 101
+        bottom = build_square_system(200, GammaSpec.full_sides(Side.BOTTOM))
         assert delta_gamma_fit(bottom)[1].scan.centers.size == 68

@@ -11,7 +11,6 @@ from obskit import (
     PowerLaw,
     ShapeError,
     SpectralSystem,
-    StateVector,
     admissibility_check,
     frequency,
     kernel_psd_margin,
@@ -21,7 +20,7 @@ from obskit import (
     solve_observation_time,
     weak_observability_check,
 )
-from obskit.square import full_bottom, build_square_system
+from obskit.square import GammaSpec, Side, build_square_system
 
 from obskit.evolution import _phased
 
@@ -52,16 +51,16 @@ class TestEvolve:
         sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.0], gram=np.eye(3))
         z0 = np.array([1.0, 1.0 - 1j, 0.5])
         z_t = evolve(z0, sys_, 0.7)
-        np.testing.assert_allclose(np.abs(z_t.coefficients), np.abs(z0), rtol=1e-14)
+        np.testing.assert_allclose(np.abs(z_t), np.abs(z0), rtol=1e-14)
         expected = z0 * np.exp(1j * sys_.eigenvalues * 0.7)
-        np.testing.assert_allclose(z_t.coefficients, expected, rtol=1e-14)
+        np.testing.assert_allclose(z_t, expected, rtol=1e-14)
 
     def test_group_property(self):
         sys_ = SpectralSystem(eigenvalues=[1.0, 4.0], gram=np.eye(2))
         z0 = np.array([1.0, 1j])
         once = evolve(evolve(z0, sys_, 0.3), sys_, 0.4)
         direct = evolve(z0, sys_, 0.7)
-        np.testing.assert_allclose(once.coefficients, direct.coefficients, rtol=1e-13)
+        np.testing.assert_allclose(once, direct, rtol=1e-13)
 
 
 class TestPhaseKernel:
@@ -111,7 +110,7 @@ class TestPhaseKernel:
 class TestGapTable:
     def test_observability_kernel_equals_gram_times_phase_kernel(self):
         # Repeated modes and repeated gaps, as on a lattice, and a random spectrum.
-        systems = [build_square_system(50, full_bottom()), random_system(np.random.default_rng(3), 9)]
+        systems = [build_square_system(50, GammaSpec.full_sides(Side.BOTTOM)), random_system(np.random.default_rng(3), 9)]
         for sys_ in systems:
             for t in (0.7, np.array([0.3, 0.7, 2.5])):
                 kernel = observability_kernel(sys_, t)
@@ -126,7 +125,7 @@ class TestGapTable:
     def test_gaps_are_cached_read_only_and_sorted_distinct(self):
         # The lattice's integer spectrum 2 … 50 takes the table −48 … 48; a
         # non-integer spectrum keeps its sorted distinct gaps.
-        lattice = build_square_system(50, full_bottom())
+        lattice = build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
         other = random_system(np.random.default_rng(3), 9)
         for sys_, span in ((lattice, 48), (other, None)):
             gaps = sys_.phase_gaps
@@ -137,7 +136,7 @@ class TestGapTable:
         assert np.array_equal(other.phase_gaps, np.unique(np.subtract.outer(lam, lam)))
 
     def test_square_kernels_neither_sort_nor_search(self, monkeypatch):
-        sys_ = build_square_system(50, full_bottom())
+        sys_ = build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
 
         def refused(*args, **kwargs):
             raise AssertionError("an integer spectrum sorted or searched its gaps")
@@ -177,7 +176,7 @@ class TestObservabilityIntegral:
         rng = np.random.default_rng(32)
         sys_ = random_system(rng, 6)
         for k in [0, 3, 5]:
-            z = StateVector.basis(k, 6)
+            z = np.eye(6)[k]
             got = observability_integral(z, sys_, 4.2)
             assert got == pytest.approx(4.2 * sys_.gram[k, k].real, rel=1e-12)
 
@@ -306,7 +305,7 @@ class TestKernelAndAdmissibility:
             assert check.norm_sq == pytest.approx(float(np.vdot(z, z).real), rel=1e-14)
 
     def test_square_sharp_constant_matches_kernel_eigensolve(self):
-        sys_ = build_square_system(50, full_bottom())
+        sys_ = build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
         kernel = observability_kernel(sys_, 1.0)
         top = float(np.linalg.eigvalsh(kernel)[-1])
         assert kernel_psd_margin(kernel)[1] == pytest.approx(top, rel=1e-12)
@@ -317,14 +316,14 @@ class TestKernelAndAdmissibility:
         sys_ = random_system(rng, 5)
         k, T = 2, 1.4
         c_t = sys_.gram[k, k].real * T + 1.0
-        check = admissibility_check(StateVector.basis(k, 5), sys_, T, observability_kernel(sys_, T), c_t)
+        check = admissibility_check(np.eye(5)[k], sys_, T, observability_kernel(sys_, T), c_t)
         assert check.margin == pytest.approx(1.0, rel=1e-10)
         assert check.norm_sq == 1.0
 
 
 @pytest.fixture(scope="module")
 def pipeline_system():
-    sys_ = build_square_system(50, full_bottom())
+    sys_ = build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
     return sys_, scan_certificate(sys_, 0.5)
 
 
@@ -336,7 +335,7 @@ class TestWeakObservability:
 
     def test_below_minimal_time_not_applicable(self, pipeline_system):
         sys_, pipeline = pipeline_system
-        z = StateVector.basis(0, sys_.size)
+        z = np.eye(sys_.size)[0]
         t_min = self.t_min_of(z, sys_, pipeline)
         rep = weak_observability_check(z, sys_, 1.0, pipeline.spectral.psi, t_min)
         assert not rep.applicable
@@ -370,7 +369,7 @@ class TestWeakObservability:
     def test_basis_state_margin_grows(self):
         sys_ = SpectralSystem(eigenvalues=[2.0, 5.0], gram=np.diag([0.8, 0.3]).astype(complex))
         psi = PowerLaw(0.1, 0.0)
-        z = StateVector.basis(0, 2)
+        z = np.eye(2)[0]
         t_min = solve_observation_time(frequency(z, sys_), PowerLaw(0.1, 0.0))
         rep = weak_observability_check(z, sys_, 4.0 * t_min, psi, t_min)
         assert rep.applicable

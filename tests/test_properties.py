@@ -83,12 +83,10 @@ from obskit import (
     frequency,
     frequency_report,
     kernel_psd_margin,
-    key_identity_gap,
     load_config,
     observability_integral,
     observability_kernel,
     plancherel_lowerbound_check,
-    residual,
     resolvent_check,
     solve_observation_time,
     weak_observability_check,
@@ -105,6 +103,7 @@ from oracles import (
     admissibility_by_every_point,
     assert_same_scan,
     coercivity_scan_by_cluster,
+    key_identity_gap,
     observability_integral_by_quadrature,
     phase_kernel_by_unique_inverse,
     real_row_forms_by_row,
@@ -180,9 +179,8 @@ def moment_gap(z, sys_) -> float:
 @given(systems_and_states())
 def test_residual_nonnegative_and_matches_moment_form(pair):
     sys_, z = pair
-    value = residual(z, sys_)
+    value = frequency_report(z, sys_).residual
     assert value >= 0.0
-    assert value == frequency_report(z, sys_).residual
     assert abs(value - moment_gap(z, sys_)) <= 8 * U * sys_.lambda_max**2
 
 
@@ -617,7 +615,6 @@ def test_non_finite_entry_raises_the_finite_coefficients_error(pair, data):
     block_calls = (
         lambda z: frequency(z, sys_),
         lambda z: frequency_report(z, sys_),
-        lambda z: residual(z, sys_),
         lambda z: observed_energy_sq(z, sys_),
         lambda z: observability_integral(z, sys_, T),
         lambda z: admissibility_check(z, sys_, T, kernel, 3.0),
@@ -625,10 +622,7 @@ def test_non_finite_entry_raises_the_finite_coefficients_error(pair, data):
         lambda z: resolvent_check(sys_, z, SPECTRAL_CERT),
         lambda z: windowed_frequency(z, sys_, T, 1.0),
     )
-    state_calls = (
-        lambda z: key_identity_gap(z, 1.0, sys_),
-        lambda z: plancherel_lowerbound_check(z, sys_, T, 1.0e300),
-    )
+    state_calls = (lambda z: plancherel_lowerbound_check(z, sys_, T, 1.0e300),)
     for call in block_calls + state_calls:
         with pytest.raises(DomainError, match="coefficients must be finite"):
             call(rows[i])

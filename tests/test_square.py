@@ -24,10 +24,8 @@ from obskit import (
     build_square_system,
     coercivity_scan,
     delta_gamma_fit,
-    full_bottom,
     load_config,
     run_scenario,
-    sine_product_integral,
     square_modes,
 )
 from obskit.square import CIRCLE_WIDTH, gram_factor
@@ -39,6 +37,7 @@ from oracles import (
     coercivity_scan_by_cluster,
     generalized_minima_by_cluster,
     lattice_circle,
+    sine_product_integral,
 )
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -100,7 +99,7 @@ class TestPatchesAndGamma:
             )
         )
         assert spec.sides() == {Side.BOTTOM, Side.LEFT}
-        assert full_bottom().sides() == {Side.BOTTOM}
+        assert GammaSpec.full_sides(Side.BOTTOM).sides() == {Side.BOTTOM}
         assert bottom_and_left().sides() == {Side.BOTTOM, Side.LEFT}
 
 
@@ -152,7 +151,7 @@ class TestSquareModes:
         assert modes.shape == (len(by_circle), 2) and modes.dtype.kind == "i"
         assert as_pairs(modes) == as_pairs(by_circle)
         p, q = modes.T
-        assert (build_square_system(n_max, full_bottom()).eigenvalues == p * p + q * q).all()
+        assert (build_square_system(n_max, GammaSpec.full_sides(Side.BOTTOM)).eigenvalues == p * p + q * q).all()
 
 
 class TestSineProductIntegral:
@@ -205,12 +204,6 @@ class TestSineProductIntegral:
                 oracle = (-1) ** (p + pp) * taylor_sine_product(p, pp, lo, hi)
                 assert sine_product_integral(p, pp, alpha, beta) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            sine_product_integral(0, 1, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            sine_product_integral(1, 1, 1.0, 0.5)
-
 
 # π − fl(π), to 32 digits.
 PI_MINUS_FLOAT_PI = Fraction("1.2246467991473531772260659322750e-16")
@@ -252,13 +245,13 @@ def trace_on_patch(mode, patch):
 class TestBoundaryGram:
     def test_full_bottom_distinct_p_diagonal(self):
         modes = lattice_circle(50)
-        gram = boundary_gram(modes, full_bottom())
+        gram = boundary_gram(modes, GammaSpec.full_sides(Side.BOTTOM))
         expected = np.diag(2.0 * modes[:, 1] ** 2 / (math.pi * 50.0))
         np.testing.assert_allclose(gram, expected, atol=1e-14)
 
     def test_shared_p_modes_couple(self):
         modes = np.array([[1, 1], [1, 2]])
-        gram = boundary_gram(modes, full_bottom())
+        gram = boundary_gram(modes, GammaSpec.full_sides(Side.BOTTOM))
         expected = (2.0 / math.pi) * 2.0 / math.sqrt(10.0)
         assert gram[0, 1].real == pytest.approx(expected, rel=1e-14)
 
@@ -420,14 +413,14 @@ class TestGramFactor:
     )
     def test_rejects_bad_mode_arrays(self, modes):
         with pytest.raises(DomainError, match="integer array"):
-            gram_factor(modes, full_bottom())
+            gram_factor(modes, GammaSpec.full_sides(Side.BOTTOM))
 
     def test_indefinite_sine_matrix_is_rejected(self, monkeypatch):
         import obskit.square as square
 
         monkeypatch.setattr(square, "_sine_product_matrix", lambda f, a, b: np.diag(np.linspace(-1.0, 1.0, f.size)))
         with pytest.raises(DomainError, match="not positive semidefinite"):
-            gram_factor(square_modes(10), full_bottom())
+            gram_factor(square_modes(10), GammaSpec.full_sides(Side.BOTTOM))
 
     def test_two_sides_at_n_max_2000_run_no_n_by_n_eigensolve(self, monkeypatch):
         orders = []
@@ -445,7 +438,7 @@ class TestGramFactor:
         scan = coercivity_scan(sys_, 0.5)
         assert sys_.size == 1529 and scan.centers.size == 591
         assert assumption_I_check(sys_).scan.centers.size == 591
-        bottom = build_square_system(2000, full_bottom())
+        bottom = build_square_system(2000, GammaSpec.full_sides(Side.BOTTOM))
         assert delta_gamma_fit(bottom)[1].scan.centers.size == 591
         assert "gram" not in vars(sys_) and "gram" not in vars(bottom)
         assert orders and max(orders) == math.isqrt(2000 - 1)
@@ -462,7 +455,7 @@ class TestGramFactor:
             return solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        _, report = delta_gamma_fit(build_square_system(200, full_bottom()))
+        _, report = delta_gamma_fit(build_square_system(200, GammaSpec.full_sides(Side.BOTTOM)))
         assert orders == Counter(report.scan.sizes.tolist()) and max(orders) > 1
         orders.clear()
         assumption_I_check(build_square_system(200, bottom_and_left()))
@@ -471,7 +464,7 @@ class TestGramFactor:
 
 class TestBuildSquareSystem:
     def test_smallest_system(self):
-        sys_ = build_square_system(2, full_bottom())
+        sys_ = build_square_system(2, GammaSpec.full_sides(Side.BOTTOM))
         assert sys_.size == 1
         assert sys_.eigenvalues[0] == 2.0
         assert "bottom" in sys_.label
@@ -489,7 +482,7 @@ class TestBuildSquareSystem:
 
 class TestDecayFit:
     def test_full_bottom_closed_form_rows(self):
-        delta_hat, report = delta_gamma_fit(build_square_system(200, full_bottom()))
+        delta_hat, report = delta_gamma_fit(build_square_system(200, GammaSpec.full_sides(Side.BOTTOM)))
         assert delta_hat == pytest.approx(TWO_OVER_PI, abs=1e-10)
         scan = report.scan
         for center, min_eig in zip(scan.centers.tolist(), scan.min_eig.tolist()):
@@ -508,7 +501,7 @@ class TestDecayFit:
 
     def test_rejects_small_bound(self):
         with pytest.raises(DomainError):
-            delta_gamma_fit(build_square_system(1, full_bottom()))
+            delta_gamma_fit(build_square_system(1, GammaSpec.full_sides(Side.BOTTOM)))
 
     @pytest.mark.parametrize(
         "eigenvalues",
@@ -626,7 +619,7 @@ class TestTwoSidesScan:
         reversed_sides = GammaSpec((BoundaryPatch(Side.LEFT), BoundaryPatch(Side.BOTTOM)))
         assert assumption_I_check(build_square_system(20, reversed_sides)).max_abs_deviation <= 1e-10
         half_left = GammaSpec((BoundaryPatch(Side.BOTTOM), BoundaryPatch(Side.LEFT, 0.0, 1.0)))
-        for gamma in (full_bottom(), half_left):
+        for gamma in (GammaSpec.full_sides(Side.BOTTOM), half_left):
             with pytest.raises(DomainError, match="full bottom and left sides"):
                 assumption_I_check(build_square_system(20, gamma))
         with pytest.raises(DomainError, match="^the system is not build_square_system"):

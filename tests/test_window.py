@@ -15,10 +15,7 @@ from obskit import (
     PowerLaw,
     ShapeError,
     SpectralSystem,
-    StateVector,
     TransformedWidth,
-    chi,
-    chi_dot,
     chi_hat,
     plancherel_lowerbound_check,
     sandwich_values,
@@ -42,7 +39,7 @@ from obskit.window import (
     default_tau_grid,
 )
 
-from oracles import chi_hat_by_quadrature, chi_hat_sq_integral_by_quadrature
+from oracles import chi, chi_dot, chi_hat_by_quadrature, chi_hat_sq_integral_by_quadrature
 
 
 class TestWindow:
@@ -189,7 +186,7 @@ class TestWindowedFrequency:
     def test_basis_vector_pins_frequency(self):
         sys_ = self.make_system()
         for k in [0, 4, 9]:
-            z = StateVector.basis(k, 10)
+            z = np.eye(10)[k]
             for tau in [-20.0, 0.0, 13.0]:
                 for T in [0.1, 1.0, 10.0]:
                     got = windowed_frequency(z, sys_, T, tau)
@@ -218,9 +215,9 @@ class TestWindowedFrequency:
             windowed_frequency(np.zeros(10), sys_, 1.0, 0.0)
         for T in (0.0, math.inf, 1.0e308):  # ½·1e308·39 overflows
             with pytest.raises(DomainError):
-                windowed_frequency(StateVector.basis(0, 10), sys_, T, 0.0)
+                windowed_frequency(np.eye(10)[0], sys_, T, 0.0)
         with pytest.raises(ShapeError):
-            windowed_frequency(StateVector.basis(0, 10), sys_, np.array([1.0, 2.0]), 0.0)
+            windowed_frequency(np.eye(10)[0], sys_, np.array([1.0, 2.0]), 0.0)
 
 
 class TestObservationTimeSolver:
@@ -297,7 +294,7 @@ class TestPlancherelLowerBound:
 
     def test_basis_state_wide_radius(self):
         sys_ = self.make_system()
-        z = StateVector.basis(0, 5)
+        z = np.eye(5)[0]
         R = 10.0 * (C0_PRIME + sys_.lambda_min)
         rep = plancherel_lowerbound_check(z, sys_, 1.0, R)
         assert rep.margin >= 0.0
@@ -323,7 +320,7 @@ class TestPlancherelLowerBound:
 
     def test_precondition_enforced(self):
         sys_ = self.make_system()
-        z = StateVector.basis(4, 5)
+        z = np.eye(5)[4]
         bad_R = C0_PRIME / 1.0 + 13.0  # equals the threshold, not above it
         with pytest.raises(DomainError, match="must exceed"):
             plancherel_lowerbound_check(z, sys_, 1.0, bad_R)

@@ -19,8 +19,9 @@ n_max 250, ``coercivity-scan`` on the full bottom side at n_max 1000 with
 the wide cluster width 1.3 (clusters of 1 to 8 modes), ``coercivity-scan``
 and ``weak-observability`` (``--trials 20``) on two top patches and one
 right patch at n_max 500, ``assumption-ii-iii`` on the right half of the
-right side at n_max 500, ``coercivity-scan`` on a 3-mode custom system whose
-first cluster has a null state (the ``weakly-coercive-at-width`` failure),
+right side at n_max 500, ``coercivity-scan``, ``resolvent-scan`` and
+``weak-observability`` on a 3-mode custom system whose first cluster has a
+null state (each records the failed ``weakly-coercive-at-width`` verdict),
 ``assumption-i`` at the cluster width 1.3 (its second scan), and each job of
 ``perfbench/jobs.py`` at full size, and prints one line per report: the
 digest (``-`` when no report was written), the exit code, the seed and a
@@ -115,13 +116,16 @@ SIDES_RUNS = (
     ("assumption-ii-iii", RIGHT_HALF_CONFIG, []),
 )
 # Two branches of the cluster scan's consumers: a scan whose envelope fit
-# fails (the first cluster, modes 0 and 1, holds the null state e₀ − e₁), and
-# assumption-i at a width past the unit gap, which scans a second time.
+# fails (the first cluster, modes 0 and 1, holds the null state e₀ − e₁), in
+# the scan and in the two certificate scenarios, and assumption-i at a width
+# past the unit gap, which scans a second time.
 NULL_STATE_CONFIG = {
     "system": {"type": "custom", "eigenvalues": [1, 1.2, 3], "gram": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}
 }
 BRANCH_RUNS = (
     ("coercivity-scan", NULL_STATE_CONFIG),
+    ("resolvent-scan", NULL_STATE_CONFIG),
+    ("weak-observability", NULL_STATE_CONFIG),
     ("assumption-i", {"epsilon_cluster": 1.3}),
 )
 
