@@ -240,9 +240,88 @@ def admissibility_breakpoints(system: SpectralSystem, epsilon: float) -> np.ndar
     return np.unique(np.concatenate([distinct - epsilon, distinct + epsilon]))
 
 
-def _off_cluster(d, lam, lower_edges, upper_edges, epsilon):
-    """Modes off the ε-cluster at λ, given d = λ_k − λ; broadcasts over a column of λ."""
-    return (np.abs(d) >= epsilon) | (lam <= lower_edges) | (lam >= upper_edges)
+def _trace_pass(system: SpectralSystem, epsilon: float, grid: np.ndarray):
+    """(t, lo, hi): at each grid point the trace bound t and the on-cluster run [lo, hi).
+
+    The modes on the cluster at λ are one run of the sorted modes: fl(λ_k − λ)
+    and both edges fl(λ_k ± ε) do not decrease in k, so |λ_k − λ| < ε holds
+    on a run, λ > fl(λ_k − ε) on a prefix and λ < fl(λ_k + ε) on a suffix.
+    The pass runs in row chunks of at most ``spectral.BLOCK_BYTES`` of
+    distances and names the first point in grid order whose cluster covers
+    every mode.
+    """
+    eigenvalues, factor = system.eigenvalues, system.factor
+    lower_edges, upper_edges = eigenvalues - epsilon, eigenvalues + epsilon
+    weights = (factor.real**2 + factor.imag**2).sum(axis=1)
+    trace = np.empty(grid.size)
+    lo, hi = np.empty(grid.size, dtype=np.intp), np.empty(grid.size, dtype=np.intp)
+    rows = _rows_within(8 * eigenvalues.size)
+    for start in range(0, grid.size, rows):
+        chunk = slice(start, start + rows)
+        lam = grid[chunk, None]
+        d = eigenvalues - lam
+        off = (np.abs(d) >= epsilon) | (lam <= lower_edges) | (lam >= upper_edges)
+        size = eigenvalues.size - off.sum(axis=1)
+        empty = size == eigenvalues.size
+        if empty.any():
+            raise DomainError(
+                f"the cluster at λ = {lam[np.argmax(empty), 0]} covers every mode; "
+                "off-cluster block is empty"
+            )
+        lo[chunk] = np.argmin(off, axis=1)
+        hi[chunk] = lo[chunk] + size
+        d = np.where(off, d, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace[chunk] = (weights / d / d).sum(axis=1)
+    return trace, lo, hi
+
+
+def _principal_rows(factor: np.ndarray) -> np.ndarray | None:
+    """B with B_kσ ≥ |g_kσ|·‖g_k‖₁ for G = FQ̂, Q̂ the eigenvectors of FᴴF, or None when FᴴF overflows.
+
+    Each |g_kσ| is bounded by |fl(FQ̂)| + 2(r + 2)u·fl(|F||Q̂|), which covers
+    the rounding of the r-term inner product (``estimate_admissibility``
+    derives it and the underflow).
+    """
+    gram = factor.conj().T @ factor
+    if not np.isfinite(gram).all():
+        return None
+    q = np.linalg.eigh(gram)[1]
+    r = factor.shape[1]
+    upper = np.abs(factor @ q) + (r + 2) * np.finfo(float).eps * (np.abs(factor) @ np.abs(q))
+    with np.errstate(over="ignore"):
+        return upper * upper.sum(axis=1, keepdims=True)
+
+
+def _row_sums(system: SpectralSystem, principal: np.ndarray | None, lam: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The row-sum bound ρ at the points ``lam`` with on-cluster runs [lo, hi), or inf where none is taken.
+
+    ``principal`` is ``_principal_rows(system.factor)``; with None no point
+    takes ρ, and neither does a point with some |λ_k − λ| ≥ 2⁵¹¹, where
+    1/d/d leaves the normal range.
+    """
+    if principal is None:
+        return np.full(lam.size, np.inf)
+    eigenvalues = system.eigenvalues
+    d = eigenvalues - lam[:, None]
+    far = np.maximum(np.abs(d[:, 0]), np.abs(d[:, -1])) >= 2.0**511
+    k = np.arange(eigenvalues.size)
+    d = np.where((k < lo[:, None]) | (k >= hi[:, None]), d, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = (1.0 / d / d @ principal).max(axis=1)
+    rho[far] = np.inf
+    return rho
+
+
+def _ceiling(trace, rho, gamma: float, sigma: float):
+    """c = min(t(1 + γ), ρ(1 + 2γ) + γt) + σ, at least each computed top eigenvalue; ρ = inf gives t's arm."""
+    with np.errstate(over="ignore"):
+        return np.minimum(trace * (1.0 + gamma) + sigma, rho * (1.0 + 2.0 * gamma) + gamma * trace + sigma)
+
+
+def _margins(n: int, r: int, epsilon: float) -> tuple[float, float]:
+    """(γ, σ) of ``estimate_admissibility`` for n modes, rank r and width ε."""
+    return 8.0 * (n + r) * (np.finfo(float).eps / 2.0), math.ldexp(n * (r + 1), -1072) * (1.0 + 1.0 / epsilon**2)
 
 
 def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) -> float:
@@ -263,87 +342,133 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
     D⁻¹FF*D⁻¹) is taken, and the Weyl bound ‖E‖/ε² is added once, so the
     result is an upper bound for the value with the full Gram.
 
-    Only the grid points that can still win are solved.  P is PSD, so its
-    trace t(λ) = Σ_off w_k/(λ_k − λ)², w_k = ‖f_k‖², bounds its top
-    eigenvalue.  One vectorized pass, in row chunks of at most
-    ``spectral.BLOCK_BYTES`` of distances, gives t at every point; the
-    points are then solved in order of decreasing t until
-    t·(1 + γ) + σ < best, the largest value solved so far.  A solved value is the same ``eigvalsh`` of the same
-    matrix as when every point is solved, and the maximum does not depend on
-    order, so the result is bit-identical.  γ covers the rounding, with n
-    modes, rank r and unit round-off u, to first order:
+    Only the grid points that can still win are solved.  Two bounds on the
+    top eigenvalue of P serve:
+
+    * the trace t(λ) = Σ_off w_k/(λ_k − λ)², w_k = ‖f_k‖², since P is PSD;
+    * the row-sum bound ρ(λ) = max_σ Σ_off |g_kσ|·‖g_k‖₁/(λ_k − λ)², g_k the
+      rows of G = FQ and Q the eigenvectors of FᴴF (one r×r ``eigh`` per
+      call).  QᴴPQ = (D⁻¹G)ᴴ(D⁻¹G) has entries at most |D⁻¹G|ᵀ|D⁻¹G| in
+      modulus, so its largest absolute row sum, at most ρ, bounds its top
+      eigenvalue, which is at least σ_min(Q)²·λ_max(P) (Ostrowski: QᴴPQ is
+      congruent to P).  In this principal basis P is nearly diagonal where
+      one column of G dominates each row, and ρ is then close to λ_max(P),
+      while t can exceed it by up to a factor r: on the full bottom side,
+      whose factor ``eigh`` returns in an arbitrary rotation, ρ/λ_max(P)
+      reads 1.000000 at every breakpoint at ``n_max`` 50 to 2000, where
+      t/λ_max(P) reaches 1.8 to 4.4.
+
+    One vectorized pass (``_trace_pass``) gives t and the on-cluster run
+    [a, b) at every point.  The point of largest t is solved first; the
+    others are walked in order of decreasing t, in chunks of as many rows as
+    the trace pass takes.  In a chunk the points with t(1 + γ) + σ < best,
+    the largest value solved so far, are dropped (so the walk ends at the
+    first chunk that drops every point), the rest take ρ (``_row_sums``) and are
+    solved in order of decreasing ceiling c(λ) = min(t(1 + γ), ρ(1 + 2γ) + γt) + σ
+    while c(λ) ≥ best.  A solve divides F[:a] and F[b:] by their distances
+    into one (n, r) buffer allocated per call: its leading rows are the same
+    C-contiguous array as ``factor[off] / d[off, None]``, so each solved
+    value is the same ``eigvalsh`` of the same matrix as when every point is
+    solved.  The maximum does not depend on order, so the result is
+    bit-identical, provided the computed top eigenvalue is at most c(λ) at
+    every point.  Proof, with n modes, rank r and unit round-off u, to first
+    order:
 
     * the computed t is at least (1 − (n + 2r + 2)u) times the trace of P
       over the computed distances: each w_k sums 2r rounded squares (γ_2r),
       each term is two rounded divisions (2u), the n-term sum loses γ_n;
-    * the computed top eigenvalue is at most (1 + (3n + 3 + p(r))u) times
-      that trace: the rounded D⁻¹F has squared Frobenius norm within
-      (1 + 3u) of it, each entry of the product is an inner product of
-      length ≤ n whose real and imaginary parts sum 2n real terms (at most
-      √2·γ_2n ≤ 3nu times the trace in norm), and ``eigvalsh`` is backward
-      stable, ‖ΔP‖ ≤ p(r)·u·‖P‖, taking p(r) ≤ 4r (LAPACK's own error
-      bounds take p = 2);
+    * the computed top eigenvalue is at most λ_max(P) + (3n + 3 + p(r))u·tr P,
+      and λ_max(P) ≤ tr P: the rounded D⁻¹F is within u of it entry by
+      entry and has squared Frobenius norm within (1 + 3u) of tr P, each
+      entry of the product is an inner product of length ≤ n whose real and
+      imaginary parts sum 2n real terms (at most √2·γ_2n ≤ 3nu times tr P in
+      norm), and ``eigvalsh`` is backward stable, ‖ΔP‖ ≤ p(r)·u·‖P‖, taking
+      p(r) ≤ 4r (LAPACK's own error bounds take p = 2);
+    * so the trace arm needs (4n + 6r + 7)u, 2u of it for the rounding of
+      the ceiling, and γ = 8(n + r)u covers it with room for the
+      second-order terms (when n = r = 1, P is 1×1 and its eigenvalue
+      exact); the γt of the row-sum arm covers (3n + 3 + 4r)u·tr P and
+      the u·t of underflow below;
+    * the computed ρ is at least (1 − (n + r + 6)u) times ρ over the
+      computed distances and the exact G = FQ̂, Q̂ as computed: each |g_kσ|
+      is at most |fl(FQ̂)| + 2(r + 2)u·fl(|F||Q̂|), because an r-term complex
+      inner product errs by at most √2·γ_(r+2) of |F||Q̂| (3u for the
+      modulus and the sum), the ℓ₁ row sums lose γ_r, the products u, each
+      1/d/d 2u and the n-term sums γ_n; ``eigh`` returns Q̂ orthonormal to
+      p(r)u, so σ_min(Q̂) ≥ 1 − p(r)u and λ_max(P) ≤ ρ/(1 − p(r)u)²;
+    * so the row-sum arm needs (n + 9r + 10)u on ρ, with 4u for the
+      ceiling's own rounding, and 2γ = 16(n + r)u covers it with room,
+      since n and r are at least 1.
 
-    with 2u for the stop test itself that is (4n + 6r + 7)u, and
-    γ = 8(n + r)u covers it with room for the second-order terms (when
-    n = r = 1, P is 1×1 and its eigenvalue exact).  γ is below 1.5e-11 for
-    r ≤ n ≤ 8192, the ``config.MAX_GRAM_BYTES`` cap.  Gradual underflow adds
-    absolute errors instead, at most 2r·2⁻¹⁰⁷⁵/ε² per w_k, 2⁻¹⁰⁷⁵(1 + 1/ε)
-    per term's divisions and 4nr·2⁻¹⁰⁷⁵ in the product, which
-    σ = n(r + 1)(1 + 1/ε²)·2⁻¹⁰⁷² covers.  A t that overflows is inf, and a
-    nan t is ordered first, so both points are solved.
+    γ is below 1.5e-11 for r ≤ n ≤ 8192, the ``config.MAX_GRAM_BYTES`` cap.
+    Gradual underflow adds absolute errors instead: at most 2r·2⁻¹⁰⁷⁵/ε² per
+    w_k, 2⁻¹⁰⁷⁵(1 + 1/ε) per term's divisions and 4nr·2⁻¹⁰⁷⁵ in the
+    product, and n(1 + 1/ε²)·2⁻¹⁰⁷⁵ in ρ's products, which
+    σ = n(r + 1)(1 + 1/ε²)·2⁻¹⁰⁷² covers in each arm.  The bound on each
+    |g_kσ| can also fall short by a = 4r·2⁻¹⁰⁷⁵ where its products underflow;
+    that moves ρ by at most Σ_off (1 + r)√r·a·√w_k/d_k² + nra²/ε², below
+    (1 + r)√r·a·√(nt)/ε + nra²/ε² (Cauchy–Schwarz), which is at most u·t
+    plus n·2⁻²⁰⁰⁰/ε², far below σ (2xy ≤ ux² + y²/u).  A point with some
+    |λ_k − λ| ≥ 2⁵¹¹, where 1/d/d leaves the normal range, takes no ρ, nor
+    does any point when FᴴF overflows.  A bound that overflows is inf, and
+    a nan one is ordered first, so both points are solved.
 
     A width outside the float range of the spectrum, where ε² is not a
     normal float or an edge fl(λ_k ± ε) rounds to λ_k itself, is a
-    ``DomainError``: there ε², 1/ε² or 1/(λ_k − λ) is out of range.  So is a
-    grid point whose cluster covers every mode; the first in grid order is
-    named.
+    ``DomainError``: there ε², 1/ε² or 1/(λ_k − λ) is out of range.  So is
+    a grid point that is not finite, and one whose cluster covers every
+    mode; the first in grid order is named.
     """
     if not epsilon > 0:
         raise DomainError(f"cluster width must be positive, got {epsilon}")
     grid = np.asarray(lambda_grid, dtype=float).ravel()
     if grid.size == 0:
         raise DomainError("lambda grid is empty")
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        raise DomainError(f"lambda grid point {grid[bad[0]]} at index {bad[0]} is not finite")
     eigenvalues, factor = system.eigenvalues, system.factor
-    lower_edges = eigenvalues - epsilon
-    upper_edges = eigenvalues + epsilon
     if not np.finfo(float).tiny <= epsilon * epsilon < math.inf or np.any(
-        (lower_edges == eigenvalues) | (upper_edges == eigenvalues)
+        (eigenvalues - epsilon == eigenvalues) | (eigenvalues + epsilon == eigenvalues)
     ):
         raise DomainError(
             f"cluster width {epsilon!r} is outside the float range of the spectrum: ε² must be "
             "a normal float and no cluster edge λ_k ± ε may round to λ_k"
         )
+    trace, lo, hi = _trace_pass(system, epsilon, grid)
     n, r = factor.shape
-    weights = (factor.real**2 + factor.imag**2).sum(axis=1)
-    trace = np.empty(grid.size)
-    rows = _rows_within(8 * n)
-    for start in range(0, grid.size, rows):
-        lam = grid[start : start + rows, None]
-        d = eigenvalues - lam
-        off = _off_cluster(d, lam, lower_edges, upper_edges, epsilon)
-        empty = ~off.any(axis=1)
-        if empty.any():
-            raise DomainError(
-                f"the cluster at λ = {lam[np.argmax(empty), 0]} covers every mode; "
-                "off-cluster block is empty"
-            )
-        d = np.where(off, d, np.inf)
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace[start : start + rows] = (weights / d / d).sum(axis=1)
-    gamma = 8.0 * (n + r) * (np.finfo(float).eps / 2.0)
-    sigma = math.ldexp(n * (r + 1), -1072) * (1.0 + 1.0 / epsilon**2)
+    weyl = system.factor_error / epsilon**2
+    if not r:
+        return weyl
+    gamma, sigma = _margins(n, r, epsilon)
+    scaled, dist = np.empty_like(factor), np.empty(n)
+
+    def solve(j: int) -> float:
+        a, b = lo[j], hi[j]
+        m = n - (b - a)
+        np.subtract(eigenvalues[:a], grid[j], out=dist[:a])
+        np.subtract(eigenvalues[b:], grid[j], out=dist[a:m])
+        np.divide(factor[:a], dist[:a, None], out=scaled[:a])
+        np.divide(factor[b:], dist[a:m, None], out=scaled[a:m])
+        off = scaled[:m]
+        return float(np.linalg.eigvalsh(off.conj().T @ off)[-1])
+
     order = np.argsort(np.where(np.isnan(trace), -np.inf, -trace), kind="stable")
-    best = 0.0
-    for j in order if r else ():
-        if trace[j] * (1.0 + gamma) + sigma < best:
+    best = max(0.0, solve(order[0]))
+    principal = _principal_rows(factor)
+    rows = _rows_within(8 * n)
+    for start in range(1, order.size, rows):
+        chunk = order[start : start + rows]
+        chunk = chunk[~(_ceiling(trace[chunk], np.inf, gamma, sigma) < best)]
+        if not chunk.size:
             break
-        lam = grid[j]
-        d = eigenvalues - lam
-        off = _off_cluster(d, lam, lower_edges, upper_edges, epsilon)
-        scaled = factor[off] / d[off, None]
-        best = max(best, float(np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]))
-    return best + system.factor_error / epsilon**2
+        rho = _row_sums(system, principal, grid[chunk], lo[chunk], hi[chunk])
+        ceiling = _ceiling(trace[chunk], rho, gamma, sigma)
+        for i in np.argsort(np.where(np.isnan(ceiling), -np.inf, -ceiling), kind="stable"):
+            if ceiling[i] < best:
+                break
+            best = max(best, solve(chunk[i]))
+    return best + weyl
 
 
 @dataclass(frozen=True)

@@ -52,14 +52,19 @@ def _gap_kernel(gaps: np.ndarray, where: np.ndarray, T) -> np.ndarray:
 
     The phase kernel is K = D·S·D* (module docstring).  A scalar ``T`` gives
     one (n, n) matrix; a 1-D array of k horizons gives a (k, n, n) stack.
-    One sin runs per table entry and horizon (lattice spectra repeat their
-    gaps), and ``np.take`` gathers the values into a new C-contiguous array.
+    Both kinds of table are exactly symmetric about their middle entry 0:
+    the range −L…L, and the sorted distinct fl(λ_j − λ_k), since
+    fl(a − b) = −fl(b − a).  S is even in the gap, so one sin runs per gap
+    magnitude and horizon, on the g ≥ 0 half of the table, and its values
+    are mirrored onto the other half; the kernel is then exactly symmetric
+    by construction.  ``np.take`` gathers the values into a new C-contiguous
+    array.
     """
     t = np.asarray(T, dtype=float)[..., None]
-    h = 0.5 * t * gaps
-    r = np.broadcast_to(t, h.shape).copy()
-    np.divide(t * np.sin(h), h, out=r, where=h != 0.0)
-    return np.take(r, where, axis=-1)
+    h = 0.5 * t * gaps[gaps.size // 2 :]
+    half = np.broadcast_to(t, h.shape).copy()
+    np.divide(t * np.sin(h), h, out=half, where=h != 0.0)
+    return np.take(np.concatenate([half[..., :0:-1], half], axis=-1), where, axis=-1)
 
 
 def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
@@ -94,22 +99,19 @@ def _phased(c: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _observed_energy(c: np.ndarray, lam: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the (k, n) block c: the observed energy over [0, t] and ‖c‖².
+def _norms_sq(c: np.ndarray) -> np.ndarray:
+    """‖c‖² per row of the (k, n) block c: one stacked row·column product,
+    one ``zdotu(conj(c), c)`` per row, which is bit for bit the per-row
+    ``vdot(c, c)`` (``tests/oracles.py::row_norms_sq_by_row``)."""
+    return np.matmul(c.conj()[:, None, :], c[:, :, None])[:, 0, 0].real
 
-    ``lam`` are the system's eigenvalues, ``t`` comes from ``_horizons`` for
-    the rows of c, and ``kernel`` is ``observability_kernel`` at ``t``; a
-    kernel of another shape raises ``ShapeError``.  The energy is the
-    ``_row_forms`` of the kernel at the ``_phased`` rows.  A real kernel's
-    forms are exactly real; a complex one's are checked real to 1e-10 of
-    their scale.  The ‖c‖² are one stacked row·column product, one
-    ``zdotu(conj(c), c)`` per row, which is bit for bit the per-row
-    ``vdot(c, c)`` (``tests/oracles.py::row_norms_sq_by_row``).
+
+def _real_energy(value: np.ndarray, t: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
+    """The real forms ``value`` of rows with horizons ``t`` and squared norms ``norm_sq``.
+
+    A real kernel's forms are exactly real; a complex one's are checked real
+    to 1e-10 of their scale, else ``NumericError``.
     """
-    if kernel.shape[:-2] != t.shape:
-        raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
-    value = _row_forms(_phased(c, lam, t), kernel)
-    norm_sq = np.matmul(c.conj()[:, None, :], c[:, :, None])[:, 0, 0].real
     if np.iscomplexobj(value):
         scale = np.maximum(np.abs(value.real), t * norm_sq)
         bad = np.abs(value.imag) > 1.0e-10 * scale
@@ -118,29 +120,53 @@ def _observed_energy(c: np.ndarray, lam: np.ndarray, kernel: np.ndarray, t: np.n
             raise NumericError(
                 f"observability integral came out non-real: imag {value.imag[i]:.3e} vs scale {scale[i]:.3e}"
             )
-    return value.real, norm_sq
+    return value.real
+
+
+def _observed_energy(c: np.ndarray, lam: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (k, n) block c: the observed energy over [0, t] and ‖c‖².
+
+    ``lam`` are the system's eigenvalues, ``t`` comes from ``_horizons`` for
+    the rows of c, and ``kernel`` is ``observability_kernel`` at ``t``; a
+    kernel of another shape raises ``ShapeError``.  The energy is the
+    ``_real_energy`` of the ``_row_forms`` of the kernel at the ``_phased``
+    rows.
+    """
+    if kernel.shape[:-2] != t.shape:
+        raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
+    norm_sq = _norms_sq(c)
+    return _real_energy(_row_forms(_phased(c, lam, t), kernel), t, norm_sq), norm_sq
 
 
 def _energy_at(c: np.ndarray, system: SpectralSystem, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_observed_energy`` of the rows of c at ``t``, one horizon or one per row, kernels built here.
 
-    One horizon shares one (n, n) kernel.  Per-row horizons build the
-    (k, n, n) stack in chunks of ``_rows_within`` rows, at most
+    One horizon shares one (n, n) kernel.  Per-row horizons phase the rows,
+    and take their ‖c‖², in runs of ``_rows_within`` rows of 16n bytes
+    (496 rows at 33 modes, 89 at 183); each run builds its (k, n, n) stack
+    of kernels in chunks of ``_rows_within`` rows, at most
     ``spectral.BLOCK_BYTES`` (or one row), so the memory held does not grow
-    with k; a row's kernel takes the Gram's itemsize per entry.  Each row's
-    form reads only its own kernel, so the chunks give the same bits as the
-    whole stack.
+    with k; a row's kernel takes the Gram's itemsize per entry.  ``_phased``
+    gives each row of a run its own phasing bit for bit, and each row's form
+    reads only its own kernel, so the runs and chunks give the same bits as
+    the whole stack.
     """
     lam = system.eigenvalues
     if t.ndim == 0:
         return _observed_energy(c, lam, observability_kernel(system, t), t)
     gaps, where = system.phase_gaps, _gap_index(system)
+    run = _rows_within(16 * system.size)
     step = _rows_within(system.gram.itemsize * system.size * system.size)
-    parts = []
-    for start in range(0, max(len(c), 1), step):  # an empty block still gives empty arrays
-        rows = slice(start, start + step)
-        parts.append(_observed_energy(c[rows], lam, system.gram * _gap_kernel(gaps, where, t[rows]), t[rows]))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    energy, norm_sq = np.empty(len(c)), np.empty(len(c))
+    for start in range(0, len(c), run):
+        stop = min(start + run, len(c))
+        phased, norm_sq[start:stop] = _phased(c[start:stop], lam, t[start:stop]), _norms_sq(c[start:stop])
+        for first in range(start, stop, step):
+            rows = slice(first, min(first + step, stop))
+            kernel = system.gram * _gap_kernel(gaps, where, t[rows])
+            forms = _row_forms(phased[rows.start - start : rows.stop - start], kernel)
+            energy[rows] = _real_energy(forms, t[rows], norm_sq[rows])
+    return energy, norm_sq
 
 
 def observability_integral(z0, system: SpectralSystem, T):

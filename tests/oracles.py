@@ -300,13 +300,14 @@ def generalized_minima_by_cluster(system: SpectralSystem, scan: ClusterScan, k_a
     return generalized
 
 
-def admissibility_by_every_point(system: SpectralSystem, epsilon: float, lambda_grid) -> float:
-    """``estimate_admissibility`` with an ``eigvalsh`` at every grid point, in grid order,
-    the oracle for its pruned search (inputs already checked by it)."""
+def admissibility_tops(system: SpectralSystem, epsilon: float, lambda_grid) -> list[float]:
+    """The top eigenvalue of the off-cluster r×r form at each grid point, in grid order,
+    one ``eigvalsh`` each, as ``estimate_admissibility`` solves a point (none when the
+    factor has no column; inputs already checked by it)."""
     eigenvalues = system.eigenvalues
     lower_edges = eigenvalues - epsilon
     upper_edges = eigenvalues + epsilon
-    best = 0.0
+    tops = []
     for lam in np.asarray(lambda_grid, dtype=float).ravel():
         d = eigenvalues - lam
         off = (np.abs(d) >= epsilon) | (lam <= lower_edges) | (lam >= upper_edges)
@@ -316,8 +317,14 @@ def admissibility_by_every_point(system: SpectralSystem, epsilon: float, lambda_
             )
         scaled = system.factor[off] / d[off, None]
         if scaled.shape[1]:
-            best = max(best, float(np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]))
-    return best + system.factor_error / epsilon**2
+            tops.append(float(np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1]))
+    return tops
+
+
+def admissibility_by_every_point(system: SpectralSystem, epsilon: float, lambda_grid) -> float:
+    """``estimate_admissibility`` with an ``eigvalsh`` at every grid point, in grid order,
+    the oracle for its pruned search (inputs already checked by it)."""
+    return max([0.0, *admissibility_tops(system, epsilon, lambda_grid)]) + system.factor_error / epsilon**2
 
 
 def scalar_observation_time(lambda0, eps):

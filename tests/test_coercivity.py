@@ -420,6 +420,27 @@ class TestAdmissibilityEstimate:
         assert estimate_admissibility(sys_, 0.5, grid) == expected
         assert len(eigvalsh_calls) == 2
 
+    @pytest.mark.parametrize(
+        "n_max, epsilon",
+        [(50, 0.25), (50, 0.5), (250, 0.25), (250, 0.5)],
+        ids=["default-0.25", "default-0.5", "bottom-250-0.25", "bottom-250-0.5"],
+    )
+    def test_full_bottom_side_solves_at_most_two_points(self, n_max, epsilon, eigvalsh_calls):
+        # In the principal basis the row-sum bound is within rounding of each
+        # point's value; in the factor's own basis it solves 152 of the 170
+        # breakpoints at n_max 250 and width 0.25.
+        system = build_square_system(n_max, GammaSpec.full_sides(Side.BOTTOM))
+        grid = admissibility_breakpoints(system, epsilon)
+        expected = admissibility_by_every_point(system, epsilon, grid)
+        eigvalsh_calls.clear()
+        assert estimate_admissibility(system, epsilon, grid) == expected
+        assert 0 < len(eigvalsh_calls) <= 2 < grid.size
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_point_rejected(self, square50, bad):
+        with pytest.raises(DomainError, match=rf"^lambda grid point {bad} at index 2 is not finite$"):
+            estimate_admissibility(square50, 0.5, [3.0, 4.0, bad, 5.0, math.nan])
+
     def test_sub_patch_solves_fewer_points_than_breakpoints(self, eigvalsh_calls):
         patch = BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0)
         system = build_square_system(250, GammaSpec((patch,)))

@@ -12,10 +12,16 @@ the closed-form observability integral is compared with time quadrature on
 small ones (eigenvalues up to 20, horizons 0.1 … 10).  On the same systems
 the observability integral, the admissibility margin, the weak
 observability check and the resolvent check are exactly homogeneous of
-degree 2 under z → 2^k·z, k in [−500, 500], and the pruned admissibility
-sup equals, bit for bit, the loop that solves every grid point, at widths
-1e-4 … 10 on breakpoint grids with extra points, first covering point
-named alike.  The composite width
+degree 2 under z → 2^k·z, k in [−500, 500], and G∘S_T equals its
+(conjugate) transpose bit for bit, as do the per-row kernels, also on
+integer spectra.  The pruned admissibility sup equals, bit for bit, the
+loop that solves every grid point, and no point's computed top eigenvalue
+exceeds the ceiling its pruning reads, at widths 1e-4 … 10 times the
+spectrum's scale on breakpoint grids with extra points, first covering
+point named alike: on those systems, on the square full sides, the
+sub-patch and two sides, and on spectra scaled by 2^±505 with real and
+complex factors of rank 1 to n, or factors whose FᴴF has repeated
+eigenvalues, scaled from 2⁻¹⁰⁷⁰ to 2⁵⁰⁰.  The composite width
 TransformedWidth(PowerLaw(c, p), M, ε₀) of the weak-to-spectral transform
 stays in the admissible class for c in [1e-12, 1e3], p in {0, 1, 2},
 M in [1e-6, 1e6] and ε₀ in [1e-6, 10].  The batched observation-time
@@ -92,7 +98,7 @@ from obskit import (
     weak_observability_check,
     windowed_frequency,
 )
-from obskit import evolution, spectral
+from obskit import coercivity, evolution, spectral
 from obskit.cli import main
 from obskit.evolution import _observed_energy, _phased
 from obskit.spectral import _moments, _power_of_two_frame, _row_forms, _row_fsum, observed_energy_sq
@@ -101,6 +107,7 @@ from obskit.window import THETA0, THETA1
 
 from oracles import (
     admissibility_by_every_point,
+    admissibility_tops,
     assert_same_scan,
     coercivity_scan_by_cluster,
     key_identity_gap,
@@ -236,9 +243,52 @@ def test_observability_integral_matches_time_quadrature(pair, seed):
     assert abs(closed - quadrature) <= 1e-10 * (scale + 1.0)  # the quadrature's own tolerances
 
 
-@settings(max_examples=150)
+@functools.cache
+def square_sup_system(i: int) -> SpectralSystem:
+    """The full bottom side at n_max 50 and 100, the full left side at 60, the
+    π/4–π/2 bottom sub-patch at 120, and the bottom and left sides at 40."""
+    gamma, n_max = [
+        (GammaSpec.full_sides(Side.BOTTOM), 50),
+        (GammaSpec.full_sides(Side.BOTTOM), 100),
+        (GammaSpec.full_sides(Side.LEFT), 60),
+        (GammaSpec((BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0),)), 120),
+        (GammaSpec.full_sides(Side.BOTTOM, Side.LEFT), 40),
+    ][i]
+    return build_square_system(n_max, gamma)
+
+
+@st.composite
+def sup_systems(draw):
+    """(system, scale): a ``kernel_systems`` system or a square one at scale 1,
+    or a ``kernel_systems`` spectrum scaled by 2^e, e in [−505, 505], with a
+    real or complex factor of rank 1 to n, or one with orthonormal columns
+    scaled by one or two norms, so that FᴴF has one or two repeated
+    eigenvalues (as on a full square side).  The factor's scale, from 2⁻¹⁰⁷⁰
+    to 2⁵⁰⁰, reaches values that underflow and values near the float range."""
+    kind = draw(st.sampled_from(("kernel", "square", "real", "complex", "degenerate")))
+    if kind == "kernel":
+        return draw(kernel_systems())[0], 1.0
+    if kind == "square":
+        return square_sup_system(draw(st.integers(0, 4))), 1.0
+    e = draw(st.integers(-505, 505))
+    scale = 2.0**e
+    lam = draw(kernel_systems())[0].eigenvalues * scale
+    n = lam.size
+    rank = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = rng.standard_normal((n, rank))
+    if kind == "complex":
+        factor = factor + 1j * rng.standard_normal((n, rank))
+    if kind == "degenerate":
+        norms = rng.choice([1.0, draw(st.floats(0.5, 2.0))], rank)
+        factor = np.linalg.qr(factor)[0] * norms
+    factor *= 2.0 ** draw(st.integers(max(e - 550, -1070), min(e + 480, 500)))
+    return SpectralSystem(eigenvalues=lam, factor=factor), scale
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    kernel_systems(),
+    sup_systems(),
     st.floats(-4.0, 1.0),
     st.lists(st.floats(-10.0, 2e4), max_size=6),
     st.lists(st.floats(-10.0, 2e4), max_size=6),
@@ -246,16 +296,29 @@ def test_observability_integral_matches_time_quadrature(pair, seed):
 def test_pruned_admissibility_sup_equals_every_point_loop(pair, log_epsilon, before, after):
     # Extra points before and after the breakpoints: some sit inside a
     # cluster that covers every mode, and the first of those must be named.
-    sys_, _ = pair
-    epsilon = 10.0**log_epsilon
-    grid = np.concatenate([before, admissibility_breakpoints(sys_, epsilon), after])
+    # Every point's computed top eigenvalue is at most its ceiling, the bound
+    # the pruning rests on.
+    sys_, scale = pair
+    epsilon = 10.0**log_epsilon * scale
+    lam = sys_.eigenvalues
+    if not np.finfo(float).tiny <= epsilon**2 < math.inf or np.any((lam - epsilon == lam) | (lam + epsilon == lam)):
+        with pytest.raises(DomainError, match="outside the float range"):
+            estimate_admissibility(sys_, epsilon, admissibility_breakpoints(sys_, epsilon))
+        return
+    grid = np.concatenate([np.multiply(before, scale), admissibility_breakpoints(sys_, epsilon), np.multiply(after, scale)])
     try:
         expected = admissibility_by_every_point(sys_, epsilon, grid)
     except DomainError as exc:
         with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
             estimate_admissibility(sys_, epsilon, grid)
-    else:
-        assert estimate_admissibility(sys_, epsilon, grid) == expected
+        return
+    assert estimate_admissibility(sys_, epsilon, grid) == expected
+    trace, lo, hi = coercivity._trace_pass(sys_, epsilon, grid)
+    gamma, sigma = coercivity._margins(*sys_.factor.shape, epsilon)
+    rho = coercivity._row_sums(sys_, coercivity._principal_rows(sys_.factor), grid, lo, hi)
+    ceilings = coercivity._ceiling(trace, rho, gamma, sigma)
+    for point, top, ceiling in zip(grid, admissibility_tops(sys_, epsilon, grid), ceilings):
+        assert not top > ceiling, (point, top, ceiling)
 
 
 @st.composite
@@ -747,6 +810,20 @@ def test_integer_spectra_index_their_gaps_by_arithmetic(pair, log_horizons):
     assert np.array_equal(gaps[where], distinct[np.searchsorted(distinct, diffs)])
     for t in (T, 10.0 ** np.array(log_horizons)):
         assert np.all(observability_kernel(sys_, t) == sys_.gram * sinc_kernel_by_unique_inverse(lam, t))
+
+
+@settings(max_examples=200)
+@given(st.one_of(kernel_systems(), integer_spectra()), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+def test_kernels_are_exactly_symmetric(pair, log_horizons):
+    # One sin per gap magnitude, mirrored onto the negative gaps: G∘S_T equals
+    # its transpose bit for bit when G is real, and its conjugate transpose
+    # when G is complex, at one horizon and at one horizon per row.
+    sys_, T = pair
+    for kernel in (observability_kernel(sys_, T), *observability_kernel(sys_, 10.0 ** np.array(log_horizons))):
+        if np.iscomplexobj(kernel):
+            assert np.array_equal(kernel, kernel.conj().T)
+        else:
+            assert np.array_equal(kernel.view(np.int64), kernel.T.view(np.int64))
 
 
 WEYL_C = 64

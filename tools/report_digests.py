@@ -13,7 +13,10 @@ a dense complex Gram, ``weak-observability`` and ``admissibility`` (each
 the integer spectra's arithmetic,
 ``assumption-ii-iii``, ``coercivity-scan``, and ``admissibility``,
 ``resolvent-scan`` and ``weak-observability`` (each ``--trials 20``) on
-the π/4–π/2 sub-patch at n_max 2000, ``weak-observability`` and
+the π/4–π/2 sub-patch at n_max 2000, ``admissibility`` and
+``resolvent-scan`` (each ``--trials 20``) on the full bottom side at
+n_max 2000, where the admissibility sup solves 3 to 4 of about 1100
+breakpoints, ``weak-observability`` and
 ``admissibility`` (each ``--trials 200``) on the full bottom side at
 n_max 250, ``coercivity-scan`` on the full bottom side at n_max 1000 with
 the wide cluster width 1.3 (clusters of 1 to 8 modes), ``coercivity-scan``
@@ -83,6 +86,11 @@ SCALE_RUNS = (
     ["resolvent-scan", "--trials", "20"],
     ["weak-observability", "--trials", "20"],
 )
+# The full bottom side at n_max 2000 (1529 modes): the row-sum bound prunes
+# the admissibility sup to 3 of its 1182 breakpoints at width 0.25 and 4 of
+# 1040 at 0.5, where the trace bound alone solved 1140 and 1006.
+BOTTOM_SCALE_CONFIG = {"system": {"type": "square", "n_max_eigenvalue": 2000, "gamma": [{"side": "bottom"}]}}
+BOTTOM_SCALE_SCENARIOS = ("admissibility", "resolvent-scan")
 # The full bottom side at n_max 250: 183 modes with a real Gram, where
 # ``weak-observability`` builds its per-row kernels one row per chunk
 # inside blocks of 89 states.
@@ -160,7 +168,7 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
     ``blocks/SCENARIO``, ``custom/SCENARIO``, ``noninteger/SCENARIO``,
-    ``scale/SCENARIO``, ``mid/SCENARIO``,
+    ``scale/SCENARIO``, ``bottom-scale/SCENARIO``, ``mid/SCENARIO``,
     ``wide/coercivity-scan``, ``sides/SCENARIO``, ``branch/SCENARIO`` and
     ``WORKLOAD/I-SCENARIO``.
     """
@@ -198,6 +206,15 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     lines += [
         _cli_line([scenario, "--config", json.dumps(SCALE_CONFIG), *rest], seed, outdir, f"scale/{scenario}")
         for scenario, *rest in SCALE_RUNS
+    ]
+    lines += [
+        _cli_line(
+            [scenario, "--config", json.dumps(BOTTOM_SCALE_CONFIG), "--trials", "20"],
+            seed,
+            outdir,
+            f"bottom-scale/{scenario}",
+        )
+        for scenario in BOTTOM_SCALE_SCENARIOS
     ]
     lines += [
         _cli_line(
