@@ -26,45 +26,26 @@ import numpy as np
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError, ShapeError
-from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, _rows_within, coefficients_of
+from .spectral import SpectralSystem, _gap_index, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, _rows_within, coefficients_of
 from .window import THETA0, THETA2
-
-
-def _gap_index(system: SpectralSystem) -> np.ndarray:
-    """The (n, n) index of each λ_j − λ_k in the system's ``phase_gaps``.
-
-    On an integer spectrum of span L (``integer_span``) it is
-    off_j − off_k + L, off = λ − λ_min as intp, formed in one (n, n) intp
-    array: no sort and no search.  Otherwise every gap is one of the
-    distinct gaps, so one ``searchsorted`` finds its index exactly.  Built
-    per call, never held: see ``spectral._distinct_gaps``.
-    """
-    lam, span = system.eigenvalues, system.integer_span
-    if span is None:
-        return np.searchsorted(system.phase_gaps, np.subtract.outer(lam, lam))
-    off = (lam - lam[0]).astype(np.intp)
-    return np.subtract.outer(off + span, off)
 
 
 def _gap_kernel(gaps: np.ndarray, where: np.ndarray, T) -> np.ndarray:
     """The real symmetric kernel S_{jk}(T) = T·sin(h)/h, h = (λ_j−λ_k)T/2 (S = T
-    where h = 0), from the system's gap table ``gaps`` and the ``_gap_index`` into it.
+    where h = 0), from the system's table of gap magnitudes ``gaps`` and the
+    ``spectral._gap_index`` into it.
 
     The phase kernel is K = D·S·D* (module docstring).  A scalar ``T`` gives
     one (n, n) matrix; a 1-D array of k horizons gives a (k, n, n) stack.
-    Both kinds of table are exactly symmetric about their middle entry 0:
-    the range −L…L, and the sorted distinct fl(λ_j − λ_k), since
-    fl(a − b) = −fl(b − a).  S is even in the gap, so one sin runs per gap
-    magnitude and horizon, on the g ≥ 0 half of the table, and its values
-    are mirrored onto the other half; the kernel is then exactly symmetric
-    by construction.  ``np.take`` gathers the values into a new C-contiguous
-    array.
+    S is even in the gap, so one sin runs per table entry and horizon, and
+    ``np.take`` gathers the values into a new C-contiguous array, which is
+    exactly symmetric since |λ_j − λ_k| and |λ_k − λ_j| share an index.
     """
     t = np.asarray(T, dtype=float)[..., None]
-    h = 0.5 * t * gaps[gaps.size // 2 :]
-    half = np.broadcast_to(t, h.shape).copy()
-    np.divide(t * np.sin(h), h, out=half, where=h != 0.0)
-    return np.take(np.concatenate([half[..., :0:-1], half], axis=-1), where, axis=-1)
+    h = 0.5 * t * gaps
+    values = np.broadcast_to(t, h.shape).copy()
+    np.divide(t * np.sin(h), h, out=values, where=h != 0.0)
+    return np.take(values, where, axis=-1)
 
 
 def observability_kernel(system: SpectralSystem, T) -> np.ndarray:

@@ -114,16 +114,16 @@ class SpectralSystem:
         """L = λ_max − λ_min if the spectrum indexes its gaps by arithmetic, else None.
 
         That holds when every eigenvalue is an integer below 2⁵³, so that
-        every gap λ_j − λ_k is an exact integer in [−L, L], and 2L + 1 ≤ n²,
-        so that the table −L…L is no larger than the n² gaps it indexes.
-        Every square spectrum p² + q² is integer.  Found on first read and
-        cached, like ``gram``.
+        every gap magnitude |λ_j − λ_k| is an exact integer in 0…L, and
+        L + 1 ≤ n², so that the table 0…L is no larger than the n² pairs it
+        indexes.  Every square spectrum p² + q² is integer.  Found on first
+        read and cached, like ``gram``.
         """
         lam = self.eigenvalues
         if not (lam[-1] < _EXACT_INTEGERS and np.array_equal(lam, np.floor(lam))):
             return None
         span = int(lam[-1] - lam[0])
-        return span if 2 * span + 1 <= lam.size**2 else None
+        return span if span + 1 <= lam.size**2 else None
 
     @functools.cached_property
     def phase_gaps(self) -> np.ndarray:
@@ -164,23 +164,39 @@ class SpectralSystem:
 
 
 def _distinct_gaps(eigenvalues, span: int | None = None) -> np.ndarray:
-    """The sorted, read-only table that holds every gap λ_j − λ_k of ``eigenvalues``.
+    """The sorted, read-only table that holds every gap magnitude |λ_j − λ_k| of ``eigenvalues``.
 
     For an integer spectrum of span L (``SpectralSystem.integer_span``) it is
-    the range −L…L as floats, in which gap g sits at index g + L, so nothing
-    is sorted; some entries may be gaps that do not occur.  Otherwise it is
-    the sorted distinct gaps, one ``np.unique`` over all n² of them.  Only
-    the table is kept, not the (n, n) index of each gap in it
-    (``evolution._gap_index``): a system holds the table for its lifetime,
-    and an index table held there raised a run's peak memory.
+    the range 0…L as floats, in which gap magnitude g sits at index g, so
+    nothing is sorted; some entries may be gaps that do not occur.
+    Otherwise it is the sorted distinct |fl(λ_j − λ_k)|, one ``np.unique``
+    over all n² of them.  Only the table is kept, not the (n, n) index of
+    each gap in it (``_gap_index``): a system holds the table for its
+    lifetime, and an index table held there raised a run's peak memory.
     """
     if span is None:
         lam = np.asarray(eigenvalues, dtype=float)
-        gaps = np.unique(np.subtract.outer(lam, lam))
+        gaps = np.unique(np.abs(np.subtract.outer(lam, lam)))
     else:
-        gaps = np.arange(-span, span + 1, dtype=float)
+        gaps = np.arange(span + 1, dtype=float)
     gaps.setflags(write=False)
     return gaps
+
+
+def _gap_index(system: SpectralSystem) -> np.ndarray:
+    """The (n, n) index of each |λ_j − λ_k| in the system's ``phase_gaps``, built per call.
+
+    On an integer spectrum it is |off_j − off_k|, off = λ − λ_min as intp:
+    no sort and no search.  Otherwise every gap magnitude is one of the
+    table's, so one ``searchsorted`` finds its index exactly.
+    """
+    lam, span = system.eigenvalues, system.integer_span
+    if span is None:
+        diffs = np.subtract.outer(lam, lam)
+        return np.searchsorted(system.phase_gaps, np.abs(diffs, out=diffs))
+    off = (lam - lam[0]).astype(np.intp)
+    index = np.subtract.outer(off, off)
+    return np.abs(index, out=index)
 
 
 @dataclass(frozen=True)

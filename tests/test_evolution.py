@@ -123,17 +123,17 @@ class TestGapTable:
                 assert np.array_equal(kernel.view(float), (sys_.gram * expected).view(float))
 
     def test_gaps_are_cached_read_only_and_sorted_distinct(self):
-        # The lattice's integer spectrum 2 … 50 takes the table −48 … 48; a
-        # non-integer spectrum keeps its sorted distinct gaps.
+        # The lattice's integer spectrum 2 … 50 takes the table 0 … 48; a
+        # non-integer spectrum keeps its sorted distinct gap magnitudes.
         lattice = build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
         other = random_system(np.random.default_rng(3), 9)
         for sys_, span in ((lattice, 48), (other, None)):
             gaps = sys_.phase_gaps
             assert sys_.phase_gaps is gaps and not gaps.flags.writeable
             assert sys_.integer_span == span
-        assert np.array_equal(lattice.phase_gaps, np.arange(-48.0, 49.0))
+        assert np.array_equal(lattice.phase_gaps, np.arange(49.0))
         lam = other.eigenvalues
-        assert np.array_equal(other.phase_gaps, np.unique(np.subtract.outer(lam, lam)))
+        assert np.array_equal(other.phase_gaps, np.unique(np.abs(np.subtract.outer(lam, lam))))
 
     def test_square_kernels_neither_sort_nor_search(self, monkeypatch):
         sys_ = build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
@@ -151,7 +151,7 @@ class TestGapTable:
         "lam",
         [
             [1.0, 2.5, 3.0, 3.0],  # one non-integer eigenvalue
-            [1.0, 2.0, 1.0e6],  # 2L + 1 > n²
+            [1.0, 2.0, 1.0e6],  # L + 1 > n²
             [2.0**53, 2.0**53, 2.0**53 + 2.0],  # integers, but not below 2⁵³
         ],
     )
@@ -166,9 +166,19 @@ class TestGapTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 16  # no table of span size: −10⁶ … 10⁶ would take 16 MB
-        assert np.array_equal(gaps, np.unique(diffs))
+        assert peak < 1 << 16  # no table of span size: 0 … 10⁶ would take 8 MB
+        assert np.array_equal(gaps, np.unique(np.abs(diffs)))
         assert np.array_equal(kernel, sinc_kernel_by_unique_inverse(sys_.eigenvalues, np.array([0.3, 0.7])))
+
+    @pytest.mark.parametrize("lam, span", [([1.0, 5.0, 9.0], 8), ([1.0, 5.0, 10.0], None)])
+    def test_the_integer_route_holds_while_its_table_fits_the_pairs(self, lam, span):
+        # Three modes index 9 pairs: the span 8 takes the table 0 … 8, the span 9 the sorted magnitudes.
+        sys_ = SpectralSystem(eigenvalues=lam, gram=np.array([[2.0, 0.5j, 0.1], [-0.5j, 1.0, 0.2], [0.1, 0.2, 1.5]]))
+        assert sys_.integer_span == span
+        gaps = np.arange(9.0) if span else np.array([0.0, 4.0, 5.0, 9.0])
+        assert np.array_equal(sys_.phase_gaps, gaps)
+        for t in (0.7, np.array([0.3, 0.7, 2.5])):
+            assert np.all(observability_kernel(sys_, t) == sys_.gram * sinc_kernel_by_unique_inverse(lam, t))
 
 
 class TestObservabilityIntegral:

@@ -98,7 +98,7 @@ from obskit import (
     weak_observability_check,
     windowed_frequency,
 )
-from obskit import coercivity, evolution, spectral
+from obskit import coercivity, spectral
 from obskit.cli import main
 from obskit.evolution import _observed_energy, _phased
 from obskit.spectral import _moments, _power_of_two_frame, _row_forms, _row_fsum, observed_energy_sq
@@ -220,6 +220,26 @@ def kernel_systems(draw, top=1e4, decades=3.0):
     factor = rng.standard_normal((lam.size, rank)) + 1j * rng.standard_normal((lam.size, rank))
     gram = factor @ factor.conj().T
     return SpectralSystem(eigenvalues=lam, gram=(gram + gram.conj().T) / 2.0), T
+
+
+@st.composite
+def integer_spectra(draw):
+    """(system, T): n ≤ 12 sorted integer eigenvalues, from 1 or from as high
+    as 2⁵³ − 1 − L, with repeats (zero gaps off the diagonal) and a span L
+    anywhere up to the guard L + 1 ≤ n², each end drawn; a random real
+    factor or a complex given Gram; T over six decades."""
+    n = draw(st.integers(1, 12))
+    span = draw(st.integers(0, n * n - 1))
+    base = draw(st.one_of(st.integers(1, 100), st.integers(1, 2**53 - 1 - span)))
+    inner = draw(st.lists(st.integers(0, span), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    offsets = [0, *inner, span] if n > 1 else [0]
+    lam = np.sort(np.array(offsets, dtype=float) + base)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        return SpectralSystem(eigenvalues=lam, factor=rng.standard_normal((n, 2))), T
+    factor = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    return SpectralSystem(eigenvalues=lam, gram=factor @ factor.conj().T), T
 
 
 @settings(max_examples=200)
@@ -611,7 +631,7 @@ def block_results(rows, sys_, T, t_min):
 
 
 @settings(max_examples=100)
-@given(kernel_systems(), st.data())
+@given(st.one_of(kernel_systems(), integer_spectra()), st.data())
 def test_block_rows_equal_single_row_calls(pair, data):
     sys_, T0 = pair
     rows = data.draw(state_blocks(sys_.size))
@@ -773,41 +793,22 @@ def subpatch_183():
     return build_square_system(250, gamma)
 
 
-@st.composite
-def integer_spectra(draw):
-    """(system, T): n ≤ 12 sorted integer eigenvalues, from 1 or from as high
-    as 2⁵³ − 1 − L, with repeats (zero gaps off the diagonal) and a span L
-    anywhere up to the guard 2L + 1 ≤ n², each end drawn; a random real
-    factor or a complex given Gram; T over six decades."""
-    n = draw(st.integers(1, 12))
-    span = draw(st.integers(0, (n * n - 1) // 2))
-    base = draw(st.one_of(st.integers(1, 100), st.integers(1, 2**53 - 1 - span)))
-    inner = draw(st.lists(st.integers(0, span), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
-    offsets = [0, *inner, span] if n > 1 else [0]
-    lam = np.sort(np.array(offsets, dtype=float) + base)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    T = 10.0 ** draw(st.floats(-3.0, 3.0))
-    if draw(st.booleans()):
-        return SpectralSystem(eigenvalues=lam, factor=rng.standard_normal((n, 2))), T
-    factor = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    return SpectralSystem(eigenvalues=lam, gram=factor @ factor.conj().T), T
-
-
 @settings(max_examples=200)
 @given(integer_spectra(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
 def test_integer_spectra_index_their_gaps_by_arithmetic(pair, log_horizons):
-    # The table −L…L and the index off_j − off_k + L find every gap that the
-    # sorted distinct gaps and searchsorted find, and the kernels agree bit for bit.
+    # The table 0…L and the index |off_j − off_k| find every gap magnitude that
+    # the sorted distinct magnitudes and searchsorted find, and the kernels
+    # agree bit for bit.
     sys_, T = pair
     lam = sys_.eigenvalues
     span = int(lam[-1] - lam[0])
     assert sys_.integer_span == span
-    gaps, where = sys_.phase_gaps, evolution._gap_index(sys_)
-    assert np.array_equal(gaps, np.arange(-span, span + 1.0))
-    diffs = np.subtract.outer(lam, lam)
-    distinct = np.unique(diffs)
-    assert np.array_equal(where, np.searchsorted(gaps, diffs))
-    assert np.array_equal(gaps[where], distinct[np.searchsorted(distinct, diffs)])
+    gaps, where = sys_.phase_gaps, spectral._gap_index(sys_)
+    assert np.array_equal(gaps, np.arange(span + 1.0))
+    magnitudes = np.abs(np.subtract.outer(lam, lam))
+    distinct = np.unique(magnitudes)
+    assert np.array_equal(where, np.searchsorted(gaps, magnitudes))
+    assert np.array_equal(gaps[where], distinct[np.searchsorted(distinct, magnitudes)])
     for t in (T, 10.0 ** np.array(log_horizons)):
         assert np.all(observability_kernel(sys_, t) == sys_.gram * sinc_kernel_by_unique_inverse(lam, t))
 
@@ -815,9 +816,9 @@ def test_integer_spectra_index_their_gaps_by_arithmetic(pair, log_horizons):
 @settings(max_examples=200)
 @given(st.one_of(kernel_systems(), integer_spectra()), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
 def test_kernels_are_exactly_symmetric(pair, log_horizons):
-    # One sin per gap magnitude, mirrored onto the negative gaps: G∘S_T equals
-    # its transpose bit for bit when G is real, and its conjugate transpose
-    # when G is complex, at one horizon and at one horizon per row.
+    # One sin per gap magnitude, gathered to both (j, k) and (k, j): G∘S_T
+    # equals its transpose bit for bit when G is real, and its conjugate
+    # transpose when G is complex, at one horizon and at one horizon per row.
     sys_, T = pair
     for kernel in (observability_kernel(sys_, T), *observability_kernel(sys_, 10.0 ** np.array(log_horizons))):
         if np.iscomplexobj(kernel):

@@ -22,7 +22,10 @@ n_max 250, ``coercivity-scan`` on the full bottom side at n_max 1000 with
 the wide cluster width 1.3 (clusters of 1 to 8 modes), ``coercivity-scan``
 and ``weak-observability`` (``--trials 20``) on two top patches and one
 right patch at n_max 500, ``assumption-ii-iii`` on the right half of the
-right side at n_max 500, ``coercivity-scan``, ``resolvent-scan`` and
+right side at n_max 500, ``assumption-ii-iii`` and ``coercivity-scan`` on
+the narrow bottom patch (π/2 − 0.05, π/2 + 0.05) at n_max 250, where the
+sine-product matrix takes its short-patch series on some entries,
+``coercivity-scan``, ``resolvent-scan`` and
 ``weak-observability`` on a 3-mode custom system whose first cluster has a
 null state (each records the failed ``weakly-coercive-at-width`` verdict),
 ``assumption-i`` at the cluster width 1.3 (its second scan), and each job of
@@ -42,6 +45,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -123,6 +127,17 @@ SIDES_RUNS = (
     ("weak-observability", SIDES_CONFIG, ["--trials", "20"]),
     ("assumption-ii-iii", RIGHT_HALF_CONFIG, []),
 )
+# A bottom patch 0.1 wide at n_max 250: the only config whose sine-product
+# matrix takes its short-patch series (on 36 of its 225 entries); every other
+# patch here is at least π/4 wide.
+NARROW_CONFIG = {
+    "system": {
+        "type": "square",
+        "n_max_eigenvalue": 250,
+        "gamma": [{"side": "bottom", "alpha": math.pi / 2 - 0.05, "beta": math.pi / 2 + 0.05}],
+    }
+}
+NARROW_SCENARIOS = ("assumption-ii-iii", "coercivity-scan")
 # Two branches of the cluster scan's consumers: a scan whose envelope fit
 # fails (the first cluster, modes 0 and 1, holds the null state e₀ − e₁), in
 # the scan and in the two certificate scenarios, and assumption-i at a width
@@ -169,8 +184,8 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
     ``blocks/SCENARIO``, ``custom/SCENARIO``, ``noninteger/SCENARIO``,
     ``scale/SCENARIO``, ``bottom-scale/SCENARIO``, ``mid/SCENARIO``,
-    ``wide/coercivity-scan``, ``sides/SCENARIO``, ``branch/SCENARIO`` and
-    ``WORKLOAD/I-SCENARIO``.
+    ``wide/coercivity-scan``, ``sides/SCENARIO``, ``narrow/SCENARIO``,
+    ``branch/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
     lines += [
@@ -228,6 +243,10 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     lines += [
         _cli_line([scenario, "--config", json.dumps(config), *rest], seed, outdir, f"sides/{scenario}")
         for scenario, config, rest in SIDES_RUNS
+    ]
+    lines += [
+        _cli_line([scenario, "--config", json.dumps(NARROW_CONFIG)], seed, outdir, f"narrow/{scenario}")
+        for scenario in NARROW_SCENARIOS
     ]
     lines += [
         _cli_line([scenario, "--config", json.dumps(config)], seed, outdir, f"branch/{scenario}")
