@@ -240,20 +240,22 @@ def admissibility_breakpoints(system: SpectralSystem, epsilon: float) -> np.ndar
     return np.unique(np.concatenate([distinct - epsilon, distinct + epsilon]))
 
 
-def _trace_pass(system: SpectralSystem, epsilon: float, grid: np.ndarray):
-    """(t, lo, hi): at each grid point the trace bound t and the on-cluster run [lo, hi).
+def _trace_pass(system: SpectralSystem, epsilon: float, grid: np.ndarray, principal: np.ndarray | None):
+    """(t, ρ, lo, hi): at each grid point the trace bound t, the row-sum bound ρ and the on-cluster run [lo, hi).
 
     The modes on the cluster at λ are one run of the sorted modes: fl(λ_k − λ)
     and both edges fl(λ_k ± ε) do not decrease in k, so |λ_k − λ| < ε holds
     on a run, λ > fl(λ_k − ε) on a prefix and λ < fl(λ_k + ε) on a suffix.
-    The pass runs in row chunks of at most ``spectral.BLOCK_BYTES`` of
-    distances and names the first point in grid order whose cluster covers
-    every mode.
+    ``principal`` is ``_principal_rows(system.factor)``; with None no point
+    takes ρ (it is inf), and neither does a point with some |λ_k − λ| ≥ 2⁵¹¹,
+    where 1/d/d leaves the normal range.  The pass runs in row chunks of at
+    most ``spectral.BLOCK_BYTES`` of distances and names the first point in
+    grid order whose cluster covers every mode.
     """
     eigenvalues, factor = system.eigenvalues, system.factor
     lower_edges, upper_edges = eigenvalues - epsilon, eigenvalues + epsilon
     weights = (factor.real**2 + factor.imag**2).sum(axis=1)
-    trace = np.empty(grid.size)
+    trace, rho = np.empty(grid.size), np.full(grid.size, np.inf)
     lo, hi = np.empty(grid.size, dtype=np.intp), np.empty(grid.size, dtype=np.intp)
     rows = _rows_within(8 * eigenvalues.size)
     for start in range(0, grid.size, rows):
@@ -270,10 +272,13 @@ def _trace_pass(system: SpectralSystem, epsilon: float, grid: np.ndarray):
             )
         lo[chunk] = np.argmin(off, axis=1)
         hi[chunk] = lo[chunk] + size
+        far = np.maximum(np.abs(d[:, 0]), np.abs(d[:, -1])) >= 2.0**511
         d = np.where(off, d, np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             trace[chunk] = (weights / d / d).sum(axis=1)
-    return trace, lo, hi
+            if principal is not None:
+                rho[chunk] = np.where(far, np.inf, (1.0 / d / d @ principal).max(axis=1))
+    return trace, rho, lo, hi
 
 
 def _principal_rows(factor: np.ndarray) -> np.ndarray | None:
@@ -291,26 +296,6 @@ def _principal_rows(factor: np.ndarray) -> np.ndarray | None:
     upper = np.abs(factor @ q) + (r + 2) * np.finfo(float).eps * (np.abs(factor) @ np.abs(q))
     with np.errstate(over="ignore"):
         return upper * upper.sum(axis=1, keepdims=True)
-
-
-def _row_sums(system: SpectralSystem, principal: np.ndarray | None, lam: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The row-sum bound ρ at the points ``lam`` with on-cluster runs [lo, hi), or inf where none is taken.
-
-    ``principal`` is ``_principal_rows(system.factor)``; with None no point
-    takes ρ, and neither does a point with some |λ_k − λ| ≥ 2⁵¹¹, where
-    1/d/d leaves the normal range.
-    """
-    if principal is None:
-        return np.full(lam.size, np.inf)
-    eigenvalues = system.eigenvalues
-    d = eigenvalues - lam[:, None]
-    far = np.maximum(np.abs(d[:, 0]), np.abs(d[:, -1])) >= 2.0**511
-    k = np.arange(eigenvalues.size)
-    d = np.where((k < lo[:, None]) | (k >= hi[:, None]), d, np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = (1.0 / d / d @ principal).max(axis=1)
-    rho[far] = np.inf
-    return rho
 
 
 def _ceiling(trace, rho, gamma: float, sigma: float):
@@ -358,21 +343,17 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
       reads 1.000000 at every breakpoint at ``n_max`` 50 to 2000, where
       t/λ_max(P) reaches 1.8 to 4.4.
 
-    One vectorized pass (``_trace_pass``) gives t and the on-cluster run
-    [a, b) at every point.  The point of largest t is solved first; the
-    others are walked in order of decreasing t, in chunks of as many rows as
-    the trace pass takes.  In a chunk the points with t(1 + γ) + σ < best,
-    the largest value solved so far, are dropped (so the walk ends at the
-    first chunk that drops every point), the rest take ρ (``_row_sums``) and are
-    solved in order of decreasing ceiling c(λ) = min(t(1 + γ), ρ(1 + 2γ) + γt) + σ
-    while c(λ) ≥ best.  A solve divides F[:a] and F[b:] by their distances
-    into one (n, r) buffer allocated per call: its leading rows are the same
-    C-contiguous array as ``factor[off] / d[off, None]``, so each solved
-    value is the same ``eigvalsh`` of the same matrix as when every point is
-    solved.  The maximum does not depend on order, so the result is
-    bit-identical, provided the computed top eigenvalue is at most c(λ) at
-    every point.  Proof, with n modes, rank r and unit round-off u, to first
-    order:
+    One vectorized pass (``_trace_pass``) gives t, ρ and the on-cluster run
+    [a, b) at every point.  The points are solved in order of decreasing
+    ceiling c(λ) = min(t(1 + γ), ρ(1 + 2γ) + γt) + σ until c(λ) falls below
+    best, the largest value solved so far.  A solve divides F[:a] and F[b:]
+    by their distances into one (n, r) buffer allocated per call: its
+    leading rows are the same C-contiguous array as
+    ``factor[off] / d[off, None]``, so each solved value is the same
+    ``eigvalsh`` of the same matrix as when every point is solved.  The
+    maximum does not depend on order, so the result is bit-identical,
+    provided the computed top eigenvalue is at most c(λ) at every point.
+    Proof, with n modes, rank r and unit round-off u, to first order:
 
     * the computed t is at least (1 − (n + 2r + 2)u) times the trace of P
       over the computed distances: each w_k sums 2r rounded squares (γ_2r),
@@ -435,8 +416,8 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
             f"cluster width {epsilon!r} is outside the float range of the spectrum: ε² must be "
             "a normal float and no cluster edge λ_k ± ε may round to λ_k"
         )
-    trace, lo, hi = _trace_pass(system, epsilon, grid)
     n, r = factor.shape
+    trace, rho, lo, hi = _trace_pass(system, epsilon, grid, _principal_rows(factor) if r else None)
     weyl = system.factor_error / epsilon**2
     if not r:
         return weyl
@@ -453,21 +434,12 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
         off = scaled[:m]
         return float(np.linalg.eigvalsh(off.conj().T @ off)[-1])
 
-    order = np.argsort(np.where(np.isnan(trace), -np.inf, -trace), kind="stable")
-    best = max(0.0, solve(order[0]))
-    principal = _principal_rows(factor)
-    rows = _rows_within(8 * n)
-    for start in range(1, order.size, rows):
-        chunk = order[start : start + rows]
-        chunk = chunk[~(_ceiling(trace[chunk], np.inf, gamma, sigma) < best)]
-        if not chunk.size:
+    ceiling = _ceiling(trace, rho, gamma, sigma)
+    best = 0.0
+    for j in np.argsort(np.where(np.isnan(ceiling), -np.inf, -ceiling), kind="stable"):
+        if ceiling[j] < best:
             break
-        rho = _row_sums(system, principal, grid[chunk], lo[chunk], hi[chunk])
-        ceiling = _ceiling(trace[chunk], rho, gamma, sigma)
-        for i in np.argsort(np.where(np.isnan(ceiling), -np.inf, -ceiling), kind="stable"):
-            if ceiling[i] < best:
-                break
-            best = max(best, solve(chunk[i]))
+        best = max(best, solve(j))
     return best + weyl
 
 

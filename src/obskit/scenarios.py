@@ -421,6 +421,15 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
             f"kernel eigenvalues in [{psd_min!r}, {sharp!r}] at T = {horizon!r}",
         )
     )
+    if not sharp > 0:
+        bundle.verdicts.append(
+            Verdict(
+                "sharp-constant-bounds-random-states",
+                False,
+                f"undecided: the sharp constant C_T = {sharp!r} is not positive",
+            )
+        )
+        return bundle
     worst = math.inf
     for _, z in _state_blocks(cfg, system.size):
         check = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))

@@ -420,21 +420,20 @@ class TestAdmissibilityEstimate:
         assert estimate_admissibility(sys_, 0.5, grid) == expected
         assert len(eigvalsh_calls) == 2
 
-    @pytest.mark.parametrize(
-        "n_max, epsilon",
-        [(50, 0.25), (50, 0.5), (250, 0.25), (250, 0.5)],
-        ids=["default-0.25", "default-0.5", "bottom-250-0.25", "bottom-250-0.5"],
-    )
-    def test_full_bottom_side_solves_at_most_two_points(self, n_max, epsilon, eigvalsh_calls):
+    @pytest.mark.parametrize("side", [Side.BOTTOM, Side.LEFT, Side.TOP, Side.RIGHT], ids=lambda side: side.name.lower())
+    @pytest.mark.parametrize("n_max", [50, 250])
+    @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.3])
+    def test_full_side_solves_one_point(self, side, n_max, epsilon, eigvalsh_calls):
         # In the principal basis the row-sum bound is within rounding of each
-        # point's value; in the factor's own basis it solves 152 of the 170
-        # breakpoints at n_max 250 and width 0.25.
-        system = build_square_system(n_max, GammaSpec.full_sides(Side.BOTTOM))
+        # point's value, so the first point in ceiling order wins and every
+        # other ceiling falls below it; in the factor's own basis the bottom
+        # side solves 152 of the 170 breakpoints at n_max 250 and width 0.25.
+        system = build_square_system(n_max, GammaSpec.full_sides(side))
         grid = admissibility_breakpoints(system, epsilon)
         expected = admissibility_by_every_point(system, epsilon, grid)
         eigvalsh_calls.clear()
         assert estimate_admissibility(system, epsilon, grid) == expected
-        assert 0 < len(eigvalsh_calls) <= 2 < grid.size
+        assert len(eigvalsh_calls) == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_point_rejected(self, square50, bad):

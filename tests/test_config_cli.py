@@ -379,6 +379,21 @@ class TestCli:
         assert doc["verdicts"] == [{"name": "weakly-coercive-at-width", "passed": False, "detail": detail}]
         assert "FAIL weakly-coercive-at-width" in capsys.readouterr().out
 
+    def test_admissibility_on_a_zero_gram_is_undecided_and_writes_its_report(self, tmp_path, capsys):
+        # The kernel is 0, so its largest eigenvalue C_T is 0 and no margin can be scaled by it.
+        system = {"type": "custom", "eigenvalues": [1, 2, 4], "gram": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}
+        out = tmp_path / "report.json"
+        assert main(["admissibility", "--config", json.dumps({"system": system}), "--trials", "5", "--out", str(out)]) == 2
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["constants"]["sharp_constant_truncated"] == 0.0
+        assert "worst_admissibility_margin" not in doc["constants"]
+        assert doc["verdicts"][-1] == {
+            "name": "sharp-constant-bounds-random-states",
+            "passed": False,
+            "detail": "undecided: the sharp constant C_T = 0.0 is not positive",
+        }
+        assert "FAIL sharp-constant-bounds-random-states" in capsys.readouterr().out
+
     def test_cutoff_constants_block_is_pinned(self, tmp_path):
         out = tmp_path / "cutoff.json"
         main(["verify-cutoff", "--out", str(out)])

@@ -333,9 +333,8 @@ def test_pruned_admissibility_sup_equals_every_point_loop(pair, log_epsilon, bef
             estimate_admissibility(sys_, epsilon, grid)
         return
     assert estimate_admissibility(sys_, epsilon, grid) == expected
-    trace, lo, hi = coercivity._trace_pass(sys_, epsilon, grid)
+    trace, rho, _, _ = coercivity._trace_pass(sys_, epsilon, grid, coercivity._principal_rows(sys_.factor))
     gamma, sigma = coercivity._margins(*sys_.factor.shape, epsilon)
-    rho = coercivity._row_sums(sys_, coercivity._principal_rows(sys_.factor), grid, lo, hi)
     ceilings = coercivity._ceiling(trace, rho, gamma, sigma)
     for point, top, ceiling in zip(grid, admissibility_tops(sys_, epsilon, grid), ceilings):
         assert not top > ceiling, (point, top, ceiling)

@@ -15,11 +15,12 @@ the integer spectra's arithmetic,
 ``resolvent-scan`` and ``weak-observability`` (each ``--trials 20``) on
 the π/4–π/2 sub-patch at n_max 2000, ``admissibility`` and
 ``resolvent-scan`` (each ``--trials 20``) on the full bottom side at
-n_max 2000, where the admissibility sup solves 3 to 4 of about 1100
+n_max 2000, where the admissibility sup solves 1 of its 1182 or 1040
 breakpoints, ``weak-observability`` and
 ``admissibility`` (each ``--trials 200``) on the full bottom side at
-n_max 250, ``coercivity-scan`` on the full bottom side at n_max 1000 with
-the wide cluster width 1.3 (clusters of 1 to 8 modes), ``coercivity-scan``
+n_max 250, ``coercivity-scan`` and ``admissibility`` (``--trials 20``) on
+the full bottom side at n_max 1000 with the wide cluster width 1.3
+(clusters of 1 to 8 modes), ``coercivity-scan``
 and ``weak-observability`` (``--trials 20``) on two top patches and one
 right patch at n_max 500, ``assumption-ii-iii`` on the right half of the
 right side at n_max 500, ``assumption-ii-iii`` and ``coercivity-scan`` on
@@ -28,6 +29,8 @@ sine-product matrix takes its short-patch series on some entries,
 ``coercivity-scan``, ``resolvent-scan`` and
 ``weak-observability`` on a 3-mode custom system whose first cluster has a
 null state (each records the failed ``weakly-coercive-at-width`` verdict),
+``admissibility`` on a 3-mode custom system with a zero Gram (it records
+the undecided ``sharp-constant-bounds-random-states`` verdict),
 ``assumption-i`` at the cluster width 1.3 (its second scan), and each job of
 ``perfbench/jobs.py`` at full size, and prints one line per report: the
 digest (``-`` when no report was written), the exit code, the seed and a
@@ -71,9 +74,9 @@ CUSTOM_SCENARIOS = ("coercivity-scan", "resolvent-scan", "weak-observability", "
 # index their gaps with ``np.unique`` and ``searchsorted``.
 NONINTEGER_SYSTEM = {**CUSTOM_SYSTEM, "eigenvalues": [1, 1.5, 2.25, 4]}
 NONINTEGER_SCENARIOS = ("weak-observability", "admissibility")
-# The π/4–π/2 sub-patch at n_max 2000 (1529 modes, 1040 admissibility
-# breakpoints), a size at which the admissibility sup solves few of its
-# breakpoints, unlike the n_max ≤ 250 systems above, and at which the
+# The π/4–π/2 sub-patch at n_max 2000 (1529 modes), where the admissibility
+# sup solves 64 of its 1182 breakpoints at width 0.25 and 113 of 1040 at
+# 0.5, far more than on a full side, and at which the
 # long-double row sums of the per-state scenarios fall back to math.fsum
 # most often.
 SCALE_CONFIG = {
@@ -91,7 +94,7 @@ SCALE_RUNS = (
     ["weak-observability", "--trials", "20"],
 )
 # The full bottom side at n_max 2000 (1529 modes): the row-sum bound prunes
-# the admissibility sup to 3 of its 1182 breakpoints at width 0.25 and 4 of
+# the admissibility sup to 1 of its 1182 breakpoints at width 0.25 and 1 of
 # 1040 at 0.5, where the trace bound alone solved 1140 and 1006.
 BOTTOM_SCALE_CONFIG = {"system": {"type": "square", "n_max_eigenvalue": 2000, "gamma": [{"side": "bottom"}]}}
 BOTTOM_SCALE_SCENARIOS = ("admissibility", "resolvent-scan")
@@ -101,11 +104,13 @@ BOTTOM_SCALE_SCENARIOS = ("admissibility", "resolvent-scan")
 MID_CONFIG = {"system": {"type": "square", "n_max_eigenvalue": 250, "gamma": [{"side": "bottom"}]}}
 MID_SCENARIOS = ("weak-observability", "admissibility")
 # A width past the unit gap of the square's integer eigenvalues, so that the
-# clusters overlap and come in 8 sizes.
+# clusters overlap and come in 8 sizes.  Its admissibility sup solves 1 of
+# its 618 breakpoints.
 WIDE_CONFIG = {
     "system": {"type": "square", "n_max_eigenvalue": 1000, "gamma": [{"side": "bottom"}]},
     "epsilon_cluster": 1.3,
 }
+WIDE_RUNS = (["coercivity-scan"], ["admissibility", "--trials", "20"])
 # The top and right sides at n_max 500: their parity signs, the sine series
 # taken about π − c (α + β > π) and two patches on one side.
 SIDES_CONFIG = {
@@ -138,17 +143,20 @@ NARROW_CONFIG = {
     }
 }
 NARROW_SCENARIOS = ("assumption-ii-iii", "coercivity-scan")
-# Two branches of the cluster scan's consumers: a scan whose envelope fit
-# fails (the first cluster, modes 0 and 1, holds the null state e₀ − e₁), in
-# the scan and in the two certificate scenarios, and assumption-i at a width
-# past the unit gap, which scans a second time.
+# Branches of the scenarios: a scan whose envelope fit fails (the first
+# cluster, modes 0 and 1, holds the null state e₀ − e₁), in the scan and in
+# the two certificate scenarios, admissibility on a zero Gram, whose sharp
+# constant is 0, and assumption-i at a width past the unit gap, which scans
+# a second time.
 NULL_STATE_CONFIG = {
     "system": {"type": "custom", "eigenvalues": [1, 1.2, 3], "gram": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}
 }
+ZERO_GRAM_CONFIG = {"system": {"type": "custom", "eigenvalues": [1, 2, 4], "gram": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}
 BRANCH_RUNS = (
     ("coercivity-scan", NULL_STATE_CONFIG),
     ("resolvent-scan", NULL_STATE_CONFIG),
     ("weak-observability", NULL_STATE_CONFIG),
+    ("admissibility", ZERO_GRAM_CONFIG),
     ("assumption-i", {"epsilon_cluster": 1.3}),
 )
 
@@ -184,7 +192,7 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
     ``blocks/SCENARIO``, ``custom/SCENARIO``, ``noninteger/SCENARIO``,
     ``scale/SCENARIO``, ``bottom-scale/SCENARIO``, ``mid/SCENARIO``,
-    ``wide/coercivity-scan``, ``sides/SCENARIO``, ``narrow/SCENARIO``,
+    ``wide/SCENARIO``, ``sides/SCENARIO``, ``narrow/SCENARIO``,
     ``branch/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
@@ -237,9 +245,10 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
         )
         for scenario in MID_SCENARIOS
     ]
-    lines.append(
-        _cli_line(["coercivity-scan", "--config", json.dumps(WIDE_CONFIG)], seed, outdir, "wide/coercivity-scan")
-    )
+    lines += [
+        _cli_line([scenario, "--config", json.dumps(WIDE_CONFIG), *rest], seed, outdir, f"wide/{scenario}")
+        for scenario, *rest in WIDE_RUNS
+    ]
     lines += [
         _cli_line([scenario, "--config", json.dumps(config), *rest], seed, outdir, f"sides/{scenario}")
         for scenario, config, rest in SIDES_RUNS
