@@ -1,12 +1,16 @@
 """Run configuration: parsing, validation, and system construction.
 
-Configurations are JSON documents (a file path or inline text).  Errors
-are classified: malformed documents are parse errors with line/column,
-wrong shapes/types/names are schema errors naming the offending key path,
-and well-formed values violating a constraint (n_max too small, trials
-< 1, a negative seed, T or a system for a scenario that reads none,
-non-PSD Gram, ...) are invariant errors.  All three surface as
-ConfigError with a ``kind`` tag and exit as input errors at the CLI.
+Configurations are JSON documents: a string whose first non-blank
+character is ``{`` is inline text, and any other string or a ``Path``
+names a file.  Errors are classified: malformed documents are parse errors
+with line/column, wrong shapes/types/names are schema errors naming the
+offending key path, and well-formed values violating a constraint (n_max
+too small or past ``MAX_GRAM_BYTES``, trials < 1 or past ``MAX_TRIALS``, a
+negative seed, T or a system for a scenario that reads none, a
+non-Hermitian or non-PSD Gram, ...) are invariant errors.  All three
+surface as ConfigError with a ``kind`` tag and exit as input errors at the
+CLI.  Each input is checked once: a custom Gram's Hermiticity and PSD
+check is the one ``SpectralSystem`` makes when it factors it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .spectral import HERMITIAN_ATOL, SpectralSystem
+from .spectral import SpectralSystem
 from .square import (
     BoundaryPatch,
     GammaSpec,
@@ -78,6 +82,12 @@ DEFAULT_OUTPUT = "obskit-report.json"
 # 8192 modes, that is n_max_eigenvalue ≤ 10 564.  The cap is still applied
 # to every scenario.
 MAX_GRAM_BYTES = 2**30
+# Cap on the trials of one run.  A run's peak memory grows with its trials
+# by about 1.2 kB each for weak-observability, 0.9 kB for resolvent-scan and
+# none for admissibility (tracemalloc over the run and its report on the
+# default system, 10⁴ against 4·10⁴ trials): 2¹⁹ trials keep the largest
+# near 0.65 GB, inside the 1 GiB of ``MAX_GRAM_BYTES``.
+MAX_TRIALS = 2**19
 
 _ANGLE_PATTERN = re.compile(r"^\s*(\d+)?\s*pi\s*(?:/\s*(\d+))?\s*$", re.IGNORECASE)
 
@@ -165,6 +175,8 @@ def _check_settings(scenario: str, given: dict) -> dict:
         trials = settings["trials"] = _require_int(given["trials"], "trials")
         if trials < 1:
             raise _invariant_error(f"trials must be ≥ 1, got {trials}")
+        if trials > MAX_TRIALS:
+            raise _invariant_error(f"trials must be ≤ MAX_TRIALS = {MAX_TRIALS}, got {trials}")
     if "seed" in given:
         seed = settings["seed"] = _require_int(given["seed"], "seed")
         if seed < 0:
@@ -181,15 +193,21 @@ def _check_settings(scenario: str, given: dict) -> dict:
     return settings
 
 
+def _check_keys(raw: dict, path: str, allowed, required=()) -> None:
+    """Reject a key of ``raw`` outside ``allowed``, then the first ``required`` key it lacks."""
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise _schema_error(f"{path}: unknown keys {sorted(unknown)}")
+    for key in required:
+        if key not in raw:
+            raise _schema_error(f"{path}.{key}: missing required key")
+
+
 def _normalize_patch(raw, index: int) -> dict:
     path = f"system.gamma[{index}]"
     if not isinstance(raw, dict):
         raise _schema_error(f"{path}: expected an object with side/alpha/beta")
-    unknown = set(raw) - {"side", "alpha", "beta"}
-    if unknown:
-        raise _schema_error(f"{path}: unknown keys {sorted(unknown)}")
-    if "side" not in raw:
-        raise _schema_error(f"{path}: missing required key 'side'")
+    _check_keys(raw, path, ("side", "alpha", "beta"), ("side",))
     side = raw["side"]
     if not isinstance(side, str):
         raise _schema_error(f"{path}.side: expected a string")
@@ -203,11 +221,7 @@ def _normalize_patch(raw, index: int) -> dict:
 
 
 def _normalize_square(raw: dict, scenario: str) -> dict:
-    unknown = set(raw) - {"type", "n_max_eigenvalue", "gamma"}
-    if unknown:
-        raise _schema_error(f"system: unknown keys {sorted(unknown)}")
-    if "n_max_eigenvalue" not in raw:
-        raise _schema_error("system.n_max_eigenvalue: missing required key")
+    _check_keys(raw, "system", ("type", "n_max_eigenvalue", "gamma"), ("n_max_eigenvalue",))
     n_max = _require_int(raw["n_max_eigenvalue"], "system.n_max_eigenvalue")
     if n_max < 2:
         raise _invariant_error(f"system.n_max_eigenvalue must be ≥ 2, got {n_max}")
@@ -221,7 +235,7 @@ def _normalize_square(raw: dict, scenario: str) -> dict:
             f"system.n_max_eigenvalue = {n_max} has at least {modes} modes; at 16 bytes "
             f"per mode pair it would exceed the {MAX_GRAM_BYTES // 2**30} GiB cap"
         )
-    gamma_raw = raw.get("gamma", [{"side": "bottom", "alpha": 0.0, "beta": math.pi}])
+    gamma_raw = raw.get("gamma", [{"side": "bottom"}])
     if not isinstance(gamma_raw, list) or not gamma_raw:
         raise _schema_error("system.gamma: expected a nonempty list of patches")
     patches = [_normalize_patch(p, i) for i, p in enumerate(gamma_raw)]
@@ -236,16 +250,13 @@ def _normalize_square(raw: dict, scenario: str) -> dict:
     return gamma
 
 
-def _normalize_gram_entry(entry, j: int, k: int) -> complex:
+def _gram_pair(entry, j: int, k: int) -> list[float]:
+    """The ``[re, im]`` pair of a Gram entry given as a number or a pair."""
     path = f"system.gram[{j}][{k}]"
-    if isinstance(entry, bool):
-        raise _schema_error(f"{path}: expected a number or [re, im] pair")
-    if isinstance(entry, (int, float)):
-        return complex(_require_number(entry, path), 0.0)
+    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+        return [_require_number(entry, path), 0.0]
     if isinstance(entry, list) and len(entry) == 2:
-        re_part = _require_number(entry[0], f"{path}[0]")
-        im_part = _require_number(entry[1], f"{path}[1]")
-        return complex(re_part, im_part)
+        return [_require_number(entry[0], f"{path}[0]"), _require_number(entry[1], f"{path}[1]")]
     raise _schema_error(f"{path}: expected a number or [re, im] pair, got {entry!r}")
 
 
@@ -257,12 +268,7 @@ class _CustomSystem(dict):
 
 
 def _normalize_custom(raw: dict) -> dict:
-    unknown = set(raw) - {"type", "eigenvalues", "gram"}
-    if unknown:
-        raise _schema_error(f"system: unknown keys {sorted(unknown)}")
-    for key in ("eigenvalues", "gram"):
-        if key not in raw:
-            raise _schema_error(f"system.{key}: missing required key")
+    _check_keys(raw, "system", ("type", "eigenvalues", "gram"), ("eigenvalues", "gram"))
     eigenvalues = raw["eigenvalues"]
     if not isinstance(eigenvalues, list) or not eigenvalues:
         raise _schema_error("system.eigenvalues: expected a nonempty list of numbers")
@@ -282,22 +288,14 @@ def _normalize_custom(raw: dict) -> dict:
             raise _invariant_error(
                 f"system.gram[{j}] has {len(row)} entries for {len(eig)} eigenvalues"
             )
-        gram.append([])
-        for k, entry in enumerate(row):
-            z = _normalize_gram_entry(entry, j, k)
-            gram[j].append([z.real, z.imag])
-    # Hermiticity is a schema-level property of the document: name the offender.
-    for j in range(len(eig)):
-        for k in range(j, len(eig)):
-            a = complex(gram[j][k][0], gram[j][k][1])
-            b = complex(gram[k][j][0], gram[k][j][1])
-            if abs(a - b.conjugate()) > HERMITIAN_ATOL:
-                raise _schema_error(
-                    f"system.gram[{j}][{k}] = {a} is not the conjugate of "
-                    f"system.gram[{k}][{j}] = {b}"
-                )
+        gram.append([_gram_pair(entry, j, k) for k, entry in enumerate(row)])
     spec = _CustomSystem(type="custom", eigenvalues=eig, gram=gram)
-    spec.system = _custom_system(spec)  # validate invariants eagerly
+    try:
+        spec.system = SpectralSystem(
+            eigenvalues=eig, gram=np.array(gram).view(complex)[..., 0], label="custom system"
+        )
+    except (DomainError, ShapeError) as exc:
+        raise _invariant_error(f"system: {exc}") from None
     return spec
 
 
@@ -331,7 +329,7 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
     """
     if isinstance(source, Path):
         path: Path | None = source
-    elif isinstance(source, str) and "{" not in source:
+    elif isinstance(source, str) and not source.lstrip().startswith("{"):
         path = Path(source)
     else:
         path = None
@@ -353,9 +351,7 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
 
     if not isinstance(raw, dict):
         raise _schema_error(f"top level must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise _schema_error(f"unknown top-level keys {sorted(unknown)}")
+    _check_keys(raw, "top level", [f.name for f in fields(RunConfig)])
 
     scenario = raw.get("scenario", default_scenario)
     if scenario is None:
@@ -421,24 +417,12 @@ def gamma_spec_of(system_spec: dict) -> GammaSpec:
     return GammaSpec(patches)
 
 
-def system_of(cfg) -> SpectralSystem:
-    """Build the SpectralSystem described by a RunConfig (or normalized dict)."""
-    spec = cfg["system"] if isinstance(cfg, dict) else cfg.system
+def system_of(cfg: RunConfig) -> SpectralSystem:
+    """The SpectralSystem a RunConfig describes: a square one is built here, a
+    custom one was built when its config was checked."""
+    spec = cfg.system
     if spec is None:
         raise _invariant_error("this scenario requires a system description")
     if spec["type"] == "square":
         return build_square_system(spec["n_max_eigenvalue"], gamma_spec_of(spec))
-    if isinstance(spec, _CustomSystem):
-        return spec.system
-    return _custom_system(spec)
-
-
-def _custom_system(spec: dict) -> SpectralSystem:
-    eig = np.array(spec["eigenvalues"], dtype=float)
-    gram = np.array(
-        [[complex(cell[0], cell[1]) for cell in row] for row in spec["gram"]], dtype=complex
-    )
-    try:
-        return SpectralSystem(eigenvalues=eig, gram=gram, label="custom system")
-    except (DomainError, ShapeError) as exc:
-        raise _invariant_error(f"system: {exc}") from None
+    return spec.system

@@ -3,6 +3,7 @@
 import bisect
 import json
 import math
+import re
 import threading
 
 import numpy as np
@@ -20,7 +21,7 @@ from obskit import (
 )
 from obskit import cli, scenarios
 from obskit.cli import build_parser, main
-from obskit.config import MAX_GRAM_BYTES, SCENARIOS, gamma_spec_of
+from obskit.config import MAX_GRAM_BYTES, MAX_TRIALS, SCENARIOS, gamma_spec_of
 from obskit.parallel import worker_count
 from obskit.square import GammaSpec, Side, delta_gamma_fit, mode_count, square_modes
 
@@ -53,7 +54,7 @@ class TestLoadConfig:
         assert info.value.kind == "parse"
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match="unknown") as info:
+        with pytest.raises(ConfigError, match=re.escape("top level: unknown keys ['frobnicate']")) as info:
             load_config('{"scenario": "admissibility", "frobnicate": 1}')
         assert info.value.kind == "schema"
 
@@ -132,7 +133,8 @@ class TestLoadConfig:
         assert info.value.kind == "invariant"
 
     def test_non_hermitian_gram_names_offender(self):
-        with pytest.raises(ConfigError, match=r"gram\[0\]\[1\]") as info:
+        # SpectralSystem's one check names the pair that deviates most.
+        with pytest.raises(ConfigError, match=r"not Hermitian: \|G\[0\]\[1\]") as info:
             load_config(
                 json.dumps(
                     {
@@ -145,7 +147,45 @@ class TestLoadConfig:
                     }
                 )
             )
+        assert info.value.kind == "invariant"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"scenario": "admissibility", "system": {"type": "square", "n_max_eigenvalue": 10, "gamma": [{}]}},
+                "system.gamma[0].side: missing required key",
+            ),
+            ({"scenario": "admissibility", "system": {"type": "square", "gamma": []}},
+             "system.n_max_eigenvalue: missing required key"),
+            ({"scenario": "admissibility", "system": {"type": "custom", "eigenvalues": [1.0], "gram": [[1]], "x": 0}},
+             "system: unknown keys ['x']"),
+            ({"scenario": "admissibility", "system": {"type": "custom", "eigenvalues": [1.0]}},
+             "system.gram: missing required key"),
+            (
+                {"scenario": "admissibility", "system": {"type": "custom", "eigenvalues": [1.0], "gram": [[True]]}},
+                "system.gram[0][0]: expected a number or [re, im] pair, got True",
+            ),
+        ],
+        ids=["patch-side-missing", "n-max-missing", "custom-unknown", "gram-missing",
+             "gram-boolean"],
+    )
+    def test_key_and_entry_errors_name_their_path(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            load_config(json.dumps(doc))
         assert info.value.kind == "schema"
+        assert str(info.value) == f"config schema error: {message}"
+
+    def test_square_system_defaults_to_the_full_bottom_side(self):
+        def load(system):
+            return load_config(json.dumps({"scenario": "admissibility", "system": system}))
+
+        implicit = load({"type": "square", "n_max_eigenvalue": 50})
+        explicit = load({"type": "square", "n_max_eigenvalue": 50,
+                         "gamma": [{"side": "bottom", "alpha": 0.0, "beta": math.pi}]})
+        assert implicit.system["gamma"] == [{"side": "bottom", "alpha": 0.0, "beta": math.pi}]
+        assert implicit.system == explicit.system
+        assert implicit.digest() == explicit.digest()
 
     def test_gram_row_length_mismatch(self):
         with pytest.raises(ConfigError, match="2 entries for 3") as info:
@@ -458,6 +498,14 @@ class TestCli:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["constants"]["horizon"] == 0.5
 
+    def test_config_path_with_a_brace_is_read_as_a_file(self, tmp_path):
+        path = write_config(tmp_path, "cfg{1}.json", {"scenario": "admissibility", "trials": 3})
+        assert load_config(str(path)) == load_config(path)
+        out = tmp_path / "adm.json"
+        assert main(["admissibility", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["config_sha256"] == load_config(path).digest()
+        assert load_config('  {"trials": 3}', default_scenario="admissibility").trials == 3
+
     def test_bad_config_exits_three(self, tmp_path, capsys):
         path = write_config(tmp_path, "bad.json", {"scenario": "telepathy"})
         code = main(["coercivity-scan", "--config", str(path), "--out", str(tmp_path / "x.json")])
@@ -643,6 +691,26 @@ class TestResourceGuard:
                "gamma": [{"side": "bottom"}, {"side": "left"}]}
         cfg = load_config(json.dumps({"system": doc}), default_scenario="assumption-i")
         assert cfg.system["n_max_eigenvalue"] == 2000
+
+    def test_trials_cap_boundary(self):
+        assert load_config(json.dumps({"scenario": "resolvent-scan", "trials": MAX_TRIALS})).trials == MAX_TRIALS
+        for make in (
+            lambda: load_config(json.dumps({"scenario": "resolvent-scan", "trials": MAX_TRIALS + 1})),
+            lambda: apply_overrides(default_config("resolvent-scan"), trials=MAX_TRIALS + 1),
+        ):
+            with pytest.raises(ConfigError, match="MAX_TRIALS") as info:
+                make()
+            assert info.value.kind == "invariant"
+
+    def test_too_many_trials_exit_three_without_report(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a rejected input must run nothing")
+
+        monkeypatch.setitem(scenarios._RUNNERS, "weak-observability", forbidden)
+        out = tmp_path / "x.json"
+        assert main(["weak-observability", "--trials", str(MAX_TRIALS + 1), "--out", str(out)]) == 3
+        assert "MAX_TRIALS" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_max", [10**6, 10**30])
     def test_huge_n_max_rejected_before_any_build(self, n_max, tmp_path, monkeypatch, capsys):

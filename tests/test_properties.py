@@ -61,9 +61,15 @@ the guard 2L + 1 ≤ n² and eigenvalues up to 2⁵³ − 1, the gap table is
 −L…L, the arithmetic gap index is ``searchsorted`` into it and finds the
 gaps that ``searchsorted`` over ``np.unique`` finds, and the kernel at one
 horizon and at several equals the unique-and-inverse oracle under ``==``.
+Custom system documents with Hermitian PSD Grams of up to 6 modes, written
+as ints, floats, -0.0, bare numbers or ``[re, im]`` pairs, normalize to
+their pairs as floats, build exactly that Gram and digest as those pairs;
+an off-diagonal entry moved by 2·``HERMITIAN_ATOL`` is an invariant error
+naming it, and one moved by half that tolerance loads.
 """
 
 import functools
+import hashlib
 import json
 import math
 import re
@@ -71,12 +77,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
 from obskit import (
     CoercivityCertificate,
+    ConfigError,
     DomainError,
     PowerLaw,
     ShapeError,
@@ -95,13 +102,14 @@ from obskit import (
     plancherel_lowerbound_check,
     resolvent_check,
     solve_observation_time,
+    system_of,
     weak_observability_check,
     windowed_frequency,
 )
 from obskit import coercivity, spectral
 from obskit.cli import main
 from obskit.evolution import _observed_energy, _phased
-from obskit.spectral import _moments, _power_of_two_frame, _row_forms, _row_fsum, observed_energy_sq
+from obskit.spectral import HERMITIAN_ATOL, _moments, _power_of_two_frame, _row_forms, _row_fsum, observed_energy_sq
 from obskit.square import BoundaryPatch, GammaSpec, Side, build_square_system
 from obskit.window import THETA0, THETA1
 
@@ -569,6 +577,78 @@ def test_digest_and_report_bytes_ignore_key_order_and_output_path(doc, data):
             assert main([doc["scenario"], "--config", text]) in (0, 2)
             reports.append(Path(variant["output_path"]).read_bytes())
     assert reports[0] == reports[1]
+
+
+def _written(draw, x: float):
+    """``x`` as a document writes it: a float, an int when integral, or -0.0 for a zero."""
+    return draw(st.sampled_from([x] + [int(x)] * (x == int(x)) + [-0.0] * (x == 0.0)))
+
+
+@st.composite
+def custom_documents(draw):
+    """A custom system document whose Gram G = BBᴴ/4, B an n×r Gaussian-integer
+    matrix with n ≤ 6, is Hermitian PSD and exact in binary, with its ``[re, im]``
+    pairs as floats.  Entries are written as ints, floats, -0.0, bare numbers or
+    pairs."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, n))
+    b = [[complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3))) for _ in range(r)] for _ in range(n)]
+    assume(any(any(row) for row in b))
+    eig = sorted(draw(st.lists(st.integers(4, 240), min_size=n, max_size=n)))
+    eig = [_written(draw, v / 4) for v in eig]
+    gram = [[None] * n for _ in range(n)]
+    pairs = [[None] * n for _ in range(n)]
+
+    def entry(re, im):
+        if im == 0 and draw(st.booleans()):
+            return re, [float(re), 0.0]
+        return [re, im], [float(re), float(im)]
+
+    for j in range(n):
+        for k in range(j, n):
+            g = sum(b[j][i] * b[k][i].conjugate() for i in range(r)) / 4
+            re = _written(draw, g.real)
+            im = 0.0 if j == k else _written(draw, g.imag)
+            gram[j][k], pairs[j][k] = entry(re, im)
+            if k > j:
+                gram[k][j], pairs[k][j] = entry(re, -im)
+    return {"type": "custom", "eigenvalues": eig, "gram": gram}, pairs
+
+
+@settings(max_examples=200, derandomize=True)
+@given(custom_documents(), st.data())
+def test_custom_gram_is_parsed_into_its_pairs_and_checked_once(drawn, data):
+    system, pairs = drawn
+    doc = {"scenario": "resolvent-scan", "system": system}
+    cfg = load_config(json.dumps(doc))
+    assert json.dumps(cfg.system["gram"]) == json.dumps(pairs)
+    assert cfg.system["eigenvalues"] == [float(v) for v in system["eigenvalues"]]
+    expected = np.array([[complex(re, im) for re, im in row] for row in pairs])
+    # Equal under ==, so up to the sign of a zero: SpectralSystem keeps 0.5·(G + Gᴴ),
+    # which is G itself, but numpy scales by 0.5 as the complex 0.5 + 0j.
+    assert np.array_equal(system_of(cfg).gram, expected)
+    canonical = dict(doc, system={**system, "eigenvalues": cfg.system["eigenvalues"], "gram": pairs},
+                     epsilon_cluster=0.5, trials=100, seed=7, T=None)
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    assert cfg.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    n = len(pairs)
+    if n == 1:
+        return
+    j = data.draw(st.integers(0, n - 2))
+    k = data.draw(st.integers(j + 1, n - 1))
+    part = data.draw(st.integers(0, 1))
+    for shift, loads in ((2.0 * HERMITIAN_ATOL, False), (0.5 * HERMITIAN_ATOL, True)):
+        moved = [row[:] for row in system["gram"]]
+        moved[j][k] = list(pairs[j][k])
+        moved[j][k][part] += shift
+        text = json.dumps({"scenario": "resolvent-scan", "system": dict(system, gram=moved)})
+        if loads:
+            assert load_config(text).system["gram"][j][k] == moved[j][k]
+            continue
+        with pytest.raises(ConfigError, match=re.escape(f"G[{j}][{k}]")) as info:
+            load_config(text)
+        assert info.value.kind == "invariant"
 
 
 @st.composite

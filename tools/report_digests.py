@@ -7,7 +7,10 @@ the same again with ``--format csv`` (its digest covers the CSV files too),
 each scenario that reads a horizon again with ``--T 0.7``, and again with
 ``--T 0.7 --trials 1000`` (three blocks of states at the default 33
 modes), four scenarios with ``--trials 20`` on a 4-mode custom system with
-a dense complex Gram, ``weak-observability`` and ``admissibility`` (each
+a dense complex Gram, ``resolvent-scan`` (``--trials 20``) on that system
+read from a file named ``custom{1}.json``, a path with a brace that must
+not be taken for inline text (its digest equals the inline run's),
+``weak-observability`` and ``admissibility`` (each
 ``--trials 20``) on the same Gram over the non-integer spectrum
 [1, 1.5, 2.25, 4], whose kernels find their gaps by sort and search, not by
 the integer spectra's arithmetic,
@@ -190,7 +193,8 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
 
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
-    ``blocks/SCENARIO``, ``custom/SCENARIO``, ``noninteger/SCENARIO``,
+    ``blocks/SCENARIO``, ``custom/SCENARIO``, ``brace-path/resolvent-scan``,
+    ``noninteger/SCENARIO``,
     ``scale/SCENARIO``, ``bottom-scale/SCENARIO``, ``mid/SCENARIO``,
     ``wide/SCENARIO``, ``sides/SCENARIO``, ``narrow/SCENARIO``,
     ``branch/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
@@ -217,6 +221,12 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
         )
         for scenario in CUSTOM_SCENARIOS
     ]
+    brace_path = outdir / "custom{1}.json"
+    brace_path.write_text(json.dumps({"system": CUSTOM_SYSTEM}), encoding="utf-8")
+    lines.append(
+        _cli_line(["resolvent-scan", "--config", str(brace_path), "--trials", "20"], seed, outdir,
+                  "brace-path/resolvent-scan")
+    )
     lines += [
         _cli_line(
             [scenario, "--config", json.dumps({"system": NONINTEGER_SYSTEM}), "--trials", "20"],
