@@ -70,9 +70,9 @@ class ClusterScan:
 
     ``centers`` holds the distinct eigenvalues, ascending.  The cluster of
     ``centers[i]`` is the mode run [lo[i], hi[i]), exactly the k with
-    |λ_k − centers[i]| < epsilon (strict), and ``min_eig[i]`` is the
-    smallest eigenvalue of the Gram block on it.  ``epsilon`` is one width,
-    or one per center (see ``_cluster_runs``).
+    |fl(λ_k − centers[i])| < ε (strict), ε its width, as the outward walk of
+    ``_cluster_runs`` finds it; ``min_eig[i]`` is the smallest eigenvalue of
+    the Gram block on it.  ``epsilon`` is one width, or one per center.
     """
 
     epsilon: float | np.ndarray
@@ -90,41 +90,32 @@ def _cluster_runs(system: SpectralSystem, epsilon) -> tuple[np.ndarray, np.ndarr
     """(centers, lo, hi): each distinct eigenvalue c and its ε-cluster as the run [lo, hi).
 
     ``epsilon`` is one width, or one width per distinct eigenvalue.  The run
-    is exactly the k with |fl(λ_k − c)| < ε, ε the center's width.  Proof,
-    for one center at a time, that it is one run: λ is sorted and rounding
-    is monotone, so fl(λ_k − c) does not decrease in k, and the k where it
-    lies in (−ε, ε) are consecutive; c is itself an eigenvalue and
-    fl(c − c) = 0, so the run is never empty.  The same holds over the
-    distinct values u_j, since the test reads only the value.  Both ends are
-    found for every center at once: ``searchsorted`` on u ∓ ε gives a
-    candidate on the center's side, and each end moves by one distinct
-    value at a time until the value at the end passes the exact strict test
-    and the next value outward fails it (or there is none).  By
-    monotonicity that end is then the run's end.
+    is exactly the k with |fl(λ_k − c)| < ε, ε the center's width.  It is
+    one run: λ is sorted and rounding is monotone, so fl(λ_k − c) does not
+    decrease in k, and the k where it lies in (−ε, ε) are consecutive; c is
+    itself an eigenvalue and fl(c − c) = 0, so it is never empty.  The same
+    holds over the distinct values u_j, since the test reads only the value.
+    So one outward walk finds both ends for every center at once: each end
+    starts at its center and steps one distinct value outward while the next
+    value passes the test, R + 1 vector steps per end, R the longest run in
+    distinct values.
     """
     lam, u = system.eigenvalues, system.distinct_eigenvalues()
     bad = np.flatnonzero(~(np.asarray(epsilon) > 0))
     if bad.size:
         at = "" if np.ndim(epsilon) == 0 else f" at center {u[bad[0]]}"
         raise DomainError(f"cluster width must be positive, got {np.ravel(epsilon)[bad[0]]}{at}")
-    j = np.arange(u.size)
 
-    def inside(k):
-        return np.abs(u[np.clip(k, 0, u.size - 1)] - u) < epsilon
-
-    def settle(end, step):
-        # Grow while the next value outward is inside, shrink while the end is not.
+    def walk(step):
+        end = np.arange(u.size)
         while True:
-            grow = (end + step >= 0) & (end + step < u.size) & inside(end + step)
-            shrink = ~inside(end)
-            if not (grow.any() or shrink.any()):
+            k = end + step
+            grow = (k >= 0) & (k < u.size) & (np.abs(u[k % u.size] - u) < epsilon)
+            if not grow.any():
                 return end
-            end = end + step * (grow.astype(int) - shrink)
+            end = end + step * grow
 
-    with np.errstate(over="ignore"):  # u + ε past the float range is inf, which still sorts
-        upper = np.searchsorted(u, u + epsilon)
-    first = settle(np.minimum(np.searchsorted(u, u - epsilon), j), -1)
-    last = settle(np.maximum(upper - 1, j), 1)
+    first, last = walk(-1), walk(1)
     starts = np.append(np.searchsorted(lam, u), lam.size)
     return u, starts[first], starts[last + 1]
 

@@ -138,15 +138,18 @@ def _parse_angle(value, path: str) -> float:
     if isinstance(value, bool):
         raise _schema_error(f"{path}: expected a number or an angle string, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _require_number(value, path)
     if isinstance(value, str):
         match = _ANGLE_PATTERN.match(value)
         if match:
-            numerator = int(match.group(1)) if match.group(1) else 1
-            denominator = int(match.group(2)) if match.group(2) else 1
+            # float() reads any number of digits, past the float range as inf.
+            numerator, denominator = (float(digits) if digits else 1.0 for digits in match.groups())
             if denominator == 0:
                 raise _schema_error(f"{path}: angle denominator cannot be zero")
-            return numerator * math.pi / denominator
+            angle = numerator * math.pi / denominator
+            if not all(map(math.isfinite, (numerator, denominator, angle))):
+                raise _invariant_error(f"{path}: expected an angle within the float range, got {value!r}")
+            return angle
         raise _schema_error(
             f"{path}: unrecognized angle {value!r} (use a number or 'pi', 'pi/2', '3pi/4', ...)"
         )
@@ -169,7 +172,7 @@ def _require_number(value, path: str) -> float:
 
 
 def _check_settings(scenario: str, given: dict) -> dict:
-    """The ``given`` trials, seed and T of a run, each type-checked and held to its invariant."""
+    """The ``given`` trials, seed, T and output path of a run, each held to its invariant."""
     settings = {}
     if "trials" in given:
         trials = settings["trials"] = _require_int(given["trials"], "trials")
@@ -190,6 +193,10 @@ def _check_settings(scenario: str, given: dict) -> dict:
             )
         if not T > 0:
             raise _invariant_error(f"T must be positive and finite, got {T}")
+    if "output_path" in given:
+        output_path = settings["output_path"] = given["output_path"]
+        if not isinstance(output_path, str) or not output_path:
+            raise _schema_error("output_path: expected a nonempty string")
     return settings
 
 
@@ -348,6 +355,8 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _parse_error(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or too deep
+        raise _parse_error(str(exc)) from None
 
     if not isinstance(raw, dict):
         raise _schema_error(f"top level must be an object, got {type(raw).__name__}")
@@ -368,23 +377,14 @@ def load_config(source, *, default_scenario: str | None = None) -> RunConfig:
     if not epsilon > 0:
         raise _invariant_error(f"epsilon_cluster must be positive, got {epsilon}")
 
-    given = {"trials": raw.get("trials", DEFAULT_TRIALS), "seed": raw.get("seed", DEFAULT_SEED)}
+    defaults = {"trials": DEFAULT_TRIALS, "seed": DEFAULT_SEED, "output_path": DEFAULT_OUTPUT}
+    given = {key: raw.get(key, default) for key, default in defaults.items()}
     if raw.get("T") is not None:
         given["T"] = raw["T"]
     settings = _check_settings(scenario, given)
 
-    output_path = raw.get("output_path", DEFAULT_OUTPUT)
-    if not isinstance(output_path, str) or not output_path:
-        raise _schema_error("output_path: expected a nonempty string")
-
     system = _normalize_system(raw.get("system"), scenario)
-    return RunConfig(
-        scenario=scenario,
-        system=system,
-        epsilon_cluster=epsilon,
-        output_path=output_path,
-        **settings,
-    )
+    return RunConfig(scenario=scenario, system=system, epsilon_cluster=epsilon, **settings)
 
 
 def default_config(scenario: str) -> RunConfig:
@@ -401,10 +401,8 @@ def apply_overrides(
     output_path: str | None = None,
 ) -> RunConfig:
     """Apply CLI flag overrides on top of a loaded configuration, validated as in ``load_config``."""
-    given = {key: value for key, value in (("trials", trials), ("seed", seed), ("T", T)) if value is not None}
-    updates = _check_settings(cfg.scenario, given)
-    if output_path is not None:
-        updates["output_path"] = output_path
+    given = {"trials": trials, "seed": seed, "T": T, "output_path": output_path}
+    updates = _check_settings(cfg.scenario, {key: value for key, value in given.items() if value is not None})
     return replace(cfg, **updates) if updates else cfg
 
 

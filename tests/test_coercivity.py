@@ -239,6 +239,13 @@ class TestScanAndEnvelope:
         with pytest.raises(DomainError, match=f"^cluster width must be positive, got {widths[1]} at center 5.0$"):
             coercivity._cluster_runs(sys_, np.array(widths))
 
+    @pytest.mark.parametrize("width", [1e308, math.inf, 5e-324])
+    @pytest.mark.parametrize("huge", [False, True], ids=["square", "huge-eigenvalues"])
+    def test_extreme_widths_equal_the_per_cluster_oracle(self, square50, huge, width):
+        # Widths where u + ε leaves the float range, and the least subnormal width.
+        sys_ = SpectralSystem([1e300, 1.5e300, 1.7976931348623157e308], factor=np.eye(3)) if huge else square50
+        assert_same_scan(coercivity_scan(sys_, width), coercivity_scan_by_cluster(sys_, width))
+
     def test_a_stack_holds_at_most_the_byte_budget_and_at_least_one_block(self, monkeypatch):
         # Width 400 puts all 220 modes of n_max 300 into each of its 101
         # clusters: a 774 KB block each, over the default budget, so one at a

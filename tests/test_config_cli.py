@@ -105,6 +105,50 @@ class TestLoadConfig:
             )
         assert info.value.kind == "schema"
 
+    @pytest.mark.parametrize(
+        "key, angle",
+        [
+            ("alpha", 10**400),
+            ("beta", "1" + "0" * 400 + "pi"),
+            ("beta", "pi/1" + "0" * 400),
+            ("beta", "1" + "0" * 5000 + "pi"),  # past the 4300-digit limit of int()
+        ],
+        ids=["huge-int", "huge-numerator", "huge-denominator", "numerator-past-digit-limit"],
+    )
+    def test_angle_past_the_float_range_exits_three_without_report(self, key, angle, tmp_path, capsys):
+        doc = json.dumps({"system": {"type": "square", "n_max_eigenvalue": 50,
+                                     "gamma": [{"side": "bottom", key: angle}]}})
+        with pytest.raises(ConfigError, match=rf"^config invariant error: system\.gamma\[0\]\.{key}: ") as info:
+            load_config(doc, default_scenario="coercivity-scan")
+        assert info.value.kind == "invariant"
+        out = tmp_path / "x.json"
+        assert main(["coercivity-scan", "--config", doc, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"obskit: config invariant error: system.gamma[0].{key}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["inline", "file"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth"),
+            ('{"seed": 1' + "0" * 5000 + "}", "4300 digits"),
+        ],
+        ids=["nested-too-deep", "int-past-digit-limit"],
+    )
+    def test_every_json_failure_is_a_parse_error(self, doc, message, from_file, tmp_path, capsys):
+        source = tmp_path / "doc.json" if from_file else doc
+        if from_file:
+            source.write_text(doc, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^config parse error: .*{message}") as info:
+            load_config(source, default_scenario="verify-cutoff")
+        assert info.value.kind == "parse"
+        out = tmp_path / "x.json"
+        assert main(["verify-cutoff", "--config", str(source), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("obskit: config parse error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_small_n_max_is_invariant_error(self):
         with pytest.raises(ConfigError) as info:
             load_config(
@@ -711,6 +755,19 @@ class TestResourceGuard:
         assert main(["weak-observability", "--trials", str(MAX_TRIALS + 1), "--out", str(out)]) == 3
         assert "MAX_TRIALS" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_out_exits_three_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a rejected input must run nothing")
+
+        monkeypatch.setitem(scenarios._RUNNERS, "verify-cutoff", forbidden)
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify-cutoff", "--out", ""]) == 3
+        assert "output_path" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+        with pytest.raises(ConfigError, match="output_path: expected a nonempty string") as info:
+            apply_overrides(default_config("verify-cutoff"), output_path="")
+        assert info.value.kind == "schema"
 
     @pytest.mark.parametrize("n_max", [10**6, 10**30])
     def test_huge_n_max_rejected_before_any_build(self, n_max, tmp_path, monkeypatch, capsys):

@@ -23,7 +23,10 @@ breakpoints, ``weak-observability`` and
 ``admissibility`` (each ``--trials 200``) on the full bottom side at
 n_max 250, ``coercivity-scan`` and ``admissibility`` (``--trials 20``) on
 the full bottom side at n_max 1000 with the wide cluster width 1.3
-(clusters of 1 to 8 modes), ``coercivity-scan``
+(clusters of 1 to 8 modes), ``coercivity-scan`` on the full bottom side
+at n_max 250 with the width 40 (85 clusters of up to 62 modes, the longest
+runs the cluster walk steps through; it records the failed
+``weakly-coercive-at-width`` verdict), ``coercivity-scan``
 and ``weak-observability`` (``--trials 20``) on two top patches and one
 right patch at n_max 500, ``assumption-ii-iii`` on the right half of the
 right side at n_max 500, ``assumption-ii-iii`` and ``coercivity-scan`` on
@@ -114,6 +117,9 @@ WIDE_CONFIG = {
     "epsilon_cluster": 1.3,
 }
 WIDE_RUNS = (["coercivity-scan"], ["admissibility", "--trials", "20"])
+# Width 40 at n_max 250: clusters of up to 62 modes, where every other
+# config here has runs of at most 8.
+WALK_CONFIG = {**MID_CONFIG, "epsilon_cluster": 40}
 # The top and right sides at n_max 500: their parity signs, the sine series
 # taken about π − c (α + β > π) and two patches on one side.
 SIDES_CONFIG = {
@@ -196,7 +202,7 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     ``blocks/SCENARIO``, ``custom/SCENARIO``, ``brace-path/resolvent-scan``,
     ``noninteger/SCENARIO``,
     ``scale/SCENARIO``, ``bottom-scale/SCENARIO``, ``mid/SCENARIO``,
-    ``wide/SCENARIO``, ``sides/SCENARIO``, ``narrow/SCENARIO``,
+    ``wide/SCENARIO``, ``walk/coercivity-scan``, ``sides/SCENARIO``, ``narrow/SCENARIO``,
     ``branch/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
@@ -259,6 +265,9 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
         _cli_line([scenario, "--config", json.dumps(WIDE_CONFIG), *rest], seed, outdir, f"wide/{scenario}")
         for scenario, *rest in WIDE_RUNS
     ]
+    lines.append(
+        _cli_line(["coercivity-scan", "--config", json.dumps(WALK_CONFIG)], seed, outdir, "walk/coercivity-scan")
+    )
     lines += [
         _cli_line([scenario, "--config", json.dumps(config), *rest], seed, outdir, f"sides/{scenario}")
         for scenario, config, rest in SIDES_RUNS
