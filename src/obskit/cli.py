@@ -5,7 +5,8 @@ Every run writes the structured JSON report to the configured output path
 constants, next to it) and prints a short human summary.  Exit codes:
 
 * 0 — every verdict passed
-* 2 — a mathematical verdict failed
+* 2 — a mathematical verdict failed (the report is written, as for 0;
+  a scan that is not weakly coercive is one such verdict)
 * 3 — input error (config parse/schema/invariant, bad domain or shape,
   a horizon T whose phase ½·T·(λ_max − λ_min) overflows, a report path
   that cannot be written)
@@ -24,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import _SCENARIO_TABLE, apply_overrides, default_config, load_config
-from .errors import CoercivityError, ConfigError, DomainError, NumericError, ShapeError
+from .errors import ConfigError, DomainError, NumericError, ShapeError
 from .report import bundle_summary_text, bundle_to_csv_texts, bundle_to_json_text
 from .scenarios import run_scenario
 
@@ -93,9 +94,6 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, ShapeError) as exc:
         sys.stderr.write(f"obskit: {exc}\n")
         return 3
-    except CoercivityError as exc:
-        sys.stderr.write(f"obskit: {exc}\n")
-        return 2
     except (NumericError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"obskit: numeric failure: {exc}\n")
         return 4

@@ -87,67 +87,53 @@ def _norms_sq(c: np.ndarray) -> np.ndarray:
     return np.matmul(c.conj()[:, None, :], c[:, :, None])[:, 0, 0].real
 
 
-def _real_energy(value: np.ndarray, t: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
-    """The real forms ``value`` of rows with horizons ``t`` and squared norms ``norm_sq``.
+def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (k, n) block c: the observed energy over [0, t] and ‖c‖².
 
-    A real kernel's forms are exactly real; a complex one's are checked real
-    to 1e-10 of their scale, else ``NumericError``.
+    ``t`` comes from ``_horizons`` for the rows of c: one horizon or one per
+    row.  A given ``kernel`` is ``observability_kernel`` at ``t``, and a
+    kernel of another shape raises ``ShapeError``; without one, one horizon
+    shares one (n, n) kernel built here.  Either way the energy is the
+    ``_row_forms`` of the kernel at the ``_phased`` rows.  Per-row horizons
+    with no kernel phase the rows, and take their ‖c‖², in runs of
+    ``_rows_within`` rows of 16n bytes (496 rows at 33 modes, 89 at 183);
+    each run builds its (k, n, n) stack of kernels in chunks of
+    ``_rows_within`` rows, at most ``spectral.BLOCK_BYTES`` (or one row), so
+    the memory held does not grow with k; a row's kernel takes the Gram's
+    itemsize per entry.  ``_phased`` gives each row of a run its own phasing
+    bit for bit, and each row's form reads only its own kernel, so the runs
+    and chunks give the same bits as the whole stack.  A real kernel's forms
+    are exactly real; a complex one's are checked real to 1e-10 of their
+    scale, else ``NumericError`` names the first bad row.
     """
-    if np.iscomplexobj(value):
-        scale = np.maximum(np.abs(value.real), t * norm_sq)
-        bad = np.abs(value.imag) > 1.0e-10 * scale
+    lam = system.eigenvalues
+    if kernel is not None or t.ndim == 0:
+        kernel = observability_kernel(system, t) if kernel is None else kernel
+        if kernel.shape[:-2] != t.shape:
+            raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
+        norm_sq = _norms_sq(c)
+        forms = _row_forms(_phased(c, lam, t), kernel)
+    else:
+        gaps, where = system.phase_gaps, _gap_index(system)
+        run = _rows_within(16 * system.size)
+        step = _rows_within(system.gram.itemsize * system.size * system.size)
+        forms, norm_sq = np.empty(len(c), dtype=np.result_type(system.gram, np.float64)), np.empty(len(c))
+        for start in range(0, len(c), run):
+            stop = min(start + run, len(c))
+            phased, norm_sq[start:stop] = _phased(c[start:stop], lam, t[start:stop]), _norms_sq(c[start:stop])
+            for first in range(start, stop, step):
+                rows = slice(first, min(first + step, stop))
+                kernel = system.gram * _gap_kernel(gaps, where, t[rows])
+                forms[rows] = _row_forms(phased[rows.start - start : rows.stop - start], kernel)
+    if np.iscomplexobj(forms):
+        scale = np.maximum(np.abs(forms.real), t * norm_sq)
+        bad = np.abs(forms.imag) > 1.0e-10 * scale
         if bad.any():
             i = int(np.argmax(bad))
             raise NumericError(
-                f"observability integral came out non-real: imag {value.imag[i]:.3e} vs scale {scale[i]:.3e}"
+                f"observability integral came out non-real: imag {forms.imag[i]:.3e} vs scale {scale[i]:.3e}"
             )
-    return value.real
-
-
-def _observed_energy(c: np.ndarray, lam: np.ndarray, kernel: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the (k, n) block c: the observed energy over [0, t] and ‖c‖².
-
-    ``lam`` are the system's eigenvalues, ``t`` comes from ``_horizons`` for
-    the rows of c, and ``kernel`` is ``observability_kernel`` at ``t``; a
-    kernel of another shape raises ``ShapeError``.  The energy is the
-    ``_real_energy`` of the ``_row_forms`` of the kernel at the ``_phased``
-    rows.
-    """
-    if kernel.shape[:-2] != t.shape:
-        raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
-    norm_sq = _norms_sq(c)
-    return _real_energy(_row_forms(_phased(c, lam, t), kernel), t, norm_sq), norm_sq
-
-
-def _energy_at(c: np.ndarray, system: SpectralSystem, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_observed_energy`` of the rows of c at ``t``, one horizon or one per row, kernels built here.
-
-    One horizon shares one (n, n) kernel.  Per-row horizons phase the rows,
-    and take their ‖c‖², in runs of ``_rows_within`` rows of 16n bytes
-    (496 rows at 33 modes, 89 at 183); each run builds its (k, n, n) stack
-    of kernels in chunks of ``_rows_within`` rows, at most
-    ``spectral.BLOCK_BYTES`` (or one row), so the memory held does not grow
-    with k; a row's kernel takes the Gram's itemsize per entry.  ``_phased``
-    gives each row of a run its own phasing bit for bit, and each row's form
-    reads only its own kernel, so the runs and chunks give the same bits as
-    the whole stack.
-    """
-    lam = system.eigenvalues
-    if t.ndim == 0:
-        return _observed_energy(c, lam, observability_kernel(system, t), t)
-    gaps, where = system.phase_gaps, _gap_index(system)
-    run = _rows_within(16 * system.size)
-    step = _rows_within(system.gram.itemsize * system.size * system.size)
-    energy, norm_sq = np.empty(len(c)), np.empty(len(c))
-    for start in range(0, len(c), run):
-        stop = min(start + run, len(c))
-        phased, norm_sq[start:stop] = _phased(c[start:stop], lam, t[start:stop]), _norms_sq(c[start:stop])
-        for first in range(start, stop, step):
-            rows = slice(first, min(first + step, stop))
-            kernel = system.gram * _gap_kernel(gaps, where, t[rows])
-            forms = _row_forms(phased[rows.start - start : rows.stop - start], kernel)
-            energy[rows] = _real_energy(forms, t[rows], norm_sq[rows])
-    return energy, norm_sq
+    return forms.real, norm_sq
 
 
 def observability_integral(z0, system: SpectralSystem, T):
@@ -160,7 +146,7 @@ def observability_integral(z0, system: SpectralSystem, T):
     integral reads inf.
     """
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    return back(_energy_at(c, system, _horizons(T, system, len(c)))[0])
+    return back(_energy(c, system, _horizons(T, system, len(c)))[0])
 
 
 def kernel_psd_margin(kernel: np.ndarray) -> tuple[float, float]:
@@ -198,7 +184,7 @@ def admissibility_check(z0, system: SpectralSystem, T, kernel: np.ndarray, C_T: 
     if not C_T > 0:
         raise DomainError(f"admissibility constant must be positive, got {C_T}")
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    energy, norm_sq = _observed_energy(c, system.eigenvalues, kernel, _horizons(T, system, len(c)))
+    energy, norm_sq = _energy(c, system, _horizons(T, system, len(c)), kernel)
     return AdmissibilityReport(margin=back(C_T * norm_sq - energy), norm_sq=back(norm_sq))
 
 
@@ -239,7 +225,7 @@ def weak_observability_check(
     c, back = _power_of_two_frame(z)
     t, t_min = _horizons(T, system, len(c)), _horizons(t_min, system, len(c))
     lam0 = _moments(c, system)[3]
-    integral, norm_sq = _energy_at(c, system, t)
+    integral, norm_sq = _energy(c, system, t)
     lhs = THETA2 * psi(THETA0 * (1.0 / t + lam0)) * norm_sq
     t, t_min = np.broadcast_to(t, len(c)), np.broadcast_to(t_min, len(c))
     return ObservabilityReport(

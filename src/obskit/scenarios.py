@@ -335,7 +335,9 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
     )
     if cfg.epsilon_cluster != CIRCLE_WIDTH:  # else the circle scan is this scan
         scan = coercivity_scan(system, cfg.epsilon_cluster)
-    envelope = fit_psi_envelope(scan)
+    envelope = _unless_incoercive(bundle, fit_psi_envelope, scan)
+    if envelope is None:
+        return bundle
     bundle.constants["envelope_c"] = envelope.c
     bundle.constants["envelope_p"] = envelope.p
     bundle.verdicts.append(
@@ -385,6 +387,8 @@ def run_assumption_ii_iii(cfg: RunConfig) -> ReportBundle:
     m = math.sqrt(m_sq)
     bundle.constants["admissibility_sq"] = m_sq
     bundle.constants["admissibility"] = m
+    if not delta_hat > 0:  # no certificate; decay-constant-positive has failed
+        return bundle
     slope = 4.0 * m / delta_hat
     sample = [1.0, 10.0, 100.0, 1000.0]
     bundle.tables.append(

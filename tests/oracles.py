@@ -187,7 +187,7 @@ def real_row_forms_by_row(c: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 def row_norms_sq_by_row(c: np.ndarray) -> np.ndarray:
     """‖row‖² per row of ``c``, each its own ``vdot(row, row)``: the oracle for the
-    squared norms of ``_observed_energy``."""
+    squared norms of ``evolution._energy``."""
     return np.array([np.vdot(row, row).real for row in c], dtype=float)
 
 

@@ -463,6 +463,35 @@ class TestCli:
         assert doc["verdicts"] == [{"name": "weakly-coercive-at-width", "passed": False, "detail": detail}]
         assert "FAIL weakly-coercive-at-width" in capsys.readouterr().out
 
+    def test_assumption_i_at_a_width_that_is_not_weakly_coercive_still_writes_its_report(self, tmp_path, capsys):
+        # At width 10 the cluster about N = 2 holds a state whose observed energy is round-off.
+        out = tmp_path / "report.json"
+        assert main(["assumption-i", "--config", '{"epsilon_cluster": 10}', "--out", str(out)]) == 2
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert [(v["name"], v["passed"]) for v in doc["verdicts"]] == [
+            ("cluster-minima-constant", True),
+            ("weakly-coercive-at-width", False),
+        ]
+        assert doc["verdicts"][1]["detail"].startswith("not weakly coercive at width 10.0: cluster at center 2.0 ")
+        assert "envelope_c" not in doc["constants"]
+        assert "FAIL weakly-coercive-at-width" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "n_max, alpha, beta",
+        [(50, 0, 5e-324), (500, 1, 1.001)],  # (β − α)/2 rounds to 0, so δ̂ = 0; then δ̂ < 0 by round-off
+    )
+    def test_assumption_ii_iii_without_a_positive_decay_constant_tabulates_no_widths(self, n_max, alpha, beta, tmp_path):
+        gamma = [{"side": "bottom", "alpha": alpha, "beta": beta}]
+        config = {"system": {"type": "square", "n_max_eigenvalue": n_max, "gamma": gamma}}
+        out = tmp_path / "report.json"
+        assert main(["assumption-ii-iii", "--config", json.dumps(config), "--out", str(out)]) == 2
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert (doc["constants"]["delta_hat"] == 0.0) == (alpha == 0)
+        assert doc["constants"]["delta_hat"] <= 0.0
+        assert doc["verdicts"][0]["name"] == "decay-constant-positive" and not doc["verdicts"][0]["passed"]
+        assert "admissibility_sq" in doc["constants"]
+        assert list(doc["tables"]) == ["clusters"]
+
     def test_admissibility_on_a_zero_gram_is_undecided_and_writes_its_report(self, tmp_path, capsys):
         # The kernel is 0, so its largest eigenvalue C_T is 0 and no margin can be scaled by it.
         system = {"type": "custom", "eigenvalues": [1, 2, 4], "gram": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}

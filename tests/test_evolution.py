@@ -8,6 +8,7 @@ import pytest
 
 from obskit import (
     DomainError,
+    NumericError,
     PowerLaw,
     ShapeError,
     SpectralSystem,
@@ -329,6 +330,18 @@ class TestKernelAndAdmissibility:
         check = admissibility_check(np.eye(5)[k], sys_, T, observability_kernel(sys_, T), c_t)
         assert check.margin == pytest.approx(1.0, rel=1e-10)
         assert check.norm_sq == 1.0
+
+    def test_a_kernel_whose_forms_are_not_real_raises(self):
+        # A non-Hermitian kernel: its forms are complex beyond 1e-10 of their scale,
+        # and the message names the first bad row, for one horizon or one per row.
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        kernel = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        sys_ = SpectralSystem([1, 2, 4], gram=np.eye(3))
+        message = "observability integral came out non-real: imag -1.180e[+]00 vs scale 5.351e-01"
+        for T, stack in ((0.7, kernel), (np.full(5, 0.7), np.stack([kernel] * 5))):
+            with pytest.raises(NumericError, match=message):
+                admissibility_check(block, sys_, T, stack, 3.0)
 
 
 @pytest.fixture(scope="module")

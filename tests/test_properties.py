@@ -108,7 +108,7 @@ from obskit import (
 )
 from obskit import coercivity, spectral
 from obskit.cli import main
-from obskit.evolution import _observed_energy, _phased
+from obskit.evolution import _energy, _phased
 from obskit.spectral import HERMITIAN_ATOL, _moments, _power_of_two_frame, _row_forms, _row_fsum, observed_energy_sq
 from obskit.square import BoundaryPatch, GammaSpec, Side, build_square_system
 from obskit.window import THETA0, THETA1
@@ -820,12 +820,12 @@ def test_stacked_row_forms_equal_the_per_row_vdots(n, k, stacked, complex_matrix
     forms = _row_forms(c, m)
     assert forms.dtype == m.dtype
     assert np.array_equal(forms.view(np.int64), oracle(c, m).view(np.int64))
-    # _observed_energy checks a complex M's forms real, so it gets the Hermitian
+    # _energy checks a complex M's forms real, so it gets the Hermitian
     # part, and takes the forms of the phased rows.
     h = 0.5 * (m + np.swapaxes(m, -1, -2).conj())
     t = np.ones(shape[:-2])
     lam = np.sort(rng.uniform(1.0, 100.0, n))
-    value, norm_sq = _observed_energy(c, lam, h, t)
+    value, norm_sq = _energy(c, SpectralSystem(lam, factor=np.ones((n, 1))), t, h)
     assert np.array_equal(value.view(np.int64), oracle(_phased(c, lam, t), h).real.view(np.int64))
     assert np.array_equal(norm_sq.view(np.int64), row_norms_sq_by_row(c).view(np.int64))
 

@@ -37,7 +37,11 @@ sine-product matrix takes its short-patch series on some entries,
 null state (each records the failed ``weakly-coercive-at-width`` verdict),
 ``admissibility`` on a 3-mode custom system with a zero Gram (it records
 the undecided ``sharp-constant-bounds-random-states`` verdict),
-``assumption-i`` at the cluster width 1.3 (its second scan), and each job of
+``assumption-i`` at the cluster width 1.3 (its second scan), ``assumption-i``
+at the width 10, which is not weakly coercive (it records the failed
+``weakly-coercive-at-width`` verdict), ``assumption-ii-iii`` on a bottom
+patch of width 5e-324 at n_max 50, whose decay constant δ̂ is 0 (it writes
+no ``certificate_widths`` table), and each job of
 ``perfbench/jobs.py`` at full size, and prints one line per report: the
 digest (``-`` when no report was written), the exit code, the seed and a
 label.  Run it in two checkouts and ``diff`` the outputs to see
@@ -155,18 +159,25 @@ NARROW_SCENARIOS = ("assumption-ii-iii", "coercivity-scan")
 # Branches of the scenarios: a scan whose envelope fit fails (the first
 # cluster, modes 0 and 1, holds the null state e₀ − e₁), in the scan and in
 # the two certificate scenarios, admissibility on a zero Gram, whose sharp
-# constant is 0, and assumption-i at a width past the unit gap, which scans
-# a second time.
+# constant is 0, assumption-i at a width past the unit gap, which scans
+# a second time, and at a width that is not weakly coercive, and
+# assumption-ii-iii on a patch so short that (β − α)/2 rounds to 0, so the
+# Gram and δ̂ are 0.  Each run is labelled by its scenario and suffix.
 NULL_STATE_CONFIG = {
     "system": {"type": "custom", "eigenvalues": [1, 1.2, 3], "gram": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}
 }
 ZERO_GRAM_CONFIG = {"system": {"type": "custom", "eigenvalues": [1, 2, 4], "gram": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}
+ZERO_DECAY_CONFIG = {
+    "system": {"type": "square", "n_max_eigenvalue": 50, "gamma": [{"side": "bottom", "alpha": 0, "beta": 5e-324}]}
+}
 BRANCH_RUNS = (
-    ("coercivity-scan", NULL_STATE_CONFIG),
-    ("resolvent-scan", NULL_STATE_CONFIG),
-    ("weak-observability", NULL_STATE_CONFIG),
-    ("admissibility", ZERO_GRAM_CONFIG),
-    ("assumption-i", {"epsilon_cluster": 1.3}),
+    ("coercivity-scan", NULL_STATE_CONFIG, ""),
+    ("resolvent-scan", NULL_STATE_CONFIG, ""),
+    ("weak-observability", NULL_STATE_CONFIG, ""),
+    ("admissibility", ZERO_GRAM_CONFIG, ""),
+    ("assumption-i", {"epsilon_cluster": 1.3}, ""),
+    ("assumption-i", {"epsilon_cluster": 10}, "-incoercive"),
+    ("assumption-ii-iii", ZERO_DECAY_CONFIG, "-zero-decay"),
 )
 
 
@@ -203,7 +214,7 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     ``noninteger/SCENARIO``,
     ``scale/SCENARIO``, ``bottom-scale/SCENARIO``, ``mid/SCENARIO``,
     ``wide/SCENARIO``, ``walk/coercivity-scan``, ``sides/SCENARIO``, ``narrow/SCENARIO``,
-    ``branch/SCENARIO`` and ``WORKLOAD/I-SCENARIO``.
+    ``branch/SCENARIO`` (or ``branch/SCENARIO-SUFFIX``) and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
     lines += [
@@ -277,8 +288,8 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
         for scenario in NARROW_SCENARIOS
     ]
     lines += [
-        _cli_line([scenario, "--config", json.dumps(config)], seed, outdir, f"branch/{scenario}")
-        for scenario, config in BRANCH_RUNS
+        _cli_line([scenario, "--config", json.dumps(config)], seed, outdir, f"branch/{scenario}{suffix}")
+        for scenario, config, suffix in BRANCH_RUNS
     ]
     for workload in WORKLOADS:
         (outdir / workload).mkdir(exist_ok=True)
