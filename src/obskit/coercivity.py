@@ -2,12 +2,13 @@
 
 A state whose frequency residual is small behaves like a near-eigenvector;
 coercivity certificates quantify how strongly such states are observed.
-Two certificate kinds exist: ``weak_spectral`` (lower bound ψ(λ) for states
-supported on an ε-cluster of eigenvalues) and ``spectral`` (lower bound for
-every state whose residual is below ε(λ(z))).  The tools here enumerate
-clusters, scan their Gram minima, fit envelope functions, convert weak
-certificates into full spectral ones via an admissibility constant, test
-the resolvent inequality at its worst frequency, and hunt for counterexamples.
+A cluster scan yields a weak pair: a strength ψ(λ) for states supported on
+a cluster of constant width ε₀.  ``weak_to_spectral`` turns it, with an
+admissibility constant M, into the one certificate type: a lower bound for
+every state whose residual is below ε(λ(z)).  The tools here enumerate
+clusters, scan their Gram minima, fit envelope functions, build
+certificates, test the resolvent inequality at its worst frequency, and
+hunt for counterexamples.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .spectral import (
     observed_energy_sq,
 )
 
-CERTIFICATE_KINDS = ("spectral", "weak_spectral")
-
 # Minimal cluster Gram eigenvalue below which weak coercivity is declared
 # failed at the scanned width.
 COERCIVITY_FLOOR = 1.0e-14
@@ -43,25 +42,14 @@ BETA_SAFETY = 1.0 - 1.0e-9
 
 @dataclass(frozen=True)
 class CoercivityCertificate:
-    """A (ε, ψ) pair certifying observation strength.
-
-    For ``kind="weak_spectral"`` the width ε must be a constant, a
-    ``PowerLaw`` with p = 0 (the bound applies to states supported on
-    fixed-width eigenvalue clusters).  For ``kind="spectral"`` both members
-    may vary with frequency.
-    """
+    """A spectral (ε, ψ) pair: ‖Cz‖² ≥ ψ(λ(z))‖z‖² for every state z whose residual is below ε(λ(z))."""
 
     epsilon: DecayFunction
     psi: DecayFunction
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in CERTIFICATE_KINDS:
-            raise DomainError(f"certificate kind must be one of {CERTIFICATE_KINDS}, got {self.kind!r}")
         if not isinstance(self.epsilon, DecayFunction) or not isinstance(self.psi, DecayFunction):
             raise DomainError("epsilon and psi must be decay functions")
-        if self.kind == "weak_spectral" and not (isinstance(self.epsilon, PowerLaw) and self.epsilon.p == 0):
-            raise DomainError("weak_spectral certificates require a constant cluster width PowerLaw(c, 0)")
 
 
 @dataclass(frozen=True)
@@ -204,18 +192,17 @@ def shifted_power_law(envelope: PowerLaw, shift: float) -> PowerLaw:
     return PowerLaw(envelope.c / (1.0 + shift) ** envelope.p, envelope.p)
 
 
-def weak_to_spectral(cert: CoercivityCertificate, M: float) -> CoercivityCertificate:
-    """Turn a weak certificate into a full spectral one via admissibility M.
+def weak_to_spectral(psi: PowerLaw, base_width: float, M: float) -> CoercivityCertificate:
+    """Turn the weak pair (ψ, constant width ε₀) into a spectral certificate via admissibility M.
 
-    Output width ε(λ) = ½(2M/ψ(λ) + 1/ε₀)⁻¹ (kept as an exact composite)
-    and strength ψ(λ)/4.  ψ must be a ``PowerLaw`` (else ``TypeError``) and
-    M positive and finite (else ``DomainError``); both outputs are then
-    positive and non-increasing wherever ψ does not underflow.
+    Output width ε(λ) = ½(2M/ψ(λ) + 1/ε₀)⁻¹ (kept as an exact composite,
+    which holds the weak pair) and strength ψ(λ)/4.  ψ must be a ``PowerLaw``
+    (else ``TypeError``), ε₀ and M positive and finite (else
+    ``DomainError``); both outputs are then positive and non-increasing
+    wherever ψ does not underflow.
     """
-    if cert.kind != "weak_spectral":
-        raise DomainError("weak_to_spectral requires a weak_spectral certificate")
-    epsilon = TransformedWidth(psi=cert.psi, admissibility=M, base_width=cert.epsilon.c)
-    return CoercivityCertificate(epsilon=epsilon, psi=cert.psi.scaled(0.25), kind="spectral")
+    epsilon = TransformedWidth(psi=psi, admissibility=M, base_width=base_width)
+    return CoercivityCertificate(epsilon=epsilon, psi=psi.scaled(0.25))
 
 
 def admissibility_breakpoints(system: SpectralSystem, epsilon: float) -> np.ndarray:
@@ -461,8 +448,6 @@ def resolvent_check(system: SpectralSystem, z, cert: CoercivityCertificate) -> R
 
     For a (k, n) block of states every field holds one entry per row.
     """
-    if cert.kind != "spectral":
-        raise DomainError("resolvent_check requires a spectral certificate")
     # Every term is homogeneous of degree 2 in z: the verdict is taken in the
     # power-of-two frame, where no state overflows, and the rest scaled back.
     z = coefficients_of(z, system)
@@ -515,8 +500,6 @@ def spectral_coercivity_violation_search(
     states whose residual is below ε(λ(z)) count; the worst relative margin
     below −1e−12 wins.
     """
-    if cert.kind != "spectral":
-        raise DomainError("violation search requires a spectral certificate")
     if not trials >= 0:
         raise DomainError(f"trials must be non-negative, got {trials}")
     rng = np.random.default_rng(seed)
@@ -590,7 +573,6 @@ class CertificatePipeline:
     scan_width: float
     scan: ClusterScan
     envelope: PowerLaw
-    weak: CoercivityCertificate
     admissibility_sq: float
     admissibility: float
     spectral: CoercivityCertificate
@@ -600,8 +582,10 @@ def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipel
     """Build a spectral certificate from the system's own cluster scan.
 
     Chain: scan at width ε centered on every eigenvalue → envelope fit →
-    shift to arbitrary centers as a weak certificate (ε/2, envelope lowered
-    by the center shift) → admissibility at width ε/2 → weak_to_spectral.
+    shift to arbitrary centers as the weak pair (envelope lowered by the
+    center shift, width ε/2) → admissibility at width ε/2 →
+    weak_to_spectral.  The weak pair is ``spectral.epsilon.psi`` and
+    ``spectral.epsilon.base_width``.
 
     ``admissibility_sq`` is the exact supremum over all real λ:
     ``estimate_admissibility`` evaluated at the cluster edges
@@ -614,15 +598,12 @@ def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipel
     scan = coercivity_scan(system, epsilon)
     envelope = fit_psi_envelope(scan)
     half = epsilon / 2.0
-    weak = CoercivityCertificate(
-        epsilon=PowerLaw(half, 0.0), psi=shifted_power_law(envelope, half), kind="weak_spectral"
-    )
     try:
         m_sq = estimate_admissibility(system, half, admissibility_breakpoints(system, half))
     except DomainError as exc:
         raise DomainError(f"half of the cluster width {epsilon!r}: {exc}") from exc
     m = math.sqrt(m_sq)
-    spectral = weak_to_spectral(weak, m)
+    spectral = weak_to_spectral(shifted_power_law(envelope, half), half, m)
     for name, rate in (("psi", spectral.psi), ("epsilon", spectral.epsilon)):
         if not rate(system.lambda_max) > 0:
             raise NumericError(
@@ -632,7 +613,6 @@ def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipel
         scan_width=epsilon,
         scan=scan,
         envelope=envelope,
-        weak=weak,
         admissibility_sq=m_sq,
         admissibility=m,
         spectral=spectral,

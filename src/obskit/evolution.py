@@ -117,7 +117,7 @@ def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.nda
         gaps, where = system.phase_gaps, _gap_index(system)
         run = _rows_within(16 * system.size)
         step = _rows_within(system.gram.itemsize * system.size * system.size)
-        forms, norm_sq = np.empty(len(c), dtype=np.result_type(system.gram, np.float64)), np.empty(len(c))
+        forms, norm_sq = np.empty(len(c), dtype=system.gram.dtype), np.empty(len(c))
         for start in range(0, len(c), run):
             stop = min(start + run, len(c))
             phased, norm_sq[start:stop] = _phased(c[start:stop], lam, t[start:stop]), _norms_sq(c[start:stop])

@@ -48,7 +48,9 @@ class SpectralSystem:
     this and yields F, the eigenpairs above ``GRAM_RANK_CUTOFF`` times the
     largest, and ``factor_error`` = ‖E‖, the largest dropped |eigenvalue|.
     A ``factor`` F comes with its own bound ``factor_error`` ≥ ‖E‖; ``gram``
-    is then FFᴴ, formed on first read and cached.
+    is then FFᴴ, formed on first read and cached.  F is kept in double
+    precision, float64 or complex128, whatever its given dtype, since the
+    round-off margins downstream assume it.
     """
 
     def __init__(self, eigenvalues, gram=None, label: str = "", *, factor=None, factor_error=0.0):
@@ -65,7 +67,7 @@ class SpectralSystem:
             raise ShapeError("give exactly one of gram and factor")
         self._from_factor = factor is not None
         if self._from_factor:
-            f, error = np.array(factor), float(factor_error)
+            f, error = np.array(factor, dtype=complex if np.iscomplexobj(factor) else float), float(factor_error)
         else:
             f, error = self._factor_gram(gram, eig.size)
         if f.ndim != 2 or f.shape[0] != eig.size or not np.all(np.isfinite(f)):

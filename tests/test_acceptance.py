@@ -356,8 +356,7 @@ def test_13_certificate_round_trip_and_search(bottom50, pipeline50):
     )
     inflated = CoercivityCertificate(
         epsilon=pipeline50.spectral.epsilon,
-        psi=pipeline50.spectral.psi.scaled(10.0),
-        kind="spectral",  # deliberately inflated strength
+        psi=pipeline50.spectral.psi.scaled(10.0),  # deliberately inflated strength
     )
     caught = spectral_coercivity_violation_search(bottom50, inflated, 10_000, seed=42)
     ok = negatives == 0 and clean is None and caught is not None

@@ -86,3 +86,18 @@ def test_per_row_horizons_hold_one_chunk_of_kernels_at_a_time():
     kernel = 16 * n * n
     assert peak <= 2 * z.nbytes + 3 * kernel + 2 * BLOCK_BYTES, peak
     assert np.array_equal(block, [observability_integral(row, sys_, t) for row, t in zip(z, T)])
+
+
+@pytest.mark.parametrize("rows", (None, 7), ids=lambda r: f"rows={r}")
+def test_a_partly_applicable_batch_counts_only_its_applicable_states(monkeypatch, rows):
+    # T = 32000 lies between the batch's smallest and largest t_min: at seed 7
+    # 51 of the 100 default states have T ≥ t_min, and only they carry a margin.
+    if rows is not None:
+        monkeypatch.setattr(scenarios, "_rows_within", lambda row_bytes: rows)
+    cfg = dataclasses.replace(default_config("weak-observability"), seed=7, T=32000.0)
+    bundle = scenarios.run_scenario(cfg)
+    applicable = [row[-1] for row in bundle.tables[0].rows]
+    assert sum(applicable) == 51 and len(applicable) == cfg.trials == 100
+    assert bundle.verdicts[-1].detail.endswith(" over 51 states")
+    assert "some horizons fall below the minimal observation time" in bundle.notes[-1]
+    assert bundle_to_json_text(bundle) == bundle_to_json_text(ROW_RUNNERS["weak-observability"](cfg))

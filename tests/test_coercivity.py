@@ -332,30 +332,25 @@ class TestShiftAndTransform:
         flat = shifted_power_law(PowerLaw(2.0, 0.0), 0.5)
         assert flat(3.0) == pytest.approx(2.0)
 
-    @pytest.mark.parametrize(
-        "epsilon",
-        [PowerLaw(1.0, 1.0), TransformedWidth(psi=PowerLaw(1.0, 0.0), admissibility=1.0, base_width=1.0)],
-    )
-    def test_weak_requires_constant_width(self, epsilon):
-        with pytest.raises(DomainError, match=re.escape("constant cluster width PowerLaw(c, 0)")):
-            CoercivityCertificate(epsilon=epsilon, psi=PowerLaw(1.0, 0.0), kind="weak_spectral")
+    @pytest.mark.parametrize("shift", [-0.5, math.nan])
+    def test_shift_must_be_non_negative(self, shift):
+        with pytest.raises(DomainError, match=f"^shift must be non-negative, got {shift}$"):
+            shifted_power_law(PowerLaw(1.0, 1.0), shift)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.inf, math.nan])
+    def test_weak_width_must_be_positive_and_finite(self, width):
+        with pytest.raises(DomainError, match="base_width must be positive and finite"):
+            weak_to_spectral(PowerLaw(1.0, 0.0), width, 1.0)
 
     def test_transform_arithmetic_example(self):
-        weak = CoercivityCertificate(
-            epsilon=PowerLaw(1.0, 0.0), psi=PowerLaw(1.0, 0.0), kind="weak_spectral"
-        )
-        spectral = weak_to_spectral(weak, 1.0)
-        assert spectral.kind == "spectral"
+        spectral = weak_to_spectral(PowerLaw(1.0, 0.0), 1.0, 1.0)
         assert spectral.epsilon(0.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
         assert spectral.epsilon(1e4) == pytest.approx(1.0 / 6.0, rel=1e-14)
         assert spectral.psi(3.0) == pytest.approx(0.25, rel=1e-14)
 
     def test_transform_power_law_substitution(self):
         d, m = 0.4, 3.0
-        weak = CoercivityCertificate(
-            epsilon=PowerLaw(0.5, 0.0), psi=PowerLaw(d, 1.0), kind="weak_spectral"
-        )
-        spectral = weak_to_spectral(weak, m)
+        spectral = weak_to_spectral(PowerLaw(d, 1.0), 0.5, m)
         assert isinstance(spectral.epsilon, TransformedWidth)
         for lam in [0.0, 2.0, 50.0]:
             expected = 0.5 / (2.0 * m * (1.0 + lam) / d + 2.0)
@@ -363,20 +358,21 @@ class TestShiftAndTransform:
             assert spectral.psi(lam) == pytest.approx(d / (4.0 * (1.0 + lam)), rel=1e-13)
 
     def test_transform_rejects_wrong_inputs(self):
-        weak = CoercivityCertificate(
-            epsilon=PowerLaw(1.0, 0.0), psi=PowerLaw(1.0, 0.0), kind="weak_spectral"
-        )
         for M in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="admissibility must be positive and finite"):
-                weak_to_spectral(weak, M)
-        spectral = weak_to_spectral(weak, 1.0)
+                weak_to_spectral(PowerLaw(1.0, 0.0), 1.0, M)
+        spectral = weak_to_spectral(PowerLaw(1.0, 0.0), 1.0, 1.0)
         with pytest.raises(TypeError, match="PowerLaw strength"):
-            weak_to_spectral(CoercivityCertificate(epsilon=weak.epsilon, psi=spectral.epsilon, kind="weak_spectral"), 1.0)
-        with pytest.raises(DomainError):
-            weak_to_spectral(spectral, 1.0)
+            weak_to_spectral(spectral.epsilon, 1.0, 1.0)
 
 
 class TestAdmissibilityEstimate:
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+    def test_width_must_be_positive(self, width):
+        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 4.0], gram=np.eye(3))
+        with pytest.raises(DomainError, match=f"^cluster width must be positive, got {width}$"):
+            estimate_admissibility(sys_, width, [1.5])
+
     def test_diagonal_closed_form(self):
         gram = np.diag([0.5, 1.0, 2.0]).astype(complex)
         sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 4.0], gram=gram)
@@ -591,9 +587,7 @@ class TestResolventCheck:
         rng = np.random.default_rng(53)
         lam = np.sort(rng.uniform(1.0, 20.0, size=10))
         sys_ = SpectralSystem(eigenvalues=lam, gram=np.eye(10))
-        cert = CoercivityCertificate(
-            epsilon=PowerLaw(1e-3, 0.0), psi=PowerLaw(1.0, 0.0), kind="spectral"
-        )
+        cert = CoercivityCertificate(epsilon=PowerLaw(1e-3, 0.0), psi=PowerLaw(1.0, 0.0))
         for k in range(10):
             rep = resolvent_check(sys_, np.eye(10)[k], cert)
             assert rep.verdict
@@ -666,9 +660,7 @@ class TestResolventCheck:
     ):
         lam = np.sort(np.array(eigenvalues))
         sys_ = low_rank_system(lam, min(rank, lam.size), seed)
-        cert = CoercivityCertificate(
-            epsilon=PowerLaw(epsilon, 0.0), psi=PowerLaw(*psi), kind="spectral"
-        )
+        cert = CoercivityCertificate(epsilon=PowerLaw(epsilon, 0.0), psi=PowerLaw(*psi))
         rng = np.random.default_rng(seed)
         z = np.eye(lam.size)[mode % lam.size] + noise * (
             rng.standard_normal(lam.size) + 1j * rng.standard_normal(lam.size)
@@ -710,20 +702,11 @@ class TestResolventCheck:
             resolvent_check(square50, z, cert)
             assert calls == [z.shape]
 
-    def test_requires_spectral_kind(self, square50):
-        weak = CoercivityCertificate(
-            epsilon=PowerLaw(0.5, 0.0), psi=PowerLaw(0.1, 0.0), kind="weak_spectral"
-        )
-        with pytest.raises(DomainError):
-            resolvent_check(square50, np.ones(square50.size), weak)
-
 
 class TestViolationSearch:
     def test_identity_gram_has_no_violations(self):
         sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.0, 4.0], gram=np.eye(4))
-        cert = CoercivityCertificate(
-            epsilon=PowerLaw(0.5, 0.0), psi=PowerLaw(0.5, 0.0), kind="spectral"
-        )
+        cert = CoercivityCertificate(epsilon=PowerLaw(0.5, 0.0), psi=PowerLaw(0.5, 0.0))
         assert spectral_coercivity_violation_search(sys_, cert, 500, seed=1) is None
 
     def test_valid_pipeline_certificate_survives(self, square50):
@@ -736,7 +719,6 @@ class TestViolationSearch:
         inflated = CoercivityCertificate(
             epsilon=pipeline.spectral.epsilon,
             psi=pipeline.spectral.psi.scaled(10.0),
-            kind="spectral",
         )
         found = spectral_coercivity_violation_search(square50, inflated, 0, seed=3)
         assert found is not None
@@ -750,7 +732,6 @@ class TestViolationSearch:
         inflated = CoercivityCertificate(
             epsilon=pipeline.spectral.epsilon,
             psi=pipeline.spectral.psi.scaled(10.0),
-            kind="spectral",
         )
         a = spectral_coercivity_violation_search(square50, inflated, 200, seed=9)
         b = spectral_coercivity_violation_search(square50, inflated, 200, seed=9)
@@ -759,12 +740,11 @@ class TestViolationSearch:
         assert a.trial == b.trial
         np.testing.assert_array_equal(a.coefficients, b.coefficients)
 
-    def test_requires_spectral_kind(self, square50):
-        weak = CoercivityCertificate(
-            epsilon=PowerLaw(0.5, 0.0), psi=PowerLaw(0.1, 0.0), kind="weak_spectral"
-        )
-        with pytest.raises(DomainError):
-            spectral_coercivity_violation_search(square50, weak, 10, seed=0)
+    def test_trials_must_be_non_negative(self):
+        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.0, 4.0], gram=np.eye(4))
+        cert = CoercivityCertificate(epsilon=PowerLaw(0.5, 0.0), psi=PowerLaw(0.5, 0.0))
+        with pytest.raises(DomainError, match="^trials must be non-negative, got -1$"):
+            spectral_coercivity_violation_search(sys_, cert, -1, seed=0)
 
 
 class TestPipeline:
@@ -774,9 +754,8 @@ class TestPipeline:
         assert pipeline.admissibility_sq == estimate_admissibility(
             square50, 0.25, admissibility_breakpoints(square50, 0.25)
         )
-        assert pipeline.weak.kind == "weak_spectral"
-        assert pipeline.weak.epsilon.c == pytest.approx(0.25)
-        assert pipeline.spectral.kind == "spectral"
+        assert pipeline.spectral.epsilon.base_width == 0.25
+        assert pipeline.spectral.epsilon.psi == shifted_power_law(pipeline.envelope, 0.25)
         assert pipeline.admissibility == pytest.approx(
             math.sqrt(pipeline.admissibility_sq), rel=1e-15
         )

@@ -339,6 +339,71 @@ class TestLoadConfig:
         np.testing.assert_allclose(sys_.gram, oracle.gram)
 
 
+def _square(patch):
+    return {"system": {"type": "square", "n_max_eigenvalue": 50, "gamma": [patch]}}
+
+
+def _custom(**given):
+    return {"system": {"type": "custom", "eigenvalues": [1, 2], "gram": [[1, 0], [0, 1]], **given}}
+
+
+class TestInputErrors:
+    """Each rejected config document names its fault, at ``load_config`` and at the CLI."""
+
+    @pytest.mark.parametrize(
+        "doc, kind, message",
+        [
+            (_square({"side": "bottom", "alpha": True}), "schema",
+             "system.gamma[0].alpha: expected a number or an angle string, got a boolean"),
+            (_square({"side": "bottom", "beta": "pi/0"}), "schema",
+             "system.gamma[0].beta: angle denominator cannot be zero"),
+            (_square({"side": "bottom", "beta": [1]}), "schema",
+             "system.gamma[0].beta: expected a number or an angle string, got list"),
+            ({"epsilon_cluster": "x"}, "schema", "epsilon_cluster: expected a number, got 'x'"),
+            ({"system": {"type": "square", "n_max_eigenvalue": 50, "gamma": ["bottom"]}}, "schema",
+             "system.gamma[0]: expected an object with side/alpha/beta"),
+            (_square({"side": 1}), "schema", "system.gamma[0].side: expected a string"),
+            (_square({"side": "diagonal"}), "schema",
+             "system.gamma[0].side: unknown side 'diagonal'; expected one of ['bottom', 'left', 'top', 'right']"),
+            ({"system": {"type": "square", "n_max_eigenvalue": 50, "gamma": []}}, "schema",
+             "system.gamma: expected a nonempty list of patches"),
+            (_custom(eigenvalues=1), "schema", "system.eigenvalues: expected a nonempty list of numbers"),
+            (_custom(gram=1), "schema", "system.gram: expected a list of rows"),
+            (_custom(gram=[[1, 0]]), "invariant", "system.gram has 1 rows for 2 eigenvalues"),
+            (_custom(gram=[[1, 0], 1]), "schema", "system.gram[1]: expected a list"),
+            ({"system": [1]}, "schema", "system: expected an object"),
+            ({"system": {"type": "disk"}}, "schema", "system.type: expected 'square' or 'custom', got 'disk'"),
+            ([1], "schema", "top level must be an object, got list"),
+            ({"epsilon_cluster": 0}, "invariant", "epsilon_cluster must be positive, got 0.0"),
+        ],
+        ids=["angle-boolean", "angle-zero-denominator", "angle-list", "epsilon-string", "patch-not-object",
+             "side-not-string", "side-unknown", "gamma-empty", "eigenvalues-not-list", "gram-not-list",
+             "gram-row-count", "gram-row-not-list", "system-not-object", "system-type-unknown",
+             "top-level-not-object", "epsilon-zero"],
+    )
+    def test_rejected_document_names_its_fault(self, doc, kind, message, tmp_path, capsys):
+        source = write_config(tmp_path, "config.json", doc)
+        with pytest.raises(ConfigError, match=f"^config {kind} error: {re.escape(message)}$") as info:
+            load_config(source, default_scenario="coercivity-scan")
+        assert info.value.kind == kind
+        out = tmp_path / "x.json"
+        assert main(["coercivity-scan", "--config", str(source), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"obskit: config {kind} error: {message}\n"
+        assert not out.exists()
+
+    def test_a_document_without_a_scenario_needs_a_subcommand(self):
+        message = "config schema error: scenario: missing (give it in the config or pick a subcommand)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as info:
+            load_config("{}")
+        assert info.value.kind == "schema"
+
+    def test_system_of_a_config_without_a_system(self):
+        message = "config invariant error: this scenario requires a system description"
+        with pytest.raises(ConfigError, match=f"^{message}$") as info:
+            system_of(default_config("verify-cutoff"))
+        assert info.value.kind == "invariant"
+
+
 class TestDefaultsAndOverrides:
     def test_every_scenario_has_a_default(self):
         for scenario in SCENARIOS:
@@ -684,6 +749,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("obskit: ") and "outside the float range" in err
         assert "1e-200" in err  # the configured width, even where its half is checked
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["resolvent-scan", "weak-observability"])
+    def test_least_subnormal_width_exits_three(self, scenario, tmp_path, capsys):
+        # The scan runs at 5e-324, and its half, the certificate's weak width, underflows to 0.
+        out = tmp_path / "x.json"
+        assert main([scenario, "--config", '{"epsilon_cluster": 5e-324}', "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "obskit: half of the cluster width 5e-324: cluster width must be positive, got 0.0\n"
+        )
         assert not out.exists()
 
     def test_unknown_scenario_is_usage_error(self):

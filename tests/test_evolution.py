@@ -303,6 +303,12 @@ class TestKernelAndAdmissibility:
         sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 4.0], gram=gram)
         assert kernel_psd_margin(observability_kernel(sys_, 3.0))[1] == pytest.approx(6.0, rel=1e-12)
 
+    @pytest.mark.parametrize("C_T", [0.0, -1.0, math.nan])
+    def test_admissibility_constant_must_be_positive(self, C_T):
+        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 4.0], gram=np.eye(3))
+        with pytest.raises(DomainError, match=f"^admissibility constant must be positive, got {C_T}$"):
+            admissibility_check(np.ones(3), sys_, 1.0, observability_kernel(sys_, 1.0), C_T)
+
     def test_sharp_constant_bounds_every_state(self):
         rng = np.random.default_rng(39)
         sys_ = random_system(rng, 7)

@@ -405,7 +405,6 @@ def test_stacked_cluster_scan_equals_the_per_cluster_loop(sys_, data):
 SPECTRAL_CERT = CoercivityCertificate(
     epsilon=TransformedWidth(psi=PowerLaw(0.1, 1.0), admissibility=2.0, base_width=0.25),
     psi=PowerLaw(0.025, 1.0),
-    kind="spectral",
 )
 
 

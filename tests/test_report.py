@@ -111,6 +111,11 @@ def test_container_cell_is_type_error(encode, cell):
         encode(_bundle(rows=[(1.0, 2), (3.0, cell)]))
 
 
+def test_a_ragged_row_is_rejected_where_the_table_is_built():
+    with pytest.raises(ValueError, match="^table 't' row 1 has 1 cells for 2 columns$"):
+        Table("t", ["a", "b"], [[1.0, 2.0], [3.0]])
+
+
 def test_csv_table_with_container_cells_is_type_error():
     # The CSV writer would otherwise write their Python repr: "[1.0, 2.0]",{'x': 1}.
     with pytest.raises(TypeError, match="^table 't' has a (list|dict) cell; cells are scalars$"):

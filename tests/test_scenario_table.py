@@ -1,9 +1,11 @@
 """The scenario table: every scenario has a runner, a CLI help line and a
 default config whose digest is pinned."""
 
+import dataclasses
+
 import pytest
 
-from obskit import scenarios
+from obskit import DomainError, scenarios
 from obskit.cli import build_parser
 from obskit.config import _SCENARIO_TABLE, HORIZON_SCENARIOS, SCENARIOS, default_config
 
@@ -28,6 +30,12 @@ def test_scenario_lists_come_from_the_table_in_order():
 
 def test_every_scenario_has_a_runner_and_every_runner_a_scenario():
     assert set(scenarios._RUNNERS) == set(SCENARIOS)
+
+
+def test_a_hand_built_config_of_an_unknown_scenario_has_no_runner():
+    cfg = dataclasses.replace(default_config("verify-cutoff"), scenario="interpretive-dance")
+    with pytest.raises(DomainError, match="^unknown scenario 'interpretive-dance'$"):
+        scenarios.run_scenario(cfg)
 
 
 def test_help_shows_each_scenario_help_line():

@@ -7,10 +7,17 @@ import pytest
 
 from obskit import (
     DomainError,
+    GammaSpec,
     ShapeError,
+    Side,
     SpectralSystem,
+    admissibility_breakpoints,
+    build_square_system,
+    coercivity_scan,
+    estimate_admissibility,
     frequency,
     frequency_report,
+    observability_integral,
     observed_energy_sq,
 )
 
@@ -43,6 +50,15 @@ class TestSystemValidation:
             SpectralSystem(eigenvalues=[0.0, 1.0], gram=np.eye(2))
         with pytest.raises(DomainError, match="strictly positive"):
             SpectralSystem(eigenvalues=[-1.0, 1.0], gram=np.eye(2))
+
+    @pytest.mark.parametrize("eigenvalues", [[], [[1.0, 2.0]]], ids=["empty", "2-D"])
+    def test_rejects_eigenvalues_that_are_not_a_nonempty_vector(self, eigenvalues):
+        with pytest.raises(ShapeError, match="^eigenvalues must be a nonempty 1-D array$"):
+            SpectralSystem(eigenvalues=eigenvalues, gram=np.eye(2))
+
+    def test_rejects_a_nan_eigenvalue(self):
+        with pytest.raises(DomainError, match="^eigenvalues must be finite$"):
+            SpectralSystem(eigenvalues=[1.0, math.nan], gram=np.eye(2))
 
     def test_rejects_unsorted_eigenvalues(self):
         with pytest.raises(DomainError, match="sorted"):
@@ -136,6 +152,31 @@ class TestFactor:
     def test_rejects_bad_factor(self, factor):
         with pytest.raises(ShapeError, match="factor must be finite with 2 rows"):
             SpectralSystem(eigenvalues=[1.0, 2.0], factor=factor)
+
+    @pytest.mark.parametrize(
+        "cast",
+        [
+            lambda f: f.astype(np.float32),
+            lambda f: f.astype(np.float16),
+            lambda f: np.rint(8.0 * f).astype(np.int64),
+            lambda f: (f * np.exp(0.3j)).astype(np.complex64),
+        ],
+        ids=["float32", "float16", "int64", "complex64"],
+    )
+    def test_a_factor_of_any_dtype_computes_in_double(self, cast):
+        # The round-off margins of the admissibility sup assume double
+        # precision, so a narrower factor is widened and every result equals
+        # its double copy's; an integer factor used to fail in a solve buffer.
+        bottom = build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
+        given = cast(bottom.factor)
+        double = given.astype(np.complex128 if np.iscomplexobj(given) else np.float64)
+        narrow, wide = (SpectralSystem(bottom.eigenvalues, factor=f) for f in (given, double))
+        assert narrow.factor.dtype == narrow.gram.dtype == double.dtype
+        grid = admissibility_breakpoints(wide, 0.25)
+        assert estimate_admissibility(narrow, 0.25, grid) == estimate_admissibility(wide, 0.25, grid)
+        np.testing.assert_array_equal(coercivity_scan(narrow, 0.5).min_eig, coercivity_scan(wide, 0.5).min_eig)
+        z = random_state(np.random.default_rng(14), bottom.size)
+        assert observability_integral(z, narrow, 0.7) == observability_integral(z, wide, 0.7)
 
     @pytest.mark.parametrize("error", [-1e-16, math.inf, math.nan])
     def test_rejects_bad_factor_error(self, error):

@@ -41,7 +41,9 @@ the undecided ``sharp-constant-bounds-random-states`` verdict),
 at the width 10, which is not weakly coercive (it records the failed
 ``weakly-coercive-at-width`` verdict), ``assumption-ii-iii`` on a bottom
 patch of width 5e-324 at n_max 50, whose decay constant δ̂ is 0 (it writes
-no ``certificate_widths`` table), and each job of
+no ``certificate_widths`` table), ``weak-observability`` with ``--T 32000``,
+a horizon between the smallest and the largest minimal observation time of
+the default batch, so that only some rows carry a margin, and each job of
 ``perfbench/jobs.py`` at full size, and prints one line per report: the
 digest (``-`` when no report was written), the exit code, the seed and a
 label.  Run it in two checkouts and ``diff`` the outputs to see
@@ -72,6 +74,8 @@ from obskit import cli  # noqa: E402
 from obskit.config import HORIZON_SCENARIOS, SCENARIOS  # noqa: E402
 
 GIVEN_T = "0.7"
+# A horizon that about half of the default weak-observability batch reaches.
+PARTIAL_T = "32000"
 # A custom system with a dense complex Gram, so that the given-Gram config
 # path and the per-state functions on it are byte-checked too.
 CUSTOM_SYSTEM = {
@@ -214,7 +218,8 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     ``noninteger/SCENARIO``,
     ``scale/SCENARIO``, ``bottom-scale/SCENARIO``, ``mid/SCENARIO``,
     ``wide/SCENARIO``, ``walk/coercivity-scan``, ``sides/SCENARIO``, ``narrow/SCENARIO``,
-    ``branch/SCENARIO`` (or ``branch/SCENARIO-SUFFIX``) and ``WORKLOAD/I-SCENARIO``.
+    ``branch/SCENARIO`` (or ``branch/SCENARIO-SUFFIX``), ``branch/weak-observability-partial``
+    and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
     lines += [
@@ -291,6 +296,9 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
         _cli_line([scenario, "--config", json.dumps(config)], seed, outdir, f"branch/{scenario}{suffix}")
         for scenario, config, suffix in BRANCH_RUNS
     ]
+    lines.append(
+        _cli_line(["weak-observability", "--T", PARTIAL_T], seed, outdir, "branch/weak-observability-partial")
+    )
     for workload in WORKLOADS:
         (outdir / workload).mkdir(exist_ok=True)
         _, results = run_pass(cli, workload_jobs(workload, "full"), outdir / workload, seed)
