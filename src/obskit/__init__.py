@@ -28,7 +28,6 @@ from .coercivity import (
 from .config import RunConfig, apply_overrides, default_config, load_config, system_of
 from .decay import DecayFunction, PowerLaw, TransformedWidth
 from .errors import (
-    CoercivityError,
     ConfigError,
     DomainError,
     NumericError,
@@ -89,7 +88,6 @@ __all__ = [
     "CertificatePipeline",
     "ClusterScan",
     "CoercivityCertificate",
-    "CoercivityError",
     "CoercivityViolation",
     "ConfigError",
     "DecayFunction",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import DecayFunction, PowerLaw, TransformedWidth
-from .errors import CoercivityError, DomainError, NumericError
+from .errors import DomainError, NumericError
 from .spectral import (
     SpectralSystem,
     _frequency_rows,
@@ -72,6 +72,19 @@ class ClusterScan:
     @property
     def sizes(self) -> np.ndarray:
         return self.hi - self.lo
+
+    @property
+    def incoercivity(self) -> str | None:
+        """Why the scan is not weakly coercive, naming its first cluster with
+        ``min_eig`` ≤ ``COERCIVITY_FLOOR``; None when it is."""
+        low = np.flatnonzero(self.min_eig <= COERCIVITY_FLOOR)
+        if not low.size:
+            return None
+        center, minimum = float(self.centers[low[0]]), float(self.min_eig[low[0]])
+        return (
+            f"not weakly coercive at width {self.epsilon}: cluster at center "
+            f"{center} has minimal observed energy {minimum:.3e}"
+        )
 
 
 def _cluster_runs(system: SpectralSystem, epsilon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,25 +166,25 @@ def fit_psi_envelope(scan: ClusterScan) -> PowerLaw:
     For each exponent the largest c with c/(1+center)^p ≤ min_eig on every
     cluster is taken; the exponent minimizing the worst-case slack wins, ties
     going to the smaller exponent (so flat data yields a constant-form law).
-    Envelope dominance is re-verified exactly before returning.
+    The scan must be weakly coercive (else ``DomainError`` with its
+    ``incoercivity``).  Envelope dominance is re-verified exactly before
+    returning.
     """
     centers, minima = scan.centers, scan.min_eig
     if not centers.size:
         raise DomainError("cannot fit an envelope to an empty scan")
-    low = np.flatnonzero(minima <= COERCIVITY_FLOOR)
-    if low.size:
-        center, minimum = float(centers[low[0]]), float(minima[low[0]])
-        raise CoercivityError(
-            f"not weakly coercive at width {scan.epsilon}: cluster at center "
-            f"{center} has minimal observed energy {minimum:.3e}",
-            center=center,
-        )
+    failure = scan.incoercivity
+    if failure:
+        raise DomainError(failure)
 
     best_p, best_c, best_slack = None, None, None
     for p in (0, 1, 2):
-        lifted = minima * (1.0 + centers) ** p
-        c_p = float(lifted.min())
-        slack_p = float(lifted.max() / c_p)
+        # A lift past the float range makes the slack inf, or nan when every
+        # lift is inf; neither is ever picked.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lifted = minima * (1.0 + centers) ** p
+            c_p = float(lifted.min())
+            slack_p = float(lifted.max() / c_p)
         if best_slack is None or slack_p < best_slack * (1.0 - 1e-12):
             best_p, best_c, best_slack = p, c_p, slack_p
     envelope = PowerLaw(best_c, float(best_p))
@@ -302,8 +315,13 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
     It reads the system's factor, G = FF* + E with ‖E‖ = ``factor_error``
     (0 for an exact factor).  At each λ the top eigenvalue of the r×r matrix
     P = (D⁻¹F)*(D⁻¹F) (the same nonzero spectrum as the off-cluster block of
-    D⁻¹FF*D⁻¹) is taken, and the Weyl bound ‖E‖/ε² is added once, so the
-    result is an upper bound for the value with the full Gram.
+    D⁻¹FF*D⁻¹) is taken, and the Weyl bound ‖E‖/ε² is added once: it bounds
+    what truncating G to FF* leaves out.  The top eigenvalue is computed in
+    round-to-nearest, not rounded upward, so the result can lie an ulp or
+    so on either side of the exact supremum; it is not an upper bound to
+    the last bit.  A P that overflows is a ``NumericError``: a non-finite
+    entry of P means a non-finite diagonal, so the supremum itself is past
+    the float range.
 
     Only the grid points that can still win are solved.  Two bounds on the
     top eigenvalue of P serve:
@@ -407,10 +425,14 @@ def estimate_admissibility(system: SpectralSystem, epsilon: float, lambda_grid) 
         m = n - (b - a)
         np.subtract(eigenvalues[:a], grid[j], out=dist[:a])
         np.subtract(eigenvalues[b:], grid[j], out=dist[a:m])
-        np.divide(factor[:a], dist[:a, None], out=scaled[:a])
-        np.divide(factor[b:], dist[a:m, None], out=scaled[a:m])
-        off = scaled[:m]
-        return float(np.linalg.eigvalsh(off.conj().T @ off)[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(factor[:a], dist[:a, None], out=scaled[:a])
+            np.divide(factor[b:], dist[a:m, None], out=scaled[a:m])
+            off = scaled[:m]
+            product = off.conj().T @ off
+        if not np.isfinite(product).all():
+            raise NumericError(f"the admissibility sup at λ = {float(grid[j])!r} is past the float range")
+        return float(np.linalg.eigvalsh(product)[-1])
 
     ceiling = _ceiling(trace, rho, gamma, sigma)
     best = 0.0
@@ -570,7 +592,6 @@ def spectral_coercivity_violation_search(
 class CertificatePipeline:
     """Everything produced by the scan → envelope → transform chain."""
 
-    scan_width: float
     scan: ClusterScan
     envelope: PowerLaw
     admissibility_sq: float
@@ -578,24 +599,26 @@ class CertificatePipeline:
     spectral: CoercivityCertificate
 
 
-def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipeline:
-    """Build a spectral certificate from the system's own cluster scan.
+def scan_certificate(system: SpectralSystem, scan: ClusterScan) -> CertificatePipeline:
+    """Build a spectral certificate from a cluster scan of the system.
 
-    Chain: scan at width ε centered on every eigenvalue → envelope fit →
-    shift to arbitrary centers as the weak pair (envelope lowered by the
-    center shift, width ε/2) → admissibility at width ε/2 →
+    Chain: ``scan``, the system's ``coercivity_scan`` at one width ε (one
+    width per center is a ``DomainError``) → envelope fit (the scan must be
+    weakly coercive) → shift to arbitrary centers as the weak pair (envelope
+    lowered by the center shift, width ε/2) → admissibility at width ε/2 →
     weak_to_spectral.  The weak pair is ``spectral.epsilon.psi`` and
     ``spectral.epsilon.base_width``.
 
-    ``admissibility_sq`` is the exact supremum over all real λ:
-    ``estimate_admissibility`` evaluated at the cluster edges
+    ``admissibility_sq`` is the exact supremum over all real λ, up to
+    rounding: ``estimate_admissibility`` evaluated at the cluster edges
     ``admissibility_breakpoints(system, ε/2)``, in low rank plus a Weyl
-    term, hence an upper bound.  The certificate's ψ and ε are
-    non-increasing, so being > 0 at ``system.lambda_max`` (checked, else
-    ``NumericError``) makes them positive at every frequency λ(z) ≤ λ_max
-    of a state of the system.
+    term.  The certificate's ψ and ε are non-increasing, so being > 0 at
+    ``system.lambda_max`` (checked, else ``NumericError``) makes them
+    positive at every frequency λ(z) ≤ λ_max of a state of the system.
     """
-    scan = coercivity_scan(system, epsilon)
+    epsilon = scan.epsilon
+    if np.ndim(epsilon):
+        raise DomainError("a certificate needs a scan at one cluster width, not one width per center")
     envelope = fit_psi_envelope(scan)
     half = epsilon / 2.0
     try:
@@ -610,7 +633,6 @@ def scan_certificate(system: SpectralSystem, epsilon: float) -> CertificatePipel
                 f"the spectral certificate's {name} underflows to 0 at lambda_max = {system.lambda_max!r}"
             )
     return CertificatePipeline(
-        scan_width=epsilon,
         scan=scan,
         envelope=envelope,
         admissibility_sq=m_sq,

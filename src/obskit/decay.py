@@ -50,8 +50,10 @@ class PowerLaw(DecayFunction):
 
     def __call__(self, lam):
         # Scalars take the array loop too: numpy's scalar ``**`` can differ in the last bit.
+        # A power past the float range is inf, and the rate there 0.
         lam = np.asarray(lam, dtype=float)
-        out = self.c / (1.0 + lam.reshape(-1)) ** self.p
+        with np.errstate(over="ignore"):
+            out = self.c / (1.0 + lam.reshape(-1)) ** self.p
         return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
     def scaled(self, factor: float) -> "PowerLaw":

@@ -20,17 +20,6 @@ class NumericError(RuntimeError):
     """A numerical routine failed to converge or lost all precision."""
 
 
-class CoercivityError(RuntimeError):
-    """Weak coercivity failed: some cluster's minimal observed energy is ~0.
-
-    Carries the center of the first failing cluster (when available) in ``center``.
-    """
-
-    def __init__(self, message: str, center: float | None = None):
-        super().__init__(message)
-        self.center = center
-
-
 class ConfigError(ValueError):
     """A run configuration was rejected.
 

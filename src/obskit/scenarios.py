@@ -22,7 +22,7 @@ from .coercivity import (
     scan_certificate,
 )
 from .config import RunConfig, system_of
-from .errors import CoercivityError, DomainError
+from .errors import DomainError
 from .evolution import (
     admissibility_check,
     kernel_psd_margin,
@@ -104,20 +104,30 @@ def _table_rows(*columns) -> list[list]:
     return list(map(list, zip(*(col.tolist() for col in columns))))
 
 
-def _unless_incoercive(bundle: ReportBundle, fit, *args):
-    """``fit(*args)``, or None once the failed ``weakly-coercive-at-width``
-    verdict is recorded, when the scan it fits is not weakly coercive."""
-    try:
-        return fit(*args)
-    except CoercivityError as exc:
-        bundle.verdicts.append(Verdict("weakly-coercive-at-width", False, str(exc)))
-        return None
+def _coercive(bundle: ReportBundle, scan, passed: str | None = None) -> bool:
+    """Whether ``scan`` is weakly coercive.  Its ``weakly-coercive-at-width``
+    verdict is recorded when it fails, and when it passes if ``passed``
+    gives the verdict's detail."""
+    failure = scan.incoercivity
+    if failure or passed:
+        bundle.verdicts.append(Verdict("weakly-coercive-at-width", failure is None, failure or passed))
+    return failure is None
+
+
+def _worst_state(bundle: ReportBundle, name: str, constant: str, quantity: str, ratios: list) -> None:
+    """Record the least of the per-state ``ratios`` (+inf for none) as ``constant``
+    and the verdict ``name`` that it is at least −1e-9; ``quantity`` names the ratio."""
+    worst = min([math.inf, *ratios])
+    bundle.constants[constant] = worst
+    bundle.verdicts.append(
+        Verdict(name, worst >= -1e-9, f"worst {quantity} = {worst!r} over {len(ratios)} states")
+    )
 
 
 def _pipeline_constants(bundle: ReportBundle, pipeline) -> None:
     bundle.constants.update(
         {
-            "scan_width": pipeline.scan_width,
+            "scan_width": pipeline.scan.epsilon,
             "envelope_c": pipeline.envelope.c,
             "envelope_p": pipeline.envelope.p,
             "admissibility_sq": pipeline.admissibility_sq,
@@ -201,18 +211,11 @@ def run_coercivity_scan(cfg: RunConfig) -> ReportBundle:
     min_eig = float(scan.min_eig.min())
     bundle.constants["min_cluster_eigenvalue"] = min_eig
     bundle.constants["delta_hat"] = float(products.min())
-    envelope = _unless_incoercive(bundle, fit_psi_envelope, scan)
-    if envelope is None:
+    if not _coercive(bundle, scan, f"{scan.centers.size} clusters, min eigenvalue {min_eig!r}"):
         return bundle
+    envelope = fit_psi_envelope(scan)
     bundle.constants["envelope_c"] = envelope.c
     bundle.constants["envelope_p"] = envelope.p
-    bundle.verdicts.append(
-        Verdict(
-            "weakly-coercive-at-width",
-            True,
-            f"{scan.centers.size} clusters, min eigenvalue {min_eig!r}",
-        )
-    )
     # fit_psi_envelope raises NumericError unless its envelope dominates the scan.
     bundle.verdicts.append(
         Verdict("envelope-dominates-scan", True, f"envelope c={envelope.c!r}, p={envelope.p!r}")
@@ -224,16 +227,16 @@ def run_resolvent_scan(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    pipeline = _unless_incoercive(bundle, scan_certificate, system, cfg.epsilon_cluster)
-    if pipeline is None:
+    scan = coercivity_scan(system, cfg.epsilon_cluster)
+    if not _coercive(bundle, scan):
         return bundle
+    pipeline = scan_certificate(system, scan)
     _pipeline_constants(bundle, pipeline)
-    rows = []
-    worst = math.inf
+    rows, ratios = [], []
     for start, z in _state_blocks(cfg, system.size):
         rep = resolvent_check(system, z, pipeline.spectral)
         rel = rep.inf_margin / rep.norm_sq
-        worst = min([worst, *rel.tolist()])
+        ratios += rel.tolist()
         columns = (rep.lambda_z, rep.inf_margin, rel, rep.residual_over_epsilon, rep.verdict)
         rows += _table_rows(np.arange(start, start + len(z)), *columns)
     bundle.tables.append(
@@ -250,14 +253,7 @@ def run_resolvent_scan(cfg: RunConfig) -> ReportBundle:
             rows=rows,
         )
     )
-    bundle.constants["worst_relative_margin"] = worst
-    bundle.verdicts.append(
-        Verdict(
-            "resolvent-inequality-holds",
-            worst >= -1e-9,
-            f"worst inf_margin/norm_sq = {worst!r} over {cfg.trials} states",
-        )
-    )
+    _worst_state(bundle, "resolvent-inequality-holds", "worst_relative_margin", "inf_margin/norm_sq", ratios)
     return bundle
 
 
@@ -265,19 +261,17 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    pipeline = _unless_incoercive(bundle, scan_certificate, system, cfg.epsilon_cluster)
-    if pipeline is None:
+    scan = coercivity_scan(system, cfg.epsilon_cluster)
+    if not _coercive(bundle, scan):
         return bundle
+    pipeline = scan_certificate(system, scan)
     _pipeline_constants(bundle, pipeline)
-    rows = []
-    worst, applicable = math.inf, 0
+    rows, ratios = [], []
     for start, z in _state_blocks(cfg, system.size):
         t_min = solve_observation_time(frequency(z, system), pipeline.spectral.epsilon)
         horizon = cfg.T if cfg.T is not None else 2.0 * t_min
         rep = weak_observability_check(z, system, horizon, pipeline.spectral.psi, t_min)
-        applicable += int(rep.applicable.sum())
-        scaled = rep.margin[rep.applicable] / (1.0 + rep.integral[rep.applicable])
-        worst = min([worst, *scaled.tolist()])
+        ratios += (rep.margin[rep.applicable] / (1.0 + rep.integral[rep.applicable])).tolist()
         columns = (rep.lambda_z0, rep.t_min, rep.T, rep.lhs, rep.integral, rep.margin, rep.applicable)
         rows += _table_rows(np.arange(start, start + len(z)), *columns)
     bundle.tables.append(
@@ -287,20 +281,13 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
             rows=rows,
         )
     )
-    if math.isinf(worst):
+    if not ratios:
         bundle.verdicts.append(
             Verdict("weak-observability-margins", False, "no applicable horizon in the batch")
         )
         return bundle
-    bundle.constants["worst_scaled_margin"] = worst
-    bundle.verdicts.append(
-        Verdict(
-            "weak-observability-margins",
-            worst >= -1e-9,
-            f"worst margin/(1+integral) = {worst!r} over {applicable} states",
-        )
-    )
-    if applicable < cfg.trials:
+    _worst_state(bundle, "weak-observability-margins", "worst_scaled_margin", "margin/(1+integral)", ratios)
+    if len(ratios) < cfg.trials:
         bundle.notes.append(
             "some horizons fall below the minimal observation time; those rows carry "
             "no margin claim"
@@ -334,9 +321,9 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
     )
     if cfg.epsilon_cluster != CIRCLE_WIDTH:  # else the circle scan is this scan
         scan = coercivity_scan(system, cfg.epsilon_cluster)
-    envelope = _unless_incoercive(bundle, fit_psi_envelope, scan)
-    if envelope is None:
+    if not _coercive(bundle, scan):
         return bundle
+    envelope = fit_psi_envelope(scan)
     bundle.constants["envelope_c"] = envelope.c
     bundle.constants["envelope_p"] = envelope.p
     bundle.verdicts.append(
@@ -433,17 +420,12 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
             )
         )
         return bundle
-    worst = math.inf
+    ratios = []
     for _, z in _state_blocks(cfg, system.size):
         check = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
-        worst = min([worst, *(check.margin / (sharp * check.norm_sq)).tolist()])
-    bundle.constants["worst_admissibility_margin"] = worst
-    bundle.verdicts.append(
-        Verdict(
-            "sharp-constant-bounds-random-states",
-            worst >= -1e-9,
-            f"worst margin/(C_T*norm_sq) = {worst!r} over {cfg.trials} states",
-        )
+        ratios += (check.margin / (sharp * check.norm_sq)).tolist()
+    _worst_state(
+        bundle, "sharp-constant-bounds-random-states", "worst_admissibility_margin", "margin/(C_T*norm_sq)", ratios
     )
     return bundle
 

@@ -23,6 +23,7 @@ from obskit import DomainError, NumericError, SpectralSystem
 from obskit.coercivity import (
     ClusterScan,
     admissibility_breakpoints,
+    coercivity_scan,
     estimate_admissibility,
     resolvent_check,
     scan_certificate,
@@ -383,7 +384,7 @@ def run_resolvent_scan_by_row(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    pipeline = scan_certificate(system, cfg.epsilon_cluster)
+    pipeline = scan_certificate(system, coercivity_scan(system, cfg.epsilon_cluster))
     _pipeline_constants(bundle, pipeline)
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -424,7 +425,7 @@ def run_weak_observability_by_row(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    pipeline = scan_certificate(system, cfg.epsilon_cluster)
+    pipeline = scan_certificate(system, coercivity_scan(system, cfg.epsilon_cluster))
     _pipeline_constants(bundle, pipeline)
     rng = np.random.default_rng(cfg.seed)
     lam0 = [frequency(random_state(rng, system.size), system) for _ in range(cfg.trials)]

@@ -74,7 +74,7 @@ def bottom50():
 
 @pytest.fixture(scope="module")
 def pipeline50(bottom50):
-    return scan_certificate(bottom50, 0.5)
+    return scan_certificate(bottom50, coercivity_scan(bottom50, 0.5))
 
 
 def test_01_cutoff_sandwich_two_sided():

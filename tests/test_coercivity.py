@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from obskit import (
     CoercivityCertificate,
-    CoercivityError,
     DomainError,
     NumericError,
     PowerLaw,
@@ -300,9 +299,23 @@ class TestScanAndEnvelope:
         sys_ = SpectralSystem(eigenvalues=np.arange(1.0, n + 1), gram=np.diag(diagonal).astype(complex))
         scan = coercivity_scan(sys_, 0.5)
         message = "not weakly coercive at width 0.5: cluster at center 2.0 has minimal observed energy 0.000e+00"
-        with pytest.raises(CoercivityError, match=f"^{re.escape(message)}$") as info:
+        assert scan.incoercivity == message
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             fit_psi_envelope(scan)
-        assert type(info.value.center) is float and info.value.center == 2.0
+
+    def test_coercive_scan_names_no_cluster(self, square50):
+        assert coercivity_scan(square50, 0.5).incoercivity is None
+        assert make_scan([1.0, 2.0], [2e-14, 1.0]).incoercivity is None
+        assert make_scan([1.0, 2.0], [1.0, 1e-14]).incoercivity == (
+            "not weakly coercive at width 0.5: cluster at center 2.0 has minimal observed energy 1.000e-14"
+        )
+
+    @pytest.mark.parametrize("eigenvalues", [[1.0, 1e200], [1e200, 2e200]])
+    def test_huge_centers_fit_without_overflow(self, eigenvalues):
+        # (1 + λ)² overflows at λ = 1e200: that exponent's slack is inf, or nan
+        # when every lift is inf, and the constant form wins.
+        sys_ = SpectralSystem(eigenvalues=eigenvalues, gram=np.eye(2))
+        assert fit_psi_envelope(coercivity_scan(sys_, 0.5)) == PowerLaw(1.0, 0.0)
 
     def test_empty_scan_rejected(self):
         with pytest.raises(DomainError):
@@ -391,6 +404,12 @@ class TestAdmissibilityEstimate:
         grid = np.arange(2.0, 50.0) + 0.5
         got = estimate_admissibility(square50, 0.5, grid)
         assert got <= 8.0 / math.pi + 1e-12
+
+    def test_product_past_the_float_range_is_a_numeric_error(self):
+        # ‖f_k‖² = 1e300 over distances of about 1e-8: P's entries overflow.
+        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.0], gram=np.diag([1e300] * 3))
+        with pytest.raises(NumericError, match=r"^the admissibility sup at λ = 0\.99999999 is past the float range$"):
+            estimate_admissibility(sys_, 1e-8, admissibility_breakpoints(sys_, 1e-8))
 
     def test_covering_cluster_rejected(self):
         sys_ = SpectralSystem(eigenvalues=[1.0, 1.2], gram=np.eye(2))
@@ -598,7 +617,7 @@ class TestResolventCheck:
         assert rep.inf_margin == pytest.approx(rep.norm_sq, rel=1e-12)
 
     def test_pipeline_certificate_margins(self, square50):
-        pipeline = scan_certificate(square50, 0.5)
+        pipeline = scan_certificate(square50, coercivity_scan(square50, 0.5))
         rng = np.random.default_rng(54)
         for _ in range(20):
             z = rng.standard_normal(square50.size) + 1j * rng.standard_normal(square50.size)
@@ -609,7 +628,7 @@ class TestResolventCheck:
     def test_every_eigenvector_of_default_system_passes(self):
         cfg = default_config("resolvent-scan")
         sys_ = system_of(cfg)
-        cert = scan_certificate(sys_, cfg.epsilon_cluster).spectral
+        cert = scan_certificate(sys_, coercivity_scan(sys_, cfg.epsilon_cluster)).spectral
         states = list(np.eye(sys_.size))
         for lam in sys_.distinct_eigenvalues():  # the least observed one of each eigenspace
             states.append(cluster_min_coercivity(sys_, np.flatnonzero(sys_.eigenvalues == lam))[1])
@@ -623,7 +642,7 @@ class TestResolventCheck:
         # |λ| → ∞, where the bound tends to ‖Cz‖²/ψ ≈ 0, so the margin is ≈ 0.
         cfg = default_config("resolvent-scan")
         sys_ = system_of(cfg)
-        cert = scan_certificate(sys_, cfg.epsilon_cluster).spectral
+        cert = scan_certificate(sys_, coercivity_scan(sys_, cfg.epsilon_cluster)).spectral
         w, v = np.linalg.eigh(sys_.gram)
         kernel = v[:, w <= 1e-13 * w[-1]].T
         assert len(kernel) == 26
@@ -633,7 +652,7 @@ class TestResolventCheck:
             assert abs(rep.inf_margin) <= 1e-9 * rep.norm_sq
 
     def test_closed_form_matches_dense_oracle_on_pipeline_states(self, square50):
-        cert = scan_certificate(square50, 0.5).spectral
+        cert = scan_certificate(square50, coercivity_scan(square50, 0.5)).spectral
         rng = np.random.default_rng(55)
         v = np.linalg.eigh(square50.gram)[1]
         states = [v[:, 0], v[:, -1]]
@@ -669,7 +688,7 @@ class TestResolventCheck:
 
     def test_huge_state_matches_its_scaled_copy(self):
         sys_ = build_square_system(20, GammaSpec.full_sides(Side.BOTTOM))
-        cert = scan_certificate(sys_, 0.5).spectral
+        cert = scan_certificate(sys_, coercivity_scan(sys_, 0.5)).spectral
         z = np.zeros(sys_.size, dtype=complex)
         z[0], z[1] = 1e200, 1e199
         with warnings.catch_warnings():
@@ -682,7 +701,7 @@ class TestResolventCheck:
         assert huge.norm_sq == math.inf and not math.isnan(huge.inf_margin)
 
     def test_numerically_zero_state_rejected(self, square50):
-        pipeline = scan_certificate(square50, 0.5)
+        pipeline = scan_certificate(square50, coercivity_scan(square50, 0.5))
         with pytest.raises(DomainError):
             resolvent_check(square50, np.full(square50.size, 1e-301), pipeline.spectral)
 
@@ -695,7 +714,7 @@ class TestResolventCheck:
 
         for module in (spectral, coercivity, evolution, window):
             monkeypatch.setattr(module, "coefficients_of", counting)
-        cert = scan_certificate(square50, 0.5).spectral
+        cert = scan_certificate(square50, coercivity_scan(square50, 0.5)).spectral
         rows = np.random.default_rng(3).standard_normal((4, square50.size))
         for z in (rows[0], rows):
             calls.clear()
@@ -710,12 +729,12 @@ class TestViolationSearch:
         assert spectral_coercivity_violation_search(sys_, cert, 500, seed=1) is None
 
     def test_valid_pipeline_certificate_survives(self, square50):
-        pipeline = scan_certificate(square50, 0.5)
+        pipeline = scan_certificate(square50, coercivity_scan(square50, 0.5))
         found = spectral_coercivity_violation_search(square50, pipeline.spectral, 300, seed=2)
         assert found is None
 
     def test_inflated_strength_is_caught_deterministically(self, square50):
-        pipeline = scan_certificate(square50, 0.5)
+        pipeline = scan_certificate(square50, coercivity_scan(square50, 0.5))
         inflated = CoercivityCertificate(
             epsilon=pipeline.spectral.epsilon,
             psi=pipeline.spectral.psi.scaled(10.0),
@@ -728,7 +747,7 @@ class TestViolationSearch:
         assert found.residual < found.epsilon_at
 
     def test_deterministic_given_seed(self, square50):
-        pipeline = scan_certificate(square50, 0.5)
+        pipeline = scan_certificate(square50, coercivity_scan(square50, 0.5))
         inflated = CoercivityCertificate(
             epsilon=pipeline.spectral.epsilon,
             psi=pipeline.spectral.psi.scaled(10.0),
@@ -749,8 +768,8 @@ class TestViolationSearch:
 
 class TestPipeline:
     def test_chain_consistency(self, square50):
-        pipeline = scan_certificate(square50, 0.5)
-        assert pipeline.scan_width == 0.5
+        pipeline = scan_certificate(square50, coercivity_scan(square50, 0.5))
+        assert pipeline.scan.epsilon == 0.5
         assert pipeline.admissibility_sq == estimate_admissibility(
             square50, 0.25, admissibility_breakpoints(square50, 0.25)
         )
@@ -784,12 +803,23 @@ class TestPipeline:
         if admissibility_sq is not None:
             monkeypatch.setattr(coercivity, "estimate_admissibility", lambda *args: admissibility_sq)
         with pytest.raises(NumericError, match=f"^the spectral certificate's {name} underflows to 0 at lambda_max = 50.0$"):
-            scan_certificate(square50, 0.5)
+            scan_certificate(square50, coercivity_scan(square50, 0.5))
+
+    def test_scan_with_one_width_per_center_rejected(self, square50):
+        scan = coercivity_scan(square50, np.full(square50.distinct_eigenvalues().size, 0.5))
+        with pytest.raises(DomainError, match="^a certificate needs a scan at one cluster width"):
+            scan_certificate(square50, scan)
+
+    def test_scan_that_is_not_weakly_coercive_rejected(self):
+        sys_ = SpectralSystem(eigenvalues=[1.0, 1.2, 3.0], gram=[[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        message = "not weakly coercive at width 0.5: cluster at center 1.0 has minimal observed energy 0.000e+00"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            scan_certificate(sys_, coercivity_scan(sys_, 0.5))
 
     def test_sampling_half_width_eligibility(self, square50):
         # states drawn inside the search's own half-width satisfy the
         # residual constraint of the certificate they are tested against
-        pipeline = scan_certificate(square50, 0.5)
+        pipeline = scan_certificate(square50, coercivity_scan(square50, 0.5))
         eps = pipeline.spectral.epsilon
         for center in [2.0, 25.0, 50.0]:
             beta = math.sqrt(float(eps(center)) / 2.0) * BETA_SAFETY

@@ -739,6 +739,29 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "scenario, at",
+        [("admissibility", "0.99999999"), ("resolvent-scan", "0.999999995"), ("weak-observability", "0.999999995")],
+    )
+    def test_admissibility_past_the_float_range_exits_four(self, scenario, at, tmp_path, capsys):
+        # ‖f_k‖² = 1e300 over distances of about 1e-8: the r×r product overflows before its eigensolve.
+        system = {"type": "custom", "eigenvalues": [1, 2, 3], "gram": [[1e300, 0, 0], [0, 1e300, 0], [0, 0, 1e300]]}
+        out = tmp_path / "x.json"
+        config = json.dumps({"system": system, "epsilon_cluster": 1e-8})
+        assert main([scenario, "--config", config, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"obskit: numeric failure: the admissibility sup at λ = {at} is past the float range\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eigenvalues", [[1, 1e200], [1e200, 2e200]])
+    def test_huge_eigenvalues_scan_without_warning(self, eigenvalues, tmp_path, capsys):
+        system = {"type": "custom", "eigenvalues": eigenvalues, "gram": [[1, 0], [0, 1]]}
+        out = tmp_path / "x.json"
+        assert main(["coercivity-scan", "--config", json.dumps({"system": system}), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text(encoding="utf-8"))["constants"]["envelope_p"] == 0.0
+
+    @pytest.mark.parametrize(
         "scenario", ["admissibility", "resolvent-scan", "weak-observability", "assumption-ii-iii"]
     )
     def test_tiny_width_exits_three(self, scenario, tmp_path, capsys):

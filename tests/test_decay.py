@@ -28,6 +28,13 @@ class TestFamilies:
         g = PowerLaw(1.0, 2.0)
         assert g(9.0) == pytest.approx(0.01)
 
+    def test_power_past_the_float_range_reads_zero(self):
+        # (1 + 1e200)² overflows: the rate there is 0, with no warning.
+        assert PowerLaw(1.0, 2.0)(1e200) == 0.0
+        assert PowerLaw(1.0, 2.0)(np.array([1.0, 1e200])).tolist() == [0.25, 0.0]
+        width = TransformedWidth(psi=PowerLaw(1.0, 2.0), admissibility=1.0, base_width=1.0)
+        assert width(1e200) == 0.0
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             PowerLaw(-1.0, 0.0)

@@ -13,6 +13,7 @@ from obskit import (
     ShapeError,
     SpectralSystem,
     admissibility_check,
+    coercivity_scan,
     frequency,
     kernel_psd_margin,
     observability_integral,
@@ -353,7 +354,7 @@ class TestKernelAndAdmissibility:
 @pytest.fixture(scope="module")
 def pipeline_system():
     sys_ = build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
-    return sys_, scan_certificate(sys_, 0.5)
+    return sys_, scan_certificate(sys_, coercivity_scan(sys_, 0.5))
 
 
 class TestWeakObservability:

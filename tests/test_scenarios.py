@@ -3,8 +3,9 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
-from obskit import evolution, scenarios, spectral, square
+from obskit import coercivity, evolution, scenarios, spectral, square
 from obskit.cli import main
 from obskit.config import default_config
 
@@ -94,3 +95,12 @@ def test_assumption_i_scans_once_at_the_circle_width(monkeypatch):
         widths.clear()
         scenarios.run_scenario(dataclasses.replace(default_config("assumption-i"), epsilon_cluster=width))
         assert widths == scanned
+
+
+@pytest.mark.parametrize("scenario", ["coercivity-scan", "resolvent-scan", "weak-observability"])
+def test_each_certificate_scenario_scans_once(monkeypatch, tmp_path, capsys, scenario):
+    # scan_certificate takes the scenario's own scan, so nothing in coercivity scans again.
+    rescans = []
+    monkeypatch.setattr(coercivity, "coercivity_scan", lambda *args: rescans.append(args))
+    calls = run_recording(monkeypatch, tmp_path, capsys, scenario, scenarios, "coercivity_scan")
+    assert len(calls) == 1 and rescans == []

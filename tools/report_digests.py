@@ -41,7 +41,10 @@ the undecided ``sharp-constant-bounds-random-states`` verdict),
 at the width 10, which is not weakly coercive (it records the failed
 ``weakly-coercive-at-width`` verdict), ``assumption-ii-iii`` on a bottom
 patch of width 5e-324 at n_max 50, whose decay constant δ̂ is 0 (it writes
-no ``certificate_widths`` table), ``weak-observability`` with ``--T 32000``,
+no ``certificate_widths`` table), ``coercivity-scan`` on the 2-mode
+spectrum [1, 1e200], where the envelope fit's (1 + λ)² overflows,
+``admissibility`` on a 3-mode custom system with the Gram 1e300·I at width
+1e-8, whose sup overflows (exit 4, no report), ``weak-observability`` with ``--T 32000``,
 a horizon between the smallest and the largest minimal observation time of
 the default batch, so that only some rows carry a margin, and each job of
 ``perfbench/jobs.py`` at full size, and prints one line per report: the
@@ -166,11 +169,18 @@ NARROW_SCENARIOS = ("assumption-ii-iii", "coercivity-scan")
 # constant is 0, assumption-i at a width past the unit gap, which scans
 # a second time, and at a width that is not weakly coercive, and
 # assumption-ii-iii on a patch so short that (β − α)/2 rounds to 0, so the
-# Gram and δ̂ are 0.  Each run is labelled by its scenario and suffix.
+# Gram and δ̂ are 0, a scan whose envelope fit lifts a center past the float
+# range, and admissibility whose r×r product overflows.  Each run is
+# labelled by its scenario and suffix.
 NULL_STATE_CONFIG = {
     "system": {"type": "custom", "eigenvalues": [1, 1.2, 3], "gram": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}
 }
 ZERO_GRAM_CONFIG = {"system": {"type": "custom", "eigenvalues": [1, 2, 4], "gram": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}
+HUGE_CONFIG = {"system": {"type": "custom", "eigenvalues": [1, 1e200], "gram": [[1, 0], [0, 1]]}}
+OVERFLOW_CONFIG = {
+    "system": {"type": "custom", "eigenvalues": [1, 2, 3], "gram": [[1e300, 0, 0], [0, 1e300, 0], [0, 0, 1e300]]},
+    "epsilon_cluster": 1e-8,
+}
 ZERO_DECAY_CONFIG = {
     "system": {"type": "square", "n_max_eigenvalue": 50, "gamma": [{"side": "bottom", "alpha": 0, "beta": 5e-324}]}
 }
@@ -182,6 +192,8 @@ BRANCH_RUNS = (
     ("assumption-i", {"epsilon_cluster": 1.3}, ""),
     ("assumption-i", {"epsilon_cluster": 10}, "-incoercive"),
     ("assumption-ii-iii", ZERO_DECAY_CONFIG, "-zero-decay"),
+    ("coercivity-scan", HUGE_CONFIG, "-huge"),
+    ("admissibility", OVERFLOW_CONFIG, "-overflow"),
 )
 
 
