@@ -82,9 +82,10 @@ DEFAULT_OUTPUT = "obskit-report.json"
 # 8192 modes, that is n_max_eigenvalue ≤ 10 564.  The cap is still applied
 # to every scenario.  Measured peaks are higher (tracemalloc over one run and
 # its report, full bottom side, 20 trials, one process per run; bytes per
-# mode pair at n_max 500 and 2000): weak-observability 56.5 and 41.4,
+# mode pair at n_max 500 and 2000): weak-observability 48.6 and 34.3 (its
+# rows take the closed form, two n×n matrices and no per-row kernel),
 # admissibility 33.3 and 24.7, resolvent-scan 32.0 and 17.3.  So at the cap
-# weak-observability needs about 2.8 GB.
+# weak-observability needs about 2.3 GB.
 MAX_GRAM_BYTES = 2**30
 # Cap on the trials of one run.  A run's peak memory grows with its trials
 # by about 1.2 kB each for weak-observability, 0.9 kB for resolvent-scan and

@@ -16,6 +16,22 @@ symmetric S_T = T·sin(h)/h and the diagonal unitary D = diag(e^{i(λ_k−λ_1)T
 real whenever G is, and puts D on the states: the energy is the form of G∘S_T
 at the phased coefficients z_k·e^{i(λ_k−λ_1)T/2}, and G∘S_T has the
 eigenvalues of G∘K(T).
+
+A state with its own horizon needs no kernel.  Off the ties, K_jk(T) is the
+divided difference (e^{i(λ_j−λ_k)T} − 1)/(i(λ_j−λ_k)), so
+
+    E(T) = T·Σ B_jk z_j z̄_k + Im Σ W_jk v_j v̄_k − Im Σ W_jk z_j z̄_k,
+
+with B = G on the pairs λ_j = λ_k (0 elsewhere), W_jk = G_jk/(λ_j − λ_k) on
+the others (0 on the ties) and v_k = z_k·e^{i(λ_k−λ_1)T}, the phasing D².
+W is anti-Hermitian, so both W sums are imaginary; for a real G each is the
+cross form −2aᵀWb of the parts a, b of z or v.  B and W are two fixed n×n
+matrices per call, and each row then costs n phases and its forms.  The W
+sums reach |G|/δ, δ the least nonzero gap |λ_j − λ_k|, and cancel down to
+T·|G| (the divided difference tends to T as T·δ → 0), so the form is used
+only where T·δ ≥ 1, where it is at round-off (``_energy`` states the
+bound); below that its error grows as 1/(T·δ), and those rows take the
+kernel.
 """
 
 from __future__ import annotations
@@ -62,8 +78,9 @@ def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
 def _phased(c: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The (k, n) rows of c times D_t = diag(e^{i(λ_k−λ_1)t/2}), ``t`` one horizon or one per row.
 
-    Each angle is at most ½·t·(λ_max − λ_min), which ``_horizons`` keeps
-    finite.  The parts are formed with real ufuncs, re = cr·cos − ci·sin and
+    Each angle is at most ½·t·(λ_max − λ_min): ``_horizons`` keeps that
+    finite for a kernel's horizon T, and ``_closes`` for the closed form's
+    2T.  The parts are formed with real ufuncs, re = cr·cos − ci·sin and
     im = cr·sin + ci·cos, one rounding per operation and element, so a
     block's rows are bit for bit each row's own phasing.  A complex multiply
     promises no such thing: numpy may run it through other loops for a
@@ -87,44 +104,125 @@ def _norms_sq(c: np.ndarray) -> np.ndarray:
     return np.matmul(c.conj()[:, None, :], c[:, :, None])[:, 0, 0].real
 
 
+def _closes(system: SpectralSystem, t: np.ndarray) -> np.ndarray:
+    """Whether the closed form serves each horizon in ``t``: t·δ ≥ 1, δ the
+    least nonzero gap (none: every t), and the phase t·(λ_max − λ_min) of
+    its v finite.  The gaps of the sorted spectrum next to each other hold δ,
+    since rounded subtraction is monotone."""
+    lam = system.eigenvalues
+    gaps = np.diff(lam)
+    least = gaps[gaps > 0.0].min(initial=np.inf)
+    with np.errstate(over="ignore"):
+        return (t * least >= 1.0) & np.isfinite(t * (lam[-1] - lam[0]))
+
+
+def _divided_differences(system: SpectralSystem) -> tuple[np.ndarray, np.ndarray]:
+    """B and W of the closed form (module docstring), each (n, n) of the Gram's dtype.
+
+    W_jk = G_jk/fl(λ_j − λ_k) is exactly anti-Hermitian, since
+    fl(λ_k − λ_j) = −fl(λ_j − λ_k).  An entry past the float range is
+    inf, and every row it reaches falls back to the kernel (``_energy``).
+    """
+    lam, gram = system.eigenvalues, system.gram
+    gaps = np.subtract.outer(lam, lam)
+    ties = gaps == 0.0
+    with np.errstate(over="ignore"):
+        w = np.divide(gram, gaps, out=np.zeros_like(gram), where=~ties)
+    return np.where(ties, gram, 0.0), w
+
+
+def _closed_energy(c: np.ndarray, lam: np.ndarray, t: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """E(t) per row of the (k, n) block c from the closed form, B = ``b`` and W = ``w``.
+
+    The rows x of one state, its z and its v = ``_phased`` at 2t, take two
+    stacked products per matrix, Y = x·M and P = Y·xᴴ, one ``gemm`` each and
+    per state, so a block gives each row's own bits.  For a real G, x is the
+    four rows of parts [a_z; b_z; a_v; b_v] and Im Σ W_jk x_j x̄_k = P_ba − P_ab;
+    for a complex G, x is [z; v] and the sums are P's diagonal.
+    """
+    phased = _phased(c, lam, 2.0 * t)
+    if np.iscomplexobj(w):
+        x = np.stack((c, phased), axis=1)
+        xh = x.conj().transpose(0, 2, 1)
+        pw = np.matmul(np.matmul(x, w), xh)
+        pb = np.matmul(np.matmul(x[:, :1], b), xh[:, :, :1])
+        return t * pb[:, 0, 0].real + pw[:, 1, 1].imag - pw[:, 0, 0].imag
+    x = np.empty((len(c), 4, c.shape[1]))
+    x[:, 0], x[:, 1], x[:, 2], x[:, 3] = c.real, c.imag, phased.real, phased.imag
+    xt = x.transpose(0, 2, 1)
+    pw = np.matmul(np.matmul(x, w), xt)
+    pb = np.matmul(np.matmul(x[:, :2], b), xt[:, :, :2])
+    return t * (pb[:, 0, 0] + pb[:, 1, 1]) + (pw[:, 3, 2] - pw[:, 2, 3]) - (pw[:, 1, 0] - pw[:, 0, 1])
+
+
 def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per row of the (k, n) block c: the observed energy over [0, t] and ‖c‖².
 
     ``t`` comes from ``_horizons`` for the rows of c: one horizon or one per
     row.  A given ``kernel`` is ``observability_kernel`` at ``t``, and a
-    kernel of another shape raises ``ShapeError``; without one, one horizon
-    shares one (n, n) kernel built here.  Either way the energy is the
-    ``_row_forms`` of the kernel at the ``_phased`` rows.  Per-row horizons
-    with no kernel phase the rows, and take their ‖c‖², in runs of
-    ``_rows_within`` rows of 16n bytes (496 rows at 33 modes, 89 at 183);
-    each run builds its (k, n, n) stack of kernels in chunks of
-    ``_rows_within`` rows, at most ``spectral.BLOCK_BYTES`` (or one row), so
-    the memory held does not grow with k; a row's kernel takes the Gram's
-    itemsize per entry.  ``_phased`` gives each row of a run its own phasing
-    bit for bit, and each row's form reads only its own kernel, so the runs
-    and chunks give the same bits as the whole stack.  A real kernel's forms
-    are exactly real; a complex one's are checked real to 1e-10 of their
-    scale, else ``NumericError`` names the first bad row.
+    kernel of another shape raises ``ShapeError``; the energy is then the
+    ``_row_forms`` of the kernel at the ``_phased`` rows.  Without one, each
+    row whose horizon ``_closes`` takes the closed form of the module
+    docstring (``_closed_energy``), and every other row, or one whose closed
+    form is not finite (a part past the float range), takes the kernel: one
+    (n, n) kernel built here for one horizon, else a (k, n, n) stack built
+    in chunks of ``_rows_within`` rows, at most ``spectral.BLOCK_BYTES`` (or
+    one row), so the memory held does not grow with k; a row's kernel takes
+    the Gram's itemsize per entry.  Per-row horizons with no kernel go in
+    runs of ``_rows_within`` rows of 32n bytes, the four real rows of the
+    closed form (248 rows at 33 modes, 44 at 183), each run with its ‖c‖²,
+    phasing and forms.  Each row's value reads only its own data, so the
+    runs and chunks give the same bits as the whole block.
+
+    Error of the closed form.  With u = 2⁻⁵³, S = t·Σ|G_jk||z_j||z_k| and the
+    span L = λ_max − λ_min, a row with t·δ ≥ 1 is within
+    8u·(n + 16 + L/δ)·S (the last term 0 without a gap) of the kernel's
+    value for the same row.  The forms round by about 2(n + 1)u·S in each
+    evaluation, since every |W_jk| ≤ t·|G_jk|; both evaluations phase by
+    the same rounded angles t·fl(λ_k − λ_1), which put each off-tie pair
+    up to 5u·t·L from t·fl(λ_j − λ_k), and the two formulas, the kernel's
+    sine and the closed form's difference quotient, turn that into at most
+    5u·t·L·|G_jk||z_j||z_k|/|λ_j − λ_k|.
+
+    A real kernel's forms are exactly real; a complex one's are checked
+    real to 1e-10 of their scale, else ``NumericError`` names the first bad
+    row.  The closed form's energies are real by construction.
     """
     lam = system.eigenvalues
-    if kernel is not None or t.ndim == 0:
-        kernel = observability_kernel(system, t) if kernel is None else kernel
+    closes = _closes(system, t) if kernel is None else None
+    if kernel is None and t.ndim == 0 and not closes:
+        kernel = observability_kernel(system, t)
+    if kernel is not None:
         if kernel.shape[:-2] != t.shape:
             raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
         norm_sq = _norms_sq(c)
         forms = _row_forms(_phased(c, lam, t), kernel)
     else:
-        gaps, where = system.phase_gaps, _gap_index(system)
-        run = _rows_within(16 * system.size)
+        t, closes = np.broadcast_to(t, len(c)), np.broadcast_to(closes, len(c))
+        divided = _divided_differences(system) if closes.any() else None
+        gaps = where = None
+        run = _rows_within(32 * system.size)
         step = _rows_within(system.gram.itemsize * system.size * system.size)
         forms, norm_sq = np.empty(len(c), dtype=system.gram.dtype), np.empty(len(c))
         for start in range(0, len(c), run):
-            stop = min(start + run, len(c))
-            phased, norm_sq[start:stop] = _phased(c[start:stop], lam, t[start:stop]), _norms_sq(c[start:stop])
-            for first in range(start, stop, step):
-                rows = slice(first, min(first + step, stop))
+            part = slice(start, min(start + run, len(c)))
+            norm_sq[part] = _norms_sq(c[part])
+            done = closes[part].copy()
+            if done.any():
+                rows = start + np.flatnonzero(done)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    forms[rows] = _closed_energy(c[rows], lam, t[rows], *divided)
+                done[done] = np.isfinite(forms[rows])
+            kept = start + np.flatnonzero(~done)
+            if not len(kept):
+                continue
+            if gaps is None:
+                gaps, where = system.phase_gaps, _gap_index(system)
+            phased = _phased(c[kept], lam, t[kept])
+            for first in range(0, len(kept), step):
+                rows = kept[first : first + step]
                 kernel = system.gram * _gap_kernel(gaps, where, t[rows])
-                forms[rows] = _row_forms(phased[rows.start - start : rows.stop - start], kernel)
+                forms[rows] = _row_forms(phased[first : first + step], kernel)
     if np.iscomplexobj(forms):
         scale = np.maximum(np.abs(forms.real), t * norm_sq)
         bad = np.abs(forms.imag) > 1.0e-10 * scale
@@ -140,8 +238,9 @@ def observability_integral(z0, system: SpectralSystem, T):
     """Closed-form ∫₀ᵀ‖Cz(t)‖²dt; real and non-negative up to round-off.
 
     For a (k, n) block, one integral per row, with ``T`` one horizon or one
-    per row; per-row horizons take their kernels in chunks of at most
-    ``spectral.BLOCK_BYTES``.  Evaluated in the power-of-two frame of each
+    per row; a row with T·δ ≥ 1 takes the closed form, any other its kernel,
+    per-row kernels in chunks of at most ``spectral.BLOCK_BYTES``
+    (``_energy``).  Evaluated in the power-of-two frame of each
     row, so a finite state never yields nan: past the float range the
     integral reads inf.
     """
@@ -218,8 +317,8 @@ def weak_observability_check(
     ``T`` and ``t_min`` are scalars or one per row.  Both sides and their
     margin are taken in the power-of-two frame of each row and scaled back,
     so a finite state never yields nan.  A block is checked in one pass:
-    one ``_moments`` for every row and, for per-row horizons, the kernels
-    built in chunks of at most ``spectral.BLOCK_BYTES``.
+    one ``_moments`` for every row and one ``_energy``, where each row with
+    T·δ ≥ 1 takes the closed form and any other its kernel.
     """
     z = coefficients_of(z0, system)
     c, back = _power_of_two_frame(z)

@@ -420,10 +420,12 @@ def run_admissibility(cfg: RunConfig) -> ReportBundle:
             )
         )
         return bundle
-    ratios = []
+    # margin/(C_T·norm_sq) with margin and C_T scaled by one power of two, so that
+    # C_T·norm_sq cannot overflow and a ratio in range keeps its bits.
+    e, ratios = math.frexp(sharp)[1], []
     for _, z in _state_blocks(cfg, system.size):
         check = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
-        ratios += (check.margin / (sharp * check.norm_sq)).tolist()
+        ratios += (np.ldexp(check.margin, -e) / (math.ldexp(sharp, -e) * check.norm_sq)).tolist()
     _worst_state(
         bundle, "sharp-constant-bounds-random-states", "worst_admissibility_margin", "margin/(C_T*norm_sq)", ratios
     )

@@ -43,10 +43,11 @@ class SpectralSystem:
 
     ``eigenvalues`` must be strictly positive and sorted non-decreasing
     (repeats are permitted).  Give exactly one of ``gram`` and ``factor``.
-    A ``gram`` must be finite, Hermitian to 1e−12 absolute and positive
-    semidefinite up to 1e−10 of its largest eigenvalue; one ``eigh`` checks
-    this and yields F, the eigenpairs above ``GRAM_RANK_CUTOFF`` times the
-    largest, and ``factor_error`` = ‖E‖, the largest dropped |eigenvalue|.
+    A ``gram`` must be finite, Hermitian to 1e−12 absolute, with eigenvalues
+    inside the float range, and positive semidefinite up to 1e−10 of its
+    largest eigenvalue; one ``eigh`` checks this and yields F, the eigenpairs
+    above ``GRAM_RANK_CUTOFF`` times the largest, and ``factor_error`` = ‖E‖,
+    the largest dropped |eigenvalue|.
     A ``factor`` F comes with its own bound ``factor_error`` ≥ ‖E‖; ``gram``
     is then FFᴴ, formed on first read and cached.  F is kept in double
     precision, float64 or complex128, whatever its given dtype, since the
@@ -85,14 +86,20 @@ class SpectralSystem:
             raise ShapeError(f"gram must be {n}x{n} to match the eigenvalue list, got shape {g.shape}")
         if not np.all(np.isfinite(g)):
             raise DomainError("gram entries must be finite")
-        dev = np.abs(g - g.conj().T)
+        with np.errstate(over="ignore"):
+            dev = np.abs(g - g.conj().T)
         if dev.max() > HERMITIAN_ATOL:
             j, k = np.unravel_index(int(dev.argmax()), dev.shape)
             raise DomainError(
                 f"gram is not Hermitian: |G[{j}][{k}] - conj(G[{k}][{j}])| = {dev[j, k]:.3e}"
             )
-        g = 0.5 * (g + g.conj().T)
+        g = 0.5 * g
+        g = g + g.conj().T  # halved first, so no entry's sum overflows
         vals, vecs = np.linalg.eigh(g)
+        if not np.all(np.isfinite(vals)):
+            raise DomainError(
+                f"gram eigenvalues pass the float range: they span {float(vals[0])!r} to {float(vals[-1])!r}"
+            )
         if vals[0] < -PSD_RTOL * max(vals[-1], 0.0):
             raise DomainError(
                 f"gram is not positive semidefinite: min eigenvalue {vals[0]:.3e} "

@@ -1,7 +1,8 @@
 """Test oracles: the window and its derivative (the quadrature integrands), the window
 transform, its energy on an interval and the observed energy by quadrature, the trajectory
 point, the key identity's defect in round-off units, the complex phase kernel and the real
-sinc kernel with their gap index from ``np.unique``, the quadratic forms (one ``vdot``, or
+sinc kernel with their gap index from ``np.unique``, the observed energy from one such kernel
+per row, the quadratic forms (one ``vdot``, or
 for a real matrix one (2, n) product and ``dot``, at a time) and squared norms of a block's
 rows, the lattice circles one integer square root at a time, the sine-product integral as
 one entry of the sine-product matrix, the boundary Gram as FFᵀ, the closed-form cluster
@@ -30,6 +31,7 @@ from obskit.coercivity import (
 )
 from obskit.config import RunConfig, system_of
 from obskit.evolution import (
+    _phased,
     admissibility_check,
     kernel_psd_margin,
     observability_kernel,
@@ -184,6 +186,21 @@ def real_row_forms_by_row(c: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         y = row.view(float).reshape(-1, 2).T @ m
         forms.append(np.dot(row.real, y[0]) + np.dot(row.imag, y[1]))
     return np.array(forms, dtype=float)
+
+
+def energy_by_row_kernel(c: np.ndarray, system: SpectralSystem, t) -> np.ndarray:
+    """The observed energy over [0, t_i] of each row of the framed (k, n) block ``c``,
+    ``t`` one horizon or one per row: per row its own G∘S_t from
+    ``sinc_kernel_by_unique_inverse``, its own ``evolution._phased`` row and its
+    own form.  The oracle for ``evolution._energy``: its kernel rows bit for bit,
+    its closed-form rows within the bound its docstring states."""
+    lam = system.eigenvalues
+    form = real_row_forms_by_row if np.isrealobj(system.gram) else row_forms_by_row
+    energies = []
+    for row, horizon in zip(c, np.broadcast_to(np.asarray(t, dtype=float), len(c))):
+        kernel = system.gram * sinc_kernel_by_unique_inverse(lam, horizon)
+        energies.append(form(_phased(row[None], lam, horizon), kernel)[0].real)
+    return np.array(energies, dtype=float)
 
 
 def row_norms_sq_by_row(c: np.ndarray) -> np.ndarray:
@@ -497,11 +514,11 @@ def run_admissibility_by_row(cfg: RunConfig) -> ReportBundle:
         )
     )
     rng = np.random.default_rng(cfg.seed)
-    worst = math.inf
+    worst, e = math.inf, math.frexp(sharp)[1]
     for _ in range(cfg.trials):
         z = random_state(rng, system.size)
         check = admissibility_check(z, system, horizon, kernel, sharp * (1.0 + 1e-12))
-        worst = min(worst, check.margin / (sharp * check.norm_sq))
+        worst = min(worst, math.ldexp(check.margin, -e) / (math.ldexp(sharp, -e) * check.norm_sq))
     bundle.constants["worst_admissibility_margin"] = worst
     bundle.verdicts.append(
         Verdict(

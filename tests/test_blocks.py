@@ -81,8 +81,9 @@ def test_per_row_horizons_hold_one_chunk_of_kernels_at_a_time():
     finally:
         tracemalloc.stop()
     # The framed block and one temporary of its size, and one chunk: its kernel,
-    # the gathered phases and the (n, n) gap index.  The whole (400, n, n) stack
-    # would take 214 MB.
+    # the gathered phases and the (n, n) gap index, beside the closed form's
+    # (n, n) B and W, since rows with T ≥ 1 = 1/δ take that.  The whole
+    # (400, n, n) stack would take 214 MB.
     kernel = 16 * n * n
     assert peak <= 2 * z.nbytes + 3 * kernel + 2 * BLOCK_BYTES, peak
     assert np.array_equal(block, [observability_integral(row, sys_, t) for row, t in zip(z, T)])

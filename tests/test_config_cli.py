@@ -5,6 +5,7 @@ import json
 import math
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -571,6 +572,30 @@ class TestCli:
             "detail": "undecided: the sharp constant C_T = 0.0 is not positive",
         }
         assert "FAIL sharp-constant-bounds-random-states" in capsys.readouterr().out
+
+    def test_gram_with_eigenvalues_past_the_float_range_exits_three(self, tmp_path, capsys):
+        # Every entry 1e308 is in range, but the largest eigenvalue, 3e308, is not.
+        system = {"type": "custom", "eigenvalues": [1, 2, 3], "gram": [[1e308] * 3] * 3}
+        out = tmp_path / "report.json"
+        argv = ["admissibility", "--config", json.dumps({"system": system, "epsilon_cluster": 1e-8}), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("obskit: config invariant error: system: gram eigenvalues pass the float range: ")
+        assert err.endswith(" to inf\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_admissibility_ratio_of_a_gram_near_the_float_range_is_finite(self, tmp_path):
+        # At G = 1e307·I the product C_T·norm_sq passes the float range; the ratio
+        # margin/(C_T·norm_sq), whose margin is C_T's 1e-12 slack, still reads about 1e-12.
+        system = {"type": "custom", "eigenvalues": [1, 2, 3], "gram": np.diag([1e307] * 3).tolist()}
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["admissibility", "--config", json.dumps({"system": system}), "--out", str(out)]) == 0
+        worst = json.loads(out.read_text(encoding="utf-8"))["constants"]["worst_admissibility_margin"]
+        assert 0.99e-12 < worst <= 1e-12
 
     def test_cutoff_constants_block_is_pinned(self, tmp_path):
         out = tmp_path / "cutoff.json"

@@ -24,9 +24,10 @@ from obskit import (
 )
 from obskit.square import GammaSpec, Side, build_square_system
 
-from obskit.evolution import _phased
+from obskit.evolution import _closed_energy, _divided_differences, _energy, _phased
+from obskit.spectral import _power_of_two_frame
 
-from oracles import evolve, observability_integral_by_quadrature, sinc_kernel_by_unique_inverse
+from oracles import energy_by_row_kernel, evolve, observability_integral_by_quadrature, sinc_kernel_by_unique_inverse
 
 
 def random_system(rng, n, spread=12.0):
@@ -243,6 +244,19 @@ class TestObservabilityIntegral:
         for _ in range(50):
             z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             assert observability_integral(z, sys_, 1.0) >= -1e-12
+
+    def test_a_closed_form_past_the_float_range_falls_back_to_the_kernel(self):
+        # T·δ = 1, so the row would take the closed form, but a part of it
+        # overflows where the kernel's energy, about 6.0e307, does not.
+        sys_ = SpectralSystem(eigenvalues=[1.0, 1.25], gram=3e307 * np.array([[1.0, 0.8], [0.8, 1.0]]))
+        c, back = _power_of_two_frame(np.array([[-0.875, 0.875]]))
+        t = np.array([4.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(_closed_energy(c, sys_.eigenvalues, t, *_divided_differences(sys_))).any()
+        expected = energy_by_row_kernel(c, sys_, t)
+        assert np.isfinite(expected).all()
+        assert np.array_equal(_energy(c, sys_, t)[0], expected)
+        assert observability_integral([-0.875, 0.875], sys_, 4.0) == back(expected)[0]
 
     def test_rejects_nonpositive_horizon(self):
         sys_ = SpectralSystem(eigenvalues=[1.0], gram=np.eye(1))

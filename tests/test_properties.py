@@ -61,6 +61,12 @@ the guard 2L + 1 ≤ n² and eigenvalues up to 2⁵³ − 1, the gap table is
 −L…L, the arithmetic gap index is ``searchsorted`` into it and finds the
 gaps that ``searchsorted`` over ``np.unique`` finds, and the kernel at one
 horizon and at several equals the unique-and-inverse oracle under ``==``.
+The observed energy of rows with their own horizons, over four decades
+around T or around 1/δ (δ the least nonzero gap), on kernel systems and
+integer spectra, is the per-row kernel's bit for bit where t·δ < 1 and
+within the closed form's stated bound 8u(n + 16 + L/δ)·t·Σ|G||z||z| where
+t·δ ≥ 1; blocks whose horizons straddle 1/δ, so that their rows take both
+paths, give each row's single-state values.
 Custom system documents with Hermitian PSD Grams of up to 6 modes, written
 as ints, floats, -0.0, bare numbers or ``[re, im]`` pairs, normalize to
 their pairs as floats, build exactly that Gram and digest as those pairs;
@@ -118,6 +124,7 @@ from oracles import (
     admissibility_tops,
     assert_same_scan,
     coercivity_scan_by_cluster,
+    energy_by_row_kernel,
     key_identity_gap,
     observability_integral_by_quadrature,
     phase_kernel_by_unique_inverse,
@@ -708,12 +715,22 @@ def block_results(rows, sys_, T, t_min):
     return out
 
 
-@settings(max_examples=100)
+def least_gap(sys_: SpectralSystem) -> float:
+    """δ, the least nonzero gap |λ_j − λ_k| of the spectrum, or inf without one."""
+    gaps = np.diff(sys_.eigenvalues)
+    return float(gaps[gaps > 0.0].min(initial=np.inf))
+
+
+@settings(max_examples=200)
 @given(st.one_of(kernel_systems(), integer_spectra()), st.data())
 def test_block_rows_equal_single_row_calls(pair, data):
+    # Horizons within a factor 2 of the drawn T, or of 1/δ, where a block's
+    # rows straddle t·δ = 1 and take the kernel and the closed form.
     sys_, T0 = pair
     rows = data.draw(state_blocks(sys_.size))
     k = len(rows)
+    if math.isfinite(least_gap(sys_)) and data.draw(st.booleans()):
+        T0 = 1.0 / least_gap(sys_)
     T = T0 * np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k)))
     t_min = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=k, max_size=k)))
     for name, (block, singles) in block_results(rows, sys_, T, t_min).items():
@@ -743,6 +760,28 @@ def test_block_rows_equal_single_row_calls(pair, data):
     ):
         with pytest.raises(ShapeError):
             call()
+
+
+@settings(max_examples=200)
+@given(st.one_of(kernel_systems(), integer_spectra()), st.data())
+def test_closed_form_energy_is_the_per_row_kernel_within_its_bound(pair, data):
+    # Horizons over four decades around the drawn T or around 1/δ: a row with
+    # t·δ ≥ 1 takes the closed form, within the bound of ``_energy``'s
+    # docstring, 8u(n + 16 + L/δ)·t·Σ|G_jk||z_j||z_k|; every other row the
+    # kernel, bit for bit.
+    sys_, T = pair
+    lam, delta = sys_.eigenvalues, least_gap(sys_)
+    c, _ = _power_of_two_frame(data.draw(state_blocks(sys_.size)))
+    base = 1.0 / delta if math.isfinite(delta) and data.draw(st.booleans()) else T
+    t = base * 10.0 ** np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(c), max_size=len(c))))
+    energy = _energy(c, sys_, t)[0]
+    expected = energy_by_row_kernel(c, sys_, t)
+    closed = t * delta >= 1.0
+    spread = (lam[-1] - lam[0]) / delta if math.isfinite(delta) else 0.0
+    scale = t * np.einsum("kj,jl,kl->k", np.abs(c), np.abs(sys_.gram), np.abs(c))
+    bound = 8 * (U / 2) * (sys_.size + 16 + spread) * scale
+    assert np.all(np.abs(energy - expected)[closed] <= bound[closed]), (energy, expected, bound)
+    assert np.array_equal(energy[~closed], expected[~closed])
 
 
 @settings(max_examples=30)

@@ -1,6 +1,8 @@
 """The per-trial scenarios do their shared work once per run, not once per trial."""
 
 import dataclasses
+import functools
+import json
 
 import numpy as np
 import pytest
@@ -10,8 +12,20 @@ from obskit.cli import main
 from obskit.config import default_config
 
 
-def run_recording(monkeypatch, tmp_path, capsys, scenario, module, name, trials=50):
-    """Run ``scenario`` with ``trials`` trials; return what each ``module.name`` call returned."""
+# A 4-mode system whose least gap, 0.01, puts 1/δ = 100 above every horizon
+# 2·t_min (about 25) of its weak-observability run.
+SUB_UNIT_GAP = {
+    "system": {
+        "type": "custom",
+        "eigenvalues": [1, 1.01, 2.25, 4],
+        "gram": [[1, [0.2, 0.1], 0, 0], [[0.2, -0.1], 1.5, 0.3, 0], [0, 0.3, 2, [0, 0.4]], [0, 0, [0, -0.4], 1]],
+    }
+}
+
+
+def run_recording(monkeypatch, tmp_path, capsys, scenario, module, name, trials=50, config=None):
+    """Run ``scenario`` with ``trials`` trials, on ``config`` if given; return what
+    each ``module.name`` call returned."""
     calls = []
     original = getattr(module, name)
 
@@ -20,7 +34,10 @@ def run_recording(monkeypatch, tmp_path, capsys, scenario, module, name, trials=
         return calls[-1]
 
     monkeypatch.setattr(module, name, recorded)
-    assert main([scenario, "--trials", str(trials), "--out", str(tmp_path / "report.json")]) == 0
+    argv = [scenario, "--trials", str(trials), "--out", str(tmp_path / "report.json")]
+    if config is not None:
+        argv += ["--config", json.dumps(config)]
+    assert main(argv) == 0
     capsys.readouterr()
     return calls
 
@@ -31,10 +48,19 @@ def test_admissibility_builds_the_kernel_once(monkeypatch, tmp_path, capsys):
 
 
 def test_weak_observability_builds_one_gap_table(monkeypatch, tmp_path, capsys):
-    kernels = run_recording(monkeypatch, tmp_path, capsys, "weak-observability", evolution, "_gap_kernel")
-    assert len(kernels) > 1
-    tables = run_recording(monkeypatch, tmp_path, capsys, "weak-observability", spectral, "_distinct_gaps")
-    assert len(tables) == 1
+    # Horizons below 1/δ take per-row kernels, here one row per chunk, all from one gap table.
+    monkeypatch.setattr(evolution, "_rows_within", lambda row_bytes: 1)
+    record = functools.partial(run_recording, monkeypatch, tmp_path, capsys, "weak-observability", config=SUB_UNIT_GAP)
+    assert len(record(evolution, "_gap_kernel")) == 50
+    assert len(record(spectral, "_distinct_gaps")) == 1
+
+
+def test_weak_observability_builds_kernels_only_below_one_over_the_least_gap(monkeypatch, tmp_path, capsys):
+    # The default horizons 2·t_min, 4.3e4 to 8.5e4, are all at or past 1/δ = 1 of the
+    # integer spectrum, so every row takes the closed form and no kernel is built.
+    record = functools.partial(run_recording, monkeypatch, tmp_path, capsys, "weak-observability")
+    assert record(evolution, "_gap_kernel", 1000) == []
+    assert record(evolution, "_gap_kernel", config=SUB_UNIT_GAP) != []
 
 
 def test_weak_observability_checks_blocks_of_coefficient_rows(monkeypatch, tmp_path, capsys):

@@ -91,6 +91,16 @@ class TestSystemValidation:
         with pytest.raises(DomainError, match="positive semidefinite"):
             SpectralSystem(eigenvalues=[1.0, 2.0], gram=gram)
 
+    def test_gram_near_the_float_range_is_kept_or_rejected_without_overflow(self):
+        # Halving before the sum keeps G + Gᴴ in range; eigenvalues past it are a DomainError.
+        top = np.finfo(float).max
+        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.0], gram=np.diag([top, top, 1.0]))
+        assert np.array_equal(sys_.gram, np.diag([top, top, 1.0]))
+        with pytest.raises(DomainError, match="gram eigenvalues pass the float range: .* to inf$"):
+            SpectralSystem(eigenvalues=[1.0, 2.0, 3.0], gram=np.full((3, 3), 1e308))
+        with pytest.raises(DomainError, match=r"not Hermitian: \|G\[0\]\[1\] - conj\(G\[1\]\[0\]\)\| = inf"):
+            SpectralSystem(eigenvalues=[1.0, 2.0], gram=[[1.0, 1e308], [-1e308, 1.0]])
+
     def test_accepts_zero_gram(self):
         sys_ = SpectralSystem(eigenvalues=[1.0, 2.0], gram=np.zeros((2, 2)))
         assert observed_energy_sq([1.0, 1.0], sys_) == 0.0

@@ -13,7 +13,11 @@ not be taken for inline text (its digest equals the inline run's),
 ``weak-observability`` and ``admissibility`` (each
 ``--trials 20``) on the same Gram over the non-integer spectrum
 [1, 1.5, 2.25, 4], whose kernels find their gaps by sort and search, not by
-the integer spectra's arithmetic,
+the integer spectra's arithmetic, ``weak-observability`` (``--trials 20``)
+on the same Gram over [1, 1.01, 2.25, 4], whose least gap 0.01 puts every
+horizon below 1/0.01, so that its rows take their own kernels (every other
+per-row weak-observability run takes the closed form; ``--T 0.7`` the
+kernel at one horizon),
 ``assumption-ii-iii``, ``coercivity-scan``, and ``admissibility``,
 ``resolvent-scan`` and ``weak-observability`` (each ``--trials 20``) on
 the π/4–π/2 sub-patch at n_max 2000, ``admissibility`` and
@@ -87,10 +91,15 @@ CUSTOM_SYSTEM = {
     "gram": [[1, [0.2, 0.1], 0, 0], [[0.2, -0.1], 1.5, 0.3, 0], [0, 0.3, 2, [0, 0.4]], [0, 0, [0, -0.4], 1]],
 }
 CUSTOM_SCENARIOS = ("coercivity-scan", "resolvent-scan", "weak-observability", "admissibility")
-# The same Gram over a non-integer spectrum: the only systems whose kernels
-# index their gaps with ``np.unique`` and ``searchsorted``.
+# The same Gram over a non-integer spectrum: with the one below, the only
+# systems whose kernels index their gaps with ``np.unique`` and ``searchsorted``.
 NONINTEGER_SYSTEM = {**CUSTOM_SYSTEM, "eigenvalues": [1, 1.5, 2.25, 4]}
 NONINTEGER_SCENARIOS = ("weak-observability", "admissibility")
+# The same Gram over a spectrum whose least gap is 0.01: every horizon of its
+# weak-observability run (about 25) lies below 1/0.01, so each row takes its
+# own kernel, where every other weak-observability run with per-row horizons
+# here takes the closed form.
+SUB_UNIT_GAP_SYSTEM = {**CUSTOM_SYSTEM, "eigenvalues": [1, 1.01, 2.25, 4]}
 # The π/4–π/2 sub-patch at n_max 2000 (1529 modes), where the admissibility
 # sup solves 64 of its 1182 breakpoints at width 0.25 and 113 of 1040 at
 # 0.5, far more than on a full side, and at which the
@@ -116,8 +125,8 @@ SCALE_RUNS = (
 BOTTOM_SCALE_CONFIG = {"system": {"type": "square", "n_max_eigenvalue": 2000, "gamma": [{"side": "bottom"}]}}
 BOTTOM_SCALE_SCENARIOS = ("admissibility", "resolvent-scan")
 # The full bottom side at n_max 250: 183 modes with a real Gram, where
-# ``weak-observability`` builds its per-row kernels one row per chunk
-# inside blocks of 89 states.
+# ``weak-observability`` takes the closed form in runs of 44 states inside
+# blocks of 89.
 MID_CONFIG = {"system": {"type": "square", "n_max_eigenvalue": 250, "gamma": [{"side": "bottom"}]}}
 MID_SCENARIOS = ("weak-observability", "admissibility")
 # A width past the unit gap of the square's integer eigenvalues, so that the
@@ -227,7 +236,7 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     The reports land in ``outdir/LABEL.json``: ``default/SCENARIO``,
     ``csv/SCENARIO`` (with its CSV files), ``given-T/SCENARIO``,
     ``blocks/SCENARIO``, ``custom/SCENARIO``, ``brace-path/resolvent-scan``,
-    ``noninteger/SCENARIO``,
+    ``noninteger/SCENARIO``, ``sub-unit-gap/weak-observability``,
     ``scale/SCENARIO``, ``bottom-scale/SCENARIO``, ``mid/SCENARIO``,
     ``wide/SCENARIO``, ``walk/coercivity-scan``, ``sides/SCENARIO``, ``narrow/SCENARIO``,
     ``branch/SCENARIO`` (or ``branch/SCENARIO-SUFFIX``), ``branch/weak-observability-partial``
@@ -270,6 +279,14 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
         )
         for scenario in NONINTEGER_SCENARIOS
     ]
+    lines.append(
+        _cli_line(
+            ["weak-observability", "--config", json.dumps({"system": SUB_UNIT_GAP_SYSTEM}), "--trials", "20"],
+            seed,
+            outdir,
+            "sub-unit-gap/weak-observability",
+        )
+    )
     lines += [
         _cli_line([scenario, "--config", json.dumps(SCALE_CONFIG), *rest], seed, outdir, f"scale/{scenario}")
         for scenario, *rest in SCALE_RUNS
