@@ -42,26 +42,47 @@ import numpy as np
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError, ShapeError
-from .spectral import SpectralSystem, _gap_index, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, _rows_within, coefficients_of
+from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, _rows_within, coefficients_of
 from .window import THETA0, THETA2
 
 
-def _gap_kernel(gaps: np.ndarray, where: np.ndarray, T) -> np.ndarray:
-    """The real symmetric kernel S_{jk}(T) = T·sin(h)/h, h = (λ_j−λ_k)T/2 (S = T
-    where h = 0), from the system's table of gap magnitudes ``gaps`` and the
-    ``spectral._gap_index`` into it.
+def _gap_table(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The gap magnitudes a call's kernels take sines of, and the (n, n) index into them.
 
-    The phase kernel is K = D·S·D* (module docstring).  A scalar ``T`` gives
-    one (n, n) matrix; a 1-D array of k horizons gives a (k, n, n) stack.
-    S is even in the gap, so one sin runs per table entry and horizon, and
-    ``np.take`` gathers the values into a new C-contiguous array, which is
-    exactly symmetric since |λ_j − λ_k| and |λ_k − λ_j| share an index.
+    An integer spectrum below 2⁵³ (its gaps are exact integers) with span
+    L = λ_max − λ_min and L + 1 ≤ n², as every square one, takes the floats
+    0…L, gap g at index g, and the index |off_j − off_k|, off = λ − λ_min:
+    no more sines than pairs, no sort, no search.  Any other spectrum takes
+    its n² magnitudes |fl(λ_j − λ_k)| in pair order and no index.
     """
-    t = np.asarray(T, dtype=float)[..., None]
+    span = lam[-1] - lam[0]
+    if lam[-1] < 2.0**53 and np.array_equal(lam, np.floor(lam)) and span + 1 <= lam.size**2:
+        off = (lam - lam[0]).astype(np.intp)
+        index = np.subtract.outer(off, off)
+        return np.arange(span + 1), np.abs(index, out=index)
+    gaps = np.subtract.outer(lam, lam)
+    return np.abs(gaps, out=gaps), None
+
+
+def _gap_kernel(table: tuple[np.ndarray, np.ndarray | None], T) -> np.ndarray:
+    """The real symmetric S_{jk}(T) = T·sin(h)/h, h = (λ_j−λ_k)T/2 (S = T where
+    h = 0), over a ``_gap_table``: one (n, n) matrix for a scalar ``T``, a
+    (k, n, n) stack for a 1-D array of k horizons.
+
+    The phase kernel is K = D·S·D* (module docstring).  Each value is formed
+    in place, the sine times T over h (T where h = 0), as fl(fl(T·sin h)/h).
+    S is even in the gap, so (j, k) and (k, j) get one value: from one sine
+    per table entry, gathered by ``np.take`` into a new C-contiguous array,
+    or from |fl(λ_j − λ_k)| = |fl(λ_k − λ_j)|.
+    """
+    gaps, where = table
+    t = np.asarray(T, dtype=float).reshape(np.shape(T) + (1,) * gaps.ndim)
     h = 0.5 * t * gaps
-    values = np.broadcast_to(t, h.shape).copy()
-    np.divide(t * np.sin(h), h, out=values, where=h != 0.0)
-    return np.take(values, where, axis=-1)
+    values = np.sin(h)
+    values *= t
+    np.divide(values, h, out=values, where=h != 0.0)
+    np.copyto(values, t, where=h == 0.0)
+    return values if where is None else np.take(values, where, axis=-1)
 
 
 def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
@@ -69,10 +90,9 @@ def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
 
     Real symmetric when the Gram is real (every square system), complex
     Hermitian only for a complex Gram.  One (n, n) matrix for a scalar
-    ``T``, a (k, n, n) stack for k horizons.  The gap table is the system's
-    cached ``phase_gaps``, found once per system.
+    ``T``, a (k, n, n) stack for k horizons, from the call's ``_gap_table``.
     """
-    return system.gram * _gap_kernel(system.phase_gaps, _gap_index(system), _horizons(T, system))
+    return system.gram * _gap_kernel(_gap_table(system.eigenvalues), _horizons(T, system))
 
 
 def _phased(c: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -168,11 +188,19 @@ def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.nda
     (n, n) kernel built here for one horizon, else a (k, n, n) stack built
     in chunks of ``_rows_within`` rows, at most ``spectral.BLOCK_BYTES`` (or
     one row), so the memory held does not grow with k; a row's kernel takes
-    the Gram's itemsize per entry.  Per-row horizons with no kernel go in
-    runs of ``_rows_within`` rows of 32n bytes, the four real rows of the
-    closed form (248 rows at 33 modes, 44 at 183), each run with its ‖c‖²,
-    phasing and forms.  Each row's value reads only its own data, so the
-    runs and chunks give the same bits as the whole block.
+    the Gram's itemsize per entry.  All of them take their sines over one
+    ``_gap_table``, built at the first row that needs a kernel.  The rows
+    go in runs of ``_rows_within`` rows of 32n bytes, the four real rows of
+    the closed form (248 rows at 33 modes, 44 at 183), each run with its
+    ‖c‖², phasing and forms.  Each row's value reads only its own data, so
+    the runs and chunks give the same bits as the whole block.
+
+    Scaling.  |S_jk| ≤ t, |G_jk| ≤ max G_kk for a positive semidefinite G,
+    and a form at a framed row (parts below 1) is at most 2n² times its
+    largest entry.  So the kernels take G·2^(−s), s = 0 unless
+    4n²·max G_kk·max t reaches 2¹⁰²³, and their forms are scaled back by 2^s,
+    exactly: the same bits, or inf past the float range, never the nan of an
+    inf entry of G∘S_t times a zero part.
 
     Error of the closed form.  With u = 2⁻⁵³, S = t·Σ|G_jk||z_j||z_k| and the
     span L = λ_max − λ_min, a row with t·δ ≥ 1 is within
@@ -189,20 +217,17 @@ def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.nda
     row.  The closed form's energies are real by construction.
     """
     lam = system.eigenvalues
-    closes = _closes(system, t) if kernel is None else None
-    if kernel is None and t.ndim == 0 and not closes:
-        kernel = observability_kernel(system, t)
     if kernel is not None:
         if kernel.shape[:-2] != t.shape:
             raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
         norm_sq = _norms_sq(c)
         forms = _row_forms(_phased(c, lam, t), kernel)
     else:
-        t, closes = np.broadcast_to(t, len(c)), np.broadcast_to(closes, len(c))
+        horizons, closes = np.broadcast_to(t, len(c)), np.broadcast_to(_closes(system, t), len(c))
         divided = _divided_differences(system) if closes.any() else None
-        gaps = where = None
+        table = None
         run = _rows_within(32 * system.size)
-        step = _rows_within(system.gram.itemsize * system.size * system.size)
+        step = len(c) if t.ndim == 0 else _rows_within(system.gram.itemsize * system.size * system.size)
         forms, norm_sq = np.empty(len(c), dtype=system.gram.dtype), np.empty(len(c))
         for start in range(0, len(c), run):
             part = slice(start, min(start + run, len(c)))
@@ -211,18 +236,23 @@ def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.nda
             if done.any():
                 rows = start + np.flatnonzero(done)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    forms[rows] = _closed_energy(c[rows], lam, t[rows], *divided)
+                    forms[rows] = _closed_energy(c[rows], lam, horizons[rows], *divided)
                 done[done] = np.isfinite(forms[rows])
             kept = start + np.flatnonzero(~done)
             if not len(kept):
                 continue
-            if gaps is None:
-                gaps, where = system.phase_gaps, _gap_index(system)
-            phased = _phased(c[kept], lam, t[kept])
+            if table is None:
+                gram_exp, t_exp = np.frexp([system.gram.diagonal().real.max(), t.max()])[1].tolist()
+                shift = max(0, gram_exp + t_exp + (4 * system.size**2).bit_length() - 1023)
+                table, gram = _gap_table(lam), system.gram * 2.0**-shift if shift else system.gram
+                shared = gram * _gap_kernel(table, t) if t.ndim == 0 else None
+            phased = _phased(c[kept], lam, horizons[kept])
             for first in range(0, len(kept), step):
                 rows = kept[first : first + step]
-                kernel = system.gram * _gap_kernel(gaps, where, t[rows])
+                kernel = gram * _gap_kernel(table, t[rows]) if shared is None else shared
                 forms[rows] = _row_forms(phased[first : first + step], kernel)
+            with np.errstate(over="ignore"):
+                forms[kept] = np.ldexp(forms[kept].view(float), shift).view(forms.dtype)
     if np.iscomplexobj(forms):
         scale = np.maximum(np.abs(forms.real), t * norm_sq)
         bad = np.abs(forms.imag) > 1.0e-10 * scale

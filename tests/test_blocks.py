@@ -73,7 +73,7 @@ def test_per_row_horizons_hold_one_chunk_of_kernels_at_a_time():
     rng = np.random.default_rng(5)
     z = rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n))
     T = rng.uniform(0.5, 2.0, 400)
-    _ = sys_.gram, sys_.phase_gaps  # cached on the system before tracing: not the block's memory
+    _ = sys_.gram  # cached on the system before tracing: not the block's memory
     tracemalloc.start()
     try:
         block = observability_integral(z, sys_, T)
@@ -81,9 +81,9 @@ def test_per_row_horizons_hold_one_chunk_of_kernels_at_a_time():
     finally:
         tracemalloc.stop()
     # The framed block and one temporary of its size, and one chunk: its kernel,
-    # the gathered phases and the (n, n) gap index, beside the closed form's
-    # (n, n) B and W, since rows with T ≥ 1 = 1/δ take that.  The whole
-    # (400, n, n) stack would take 214 MB.
+    # the gathered phases and the call's gap table 0 … L with its (n, n) index,
+    # beside the closed form's (n, n) B and W, since rows with T ≥ 1 = 1/δ take
+    # that.  The whole (400, n, n) stack would take 214 MB.
     kernel = 16 * n * n
     assert peak <= 2 * z.nbytes + 3 * kernel + 2 * BLOCK_BYTES, peak
     assert np.array_equal(block, [observability_integral(row, sys_, t) for row, t in zip(z, T)])

@@ -24,7 +24,7 @@ from obskit import (
 )
 from obskit.square import GammaSpec, Side, build_square_system
 
-from obskit.evolution import _closed_energy, _divided_differences, _energy, _phased
+from obskit.evolution import _closed_energy, _divided_differences, _energy, _gap_table, _phased
 from obskit.spectral import _power_of_two_frame
 
 from oracles import energy_by_row_kernel, evolve, observability_integral_by_quadrature, sinc_kernel_by_unique_inverse
@@ -125,30 +125,39 @@ class TestGapTable:
                 assert np.array_equal(sinc.view(np.int64), expected.view(np.int64))
                 assert np.array_equal(kernel.view(float), (sys_.gram * expected).view(float))
 
-    def test_gaps_are_cached_read_only_and_sorted_distinct(self):
-        # The lattice's integer spectrum 2 … 50 takes the table 0 … 48; a
-        # non-integer spectrum keeps its sorted distinct gap magnitudes.
+    def test_gap_tables_are_built_per_call_and_held_by_no_system(self):
+        # The lattice's integer spectrum 2 … 50 takes the table 0 … 48 and the
+        # index |off_j − off_k|; a non-integer spectrum takes its n² pairwise
+        # magnitudes and no index.  Each call builds its own, in a fresh array.
         lattice = build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
         other = random_system(np.random.default_rng(3), 9)
-        for sys_, span in ((lattice, 48), (other, None)):
-            gaps = sys_.phase_gaps
-            assert sys_.phase_gaps is gaps and not gaps.flags.writeable
-            assert sys_.integer_span == span
-        assert np.array_equal(lattice.phase_gaps, np.arange(49.0))
+        gaps, index = _gap_table(lattice.eigenvalues)
+        off = (lattice.eigenvalues - 2.0).astype(np.intp)
+        assert np.array_equal(gaps, np.arange(49.0)) and gaps.dtype == float
+        assert np.array_equal(index, np.abs(np.subtract.outer(off, off)))
         lam = other.eigenvalues
-        assert np.array_equal(other.phase_gaps, np.unique(np.abs(np.subtract.outer(lam, lam))))
+        gaps, index = _gap_table(lam)
+        assert index is None and np.array_equal(gaps, np.abs(np.subtract.outer(lam, lam)))
+        assert _gap_table(lam)[0] is not gaps
+        for sys_ in (lattice, other):
+            held = {*vars(sys_), "gram"}
+            observability_integral(np.ones((2, sys_.size)), sys_, np.array([0.3, 0.7]))
+            assert set(vars(sys_)) == held
 
     def test_square_kernels_neither_sort_nor_search(self, monkeypatch):
-        sys_ = build_square_system(50, GammaSpec.full_sides(Side.BOTTOM))
+        # Nor does a non-integer spectrum: its kernels take the pairwise magnitudes as they are.
+        systems = (build_square_system(50, GammaSpec.full_sides(Side.BOTTOM)), random_system(np.random.default_rng(3), 9))
 
         def refused(*args, **kwargs):
-            raise AssertionError("an integer spectrum sorted or searched its gaps")
+            raise AssertionError("a kernel sorted or searched its gaps")
 
         monkeypatch.setattr(np, "unique", refused)
         monkeypatch.setattr(np, "searchsorted", refused)
-        z = np.random.default_rng(5).standard_normal((3, sys_.size)) + 0j
-        observability_kernel(sys_, np.array([0.3, 0.7]))
-        observability_integral(z, sys_, np.array([0.3, 0.7, 2.5]))
+        for sys_ in systems:
+            z = np.random.default_rng(5).standard_normal((3, sys_.size)) + 0j
+            observability_kernel(sys_, np.array([0.3, 0.7]))
+            observability_integral(z, sys_, np.array([0.3, 0.7, 2.5]))
+            observability_integral(z, sys_, 0.3)
 
     @pytest.mark.parametrize(
         "lam",
@@ -158,28 +167,29 @@ class TestGapTable:
             [2.0**53, 2.0**53, 2.0**53 + 2.0],  # integers, but not below 2⁵³
         ],
     )
-    def test_other_spectra_take_the_sorted_distinct_gaps(self, lam):
+    def test_other_spectra_take_their_pairwise_gaps(self, lam):
         sys_ = SpectralSystem(eigenvalues=lam, factor=np.ones((len(lam), 1)))
-        assert sys_.integer_span is None
         diffs = np.subtract.outer(sys_.eigenvalues, sys_.eigenvalues)
         tracemalloc.start()
         try:
-            gaps = sys_.phase_gaps
+            gaps, index = _gap_table(sys_.eigenvalues)
             kernel = observability_kernel(sys_, np.array([0.3, 0.7]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16  # no table of span size: 0 … 10⁶ would take 8 MB
-        assert np.array_equal(gaps, np.unique(np.abs(diffs)))
+        assert index is None and np.array_equal(gaps, np.abs(diffs))
         assert np.array_equal(kernel, sinc_kernel_by_unique_inverse(sys_.eigenvalues, np.array([0.3, 0.7])))
 
     @pytest.mark.parametrize("lam, span", [([1.0, 5.0, 9.0], 8), ([1.0, 5.0, 10.0], None)])
     def test_the_integer_route_holds_while_its_table_fits_the_pairs(self, lam, span):
-        # Three modes index 9 pairs: the span 8 takes the table 0 … 8, the span 9 the sorted magnitudes.
+        # Three modes index 9 pairs: the span 8 takes the table 0 … 8, the span 9 the pairwise magnitudes.
         sys_ = SpectralSystem(eigenvalues=lam, gram=np.array([[2.0, 0.5j, 0.1], [-0.5j, 1.0, 0.2], [0.1, 0.2, 1.5]]))
-        assert sys_.integer_span == span
-        gaps = np.arange(9.0) if span else np.array([0.0, 4.0, 5.0, 9.0])
-        assert np.array_equal(sys_.phase_gaps, gaps)
+        gaps, index = _gap_table(sys_.eigenvalues)
+        if span:
+            assert np.array_equal(gaps, np.arange(9.0)) and np.array_equal(index, [[0, 4, 8], [4, 0, 4], [8, 4, 0]])
+        else:
+            assert index is None and np.array_equal(gaps, [[0.0, 4.0, 9.0], [4.0, 0.0, 5.0], [9.0, 5.0, 0.0]])
         for t in (0.7, np.array([0.3, 0.7, 2.5])):
             assert np.all(observability_kernel(sys_, t) == sys_.gram * sinc_kernel_by_unique_inverse(lam, t))
 
@@ -257,6 +267,17 @@ class TestObservabilityIntegral:
         assert np.isfinite(expected).all()
         assert np.array_equal(_energy(c, sys_, t)[0], expected)
         assert observability_integral([-0.875, 0.875], sys_, 4.0) == back(expected)[0]
+
+    @pytest.mark.parametrize("T", (10.0, np.array([10.0])), ids=("one-horizon", "per-row"))
+    @pytest.mark.parametrize("held", ("gram", "factor"))
+    def test_a_kernel_entry_past_the_float_range_keeps_the_energy_finite(self, T, held):
+        # T·δ = 0.1 < 1, so the row takes the kernel, whose entry 10·5e307 of
+        # G∘S_T is past the float range; the energy, about 1e301, is not.
+        # Any RuntimeWarning fails the test.
+        diagonal = np.array([1e300, 5e307])
+        given = {"gram": np.diag(diagonal)} if held == "gram" else {"factor": np.diag(np.sqrt(diagonal))}
+        sys_ = SpectralSystem(eigenvalues=[1.0, 1.01], **given)
+        assert observability_integral([1.0, 1e-10], sys_, T) == pytest.approx(1.0000000000005e301, rel=1e-12)
 
     def test_rejects_nonpositive_horizon(self):
         sys_ = SpectralSystem(eigenvalues=[1.0], gram=np.eye(1))

@@ -57,10 +57,11 @@ on such rows, at one horizon or one per row.  The eigenvalues of the real
 kernel G∘S_T stay within a stated Weyl bound of those of the complex
 G∘K(T), on real-factor and complex given-Gram systems and on the 183-mode
 sub-patch.  On integer spectra of up to 12 modes with repeats, spans up to
-the guard 2L + 1 ≤ n² and eigenvalues up to 2⁵³ − 1, the gap table is
-−L…L, the arithmetic gap index is ``searchsorted`` into it and finds the
-gaps that ``searchsorted`` over ``np.unique`` finds, and the kernel at one
-horizon and at several equals the unique-and-inverse oracle under ``==``.
+the guard L + 1 ≤ n² and eigenvalues up to 2⁵³ − 1, the gap table is 0…L
+and its arithmetic index |off_j − off_k| finds every gap magnitude; on the
+kernel systems' spectra it holds the pairwise magnitudes; and on both the
+kernel at one horizon and at several equals the unique-and-inverse oracle
+bit for bit.
 The observed energy of rows with their own horizons, over four decades
 around T or around 1/δ (δ the least nonzero gap), on kernel systems and
 integer spectra, is the per-row kernel's bit for bit where t·δ < 1 and
@@ -114,7 +115,7 @@ from obskit import (
 )
 from obskit import coercivity, spectral
 from obskit.cli import main
-from obskit.evolution import _energy, _phased
+from obskit.evolution import _energy, _gap_table, _phased
 from obskit.spectral import HERMITIAN_ATOL, _moments, _power_of_two_frame, _row_forms, _row_fsum, observed_energy_sq
 from obskit.square import BoundaryPatch, GammaSpec, Side, build_square_system
 from obskit.window import THETA0, THETA1
@@ -911,31 +912,35 @@ def subpatch_183():
 
 
 @settings(max_examples=200)
-@given(integer_spectra(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
-def test_integer_spectra_index_their_gaps_by_arithmetic(pair, log_horizons):
-    # The table 0…L and the index |off_j − off_k| find every gap magnitude that
-    # the sorted distinct magnitudes and searchsorted find, and the kernels
-    # agree bit for bit.
-    sys_, T = pair
+@given(
+    st.one_of(kernel_systems().map(lambda pair: (*pair, False)), integer_spectra().map(lambda pair: (*pair, True))),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+)
+def test_integer_spectra_index_their_gaps_by_arithmetic(drawn, log_horizons):
+    # Integer spectra index the table 0…L by arithmetic, |off_j − off_k|; other
+    # spectra take their pairwise magnitudes.  Either way the kernels equal the
+    # unique-and-inverse oracle bit for bit, at one horizon and at several.
+    sys_, T, integer = drawn
     lam = sys_.eigenvalues
-    span = int(lam[-1] - lam[0])
-    assert sys_.integer_span == span
-    gaps, where = sys_.phase_gaps, spectral._gap_index(sys_)
-    assert np.array_equal(gaps, np.arange(span + 1.0))
+    gaps, where = _gap_table(lam)
     magnitudes = np.abs(np.subtract.outer(lam, lam))
-    distinct = np.unique(magnitudes)
-    assert np.array_equal(where, np.searchsorted(gaps, magnitudes))
-    assert np.array_equal(gaps[where], distinct[np.searchsorted(distinct, magnitudes)])
+    assert integer <= (where is not None)
+    if where is None:
+        assert np.array_equal(gaps, magnitudes)
+    else:
+        assert np.array_equal(gaps, np.arange(lam[-1] - lam[0] + 1.0)) and np.array_equal(gaps[where], magnitudes)
     for t in (T, 10.0 ** np.array(log_horizons)):
-        assert np.all(observability_kernel(sys_, t) == sys_.gram * sinc_kernel_by_unique_inverse(lam, t))
+        kernel, expected = observability_kernel(sys_, t), sys_.gram * sinc_kernel_by_unique_inverse(lam, t)
+        assert np.array_equal(kernel.view(np.int64), expected.view(np.int64))
 
 
 @settings(max_examples=200)
 @given(st.one_of(kernel_systems(), integer_spectra()), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
 def test_kernels_are_exactly_symmetric(pair, log_horizons):
-    # One sin per gap magnitude, gathered to both (j, k) and (k, j): G∘S_T
-    # equals its transpose bit for bit when G is real, and its conjugate
-    # transpose when G is complex, at one horizon and at one horizon per row.
+    # (j, k) and (k, j) share one gap magnitude, gathered from the integer
+    # table or as |fl(λ_j − λ_k)| = |fl(λ_k − λ_j)|: G∘S_T equals its transpose
+    # bit for bit when G is real, and its conjugate transpose when G is
+    # complex, at one horizon and at one horizon per row.
     sys_, T = pair
     for kernel in (observability_kernel(sys_, T), *observability_kernel(sys_, 10.0 ** np.array(log_horizons))):
         if np.iscomplexobj(kernel):

@@ -12,8 +12,8 @@ read from a file named ``custom{1}.json``, a path with a brace that must
 not be taken for inline text (its digest equals the inline run's),
 ``weak-observability`` and ``admissibility`` (each
 ``--trials 20``) on the same Gram over the non-integer spectrum
-[1, 1.5, 2.25, 4], whose kernels find their gaps by sort and search, not by
-the integer spectra's arithmetic, ``weak-observability`` (``--trials 20``)
+[1, 1.5, 2.25, 4], whose kernels take the sine of every pairwise gap, not
+the integer spectra's table 0…L, ``weak-observability`` (``--trials 20``)
 on the same Gram over [1, 1.01, 2.25, 4], whose least gap 0.01 puts every
 horizon below 1/0.01, so that its rows take their own kernels (every other
 per-row weak-observability run takes the closed form; ``--T 0.7`` the
@@ -92,7 +92,7 @@ CUSTOM_SYSTEM = {
 }
 CUSTOM_SCENARIOS = ("coercivity-scan", "resolvent-scan", "weak-observability", "admissibility")
 # The same Gram over a non-integer spectrum: with the one below, the only
-# systems whose kernels index their gaps with ``np.unique`` and ``searchsorted``.
+# systems whose kernels take their n² pairwise gaps, not the table 0…L.
 NONINTEGER_SYSTEM = {**CUSTOM_SYSTEM, "eigenvalues": [1, 1.5, 2.25, 4]}
 NONINTEGER_SCENARIOS = ("weak-observability", "admissibility")
 # The same Gram over a spectrum whose least gap is 0.01: every horizon of its
