@@ -59,9 +59,7 @@ from .spectral import (
     observed_energy_sq,
 )
 from .square import (
-    AssumptionReport,
     BoundaryPatch,
-    DeltaGammaReport,
     GammaSpec,
     Side,
     assumption_I_check,
@@ -83,7 +81,6 @@ from .window import (
 __all__ = [
     "__version__",
     "AdmissibilityReport",
-    "AssumptionReport",
     "BoundaryPatch",
     "CertificatePipeline",
     "ClusterScan",
@@ -91,7 +88,6 @@ __all__ = [
     "CoercivityViolation",
     "ConfigError",
     "DecayFunction",
-    "DeltaGammaReport",
     "DomainError",
     "FrequencyReport",
     "GammaSpec",

@@ -590,12 +590,15 @@ def spectral_coercivity_violation_search(
 
 @dataclass(frozen=True)
 class CertificatePipeline:
-    """Everything produced by the scan → envelope → transform chain."""
+    """What the scan → envelope → transform chain adds to its scan.
 
-    scan: ClusterScan
+    ``envelope`` is the scan's ψ fit, ``admissibility_sq`` the supremum M²
+    at half the scan's width and ``spectral`` the certificate; M itself is
+    ``spectral.epsilon.admissibility``.
+    """
+
     envelope: PowerLaw
     admissibility_sq: float
-    admissibility: float
     spectral: CoercivityCertificate
 
 
@@ -607,7 +610,8 @@ def scan_certificate(system: SpectralSystem, scan: ClusterScan) -> CertificatePi
     weakly coercive) → shift to arbitrary centers as the weak pair (envelope
     lowered by the center shift, width ε/2) → admissibility at width ε/2 →
     weak_to_spectral.  The weak pair is ``spectral.epsilon.psi`` and
-    ``spectral.epsilon.base_width``.
+    ``spectral.epsilon.base_width``, and M = √``admissibility_sq`` is
+    ``spectral.epsilon.admissibility``; the scan stays the caller's.
 
     ``admissibility_sq`` is the exact supremum over all real λ, up to
     rounding: ``estimate_admissibility`` evaluated at the cluster edges
@@ -625,17 +629,10 @@ def scan_certificate(system: SpectralSystem, scan: ClusterScan) -> CertificatePi
         m_sq = estimate_admissibility(system, half, admissibility_breakpoints(system, half))
     except DomainError as exc:
         raise DomainError(f"half of the cluster width {epsilon!r}: {exc}") from exc
-    m = math.sqrt(m_sq)
-    spectral = weak_to_spectral(shifted_power_law(envelope, half), half, m)
+    spectral = weak_to_spectral(shifted_power_law(envelope, half), half, math.sqrt(m_sq))
     for name, rate in (("psi", spectral.psi), ("epsilon", spectral.epsilon)):
         if not rate(system.lambda_max) > 0:
             raise NumericError(
                 f"the spectral certificate's {name} underflows to 0 at lambda_max = {system.lambda_max!r}"
             )
-    return CertificatePipeline(
-        scan=scan,
-        envelope=envelope,
-        admissibility_sq=m_sq,
-        admissibility=m,
-        spectral=spectral,
-    )
+    return CertificatePipeline(envelope=envelope, admissibility_sq=m_sq, spectral=spectral)

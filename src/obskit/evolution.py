@@ -175,8 +175,8 @@ def _closed_energy(c: np.ndarray, lam: np.ndarray, t: np.ndarray, b: np.ndarray,
     return t * (pb[:, 0, 0] + pb[:, 1, 1]) + (pw[:, 3, 2] - pw[:, 2, 3]) - (pw[:, 1, 0] - pw[:, 0, 1])
 
 
-def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the (k, n) block c: the observed energy over [0, t] and ‖c‖².
+def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Per row of the (k, n) block c: the observed energy over [0, t] times 2^(−shift), ‖c‖² and shift.
 
     ``t`` comes from ``_horizons`` for the rows of c: one horizon or one per
     row.  A given ``kernel`` is ``observability_kernel`` at ``t``, and a
@@ -198,9 +198,11 @@ def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.nda
     Scaling.  |S_jk| ≤ t, |G_jk| ≤ max G_kk for a positive semidefinite G,
     and a form at a framed row (parts below 1) is at most 2n² times its
     largest entry.  So the kernels take G·2^(−s), s = 0 unless
-    4n²·max G_kk·max t reaches 2¹⁰²³, and their forms are scaled back by 2^s,
-    exactly: the same bits, or inf past the float range, never the nan of an
-    inf entry of G∘S_t times a zero part.
+    4n²·max G_kk·max t reaches 2¹⁰²³ (never the nan of an inf entry of
+    G∘S_t times a zero part), and their forms stay at that scale: each
+    row's ``shift`` is its s (0 for a closed form or a given kernel), for
+    the caller to apply with its frame's 2^(2e) in one exponent, so a tiny
+    state's energy does not overflow in the frame.
 
     Error of the closed form.  With u = 2⁻⁵³, S = t·Σ|G_jk||z_j||z_k| and the
     span L = λ_max − λ_min, a row with t·δ ≥ 1 is within
@@ -213,10 +215,10 @@ def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.nda
     5u·t·L·|G_jk||z_j||z_k|/|λ_j − λ_k|.
 
     A real kernel's forms are exactly real; a complex one's are checked
-    real to 1e-10 of their scale, else ``NumericError`` names the first bad
-    row.  The closed form's energies are real by construction.
+    real to 1e-10 of their scale (at least t·‖c‖²·2^(−shift)), else
+    ``NumericError`` names the first bad row.  Closed forms are real.
     """
-    lam = system.eigenvalues
+    lam, shift = system.eigenvalues, np.zeros(len(c), dtype=int)
     if kernel is not None:
         if kernel.shape[:-2] != t.shape:
             raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
@@ -243,25 +245,24 @@ def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.nda
                 continue
             if table is None:
                 gram_exp, t_exp = np.frexp([system.gram.diagonal().real.max(), t.max()])[1].tolist()
-                shift = max(0, gram_exp + t_exp + (4 * system.size**2).bit_length() - 1023)
-                table, gram = _gap_table(lam), system.gram * 2.0**-shift if shift else system.gram
+                s = max(0, gram_exp + t_exp + (4 * system.size**2).bit_length() - 1023)
+                table, gram = _gap_table(lam), system.gram * 2.0**-s if s else system.gram
                 shared = gram * _gap_kernel(table, t) if t.ndim == 0 else None
             phased = _phased(c[kept], lam, horizons[kept])
+            shift[kept] = s
             for first in range(0, len(kept), step):
                 rows = kept[first : first + step]
                 kernel = gram * _gap_kernel(table, t[rows]) if shared is None else shared
                 forms[rows] = _row_forms(phased[first : first + step], kernel)
-            with np.errstate(over="ignore"):
-                forms[kept] = np.ldexp(forms[kept].view(float), shift).view(forms.dtype)
     if np.iscomplexobj(forms):
-        scale = np.maximum(np.abs(forms.real), t * norm_sq)
+        scale = np.maximum(np.abs(forms.real), np.ldexp(t * norm_sq, -shift))
         bad = np.abs(forms.imag) > 1.0e-10 * scale
         if bad.any():
             i = int(np.argmax(bad))
             raise NumericError(
                 f"observability integral came out non-real: imag {forms.imag[i]:.3e} vs scale {scale[i]:.3e}"
             )
-    return forms.real, norm_sq
+    return forms.real, norm_sq, shift
 
 
 def observability_integral(z0, system: SpectralSystem, T):
@@ -270,12 +271,13 @@ def observability_integral(z0, system: SpectralSystem, T):
     For a (k, n) block, one integral per row, with ``T`` one horizon or one
     per row; a row with T·δ ≥ 1 takes the closed form, any other its kernel,
     per-row kernels in chunks of at most ``spectral.BLOCK_BYTES``
-    (``_energy``).  Evaluated in the power-of-two frame of each
-    row, so a finite state never yields nan: past the float range the
-    integral reads inf.
+    (``_energy``).  Evaluated in the power-of-two frame of each row and
+    scaled back with the kernel's 2^s in one exponent, so a finite state
+    never yields nan: past the float range the integral reads inf.
     """
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    return back(_energy(c, system, _horizons(T, system, len(c)))[0])
+    energy, _, shift = _energy(c, system, _horizons(T, system, len(c)))
+    return back(energy, shift)
 
 
 def kernel_psd_margin(kernel: np.ndarray) -> tuple[float, float]:
@@ -308,12 +310,12 @@ def admissibility_check(z0, system: SpectralSystem, T, kernel: np.ndarray, C_T: 
     horizon by the caller; for a (k, n) block it serves every row, or is a
     (k, n, n) stack for k horizons.  Taken in the power-of-two frame of each
     row, like ``observability_integral``; ‖z0‖² is the one the margin uses,
-    scaled back.
+    scaled back.  A given kernel is used as it is, so no form is shifted.
     """
     if not C_T > 0:
         raise DomainError(f"admissibility constant must be positive, got {C_T}")
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    energy, norm_sq = _energy(c, system, _horizons(T, system, len(c)), kernel)
+    energy, norm_sq, _ = _energy(c, system, _horizons(T, system, len(c)), kernel)
     return AdmissibilityReport(margin=back(C_T * norm_sq - energy), norm_sq=back(norm_sq))
 
 
@@ -345,7 +347,8 @@ def weak_observability_check(
 
     ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε)``;
     ``T`` and ``t_min`` are scalars or one per row.  Both sides and their
-    margin are taken in the power-of-two frame of each row and scaled back,
+    margin are taken in the power-of-two frame of each row, the integral and
+    margin at its kernel's scale 2^(−s), and scaled back in one exponent,
     so a finite state never yields nan.  A block is checked in one pass:
     one ``_moments`` for every row and one ``_energy``, where each row with
     T·δ ≥ 1 takes the closed form and any other its kernel.
@@ -354,15 +357,15 @@ def weak_observability_check(
     c, back = _power_of_two_frame(z)
     t, t_min = _horizons(T, system, len(c)), _horizons(t_min, system, len(c))
     lam0 = _moments(c, system)[3]
-    integral, norm_sq = _energy(c, system, t)
+    integral, norm_sq, shift = _energy(c, system, t)
     lhs = THETA2 * psi(THETA0 * (1.0 / t + lam0)) * norm_sq
     t, t_min = np.broadcast_to(t, len(c)), np.broadcast_to(t_min, len(c))
     return ObservabilityReport(
         T=_per_row(t, z),
-        integral=back(integral),
+        integral=back(integral, shift),
         lhs=back(lhs),
         t_min=_per_row(t_min, z),
-        margin=back(integral - lhs),
+        margin=back(integral - np.ldexp(lhs, -shift), shift),
         applicable=_per_row(t >= t_min, z),
         lambda_z0=_per_row(lam0, z),
         norm_sq=back(norm_sq),

@@ -124,14 +124,15 @@ def _worst_state(bundle: ReportBundle, name: str, constant: str, quantity: str, 
     )
 
 
-def _pipeline_constants(bundle: ReportBundle, pipeline) -> None:
+def _pipeline_constants(bundle: ReportBundle, scan, pipeline) -> None:
+    """Record the width of ``scan`` and the constants of ``pipeline = scan_certificate(system, scan)``."""
     bundle.constants.update(
         {
-            "scan_width": pipeline.scan.epsilon,
+            "scan_width": scan.epsilon,
             "envelope_c": pipeline.envelope.c,
             "envelope_p": pipeline.envelope.p,
             "admissibility_sq": pipeline.admissibility_sq,
-            "admissibility": pipeline.admissibility,
+            "admissibility": pipeline.spectral.epsilon.admissibility,
         }
     )
 
@@ -231,7 +232,7 @@ def run_resolvent_scan(cfg: RunConfig) -> ReportBundle:
     if not _coercive(bundle, scan):
         return bundle
     pipeline = scan_certificate(system, scan)
-    _pipeline_constants(bundle, pipeline)
+    _pipeline_constants(bundle, scan, pipeline)
     rows, ratios = [], []
     for start, z in _state_blocks(cfg, system.size):
         rep = resolvent_check(system, z, pipeline.spectral)
@@ -265,7 +266,7 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
     if not _coercive(bundle, scan):
         return bundle
     pipeline = scan_certificate(system, scan)
-    _pipeline_constants(bundle, pipeline)
+    _pipeline_constants(bundle, scan, pipeline)
     rows, ratios = [], []
     for start, z in _state_blocks(cfg, system.size):
         t_min = solve_observation_time(frequency(z, system), pipeline.spectral.epsilon)
@@ -298,25 +299,25 @@ def run_weak_observability(cfg: RunConfig) -> ReportBundle:
 def run_assumption_i(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
-    report = assumption_I_check(system)
-    scan = report.scan
-    bundle.constants["reference"] = report.reference
-    bundle.constants["min_cluster_eigenvalue"] = report.min_mu
-    bundle.constants["max_abs_deviation"] = report.max_abs_deviation
+    scan = assumption_I_check(system)
+    reference = 2.0 / math.pi
+    deviation = scan.min_eig - reference
+    max_dev = float(np.abs(deviation).max())
+    bundle.constants["reference"] = reference
+    bundle.constants["min_cluster_eigenvalue"] = float(scan.min_eig.min())
+    bundle.constants["max_abs_deviation"] = max_dev
     bundle.tables.append(
         Table(
             name="clusters",
             columns=["N", "size", "mu", "deviation_from_reference"],
-            rows=_table_rows(
-                scan.centers.astype(int), scan.sizes, scan.min_eig, scan.min_eig - report.reference
-            ),
+            rows=_table_rows(scan.centers.astype(int), scan.sizes, scan.min_eig, deviation),
         )
     )
     bundle.verdicts.append(
         Verdict(
             "cluster-minima-constant",
-            report.max_abs_deviation <= 1e-10,
-            f"max |mu - 2/pi| = {report.max_abs_deviation:.3e} over {scan.centers.size} clusters",
+            max_dev <= 1e-10,
+            f"max |mu - 2/pi| = {max_dev:.3e} over {scan.centers.size} clusters",
         )
     )
     if cfg.epsilon_cluster != CIRCLE_WIDTH:  # else the circle scan is this scan
@@ -329,7 +330,7 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
     bundle.verdicts.append(
         Verdict(
             "envelope-is-constant-form",
-            envelope.p == 0 and abs(envelope.c - report.reference) <= 1e-10,
+            envelope.p == 0 and abs(envelope.c - reference) <= 1e-10,
             f"fitted envelope c={envelope.c!r}, p={envelope.p!r}",
         )
     )
@@ -339,17 +340,16 @@ def run_assumption_i(cfg: RunConfig) -> ReportBundle:
 def run_assumption_ii_iii(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
-    delta_hat, report = delta_gamma_fit(system)
-    scan = report.scan
+    delta_hat, scan, generalized = delta_gamma_fit(system)
+    min_generalized = float(generalized.min())
     bundle.constants["delta_hat"] = delta_hat
-    bundle.constants["min_generalized"] = report.min_generalized
+    bundle.constants["min_generalized"] = min_generalized
     bundle.tables.append(
         Table(
             name="clusters",
             columns=["N", "size", "mu", "n_times_mu", "generalized_min"],
             rows=_table_rows(
-                scan.centers.astype(int), scan.sizes, scan.min_eig, scan.centers * scan.min_eig,
-                report.generalized,
+                scan.centers.astype(int), scan.sizes, scan.min_eig, scan.centers * scan.min_eig, generalized
             ),
         )
     )
@@ -363,8 +363,8 @@ def run_assumption_ii_iii(cfg: RunConfig) -> ReportBundle:
     bundle.verdicts.append(
         Verdict(
             "q-weighted-restatement",
-            report.min_generalized >= delta_hat - 1e-12,
-            f"min generalized eigenvalue {report.min_generalized!r} vs delta_hat {delta_hat!r}",
+            min_generalized >= delta_hat - 1e-12,
+            f"min generalized eigenvalue {min_generalized!r} vs delta_hat {delta_hat!r}",
         )
     )
 

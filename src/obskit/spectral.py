@@ -275,16 +275,17 @@ def _power_of_two_frame(c: np.ndarray):
     rounded once, and reads ±inf past the float range.  A row whose parts
     are all at most ``ZERO_NORM_FLOOR`` is left as it is (e = 0), so
     callers treat it as before.  A 1-D ``c`` is the block of one row;
-    ``back`` takes one value per row and returns a float for a 1-D ``c``,
-    else an array.
+    ``back`` takes one value per row, and a per-row ``shift`` for values
+    held at 2^(−shift), applied in one exponent 2e + shift; it returns a
+    float for a 1-D ``c``, else an array.
     """
     rows = np.ascontiguousarray(c).reshape(-1, c.shape[-1])
     amax = np.abs(rows.view(float)).max(axis=1)
     e = np.where(amax > ZERO_NORM_FLOOR, np.frexp(amax)[1], 0)
 
-    def back(value: np.ndarray):
+    def back(value: np.ndarray, shift=0):
         with np.errstate(over="ignore"):
-            return _per_row(np.ldexp(value, 2 * e), c)
+            return _per_row(np.ldexp(value, 2 * e + shift), c)
 
     return rows * np.ldexp(1.0, -e)[:, None], back
 

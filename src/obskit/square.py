@@ -243,24 +243,6 @@ def build_square_system(n_max_eigenvalue: int, gamma: GammaSpec) -> SquareSystem
 CIRCLE_WIDTH = 0.5
 
 
-@dataclass(frozen=True)
-class DeltaGammaReport:
-    """Scan of N·μ_N over lattice circles for a single-side Γ.
-
-    ``scan`` is the scan at ``CIRCLE_WIDTH``, one lattice circle per center
-    N with its minimum μ_N; ``generalized`` holds, circle by circle, the
-    smallest generalized eigenvalue of (G_N, diag(k²/N)), k the index of
-    the trace amplitude.
-    """
-
-    scan: ClusterScan
-    generalized: np.ndarray
-
-    @property
-    def min_generalized(self) -> float:
-        return float(self.generalized.min())
-
-
 def _square_system(system: SpectralSystem) -> SquareSystem:
     if not isinstance(system, SquareSystem):
         raise DomainError(
@@ -270,17 +252,19 @@ def _square_system(system: SpectralSystem) -> SquareSystem:
     return system
 
 
-def delta_gamma_fit(system: SpectralSystem) -> tuple[float, DeltaGammaReport]:
+def delta_gamma_fit(system: SpectralSystem) -> tuple[float, ClusterScan, np.ndarray]:
     """Fit the 1/λ coercivity constant δ̂ = min_N N·μ_N for a one-side Γ.
 
     ``system`` is ``build_square_system(n_max, gamma)``, whose modes and Γ
     it reads; any other system, or a Γ on more than one side, is a
-    ``DomainError``.  Returns (δ̂, full report).  δ̂ > 0 is reported, never
-    asserted to a specific value; the report also carries each circle's
-    generalized minimum of (G_N, diag(k²/N)), k = q on the bottom and top
-    and p on the left and right, so the weighted restatement can be
-    examined side by side.  The weight is diagonal, so that minimum is the
-    least eigenvalue of r·G_N·r, r = √N/k.
+    ``DomainError``.  Returns (δ̂, scan, generalized): ``scan`` is
+    ``coercivity_scan(system, CIRCLE_WIDTH)``, one lattice circle per center
+    N with its minimum μ_N, and ``generalized`` holds, circle by circle, the
+    smallest generalized eigenvalue of (G_N, diag(k²/N)), k = q on the
+    bottom and top and p on the left and right, so the weighted restatement
+    can be examined side by side.  The weight is diagonal, so that minimum
+    is the least eigenvalue of r·G_N·r, r = √N/k.  δ̂ > 0 is reported, never
+    asserted to a specific value.
     """
     square = _square_system(system)
     require_single_side(square.gamma, "delta_gamma_fit")
@@ -293,34 +277,18 @@ def delta_gamma_fit(system: SpectralSystem) -> tuple[float, DeltaGammaReport]:
         r = np.sqrt(centers[clusters])[:, None] / k_all[idx]
         generalized[clusters] = np.linalg.eigvalsh(r[:, :, None] * blocks * r[:, None, :])[:, 0]
     delta_hat = float((centers * min_eig).min())
-    return delta_hat, DeltaGammaReport(ClusterScan(CIRCLE_WIDTH, centers, lo, hi, min_eig), generalized)
+    return delta_hat, ClusterScan(CIRCLE_WIDTH, centers, lo, hi, min_eig), generalized
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Circle minima for the two-full-touching-sides observation."""
-
-    scan: ClusterScan
-    min_mu: float
-    max_abs_deviation: float
-    reference: float
-
-
-def assumption_I_check(system: SpectralSystem) -> AssumptionReport:
+def assumption_I_check(system: SpectralSystem) -> ClusterScan:
     """Scan Γ = full bottom ∪ full left: every circle minimum is 2/π.
 
     ``system`` is ``build_square_system(n_max, bottom_and_left())``; any
     other system is a ``DomainError``.  The circle Gram is diagonal with
     constant entries 2q²/(πN) + 2p²/(πN) = 2/π, the frequency-independent
-    lower bound of exact observability; the report carries the numerically
-    confirmed deviations.
+    lower bound of exact observability.  Returns the circle scan
+    ``coercivity_scan(system, CIRCLE_WIDTH)``, whose ``min_eig`` holds the
+    minima to compare with 2/π.
     """
     require_bottom_and_left(_square_system(system).gamma, "assumption_I_check")
-    scan = coercivity_scan(system, CIRCLE_WIDTH)
-    reference = 2.0 / math.pi
-    return AssumptionReport(
-        scan=scan,
-        min_mu=float(scan.min_eig.min()),
-        max_abs_deviation=float(np.abs(scan.min_eig - reference).max()),
-        reference=reference,
-    )
+    return coercivity_scan(system, CIRCLE_WIDTH)

@@ -401,8 +401,9 @@ def run_resolvent_scan_by_row(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    pipeline = scan_certificate(system, coercivity_scan(system, cfg.epsilon_cluster))
-    _pipeline_constants(bundle, pipeline)
+    scan = coercivity_scan(system, cfg.epsilon_cluster)
+    pipeline = scan_certificate(system, scan)
+    _pipeline_constants(bundle, scan, pipeline)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = math.inf
@@ -442,8 +443,9 @@ def run_weak_observability_by_row(cfg: RunConfig) -> ReportBundle:
     bundle = _new_bundle(cfg)
     system = system_of(cfg)
     bundle.constants["system_label"] = system.label
-    pipeline = scan_certificate(system, coercivity_scan(system, cfg.epsilon_cluster))
-    _pipeline_constants(bundle, pipeline)
+    scan = coercivity_scan(system, cfg.epsilon_cluster)
+    pipeline = scan_certificate(system, scan)
+    _pipeline_constants(bundle, scan, pipeline)
     rng = np.random.default_rng(cfg.seed)
     lam0 = [frequency(random_state(rng, system.size), system) for _ in range(cfg.trials)]
     t_mins = solve_observation_time(lam0, pipeline.spectral.epsilon).tolist()

@@ -948,4 +948,4 @@ class TestWorkers:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert coercivity_scan(build_square_system(300, GammaSpec.full_sides(Side.BOTTOM)), 0.5).centers.size == 101
         bottom = build_square_system(200, GammaSpec.full_sides(Side.BOTTOM))
-        assert delta_gamma_fit(bottom)[1].scan.centers.size == 68
+        assert delta_gamma_fit(bottom)[1].centers.size == 68

@@ -265,7 +265,9 @@ class TestObservabilityIntegral:
             assert not np.isfinite(_closed_energy(c, sys_.eigenvalues, t, *_divided_differences(sys_))).any()
         expected = energy_by_row_kernel(c, sys_, t)
         assert np.isfinite(expected).all()
-        assert np.array_equal(_energy(c, sys_, t)[0], expected)
+        energy, _, shift = _energy(c, sys_, t)
+        assert shift.tolist() == [7]  # the kernel takes G·2⁻⁷; the form is left at that scale
+        assert np.array_equal(np.ldexp(energy, shift), expected)
         assert observability_integral([-0.875, 0.875], sys_, 4.0) == back(expected)[0]
 
     @pytest.mark.parametrize("T", (10.0, np.array([10.0])), ids=("one-horizon", "per-row"))
@@ -278,6 +280,20 @@ class TestObservabilityIntegral:
         given = {"gram": np.diag(diagonal)} if held == "gram" else {"factor": np.diag(np.sqrt(diagonal))}
         sys_ = SpectralSystem(eigenvalues=[1.0, 1.01], **given)
         assert observability_integral([1.0, 1e-10], sys_, T) == pytest.approx(1.0000000000005e301, rel=1e-12)
+
+    @pytest.mark.parametrize("T", (1e10, np.array([1e10, 2e10])), ids=("one-horizon", "per-row"))
+    def test_a_tiny_state_past_the_float_range_in_its_frame_keeps_its_energy(self, T):
+        # Each row takes the kernel at G·2^(−s), whose form, about 2^s·1e310
+        # in the state's frame, is past the float range; the energy, 1e300 ·
+        # 1e−200 · T, is not.  Any RuntimeWarning fails the test.
+        sys_ = SpectralSystem(eigenvalues=[1.0, 1.01], gram=np.diag([1e300, 1e300]))
+        z = np.array([[1e-100, 0.0], [1e-100, 0.0]])
+        expected = 1e100 * np.broadcast_to(T, 2)
+        assert observability_integral(z, sys_, T) == pytest.approx(expected, rel=1e-12)
+        weak = weak_observability_check(z, sys_, T, PowerLaw(1.0, 0.0), 1.0)
+        assert weak.integral == pytest.approx(expected, rel=1e-12)
+        assert weak.margin == pytest.approx(expected, rel=1e-12)
+        assert ((0.0 < weak.lhs) & (weak.lhs < 1e-150)).all()
 
     def test_rejects_nonpositive_horizon(self):
         sys_ = SpectralSystem(eigenvalues=[1.0], gram=np.eye(1))

@@ -864,7 +864,8 @@ def test_stacked_row_forms_equal_the_per_row_vdots(n, k, stacked, complex_matrix
     h = 0.5 * (m + np.swapaxes(m, -1, -2).conj())
     t = np.ones(shape[:-2])
     lam = np.sort(rng.uniform(1.0, 100.0, n))
-    value, norm_sq = _energy(c, SpectralSystem(lam, factor=np.ones((n, 1))), t, h)
+    value, norm_sq, shift = _energy(c, SpectralSystem(lam, factor=np.ones((n, 1))), t, h)
+    assert not shift.any()  # a given kernel is used as it is
     assert np.array_equal(value.view(np.int64), oracle(_phased(c, lam, t), h).real.view(np.int64))
     assert np.array_equal(norm_sq.view(np.int64), row_norms_sq_by_row(c).view(np.int64))
 

@@ -360,6 +360,18 @@ def one_side_gammas(draw):
     return GammaSpec(tuple(draw_patches(draw, side, draw(st.integers(1, 3)))))
 
 
+def full_side_examples(*n_maxes):
+    """Hypothesis ``example`` cases (gamma, n_max): each full side at each of ``n_maxes``."""
+
+    def decorate(test):
+        for side in Side:
+            for n_max in n_maxes:
+                test = example(gamma=GammaSpec.full_sides(side), n_max=n_max)(test)
+        return test
+
+    return decorate
+
+
 def dense_gram_oracle(modes, gamma):
     """G from the scalar sine-product integral, entry by entry (each distinct
     frequency pair is integrated once)."""
@@ -437,9 +449,9 @@ class TestGramFactor:
         sys_ = build_square_system(2000, bottom_and_left())
         scan = coercivity_scan(sys_, 0.5)
         assert sys_.size == 1529 and scan.centers.size == 591
-        assert assumption_I_check(sys_).scan.centers.size == 591
+        assert assumption_I_check(sys_).centers.size == 591
         bottom = build_square_system(2000, GammaSpec.full_sides(Side.BOTTOM))
-        assert delta_gamma_fit(bottom)[1].scan.centers.size == 591
+        assert delta_gamma_fit(bottom)[1].centers.size == 591
         assert "gram" not in vars(sys_) and "gram" not in vars(bottom)
         assert orders and max(orders) == math.isqrt(2000 - 1)
 
@@ -455,8 +467,8 @@ class TestGramFactor:
             return solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        _, report = delta_gamma_fit(build_square_system(200, GammaSpec.full_sides(Side.BOTTOM)))
-        assert orders == Counter(report.scan.sizes.tolist()) and max(orders) > 1
+        _, scan, _ = delta_gamma_fit(build_square_system(200, GammaSpec.full_sides(Side.BOTTOM)))
+        assert orders == Counter(scan.sizes.tolist()) and max(orders) > 1
         orders.clear()
         assumption_I_check(build_square_system(200, bottom_and_left()))
         assert not orders
@@ -482,9 +494,8 @@ class TestBuildSquareSystem:
 
 class TestDecayFit:
     def test_full_bottom_closed_form_rows(self):
-        delta_hat, report = delta_gamma_fit(build_square_system(200, GammaSpec.full_sides(Side.BOTTOM)))
+        delta_hat, scan, _ = delta_gamma_fit(build_square_system(200, GammaSpec.full_sides(Side.BOTTOM)))
         assert delta_hat == pytest.approx(TWO_OVER_PI, abs=1e-10)
-        scan = report.scan
         for center, min_eig in zip(scan.centers.tolist(), scan.min_eig.tolist()):
             assert center * min_eig == pytest.approx(bottom_side_closed_form_n_mu(int(center)), abs=1e-10)
         assert scan.centers.tolist() == sorted(scan.centers.tolist())
@@ -523,8 +534,8 @@ class TestDecayFit:
     def test_weights_follow_the_side_the_system_was_built_on(self):
         # On the left side the trace amplitude index is p; weighting by the
         # bottom side's q instead read min_generalized 0.01299 here.
-        _, report = delta_gamma_fit(build_square_system(50, GammaSpec((BoundaryPatch(Side.LEFT),))))
-        assert report.min_generalized == pytest.approx(TWO_OVER_PI, rel=1e-12)
+        _, _, generalized = delta_gamma_fit(build_square_system(50, GammaSpec((BoundaryPatch(Side.LEFT),))))
+        assert generalized.min() == pytest.approx(TWO_OVER_PI, rel=1e-12)
 
     def test_left_and_right_sides_match_bottom_and_top(self):
         bundles = {}
@@ -548,9 +559,9 @@ class TestDecayFit:
         # decay constant from above cluster by cluster; the weighted minima
         # measured here drop far below the scanned constant instead.
         gamma = GammaSpec((BoundaryPatch(Side.BOTTOM, math.pi / 4.0, math.pi / 2.0),))
-        delta_hat, report = delta_gamma_fit(build_square_system(500, gamma))
+        delta_hat, _, generalized = delta_gamma_fit(build_square_system(500, gamma))
         assert delta_hat > 0.0
-        assert report.min_generalized >= delta_hat - 1e-12
+        assert generalized.min() >= delta_hat - 1e-12
 
 
 class TestOneCircleScan:
@@ -558,8 +569,7 @@ class TestOneCircleScan:
     @given(gamma=one_side_gammas(), n_max=st.integers(2, 120))
     def test_delta_gamma_rows_are_lattice_circles(self, gamma, n_max):
         modes = square_modes(n_max)
-        _, report = delta_gamma_fit(build_square_system(n_max, gamma))
-        scan = report.scan
+        _, scan, _ = delta_gamma_fit(build_square_system(n_max, gamma))
         assert scan.centers.tolist() == sorted(set(eigenvalues_of(modes).tolist()))
         oracle = dense_gram_oracle(modes, gamma)
         scale = np.abs(oracle).max()
@@ -573,11 +583,10 @@ class TestOneCircleScan:
     @given(gamma=one_side_gammas(), n_max=st.integers(2, 120))
     def test_generalized_minima_match_the_weighted_eigensolve(self, gamma, n_max):
         system = build_square_system(n_max, gamma)
-        _, report = delta_gamma_fit(system)
+        _, scan, generalized = delta_gamma_fit(system)
         by_row = gamma.patches[0].side in (Side.BOTTOM, Side.TOP)
         k_all = square_modes(n_max)[:, 1 if by_row else 0]
-        scan = report.scan
-        columns = (scan.centers, scan.lo, scan.hi, report.generalized)
+        columns = (scan.centers, scan.lo, scan.hi, generalized)
         for center, a, b, gen in zip(*(col.tolist() for col in columns)):
             block, k = system.gram_block(np.arange(a, b)), k_all[a:b]
             weights = np.diag(k * k / center)
@@ -588,26 +597,31 @@ class TestOneCircleScan:
 
     @settings(max_examples=40)
     @given(gamma=one_side_gammas(), n_max=st.integers(2, 700))
+    @full_side_examples(2, 120, 700)
     def test_stacked_generalized_minima_equal_the_per_circle_loop(self, gamma, n_max):
+        # The scan it returns is coercivity_scan's at CIRCLE_WIDTH, bit for bit.
         system = build_square_system(n_max, gamma)
-        _, report = delta_gamma_fit(system)
+        _, scan, generalized = delta_gamma_fit(system)
         oracle = coercivity_scan_by_cluster(system, CIRCLE_WIDTH)
         by_row = gamma.patches[0].side in (Side.BOTTOM, Side.TOP)
         k_all = square_modes(n_max)[:, 1 if by_row else 0]
-        assert report.generalized.tolist() == generalized_minima_by_cluster(system, oracle, k_all)
-        assert_same_scan(report.scan, oracle)
+        assert generalized.tolist() == generalized_minima_by_cluster(system, oracle, k_all)
+        assert_same_scan(scan, oracle)
+        assert_same_scan(scan, coercivity_scan(system, CIRCLE_WIDTH))
 
 
 class TestTwoSidesScan:
-    def test_every_cluster_minimum_is_constant(self):
-        report = assumption_I_check(build_square_system(200, bottom_and_left()))
-        assert report.reference == pytest.approx(TWO_OVER_PI, rel=1e-15)
-        assert report.max_abs_deviation <= 1e-10
-        assert report.min_mu == pytest.approx(TWO_OVER_PI, abs=1e-10)
+    @pytest.mark.parametrize("n_max", [2, 20, 200, 700])
+    def test_every_cluster_minimum_is_constant(self, n_max):
+        # The scan it returns is coercivity_scan's at CIRCLE_WIDTH, bit for bit.
+        system = build_square_system(n_max, bottom_and_left())
+        scan = assumption_I_check(system)
+        assert_same_scan(scan, coercivity_scan(system, CIRCLE_WIDTH))
+        assert np.abs(scan.min_eig - TWO_OVER_PI).max() <= 1e-10
+        assert scan.min_eig.min() == pytest.approx(TWO_OVER_PI, abs=1e-10)
 
     def test_single_mode_circle_arithmetic(self):
-        report = assumption_I_check(build_square_system(2, bottom_and_left()))
-        scan = report.scan
+        scan = assumption_I_check(build_square_system(2, bottom_and_left()))
         assert scan.centers.size == 1
         center, size, min_eig = scan.centers[0], scan.sizes[0], scan.min_eig[0]
         assert center == 2
@@ -617,7 +631,7 @@ class TestTwoSidesScan:
 
     def test_rejects_a_system_not_built_on_the_bottom_and_left_sides(self):
         reversed_sides = GammaSpec((BoundaryPatch(Side.LEFT), BoundaryPatch(Side.BOTTOM)))
-        assert assumption_I_check(build_square_system(20, reversed_sides)).max_abs_deviation <= 1e-10
+        assert np.abs(assumption_I_check(build_square_system(20, reversed_sides)).min_eig - TWO_OVER_PI).max() <= 1e-10
         half_left = GammaSpec((BoundaryPatch(Side.BOTTOM), BoundaryPatch(Side.LEFT, 0.0, 1.0)))
         for gamma in (GammaSpec.full_sides(Side.BOTTOM), half_left):
             with pytest.raises(DomainError, match="full bottom and left sides"):
