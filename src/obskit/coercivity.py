@@ -27,6 +27,7 @@ from .spectral import (
     _power_of_two_frame,
     _row_forms,
     _rows_within,
+    _scaled_gram,
     coefficients_of,
     frequency_report,
     observed_energy_sq,
@@ -469,23 +470,28 @@ def resolvent_check(system: SpectralSystem, z, cert: CoercivityCertificate) -> R
     """The infimum over all real λ of the additive resolvent inequality's margin.
 
     For a (k, n) block of states every field holds one entry per row.
+    Every term is homogeneous of degree 2 in z: the verdict is taken in the
+    power-of-two frame of each row, with ‖Cz‖² and the margin at
+    ``_scaled_gram``'s 2^(−s) for the largest weight max(1, 1/ψ) of a form
+    and ‖z‖² scaled beside them, and the rest scaled back in one exponent,
+    so no value in the float range reads inf.
     """
-    # Every term is homogeneous of degree 2 in z: the verdict is taken in the
-    # power-of-two frame, where no state overflows, and the rest scaled back.
     z = coefficients_of(z, system)
     c, back = _power_of_two_frame(z)
     lam, res, norm_sq = _frequency_rows(c, system)
-    observed = _row_forms(c, system.gram).real
+    psi = cert.psi(lam)
+    gram, s = _scaled_gram(system, np.maximum(1.0, 1.0 / psi))
+    observed, scaled_sq = _row_forms(c, gram).real, np.ldexp(norm_sq, -s)
     ratio = res / cert.epsilon(lam)
     short = 1.0 - ratio
-    margin = observed / cert.psi(lam) - norm_sq * np.where(short > 0.0, short, 0.0)
+    margin = observed / psi - scaled_sq * np.where(short > 0.0, short, 0.0)
     return ResolventReport(
-        inf_margin=back(margin),
+        inf_margin=back(margin, s),
         lambda_z=_per_row(lam, z),
         residual_over_epsilon=_per_row(ratio, z),
         norm_sq=back(norm_sq),
-        observed_sq=back(observed),
-        verdict=_per_row(margin >= -1.0e-9 * norm_sq, z),
+        observed_sq=back(observed, s),
+        verdict=_per_row(margin >= -1.0e-9 * scaled_sq, z),
     )
 
 

@@ -17,8 +17,9 @@ real whenever G is, and puts D on the states: the energy is the form of G∘S_T
 at the phased coefficients z_k·e^{i(λ_k−λ_1)T/2}, and G∘S_T has the
 eigenvalues of G∘K(T).
 
-A state with its own horizon needs no kernel.  Off the ties, K_jk(T) is the
-divided difference (e^{i(λ_j−λ_k)T} − 1)/(i(λ_j−λ_k)), so
+A horizon with T·δ ≥ 1, δ the least nonzero gap |λ_j − λ_k|, needs no
+kernel, whether it serves every state or one state alone.  Off the ties,
+K_jk(T) is the divided difference (e^{i(λ_j−λ_k)T} − 1)/(i(λ_j−λ_k)), so
 
     E(T) = T·Σ B_jk z_j z̄_k + Im Σ W_jk v_j v̄_k − Im Σ W_jk z_j z̄_k,
 
@@ -27,11 +28,10 @@ the others (0 on the ties) and v_k = z_k·e^{i(λ_k−λ_1)T}, the phasing D².
 W is anti-Hermitian, so both W sums are imaginary; for a real G each is the
 cross form −2aᵀWb of the parts a, b of z or v.  B and W are two fixed n×n
 matrices per call, and each row then costs n phases and its forms.  The W
-sums reach |G|/δ, δ the least nonzero gap |λ_j − λ_k|, and cancel down to
-T·|G| (the divided difference tends to T as T·δ → 0), so the form is used
-only where T·δ ≥ 1, where it is at round-off (``_energy`` states the
-bound); below that its error grows as 1/(T·δ), and those rows take the
-kernel.
+sums reach |G|/δ and cancel down to T·|G| (the divided difference tends
+to T as T·δ → 0), so the form is used only where T·δ ≥ 1, where it is at
+round-off (``_energy`` states the bound); below that its error grows as
+1/(T·δ), and those rows take the kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .decay import DecayFunction
 from .errors import DomainError, NumericError, ShapeError
-from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, _rows_within, coefficients_of
+from .spectral import SpectralSystem, _horizons, _moments, _per_row, _power_of_two_frame, _row_forms, _rows_within, _scaled_gram, coefficients_of
 from .window import THETA0, THETA2
 
 
@@ -91,8 +91,19 @@ def observability_kernel(system: SpectralSystem, T) -> np.ndarray:
     Real symmetric when the Gram is real (every square system), complex
     Hermitian only for a complex Gram.  One (n, n) matrix for a scalar
     ``T``, a (k, n, n) stack for k horizons, from the call's ``_gap_table``.
+    It is taken at G itself, not at ``_scaled_gram``, so its eigenvalues are
+    the constants they name; an entry past the float range raises
+    ``NumericError`` naming the first horizon that has one.
     """
-    return system.gram * _gap_kernel(_gap_table(system.eigenvalues), _horizons(T, system))
+    t = _horizons(T, system)
+    with np.errstate(over="ignore"):
+        kernel = system.gram * _gap_kernel(_gap_table(system.eigenvalues), t)
+    finite = np.isfinite(kernel).all(axis=(-2, -1))
+    if not finite.all():
+        raise NumericError(
+            f"the observability kernel G∘S_T passes the float range at T = {float(t[~finite][0])!r}"
+        )
+    return kernel
 
 
 def _phased(c: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -136,19 +147,16 @@ def _closes(system: SpectralSystem, t: np.ndarray) -> np.ndarray:
         return (t * least >= 1.0) & np.isfinite(t * (lam[-1] - lam[0]))
 
 
-def _divided_differences(system: SpectralSystem) -> tuple[np.ndarray, np.ndarray]:
-    """B and W of the closed form (module docstring), each (n, n) of the Gram's dtype.
+def _divided_differences(lam: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B and W of the closed form (module docstring) for the Gram ``gram``, each (n, n) of its dtype.
 
     W_jk = G_jk/fl(λ_j − λ_k) is exactly anti-Hermitian, since
-    fl(λ_k − λ_j) = −fl(λ_j − λ_k).  An entry past the float range is
-    inf, and every row it reaches falls back to the kernel (``_energy``).
+    fl(λ_k − λ_j) = −fl(λ_j − λ_k).  At ``_scaled_gram``, for horizons with
+    t·δ ≥ 1, every entry is in the float range.
     """
-    lam, gram = system.eigenvalues, system.gram
     gaps = np.subtract.outer(lam, lam)
     ties = gaps == 0.0
-    with np.errstate(over="ignore"):
-        w = np.divide(gram, gaps, out=np.zeros_like(gram), where=~ties)
-    return np.where(ties, gram, 0.0), w
+    return np.where(ties, gram, 0.0), np.divide(gram, gaps, out=np.zeros_like(gram), where=~ties)
 
 
 def _closed_energy(c: np.ndarray, lam: np.ndarray, t: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -176,33 +184,32 @@ def _closed_energy(c: np.ndarray, lam: np.ndarray, t: np.ndarray, b: np.ndarray,
 
 
 def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Per row of the (k, n) block c: the observed energy over [0, t] times 2^(−shift), ‖c‖² and shift.
+    """Per row of the (k, n) framed block c: the observed energy over [0, t] times 2^(−s) and ‖c‖²; and s.
 
     ``t`` comes from ``_horizons`` for the rows of c: one horizon or one per
     row.  A given ``kernel`` is ``observability_kernel`` at ``t``, and a
     kernel of another shape raises ``ShapeError``; the energy is then the
     ``_row_forms`` of the kernel at the ``_phased`` rows.  Without one, each
     row whose horizon ``_closes`` takes the closed form of the module
-    docstring (``_closed_energy``), and every other row, or one whose closed
-    form is not finite (a part past the float range), takes the kernel: one
+    docstring (``_closed_energy``), and every other row the kernel: one
     (n, n) kernel built here for one horizon, else a (k, n, n) stack built
     in chunks of ``_rows_within`` rows, at most ``spectral.BLOCK_BYTES`` (or
     one row), so the memory held does not grow with k; a row's kernel takes
     the Gram's itemsize per entry.  All of them take their sines over one
-    ``_gap_table``, built at the first row that needs a kernel.  The rows
-    go in runs of ``_rows_within`` rows of 32n bytes, the four real rows of
-    the closed form (248 rows at 33 modes, 44 at 183), each run with its
-    ‖c‖², phasing and forms.  Each row's value reads only its own data, so
-    the runs and chunks give the same bits as the whole block.
+    ``_gap_table``.  The rows go in runs of ``_rows_within`` rows of 32n
+    bytes, the four real rows of the closed form (248 rows at 33 modes, 44
+    at 183), each run with its ‖c‖², phasing and forms.  Each row's value
+    reads only its own data, so the runs and chunks give the same bits as
+    the whole block.
 
-    Scaling.  |S_jk| ≤ t, |G_jk| ≤ max G_kk for a positive semidefinite G,
-    and a form at a framed row (parts below 1) is at most 2n² times its
-    largest entry.  So the kernels take G·2^(−s), s = 0 unless
-    4n²·max G_kk·max t reaches 2¹⁰²³ (never the nan of an inf entry of
-    G∘S_t times a zero part), and their forms stay at that scale: each
-    row's ``shift`` is its s (0 for a closed form or a given kernel), for
-    the caller to apply with its frame's 2^(2e) in one exponent, so a tiny
-    state's energy does not overflow in the frame.
+    Scaling.  One ``_scaled_gram`` at the largest horizon gives s and
+    G·2^(−s), and every form of the call is taken at that scale: the closed
+    form's B and W, the kernels built here, and a given kernel times 2^(−s)
+    when s > 0.  Under its bound no entry of W or of a kernel and no form at
+    a framed row passes the float range, so a closed form is always finite
+    and needs no kernel to fall back on.  The caller applies s with its
+    frame's 2^(2e) in one exponent, so a tiny state's energy does not
+    overflow in the frame.
 
     Error of the closed form.  With u = 2⁻⁵³, S = t·Σ|G_jk||z_j||z_k| and the
     span L = λ_max − λ_min, a row with t·δ ≥ 1 is within
@@ -215,54 +222,47 @@ def _energy(c: np.ndarray, system: SpectralSystem, t: np.ndarray, kernel: np.nda
     5u·t·L·|G_jk||z_j||z_k|/|λ_j − λ_k|.
 
     A real kernel's forms are exactly real; a complex one's are checked
-    real to 1e-10 of their scale (at least t·‖c‖²·2^(−shift)), else
+    real to 1e-10 of their scale (at least t·‖c‖²·2^(−s)), else
     ``NumericError`` names the first bad row.  Closed forms are real.
     """
-    lam, shift = system.eigenvalues, np.zeros(len(c), dtype=int)
+    lam = system.eigenvalues
+    gram, s = _scaled_gram(system, t)
     if kernel is not None:
         if kernel.shape[:-2] != t.shape:
             raise ShapeError(f"{t.shape} horizons do not fit a kernel of shape {kernel.shape}")
         norm_sq = _norms_sq(c)
-        forms = _row_forms(_phased(c, lam, t), kernel)
+        forms = _row_forms(_phased(c, lam, t), kernel * 2.0**-s if s else kernel)
     else:
         horizons, closes = np.broadcast_to(t, len(c)), np.broadcast_to(_closes(system, t), len(c))
-        divided = _divided_differences(system) if closes.any() else None
-        table = None
+        divided = _divided_differences(lam, gram) if closes.any() else None
+        table = None if closes.all() else _gap_table(lam)
+        shared = gram * _gap_kernel(table, t) if table is not None and t.ndim == 0 else None
         run = _rows_within(32 * system.size)
         step = len(c) if t.ndim == 0 else _rows_within(system.gram.itemsize * system.size * system.size)
         forms, norm_sq = np.empty(len(c), dtype=system.gram.dtype), np.empty(len(c))
         for start in range(0, len(c), run):
             part = slice(start, min(start + run, len(c)))
             norm_sq[part] = _norms_sq(c[part])
-            done = closes[part].copy()
-            if done.any():
-                rows = start + np.flatnonzero(done)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    forms[rows] = _closed_energy(c[rows], lam, horizons[rows], *divided)
-                done[done] = np.isfinite(forms[rows])
-            kept = start + np.flatnonzero(~done)
+            if closes[part].any():
+                rows = start + np.flatnonzero(closes[part])
+                forms[rows] = _closed_energy(c[rows], lam, horizons[rows], *divided)
+            kept = start + np.flatnonzero(~closes[part])
             if not len(kept):
                 continue
-            if table is None:
-                gram_exp, t_exp = np.frexp([system.gram.diagonal().real.max(), t.max()])[1].tolist()
-                s = max(0, gram_exp + t_exp + (4 * system.size**2).bit_length() - 1023)
-                table, gram = _gap_table(lam), system.gram * 2.0**-s if s else system.gram
-                shared = gram * _gap_kernel(table, t) if t.ndim == 0 else None
             phased = _phased(c[kept], lam, horizons[kept])
-            shift[kept] = s
             for first in range(0, len(kept), step):
                 rows = kept[first : first + step]
                 kernel = gram * _gap_kernel(table, t[rows]) if shared is None else shared
                 forms[rows] = _row_forms(phased[first : first + step], kernel)
     if np.iscomplexobj(forms):
-        scale = np.maximum(np.abs(forms.real), np.ldexp(t * norm_sq, -shift))
+        scale = np.maximum(np.abs(forms.real), np.ldexp(t * norm_sq, -s))
         bad = np.abs(forms.imag) > 1.0e-10 * scale
         if bad.any():
             i = int(np.argmax(bad))
             raise NumericError(
                 f"observability integral came out non-real: imag {forms.imag[i]:.3e} vs scale {scale[i]:.3e}"
             )
-    return forms.real, norm_sq, shift
+    return forms.real, norm_sq, s
 
 
 def observability_integral(z0, system: SpectralSystem, T):
@@ -271,13 +271,14 @@ def observability_integral(z0, system: SpectralSystem, T):
     For a (k, n) block, one integral per row, with ``T`` one horizon or one
     per row; a row with T·δ ≥ 1 takes the closed form, any other its kernel,
     per-row kernels in chunks of at most ``spectral.BLOCK_BYTES``
-    (``_energy``).  Evaluated in the power-of-two frame of each row and
-    scaled back with the kernel's 2^s in one exponent, so a finite state
-    never yields nan: past the float range the integral reads inf.
+    (``_energy``).  Evaluated in the power-of-two frame of each row at
+    ``_energy``'s Gram scale 2^(−s) and scaled back in one exponent, so a
+    finite state never yields nan: past the float range the integral reads
+    inf.
     """
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    energy, _, shift = _energy(c, system, _horizons(T, system, len(c)))
-    return back(energy, shift)
+    energy, _, s = _energy(c, system, _horizons(T, system, len(c)))
+    return back(energy, s)
 
 
 def kernel_psd_margin(kernel: np.ndarray) -> tuple[float, float]:
@@ -288,8 +289,12 @@ def kernel_psd_margin(kernel: np.ndarray) -> tuple[float, float]:
     the sign of the smallest; the ``admissibility`` scenario's
     ``kernel-positive-semidefinite`` verdict does.  The largest eigenvalue
     is the sharp admissibility constant of the truncated model only; it
-    depends on the truncation level.
+    depends on the truncation level.  Anything but one (n, n) kernel, such
+    as the stack of several horizons, raises ``ShapeError``.
     """
+    shape = np.shape(kernel)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ShapeError(f"kernel_psd_margin takes one (n, n) kernel, got shape {shape}")
     vals = np.linalg.eigvalsh(kernel)
     return float(vals[0]), float(vals[-1])
 
@@ -309,14 +314,15 @@ def admissibility_check(z0, system: SpectralSystem, T, kernel: np.ndarray, C_T: 
     ``kernel`` is ``observability_kernel(system, T)``, built once per
     horizon by the caller; for a (k, n) block it serves every row, or is a
     (k, n, n) stack for k horizons.  Taken in the power-of-two frame of each
-    row, like ``observability_integral``; ‖z0‖² is the one the margin uses,
-    scaled back.  A given kernel is used as it is, so no form is shifted.
+    row, like ``observability_integral``, with the energy at ``_energy``'s
+    Gram scale 2^(−s) and C_T·2^(−s) beside it, so the margin is scaled back
+    in one exponent; ‖z0‖² is the one the margin uses, scaled back.
     """
     if not C_T > 0:
         raise DomainError(f"admissibility constant must be positive, got {C_T}")
     c, back = _power_of_two_frame(coefficients_of(z0, system))
-    energy, norm_sq, _ = _energy(c, system, _horizons(T, system, len(c)), kernel)
-    return AdmissibilityReport(margin=back(C_T * norm_sq - energy), norm_sq=back(norm_sq))
+    energy, norm_sq, s = _energy(c, system, _horizons(T, system, len(c)), kernel)
+    return AdmissibilityReport(margin=back(np.ldexp(C_T, -s) * norm_sq - energy, s), norm_sq=back(norm_sq))
 
 
 @dataclass(frozen=True)
@@ -348,7 +354,7 @@ def weak_observability_check(
     ``t_min`` is the minimal horizon ``solve_observation_time(λ(z0), ε)``;
     ``T`` and ``t_min`` are scalars or one per row.  Both sides and their
     margin are taken in the power-of-two frame of each row, the integral and
-    margin at its kernel's scale 2^(−s), and scaled back in one exponent,
+    margin at ``_energy``'s Gram scale 2^(−s), and scaled back in one exponent,
     so a finite state never yields nan.  A block is checked in one pass:
     one ``_moments`` for every row and one ``_energy``, where each row with
     T·δ ≥ 1 takes the closed form and any other its kernel.
@@ -357,15 +363,15 @@ def weak_observability_check(
     c, back = _power_of_two_frame(z)
     t, t_min = _horizons(T, system, len(c)), _horizons(t_min, system, len(c))
     lam0 = _moments(c, system)[3]
-    integral, norm_sq, shift = _energy(c, system, t)
+    integral, norm_sq, s = _energy(c, system, t)
     lhs = THETA2 * psi(THETA0 * (1.0 / t + lam0)) * norm_sq
     t, t_min = np.broadcast_to(t, len(c)), np.broadcast_to(t_min, len(c))
     return ObservabilityReport(
         T=_per_row(t, z),
-        integral=back(integral, shift),
+        integral=back(integral, s),
         lhs=back(lhs),
         t_min=_per_row(t_min, z),
-        margin=back(integral - np.ldexp(lhs, -shift), shift),
+        margin=back(integral - np.ldexp(lhs, -s), s),
         applicable=_per_row(t >= t_min, z),
         lambda_z0=_per_row(lam0, z),
         norm_sq=back(norm_sq),

@@ -275,19 +275,45 @@ def _power_of_two_frame(c: np.ndarray):
     rounded once, and reads ±inf past the float range.  A row whose parts
     are all at most ``ZERO_NORM_FLOOR`` is left as it is (e = 0), so
     callers treat it as before.  A 1-D ``c`` is the block of one row;
-    ``back`` takes one value per row, and a per-row ``shift`` for values
-    held at 2^(−shift), applied in one exponent 2e + shift; it returns a
+    ``back`` takes one value per row, and the exponent s of values held at
+    2^(−s) (``_scaled_gram``), applied in one exponent 2e + s; it returns a
     float for a 1-D ``c``, else an array.
     """
     rows = np.ascontiguousarray(c).reshape(-1, c.shape[-1])
     amax = np.abs(rows.view(float)).max(axis=1)
     e = np.where(amax > ZERO_NORM_FLOOR, np.frexp(amax)[1], 0)
 
-    def back(value: np.ndarray, shift=0):
+    def back(value: np.ndarray, s: int = 0):
         with np.errstate(over="ignore"):
-            return _per_row(np.ldexp(value, 2 * e + shift), c)
+            return _per_row(np.ldexp(value, 2 * e + s), c)
 
     return rows * np.ldexp(1.0, -e)[:, None], back
+
+
+def _scaled_gram(system: SpectralSystem, t=1.0) -> tuple[np.ndarray, int]:
+    """G·2^(−s) and s: the one scale of every quadratic form in G at framed rows, each of weight at most max ``t``.
+
+    A form's weight is its horizon in an energy over [0, t], 1/ψ in a
+    resolvent margin, 1 in ‖Cz‖².  s = 0 unless 16n²·max G_kk·max t
+    reaches 2¹⁰²³, else the least s that puts it below.
+
+    Proof that no value at G·2^(−s) passes the float range.  A row of
+    ``_power_of_two_frame`` has parts below 1, so entries of modulus below
+    √2, and a form Σ M_jk u_j ū_k there, with each of its partial sums, is
+    below 2n²·max|M_jk|.  |G_jk| ≤ max G_kk for a positive semidefinite G
+    and |S_jk| ≤ t, so a kernel G∘S_t and its forms stay below
+    2n²·max G_kk·t, and a form in G of weight t ≥ 1 as well.  The closed
+    form (``evolution``) is t times a form in B plus four cross forms in W,
+    each below 2n²·max|W_jk|, and every |W_jk| ≤ max G_kk/δ ≤ max G_kk·t on
+    the rows that take it (t·δ ≥ 1), so it stays below 10n²·max G_kk·t.
+    16 over 10 leaves room for round-off.  Scaling by a power of two is
+    exact away from the subnormal range, so a value taken at this scale and
+    mapped back by ``back(value, s)`` has the bits of the same value taken
+    at G whenever that one is finite and no step of it falls below 2⁻¹⁰²².
+    """
+    gram_exp, t_exp = np.frexp([system.gram.diagonal().real.max(), np.max(t)])[1].tolist()
+    s = max(0, gram_exp + t_exp + (16 * system.size**2).bit_length() - 1023)
+    return (system.gram * 2.0**-s if s else system.gram), s
 
 
 def frequency(z, system: SpectralSystem):
@@ -343,8 +369,10 @@ def _row_forms(c: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 def observed_energy_sq(z, system: SpectralSystem):
     """‖Cz‖² = Σ_{jk} G_{jk} z_j conj(z_k), real by Hermiticity; one per row of a block.
 
-    Taken in the power-of-two frame of each row, so past the float range it
-    reads inf, never nan.
+    Taken in the power-of-two frame of each row, at ``_scaled_gram`` with
+    t = 1, and scaled back in one exponent, so a value in the float range
+    reads finite whatever the sizes of z and G, and past it inf, never nan.
     """
     c, back = _power_of_two_frame(coefficients_of(z, system))
-    return back(_row_forms(c, system.gram).real)
+    gram, s = _scaled_gram(system)
+    return back(_row_forms(c, gram).real, s)

@@ -616,6 +616,17 @@ class TestResolventCheck:
         assert rep.verdict and rep.residual_over_epsilon > 1.0
         assert rep.inf_margin == pytest.approx(rep.norm_sq, rel=1e-12)
 
+    def test_tiny_state_with_a_gram_near_the_float_range_keeps_its_energy(self):
+        # In the state's frame ‖Cz‖² passes the float range at G; at G·2^(−s)
+        # it does not, and the true 3e108 reads finite, with no RuntimeWarning.
+        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.0], gram=np.diag([1e308] * 3))
+        z = np.full(3, 1e-100)
+        assert observed_energy_sq(z, sys_) == pytest.approx(3e108, rel=1e-15)
+        cert = CoercivityCertificate(epsilon=PowerLaw(1e-3, 0.0), psi=PowerLaw(1.0, 0.0))
+        rep = resolvent_check(sys_, z, cert)
+        assert rep.observed_sq == pytest.approx(3e108, rel=1e-15)
+        assert rep.residual_over_epsilon > 1.0 and rep.inf_margin == rep.observed_sq
+
     def test_pipeline_certificate_margins(self, square50):
         pipeline = scan_certificate(square50, coercivity_scan(square50, 0.5))
         rng = np.random.default_rng(54)

@@ -597,6 +597,19 @@ class TestCli:
         worst = json.loads(out.read_text(encoding="utf-8"))["constants"]["worst_admissibility_margin"]
         assert 0.99e-12 < worst <= 1e-12
 
+    def test_admissibility_kernel_past_the_float_range_exits_four(self, tmp_path, capsys):
+        # At T = 100 the kernel G∘S_T of G = 1e307·I has the entry 1e309.
+        system = {"type": "custom", "eigenvalues": [1, 2, 3], "gram": np.diag([1e307] * 3).tolist()}
+        out = tmp_path / "report.json"
+        argv = ["admissibility", "--config", json.dumps({"system": system, "T": 100}), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "obskit: numeric failure: the observability kernel G∘S_T passes the float range at T = 100.0\n"
+        )
+        assert not out.exists()
+
     def test_cutoff_constants_block_is_pinned(self, tmp_path):
         out = tmp_path / "cutoff.json"
         main(["verify-cutoff", "--out", str(out)])

@@ -1,6 +1,7 @@
 """Observability integrals: closed form vs quadrature, kernel properties."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -255,20 +256,26 @@ class TestObservabilityIntegral:
             z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             assert observability_integral(z, sys_, 1.0) >= -1e-12
 
-    def test_a_closed_form_past_the_float_range_falls_back_to_the_kernel(self):
-        # T·δ = 1, so the row would take the closed form, but a part of it
-        # overflows where the kernel's energy, about 6.0e307, does not.
+    def test_a_closed_form_near_the_float_range_takes_the_scaled_gram(self):
+        # T·δ = 1, so the row takes the closed form.  At G a part of it
+        # overflows where the kernel's energy, about 6.0e307, does not; at
+        # G·2⁻⁹ it is finite and within the bound of ``_energy``'s docstring,
+        # 8u(n + 16 + L/δ)·t·Σ|G_jk||z_j||z_k|, of the kernel's value.
         sys_ = SpectralSystem(eigenvalues=[1.0, 1.25], gram=3e307 * np.array([[1.0, 0.8], [0.8, 1.0]]))
+        lam = sys_.eigenvalues
         c, back = _power_of_two_frame(np.array([[-0.875, 0.875]]))
         t = np.array([4.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(_closed_energy(c, sys_.eigenvalues, t, *_divided_differences(sys_))).any()
+            assert not np.isfinite(_closed_energy(c, lam, t, *_divided_differences(lam, sys_.gram))).any()
         expected = energy_by_row_kernel(c, sys_, t)
         assert np.isfinite(expected).all()
-        energy, _, shift = _energy(c, sys_, t)
-        assert shift.tolist() == [7]  # the kernel takes G·2⁻⁷; the form is left at that scale
-        assert np.array_equal(np.ldexp(energy, shift), expected)
-        assert observability_integral([-0.875, 0.875], sys_, 4.0) == back(expected)[0]
+        energy, _, s = _energy(c, sys_, t)
+        assert s == 9  # 16n²·3e307·4 < 2^(1023 + 9)
+        assert np.isfinite(energy).all()
+        scale = t * np.einsum("kj,jl,kl->k", np.abs(c), np.ldexp(np.abs(sys_.gram), -s), np.abs(c))
+        bound = 8 * 2.0**-53 * (2 + 16 + 1) * scale
+        assert np.all(np.abs(energy - np.ldexp(expected, -s)) <= bound)
+        assert observability_integral([-0.875, 0.875], sys_, 4.0) == back(energy, s)[0]
 
     @pytest.mark.parametrize("T", (10.0, np.array([10.0])), ids=("one-horizon", "per-row"))
     @pytest.mark.parametrize("held", ("gram", "factor"))
@@ -354,6 +361,19 @@ class TestKernelAndAdmissibility:
         gram = np.diag([0.5, 2.0, 1.25]).astype(complex)
         sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 4.0], gram=gram)
         assert kernel_psd_margin(observability_kernel(sys_, 3.0))[1] == pytest.approx(6.0, rel=1e-12)
+
+    def test_psd_margin_takes_one_square_kernel(self):
+        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 4.0], gram=np.eye(3))
+        for kernel in (observability_kernel(sys_, np.array([1.0, 2.0])), np.ones((3, 2)), np.ones(3)):
+            with pytest.raises(ShapeError, match=re.escape(f"one (n, n) kernel, got shape {kernel.shape}")):
+                kernel_psd_margin(kernel)
+
+    @pytest.mark.parametrize("T", (100.0, np.array([1.0, 100.0, 200.0])), ids=("one-horizon", "per-row"))
+    def test_kernel_entry_past_the_float_range_raises_naming_its_horizon(self, T):
+        # G∘S_T has the entry 1e307·100 on its diagonal.  Any RuntimeWarning fails the test.
+        sys_ = SpectralSystem(eigenvalues=[1.0, 2.0, 3.0], gram=np.diag([1e307] * 3))
+        with pytest.raises(NumericError, match=r"^the observability kernel G∘S_T passes the float range at T = 100\.0$"):
+            observability_kernel(sys_, T)
 
     @pytest.mark.parametrize("C_T", [0.0, -1.0, math.nan])
     def test_admissibility_constant_must_be_positive(self, C_T):

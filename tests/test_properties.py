@@ -81,6 +81,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,7 @@ from obskit import (
     CoercivityCertificate,
     ConfigError,
     DomainError,
+    NumericError,
     PowerLaw,
     ShapeError,
     SpectralSystem,
@@ -445,6 +447,48 @@ def test_checks_homogeneous_of_degree_two_under_powers_of_two(pair, seed, decade
         assert not any(math.isnan(v) for v in base + scaled)
         assert scaled == expected
         assert fixed == base_fixed
+
+
+def linear_in_gram_values(z, sys_, T):
+    """Every value the checks return that is linear in G at a fixed state."""
+    values = [observed_energy_sq(z, sys_), observability_integral(z, sys_, T)]
+    values.append(weak_observability_check(z, sys_, T, PowerLaw(0.1, 1.0), 1.0).integral)
+    return values + [resolvent_check(sys_, z, SPECTRAL_CERT).observed_sq]
+
+
+@settings(max_examples=100)
+@given(kernel_systems(), st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0), st.integers(-200, 510))
+def test_checks_linear_in_the_gram_under_powers_of_two(pair, seed, decade, h):
+    # The factor times 2^h makes the Gram exactly G·2^(2h), at h and at the
+    # largest h that keeps every G_kk below 2¹⁰²² (so FFᴴ + (FFᴴ)ᴴ is
+    # finite).  Each value linear in G, and the admissibility margin with
+    # C_T·2^(2h), moves by exactly 2^(2h), reading inf only past the float
+    # range: never nan, never a warning.
+    sys_, T = pair
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal(sys_.size) + 1j * rng.standard_normal(sys_.size)) * 10.0**decade
+    base = SpectralSystem(sys_.eigenvalues, factor=sys_.factor)
+    kernel = observability_kernel(base, T)
+    C_T = 3.0 * base.gram.diagonal().real.max()  # C_T·2^(2h) stays in range with G
+    adm = admissibility_check(z, base, T, kernel, C_T)
+    values = linear_in_gram_values(z, base, T) + [adm.margin]
+    top = (1022 - math.frexp(float(base.gram.diagonal().real.max()))[1]) // 2
+    for power in (min(h, top), top):
+        scaled = SpectralSystem(sys_.eigenvalues, factor=sys_.factor * 2.0**power)
+        with np.errstate(over="ignore"):
+            expected = [float(np.ldexp(v, 2 * power)) for v in values]
+            kernel_in_range = np.isfinite(np.ldexp(np.abs(kernel.view(float)).max(), 2 * power))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linear_in_gram_values(z, scaled, T)
+            if kernel_in_range:
+                scaled_kernel = observability_kernel(scaled, T)
+                got.append(admissibility_check(z, scaled, T, scaled_kernel, np.ldexp(C_T, 2 * power)).margin)
+            else:
+                with pytest.raises(NumericError, match="G∘S_T passes the float range at T = "):
+                    observability_kernel(scaled, T)
+        assert not any(math.isnan(v) for v in got)
+        assert got == expected[: len(got)]
 
 
 @settings(max_examples=500, derandomize=True)
@@ -864,8 +908,8 @@ def test_stacked_row_forms_equal_the_per_row_vdots(n, k, stacked, complex_matrix
     h = 0.5 * (m + np.swapaxes(m, -1, -2).conj())
     t = np.ones(shape[:-2])
     lam = np.sort(rng.uniform(1.0, 100.0, n))
-    value, norm_sq, shift = _energy(c, SpectralSystem(lam, factor=np.ones((n, 1))), t, h)
-    assert not shift.any()  # a given kernel is used as it is
+    value, norm_sq, s = _energy(c, SpectralSystem(lam, factor=np.ones((n, 1))), t, h)
+    assert s == 0  # G = 11ᵀ at t = 1: the given kernel is used as it is
     assert np.array_equal(value.view(np.int64), oracle(_phased(c, lam, t), h).real.view(np.int64))
     assert np.array_equal(norm_sq.view(np.int64), row_norms_sq_by_row(c).view(np.int64))
 

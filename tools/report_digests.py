@@ -48,7 +48,10 @@ patch of width 5e-324 at n_max 50, whose decay constant δ̂ is 0 (it writes
 no ``certificate_widths`` table), ``coercivity-scan`` on the 2-mode
 spectrum [1, 1e200], where the envelope fit's (1 + λ)² overflows,
 ``admissibility`` on a 3-mode custom system with the Gram 1e300·I at width
-1e-8, whose sup overflows (exit 4, no report), ``weak-observability`` with ``--T 32000``,
+1e-8, whose sup overflows (exit 4, no report), ``admissibility`` (``--trials 20``)
+on a 3-mode custom system with the Gram 1e307·I at ``--T 1``, whose
+forms take G·2^(−s) with s > 0, and at ``--T 100``, where G∘S_T passes the
+float range (exit 4, no report), ``weak-observability`` with ``--T 32000``,
 a horizon between the smallest and the largest minimal observation time of
 the default batch, so that only some rows carry a margin, and each job of
 ``perfbench/jobs.py`` at full size, and prints one line per report: the
@@ -193,6 +196,12 @@ OVERFLOW_CONFIG = {
 ZERO_DECAY_CONFIG = {
     "system": {"type": "square", "n_max_eigenvalue": 50, "gamma": [{"side": "bottom", "alpha": 0, "beta": 5e-324}]}
 }
+# The Gram 1e307·I: at T = 1 every form takes G·2^(−s) with s > 0, and at
+# T = 100 an entry of G∘S_T passes the float range.
+BIG_GRAM_CONFIG = {
+    "system": {"type": "custom", "eigenvalues": [1, 2, 3], "gram": [[1e307, 0, 0], [0, 1e307, 0], [0, 0, 1e307]]}
+}
+BIG_GRAM_RUNS = (("1", ""), ("100", "-overflow"))
 BRANCH_RUNS = (
     ("coercivity-scan", NULL_STATE_CONFIG, ""),
     ("resolvent-scan", NULL_STATE_CONFIG, ""),
@@ -239,8 +248,8 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     ``noninteger/SCENARIO``, ``sub-unit-gap/weak-observability``,
     ``scale/SCENARIO``, ``bottom-scale/SCENARIO``, ``mid/SCENARIO``,
     ``wide/SCENARIO``, ``walk/coercivity-scan``, ``sides/SCENARIO``, ``narrow/SCENARIO``,
-    ``branch/SCENARIO`` (or ``branch/SCENARIO-SUFFIX``), ``branch/weak-observability-partial``
-    and ``WORKLOAD/I-SCENARIO``.
+    ``branch/SCENARIO`` (or ``branch/SCENARIO-SUFFIX``), ``branch/weak-observability-partial``,
+    ``big-gram/admissibility`` (and ``-overflow``) and ``WORKLOAD/I-SCENARIO``.
     """
     lines = [_cli_line([scenario], seed, outdir, f"default/{scenario}") for scenario in SCENARIOS]
     lines += [
@@ -328,6 +337,15 @@ def digest_lines(seed: int, outdir: Path) -> list[str]:
     lines.append(
         _cli_line(["weak-observability", "--T", PARTIAL_T], seed, outdir, "branch/weak-observability-partial")
     )
+    lines += [
+        _cli_line(
+            ["admissibility", "--config", json.dumps(BIG_GRAM_CONFIG), "--trials", "20", "--T", horizon],
+            seed,
+            outdir,
+            f"big-gram/admissibility{suffix}",
+        )
+        for horizon, suffix in BIG_GRAM_RUNS
+    ]
     for workload in WORKLOADS:
         (outdir / workload).mkdir(exist_ok=True)
         _, results = run_pass(cli, workload_jobs(workload, "full"), outdir / workload, seed)
